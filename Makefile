@@ -1,7 +1,7 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build vet lint lint-json lint-budget test race cover golden memgate bench bench6 bench9 bench10 fuzz smoke soak-short shard-short
+.PHONY: check build vet lint lint-json lint-budget test race cover golden memgate bench fuzz smoke soak-short shard-short
 
 check: build vet lint lint-budget test race cover golden memgate soak-short shard-short
 
@@ -103,89 +103,12 @@ golden:
 		echo "golden estimate fixtures drifted:"; echo "$$drift"; exit 1; \
 	fi
 
-# Storage-engine + variance-engine benchmarks. Emits BENCH_5.json: term-eval
-# throughput, resident bytes/row, and index build time against the
-# pre-columnar baselines (measured identically on this host at the row-store
-# seed, immediately before the refactor). BENCH_1.json records the ISSUE 1
-# evaluation-engine results.
+# The repo's one benchmark (BENCHMARK.json; see benchmark/README.md).
 bench:
-	$(GO) test -run XXX -bench 'JackknifeVariance|SplitSampleVariance|PointEstimateJoin|BuildIndex|RelationFootprint|ExactCountJoin' -benchtime 50x . \
-	| $(GO) run ./cmd/benchjson \
-		-issue 5 \
-		-title "Columnar storage engine with zero-copy sample views and typed join keys" \
-		-command "make bench" \
-		-baseline BenchmarkPointEstimateJoin=485350 \
-		-baseline BenchmarkBuildIndex=4967415 \
-		-baseline BenchmarkExactCountJoin=8124419 \
-		-baseline-metric heap-bytes/row=103.2 \
-		-note "Baselines were measured on this host at the row-store seed, with the same fixtures and methodology: BenchmarkPointEstimateJoin (one join COUNT estimate from n=1000 samples), BuildIndex over the 20k-row join fixture (then string-keyed), ExactCountJoin (full 20k x 20k hash join), and heap bytes/row from runtime.MemStats growth building the 2x20k JoinPair fixture (BenchmarkRelationFootprint repeats the measurement)." \
-		-note "Acceptance targets: >=2x BenchmarkPointEstimateJoin speedup (term-eval throughput), >=3x heap-bytes/row improvement. speedup and metric_improvement are baseline/current." \
-		-note "ExactCountJoin trades a little: the row-store emitted join output as shared-backing tuple appends, while the columnar engine writes each output row into four typed vectors (typed column-to-column copy, capacity pre-reserved from the match count). The estimators never materialize joins, so the hot path keeps the full win." \
-		> BENCH_5.json
-	cat BENCH_5.json
-	$(GO) test -run XXX -bench 'BenchmarkJackknife' -benchtime 5x ./internal/estimator/
-	$(MAKE) bench6
-
-# Streaming-executor + cross-term CSE benchmarks. Emits BENCH_6.json:
-# multi-term estimate throughput with subexpression sharing against the
-# -no-cse baseline (measured identically on this host immediately before
-# enabling CSE), and the streaming executor's heap ceiling on a probe
-# relation 40x the batch size.
-bench6:
-	$(GO) test -run XXX -bench 'MultiTermOverlap|StreamCountCeiling' -benchtime 30x . \
-	| $(GO) run ./cmd/benchjson \
-		-issue 6 \
-		-title "Streaming batch execution with cross-term common-subexpression elimination" \
-		-command "make bench6" \
-		-baseline BenchmarkMultiTermOverlap=260406435 \
-		-baseline-metric peak-ratio-10x=10.0 \
-		-note "BenchmarkMultiTermOverlap is one full COUNT estimate of an 8-step join chain over a 3-way union of disjoint selections (7 polynomial terms sharing one join prefix). The baseline is BenchmarkMultiTermOverlapNoCSE measured identically on this host: the same estimate with -no-cse, so speedup = no-CSE/CSE is the cross-term sharing win on a 3-term overlapping-join query. The NoCSE benchmark is included in each run so the ratio can be re-derived from current numbers." \
-		-note "BenchmarkStreamCountCeiling reports peak-bytes (the streaming executor's high-water working set: operator batches + hash build side, from relest_stream_peak_bytes) on a probe relation of 40x1024 rows, and peak-ratio-10x = peak at 40x batches / peak at 4x batches. ~1.0 means the heap ceiling is independent of relation size; the 10.0 baseline is how a materializing evaluator scales over the same 10x growth, so metric_improvement ~= 10 is the constant-memory property. The regression gate is TestStreamMemoryCeiling (make memgate)." \
-		> BENCH_6.json
-	cat BENCH_6.json
-
-# Tier-planner benchmarks. Emits BENCH_9.json: the same sketch-eligible
-# equi-join COUNT answered by the sketch tier versus the sample-based
-# counting polynomial, from one prepared Estimator handle. The baseline
-# is BenchmarkTierSampleCount measured identically on this host, so
-# speedup = sample/sketch is the per-query win of sketch-first
-# answering; the sample benchmark is included in each run so the ratio
-# can be re-derived from current numbers. Acceptance floor: >=5x.
-bench9:
-	$(GO) test -run XXX -bench 'TierSketchCount|TierSampleCount' -benchtime 30x . \
-	| $(GO) run ./cmd/benchjson \
-		-issue 9 \
-		-title "Tiered hybrid synopses behind a unified Estimator facade" \
-		-command "make bench9" \
-		-baseline BenchmarkTierSketchCount=343027 \
-		-note "Both benchmarks answer COUNT of the same equi-join (zipf 0.5 pair, domain 2000, 20k rows per relation) through relest.New handles differing only in tier policy. The sketch tier reads the prebuilt hashed-AGMS counters (9 groups x 512 buckets per column); the sample tier runs the counting polynomial over n=1000-per-relation samples. The baseline for BenchmarkTierSketchCount is BenchmarkTierSampleCount measured identically on this host, so speedup = sample-tier/sketch-tier latency; the acceptance floor is 5x." \
-		> BENCH_9.json
-	cat BENCH_9.json
-
-# Sharded-tier benchmarks. Emits BENCH_10.json: the same pinned-seed
-# join COUNT answered through the coordinator at shards 1, 2 and 4,
-# against a stock single-node relestd measured in the same run. The
-# baseline for every coordinator benchmark is BenchmarkSingleNodeEstimate
-# measured identically on this host immediately before this target was
-# added, so speedup = single-node/coordinator is < 1 by construction: it
-# QUANTIFIES the cluster hop's overhead rather than claiming a win. The
-# single-node benchmark is included in each run so the ratio can be
-# re-derived from current numbers.
-bench10:
-	$(GO) test -run XXX -bench 'CoordEstimate|SingleNodeEstimate' -benchtime 30x ./internal/cluster \
-	| $(GO) run ./cmd/benchjson \
-		-issue 10 \
-		-title "Sharded estimation tier: coordinator + shard-node architecture with stratified merge" \
-		-command "make bench10" \
-		-baseline BenchmarkCoordEstimateShards1=163745 \
-		-baseline BenchmarkCoordEstimateShards2=163745 \
-		-baseline BenchmarkCoordEstimateShards4=163745 \
-		-note "All benchmarks answer COUNT of the same equi-join (zipf-pair, domain 200, 2000 rows per relation, 200-per-relation samples, pinned seeds) over HTTP. BenchmarkCoordEstimateShardsN runs the full coordinator path: scatter-gather fanout to N in-process shard relestds, per-shard estimation, stratified merge, JSON re-encode. The 163745 ns baseline is BenchmarkSingleNodeEstimate measured identically on this host (included in each run), so speedup = single-node/coordinator quantifies coordination overhead: about 1.8x latency at shards=1 (one extra HTTP hop plus decode/merge/re-encode) and rising with fanout width on one machine, the price of the tier being real processes speaking the real wire protocol. On a multi-node deployment the per-shard estimation cost divides by N instead of stacking on one host; the contract this tier buys is the stratified-merge statistics and the shards=1 byte-identity, not single-host latency." \
-		> BENCH_10.json
-	cat BENCH_10.json
+	bash benchmark/run.sh
 
 # Memory-ceiling regression gate: the streaming executor's peak working
 # set must stay flat when the probe relation grows 10x (see
-# TestStreamMemoryCeiling and BENCH_6.json).
+# TestStreamMemoryCeiling).
 memgate:
 	$(GO) test -count=1 -run TestStreamMemoryCeiling ./internal/algebra

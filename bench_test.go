@@ -67,7 +67,7 @@ func BenchmarkPointEstimateJoin(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, relest.Options{Variance: relest.VarNone}); err != nil {
+		if _, err := count(e, syn, relest.Options{Variance: relest.VarNone}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -92,7 +92,7 @@ func BenchmarkPointEstimateWithVariance(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.Count(e, syn); err != nil {
+		if _, err := count(e, syn, relest.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func benchCountVariance(b *testing.B, method relest.VarianceMethod, workers int)
 	opts := relest.Options{Variance: method, Seed: 42, Workers: workers}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, opts); err != nil {
+		if _, err := count(e, syn, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func BenchmarkSplitSampleVariance(b *testing.B) {
 // the incremental synopsis (reservoir + random pairing).
 func BenchmarkIncrementalUpdate(b *testing.B) {
 	rng := relest.Seeded(3)
-	inc := relest.NewIncremental(1_000, rng)
+	inc := relest.NewIncrementalWithOptions(relest.IncrementalOptions{Capacity: 1_000, RNG: rng})
 	if err := inc.Track("R", relest.JoinSchema()); err != nil {
 		b.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func BenchmarkSynopsisDraw(b *testing.B) {
 }
 
 // footprintFixture is the 2×20k-row join fixture the storage benchmarks
-// share (same spec and seed as the pre-columnar baseline in BENCH_5.json).
+// share.
 func footprintFixture() (*relest.Relation, *relest.Relation) {
 	rng := relest.Seeded(1)
 	return relest.JoinPair(rng, relest.JoinPairSpec{
@@ -311,15 +311,15 @@ func benchMultiTermOverlap(b *testing.B, disableCSE bool) {
 	opts := relest.Options{Variance: relest.VarNone, DisableCSE: disableCSE}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := relest.CountWithOptions(e, syn, opts); err != nil {
+		if _, err := count(e, syn, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 // BenchmarkMultiTermOverlap measures multi-term estimate throughput with
-// cross-term subexpression sharing (the default); the BENCH_6 baseline is
-// the same workload with -no-cse, measured identically on this host.
+// cross-term subexpression sharing (the default); the baseline is
+// BenchmarkMultiTermOverlapNoCSE, the same workload with -no-cse.
 func BenchmarkMultiTermOverlap(b *testing.B) { benchMultiTermOverlap(b, false) }
 
 // BenchmarkMultiTermOverlapNoCSE is the same estimate with sharing
@@ -404,7 +404,7 @@ func BenchmarkA2PageSampling(b *testing.B) { experimentBench(b, "A2") }
 
 func BenchmarkA3Planner(b *testing.B) { experimentBench(b, "A3") }
 
-// Tier benchmarks (BENCH_9.json): the same sketch-eligible equi-join
+// Tier benchmarks: the same sketch-eligible equi-join
 // COUNT answered by each tier of one prepared Estimator handle. The
 // sketch tier reads 2·Groups·GroupSize prebuilt counters; the sample
 // tier runs the counting polynomial over the n=1000-per-relation

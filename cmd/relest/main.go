@@ -263,8 +263,21 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	opts := estimator.Options{Confidence: *confidence, Workers: *workers, DisableCSE: *noCSE, Recorder: rec}
+	// Every plain query goes through one handle; -tier sample (the default,
+	// and the only policy group/sum/avg accept) pins the sample-only path
+	// bit for bit, so the output is byte-identical to earlier releases.
+	policy := tierPolicy
+	if !tiered {
+		policy = estimator.TierSampleOnly
+	}
+	h := estimator.NewEstimator(syn,
+		estimator.WithOptions(opts),
+		estimator.WithTierPolicy(policy),
+		estimator.WithPrecision(*precision))
+	ctx := context.Background()
+	req := estimator.Request{Expr: st.Expr, Col: st.AggCol}
 	if st.Agg == "group" {
-		groups, err := estimator.GroupCount(st.Expr, st.AggCol, syn)
+		groups, _, err := h.GroupCount(ctx, req)
 		if err != nil {
 			return err
 		}
@@ -285,14 +298,14 @@ func run(args []string, stdout io.Writer) (err error) {
 		}
 		switch st.Agg {
 		case "sum":
-			est, err := estimator.SumWithOptions(st.Expr, st.AggCol, syn, opts)
+			res, err := h.Sum(ctx, req)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(stdout, "\nSUM(%s) estimate: %.1f\n", st.AggCol, est.Value)
-			printCI(stdout, est)
+			fmt.Fprintf(stdout, "\nSUM(%s) estimate: %.1f\n", st.AggCol, res.Value)
+			printCI(stdout, res.Estimate)
 		case "avg":
-			res, err := estimator.Avg(st.Expr, st.AggCol, syn, opts)
+			res, _, err := h.Avg(ctx, req)
 			if err != nil {
 				return err
 			}
@@ -324,7 +337,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 	switch {
 	case *deadline > 0:
-		est, history, err := estimator.DeadlineCountContext(context.Background(), st.Expr, syn, estimator.DeadlineOptions{
+		est, history, err := estimator.DeadlineCountContext(ctx, st.Expr, syn, estimator.DeadlineOptions{
 			Budget:   *deadline,
 			Estimate: opts,
 			RNG:      rng,
@@ -335,7 +348,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		fmt.Fprintf(stdout, "\ndeadline estimate after %d rounds: %.1f\n", len(history), est.Value)
 		printCI(stdout, est)
 	case *target > 0:
-		res, err := estimator.SequentialCountContext(context.Background(), st.Expr, syn, estimator.SequentialOptions{
+		res, err := estimator.SequentialCountContext(ctx, st.Expr, syn, estimator.SequentialOptions{
 			TargetRelErr: *target,
 			Confidence:   *confidence,
 			Estimate:     opts,
@@ -350,18 +363,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		printCI(stdout, res.Final)
 		fmt.Fprintf(stdout, "target met:      %v\n", res.TargetMet)
 	default:
-		// Every plain count goes through the unified handle; -tier sample
-		// (the default) pins the legacy sample-only path bit for bit, so
-		// the output is byte-identical to earlier releases.
-		policy := tierPolicy
-		if !tiered {
-			policy = estimator.TierSampleOnly
-		}
-		h := estimator.NewEstimator(syn,
-			estimator.WithOptions(opts),
-			estimator.WithTierPolicy(policy),
-			estimator.WithPrecision(*precision))
-		res, err := h.Count(context.Background(), estimator.Request{Expr: st.Expr})
+		res, err := h.Count(ctx, req)
 		if err != nil {
 			return err
 		}

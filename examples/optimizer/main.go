@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"relest"
+	"relest/internal/planner"
 )
 
 func main() {
@@ -55,10 +56,10 @@ func main() {
 	}
 
 	cat := relest.MapCatalog{"A": a, "B": b, "C": c}
-	q := relest.PlanQuery{
+	q := planner.Query{
 		Relations: []string{"A", "B", "C"},
 		Schemas:   map[string]*relest.Schema{"A": schemaA, "B": schemaB, "C": schemaC},
-		Edges: []relest.PlanEdge{
+		Edges: []planner.Edge{
 			{A: "A", B: "B", ACol: "u", BCol: "u"},
 			{A: "A", B: "C", ACol: "k", BCol: "k"},
 		},
@@ -69,16 +70,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	catalogOracle, err := relest.NewCatalogOracle(q, cat)
+	catalogOracle, err := planner.NewCatalog(q, cat)
 	if err != nil {
 		log.Fatal(err)
 	}
 	oracles := []struct {
 		name   string
-		oracle relest.CardinalityOracle
+		oracle planner.CardinalityEstimator
 	}{
-		{"exact counts", relest.ExactOracle(cat)},
-		{"sampling (5%)", relest.SamplingOracle(syn)},
+		{"exact counts", planner.Exact{Cat: cat}},
+		{"sampling (5%)", planner.Sampling{Syn: syn}},
 		{"System-R catalog (AVI)", catalogOracle},
 	}
 
@@ -86,11 +87,11 @@ func main() {
 	fmt.Printf("A.u and B.u share Zipf(1.2) heavy hitters; A.k and C.k are uniform.\n\n")
 	fmt.Printf("%-24s %-14s %-16s %-16s\n", "oracle", "chosen order", "estimated cost", "TRUE cost")
 	for _, o := range oracles {
-		plan, err := relest.Optimize(q, o.oracle)
+		plan, err := planner.Optimize(q, o.oracle)
 		if err != nil {
 			log.Fatal(err)
 		}
-		trueCost, err := relest.PlanTrueCost(q, plan.Order, cat)
+		trueCost, err := planner.TrueCost(q, plan.Order, cat)
 		if err != nil {
 			log.Fatal(err)
 		}

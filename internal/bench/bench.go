@@ -6,11 +6,22 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
+	"relest/internal/algebra"
+	"relest/internal/estimator"
 	"relest/internal/stats"
 )
+
+// sampleCount estimates COUNT(e) from the sample tier alone: the
+// experiments measure the paper's estimator, never a sketch answer.
+func sampleCount(e *algebra.Expr, syn *estimator.Synopsis, opts estimator.Options) (estimator.Estimate, error) {
+	h := estimator.NewEstimator(syn, estimator.WithOptions(opts), estimator.WithTierPolicy(estimator.TierSampleOnly))
+	res, err := h.Count(context.Background(), estimator.Request{Expr: e})
+	return res.Estimate, err
+}
 
 // Table is one experiment's result in row/column form, mirroring the
 // corresponding table or figure of the paper's evaluation.

@@ -97,7 +97,7 @@ func T6Baselines(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(col2, budget, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

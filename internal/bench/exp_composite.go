@@ -91,7 +91,7 @@ func F1Composite(seed int64, scale Scale) *Table {
 					panic(err)
 				}
 			}
-			est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+			est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}

@@ -81,7 +81,7 @@ func A1Stratified(seed int64, scale Scale) *Table {
 				if err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(q.e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := sampleCount(q.e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}
@@ -167,7 +167,7 @@ func A2PageSampling(seed int64, scale Scale) *Table {
 				if err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

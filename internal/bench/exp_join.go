@@ -54,7 +54,7 @@ func T2Join(seed int64, scale Scale) *Table {
 					if err := syn.AddDrawn(r2, int(f*float64(N)), rng); err != nil {
 						panic(err)
 					}
-					est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+					est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone})
 					if err != nil {
 						panic(err)
 					}
@@ -116,7 +116,7 @@ func T7SelfJoin(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(r, n, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

@@ -57,7 +57,7 @@ func T1Selection(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(rel, n, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(e, syn, estimator.Options{
+				est, err := sampleCount(e, syn, estimator.Options{
 					Variance: estimator.VarAnalytic,
 				})
 				if err != nil {
@@ -128,7 +128,7 @@ func F2Coverage(seed int64, scale Scale) *Table {
 							panic(err)
 						}
 					}
-					est, err := estimator.CountWithOptions(q, syn, estimator.Options{
+					est, err := sampleCount(q, syn, estimator.Options{
 						Variance:   estimator.VarAnalytic,
 						Confidence: lvl,
 					})

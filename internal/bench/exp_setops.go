@@ -82,7 +82,7 @@ func T3SetOps(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(r2, n, rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(op.e, syn, estimator.Options{Variance: estimator.VarNone})
+				est, err := sampleCount(op.e, syn, estimator.Options{Variance: estimator.VarNone})
 				if err != nil {
 					panic(err)
 				}

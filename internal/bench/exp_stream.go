@@ -89,11 +89,11 @@ func F4Incremental(seed int64, scale Scale) *Table {
 			if err != nil {
 				panic(err)
 			}
-			selEst, err := estimator.CountWithOptions(sel, syn, estimator.Options{Variance: estimator.VarNone})
+			selEst, err := sampleCount(sel, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}
-			joinEst, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarNone})
+			joinEst, err := sampleCount(join, syn, estimator.Options{Variance: estimator.VarNone})
 			if err != nil {
 				panic(err)
 			}

@@ -121,7 +121,7 @@ func F3Deadline(seed int64, scale Scale) *Table {
 		start := time.Now()
 		reps := 0
 		for time.Since(start) < 50*time.Millisecond {
-			if _, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarNone}); err != nil {
+			if _, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarNone}); err != nil {
 				panic(err)
 			}
 			reps++

@@ -65,7 +65,7 @@ func T5Variance(seed int64, scale Scale) *Table {
 				if err := syn.AddDrawn(r2, int(fraction*float64(N)), rng); err != nil {
 					panic(err)
 				}
-				est, err := estimator.CountWithOptions(c.e, syn, estimator.Options{
+				est, err := sampleCount(c.e, syn, estimator.Options{
 					Variance: m,
 					Seed:     int64(i),
 				})

@@ -199,17 +199,17 @@ func (c *Coordinator) handleUploadRelation(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	name := r.PathValue("name")
-	if !validName(name) {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid relation name %q", name))
+	if !server.ValidName(name) {
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid relation name %q", name))
 		return
 	}
 	rel, err := relation.ImportCSVOptions(name, r.Body, relation.ImportOptions{MaxBytes: 64 << 20})
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("importing CSV: %v", err))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("importing CSV: %v", err))
 		return
 	}
 	status, body := c.registerRelation(r.Context(), rel, r.URL.Query().Get("shard_key"))
-	_ = writeJSON(w, status, body)
+	_ = server.WriteJSON(w, status, body)
 }
 
 // handleGenerate synthesizes a dataset exactly as a single node would
@@ -220,12 +220,12 @@ func (c *Coordinator) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.GenerateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	outputs, err := server.GenerateDataset(req)
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, err.Error())
+		_ = server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	infos := make([]server.RelationInfo, 0, len(outputs))
@@ -237,19 +237,19 @@ func (c *Coordinator) handleGenerate(w http.ResponseWriter, r *http.Request) {
 			// registry and every shard) roll back, so a retry starts clean
 			// instead of hitting 409s on the relations that made it.
 			c.unregisterRelations(registered)
-			_ = writeJSON(w, status, body)
+			_ = server.WriteJSON(w, status, body)
 			return
 		}
 		info, ok := body.(server.RelationInfo)
 		if !ok {
 			c.unregisterRelations(registered)
-			_ = writeError(w, http.StatusInternalServerError, "internal: unexpected registration body shape")
+			_ = server.WriteError(w, http.StatusInternalServerError, "internal: unexpected registration body shape")
 			return
 		}
 		registered = append(registered, rel.Name())
 		infos = append(infos, info)
 	}
-	_ = writeJSON(w, http.StatusCreated, infos)
+	_ = server.WriteJSON(w, http.StatusCreated, infos)
 }
 
 // unregisterRelations best-effort removes fully registered relations —
@@ -378,7 +378,7 @@ func (c *Coordinator) handleListRelations(w http.ResponseWriter, r *http.Request
 	}
 	c.mu.RUnlock()
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
-	_ = writeJSON(w, http.StatusOK, infos)
+	_ = server.WriteJSON(w, http.StatusOK, infos)
 }
 
 // handleCreateSynopsis fans a synopsis creation out: each shard draws its
@@ -390,16 +390,16 @@ func (c *Coordinator) handleCreateSynopsis(w http.ResponseWriter, r *http.Reques
 		return
 	}
 	name := r.PathValue("name")
-	if !validName(name) {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid synopsis name %q", name))
+	if !server.ValidName(name) {
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid synopsis name %q", name))
 		return
 	}
 	var req server.SynopsisRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	status, body := c.createSynopsis(r.Context(), name, req)
-	_ = writeJSON(w, status, body)
+	_ = server.WriteJSON(w, status, body)
 }
 
 func (c *Coordinator) createSynopsis(ctx context.Context, name string, req server.SynopsisRequest) (int, any) {
@@ -535,12 +535,12 @@ func (c *Coordinator) handleListSynopses(w http.ResponseWriter, r *http.Request)
 	for s, d := range drivers {
 		status, raw, err := d.Get(r.Context(), "/v1/synopses")
 		if err != nil || status != http.StatusOK {
-			_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %d synopsis listing failed", s))
+			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d synopsis listing failed", s))
 			return
 		}
 		var infos []server.SynopsisInfo
 		if err := json.Unmarshal(raw, &infos); err != nil {
-			_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %d synopsis listing: %v", s, err))
+			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d synopsis listing: %v", s, err))
 			return
 		}
 		for _, info := range infos {
@@ -560,7 +560,7 @@ func (c *Coordinator) handleListSynopses(w http.ResponseWriter, r *http.Request)
 		out = append(out, *m)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	_ = writeJSON(w, http.StatusOK, out)
+	_ = server.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleStream routes one insert/delete event to the shard owning the
@@ -574,7 +574,7 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	var req server.StreamRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	c.mu.RLock()
@@ -582,31 +582,31 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 	cr := c.rels[req.Relation]
 	c.mu.RUnlock()
 	if syn == nil {
-		_ = writeError(w, http.StatusNotFound, fmt.Sprintf("no synopsis %q", name))
+		_ = server.WriteError(w, http.StatusNotFound, fmt.Sprintf("no synopsis %q", name))
 		return
 	}
 	if cr == nil {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("no relation %q registered", req.Relation))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("no relation %q registered", req.Relation))
 		return
 	}
 	if cr.keyCol >= len(req.Tuple) {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("tuple has %d values; shard key is column %d", len(req.Tuple), cr.keyCol))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("tuple has %d values; shard key is column %d", len(req.Tuple), cr.keyCol))
 		return
 	}
 	v, err := relation.ParseValue(req.Tuple[cr.keyCol], cr.rel.Schema().Column(cr.keyCol).Kind)
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("parsing shard key: %v", err))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("parsing shard key: %v", err))
 		return
 	}
 	shard, err := c.cfg.Spec.Route(v)
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, err.Error())
+		_ = server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	drivers := c.shardDrivers()
 	status, raw, err := drivers[shard].DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(name)+"/stream", req)
 	if err != nil {
-		_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("shard %d stream: %v", shard, err))
+		_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d stream: %v", shard, err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -643,15 +643,15 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RebalanceRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Shard < 0 || req.Shard >= c.cfg.Spec.Shards {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("shard %d outside [0, %d)", req.Shard, c.cfg.Spec.Shards))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("shard %d outside [0, %d)", req.Shard, c.cfg.Spec.Shards))
 		return
 	}
 	if req.Addr == "" {
-		_ = writeError(w, http.StatusBadRequest, "rebalance needs a target addr")
+		_ = server.WriteError(w, http.StatusBadRequest, "rebalance needs a target addr")
 		return
 	}
 
@@ -666,7 +666,7 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	for n, s := range c.syns {
 		if s.kind == "incremental" {
 			c.mu.RUnlock()
-			_ = writeError(w, http.StatusConflict, fmt.Sprintf("synopsis %q is incremental; its reservoir state cannot be rebuilt from its spec on another node", n))
+			_ = server.WriteError(w, http.StatusConflict, fmt.Sprintf("synopsis %q is incremental; its reservoir state cannot be rebuilt from its spec on another node", n))
 			return
 		}
 		synNames = append(synNames, n)
@@ -694,7 +694,7 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		c.mu.RUnlock()
 		if status, msg := pushSlice(r.Context(), target, cr.rel, cr.rowsByShard[req.Shard]); status != http.StatusCreated {
 			scrubTarget()
-			_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("target refused slice of %q: %s", rn, msg))
+			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("target refused slice of %q: %s", rn, msg))
 			return
 		}
 		movedRels = append(movedRels, rn)
@@ -706,12 +706,12 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		status, raw, err := target.DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(sn), spec)
 		if err != nil {
 			scrubTarget()
-			_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("target synopsis push %q: %v", sn, err))
+			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("target synopsis push %q: %v", sn, err))
 			return
 		}
 		if status != http.StatusCreated {
 			scrubTarget()
-			_ = writeError(w, http.StatusBadGateway, fmt.Sprintf("target refused synopsis %q: %s", sn, raw))
+			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("target refused synopsis %q: %s", sn, raw))
 			return
 		}
 		movedSyns = append(movedSyns, sn)
@@ -721,7 +721,7 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	c.drivers[req.Shard] = target
 	c.mu.Unlock()
 	c.col.Add(mRebalance, 1)
-	_ = writeJSON(w, http.StatusOK, RebalanceResponse{Shard: req.Shard, Addr: req.Addr, Relations: len(relNames), Synopses: len(synNames)})
+	_ = server.WriteJSON(w, http.StatusOK, RebalanceResponse{Shard: req.Shard, Addr: req.Addr, Relations: len(relNames), Synopses: len(synNames)})
 }
 
 // TopologyResponse is the body of GET /v1/cluster.
@@ -747,11 +747,11 @@ func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
 		resp.ShardKeys[n] = cr.rel.Schema().Column(cr.keyCol).Name
 	}
 	c.mu.RUnlock()
-	_ = writeJSON(w, http.StatusOK, resp)
+	_ = server.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_ = writeJSON(w, http.StatusOK, map[string]any{
+	_ = server.WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"role":     "coordinator",
 		"shards":   c.cfg.Spec.Shards,
@@ -763,7 +763,7 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // endpoints call it first.
 func (c *Coordinator) refuseDraining(w http.ResponseWriter) bool {
 	if c.draining.Load() {
-		_ = writeError(w, http.StatusServiceUnavailable, "coordinator is draining")
+		_ = server.WriteError(w, http.StatusServiceUnavailable, "coordinator is draining")
 		return true
 	}
 	return false

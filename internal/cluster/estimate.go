@@ -20,10 +20,6 @@ import (
 	"relest/internal/workload"
 )
 
-// statusClientClosedRequest mirrors the shard daemon's 499 for client
-// cancellation.
-const statusClientClosedRequest = 499
-
 // EstimateResponse is the coordinator's estimate body: the shard daemon's
 // response shape plus degradation fields. Both extras are omitempty, so a
 // fully-answered response — in particular every shards=1 response — is
@@ -85,40 +81,29 @@ func coordReqMetric(status int) string {
 }
 
 // validateEstimate runs every check the coordinator can decide without
-// touching a shard, in the same order as the shard daemon so error
-// statuses match single-node behaviour. On success it returns the
-// normalized request (mode filled in).
+// touching a shard: the shard daemon's own request validation
+// (server.ValidateEstimate, bound against the coordinator's registry), so
+// a request a single node would refuse gets the node's exact answer and
+// never fans out, then the refusals that are the coordinator's own. On
+// success it returns the normalized request (mode filled in).
 func (c *Coordinator) validateEstimate(ctx context.Context, req server.EstimateRequest) (server.EstimateRequest, int, string) {
-	if err := ctx.Err(); err != nil {
-		return req, estimateErrorStatus(err), err.Error()
+	p, status, msg := server.ValidateEstimate(ctx, req, func(synopsis, _ string) (query.SchemaProvider, int, string) {
+		c.mu.RLock()
+		syn := c.syns[synopsis]
+		c.mu.RUnlock()
+		if syn == nil {
+			return nil, http.StatusNotFound, fmt.Sprintf("no synopsis %q", synopsis)
+		}
+		return coordSchemas{c}, 0, ""
+	})
+	if status != 0 {
+		return req, status, msg
 	}
-	if req.Query == "" {
-		return req, http.StatusBadRequest, "no query given"
+	if p.Req.Mode != "plain" {
+		return req, http.StatusBadRequest, fmt.Sprintf("the coordinator supports plain mode only (got %q); sequential and deadline sampling run on single nodes", p.Req.Mode)
 	}
-	if req.Synopsis == "" {
-		return req, http.StatusBadRequest, "no synopsis given"
-	}
-	c.mu.RLock()
-	syn := c.syns[req.Synopsis]
-	c.mu.RUnlock()
-	if syn == nil {
-		return req, http.StatusNotFound, fmt.Sprintf("no synopsis %q", req.Synopsis)
-	}
-	if req.Mode == "" {
-		req.Mode = "plain"
-	}
-	if req.Mode != "plain" {
-		return req, http.StatusBadRequest, fmt.Sprintf("the coordinator supports plain mode only (got %q); sequential and deadline sampling run on single nodes", req.Mode)
-	}
-	if req.TierPolicy != "" || req.Precision > 0 {
+	if p.Tiered {
 		return req, http.StatusBadRequest, "the coordinator supports the sample tier only; tier_policy and precision run on single nodes"
-	}
-	st, err := query.Parse(req.Query, coordSchemas{c})
-	if err != nil {
-		return req, http.StatusBadRequest, err.Error()
-	}
-	if st.IsDistinct() || st.Agg == "group" {
-		return req, http.StatusBadRequest, "the estimation service supports count, sum and avg queries"
 	}
 	if c.cfg.Spec.Shards > 1 {
 		// AVG is a ratio of two estimates, not a linear aggregate: each
@@ -127,10 +112,10 @@ func (c *Coordinator) validateEstimate(ctx context.Context, req server.EstimateR
 		// which the degradation contract forbids. Refused like a
 		// non-shardable join until the protocol carries the underlying sum
 		// and count partials separately.
-		if st.Agg == "avg" {
+		if p.Stmt.Agg == "avg" {
 			return req, http.StatusUnprocessableEntity, "avg does not decompose into a per-shard sum (each shard's ratio is not a stratum partial); run avg against a single node or shards=1"
 		}
-		poly, err := algebra.Normalize(st.Expr)
+		poly, err := algebra.Normalize(p.Stmt.Expr)
 		if err != nil {
 			return req, http.StatusUnprocessableEntity, err.Error()
 		}
@@ -138,20 +123,7 @@ func (c *Coordinator) validateEstimate(ctx context.Context, req server.EstimateR
 			return req, http.StatusUnprocessableEntity, err.Error()
 		}
 	}
-	return req, 0, ""
-}
-
-// estimateErrorStatus mirrors the shard daemon's mapping: deadline expiry
-// 504, client cancellation 499.
-func estimateErrorStatus(err error) int {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
-	default:
-		return http.StatusUnprocessableEntity
-	}
+	return p.Req, 0, ""
 }
 
 // shardOutcome is one shard's answer to a fanned-out estimate.
@@ -162,22 +134,29 @@ type shardOutcome struct {
 	missed bool
 }
 
-// fanEstimate issues the per-shard sub-requests for one validated
-// estimate and collects the outcomes. Each shard gets 90% of the
+// shardBudget is the time each shard sub-request may take: 90% of the
 // remaining request budget — the same margin deadline-mode estimation
 // keeps for itself — so the coordinator always has time to merge and
-// answer even when a shard runs to the wire.
-func (c *Coordinator) fanEstimate(ctx context.Context, req server.EstimateRequest) ([]shardOutcome, int, string) {
-	drivers := c.shardDrivers()
-	n := len(drivers)
-
+// answer even when a shard runs to the wire. A non-positive budget means
+// the request is out of time before any fanout.
+func (c *Coordinator) shardBudget(ctx context.Context) time.Duration {
 	deadline, ok := ctx.Deadline()
 	if !ok {
 		deadline = time.Now().Add(c.cfg.RequestTimeout)
 	}
-	shardBudget := time.Until(deadline) * 9 / 10
+	return time.Until(deadline) * 9 / 10
+}
+
+const budgetExhausted = "request budget exhausted before fanout"
+
+// fanEstimate issues the per-shard sub-requests for one validated
+// estimate and collects the outcomes.
+func (c *Coordinator) fanEstimate(ctx context.Context, req server.EstimateRequest) ([]shardOutcome, int, string) {
+	drivers := c.shardDrivers()
+	n := len(drivers)
+	shardBudget := c.shardBudget(ctx)
 	if shardBudget <= 0 {
-		return nil, http.StatusGatewayTimeout, "request budget exhausted before fanout"
+		return nil, http.StatusGatewayTimeout, budgetExhausted
 	}
 
 	c.col.Add(mFanout, float64(n))
@@ -196,34 +175,50 @@ func (c *Coordinator) fanEstimate(ctx context.Context, req server.EstimateReques
 	return outs, 0, ""
 }
 
-// classifyOutcome sorts a shard reply into answered / deadline-missed /
-// systemic failure. Timeouts (transport-level or a shard's own 504/499)
-// degrade the cluster answer; anything else — a 4xx, a refused
-// connection — is a real fault the client must see, never paper over.
+// transportFailure classifies a shard call that returned no reply: a
+// timeout is a missed deadline and degrades the cluster answer; anything
+// else — a refused connection — is a real fault the client must see.
+func transportFailure(err error) shardOutcome {
+	if errors.Is(err, context.DeadlineExceeded) || errIsTimeout(err) {
+		return shardOutcome{missed: true}
+	}
+	return shardOutcome{status: http.StatusBadGateway, errMsg: err.Error()}
+}
+
+// answerOutcome classifies one shard answer — a singleton reply or one
+// item of a batch reply: an estimate is a partial to merge, the shard's
+// own 504/499 is a missed deadline, and any other status (a 4xx, say) is
+// passed through, never papered over.
+func answerOutcome(status int, resp *server.EstimateResponse, errMsg string) shardOutcome {
+	switch {
+	case resp != nil:
+		return shardOutcome{resp: resp, status: status}
+	case status == http.StatusGatewayTimeout || status == server.StatusClientClosedRequest:
+		return shardOutcome{missed: true}
+	default:
+		return shardOutcome{status: status, errMsg: errMsg}
+	}
+}
+
+// classifyOutcome sorts a singleton shard reply into answered /
+// deadline-missed / failed.
 func classifyOutcome(status int, raw []byte, err error) shardOutcome {
 	if err != nil {
-		if errors.Is(err, context.DeadlineExceeded) || errIsTimeout(err) {
-			return shardOutcome{missed: true}
-		}
-		return shardOutcome{status: http.StatusBadGateway, errMsg: err.Error()}
+		return transportFailure(err)
 	}
-	switch status {
-	case http.StatusOK:
+	if status == http.StatusOK {
 		var resp server.EstimateResponse
 		if jsonErr := json.Unmarshal(raw, &resp); jsonErr != nil {
 			return shardOutcome{status: http.StatusBadGateway, errMsg: fmt.Sprintf("undecodable shard response: %v", jsonErr)}
 		}
-		return shardOutcome{resp: &resp, status: status}
-	case http.StatusGatewayTimeout, statusClientClosedRequest:
-		return shardOutcome{missed: true}
-	default:
-		var e server.ErrorResponse
-		msg := string(raw)
-		if json.Unmarshal(raw, &e) == nil && e.Error != "" {
-			msg = e.Error
-		}
-		return shardOutcome{status: status, errMsg: msg}
+		return answerOutcome(status, &resp, "")
 	}
+	var e server.ErrorResponse
+	msg := string(raw)
+	if json.Unmarshal(raw, &e) == nil && e.Error != "" {
+		msg = e.Error
+	}
+	return answerOutcome(status, nil, msg)
 }
 
 // errIsTimeout reports transport-level timeouts (net.Error with Timeout,
@@ -297,12 +292,14 @@ func (c *Coordinator) mergeOutcomes(req server.EstimateRequest, outs []shardOutc
 		rounds += a.Rounds
 	}
 
+	// Confidence is the request's level as the shards echo it: 0 on avg,
+	// which has no CI, so a shards=1 avg stays byte-identical to a node's.
 	result := server.EstimateResult{
 		Value:          est.Value,
 		StdErr:         est.StdErr,
 		Lo:             est.Lo,
 		Hi:             est.Hi,
-		Confidence:     est.Confidence,
+		Confidence:     answered[0].Estimate.Confidence,
 		VarianceMethod: methodStr,
 		Terms:          est.Terms,
 	}
@@ -348,7 +345,7 @@ func (c *Coordinator) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.EstimateRequest
-	if !decodeBody(w, r, &req) {
+	if !server.DecodeBody(w, r, &req) {
 		c.col.Add(coordReqMetric(http.StatusBadRequest), 1)
 		return
 	}
@@ -356,7 +353,7 @@ func (c *Coordinator) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	status, body := c.doEstimate(ctx, req)
 	c.col.Add(coordReqMetric(status), 1)
-	_ = writeJSON(w, status, body)
+	_ = server.WriteJSON(w, status, body)
 }
 
 func (c *Coordinator) doEstimate(ctx context.Context, req server.EstimateRequest) (int, any) {
@@ -381,15 +378,15 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 		return
 	}
 	var breq server.BatchEstimateRequest
-	if !decodeBody(w, r, &breq) {
+	if !server.DecodeBody(w, r, &breq) {
 		return
 	}
 	if len(breq.Queries) == 0 {
-		_ = writeError(w, http.StatusBadRequest, "empty batch")
+		_ = server.WriteError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
 	if len(breq.Queries) > c.cfg.MaxBatchQueries {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-query limit", len(breq.Queries), c.cfg.MaxBatchQueries))
+		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-query limit", len(breq.Queries), c.cfg.MaxBatchQueries))
 		return
 	}
 	ctx, cancel := c.requestCtx(r, breq.TimeoutMS)
@@ -409,94 +406,7 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 	}
 
 	if len(fanIdx) > 0 {
-		drivers := c.shardDrivers()
-		n := len(drivers)
-		deadline, ok := ctx.Deadline()
-		if !ok {
-			deadline = time.Now().Add(c.cfg.RequestTimeout)
-		}
-		shardBudget := time.Until(deadline) * 9 / 10
-		if shardBudget <= 0 {
-			for _, i := range fanIdx {
-				results[i] = BatchItemResult{Status: http.StatusGatewayTimeout, Error: "request budget exhausted before fanout"}
-			}
-		} else {
-			c.col.Add(mFanout, float64(n))
-			type shardBatch struct {
-				resp   *server.BatchEstimateResponse
-				errMsg string
-				missed bool
-			}
-			shardOuts := make([]shardBatch, n)
-			workload.Fanout(n, n, func(s int) {
-				sub := server.BatchEstimateRequest{
-					Queries:   make([]server.EstimateRequest, len(fanIdx)),
-					TimeoutMS: max(1, shardBudget.Milliseconds()),
-				}
-				for k, i := range fanIdx {
-					sreq := normalized[i]
-					sreq.Seed = shardSeed(sreq.Seed, s)
-					sreq.TimeoutMS = 0 // the batch budget governs
-					sub.Queries[k] = sreq
-				}
-				sctx, cancel := context.WithTimeout(ctx, shardBudget)
-				defer cancel()
-				start := time.Now()
-				status, raw, err := drivers[s].DoRetry(sctx, "/v1/estimate/batch", sub)
-				c.col.Observe(shardLabel(mShardLatency, s), time.Since(start).Seconds())
-				switch {
-				case err != nil && (errors.Is(err, context.DeadlineExceeded) || errIsTimeout(err)):
-					shardOuts[s] = shardBatch{missed: true}
-				case err != nil:
-					shardOuts[s] = shardBatch{errMsg: err.Error()}
-				case status != http.StatusOK:
-					shardOuts[s] = shardBatch{errMsg: fmt.Sprintf("shard batch status %d: %s", status, raw)}
-				default:
-					var resp server.BatchEstimateResponse
-					if jsonErr := json.Unmarshal(raw, &resp); jsonErr != nil {
-						shardOuts[s] = shardBatch{errMsg: jsonErr.Error()}
-					} else if len(resp.Results) != len(fanIdx) {
-						shardOuts[s] = shardBatch{errMsg: fmt.Sprintf("shard returned %d results for %d queries", len(resp.Results), len(fanIdx))}
-					} else {
-						shardOuts[s] = shardBatch{resp: &resp}
-					}
-				}
-			})
-
-			for k, i := range fanIdx {
-				outs := make([]shardOutcome, n)
-				systemic := ""
-				for s := range shardOuts {
-					switch {
-					case shardOuts[s].missed:
-						outs[s] = shardOutcome{missed: true}
-					case shardOuts[s].resp == nil:
-						systemic = fmt.Sprintf("shard %d: %s", s, shardOuts[s].errMsg)
-					default:
-						item := shardOuts[s].resp.Results[k]
-						if item.Estimate != nil {
-							outs[s] = shardOutcome{resp: item.Estimate, status: item.Status}
-						} else if item.Status == http.StatusGatewayTimeout || item.Status == statusClientClosedRequest {
-							outs[s] = shardOutcome{missed: true}
-						} else {
-							outs[s] = shardOutcome{status: item.Status, errMsg: item.Error}
-						}
-					}
-				}
-				if systemic != "" {
-					results[i] = BatchItemResult{Status: http.StatusBadGateway, Error: systemic}
-					continue
-				}
-				//lint:ignore detflow the shard deadline budget decides only WHICH strata answered; the merge itself sums per-shard partials in shard-index order, bit-identical for any fixed answered set
-				status, body := c.mergeOutcomes(normalized[i], outs)
-				if status == http.StatusOK {
-					resp := body.(EstimateResponse)
-					results[i] = BatchItemResult{Status: status, Estimate: &resp}
-				} else {
-					results[i] = BatchItemResult{Status: status, Error: body.(server.ErrorResponse).Error}
-				}
-			}
-		}
+		c.fanBatch(ctx, normalized, fanIdx, results)
 	}
 
 	out := BatchEstimateResponse{Results: results}
@@ -507,5 +417,86 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 			out.Failed++
 		}
 	}
-	_ = writeJSON(w, http.StatusOK, out)
+	_ = server.WriteJSON(w, http.StatusOK, out)
+}
+
+// batchReply decodes one shard's reply to a batch of the given size, or
+// classifies the failure every item of that shard inherits.
+func batchReply(status int, raw []byte, err error, items int) (*server.BatchEstimateResponse, shardOutcome) {
+	if err != nil {
+		return nil, transportFailure(err)
+	}
+	fault := func(msg string) (*server.BatchEstimateResponse, shardOutcome) {
+		return nil, shardOutcome{status: http.StatusBadGateway, errMsg: msg}
+	}
+	if status != http.StatusOK {
+		return fault(fmt.Sprintf("shard batch status %d: %s", status, raw))
+	}
+	var resp server.BatchEstimateResponse
+	if jsonErr := json.Unmarshal(raw, &resp); jsonErr != nil {
+		return fault(jsonErr.Error())
+	}
+	if len(resp.Results) != items {
+		return fault(fmt.Sprintf("shard returned %d results for %d queries", len(resp.Results), items))
+	}
+	return &resp, shardOutcome{}
+}
+
+// fanBatch sends every shard one batch sub-request carrying the validated
+// items (normalized[i] for i in fanIdx) and merges the answers per item
+// into results. A shard whose whole batch call failed contributes that
+// failure to every item, classified as the singleton path classifies it.
+func (c *Coordinator) fanBatch(ctx context.Context, normalized []server.EstimateRequest, fanIdx []int, results []BatchItemResult) {
+	shardBudget := c.shardBudget(ctx)
+	if shardBudget <= 0 {
+		for _, i := range fanIdx {
+			results[i] = BatchItemResult{Status: http.StatusGatewayTimeout, Error: budgetExhausted}
+		}
+		return
+	}
+	drivers := c.shardDrivers()
+	n := len(drivers)
+	c.col.Add(mFanout, float64(n))
+	// Per shard: the decoded batch reply, or the outcome its failure
+	// gives every item.
+	replies := make([]*server.BatchEstimateResponse, n)
+	failures := make([]shardOutcome, n)
+	workload.Fanout(n, n, func(s int) {
+		sub := server.BatchEstimateRequest{
+			Queries:   make([]server.EstimateRequest, len(fanIdx)),
+			TimeoutMS: max(1, shardBudget.Milliseconds()),
+		}
+		for k, i := range fanIdx {
+			sreq := normalized[i]
+			sreq.Seed = shardSeed(sreq.Seed, s)
+			sreq.TimeoutMS = 0 // the batch budget governs
+			sub.Queries[k] = sreq
+		}
+		sctx, cancel := context.WithTimeout(ctx, shardBudget)
+		defer cancel()
+		start := time.Now()
+		status, raw, err := drivers[s].DoRetry(sctx, "/v1/estimate/batch", sub)
+		c.col.Observe(shardLabel(mShardLatency, s), time.Since(start).Seconds())
+		replies[s], failures[s] = batchReply(status, raw, err, len(fanIdx))
+	})
+
+	for k, i := range fanIdx {
+		outs := make([]shardOutcome, n)
+		for s := range outs {
+			if replies[s] == nil {
+				outs[s] = failures[s]
+				continue
+			}
+			item := replies[s].Results[k]
+			outs[s] = answerOutcome(item.Status, item.Estimate, item.Error)
+		}
+		//lint:ignore detflow the shard deadline budget decides only WHICH strata answered; the merge itself sums per-shard partials in shard-index order, bit-identical for any fixed answered set
+		status, body := c.mergeOutcomes(normalized[i], outs)
+		if status == http.StatusOK {
+			resp := body.(EstimateResponse)
+			results[i] = BatchItemResult{Status: status, Estimate: &resp}
+		} else {
+			results[i] = BatchItemResult{Status: status, Error: body.(server.ErrorResponse).Error}
+		}
+	}
 }

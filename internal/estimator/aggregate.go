@@ -25,24 +25,12 @@ import (
 // — itself biased O(1/n) but consistent, as is standard for ratio
 // estimators.
 
-// Sum estimates SUM(col) over the result of the π-free expression e from
-// the synopsis, with default options.
-func Sum(e *algebra.Expr, col string, syn *Synopsis) (Estimate, error) {
-	return SumWithOptions(e, col, syn, Options{})
-}
-
-// SumWithOptions estimates SUM(col) over e's result. The column must be a
+// sumExpr estimates SUM(col) over e's result. The column must be a
 // numeric column of e's output schema; null values contribute zero (SQL
-// SUM semantics over non-null values).
-func SumWithOptions(e *algebra.Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	return SumContext(context.Background(), e, col, syn, opts)
-}
-
-// SumContext is SumWithOptions with cancellation, under the same contract
-// as CountContext: the context is polled between terms and between
-// variance replicates, cancellation yields a non-nil error and no partial
-// estimate, and a never-cancelled context changes nothing.
-func SumContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
+// SUM semantics over non-null values). Cancellation follows countPoly's
+// contract: polled between terms and between variance replicates, a
+// non-nil error and no partial estimate.
+func sumExpr(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
 	opts = opts.withDefaults()
 	pos := e.Schema().ColumnIndex(col)
 	if pos < 0 {
@@ -69,12 +57,6 @@ func SumContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis,
 	if err != nil {
 		return Estimate{}, err
 	}
-	est := Estimate{
-		Value:      value,
-		Variance:   math.NaN(),
-		Confidence: opts.Confidence,
-		Terms:      poly.NumTerms(),
-	}
 	// Variance: replication methods re-run the whole sum estimator; the
 	// COUNT closed forms do not carry over to weighted counts, so VarAuto
 	// and VarAnalytic degrade to split-sample here.
@@ -82,9 +64,10 @@ func SumContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis,
 	if method == VarAnalytic || method == VarAuto {
 		method = VarSplitSample
 	}
+	variance := math.NaN()
 	if method != VarNone {
 		vspan := eng.span.Child(sVariance)
-		v, err := replicateVariance(method, poly, syn, opts, eng, func(sub *Synopsis, sube *engine) (float64, error) {
+		variance, err = replicateVariance(method, poly, syn, opts, eng, func(sub *Synopsis, sube *engine) (float64, error) {
 			return sumEstimate(poly, sub, pos, sube)
 		}, sumContrib(pos))
 		vspan.End()
@@ -93,23 +76,10 @@ func SumContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis,
 				return Estimate{}, err
 			}
 			method = VarNone // auto: fall back to point-only
-		} else {
-			est.Variance = v
-			est.StdErr = math.Sqrt(math.Max(v, 0))
-			var z float64
-			switch opts.CI {
-			case CIChebyshev:
-				z = stats.ChebyshevZ(1 - opts.Confidence)
-			default:
-				z = stats.NormalQuantile(1 - (1-opts.Confidence)/2)
-			}
-			est.Lo = value - z*est.StdErr
-			est.Hi = value + z*est.StdErr
 		}
 	}
 	eng.rec.Add(varianceMethodMetric(method), 1)
-	est.VarianceMethod = method
-	return est, nil
+	return finishEstimate(value, variance, method, poly.NumTerms(), opts), nil
 }
 
 // AvgResult is the ratio estimate AVG = SUM/COUNT with its components.
@@ -118,32 +88,6 @@ type AvgResult struct {
 	Avg float64
 	// Sum and Count are the underlying unbiased estimates.
 	Sum, Count Estimate
-}
-
-// Avg estimates AVG(col) over e's result as the ratio of the SUM and COUNT
-// estimators — biased O(1/n) but consistent (the classical ratio
-// estimator).
-func Avg(e *algebra.Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
-	return AvgContext(context.Background(), e, col, syn, opts)
-}
-
-// AvgContext is Avg with cancellation, inherited from the underlying
-// SumContext and CountContext calls.
-func AvgContext(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
-	sum, err := SumContext(ctx, e, col, syn, opts)
-	if err != nil {
-		return AvgResult{}, err
-	}
-	cnt, err := CountContext(ctx, e, syn, opts)
-	if err != nil {
-		return AvgResult{}, err
-	}
-	out := AvgResult{Sum: sum, Count: cnt, Avg: math.NaN()}
-	//lint:ignore floateq division guard: only an exactly-zero count estimate leaves Avg undefined (NaN)
-	if cnt.Value != 0 {
-		out.Avg = sum.Value / cnt.Value
-	}
-	return out, nil
 }
 
 // sumEstimate evaluates the weighted-count estimator: like pointEstimate,

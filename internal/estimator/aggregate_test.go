@@ -56,7 +56,7 @@ func TestSumUnbiasedExhaustive(t *testing.T) {
 		rec = func(k int, chosen [][]int) {
 			if k == len(c.bases) {
 				syn := synopsisFor(t, c.bases, chosen)
-				est, err := SumWithOptions(c.e, c.col, syn, Options{Variance: VarNone})
+				est, err := sumOf(c.e, c.col, syn, Options{Variance: VarNone})
 				if err != nil {
 					t.Fatalf("%s: %v", c.name, err)
 				}
@@ -92,7 +92,7 @@ func TestSumValidation(t *testing.T) {
 	if err := syn.AddDrawn(r, 2, testRand(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sum(br, "zz", syn); err == nil {
+	if _, err := sumOf(br, "zz", syn, Options{}); err == nil {
 		t.Error("unknown column should fail")
 	}
 	// Non-numeric column.
@@ -102,12 +102,12 @@ func TestSumValidation(t *testing.T) {
 	if err := syn2.AddDrawn(sr, 1, testRand(2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sum(algebra.BaseOf(sr), "s", syn2); err == nil {
+	if _, err := sumOf(algebra.BaseOf(sr), "s", syn2, Options{}); err == nil {
 		t.Error("string column SUM should fail")
 	}
 	// π rejected.
 	pr := algebra.Must(algebra.Project(br, "v"))
-	if _, err := Sum(pr, "v", syn); err == nil {
+	if _, err := sumOf(pr, "v", syn, Options{}); err == nil {
 		t.Error("SUM over π should fail")
 	}
 }
@@ -122,7 +122,7 @@ func TestSumNullsContributeZero(t *testing.T) {
 	if err := syn.AddSample(r.Clone("R"), r.Len()); err != nil { // census
 		t.Fatal(err)
 	}
-	est, err := SumWithOptions(algebra.BaseOf(r), "v", syn, Options{Variance: VarNone})
+	est, err := sumOf(algebra.BaseOf(r), "v", syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestSumVarianceAndCI(t *testing.T) {
 	}
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	est, err := Sum(e, "b", syn)
+	est, err := sumOf(e, "b", syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func TestAvg(t *testing.T) {
 	}
 	sel := algebra.Must(algebra.Select(algebra.BaseOf(r),
 		algebra.Cmp{Col: "a", Op: algebra.LT, Val: relation.Int(20)}))
-	res, err := Avg(sel, "b", syn, Options{Variance: VarNone})
+	res, err := avgOf(sel, "b", syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestAvg(t *testing.T) {
 	// Zero-count case yields NaN.
 	empty := algebra.Must(algebra.Select(algebra.BaseOf(r),
 		algebra.Cmp{Col: "a", Op: algebra.GT, Val: relation.Int(10_000)}))
-	res, err = Avg(empty, "b", syn, Options{Variance: VarNone})
+	res, err = avgOf(empty, "b", syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}

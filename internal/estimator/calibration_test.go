@@ -12,6 +12,7 @@
 package estimator_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,6 +23,13 @@ import (
 	"relest/internal/sampling"
 	"relest/internal/workload"
 )
+
+// sampleCount estimates COUNT(e) through a sample-only handle.
+func sampleCount(e *algebra.Expr, syn *estimator.Synopsis, opts estimator.Options) (estimator.Estimate, error) {
+	h := estimator.NewEstimator(syn, estimator.WithOptions(opts), estimator.WithTierPolicy(estimator.TierSampleOnly))
+	res, err := h.Count(context.Background(), estimator.Request{Expr: e})
+	return res.Estimate, err
+}
 
 // inBand fails the test when v is outside [lo, hi].
 func inBand(t *testing.T, what string, v, lo, hi float64) {
@@ -63,7 +71,7 @@ func TestCalibrationSelection(t *testing.T) {
 		if err := syn.AddDrawn(rel, int(frac*nRows), rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := estimator.CountWithOptions(e, syn, estimator.Options{Variance: estimator.VarAnalytic})
+		est, err := sampleCount(e, syn, estimator.Options{Variance: estimator.VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +118,7 @@ func TestCalibrationJoin(t *testing.T) {
 		if err := syn.AddDrawn(r2, int(frac*nRows), rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
+		est, err := sampleCount(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +163,7 @@ func TestCalibrationCoverageVsNominal(t *testing.T) {
 			if err := syn.AddDrawn(rel, int(frac*nRows), rng); err != nil {
 				t.Fatal(err)
 			}
-			est, err := estimator.CountWithOptions(e, syn, estimator.Options{
+			est, err := sampleCount(e, syn, estimator.Options{
 				Variance:   estimator.VarAnalytic,
 				Confidence: lvl,
 			})
@@ -214,11 +222,11 @@ func TestCalibrationVarianceAgreement(t *testing.T) {
 			if err := syn.AddDrawn(r2, int(frac*nRows), rng); err != nil {
 				t.Fatal(err)
 			}
-			analytic, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
+			analytic, err := sampleCount(join, syn, estimator.Options{Variance: estimator.VarAnalytic})
 			if err != nil {
 				t.Fatal(err)
 			}
-			replicated, err := estimator.CountWithOptions(join, syn, estimator.Options{Variance: method, Seed: int64(tr)})
+			replicated, err := sampleCount(join, syn, estimator.Options{Variance: method, Seed: int64(tr)})
 			if err != nil {
 				t.Fatal(err)
 			}

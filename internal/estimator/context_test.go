@@ -33,25 +33,27 @@ func ctxFixture(t *testing.T, n, sample int) (*algebra.Expr, *Synopsis) {
 	return e, syn
 }
 
-// TestCountContextBackgroundIdentity: with a background context the
-// context-aware entry points are bit-identical to the classic ones, for
-// every variance method and worker count — the polling changes nothing.
+// TestCountContextBackgroundIdentity: a live context that is never
+// cancelled is bit-identical to a background one, for every variance
+// method and worker count — the polling changes nothing.
 func TestCountContextBackgroundIdentity(t *testing.T) {
+	live, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	for _, method := range []VarianceMethod{VarAuto, VarSplitSample, VarJackknife} {
 		for _, workers := range []int{1, 4} {
 			e, syn := ctxFixture(t, 2000, 200)
 			opts := Options{Variance: method, Workers: workers, Seed: 3}
-			want, err := CountWithOptions(e, syn, opts)
+			want, err := countCtx(context.Background(), e, syn, opts)
 			if err != nil {
 				t.Fatalf("%v/%d: %v", method, workers, err)
 			}
-			got, err := CountContext(context.Background(), e, syn, opts)
+			got, err := countCtx(live, e, syn, opts)
 			if err != nil {
 				t.Fatalf("%v/%d: %v", method, workers, err)
 			}
 			if math.Float64bits(got.Value) != math.Float64bits(want.Value) ||
 				math.Float64bits(got.StdErr) != math.Float64bits(want.StdErr) {
-				t.Errorf("%v/%d: CountContext %v ± %v != CountWithOptions %v ± %v",
+				t.Errorf("%v/%d: live context %v ± %v != background %v ± %v",
 					method, workers, got.Value, got.StdErr, want.Value, want.StdErr)
 			}
 		}
@@ -66,16 +68,16 @@ func TestContextCancelledUpFront(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if est, err := CountContext(ctx, e, syn, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("CountContext: want context.Canceled, got %v", err)
+	if est, err := countCtx(ctx, e, syn, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Count: want context.Canceled, got %v", err)
 	} else if est != (Estimate{}) {
-		t.Errorf("CountContext: partial estimate %+v alongside error", est)
+		t.Errorf("Count: partial estimate %+v alongside error", est)
 	}
-	if _, err := SumContext(ctx, e, "id", syn, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("SumContext: want context.Canceled, got %v", err)
+	if _, err := sumCtx(ctx, e, "id", syn, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Sum: want context.Canceled, got %v", err)
 	}
-	if _, err := AvgContext(ctx, e, "id", syn, Options{}); !errors.Is(err, context.Canceled) {
-		t.Errorf("AvgContext: want context.Canceled, got %v", err)
+	if _, err := avgCtx(ctx, e, "id", syn, Options{}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Avg: want context.Canceled, got %v", err)
 	}
 	if _, err := SequentialCountContext(ctx, e, syn, SequentialOptions{TargetRelErr: 0.1}); !errors.Is(err, context.Canceled) {
 		t.Errorf("SequentialCountContext: want context.Canceled, got %v", err)
@@ -125,29 +127,30 @@ func TestDeadlineContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestSequentialOptionsRNGFold: the deprecated (expr, syn, rng, opts)
-// signature and the options-folded context signature produce identical
-// results for the same seed, and Seed alone reproduces runs without an
-// explicit RNG.
+// TestSequentialOptionsRNGFold: an explicit RNG and the Seed it was
+// seeded with drive identical runs, and Seed alone reproduces runs
+// without an explicit RNG.
 func TestSequentialOptionsRNGFold(t *testing.T) {
 	opts := SequentialOptions{TargetRelErr: 0.10, PilotSize: 150}
 
 	e1, syn1 := ctxFixture(t, 2000, 50)
-	oldRes, err := SequentialCount(e1, syn1, sampling.Seeded(7), opts)
+	o1 := opts
+	o1.RNG = sampling.Seeded(7)
+	viaRNG, err := SequentialCountContext(context.Background(), e1, syn1, o1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2, syn2 := ctxFixture(t, 2000, 50)
 	o2 := opts
-	o2.RNG = sampling.Seeded(7)
-	newRes, err := SequentialCountContext(context.Background(), e2, syn2, o2)
+	o2.Seed = 7
+	viaSeed, err := SequentialCountContext(context.Background(), e2, syn2, o2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(oldRes.Final.Value) != math.Float64bits(newRes.Final.Value) ||
-		math.Float64bits(oldRes.Final.StdErr) != math.Float64bits(newRes.Final.StdErr) {
-		t.Errorf("RNG fold changed the run: old %v ± %v, new %v ± %v",
-			oldRes.Final.Value, oldRes.Final.StdErr, newRes.Final.Value, newRes.Final.StdErr)
+	if math.Float64bits(viaRNG.Final.Value) != math.Float64bits(viaSeed.Final.Value) ||
+		math.Float64bits(viaRNG.Final.StdErr) != math.Float64bits(viaSeed.Final.StdErr) {
+		t.Errorf("RNG and Seed diverged: RNG %v ± %v, Seed %v ± %v",
+			viaRNG.Final.Value, viaRNG.Final.StdErr, viaSeed.Final.Value, viaSeed.Final.StdErr)
 	}
 
 	// Seed-only reproducibility.
@@ -171,34 +174,28 @@ func TestSequentialOptionsRNGFold(t *testing.T) {
 // TestDeadlineOptionsRNGFold: same for deadline mode, on a fixture small
 // enough that both runs exhaust their samples deterministically.
 func TestDeadlineOptionsRNGFold(t *testing.T) {
-	run := func(useOld bool) (Estimate, int) {
+	run := func(explicitRNG bool) (Estimate, int) {
 		e, syn := ctxFixture(t, 400, 40)
-		opts := DeadlineOptions{Budget: time.Minute, InitialSize: 50, Estimate: Options{Variance: VarSplitSample}}
-		if useOld {
-			est, steps, err := DeadlineCount(e, syn, sampling.Seeded(13), opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return est, len(steps)
+		opts := DeadlineOptions{Budget: time.Minute, InitialSize: 50, Estimate: Options{Variance: VarSplitSample}, Seed: 13}
+		if explicitRNG {
+			opts.RNG, opts.Seed = sampling.Seeded(13), 0
 		}
-		opts.RNG = sampling.Seeded(13)
 		est, steps, err := DeadlineCountContext(context.Background(), e, syn, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return est, len(steps)
 	}
-	oldEst, oldSteps := run(true)
-	newEst, newSteps := run(false)
-	if math.Float64bits(oldEst.Value) != math.Float64bits(newEst.Value) || oldSteps != newSteps {
-		t.Errorf("RNG fold changed the run: old %v after %d rounds, new %v after %d rounds",
-			oldEst.Value, oldSteps, newEst.Value, newSteps)
+	rngEst, rngSteps := run(true)
+	seedEst, seedSteps := run(false)
+	if math.Float64bits(rngEst.Value) != math.Float64bits(seedEst.Value) || rngSteps != seedSteps {
+		t.Errorf("RNG and Seed diverged: RNG %v after %d rounds, Seed %v after %d rounds",
+			rngEst.Value, rngSteps, seedEst.Value, seedSteps)
 	}
 }
 
 // TestIncrementalOptionsSeed: NewIncrementalWithOptions with a Seed is
-// reproducible, and the deprecated constructor remains equivalent to an
-// explicit-RNG options call.
+// reproducible, and equivalent to an explicit RNG seeded the same.
 func TestIncrementalOptionsSeed(t *testing.T) {
 	build := func(inc *Incremental) float64 {
 		t.Helper()
@@ -222,7 +219,7 @@ func TestIncrementalOptionsSeed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := Count(algebra.Base("S", r.Schema()), syn)
+		est, err := countOf(algebra.Base("S", r.Schema()), syn, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -230,11 +227,11 @@ func TestIncrementalOptionsSeed(t *testing.T) {
 	}
 	a := build(NewIncrementalWithOptions(IncrementalOptions{Capacity: 200, Seed: 21}))
 	b := build(NewIncrementalWithOptions(IncrementalOptions{Capacity: 200, Seed: 21}))
-	c := build(NewIncremental(200, sampling.Seeded(21)))
+	c := build(NewIncrementalWithOptions(IncrementalOptions{Capacity: 200, RNG: sampling.Seeded(21)}))
 	if math.Float64bits(a) != math.Float64bits(b) {
 		t.Errorf("same Seed, different snapshots: %v vs %v", a, b)
 	}
 	if math.Float64bits(a) != math.Float64bits(c) {
-		t.Errorf("deprecated constructor diverged: options %v vs wrapper %v", a, c)
+		t.Errorf("Seed and explicit RNG diverged: %v vs %v", a, c)
 	}
 }

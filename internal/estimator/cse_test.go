@@ -74,7 +74,7 @@ func TestEstimateCSEBitIdentity(t *testing.T) {
 	first := true
 	for _, c := range []cfg{{1, false}, {1, true}, {4, false}, {4, true}} {
 		rec := obs.NewCollector()
-		est, err := CountWithOptions(e, syn, Options{
+		est, err := countOf(e, syn, Options{
 			Variance:   VarSplitSample,
 			Seed:       5,
 			Workers:    c.workers,
@@ -120,7 +120,7 @@ func TestSumCSEBitIdentity(t *testing.T) {
 	first := true
 	for _, workers := range []int{1, 4} {
 		for _, disable := range []bool{false, true} {
-			est, err := SumWithOptions(e, "c", syn, Options{
+			est, err := sumOf(e, "c", syn, Options{
 				Seed:       5,
 				Workers:    workers,
 				DisableCSE: disable,

@@ -31,7 +31,7 @@ func TestPageSamplingUnbiasedExhaustive(t *testing.T) {
 		var mean stats.Welford
 		subsets(M, m, func(pages []int) {
 			syn := pageSynopsisFor(t, r, pageSize, pages)
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+			est, err := countOf(sel, syn, Options{Variance: VarNone})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestPageSamplingUnbiasedExhaustive(t *testing.T) {
 				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
 					t.Fatal(err)
 				}
-				est, err := CountWithOptions(join, syn, Options{Variance: VarNone})
+				est, err := countOf(join, syn, Options{Variance: VarNone})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -106,7 +106,7 @@ func TestPageVarianceUnbiasedExhaustive(t *testing.T) {
 	var ests, vars stats.Welford
 	subsets(M, m, func(pages []int) {
 		syn := pageSynopsisFor(t, r, pageSize, pages)
-		est, err := CountWithOptions(sel, syn, Options{Variance: VarAnalytic})
+		est, err := countOf(sel, syn, Options{Variance: VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestPageSamplingAPI(t *testing.T) {
 	// Self-join over a page sample must be refused.
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(r),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
-	if _, err := CountWithOptions(e, syn, Options{Variance: VarNone}); err == nil {
+	if _, err := countOf(e, syn, Options{Variance: VarNone}); err == nil {
 		t.Error("repeated relation over page sample should fail")
 	}
 	// Distinct over a page sample must be refused.
@@ -178,7 +178,7 @@ func TestStratifiedUnbiasedExhaustive(t *testing.T) {
 		s0c := append([]int{}, s0...)
 		subsets(len(strat1), n1, func(s1 []int) {
 			syn := stratifiedSynopsisFor(t, r, [][]int{strat0, strat1}, [][]int{s0c, s1})
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+			est, err := countOf(sel, syn, Options{Variance: VarNone})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -226,7 +226,7 @@ func TestStratifiedVarianceUnbiasedExhaustive(t *testing.T) {
 		s0c := append([]int{}, s0...)
 		subsets(len(strat1), 2, func(s1 []int) {
 			syn := stratifiedSynopsisFor(t, r, [][]int{strat0, strat1}, [][]int{s0c, s1})
-			est, err := CountWithOptions(sel, syn, Options{Variance: VarAnalytic})
+			est, err := countOf(sel, syn, Options{Variance: VarAnalytic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -258,7 +258,7 @@ func TestStratificationReducesVariance(t *testing.T) {
 		if err := syn.AddDrawn(r, n, rng); err != nil {
 			t.Fatal(err)
 		}
-		est, err := CountWithOptions(sel, syn, Options{Variance: VarNone})
+		est, err := countOf(sel, syn, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestStratificationReducesVariance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est2, err := CountWithOptions(sel, syn2, Options{Variance: VarNone})
+		est2, err := countOf(sel, syn2, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	// Self-join refused.
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(r),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
-	if _, err := CountWithOptions(e, syn, Options{Variance: VarNone}); err == nil {
+	if _, err := countOf(e, syn, Options{Variance: VarNone}); err == nil {
 		t.Error("repeated relation over stratified sample should fail")
 	}
 	// Distinct refused.
@@ -321,7 +321,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	}
 	// Jackknife refused.
 	sel := algebra.Must(algebra.Select(algebra.BaseOf(r), algebra.Cmp{Col: "a", Op: algebra.EQ, Val: relation.Int(1)}))
-	if _, err := CountWithOptions(sel, syn, Options{Variance: VarJackknife}); err == nil {
+	if _, err := countOf(sel, syn, Options{Variance: VarJackknife}); err == nil {
 		t.Error("jackknife over stratified sample should fail")
 	}
 	// Split-sample works (join with a plain relation).
@@ -331,7 +331,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 	}
 	join := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	est, err := CountWithOptions(join, syn, Options{Variance: VarSplitSample, Groups: 4})
+	est, err := countOf(join, syn, Options{Variance: VarSplitSample, Groups: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +339,7 @@ func TestStratifiedAPIAndGuards(t *testing.T) {
 		t.Errorf("split-sample variance %v", est.Variance)
 	}
 	// Stratified SUM: Horvitz–Thompson path.
-	sum, err := SumWithOptions(sel, "id", syn, Options{Variance: VarNone})
+	sum, err := sumOf(sel, "id", syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}

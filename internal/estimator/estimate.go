@@ -141,37 +141,8 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Count estimates COUNT(e) from the synopsis with default options.
-func Count(e *algebra.Expr, syn *Synopsis) (Estimate, error) {
-	return CountWithOptions(e, syn, Options{})
-}
-
-// CountWithOptions estimates COUNT(e) from the synopsis.
-//
-// The expression must be π-free (use Distinct for projection counts). Set
-// operations (∪, ∩, −) additionally require the base relations involved to
-// be duplicate-free, which is the caller's contract. The estimator is
-// unbiased provided every relation's sample size is at least the relation's
-// maximum number of occurrences in any polynomial term (it returns an error
-// below that).
-func CountWithOptions(e *algebra.Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	return CountContext(context.Background(), e, syn, opts)
-}
-
-// CountContext is CountWithOptions with cancellation: the context is
-// polled between polynomial terms and between variance replicates, and a
-// cancelled call returns a non-nil error, never a partial estimate. With a
-// background (or never-cancelled) context the returned estimate is
-// bit-identical to CountWithOptions — the polling consumes no randomness
-// and reorders nothing.
-func CountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	poly, err := algebra.Normalize(e)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return countPoly(ctx, poly, syn, opts)
-}
-
+// countPoly is the sample tier: it evaluates the counting polynomial over
+// the synopsis and assesses its variance with the requested method.
 func countPoly(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options) (Estimate, error) {
 	opts = opts.withDefaults()
 	if err := checkSampleSizes(poly, syn); err != nil {

@@ -78,7 +78,7 @@ func exhaustiveMean(t *testing.T, e *algebra.Expr, bases []*relation.Relation, n
 	rec = func(k int, chosen [][]int) {
 		if k == len(bases) {
 			syn := synopsisFor(t, bases, chosen)
-			est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+			est, err := countOf(e, syn, Options{Variance: VarNone})
 			if err != nil {
 				t.Fatalf("estimate: %v", err)
 			}
@@ -163,7 +163,7 @@ func TestSelfJoinNaiveScalingIsBiased(t *testing.T) {
 	trials := 0
 	subsets(r.Len(), n, func(rows []int) {
 		syn := synopsisFor(t, []*relation.Relation{r}, [][]int{rows})
-		est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+		est, err := countOf(e, syn, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestSingleRelationVarianceUnbiasedExhaustive(t *testing.T) {
 	var ests, vars stats.Welford
 	subsets(r.Len(), n, func(rows []int) {
 		syn := synopsisFor(t, []*relation.Relation{r}, [][]int{rows})
-		est, err := CountWithOptions(e, syn, Options{Variance: VarAnalytic})
+		est, err := countOf(e, syn, Options{Variance: VarAnalytic})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestJoinVarianceUnbiasedExhaustive(t *testing.T) {
 		rr := append([]int{}, rrows...)
 		subsets(s.Len(), 3, func(srows []int) {
 			syn := synopsisFor(t, []*relation.Relation{r, s}, [][]int{rr, srows})
-			est, err := CountWithOptions(e, syn, Options{Variance: VarAnalytic})
+			est, err := countOf(e, syn, Options{Variance: VarAnalytic})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +274,7 @@ func TestCountWithCI(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	est, err := Count(e, syn)
+	est, err := countOf(e, syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestCountWithCI(t *testing.T) {
 		t.Errorf("default confidence %v", est.Confidence)
 	}
 	// Chebyshev must be wider than normal at the same level.
-	cheb, err := CountWithOptions(e, syn, Options{CI: CIChebyshev})
+	cheb, err := countOf(e, syn, Options{CI: CIChebyshev})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,14 +320,14 @@ func TestVarianceMethodSelection(t *testing.T) {
 	sel := algebra.Must(algebra.Select(br, algebra.Cmp{Col: "a", Op: algebra.LT, Val: relation.Int(10)}))
 	union := algebra.Must(algebra.Union(br, bs))
 
-	est, err := CountWithOptions(sel, syn, Options{Variance: VarAuto})
+	est, err := countOf(sel, syn, Options{Variance: VarAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if est.VarianceMethod != VarAnalytic {
 		t.Errorf("selection should use analytic, got %v", est.VarianceMethod)
 	}
-	est, err = CountWithOptions(union, syn, Options{Variance: VarAuto})
+	est, err = countOf(union, syn, Options{Variance: VarAuto})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,11 +338,11 @@ func TestVarianceMethodSelection(t *testing.T) {
 		t.Errorf("split-sample variance negative: %v", est.Variance)
 	}
 	// Explicit analytic on a union must fail.
-	if _, err := CountWithOptions(union, syn, Options{Variance: VarAnalytic}); err == nil {
+	if _, err := countOf(union, syn, Options{Variance: VarAnalytic}); err == nil {
 		t.Error("VarAnalytic on a union should fail")
 	}
 	// Jackknife runs (slowly) and gives a positive variance.
-	est, err = CountWithOptions(sel, syn, Options{Variance: VarJackknife})
+	est, err = countOf(sel, syn, Options{Variance: VarJackknife})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,7 +350,7 @@ func TestVarianceMethodSelection(t *testing.T) {
 		t.Errorf("jackknife: method %v variance %v", est.VarianceMethod, est.Variance)
 	}
 	// VarNone leaves NaN.
-	est, err = CountWithOptions(sel, syn, Options{Variance: VarNone})
+	est, err = countOf(sel, syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestEstimateErrors(t *testing.T) {
 	syn := NewSynopsis()
 	// Missing relation.
 	sel := algebra.Must(algebra.Select(br, algebra.Cmp{Col: "a", Op: algebra.LT, Val: relation.Int(10)}))
-	if _, err := Count(sel, syn); err == nil {
+	if _, err := countOf(sel, syn, Options{}); err == nil {
 		t.Error("missing sample should fail")
 	}
 	// π rejected.
@@ -373,7 +373,7 @@ func TestEstimateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := algebra.Must(algebra.Project(br, "a"))
-	if _, err := Count(pr, syn); err == nil {
+	if _, err := countOf(pr, syn, Options{}); err == nil {
 		t.Error("projection should be rejected by Count")
 	}
 	// Sample smaller than occurrence multiplicity.
@@ -382,7 +382,7 @@ func TestEstimateErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	selfJoin := algebra.Must(algebra.Join(br, br, []algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
-	if _, err := CountWithOptions(selfJoin, small, Options{Variance: VarNone}); err == nil {
+	if _, err := countOf(selfJoin, small, Options{Variance: VarNone}); err == nil {
 		t.Error("n=1 sample for a self-join should fail the unbiasedness precondition")
 	}
 	// Empty sample of a non-empty relation.
@@ -390,7 +390,7 @@ func TestEstimateErrors(t *testing.T) {
 	if err := empty.AddSample(relation.New("R", r.Schema()), r.Len()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CountWithOptions(sel, empty, Options{Variance: VarNone}); err == nil {
+	if _, err := countOf(sel, empty, Options{Variance: VarNone}); err == nil {
 		t.Error("empty sample of non-empty relation should fail")
 	}
 }
@@ -402,7 +402,7 @@ func TestTermsReported(t *testing.T) {
 	_ = syn.AddDrawn(r, 32, rng)
 	_ = syn.AddDrawn(s, 32, rng)
 	u := algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))
-	est, err := CountWithOptions(u, syn, Options{Variance: VarNone})
+	est, err := countOf(u, syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}

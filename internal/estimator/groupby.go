@@ -30,10 +30,10 @@ type GroupEstimate struct {
 	Count float64
 }
 
-// GroupCount estimates COUNT(*) GROUP BY col over the π-free expression e.
+// groupCount estimates COUNT(*) GROUP BY col over the π-free expression e.
 // Results are sorted by descending estimated count (ties by value order)
 // and include only groups observed in the sample.
-func GroupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
+func groupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
 	pos := e.Schema().ColumnIndex(col)
 	if pos < 0 {
 		return nil, fmt.Errorf("estimator: no column %q in expression schema %s", col, e.Schema())

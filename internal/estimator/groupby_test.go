@@ -16,7 +16,7 @@ func TestGroupCountCensusIsExact(t *testing.T) {
 	if err := syn.AddSample(r.Clone("R"), r.Len()); err != nil {
 		t.Fatal(err)
 	}
-	groups, err := GroupCount(algebra.BaseOf(r), "g", syn)
+	groups, err := groupsOf(algebra.BaseOf(r), "g", syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestGroupCountUnbiasedPerGroupExhaustive(t *testing.T) {
 	sums := map[int64]*stats.Welford{1: {}, 2: {}, 3: {}}
 	subsets(r.Len(), n, func(rows []int) {
 		syn := synopsisFor(t, []*relation.Relation{r}, [][]int{rows})
-		groups, err := GroupCount(e, "g", syn)
+		groups, err := groupsOf(e, "g", syn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestGroupCountOverJoin(t *testing.T) {
 	}
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s),
 		[]algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	groups, err := GroupCount(e, "a", syn)
+	groups, err := groupsOf(e, "a", syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestGroupCountOverJoin(t *testing.T) {
 		total += g.Count
 	}
 	// The group totals must add to the whole-expression estimate.
-	whole, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+	whole, err := countOf(e, syn, Options{Variance: VarNone})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,11 +110,11 @@ func TestGroupCountErrors(t *testing.T) {
 	if err := syn.AddDrawn(r, 1, testRand(1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := GroupCount(algebra.BaseOf(r), "zz", syn); err == nil {
+	if _, err := groupsOf(algebra.BaseOf(r), "zz", syn); err == nil {
 		t.Error("unknown column should fail")
 	}
 	pr := algebra.Must(algebra.Project(algebra.BaseOf(r), "g"))
-	if _, err := GroupCount(pr, "g", syn); err == nil {
+	if _, err := groupsOf(pr, "g", syn); err == nil {
 		t.Error("π should be rejected")
 	}
 }

@@ -3,6 +3,7 @@ package estimator
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"relest/internal/algebra"
@@ -11,11 +12,9 @@ import (
 
 // Estimator is the unified estimation handle: one synopsis, one set of
 // evaluation options, one tier policy, answering every request from the
-// cheapest tier that meets its precision target. It replaces the spread
-// of free functions (Count/CountWithOptions/CountContext/Sum.../...) with
-// a single (expression, request) surface; the free functions survive as
-// deprecated thin wrappers over a TierSampleOnly handle and stay
-// bit-identical to their historical outputs.
+// cheapest tier that meets its precision target. It is the single owner
+// of the path from an expression to an Estimate: every caller — CLI,
+// server, planner, experiments — builds a handle and issues requests.
 //
 // A handle is cheap and immutable after construction; it is safe for
 // concurrent use exactly when its synopsis is (static synopses are —
@@ -71,9 +70,6 @@ func NewEstimator(syn *Synopsis, eopts ...EstimatorOption) *Estimator {
 	return e
 }
 
-// Synopsis returns the handle's synopsis.
-func (e *Estimator) Synopsis() *Synopsis { return e.syn }
-
 // Request is one estimation request against a handle.
 type Request struct {
 	// Expr is the π-free relational algebra expression.
@@ -125,7 +121,7 @@ func (e *Estimator) precisionFor(req Request) float64 {
 }
 
 // recordTier emits the tier-planner metrics (tiered requests only, so
-// sample-only wrappers keep their historical metric families exactly).
+// sample-only requests keep their historical metric families exactly).
 func (e *Estimator) recordTier(rep TierReport) {
 	rec := e.opts.Recorder
 	if !obs.Live(rec) {
@@ -135,26 +131,40 @@ func (e *Estimator) recordTier(rep TierReport) {
 	rec.Set(mSketchBytes, float64(e.syn.SketchBytes()))
 }
 
-// Count estimates COUNT(req.Expr). Under TierSampleOnly the call is
-// bit-identical to CountContext with the handle's options; under TierAuto
-// or TierSketchOnly the tier planner runs (see tier.go).
+// Count estimates COUNT(req.Expr) through the tier planner (see tier.go).
+//
+// The expression must be π-free (use Distinct for projection counts). Set
+// operations (∪, ∩, −) additionally require the base relations involved to
+// be duplicate-free, which is the caller's contract. The estimator is
+// unbiased provided every relation's sample size is at least the relation's
+// maximum number of occurrences in any polynomial term (it returns an error
+// below that).
+//
+// The context is polled between polynomial terms and between variance
+// replicates, and a cancelled call returns a non-nil error, never a partial
+// estimate; the polling consumes no randomness and reorders nothing.
+//
+// Under TierSampleOnly every term escalates, so the planner hands the whole
+// polynomial to the sample tier untouched: no sketches are built and no
+// tier metrics are emitted.
 func (e *Estimator) Count(ctx context.Context, req Request) (Result, error) {
 	ctx, cancel := req.requestContext(ctx)
 	defer cancel()
-	policy := e.policyFor(req)
-	if policy == TierSampleOnly {
-		est, err := CountContext(ctx, req.Expr, e.syn, e.opts)
-		if err != nil {
-			return Result{}, err
-		}
-		return Result{Estimate: est, Tier: TierReport{Answered: TierAnsweredSample, SampleTerms: est.Terms}}, nil
-	}
-	e.syn.EnsureSketches() // per-request tier overrides on a sample-only handle
-	est, rep, err := tieredCount(ctx, req.Expr, e.syn, e.opts, policy, e.precisionFor(req))
+	poly, err := algebra.Normalize(req.Expr)
 	if err != nil {
 		return Result{}, err
 	}
-	e.recordTier(rep)
+	policy := e.policyFor(req)
+	if policy != TierSampleOnly {
+		e.syn.EnsureSketches() // per-request tier overrides on a sample-only handle
+	}
+	est, rep, err := tieredCount(ctx, poly, e.syn, e.opts, policy, e.precisionFor(req))
+	if err != nil {
+		return Result{}, err
+	}
+	if policy != TierSampleOnly {
+		e.recordTier(rep)
+	}
 	return Result{Estimate: est, Tier: rep}, nil
 }
 
@@ -167,26 +177,40 @@ func (e *Estimator) Sum(ctx context.Context, req Request) (Result, error) {
 	if e.policyFor(req) == TierSketchOnly {
 		return Result{}, fmt.Errorf("estimator: sketch tier cannot answer SUM(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
-	est, err := SumContext(ctx, req.Expr, req.Col, e.syn, e.opts)
+	est, err := sumExpr(ctx, req.Expr, req.Col, e.syn, e.opts)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Estimate: est, Tier: TierReport{Answered: TierAnsweredSample, SampleTerms: est.Terms}}, nil
 }
 
-// Avg estimates AVG(req.Col) over req.Expr's result as the SUM/COUNT
-// ratio. Like Sum it is always sample-tier.
+// Avg estimates AVG(req.Col) over req.Expr's result as the ratio of the
+// SUM and COUNT estimators — biased O(1/n) but consistent (the classical
+// ratio estimator). Like Sum it is always sample-tier.
 func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport, error) {
 	ctx, cancel := req.requestContext(ctx)
 	defer cancel()
 	if e.policyFor(req) == TierSketchOnly {
 		return AvgResult{}, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer AVG(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
-	res, err := AvgContext(ctx, req.Expr, req.Col, e.syn, e.opts)
+	sum, err := sumExpr(ctx, req.Expr, req.Col, e.syn, e.opts)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
-	return res, TierReport{Answered: TierAnsweredSample}, nil
+	poly, err := algebra.Normalize(req.Expr)
+	if err != nil {
+		return AvgResult{}, TierReport{}, err
+	}
+	cnt, err := countPoly(ctx, poly, e.syn, e.opts)
+	if err != nil {
+		return AvgResult{}, TierReport{}, err
+	}
+	out := AvgResult{Sum: sum, Count: cnt, Avg: math.NaN()}
+	//lint:ignore floateq division guard: only an exactly-zero count estimate leaves Avg undefined (NaN)
+	if cnt.Value != 0 {
+		out.Avg = sum.Value / cnt.Value
+	}
+	return out, TierReport{Answered: TierAnsweredSample}, nil
 }
 
 // GroupCount estimates COUNT(*) GROUP BY req.Col over req.Expr's result,
@@ -200,7 +224,7 @@ func (e *Estimator) GroupCount(ctx context.Context, req Request) ([]GroupEstimat
 	if err := ctx.Err(); err != nil {
 		return nil, TierReport{}, err
 	}
-	groups, err := GroupCount(req.Expr, req.Col, e.syn)
+	groups, err := groupCount(req.Expr, req.Col, e.syn)
 	if err != nil {
 		return nil, TierReport{}, err
 	}

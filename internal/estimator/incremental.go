@@ -58,17 +58,6 @@ type IncrementalOptions struct {
 	Seed int64
 }
 
-// NewIncremental creates an incremental synopsis holding up to capacity
-// sampled tuples per relation. The RNG drives all sampling decisions; use a
-// seeded generator for reproducible runs.
-//
-// Deprecated: use NewIncrementalWithOptions, which takes the RNG through
-// IncrementalOptions (RNG/Seed) like every other estimation entry point.
-// This wrapper forwards rng via opts.RNG and behaves identically.
-func NewIncremental(capacity int, rng *rand.Rand) *Incremental {
-	return NewIncrementalWithOptions(IncrementalOptions{Capacity: capacity, RNG: rng})
-}
-
 // NewIncrementalWithOptions creates an incremental synopsis from options.
 // It panics when Capacity < 1 (a programming error, like a negative slice
 // capacity).
@@ -76,11 +65,7 @@ func NewIncrementalWithOptions(opts IncrementalOptions) *Incremental {
 	if opts.Capacity < 1 {
 		panic(fmt.Sprintf("estimator: incremental synopsis capacity %d < 1", opts.Capacity))
 	}
-	rng := opts.RNG
-	if rng == nil {
-		rng = sampling.Seeded(opts.Seed)
-	}
-	return &Incremental{capacity: opts.Capacity, rng: rng, rels: map[string]*incRel{}}
+	return &Incremental{capacity: opts.Capacity, rng: rngOrSeeded(opts.RNG, opts.Seed), rels: map[string]*incRel{}}
 }
 
 // Track registers a relation (by name and schema) for maintenance.

@@ -10,7 +10,7 @@ import (
 )
 
 func TestIncrementalTrackAndCounts(t *testing.T) {
-	inc := NewIncremental(10, testRand(1))
+	inc := NewIncrementalWithOptions(IncrementalOptions{Capacity: 10, RNG: testRand(1)})
 	schema := intSchema("a", "b")
 	if err := inc.Track("R", schema); err != nil {
 		t.Fatal(err)
@@ -57,7 +57,7 @@ func TestIncrementalSnapshotEstimation(t *testing.T) {
 	// Stream two relations, snapshot, and estimate a join; compare with
 	// the exact count over the surviving population.
 	rng := testRand(7)
-	inc := NewIncremental(400, rng)
+	inc := NewIncrementalWithOptions(IncrementalOptions{Capacity: 400, RNG: rng})
 	schema := intSchema("a", "id")
 	if err := inc.Track("R", schema); err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestIncrementalSnapshotEstimation(t *testing.T) {
 	if n, _ := syn.PopulationSize("R"); n != 3000 {
 		t.Errorf("snapshot population %d", n)
 	}
-	est, err := Count(e, syn)
+	est, err := countOf(e, syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestIncrementalUnbiasedOverStream(t *testing.T) {
 	// insert 60 more. Survivors are deterministic.
 	build := func(seed int64) (float64, float64) {
 		rng := testRand(seed)
-		inc := NewIncremental(40, rng)
+		inc := NewIncrementalWithOptions(IncrementalOptions{Capacity: 40, RNG: rng})
 		if err := inc.Track("R", schema); err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestIncrementalUnbiasedOverStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+		est, err := countOf(e, syn, Options{Variance: VarNone})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -34,7 +34,7 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 	for _, variance := range []VarianceMethod{VarAnalytic, VarSplitSample, VarJackknife} {
 		for _, workers := range []int{1, 4} {
 			base := Options{Variance: variance, Seed: 42, Workers: workers}
-			plain, err := CountWithOptions(expr, syn, base)
+			plain, err := countOf(expr, syn, base)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", variance, workers, err)
 			}
@@ -42,7 +42,7 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 			rec.EnableTrace()
 			withRec := base
 			withRec.Recorder = rec
-			recorded, err := CountWithOptions(expr, syn, withRec)
+			recorded, err := countOf(expr, syn, withRec)
 			if err != nil {
 				t.Fatalf("%v workers=%d recorded: %v", variance, workers, err)
 			}
@@ -53,14 +53,14 @@ func TestRecorderDoesNotChangeEstimates(t *testing.T) {
 	// SUM through the jackknife replication path.
 	for _, workers := range []int{1, 4} {
 		base := Options{Variance: VarJackknife, Seed: 9, Workers: workers}
-		plain, err := SumWithOptions(expr, "b", syn, base)
+		plain, err := sumOf(expr, "b", syn, base)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec := obs.NewCollector()
 		withRec := base
 		withRec.Recorder = rec
-		recorded, err := SumWithOptions(expr, "b", syn, withRec)
+		recorded, err := sumOf(expr, "b", syn, withRec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRecorderDoesNotChangeSequential(t *testing.T) {
 		t.Helper()
 		rng := rand.New(rand.NewSource(7))
 		expr, syn := drawnJoinSynopsis(t, 400, 300, 40, 11)
-		res, err := SequentialCount(expr, syn, rng, SequentialOptions{
+		res, err := seqCount(expr, syn, rng, SequentialOptions{
 			TargetRelErr: 0.2,
 			PilotSize:    30,
 			Estimate:     Options{Seed: 3, Workers: 2, Recorder: rec},
@@ -109,7 +109,7 @@ func TestRecorderObservesEngine(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 400, 300, 40, 11)
 	rec := obs.NewCollector()
 	tr := rec.EnableTrace()
-	if _, err := CountWithOptions(expr, syn, Options{Variance: VarSplitSample, Seed: 1, Workers: 4, Recorder: rec}); err != nil {
+	if _, err := countOf(expr, syn, Options{Variance: VarSplitSample, Seed: 1, Workers: 4, Recorder: rec}); err != nil {
 		t.Fatal(err)
 	}
 	m := rec.Metrics()

@@ -48,7 +48,7 @@ func TestWorkersDeterminism(t *testing.T) {
 	for _, variance := range []VarianceMethod{VarSplitSample, VarJackknife, VarAnalytic} {
 		var base Estimate
 		for i, workers := range []int{1, 2, 3, 8} {
-			est, err := CountWithOptions(expr, syn, Options{Variance: variance, Seed: 42, Workers: workers})
+			est, err := countOf(expr, syn, Options{Variance: variance, Seed: 42, Workers: workers})
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", variance, workers, err)
 			}
@@ -69,7 +69,7 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 300, 200, 30, 5)
 	var base Estimate
 	for i, workers := range []int{1, 4} {
-		est, err := SumWithOptions(expr, "b", syn, Options{Variance: VarJackknife, Seed: 9, Workers: workers})
+		est, err := sumOf(expr, "b", syn, Options{Variance: VarJackknife, Seed: 9, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	u := algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))
 	var ubase Estimate
 	for i, workers := range []int{1, 8} {
-		est, err := CountWithOptions(u, syn2, Options{Variance: VarJackknife, Workers: workers})
+		est, err := countOf(u, syn2, Options{Variance: VarJackknife, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 		t.Error("partially folded term should not be single-pass eligible")
 	}
 	// The public path must still produce a jackknife variance via fallback.
-	est, err := CountWithOptions(partial, syn2, Options{Variance: VarJackknife})
+	est, err := countOf(partial, syn2, Options{Variance: VarJackknife})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 // and compiled plans are read-only during evaluation.
 func TestConcurrentCountSharedSynopsis(t *testing.T) {
 	expr, syn := drawnJoinSynopsis(t, 300, 200, 30, 21)
-	want, err := CountWithOptions(expr, syn, Options{Variance: VarJackknife, Workers: 1})
+	want, err := countOf(expr, syn, Options{Variance: VarJackknife, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestConcurrentCountSharedSynopsis(t *testing.T) {
 		wg.Add(1)
 		go func(workers int) {
 			defer wg.Done()
-			est, err := CountWithOptions(expr, syn, Options{Variance: VarJackknife, Workers: workers})
+			est, err := countOf(expr, syn, Options{Variance: VarJackknife, Workers: workers})
 			if err != nil {
 				mismatch <- err.Error()
 				return

@@ -1,11 +1,8 @@
 package estimator
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"relest/internal/algebra"
 )
 
 // This file is the stratified-composition layer of the estimator: the
@@ -31,29 +28,6 @@ type Partial struct {
 	// Terms is the number of counting-polynomial terms the stratum
 	// evaluated (identical across strata for a shardable query).
 	Terms int
-}
-
-// PartialEstimator produces one stratum's partial estimate. The local
-// implementation is SynopsisPartial; internal/cluster implements the same
-// contract over the HTTP shard protocol.
-type PartialEstimator interface {
-	EstimatePartial(ctx context.Context, e *algebra.Expr, opts Options) (Partial, error)
-}
-
-// SynopsisPartial adapts one synopsis — holding one stratum's slice of
-// every relation — into a PartialEstimator via the ordinary counting
-// polynomial.
-type SynopsisPartial struct {
-	Syn *Synopsis
-}
-
-// EstimatePartial runs the stratum's COUNT estimate.
-func (p SynopsisPartial) EstimatePartial(ctx context.Context, e *algebra.Expr, opts Options) (Partial, error) {
-	est, err := CountContext(ctx, e, p.Syn, opts)
-	if err != nil {
-		return Partial{}, err
-	}
-	return Partial{Value: est.Value, Variance: est.Variance, Method: est.VarianceMethod, Terms: est.Terms}, nil
 }
 
 // StratifiedMerge reports how a merged estimate was composed.
@@ -154,29 +128,9 @@ func MergeStratified(parts []Partial, total int, opts Options) (Estimate, Strati
 	return finishEstimate(value, varSum, method, terms, opts), rep, nil
 }
 
-// CountStratified estimates COUNT(e) over a stratified design: each
-// PartialEstimator owns one stratum (e.g. one shard's slice of every
-// relation) and the partials merge per MergeStratified. Strata evaluate
-// sequentially in slice order, so the result is deterministic; with a
-// single stratum it is bit-identical to CountContext on that stratum.
-func CountStratified(ctx context.Context, e *algebra.Expr, strata []PartialEstimator, opts Options) (Estimate, StratifiedMerge, error) {
-	if len(strata) == 0 {
-		return Estimate{}, StratifiedMerge{}, fmt.Errorf("estimator: stratified count needs at least one stratum")
-	}
-	parts := make([]Partial, len(strata))
-	for i, st := range strata {
-		p, err := st.EstimatePartial(ctx, e, opts)
-		if err != nil {
-			return Estimate{}, StratifiedMerge{}, fmt.Errorf("estimator: stratum %d: %w", i, err)
-		}
-		parts[i] = p
-	}
-	return MergeStratified(parts, len(strata), opts)
-}
-
 // finishEstimate assembles an Estimate from a point value and a variance
-// the way every COUNT path does: NaN variance under VarNone, StdErr
-// clamped at zero, CI at the requested level. countPoly and
+// the way every COUNT and SUM path does: NaN variance under VarNone,
+// StdErr clamped at zero, CI at the requested level. countPoly and
 // MergeStratified share this so a one-stratum merge reproduces the
 // single-synopsis estimate bit for bit. opts must already carry defaults.
 func finishEstimate(value, variance float64, method VarianceMethod, terms int, opts Options) Estimate {

@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"context"
 	"math"
 	"testing"
 
@@ -35,11 +34,22 @@ func exactJoinCount(r, s *relation.Relation) float64 {
 	return float64(n)
 }
 
-// TestCountStratifiedSingleStratumBitIdentical pins the merge layer's
-// core contract: one stratum holding everything reproduces CountContext
-// bit for bit, across variance methods and CI constructions. This is the
-// property a shards=1 cluster's golden byte-identity rests on.
-func TestCountStratifiedSingleStratumBitIdentical(t *testing.T) {
+// partialOf runs one stratum's COUNT estimate and packs it as the Partial
+// a shard reports.
+func partialOf(t *testing.T, e *algebra.Expr, syn *Synopsis, opts Options) Partial {
+	t.Helper()
+	est, err := countOf(e, syn, opts)
+	if err != nil {
+		t.Fatalf("stratum estimate (%+v): %v", opts, err)
+	}
+	return Partial{Value: est.Value, Variance: est.Variance, Method: est.VarianceMethod, Terms: est.Terms}
+}
+
+// TestMergeStratifiedSingleStratumBitIdentical pins the merge layer's
+// core contract: one stratum holding everything reproduces the direct
+// estimate bit for bit, across variance methods and CI constructions.
+// This is the property a shards=1 cluster's golden byte-identity rests on.
+func TestMergeStratifiedSingleStratumBitIdentical(t *testing.T) {
 	r, s := stratPair()
 	syn := NewSynopsis()
 	rng := sampling.NewSource(11).Rand(0)
@@ -59,13 +69,13 @@ func TestCountStratifiedSingleStratumBitIdentical(t *testing.T) {
 		{Seed: 3, CI: CIChebyshev, Confidence: 0.9},
 	}
 	for _, opts := range cases {
-		want, err := CountContext(context.Background(), e, syn, opts)
+		want, err := countOf(e, syn, opts)
 		if err != nil {
-			t.Fatalf("CountContext(%+v): %v", opts, err)
+			t.Fatalf("direct estimate (%+v): %v", opts, err)
 		}
-		got, rep, err := CountStratified(context.Background(), e, []PartialEstimator{SynopsisPartial{Syn: syn}}, opts)
+		got, rep, err := MergeStratified([]Partial{partialOf(t, e, syn, opts)}, 1, opts)
 		if err != nil {
-			t.Fatalf("CountStratified(%+v): %v", opts, err)
+			t.Fatalf("MergeStratified(%+v): %v", opts, err)
 		}
 		if rep.Partial || rep.Total != 1 || rep.Answered != 1 {
 			t.Errorf("merge report = %+v, want full single-stratum", rep)
@@ -81,16 +91,17 @@ func TestCountStratifiedSingleStratumBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCountStratifiedCensusExact partitions both relations by key parity
+// TestMergeStratifiedCensusExact partitions both relations by key parity
 // — a shard-like partition in which every join pair is co-located — and
 // gives each stratum a census sample. The stratified merge must then be
 // exact: per-stratum estimates are exact counts and the strata cover the
 // join disjointly.
-func TestCountStratifiedCensusExact(t *testing.T) {
+func TestMergeStratifiedCensusExact(t *testing.T) {
 	r, s := stratPair()
 	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
 
-	var strata []PartialEstimator
+	opts := Options{Variance: VarAnalytic}
+	var strata []Partial
 	for parity := 0; parity < 2; parity++ {
 		syn := NewSynopsis()
 		for _, base := range []*relation.Relation{r, s} {
@@ -105,10 +116,10 @@ func TestCountStratifiedCensusExact(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		strata = append(strata, SynopsisPartial{Syn: syn})
+		strata = append(strata, partialOf(t, e, syn, opts))
 	}
 
-	est, rep, err := CountStratified(context.Background(), e, strata, Options{Variance: VarAnalytic})
+	est, rep, err := MergeStratified(strata, len(strata), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,8 +249,5 @@ func TestMergeStratifiedErrors(t *testing.T) {
 	parts := []Partial{{Value: 1}, {Value: 2}, {Value: 3}}
 	if _, _, err := MergeStratified(parts, 2, Options{}); err == nil {
 		t.Error("more partials than strata did not error")
-	}
-	if _, _, err := CountStratified(context.Background(), nil, nil, Options{}); err == nil {
-		t.Error("empty strata set did not error")
 	}
 }

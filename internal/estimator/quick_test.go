@@ -48,7 +48,7 @@ func TestQuickSelectionUnbiased(t *testing.T) {
 			if err := syn.AddSample(r.Subset("R", rows), r.Len()); err != nil {
 				panic(err)
 			}
-			est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+			est, err := countOf(e, syn, Options{Variance: VarNone})
 			if err != nil {
 				panic(err)
 			}
@@ -86,7 +86,7 @@ func TestQuickJoinUnbiased(t *testing.T) {
 				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
 					panic(err)
 				}
-				est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+				est, err := countOf(e, syn, Options{Variance: VarNone})
 				if err != nil {
 					panic(err)
 				}
@@ -142,7 +142,7 @@ func TestQuickSetOpsUnbiased(t *testing.T) {
 				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
 					panic(err)
 				}
-				est, err := CountWithOptions(e, syn, Options{Variance: VarNone})
+				est, err := countOf(e, syn, Options{Variance: VarNone})
 				if err != nil {
 					panic(err)
 				}
@@ -176,7 +176,7 @@ func TestQuickSumUnbiased(t *testing.T) {
 				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
 					panic(err)
 				}
-				est, err := SumWithOptions(e, "id", syn, Options{Variance: VarNone})
+				est, err := sumOf(e, "id", syn, Options{Variance: VarNone})
 				if err != nil {
 					panic(err)
 				}

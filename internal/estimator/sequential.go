@@ -42,13 +42,13 @@ type SequentialOptions struct {
 	Seed int64
 }
 
-// rng resolves the extension generator: the explicit RNG when set,
-// otherwise a fresh deterministic generator from Seed.
-func (o SequentialOptions) rng() *rand.Rand {
-	if o.RNG != nil {
-		return o.RNG
+// rngOrSeeded resolves an options struct's RNG/Seed pair: the explicit
+// generator when set, otherwise a fresh deterministic one from seed.
+func rngOrSeeded(rng *rand.Rand, seed int64) *rand.Rand {
+	if rng != nil {
+		return rng
 	}
-	return sampling.Seeded(o.Seed)
+	return sampling.Seeded(seed)
 }
 
 // SequentialResult reports both phases of a double-sampling run.
@@ -67,9 +67,9 @@ type SequentialResult struct {
 	TargetMet bool
 }
 
-// SequentialCount runs double sampling: a pilot estimate determines the
-// variance, the sample is grown to the size projected to achieve the target
-// relative error at the requested confidence, and the estimate is
+// SequentialCountContext runs double sampling: a pilot estimate determines
+// the variance, the sample is grown to the size projected to achieve the
+// target relative error at the requested confidence, and the estimate is
 // recomputed. The synopsis must have been drawn from stored relations
 // (AddDrawn / Draw) so its samples can be extended in place; on return the
 // synopsis holds the enlarged samples.
@@ -80,22 +80,12 @@ type SequentialResult struct {
 // pilot-variance estimation noise; TargetMet reports the verdict from the
 // final sample itself.
 //
-// Deprecated: use SequentialCountContext, which takes the RNG through
-// SequentialOptions (RNG/Seed) so every estimation entry point shares the
-// (expr, synopsis, options) shape. This wrapper forwards rng via opts.RNG
-// and behaves identically.
-func SequentialCount(e *algebra.Expr, syn *Synopsis, rng *rand.Rand, opts SequentialOptions) (SequentialResult, error) {
-	opts.RNG = rng
-	return SequentialCountContext(context.Background(), e, syn, opts)
-}
-
-// SequentialCountContext runs double sampling under a context: the context
-// is polled before each phase (and, through the underlying estimator,
-// between terms and replicates), and a cancelled run returns a non-nil
-// error, never a partial result. The sample extensions draw from opts.RNG
-// (or a generator seeded with opts.Seed when RNG is nil).
+// The context is polled before each phase (and, through the underlying
+// estimator, between terms and replicates), and a cancelled run returns a
+// non-nil error, never a partial result. The sample extensions draw from
+// opts.RNG (or a generator seeded with opts.Seed when RNG is nil).
 func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts SequentialOptions) (SequentialResult, error) {
-	rng := opts.rng()
+	rng := rngOrSeeded(opts.RNG, opts.Seed)
 	if opts.TargetRelErr <= 0 {
 		return SequentialResult{}, fmt.Errorf("estimator: sequential estimation requires TargetRelErr > 0")
 	}
@@ -242,14 +232,6 @@ type DeadlineOptions struct {
 	Seed int64
 }
 
-// rng resolves the extension generator (see SequentialOptions.rng).
-func (o DeadlineOptions) rng() *rand.Rand {
-	if o.RNG != nil {
-		return o.RNG
-	}
-	return sampling.Seeded(o.Seed)
-}
-
 // DeadlineStep records one estimation round.
 type DeadlineStep struct {
 	SampleSizes map[string]int
@@ -257,21 +239,12 @@ type DeadlineStep struct {
 	Elapsed     time.Duration
 }
 
-// DeadlineCount grows the synopsis samples geometrically and re-estimates
-// until the budget expires, returning the final (most precise) estimate and
-// the per-round history. The answer available at the deadline is exactly
-// what the CASE-DB use case demands: the best estimate the time allowed.
+// DeadlineCountContext grows the synopsis samples geometrically and
+// re-estimates until the budget expires, returning the final (most
+// precise) estimate and the per-round history. The answer available at the
+// deadline is exactly what the CASE-DB use case demands: the best estimate
+// the time allowed.
 //
-// Deprecated: use DeadlineCountContext, which takes the RNG through
-// DeadlineOptions (RNG/Seed) so every estimation entry point shares the
-// (expr, synopsis, options) shape. This wrapper forwards rng via opts.RNG
-// and behaves identically.
-func DeadlineCount(e *algebra.Expr, syn *Synopsis, rng *rand.Rand, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
-	opts.RNG = rng
-	return DeadlineCountContext(context.Background(), e, syn, opts)
-}
-
-// DeadlineCountContext is deadline-bounded estimation under a context.
 // Budget expiry is the normal way out — the round running at the deadline
 // completes and its estimate is returned with a nil error — but context
 // cancellation aborts: it is polled before every sampling round (and,
@@ -281,7 +254,7 @@ func DeadlineCount(e *algebra.Expr, syn *Synopsis, rng *rand.Rand, opts Deadline
 // time allows) and the request's cancellation to ctx (the caller is gone;
 // stop working).
 func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
-	rng := opts.rng()
+	rng := rngOrSeeded(opts.RNG, opts.Seed)
 	if opts.Budget <= 0 {
 		return Estimate{}, nil, fmt.Errorf("estimator: deadline estimation requires a positive budget")
 	}

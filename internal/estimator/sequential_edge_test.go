@@ -59,7 +59,7 @@ func TestSequentialEmptyRelation(t *testing.T) {
 	if err := syn.AddDrawn(r, 0, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{TargetRelErr: 0.05})
+	res, err := seqCount(e, syn, rng, SequentialOptions{TargetRelErr: 0.05})
 	if err != nil {
 		t.Fatalf("empty relation: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestSequentialZeroVariance(t *testing.T) {
 	if err := syn.AddDrawn(r, 10, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := seqCount(e, syn, rng, SequentialOptions{
 		TargetRelErr: 0.05,
 		PilotSize:    40, // pilot = census: variance is exactly 0
 	})
@@ -122,7 +122,7 @@ func TestSequentialNoVarianceNotMet(t *testing.T) {
 	if err := syn.AddDrawn(r, 1, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := seqCount(e, syn, rng, SequentialOptions{
 		TargetRelErr: 0.05,
 		PilotSize:    1,
 		MaxFraction:  1.0 / 3.0, // keeps the sample at one row: m<2, no variance method applies
@@ -151,7 +151,7 @@ func TestDeadlineBudgetSmallerThanOneRound(t *testing.T) {
 	if err := syn.AddDrawn(s, 10, rng); err != nil {
 		t.Fatal(err)
 	}
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := deadlineCount(e, syn, rng, DeadlineOptions{
 		Budget:      time.Nanosecond,
 		InitialSize: 30,
 	})
@@ -182,7 +182,7 @@ func TestDeadlineHugeGrowthTerminates(t *testing.T) {
 	if err := syn.AddDrawn(r, 5, rng); err != nil {
 		t.Fatal(err)
 	}
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := deadlineCount(e, syn, rng, DeadlineOptions{
 		Budget:      time.Hour, // termination must come from exhaustion, not the deadline
 		InitialSize: 5,
 		Growth:      1e18,

@@ -42,7 +42,7 @@ func TestSequentialCount(t *testing.T) {
 	if err := syn.AddDrawn(s, 50, rng); err != nil {
 		t.Fatal(err)
 	}
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := seqCount(e, syn, rng, SequentialOptions{
 		TargetRelErr: 0.05,
 		PilotSize:    150,
 	})
@@ -79,14 +79,14 @@ func TestSequentialCountValidation(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 50, rng)
 	_ = syn.AddDrawn(s, 50, rng)
-	if _, err := SequentialCount(e, syn, rng, SequentialOptions{}); err == nil {
+	if _, err := seqCount(e, syn, rng, SequentialOptions{}); err == nil {
 		t.Error("zero TargetRelErr should fail")
 	}
 	// Synopsis not drawn from stored relations cannot extend.
 	ext := NewSynopsis()
 	_ = ext.AddSample(r.Subset("R", []int{0, 1, 2}), r.Len())
 	_ = ext.AddSample(s.Subset("S", []int{0, 1, 2}), s.Len())
-	if _, err := SequentialCount(e, ext, rng, SequentialOptions{TargetRelErr: 0.05}); err == nil {
+	if _, err := seqCount(e, ext, rng, SequentialOptions{TargetRelErr: 0.05}); err == nil {
 		t.Error("non-extensible synopsis should fail")
 	}
 }
@@ -97,7 +97,7 @@ func TestSequentialMaxFraction(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 20, rng)
 	_ = syn.AddDrawn(s, 20, rng)
-	res, err := SequentialCount(e, syn, rng, SequentialOptions{
+	res, err := seqCount(e, syn, rng, SequentialOptions{
 		TargetRelErr: 0.0001, // unreachable: forces the cap
 		PilotSize:    50,
 		MaxFraction:  0.05,
@@ -119,7 +119,7 @@ func TestDeadlineCount(t *testing.T) {
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 10, rng)
 	_ = syn.AddDrawn(s, 10, rng)
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := deadlineCount(e, syn, rng, DeadlineOptions{
 		Budget:      50 * time.Millisecond,
 		InitialSize: 50,
 	})
@@ -143,7 +143,7 @@ func TestDeadlineCount(t *testing.T) {
 		t.Errorf("deadline estimate relative error %.3f", rel)
 	}
 	// Validation.
-	if _, _, err := DeadlineCount(e, syn, rng, DeadlineOptions{}); err == nil {
+	if _, _, err := deadlineCount(e, syn, rng, DeadlineOptions{}); err == nil {
 		t.Error("zero budget should fail")
 	}
 }
@@ -156,7 +156,7 @@ func TestDeadlineCountExhaustsSmallRelations(t *testing.T) {
 	rng := testRand(48)
 	syn := NewSynopsis()
 	_ = syn.AddDrawn(r, 2, rng)
-	est, history, err := DeadlineCount(e, syn, rng, DeadlineOptions{
+	est, history, err := deadlineCount(e, syn, rng, DeadlineOptions{
 		Budget:      time.Hour,
 		InitialSize: 2,
 	})

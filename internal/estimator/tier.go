@@ -56,8 +56,8 @@ const (
 	// TierSketchOnly answers from sketches alone and fails on any term
 	// the sketch tier cannot answer within the precision target.
 	TierSketchOnly
-	// TierSampleOnly bypasses sketches entirely: the exact legacy
-	// counting-polynomial path, bit-identical to CountContext.
+	// TierSampleOnly bypasses sketches entirely: every term escalates to
+	// the sample-based counting polynomial.
 	TierSampleOnly
 )
 
@@ -207,15 +207,13 @@ func meetsPrecision(est sketch.Estimate, z, precision float64) bool {
 	return z*est.StdErr()/math.Max(est.Value, 1) <= precision
 }
 
-// tieredCount runs the tier planner over COUNT(e): sketch-first per term,
-// escalating to one sample-tier sub-polynomial, composing values and
-// variances across tiers. policy must be TierAuto or TierSketchOnly (the
-// TierSampleOnly fast path is CountContext itself).
-func tieredCount(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts Options, policy TierPolicy, precision float64) (Estimate, TierReport, error) {
-	poly, err := algebra.Normalize(e)
-	if err != nil {
-		return Estimate{}, TierReport{}, err
-	}
+// tieredCount runs the tier planner over a counting polynomial:
+// sketch-first per term, escalating to one sample-tier sub-polynomial,
+// composing values and variances across tiers. Under TierSampleOnly no
+// term is offered to the sketch tier — not even the exact-cardinality
+// shape — so every term counts as escalated and the whole polynomial goes
+// to countPoly as is.
+func tieredCount(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options, policy TierPolicy, precision float64) (Estimate, TierReport, error) {
 	opts = opts.withDefaults()
 	if precision <= 0 {
 		precision = DefaultPrecision
@@ -225,8 +223,12 @@ func tieredCount(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts Optio
 	sketchVal, sketchVar := 0.0, 0.0
 	nSketch := 0
 	var escalated []algebra.Term
-	for i := range poly.Terms {
-		t := &poly.Terms[i]
+	offered := poly.Terms
+	if policy == TierSampleOnly {
+		offered = nil
+	}
+	for i := range offered {
+		t := &offered[i]
 		shape := sketchShape(t)
 		est, ok := sketchTermEstimate(t, syn, shape)
 		if !ok || !meetsPrecision(est, z, precision) {
@@ -244,31 +246,20 @@ func tieredCount(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts Optio
 		sketchVar += c * c * est.Variance
 	}
 
-	rep := TierReport{SketchTerms: nSketch, SampleTerms: len(escalated)}
+	rep := TierReport{SketchTerms: nSketch, SampleTerms: poly.NumTerms() - nSketch}
 	switch {
-	case len(escalated) == 0:
-		rep.Answered = TierAnsweredSketch
-		est := Estimate{
-			Value:      sketchVal,
-			Variance:   math.NaN(),
-			Confidence: opts.Confidence,
-			Terms:      poly.NumTerms(),
-		}
-		if opts.Variance == VarNone {
-			est.VarianceMethod = VarNone
-			return est, rep, nil
-		}
-		est.VarianceMethod = VarSketch
-		est.Variance = sketchVar
-		est.StdErr = math.Sqrt(math.Max(sketchVar, 0))
-		est.Lo = est.Value - z*est.StdErr
-		est.Hi = est.Value + z*est.StdErr
-		return est, rep, nil
-
 	case nSketch == 0:
 		rep.Answered = TierAnsweredSample
 		est, err := countPoly(ctx, poly, syn, opts)
 		return est, rep, err
+
+	case len(escalated) == 0:
+		rep.Answered = TierAnsweredSketch
+		method := VarSketch
+		if opts.Variance == VarNone {
+			method = VarNone
+		}
+		return finishEstimate(sketchVal, sketchVar, method, poly.NumTerms(), opts), rep, nil
 
 	default:
 		rep.Answered = TierAnsweredMixed

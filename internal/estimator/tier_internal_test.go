@@ -135,8 +135,8 @@ func TestMeetsPrecision(t *testing.T) {
 		want bool
 	}{
 		{"exact (zero variance)", sketch.Estimate{Value: 400}, true},
-		{"tight", sketch.Estimate{Value: 1000, Variance: 100}, true},         // 2·10/1000 = 2%
-		{"loose", sketch.Estimate{Value: 1000, Variance: 1000000}, false},    // 2·1000/1000 = 200%
+		{"tight", sketch.Estimate{Value: 1000, Variance: 100}, true},      // 2·10/1000 = 2%
+		{"loose", sketch.Estimate{Value: 1000, Variance: 1000000}, false}, // 2·1000/1000 = 200%
 		{"non-positive value", sketch.Estimate{Value: -5, Variance: 1}, false},
 		{"zero value", sketch.Estimate{Value: 0, Variance: 1}, false},
 	}
@@ -207,7 +207,7 @@ func TestEnsureSketchesLifecycle(t *testing.T) {
 // atom-for-atom identical to sketches rebuilt from the surviving tuples.
 func TestIncrementalSketchMatchesRebuild(t *testing.T) {
 	schema := intSchema("a", "b")
-	inc := NewIncremental(64, testRand(11))
+	inc := NewIncrementalWithOptions(IncrementalOptions{Capacity: 64, RNG: testRand(11)})
 	if err := inc.Track("R", schema); err != nil {
 		t.Fatal(err)
 	}
@@ -261,9 +261,16 @@ func TestTieredCountOutcomes(t *testing.T) {
 	}
 	syn.EnsureSketches()
 	ctx := context.Background()
+	tieredCount := func(e *algebra.Expr, opts Options, policy TierPolicy) (Estimate, TierReport, error) {
+		poly, err := algebra.Normalize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tieredCount(ctx, poly, syn, opts, policy, 0)
+	}
 
 	// Pure sketch: a bare cardinality is answered exactly.
-	est, rep, err := tieredCount(ctx, algebra.BaseOf(r), syn, Options{}, TierAuto, 0)
+	est, rep, err := tieredCount(algebra.BaseOf(r), Options{}, TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,14 +284,14 @@ func TestTieredCountOutcomes(t *testing.T) {
 	// Pure sample: a selection escalates wholesale.
 	sel := algebra.Must(algebra.Select(algebra.BaseOf(r),
 		algebra.Cmp{Col: "a", Op: algebra.LT, Val: relation.Int(10)}))
-	est, rep, err = tieredCount(ctx, sel, syn, Options{}, TierAuto, 0)
+	est, rep, err = tieredCount(sel, Options{}, TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Answered != TierAnsweredSample || rep.SketchTerms != 0 || rep.SampleTerms != 1 {
 		t.Errorf("selection report %+v", rep)
 	}
-	want, err := CountContext(ctx, sel, syn, Options{})
+	want, err := countCtx(ctx, sel, syn, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +300,7 @@ func TestTieredCountOutcomes(t *testing.T) {
 	}
 
 	// VarNone passthrough on the sketch path: no variance fields.
-	est, _, err = tieredCount(ctx, algebra.BaseOf(r), syn, Options{Variance: VarNone}, TierAuto, 0)
+	est, _, err = tieredCount(algebra.BaseOf(r), Options{Variance: VarNone}, TierAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +309,7 @@ func TestTieredCountOutcomes(t *testing.T) {
 	}
 
 	// SketchOnly refusal names the reason.
-	if _, _, err := tieredCount(ctx, sel, syn, Options{}, TierSketchOnly, 0); err == nil {
+	if _, _, err := tieredCount(sel, Options{}, TierSketchOnly); err == nil {
 		t.Error("SketchOnly must refuse a selection")
 	}
 }

@@ -21,8 +21,7 @@ import (
 //     that the body cannot deliver.
 //
 // Functions WITHOUT a ctx parameter are free to mint Background — that is
-// how deprecated non-context wrappers and main() entry points are supposed
-// to work. Interface-compat parameters that are deliberately unused carry
+// how main() entry points are supposed to work. Interface-compat parameters that are deliberately unused carry
 // //lint:ignore ctxflow with the justification.
 var CtxFlow = &Analyzer{
 	Name:      "ctxflow",

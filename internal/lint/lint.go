@@ -58,7 +58,7 @@ type Analyzer struct {
 func All() []*Analyzer {
 	return []*Analyzer{
 		MapRangeFloat, MapRangeRand, RawRand, RawGo, FloatEq, ErrDrop, TupleCopy, Materialize,
-		DetFlow, ViewEscape, CtxFlow, WorkerPurity, Deprecated,
+		DetFlow, ViewEscape, CtxFlow, WorkerPurity,
 	}
 }
 

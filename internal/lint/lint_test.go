@@ -27,7 +27,6 @@ var fixtureAnalyzers = map[string][]*Analyzer{
 	"ctxflow":       {CtxFlow},
 	"workerpurity":  {WorkerPurity},
 	"staleignore":   {FloatEq},
-	"deprecated":    {Deprecated},
 }
 
 // TestFixtures loads every deliberately-broken package under testdata/src
@@ -123,7 +122,7 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestLintRuntimeBudget asserts the full lint run (module load, call
-// graph, taint fixpoint, all thirteen rules) stays inside a wall-clock
+// graph, taint fixpoint, all twelve rules) stays inside a wall-clock
 // budget. The interprocedural engine must remain cheap enough to sit in
 // `make check` on every change; a blowup here means the CHA resolver or
 // the taint fixpoint stopped converging quickly and the framework — not
@@ -150,12 +149,12 @@ func TestLintRuntimeBudget(t *testing.T) {
 	}
 }
 
-// TestAnalyzerSet pins the shipped rule set: thirteen analyzers, stable
+// TestAnalyzerSet pins the shipped rule set: twelve analyzers, stable
 // names, non-empty docs, and exactly one of Run / RunModule each.
 func TestAnalyzerSet(t *testing.T) {
 	want := []string{
 		"maprange-float", "maprange-rand", "rawrand", "rawgo", "floateq", "errdrop", "tuplecopy", "materialize",
-		"detflow", "viewescape", "ctxflow", "workerpurity", "deprecated",
+		"detflow", "viewescape", "ctxflow", "workerpurity",
 	}
 	all := All()
 	if len(all) != len(want) {

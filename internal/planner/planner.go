@@ -18,6 +18,7 @@
 package planner
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -367,11 +368,14 @@ type Sampling struct {
 
 // Cardinality implements CardinalityEstimator.
 func (s Sampling) Cardinality(e *algebra.Expr) (float64, error) {
-	est, err := estimator.CountWithOptions(e, s.Syn, estimator.Options{Variance: estimator.VarNone, Recorder: s.Rec})
+	h := estimator.NewEstimator(s.Syn,
+		estimator.WithOptions(estimator.Options{Variance: estimator.VarNone, Recorder: s.Rec}),
+		estimator.WithTierPolicy(estimator.TierSampleOnly))
+	res, err := h.Count(context.Background(), estimator.Request{Expr: e})
 	if err != nil {
 		return 0, err
 	}
-	return est.Value, nil
+	return res.Value, nil
 }
 
 // Exact is the ground-truth oracle.

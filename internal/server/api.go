@@ -217,10 +217,13 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// writeJSON writes v with the given status. Encoding failures past the
+// WriteJSON writes v with the given status. Encoding failures past the
 // header cannot be reported to the client; they surface in the server
-// error metric instead of an error return.
-func writeJSON(w http.ResponseWriter, status int, v any) error {
+// error metric instead of an error return. The sharded coordinator writes
+// through it too: its shards=1 byte-identity with a single node covers the
+// framing (SetEscapeHTML(false), Encode's trailing newline), not just the
+// numbers.
+func WriteJSON(w http.ResponseWriter, status int, v any) error {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -228,7 +231,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) error {
 	return enc.Encode(v)
 }
 
-// writeError writes a JSON error body with the given status.
-func writeError(w http.ResponseWriter, status int, msg string) error {
-	return writeJSON(w, status, ErrorResponse{Error: msg})
+// WriteError writes a JSON error body with the given status.
+func WriteError(w http.ResponseWriter, status int, msg string) error {
+	return WriteJSON(w, status, ErrorResponse{Error: msg})
 }

@@ -21,7 +21,7 @@ const goldenPath = "testdata/estimate_count.golden.json"
 
 // libraryResponseBytes computes the same estimate the daemon serves for
 // goldenRequest, via direct library calls, and encodes it exactly the
-// way writeJSON does. Any divergence between the facade and the library
+// way WriteJSON does. Any divergence between the facade and the library
 // — an extra draw, a different iteration order, a lossy float round-trip
 // — breaks the byte comparison.
 func libraryResponseBytes(t *testing.T) []byte {
@@ -44,7 +44,8 @@ func libraryResponseBytes(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := estimator.CountContext(context.Background(), st.Expr, syn, estimator.Options{Seed: 3})
+	h := estimator.NewEstimator(syn, estimator.WithOptions(estimator.Options{Seed: 3}), estimator.WithTierPolicy(estimator.TierSampleOnly))
+	res, err := h.Count(context.Background(), estimator.Request{Expr: st.Expr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func libraryResponseBytes(t *testing.T) []byte {
 		Query:    "count(join(R1, R2, on a = a))",
 		Synopsis: "main",
 		Mode:     "plain",
-		Estimate: toResult(est),
+		Estimate: toResult(res.Estimate),
 		SamplesConsumed: map[string]int{
 			"R1": 200,
 			"R2": 200,

@@ -16,10 +16,10 @@ import (
 	"relest/internal/workload"
 )
 
-// statusClientClosedRequest is the nginx-convention status for "client
+// StatusClientClosedRequest is the nginx-convention status for "client
 // cancelled the request"; the client is usually gone, but the code keeps
 // access logs and metrics honest.
-const statusClientClosedRequest = 499
+const StatusClientClosedRequest = 499
 
 // maxBodyBytes caps JSON request bodies; CSV uploads are capped separately
 // by Config.MaxUploadBytes (default defaultMaxUploadBytes).
@@ -56,8 +56,8 @@ func (s *Server) handleUploadRelation(w http.ResponseWriter, r *http.Request) {
 	// reaches PathValue as "../../x"; under -snapshot-dir the name
 	// becomes a file name inside the snapshot directory, so anything
 	// outside the safe charset is rejected before the import starts.
-	if !validName(name) {
-		_ = writeError(w, http.StatusBadRequest, errBadName("relation", name).Error())
+	if !ValidName(name) {
+		_ = WriteError(w, http.StatusBadRequest, errBadName("relation", name).Error())
 		return
 	}
 	// An explicit ?schema= pins the column kinds instead of inferring them
@@ -69,22 +69,22 @@ func (s *Server) handleUploadRelation(w http.ResponseWriter, r *http.Request) {
 	if spec := r.URL.Query().Get("schema"); spec != "" {
 		var err error
 		if schema, err = relation.ParseSchema(spec); err != nil {
-			_ = writeError(w, http.StatusBadRequest, err.Error())
+			_ = WriteError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 	}
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
 	rel, err := relation.ImportCSVOptions(name, body, relation.ImportOptions{Schema: schema, MaxBytes: s.cfg.MaxUploadBytes})
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("importing CSV: %v", err))
+		_ = WriteError(w, http.StatusBadRequest, fmt.Sprintf("importing CSV: %v", err))
 		return
 	}
 	if err := s.reg.addRelation(rel); err != nil {
-		_ = writeError(w, http.StatusConflict, err.Error())
+		_ = WriteError(w, http.StatusConflict, err.Error())
 		return
 	}
 	s.col.Set(mRelationBytes, float64(s.reg.relationBytes()))
-	_ = writeJSON(w, http.StatusCreated, RelationInfo{Name: name, Rows: rel.Len(), Schema: rel.Schema().String()})
+	_ = WriteJSON(w, http.StatusCreated, RelationInfo{Name: name, Rows: rel.Len(), Schema: rel.Schema().String()})
 }
 
 // handleDeleteRelation drops a registered relation. Refused with 409
@@ -92,11 +92,11 @@ func (s *Server) handleUploadRelation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if status, err := s.reg.removeRelation(name); err != nil {
-		_ = writeError(w, status, err.Error())
+		_ = WriteError(w, status, err.Error())
 		return
 	}
 	s.col.Set(mRelationBytes, float64(s.reg.relationBytes()))
-	_ = writeJSON(w, http.StatusOK, DeleteResponse{Deleted: name})
+	_ = WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: name})
 }
 
 // handleDeleteSynopsis drops a named synopsis. In-flight estimates that
@@ -105,14 +105,14 @@ func (s *Server) handleDeleteRelation(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleDeleteSynopsis(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	if status, err := s.reg.removeSynopsis(name); err != nil {
-		_ = writeError(w, status, err.Error())
+		_ = WriteError(w, status, err.Error())
 		return
 	}
-	_ = writeJSON(w, http.StatusOK, DeleteResponse{Deleted: name})
+	_ = WriteJSON(w, http.StatusOK, DeleteResponse{Deleted: name})
 }
 
 func (s *Server) handleListRelations(w http.ResponseWriter, r *http.Request) {
-	_ = writeJSON(w, http.StatusOK, s.reg.relations())
+	_ = WriteJSON(w, http.StatusOK, s.reg.relations())
 }
 
 // GenerateDataset synthesizes the relations a GenerateRequest describes
@@ -178,34 +178,34 @@ func GenerateDataset(req GenerateRequest) ([]*relation.Relation, error) {
 // kinds) and registers the produced relations.
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	var req GenerateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	outputs, err := GenerateDataset(req)
 	if err != nil {
-		_ = writeError(w, http.StatusBadRequest, err.Error())
+		_ = WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	infos := make([]RelationInfo, 0, len(outputs))
 	for _, rel := range outputs {
 		if err := s.reg.addRelation(rel); err != nil {
-			_ = writeError(w, http.StatusConflict, err.Error())
+			_ = WriteError(w, http.StatusConflict, err.Error())
 			return
 		}
 		infos = append(infos, RelationInfo{Name: rel.Name(), Rows: rel.Len(), Schema: rel.Schema().String()})
 	}
 	s.col.Set(mRelationBytes, float64(s.reg.relationBytes()))
-	_ = writeJSON(w, http.StatusCreated, infos)
+	_ = WriteJSON(w, http.StatusCreated, infos)
 }
 
 func (s *Server) handleCreateSynopsis(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !validName(name) {
-		_ = writeError(w, http.StatusBadRequest, errBadName("synopsis", name).Error())
+	if !ValidName(name) {
+		_ = WriteError(w, http.StatusBadRequest, errBadName("synopsis", name).Error())
 		return
 	}
 	var req SynopsisRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if err := s.reg.addSynopsis(name, requestTenant(r), req); err != nil {
@@ -214,11 +214,11 @@ func (s *Server) handleCreateSynopsis(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &qerr) {
 			status = qerr.status
 		}
-		_ = writeError(w, status, err.Error())
+		_ = WriteError(w, status, err.Error())
 		return
 	}
 	entry, _ := s.reg.synopsis(name)
-	_ = writeJSON(w, http.StatusCreated, entry.info(name))
+	_ = WriteJSON(w, http.StatusCreated, entry.info(name))
 }
 
 // requestTenant resolves the tenant a request is accounted to.
@@ -230,7 +230,7 @@ func requestTenant(r *http.Request) string {
 }
 
 func (s *Server) handleListSynopses(w http.ResponseWriter, r *http.Request) {
-	_ = writeJSON(w, http.StatusOK, s.reg.synopses())
+	_ = WriteJSON(w, http.StatusOK, s.reg.synopses())
 }
 
 // handleStream applies one insert/delete event to an incremental
@@ -239,18 +239,30 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	entry, ok := s.reg.synopsis(name)
 	if !ok {
-		_ = writeError(w, http.StatusNotFound, fmt.Sprintf("no synopsis %q", name))
+		_ = WriteError(w, http.StatusNotFound, fmt.Sprintf("no synopsis %q", name))
 		return
 	}
 	var req StreamRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if err := entry.apply(s.reg, name, req); err != nil {
-		_ = writeError(w, http.StatusBadRequest, err.Error())
+		_ = WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	_ = writeJSON(w, http.StatusOK, entry.info(name))
+	_ = WriteJSON(w, http.StatusOK, entry.info(name))
+}
+
+// requestCtx applies a request's effective timeout: the client's
+// timeout_ms when given, clamped to the server's RequestTimeout.
+func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+	timeout := s.cfg.RequestTimeout
+	if timeoutMS > 0 {
+		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
+			timeout = d
+		}
+	}
+	return context.WithTimeout(r.Context(), timeout)
 }
 
 // handleEstimate admits the request into the bounded queue, waits for a
@@ -259,12 +271,9 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req EstimateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		s.col.Add(reqMetric(http.StatusBadRequest), 1)
 		return
-	}
-	if req.Mode == "" {
-		req.Mode = "plain"
 	}
 	// Label values must stay a closed set: the mode is client input, and
 	// an arbitrary string here would let clients mint unbounded metric
@@ -272,38 +281,34 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// is recorded under one shared label.
 	mode := req.Mode
 	switch mode {
+	case "":
+		mode = "plain"
 	case "plain", "sequential", "deadline":
 	default:
 		mode = "invalid"
 	}
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
 	t := &task{
 		ctx:    ctx,
-		do:     func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req) },
+		do:     func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req, nil) },
 		tenant: requestTenant(r),
 		done:   make(chan struct{}),
 	}
 	if ok, status, msg := s.admit(t); !ok {
 		s.col.Add(reqMetric(status), 1)
-		_ = writeError(w, status, msg)
+		_ = WriteError(w, status, msg)
 		return
 	}
 	<-t.done
 
-	if t.status == http.StatusGatewayTimeout || t.status == statusClientClosedRequest {
+	if t.status == http.StatusGatewayTimeout || t.status == StatusClientClosedRequest {
 		s.col.Add(mCancelled, 1)
 	}
 	s.col.Add(reqMetric(t.status), 1)
 	s.col.Observe(latencyMetric(mode), time.Since(start).Seconds())
-	_ = writeJSON(w, t.status, t.body)
+	_ = WriteJSON(w, t.status, t.body)
 }
 
 // handleBatchEstimate admits a whole batch of estimation queries as one
@@ -314,28 +319,22 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req BatchEstimateRequest
-	if !decodeBody(w, r, &req) {
+	if !DecodeBody(w, r, &req) {
 		s.col.Add(reqMetric(http.StatusBadRequest), 1)
 		return
 	}
 	if len(req.Queries) == 0 {
 		s.col.Add(reqMetric(http.StatusBadRequest), 1)
-		_ = writeError(w, http.StatusBadRequest, "batch has no queries")
+		_ = WriteError(w, http.StatusBadRequest, "batch has no queries")
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatchQueries {
 		s.col.Add(reqMetric(http.StatusBadRequest), 1)
-		_ = writeError(w, http.StatusBadRequest,
+		_ = WriteError(w, http.StatusBadRequest,
 			fmt.Sprintf("batch has %d queries; the server caps batches at %d", len(req.Queries), s.cfg.MaxBatchQueries))
 		return
 	}
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 
 	t := &task{
@@ -346,7 +345,7 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if ok, status, msg := s.admit(t); !ok {
 		s.col.Add(reqMetric(status), 1)
-		_ = writeError(w, status, msg)
+		_ = WriteError(w, status, msg)
 		return
 	}
 	<-t.done
@@ -354,7 +353,7 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	s.col.Add(mBatch, 1)
 	s.col.Add(reqMetric(t.status), 1)
 	s.col.Observe(latencyMetric("batch"), time.Since(start).Seconds())
-	_ = writeJSON(w, t.status, t.body)
+	_ = WriteJSON(w, t.status, t.body)
 }
 
 // doBatch runs the batch's queries in order on one worker, all sharing
@@ -362,16 +361,13 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 // records the status the singleton endpoint would have answered — but
 // once the batch context dies, every remaining item answers the
 // cancellation status immediately: the ctx check at the top of
-// doEstimateShared guarantees no sampling starts (and therefore no
+// ValidateEstimate guarantees no sampling starts (and therefore no
 // partial estimate is ever surfaced) after a cancel.
 func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, any) {
 	plans := algebra.NewPlanCacheRec(s.col)
 	resp := BatchEstimateResponse{Results: make([]BatchItemResult, len(req.Queries))}
 	for i := range req.Queries {
 		q := req.Queries[i]
-		if q.Mode == "" {
-			q.Mode = "plain"
-		}
 		qctx := ctx
 		var qcancel context.CancelFunc
 		if q.TimeoutMS > 0 {
@@ -379,7 +375,7 @@ func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, an
 			// running afterwards.
 			qctx, qcancel = context.WithTimeout(ctx, time.Duration(q.TimeoutMS)*time.Millisecond)
 		}
-		status, body := s.doEstimateShared(qctx, q, plans)
+		status, body := s.doEstimate(qctx, q, plans)
 		if qcancel != nil {
 			qcancel()
 		}
@@ -411,16 +407,16 @@ func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, an
 // disk; a save never truncates it.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.SnapshotDir == "" {
-		_ = writeError(w, http.StatusBadRequest, "snapshots are disabled: the server has no snapshot directory")
+		_ = WriteError(w, http.StatusBadRequest, "snapshots are disabled: the server has no snapshot directory")
 		return
 	}
 	rels, syns, err := s.reg.saveSnapshot(s.cfg.SnapshotDir)
 	if err != nil {
-		_ = writeError(w, http.StatusInternalServerError, err.Error())
+		_ = WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	s.col.Add(mSnapshotSaves, 1)
-	_ = writeJSON(w, http.StatusOK, SnapshotResponse{Dir: s.cfg.SnapshotDir, Relations: rels, Synopses: syns})
+	_ = WriteJSON(w, http.StatusOK, SnapshotResponse{Dir: s.cfg.SnapshotDir, Relations: rels, Synopses: syns})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -432,19 +428,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	_ = writeJSON(w, http.StatusOK, map[string]any{
+	_ = WriteJSON(w, http.StatusOK, map[string]any{
 		"status":   "ok",
 		"draining": s.draining.Load(),
 	})
 }
 
-// decodeBody parses a JSON request body into v, answering 400 on
+// DecodeBody parses a JSON request body into v, answering 400 on
 // malformed input. Unknown fields are rejected so typos fail loudly.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		_ = writeError(w, http.StatusBadRequest, fmt.Sprintf("decoding request body: %v", err))
+		_ = WriteError(w, http.StatusBadRequest, fmt.Sprintf("decoding request body: %v", err))
 		return false
 	}
 	return true
@@ -462,73 +458,111 @@ func (p synopsisSchemas) Schema(name string) (*relation.Schema, bool) {
 	return r.Schema(), true
 }
 
-// doEstimate runs one estimation request on a worker goroutine and
-// returns the HTTP status and response body. Everything here is
-// deterministic for a pinned seed: the response is byte-identical to
-// what the library produces directly.
-func (s *Server) doEstimate(ctx context.Context, req EstimateRequest) (int, any) {
-	return s.doEstimateShared(ctx, req, nil)
+// PreparedEstimate is an estimate request that passed ValidateEstimate:
+// the request with its mode filled in, the parsed statement, and the
+// decoded variance method and tier policy.
+type PreparedEstimate struct {
+	Req      EstimateRequest
+	Stmt     *query.Statement
+	Variance estimator.VarianceMethod
+	Tier     estimator.TierPolicy
+	// Tiered reports that the request opted into the tier planner
+	// (tier_policy or precision set); only then does the response carry
+	// a tier field.
+	Tiered bool
 }
 
-// doEstimateShared is doEstimate with an optional shared plan cache: the
-// batch endpoint passes one cache for its whole run so compiled plans and
-// materialized CSE prefixes are reused across the batch's queries (the
-// cache keys on term and relation-instance identity, so sharing never
-// changes values).
-func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plans *algebra.PlanCache) (int, any) {
+// ValidateEstimate runs every check on an estimate request that needs no
+// synopsis data, in the order that fixes which error a request with
+// several faults answers. A non-zero status refuses the request with that
+// status and message. schemasFor resolves the named synopsis, for an
+// already validated mode, to the schemas its query binds against (or to
+// the refusal for an unknown or unsuitable synopsis). Single nodes and the
+// sharded coordinator both validate through this function, which is what
+// makes a coordinator refuse exactly what a node refuses, before any
+// fanout.
+func ValidateEstimate(ctx context.Context, req EstimateRequest, schemasFor func(synopsis, mode string) (query.SchemaProvider, int, string)) (PreparedEstimate, int, string) {
 	// A context that is already dead — the request deadline expired or the
 	// client cancelled while the task sat in the queue, or an earlier batch
 	// item consumed the batch budget — must answer with the cancellation
 	// status before any sampling work, never with a confusing validation
-	// error (the deadline path below would otherwise see a non-positive
-	// budget and answer 400) and never with a partial estimate.
+	// error (deadline mode would otherwise see a non-positive budget and
+	// answer 400) and never with a partial estimate.
 	if err := ctx.Err(); err != nil {
-		return estimateErrorStatus(err), ErrorResponse{Error: err.Error()}
+		return PreparedEstimate{}, EstimateErrorStatus(err), err.Error()
 	}
 	if req.Query == "" {
-		return http.StatusBadRequest, ErrorResponse{Error: "no query given"}
+		return PreparedEstimate{}, http.StatusBadRequest, "no query given"
 	}
 	if req.Synopsis == "" {
-		return http.StatusBadRequest, ErrorResponse{Error: "no synopsis given"}
-	}
-	entry, ok := s.reg.synopsis(req.Synopsis)
-	if !ok {
-		return http.StatusNotFound, ErrorResponse{Error: fmt.Sprintf("no synopsis %q", req.Synopsis)}
+		return PreparedEstimate{}, http.StatusBadRequest, "no synopsis given"
 	}
 	switch req.Mode {
+	case "":
+		req.Mode = "plain"
 	case "plain", "sequential", "deadline":
 	default:
-		return http.StatusBadRequest, ErrorResponse{Error: fmt.Sprintf("unknown mode %q (want plain, sequential or deadline)", req.Mode)}
+		return PreparedEstimate{}, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want plain, sequential or deadline)", req.Mode)
 	}
-	syn, err := s.reg.estimationSynopsis(req.Synopsis, entry, req.Mode)
-	if err != nil {
-		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
+	schemas, status, msg := schemasFor(req.Synopsis, req.Mode)
+	if status != 0 {
+		return PreparedEstimate{}, status, msg
 	}
-	st, err := query.Parse(req.Query, synopsisSchemas{syn})
+	st, err := query.Parse(req.Query, schemas)
 	if err != nil {
-		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
+		return PreparedEstimate{}, http.StatusBadRequest, err.Error()
 	}
 	if st.IsDistinct() || st.Agg == "group" {
-		return http.StatusBadRequest, ErrorResponse{Error: "the estimation service supports count, sum and avg queries"}
+		return PreparedEstimate{}, http.StatusBadRequest, "the estimation service supports count, sum and avg queries"
 	}
-	variance, err := parseVariance(req.Variance)
-	if err != nil {
-		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
+	p := PreparedEstimate{Req: req, Stmt: st}
+	if p.Variance, err = parseVariance(req.Variance); err != nil {
+		return PreparedEstimate{}, http.StatusBadRequest, err.Error()
 	}
-	tierPolicy, err := estimator.ParseTierPolicy(req.TierPolicy)
-	if err != nil {
-		return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
+	if p.Tier, err = estimator.ParseTierPolicy(req.TierPolicy); err != nil {
+		return PreparedEstimate{}, http.StatusBadRequest, err.Error()
 	}
-	tiered := tierPolicy != estimator.TierDefault || req.Precision > 0
-	if tiered && req.Mode != "plain" {
-		return http.StatusBadRequest, ErrorResponse{Error: "tier_policy and precision apply to plain mode only"}
+	p.Tiered = p.Tier != estimator.TierDefault || req.Precision > 0
+	if p.Tiered && req.Mode != "plain" {
+		return PreparedEstimate{}, http.StatusBadRequest, "tier_policy and precision apply to plain mode only"
 	}
+	if req.Mode != "plain" && st.Agg != "count" {
+		return PreparedEstimate{}, http.StatusBadRequest, req.Mode + " mode supports count queries only"
+	}
+	return p, 0, ""
+}
+
+// doEstimate runs one estimation request on a worker goroutine and
+// returns the HTTP status and response body. Everything here is
+// deterministic for a pinned seed: the response is byte-identical to
+// what the library produces directly. plans is nil for a singleton
+// request; the batch endpoint passes one cache for its whole run so
+// compiled plans and materialized CSE prefixes are reused across the
+// batch's queries (the cache keys on term and relation-instance identity,
+// so sharing never changes values).
+func (s *Server) doEstimate(ctx context.Context, req EstimateRequest, plans *algebra.PlanCache) (int, any) {
+	var syn *estimator.Synopsis
+	p, status, msg := ValidateEstimate(ctx, req, func(synopsis, mode string) (query.SchemaProvider, int, string) {
+		entry, ok := s.reg.synopsis(synopsis)
+		if !ok {
+			return nil, http.StatusNotFound, fmt.Sprintf("no synopsis %q", synopsis)
+		}
+		var err error
+		if syn, err = s.reg.estimationSynopsis(synopsis, entry, mode); err != nil {
+			return nil, http.StatusBadRequest, err.Error()
+		}
+		return synopsisSchemas{syn}, 0, ""
+	})
+	if status != 0 {
+		return status, ErrorResponse{Error: msg}
+	}
+	req, st := p.Req, p.Stmt
 	workers := req.Workers
 	if workers == 0 {
 		workers = s.cfg.EstimatorWorkers
 	}
 	opts := estimator.Options{
-		Variance:   variance,
+		Variance:   p.Variance,
 		Confidence: req.Confidence,
 		Seed:       req.Seed,
 		Workers:    workers,
@@ -539,25 +573,19 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 	resp := EstimateResponse{Query: req.Query, Synopsis: req.Synopsis, Mode: req.Mode}
 	switch req.Mode {
 	case "plain":
-		var est EstimateResult
-		var err error
-		if tiered {
-			est, resp.Tier, err = s.tieredEstimate(ctx, st, syn, opts, tierPolicy, req.Precision)
-		} else {
-			est, err = s.plainEstimate(ctx, st, syn, opts)
-		}
+		est, tier, err := answerPlain(ctx, p, syn, opts)
 		if err != nil {
-			return estimateErrorStatus(err), ErrorResponse{Error: err.Error()}
+			return EstimateErrorStatus(err), ErrorResponse{Error: err.Error()}
 		}
 		resp.Estimate = est
+		if p.Tiered {
+			resp.Tier = tier
+		}
 		resp.SamplesConsumed, err = consumedSamples(st.Expr, syn)
 		if err != nil {
 			return http.StatusInternalServerError, ErrorResponse{Error: err.Error()}
 		}
 	case "sequential":
-		if st.Agg != "count" {
-			return http.StatusBadRequest, ErrorResponse{Error: "sequential mode supports count queries only"}
-		}
 		sopts := estimator.SequentialOptions{
 			TargetRelErr: req.TargetRelErr,
 			Confidence:   req.Confidence,
@@ -569,7 +597,7 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 		}
 		res, err := estimator.SequentialCountContext(ctx, st.Expr, syn, sopts)
 		if err != nil {
-			return estimateErrorStatus(err), ErrorResponse{Error: err.Error()}
+			return EstimateErrorStatus(err), ErrorResponse{Error: err.Error()}
 		}
 		pilot := toResult(res.Pilot)
 		met := res.TargetMet
@@ -578,9 +606,6 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 		resp.TargetMet = &met
 		resp.SamplesConsumed = res.SampleSizes
 	case "deadline":
-		if st.Agg != "count" {
-			return http.StatusBadRequest, ErrorResponse{Error: "deadline mode supports count queries only"}
-		}
 		budget := time.Duration(req.BudgetMS) * time.Millisecond
 		remaining := time.Duration(0)
 		if dl, ok := ctx.Deadline(); ok {
@@ -596,8 +621,8 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 		if budget <= 0 {
 			if _, hasDeadline := ctx.Deadline(); hasDeadline {
 				// The request had a deadline but nothing of it remains (it
-				// expired after the entry check above): that is a timeout,
-				// not a malformed request.
+				// expired after ValidateEstimate's entry check): that is a
+				// timeout, not a malformed request.
 				return http.StatusGatewayTimeout, ErrorResponse{Error: context.DeadlineExceeded.Error()}
 			}
 			return http.StatusBadRequest, ErrorResponse{Error: "deadline mode needs budget_ms or a request deadline"}
@@ -606,7 +631,7 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 		//lint:ignore detflow deadline mode spends the request's remaining wall clock by contract: the budget bounds how many rounds run, and the round count rides on the trace span name
 		est, steps, err := estimator.DeadlineCountContext(ctx, st.Expr, syn, dopts)
 		if err != nil {
-			return estimateErrorStatus(err), ErrorResponse{Error: err.Error()}
+			return EstimateErrorStatus(err), ErrorResponse{Error: err.Error()}
 		}
 		resp.Estimate = toResult(est)
 		resp.Rounds = len(steps)
@@ -617,52 +642,24 @@ func (s *Server) doEstimateShared(ctx context.Context, req EstimateRequest, plan
 	return http.StatusOK, resp
 }
 
-// plainEstimate dispatches count/sum/avg with cancellation.
-func (s *Server) plainEstimate(ctx context.Context, st *query.Statement, syn *estimator.Synopsis, opts estimator.Options) (EstimateResult, error) {
-	switch st.Agg {
-	case "count":
-		est, err := estimator.CountContext(ctx, st.Expr, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		return toResult(est), nil
-	case "sum":
-		est, err := estimator.SumContext(ctx, st.Expr, st.AggCol, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		return toResult(est), nil
-	case "avg":
-		res, err := estimator.AvgContext(ctx, st.Expr, st.AggCol, syn, opts)
-		if err != nil {
-			return EstimateResult{}, err
-		}
-		// AVG is a ratio of two estimates; it has no CI of its own, so
-		// only the point value and the underlying term count are set.
-		return EstimateResult{
-			Value:          res.Avg,
-			VarianceMethod: estimator.VarNone.String(),
-			Terms:          res.Count.Terms,
-		}, nil
-	default:
-		return EstimateResult{}, fmt.Errorf("unsupported aggregate %q", st.Agg)
+// answerPlain answers a plain-mode statement through one estimation
+// handle and reports which tier(s) answered. The handle is sample-only
+// unless the request opted into the tier planner; building a tiered handle
+// also builds the synopsis's sketch tier (idempotent and mutex-guarded, so
+// sharing the static synopsis across concurrent requests stays safe).
+// Aggregates are always sample-tier; under the "sketch" policy they fail
+// with 422 rather than silently downgrading.
+func answerPlain(ctx context.Context, p PreparedEstimate, syn *estimator.Synopsis, opts estimator.Options) (EstimateResult, string, error) {
+	policy := p.Tier
+	if !p.Tiered {
+		policy = estimator.TierSampleOnly
 	}
-}
-
-// tieredEstimate routes a plain query through the tier planner: the
-// request opted in via tier_policy/precision, so the response reports
-// which tier(s) answered. Building the handle also builds the synopsis's
-// sketch tier (idempotent and mutex-guarded, so sharing the static
-// synopsis across concurrent requests stays safe). Aggregates are always
-// sample-tier; under the "sketch" policy they fail with 422 rather than
-// silently downgrading.
-func (s *Server) tieredEstimate(ctx context.Context, st *query.Statement, syn *estimator.Synopsis, opts estimator.Options, policy estimator.TierPolicy, precision float64) (EstimateResult, string, error) {
 	h := estimator.NewEstimator(syn,
 		estimator.WithOptions(opts),
 		estimator.WithTierPolicy(policy),
-		estimator.WithPrecision(precision))
-	req := estimator.Request{Expr: st.Expr, Col: st.AggCol}
-	switch st.Agg {
+		estimator.WithPrecision(p.Req.Precision))
+	req := estimator.Request{Expr: p.Stmt.Expr, Col: p.Stmt.AggCol}
+	switch p.Stmt.Agg {
 	case "count":
 		res, err := h.Count(ctx, req)
 		if err != nil {
@@ -680,13 +677,15 @@ func (s *Server) tieredEstimate(ctx context.Context, st *query.Statement, syn *e
 		if err != nil {
 			return EstimateResult{}, "", err
 		}
+		// AVG is a ratio of two estimates; it has no CI of its own, so
+		// only the point value and the underlying term count are set.
 		return EstimateResult{
 			Value:          res.Avg,
 			VarianceMethod: estimator.VarNone.String(),
 			Terms:          res.Count.Terms,
 		}, rep.Answered, nil
 	default:
-		return EstimateResult{}, "", fmt.Errorf("unsupported aggregate %q", st.Agg)
+		return EstimateResult{}, "", fmt.Errorf("unsupported aggregate %q", p.Stmt.Agg)
 	}
 }
 
@@ -733,15 +732,15 @@ func consumedSamples(e *algebra.Expr, syn *estimator.Synopsis) (map[string]int, 
 	return out, nil
 }
 
-// estimateErrorStatus maps estimation failures to HTTP statuses:
+// EstimateErrorStatus maps estimation failures to HTTP statuses:
 // request-deadline expiry is 504, client cancellation 499, anything
 // else (binding, sample-size, schema errors) 422.
-func estimateErrorStatus(err error) int {
+func EstimateErrorStatus(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
-		return statusClientClosedRequest
+		return StatusClientClosedRequest
 	default:
 		return http.StatusUnprocessableEntity
 	}

@@ -340,8 +340,8 @@ func TestBatchCancellationNoPartialEstimates(t *testing.T) {
 		t.Fatalf("results = %+v", resp)
 	}
 	for i, item := range resp.Results {
-		if item.Status != statusClientClosedRequest {
-			t.Errorf("item %d: status %d, want %d", i, item.Status, statusClientClosedRequest)
+		if item.Status != StatusClientClosedRequest {
+			t.Errorf("item %d: status %d, want %d", i, item.Status, StatusClientClosedRequest)
 		}
 		if item.Estimate != nil {
 			t.Errorf("item %d: partial estimate surfaced after cancellation: %+v", i, item.Estimate)
@@ -368,20 +368,20 @@ func TestDeadEntryContextAnswersCancelStatus(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if status, body := s.doEstimate(cancelled, req); status != statusClientClosedRequest {
-		t.Errorf("cancelled ctx: status %d (%+v), want %d", status, body, statusClientClosedRequest)
+	if status, body := s.doEstimate(cancelled, req, nil); status != StatusClientClosedRequest {
+		t.Errorf("cancelled ctx: status %d (%+v), want %d", status, body, StatusClientClosedRequest)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if status, body := s.doEstimate(expired, req); status != http.StatusGatewayTimeout {
+	if status, body := s.doEstimate(expired, req, nil); status != http.StatusGatewayTimeout {
 		t.Errorf("expired ctx: status %d (%+v), want 504", status, body)
 	}
 
 	// Sanity: the same request with a live deadline still succeeds.
 	live, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel3()
-	if status, body := s.doEstimate(live, req); status != http.StatusOK {
+	if status, body := s.doEstimate(live, req, nil); status != http.StatusOK {
 		t.Errorf("live ctx: status %d (%+v), want 200", status, body)
 	}
 	_ = base

@@ -201,7 +201,7 @@ func (reg *registry) restoreSnapshot(dir string) (replayed int, restored bool, e
 	for _, mr := range m.Relations {
 		// The name becomes a path component below: a hand-edited manifest
 		// must not be able to read files outside the snapshot directory.
-		if !validName(mr.Name) {
+		if !ValidName(mr.Name) {
 			return 0, false, errBadName("relation", mr.Name)
 		}
 		cols := make([]relation.Column, 0, len(mr.Columns))

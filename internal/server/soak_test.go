@@ -400,7 +400,7 @@ func TestSoakScenarios(t *testing.T) {
 		for i, status := range statuses {
 			switch {
 			case status == http.StatusOK:
-			case status == 0 || status == statusClientClosedRequest || status == http.StatusGatewayTimeout:
+			case status == 0 || status == StatusClientClosedRequest || status == http.StatusGatewayTimeout:
 				// 0: the client tore the connection down before reading
 				// any response — the server side of the same abandonment.
 				aborted++

@@ -94,12 +94,12 @@ func (reg *registry) touch(e *synopsisEntry) {
 	e.lastUse.Store(reg.clock.Add(1))
 }
 
-// validName reports whether a client-supplied relation or synopsis name
+// ValidName reports whether a client-supplied relation or synopsis name
 // is safe to use as a registry key and, under -snapshot-dir, as a file
 // name inside the snapshot directory: letters, digits, underscore and
 // hyphen only. The charset has no path separators and cannot spell
 // "..", so a name can never escape the directory it is joined into.
-func validName(name string) bool {
+func ValidName(name string) bool {
 	if name == "" || len(name) > 128 {
 		return false
 	}
@@ -114,7 +114,7 @@ func validName(name string) bool {
 	return true
 }
 
-// errBadName is the rejection message for names outside validName's
+// errBadName is the rejection message for names outside ValidName's
 // charset, shared by the upload and create handlers.
 func errBadName(kind, name string) error {
 	return fmt.Errorf("invalid %s name %q: want 1-128 characters from [A-Za-z0-9_-]", kind, name)
@@ -123,7 +123,7 @@ func errBadName(kind, name string) error {
 // addRelation registers r under its name; duplicate or invalid names are
 // an error.
 func (reg *registry) addRelation(r *relation.Relation) error {
-	if !validName(r.Name()) {
+	if !ValidName(r.Name()) {
 		return errBadName("relation", r.Name())
 	}
 	reg.mu.Lock()
@@ -300,7 +300,7 @@ func (reg *registry) buildStatic(name string, req SynopsisRequest, cat map[strin
 // synopsis created after the last snapshot survives a crash: restore
 // replays the creation record and then its stream events in order.
 func (reg *registry) addSynopsis(name, tenant string, req SynopsisRequest) error {
-	if !validName(name) {
+	if !ValidName(name) {
 		return errBadName("synopsis", name)
 	}
 	if len(req.Relations) == 0 {

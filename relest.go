@@ -50,7 +50,6 @@ import (
 	"relest/internal/algebra"
 	"relest/internal/estimator"
 	"relest/internal/obs"
-	"relest/internal/planner"
 	"relest/internal/relation"
 	"relest/internal/sampling"
 	"relest/internal/workload"
@@ -222,10 +221,8 @@ func ExactEval(e *Expr, cat Catalog) (*Relation, error) {
 //
 // Requests carry a precision target, an optional deadline, and a tier
 // policy (TierAuto answers from the sketch tier when it is precise
-// enough, escalating per term to the sample tier; TierSampleOnly is the
-// exact legacy path). The free functions below remain as deprecated thin
-// wrappers over a TierSampleOnly handle, bit-identical to their
-// historical outputs.
+// enough, escalating per term to the sample tier; TierSampleOnly answers
+// from the sample-based counting polynomial alone).
 type (
 	// Estimator is the unified estimation handle (Count/Sum/Avg/
 	// GroupCount over one synopsis, options and tier policy).
@@ -251,7 +248,7 @@ const (
 	TierAuto = estimator.TierAuto
 	// TierSketchOnly fails on any term the sketch tier cannot answer.
 	TierSketchOnly = estimator.TierSketchOnly
-	// TierSampleOnly is the exact legacy counting-polynomial path.
+	// TierSampleOnly answers from the sample-based counting polynomial alone.
 	TierSampleOnly = estimator.TierSampleOnly
 )
 
@@ -369,107 +366,16 @@ func Draw(rels []*Relation, fraction float64, minSize int, rng *rand.Rand) (*Syn
 	return estimator.Draw(rels, fraction, minSize, rng)
 }
 
-// Count estimates COUNT(e) from the synopsis with default options
-// (automatic variance selection, 95% CLT confidence interval).
-//
-// Deprecated: use New(syn).Count with a Request; this wrapper is a
-// TierSampleOnly handle call and stays bit-identical to its historical
-// output (pinned by the goldens).
-func Count(e *Expr, syn *Synopsis) (Estimate, error) {
-	return CountWithOptions(e, syn, Options{})
-}
-
-// CountWithOptions estimates COUNT(e) with explicit options.
-//
-// Deprecated: use New(syn, WithOptions(opts)).Count with a Request; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func CountWithOptions(e *Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	return CountContext(context.Background(), e, syn, opts)
-}
-
-// CountContext estimates COUNT(e) under a context. Cancellation is polled
-// between polynomial terms and between variance replicates; a cancelled
-// call returns a non-nil error and never a partial estimate.
-//
-// Deprecated: use New(syn, WithOptions(opts), WithTierPolicy(
-// TierSampleOnly)).Count(ctx, Request{Expr: e}); this wrapper does
-// exactly that and stays bit-identical.
-func CountContext(ctx context.Context, e *Expr, syn *Synopsis, opts Options) (Estimate, error) {
-	res, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Count(ctx, Request{Expr: e})
-	return res.Estimate, err
-}
-
-// Sum estimates SUM(col) over the result of the π-free expression e with
-// default options (the TODS 1991 aggregate extension).
-//
-// Deprecated: use New(syn).Sum with a Request carrying Expr and Col; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func Sum(e *Expr, col string, syn *Synopsis) (Estimate, error) {
-	return SumWithOptions(e, col, syn, Options{})
-}
-
-// SumWithOptions estimates SUM(col) with explicit options.
-//
-// Deprecated: use New(syn, WithOptions(opts)).Sum with a Request; this
-// wrapper is a TierSampleOnly handle call and stays bit-identical.
-func SumWithOptions(e *Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	return SumContext(context.Background(), e, col, syn, opts)
-}
-
-// SumContext estimates SUM(col) under a context, with the cancellation
-// contract of CountContext.
-//
-// Deprecated: use New(syn, WithOptions(opts), WithTierPolicy(
-// TierSampleOnly)).Sum(ctx, Request{Expr: e, Col: col}); this wrapper
-// does exactly that and stays bit-identical.
-func SumContext(ctx context.Context, e *Expr, col string, syn *Synopsis, opts Options) (Estimate, error) {
-	res, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Sum(ctx, Request{Expr: e, Col: col})
-	return res.Estimate, err
-}
-
 // AvgResult is the ratio estimate AVG = SUM/COUNT with its components.
 type AvgResult = estimator.AvgResult
 
-// Avg estimates AVG(col) over e's result as the SUM/COUNT ratio estimator
-// (consistent; biased O(1/n), as ratio estimators are).
-//
-// Deprecated: use New(syn, WithOptions(opts)).Avg with a Request carrying
-// Expr and Col; this wrapper is a TierSampleOnly handle call and stays
-// bit-identical.
-func Avg(e *Expr, col string, syn *Synopsis, opts Options) (AvgResult, error) {
-	res, _, err := New(syn, WithOptions(opts), WithTierPolicy(TierSampleOnly)).Avg(context.Background(), Request{Expr: e, Col: col})
-	return res, err
-}
-
-// GroupEstimate is one group's estimated count from GroupCount.
+// GroupEstimate is one group's estimated count from Estimator.GroupCount.
 type GroupEstimate = estimator.GroupEstimate
-
-// GroupCount estimates COUNT(*) GROUP BY col over the π-free expression e,
-// sorted by descending estimated count. Only groups observed in the sample
-// appear; each present group's estimate is unbiased.
-//
-// Deprecated: use New(syn).GroupCount with a Request carrying Expr and
-// Col; this wrapper is a TierSampleOnly handle call and stays
-// bit-identical.
-func GroupCount(e *Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
-	groups, _, err := New(syn, WithTierPolicy(TierSampleOnly)).GroupCount(context.Background(), Request{Expr: e, Col: col})
-	return groups, err
-}
 
 // Distinct estimates the number of distinct values of the given columns of
 // a base relation (COUNT(π_cols(rel))).
 func Distinct(syn *Synopsis, relName string, cols []string, method DistinctMethod) (float64, error) {
 	return estimator.Distinct(syn, relName, cols, method)
-}
-
-// SequentialCount runs double sampling toward a target relative error.
-//
-// Deprecated: use SequentialCountContext; the RNG now travels in
-// SequentialOptions (RNG, or Seed when RNG is nil), giving every
-// estimation entry point the same (expr, synopsis, options) shape. This
-// wrapper forwards rng through opts.RNG unchanged.
-func SequentialCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts SequentialOptions) (SequentialResult, error) {
-	return estimator.SequentialCount(e, syn, rng, opts)
 }
 
 // SequentialCountContext runs double sampling toward a target relative
@@ -479,16 +385,6 @@ func SequentialCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts SequentialOpti
 // when RNG is nil.
 func SequentialCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts SequentialOptions) (SequentialResult, error) {
 	return estimator.SequentialCountContext(ctx, e, syn, opts)
-}
-
-// DeadlineCount grows samples until the time budget expires and returns
-// the estimate available at the deadline.
-//
-// Deprecated: use DeadlineCountContext; the RNG now travels in
-// DeadlineOptions (RNG, or Seed when RNG is nil). This wrapper forwards
-// rng through opts.RNG unchanged.
-func DeadlineCount(e *Expr, syn *Synopsis, rng *rand.Rand, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
-	return estimator.DeadlineCount(e, syn, rng, opts)
 }
 
 // DeadlineCountContext grows samples until the time budget expires and
@@ -501,64 +397,11 @@ func DeadlineCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts Dead
 	return estimator.DeadlineCountContext(ctx, e, syn, opts)
 }
 
-// NewIncremental creates an incrementally maintained synopsis with the
-// given per-relation sample capacity.
-//
-// Deprecated: use NewIncrementalWithOptions, which takes the RNG through
-// IncrementalOptions (RNG/Seed). This wrapper forwards rng unchanged.
-func NewIncremental(capacity int, rng *rand.Rand) *Incremental {
-	return estimator.NewIncremental(capacity, rng)
-}
-
 // NewIncrementalWithOptions creates an incrementally maintained synopsis
 // from options; sampling decisions draw from opts.RNG, or a generator
 // seeded with opts.Seed when RNG is nil.
 func NewIncrementalWithOptions(opts IncrementalOptions) *Incremental {
 	return estimator.NewIncrementalWithOptions(opts)
-}
-
-// Join-order optimization ---------------------------------------------------
-
-// Planner types, re-exported from the optimizer built on the estimators —
-// the paper's motivating application (cardinality estimation for query
-// optimization).
-type (
-	// PlanQuery is a select-join query for the optimizer.
-	PlanQuery = planner.Query
-	// PlanEdge is one equi-join condition between two relations.
-	PlanEdge = planner.Edge
-	// Plan is an optimized left-deep join order with its estimated cost.
-	Plan = planner.Plan
-	// CardinalityOracle estimates the row count of a join prefix.
-	CardinalityOracle = planner.CardinalityEstimator
-	// CatalogOracle is the System-R AVI baseline oracle.
-	CatalogOracle = planner.Catalog
-)
-
-// Optimize runs the Selinger-style dynamic program over left-deep join
-// orders with the given cardinality oracle and returns the cheapest plan
-// under the C_out metric (sum of intermediate result sizes).
-func Optimize(q PlanQuery, oracle CardinalityOracle) (*Plan, error) {
-	return planner.Optimize(q, oracle)
-}
-
-// SamplingOracle builds the paper's oracle: cardinalities estimated from a
-// synopsis.
-func SamplingOracle(syn *Synopsis) CardinalityOracle { return planner.Sampling{Syn: syn} }
-
-// ExactOracle builds the ground-truth oracle over stored relations.
-func ExactOracle(cat Catalog) CardinalityOracle { return planner.Exact{Cat: cat} }
-
-// NewCatalogOracle builds the System-R baseline (exact single-table stats
-// combined under the attribute-value-independence assumption) for a query.
-func NewCatalogOracle(q PlanQuery, cat Catalog) (*CatalogOracle, error) {
-	return planner.NewCatalog(q, cat)
-}
-
-// PlanTrueCost evaluates the actual C_out of a join order exactly — the
-// score used to compare plans chosen by approximate oracles.
-func PlanTrueCost(q PlanQuery, order []string, cat Catalog) (float64, error) {
-	return planner.TrueCost(q, order, cat)
 }
 
 // Workloads ----------------------------------------------------------------

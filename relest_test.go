@@ -2,11 +2,13 @@ package relest_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"relest"
+	"relest/internal/planner"
 )
 
 // TestFacadeEndToEnd drives the public API the way a downstream user would:
@@ -34,7 +36,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.Count(e, syn)
+	est, err := count(e, syn, relest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,8 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := relest.SequentialCount(e, syn, rng, relest.SequentialOptions{TargetRelErr: 0.1})
+	ctx := context.Background()
+	res, err := relest.SequentialCountContext(ctx, e, syn, relest.SequentialOptions{TargetRelErr: 0.1, RNG: rng})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,8 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := relest.Deadline(20 * time.Millisecond)
-	est, steps, err := relest.DeadlineCount(e, syn2, rng, opts)
+	opts.RNG = rng
+	est, steps, err := relest.DeadlineCountContext(ctx, e, syn2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +125,7 @@ func TestFacadeSequentialAndDeadline(t *testing.T) {
 
 func TestFacadeIncremental(t *testing.T) {
 	rng := relest.Seeded(5)
-	inc := relest.NewIncremental(300, rng)
+	inc := relest.NewIncrementalWithOptions(relest.IncrementalOptions{Capacity: 300, RNG: rng})
 	if err := inc.Track("R", relest.JoinSchema()); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +146,7 @@ func TestFacadeIncremental(t *testing.T) {
 	}
 	e := relest.Must(relest.Select(relest.Base("R", relest.JoinSchema()),
 		relest.Cmp{Col: "a", Op: relest.LT, Val: relest.Int(30)}))
-	est, err := relest.Count(e, syn)
+	est, err := count(e, syn, relest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +174,7 @@ func TestFacadeSetOpsAndExactEval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.CountWithOptions(u, syn, relest.Options{Variance: relest.VarSplitSample})
+	est, err := count(u, syn, relest.Options{Variance: relest.VarSplitSample})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,14 +193,17 @@ func TestFacadeSumAvg(t *testing.T) {
 	}
 	sel := relest.Must(relest.Select(relest.BaseOf(emp),
 		relest.Cmp{Col: "age", Op: relest.GT, Val: relest.Int(40)}))
-	sum, err := relest.Sum(sel, "salary", syn)
+	ctx := context.Background()
+	req := relest.Request{Expr: sel, Col: "salary"}
+	sum, err := relest.New(syn, relest.WithTierPolicy(relest.TierSampleOnly)).Sum(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sum.Value <= 0 || sum.Lo > sum.Hi {
 		t.Errorf("sum estimate %+v", sum)
 	}
-	avg, err := relest.Avg(sel, "salary", syn, relest.Options{Variance: relest.VarNone})
+	avg, _, err := relest.New(syn, relest.WithOptions(relest.Options{Variance: relest.VarNone}),
+		relest.WithTierPolicy(relest.TierSampleOnly)).Avg(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +226,7 @@ func TestFacadeDesigns(t *testing.T) {
 	if err := pageSyn.AddDrawnPages(r, 50, 10, rng); err != nil {
 		t.Fatal(err)
 	}
-	est, err := relest.Count(sel, pageSyn)
+	est, err := count(sel, pageSyn, relest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +241,7 @@ func TestFacadeDesigns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err = relest.Count(sel, stratSyn)
+	est, err = count(sel, stratSyn, relest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,34 +263,34 @@ func TestFacadePlanner(t *testing.T) {
 		return true
 	})
 	cat := relest.MapCatalog{"R1": r1, "S": r2c}
-	q := relest.PlanQuery{
+	q := planner.Query{
 		Relations: []string{"R1", "S"},
 		Schemas:   map[string]*relest.Schema{"R1": r1.Schema(), "S": r2c.Schema()},
-		Edges:     []relest.PlanEdge{{A: "R1", B: "S", ACol: "a", BCol: "a"}},
+		Edges:     []planner.Edge{{A: "R1", B: "S", ACol: "a", BCol: "a"}},
 	}
 	syn, err := relest.Draw([]*relest.Relation{r1, r2c}, 0.1, 50, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := relest.Optimize(q, relest.SamplingOracle(syn))
+	plan, err := planner.Optimize(q, planner.Sampling{Syn: syn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(plan.Order) != 2 || plan.EstCost <= 0 {
 		t.Errorf("plan %+v", plan)
 	}
-	tc, err := relest.PlanTrueCost(q, plan.Order, cat)
+	tc, err := planner.TrueCost(q, plan.Order, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tc <= 0 {
 		t.Errorf("true cost %v", tc)
 	}
-	oracle, err := relest.NewCatalogOracle(q, cat)
+	oracle, err := planner.NewCatalog(q, cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := relest.Optimize(q, oracle); err != nil {
+	if _, err := planner.Optimize(q, oracle); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -296,7 +303,7 @@ func TestFacadeProjectRejectedProperly(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := relest.Must(relest.Project(relest.BaseOf(r), "a"))
-	if _, err := relest.Count(p, syn); err == nil {
+	if _, err := count(p, syn, relest.Options{}); err == nil {
 		t.Error("COUNT over π must direct users to Distinct")
 	}
 }

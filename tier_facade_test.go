@@ -24,13 +24,21 @@ func requireSameEstimate(t *testing.T, label string, a, b relest.Estimate) {
 	}
 }
 
-// TestFacadeLegacyBitIdentityMatrix pins the API redesign's compatibility
-// contract: every deprecated free function is a thin wrapper over a
-// TierSampleOnly Estimator handle, and its output is bit-identical to the
-// handle's across the workers{1,4} × entry-point matrix. A TierAuto handle
-// answering a sketch-ineligible shape must also land on those exact bits —
-// escalation reuses the sample-tier computation unchanged, it does not
-// approximate it.
+// count estimates COUNT(e) through a sample-only handle, the reference
+// every other tier policy is compared against.
+func count(e *relest.Expr, syn *relest.Synopsis, opts relest.Options) (relest.Estimate, error) {
+	h := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly))
+	res, err := h.Count(context.Background(), relest.Request{Expr: e})
+	return res.Estimate, err
+}
+
+// TestFacadeLegacyBitIdentityMatrix pins the handle's tier-policy
+// contract across the workers{1,4} × policy matrix: a per-request
+// TierSampleOnly override on an auto handle reproduces a sample-only
+// handle's bits, and a TierAuto handle answering a sketch-ineligible shape
+// lands on those exact bits too — escalation reuses the sample-tier
+// computation unchanged, it does not approximate it. Sum, Avg and
+// GroupCount agree bit for bit across worker counts.
 func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 	rng := relest.Seeded(31)
 	r1, r2 := relest.JoinPair(rng, relest.JoinPairSpec{
@@ -47,115 +55,81 @@ func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 	join := relest.Must(relest.Join(relest.BaseOf(r1), relest.BaseOf(r2),
 		[]relest.On{{Left: "a", Right: "a"}}, nil, "R2"))
 	ctx := context.Background()
+	sampleOnly := func(workers int) *relest.Estimator {
+		return relest.New(syn, relest.WithOptions(relest.Options{Workers: workers}), relest.WithTierPolicy(relest.TierSampleOnly))
+	}
 
+	var sums []relest.Estimate
+	var avgs []relest.AvgResult
+	var groups [][]relest.GroupEstimate
 	for _, workers := range []int{1, 4} {
 		opts := relest.Options{Workers: workers}
+		auto := relest.New(syn, relest.WithOptions(opts))
 		for _, c := range []struct {
 			name string
 			expr *relest.Expr
 		}{{"selection", sel}, {"join", join}} {
-			legacy, err := relest.CountWithOptions(c.expr, syn, opts)
+			res, err := sampleOnly(workers).Count(ctx, relest.Request{Expr: c.expr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			viaCtx, err := relest.CountContext(ctx, c.expr, syn, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEstimate(t, c.name+"/CountContext", legacy, viaCtx)
-
-			h := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly))
-			res, err := h.Count(ctx, relest.Request{Expr: c.expr})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameEstimate(t, c.name+"/sample-only handle", legacy, res.Estimate)
 			if res.Tier.Answered != relest.TierAnsweredSample {
 				t.Errorf("%s: sample-only handle reported tier %q", c.name, res.Tier.Answered)
 			}
-
 			// Per-request override on an auto handle: pinning the request to
-			// the sample tier must reproduce the legacy bits too.
-			auto := relest.New(syn, relest.WithOptions(opts))
-			res, err = auto.Count(ctx, relest.Request{Expr: c.expr, Tier: relest.TierSampleOnly})
+			// the sample tier must reproduce the sample-only handle's bits.
+			over, err := auto.Count(ctx, relest.Request{Expr: c.expr, Tier: relest.TierSampleOnly})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameEstimate(t, c.name+"/request override", legacy, res.Estimate)
+			requireSameEstimate(t, c.name+"/request override", res.Estimate, over.Estimate)
 		}
 
 		// TierAuto on a sketch-ineligible shape escalates into the exact
 		// same sample-tier computation.
-		legacySel, err := relest.CountWithOptions(sel, syn, opts)
+		want, err := count(sel, syn, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := relest.New(syn, relest.WithOptions(opts)).Count(ctx, relest.Request{Expr: sel})
+		res, err := auto.Count(ctx, relest.Request{Expr: sel})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Tier.Answered != relest.TierAnsweredSample {
 			t.Fatalf("auto policy on a selection answered %q, want sample", res.Tier.Answered)
 		}
-		if !bitsEqual(res.Value, legacySel.Value) || !bitsEqual(res.StdErr, legacySel.StdErr) {
-			t.Errorf("workers=%d: escalated selection %v±%v differs from legacy %v±%v",
-				workers, res.Value, res.StdErr, legacySel.Value, legacySel.StdErr)
-		}
+		requireSameEstimate(t, "escalated selection", want, res.Estimate)
 
-		// Sum/Avg/GroupCount wrappers against their handle equivalents.
-		sumLegacy, err := relest.SumWithOptions(sel, "id", syn, opts)
+		sum, err := sampleOnly(workers).Sum(ctx, relest.Request{Expr: sel, Col: "id"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sumRes, err := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly)).
-			Sum(ctx, relest.Request{Expr: sel, Col: "id"})
+		sums = append(sums, sum.Estimate)
+		avg, _, err := sampleOnly(workers).Avg(ctx, relest.Request{Expr: sel, Col: "id"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireSameEstimate(t, "sum", sumLegacy, sumRes.Estimate)
-
-		avgLegacy, err := relest.Avg(sel, "id", syn, opts)
+		avgs = append(avgs, avg)
+		gs, rep, err := sampleOnly(workers).GroupCount(ctx, relest.Request{Expr: sel, Col: "a"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		avgRes, _, err := relest.New(syn, relest.WithOptions(opts), relest.WithTierPolicy(relest.TierSampleOnly)).
-			Avg(ctx, relest.Request{Expr: sel, Col: "id"})
-		if err != nil {
-			t.Fatal(err)
+		if rep.Answered != relest.TierAnsweredSample {
+			t.Errorf("group count answered by tier %q", rep.Answered)
 		}
-		if !bitsEqual(avgLegacy.Avg, avgRes.Avg) || !bitsEqual(avgLegacy.Sum.Value, avgRes.Sum.Value) {
-			t.Errorf("avg wrapper %+v != handle %+v", avgLegacy, avgRes)
-		}
+		groups = append(groups, gs)
 	}
 
-	groupsLegacy, err := relest.GroupCount(sel, "a", syn)
-	if err != nil {
-		t.Fatal(err)
+	requireSameEstimate(t, "sum workers 1 vs 4", sums[0], sums[1])
+	if !bitsEqual(avgs[0].Avg, avgs[1].Avg) || !bitsEqual(avgs[0].Sum.Value, avgs[1].Sum.Value) {
+		t.Errorf("avg at workers=1 %+v != workers=4 %+v", avgs[0], avgs[1])
 	}
-	groupsRes, rep, err := relest.New(syn, relest.WithTierPolicy(relest.TierSampleOnly)).
-		GroupCount(ctx, relest.Request{Expr: sel, Col: "a"})
-	if err != nil {
-		t.Fatal(err)
+	if len(groups[0]) == 0 || len(groups[0]) != len(groups[1]) {
+		t.Fatalf("group count: %d vs %d groups", len(groups[0]), len(groups[1]))
 	}
-	if rep.Answered != relest.TierAnsweredSample || len(groupsLegacy) != len(groupsRes) {
-		t.Fatalf("group count: tier %q, %d vs %d groups", rep.Answered, len(groupsLegacy), len(groupsRes))
-	}
-	for i := range groupsLegacy {
-		if !groupsLegacy[i].Value.Equal(groupsRes[i].Value) || !bitsEqual(groupsLegacy[i].Count, groupsRes[i].Count) {
-			t.Errorf("group %d: %+v != %+v", i, groupsLegacy[i], groupsRes[i])
+	for i := range groups[0] {
+		if !groups[0][i].Value.Equal(groups[1][i].Value) || !bitsEqual(groups[0][i].Count, groups[1][i].Count) {
+			t.Errorf("group %d: %+v != %+v", i, groups[0][i], groups[1][i])
 		}
 	}
-
-	// The loose-RNG sequential wrapper against the options-RNG context
-	// variant: same seed, same bits.
-	wrapped, err := relest.SequentialCount(join, syn, relest.Seeded(77), relest.SequentialOptions{TargetRelErr: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaOpts, err := relest.SequentialCountContext(ctx, join, syn,
-		relest.SequentialOptions{TargetRelErr: 0.2, RNG: relest.Seeded(77)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameEstimate(t, "sequential", wrapped.Final, viaOpts.Final)
 }
