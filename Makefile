@@ -39,28 +39,25 @@ race:
 
 # Coverage: report every package, enforce a floor where the contract is
 # "instrumentation must be fully exercised" (internal/obs), "every
-# admission/shutdown path must be driven" (internal/server), or "every
+# admission/shutdown path must be driven" (internal/server), "every
 # analyzer and the dataflow engine must be exercised by fixtures"
-# (internal/lint), or "every estimator path of the sketch tier must be
-# exercised" (internal/sketch). Other packages are report-only — their
-# floors are the statistical tests themselves.
+# (internal/lint), "every estimator path of the sketch tier must be
+# exercised" (internal/sketch), "every scatter-gather and degradation path
+# must be driven" (internal/cluster), or "no branch of the one weighted-count
+# kernel goes unexercised" (internal/estimator). Other packages are
+# report-only — their floors are the statistical tests themselves.
+COVER_FLOORS = internal/obs:70 internal/server:70 internal/lint:70 \
+	internal/sketch:70 internal/cluster:70 internal/estimator:85
+
 cover:
 	$(GO) test -cover ./... | grep -v '\[no test files\]'
-	@pct=$$($(GO) test -cover ./internal/obs | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-	awk -v p="$$pct" 'BEGIN { if (p+0 < 70) { printf "internal/obs coverage %.1f%% is below the 70%% floor\n", p; exit 1 } \
-		printf "internal/obs coverage %.1f%% (floor 70%%)\n", p }'
-	@pct=$$($(GO) test -cover ./internal/server | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-	awk -v p="$$pct" 'BEGIN { if (p+0 < 70) { printf "internal/server coverage %.1f%% is below the 70%% floor\n", p; exit 1 } \
-		printf "internal/server coverage %.1f%% (floor 70%%)\n", p }'
-	@pct=$$($(GO) test -cover ./internal/lint | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-	awk -v p="$$pct" 'BEGIN { if (p+0 < 70) { printf "internal/lint coverage %.1f%% is below the 70%% floor\n", p; exit 1 } \
-		printf "internal/lint coverage %.1f%% (floor 70%%)\n", p }'
-	@pct=$$($(GO) test -cover ./internal/sketch | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-	awk -v p="$$pct" 'BEGIN { if (p+0 < 70) { printf "internal/sketch coverage %.1f%% is below the 70%% floor\n", p; exit 1 } \
-		printf "internal/sketch coverage %.1f%% (floor 70%%)\n", p }'
-	@pct=$$($(GO) test -cover ./internal/cluster | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-	awk -v p="$$pct" 'BEGIN { if (p+0 < 70) { printf "internal/cluster coverage %.1f%% is below the 70%% floor\n", p; exit 1 } \
-		printf "internal/cluster coverage %.1f%% (floor 70%%)\n", p }'
+	@for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; floor=$${pf##*:}; \
+		pct=$$($(GO) test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
+		awk -v p="$$pct" -v f="$$floor" -v pkg="$$pkg" 'BEGIN { \
+			if (p+0 < f+0) { printf "%s coverage %.1f%% is below the %d%% floor\n", pkg, p, f; exit 1 } \
+			printf "%s coverage %.1f%% (floor %d%%)\n", pkg, p, f }' || exit 1; \
+	done
 
 # Adversarial soak slice: the five workload scenarios (zipf-mix, bursty,
 # hot-key eviction churn, churn-heavy streams, cancellation storm) each
@@ -94,11 +91,13 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 3s ./internal/query
 
 # Golden-drift gate: the byte-identity tests must pass against the
-# committed estimate fixtures, and nothing may have regenerated them —
-# a drifted golden means estimates changed, which is never a side effect.
+# committed estimate fixtures (CLI, server, and the estimator's kernel
+# bit-pattern table), and nothing may have regenerated them — a drifted
+# golden means estimates changed, which is never a side effect. (A fixture
+# staged for its first commit and untouched since, "A ", is not drift.)
 golden:
-	$(GO) test -count=1 -run 'TestGoldenOutput|TestMetricsOutput|TestEstimateGoldenByteIdentity' ./cmd/relest ./internal/server
-	@drift=$$(git status --porcelain -- cmd/relest/testdata internal/server/testdata); \
+	$(GO) test -count=1 -run 'TestGoldenOutput|TestMetricsOutput|TestEstimateGoldenByteIdentity|TestKernelGolden' ./cmd/relest ./internal/server ./internal/estimator
+	@drift=$$(git status --porcelain -- cmd/relest/testdata internal/server/testdata internal/estimator/testdata | grep -v '^A  '); \
 	if [ -n "$$drift" ]; then \
 		echo "golden estimate fixtures drifted:"; echo "$$drift"; exit 1; \
 	fi

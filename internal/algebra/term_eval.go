@@ -477,10 +477,10 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 }
 
 // PlanCache caches compiled term plans keyed by (term identity, instance
-// identities). One CountWithOptions call with replication-based variance
-// evaluates the same (term, instances) pairs many times — the point
-// estimate plus every replicate that leaves a relation untouched — and the
-// cache makes each pair compile exactly once. It is safe for concurrent
+// identities). One estimate with replication-based variance evaluates the
+// same (term, instances) pairs many times — the point estimate plus every
+// replicate that leaves a relation untouched — and the cache makes each
+// pair compile exactly once. It is safe for concurrent
 // use; concurrent Prepare calls for the same key compile once and share the
 // plan.
 //
@@ -610,24 +610,6 @@ func (t *Term) EnumerateAssignments(inst Instances, visit func(rows []int) bool)
 	}
 	pt.Enumerate(visit)
 	return nil
-}
-
-// CountStreaming computes COUNT(e) exactly without materializing
-// intermediate results: π-free expressions go through the counting
-// polynomial (assignments are enumerated and counted, never stored), and
-// expressions with π fall back to the materializing evaluator. Prefer this
-// over Count for large join trees — it trades memory for the same
-// asymptotic time.
-func CountStreaming(e *Expr, cat Catalog) (float64, error) {
-	if e.HasProjection() {
-		c, err := Count(e, cat)
-		return float64(c), err
-	}
-	p, err := Normalize(e)
-	if err != nil {
-		return 0, err
-	}
-	return p.ExactCount(cat)
 }
 
 // ExactCount evaluates the polynomial with unit weights over the catalog's

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"relest/internal/algebra"
+	"relest/internal/obs"
 	"relest/internal/relation"
 )
 
@@ -191,5 +192,14 @@ func TestAvg(t *testing.T) {
 	}
 	if !math.IsNaN(res.Avg) {
 		t.Errorf("empty AVG = %v, want NaN", res.Avg)
+	}
+	// The SUM and COUNT passes share one plan cache: the single term
+	// compiles once and the second pass hits it.
+	rec := obs.NewCollector()
+	if _, err := avgOf(sel, "b", syn, Options{Variance: VarNone, Recorder: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if built, hit := rec.Metrics().Counter("relest_plan_built_total").Value(), rec.Metrics().Counter("relest_plan_cache_hit_total").Value(); built != 1 || hit < 1 {
+		t.Errorf("AVG compiled %v plans with %v cache hits, want 1 and >= 1", built, hit)
 	}
 }

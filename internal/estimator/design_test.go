@@ -190,6 +190,72 @@ func TestStratifiedUnbiasedExhaustive(t *testing.T) {
 	}
 }
 
+// TestStratifiedWithRepeatedRelationUnbiasedExhaustive mixes the two
+// non-constant weights in one term: R stratified (Horvitz–Thompson per-row
+// weights, unequal sampling fractions) joined with S twice (falling-
+// factorial pattern weights). Every relation's factor must come from its
+// own design for COUNT and SUM to stay unbiased.
+func TestStratifiedWithRepeatedRelationUnbiasedExhaustive(t *testing.T) {
+	r := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {1}, {2}, {1}, {3}, {1}})
+	s := intRelation("S", []string{"a", "v"}, [][]int64{{1, 5}, {2, 7}, {1, 11}, {3, 2}})
+	cat := algebra.MapCatalog{"R": r, "S": s}
+	br, bs := algebra.BaseOf(r), algebra.BaseOf(s)
+	rs := algebra.Must(algebra.Join(br, bs, []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
+	rss := algebra.Must(algebra.Join(rs, bs, []algebra.On{{Left: "a", Right: "a"}}, nil, "S2"))
+	wantCount, err := algebra.Count(rss, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poly, err := algebra.Normalize(rss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := NewSynopsis() // census: the SUM estimator is exact on it
+	for _, b := range []*relation.Relation{r, s} {
+		if err := full.AddSample(b.Clone(b.Name()), b.Len()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantSum, err := sumOf(rss, "S2.v", full, Options{Variance: VarNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if poly.MaxOccurrences() != 2 || wantCount == 0 {
+		t.Fatalf("fixture: max occurrences %d, exact count %d", poly.MaxOccurrences(), wantCount)
+	}
+
+	strata := [][]int{{0, 1, 2}, {3, 4, 5, 6}}
+	var counts, sums stats.Welford
+	subsets(3, 2, func(p0 []int) {
+		p0c := append([]int{}, p0...)
+		subsets(4, 2, func(p1 []int) {
+			p1c := append([]int{}, p1...)
+			subsets(s.Len(), 3, func(srows []int) {
+				syn := stratifiedSynopsisFor(t, r, strata, [][]int{p0c, p1c})
+				if err := syn.AddSample(s.Subset("S", srows), s.Len()); err != nil {
+					t.Fatal(err)
+				}
+				c, err := countOf(rss, syn, Options{Variance: VarNone})
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := sumOf(rss, "S2.v", syn, Options{Variance: VarNone})
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts.Add(c.Value)
+				sums.Add(v.Value)
+			})
+		})
+	})
+	if !almostEqual(counts.Mean(), float64(wantCount), 1e-9) {
+		t.Errorf("E[COUNT estimate] = %v, exact %d", counts.Mean(), wantCount)
+	}
+	if !almostEqual(sums.Mean(), wantSum.Value, 1e-9) {
+		t.Errorf("E[SUM estimate] = %v, exact %v", sums.Mean(), wantSum.Value)
+	}
+}
+
 // stratifiedSynopsisFor builds a synopsis with a deterministic stratified
 // sample: strata gives population row ids per stratum; picks gives indices
 // into each stratum to sample.

@@ -103,6 +103,17 @@ func (eng *engine) prepare(t *algebra.Term, inst algebra.Instances) (*algebra.Pr
 	return algebra.Prepare(t, inst)
 }
 
+// plan binds the term's occurrences to the synopsis's sample relations and
+// returns them with the compiled plan over them.
+func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *algebra.PreparedTerm, error) {
+	inst, err := algebra.BindInstances(t, syn)
+	if err != nil {
+		return nil, nil, err
+	}
+	pt, err := eng.prepare(t, inst)
+	return inst, pt, err
+}
+
 // attachCSE prepares every term's plan over the synopsis instances and
 // registers shared enumeration prefixes across them (algebra.AttachCSE), so
 // structurally identical sub-joins are computed once per estimate. It runs
@@ -117,16 +128,9 @@ func (eng *engine) attachCSE(poly algebra.Polynomial, syn *Synopsis) {
 	}
 	plans := make([]*algebra.PreparedTerm, 0, len(poly.Terms))
 	for i := range poly.Terms {
-		t := &poly.Terms[i]
-		inst, err := algebra.BindInstances(t, syn)
-		if err != nil {
-			continue
+		if _, pt, err := eng.plan(&poly.Terms[i], syn); err == nil {
+			plans = append(plans, pt)
 		}
-		pt, err := eng.prepare(t, inst)
-		if err != nil {
-			continue
-		}
-		plans = append(plans, pt)
 	}
 	eng.plans.AttachCSE(plans)
 }
@@ -150,15 +154,14 @@ func countTerm(pt *algebra.PreparedTerm, workers int) float64 {
 
 // sumTerm evaluates Σ contribution(rows) over the plan's satisfying
 // assignments with the same fixed partitioned reduction as countTerm.
-// newContrib is called once per part so each part gets private scratch.
-func sumTerm(pt *algebra.PreparedTerm, workers int, newContrib func() func(rows []int) float64) float64 {
+// contribution runs concurrently across parts and must not retain rows.
+func sumTerm(pt *algebra.PreparedTerm, workers int, contribution func(rows []int) float64) float64 {
 	parts := pt.Parts()
 	partials := make([]float64, parts)
 	parallel.For(parts, workers, func(i int) {
-		contrib := newContrib()
 		total := 0.0
 		pt.EnumeratePart(i, parts, func(rows []int) bool {
-			total += contrib(rows)
+			total += contribution(rows)
 			return true
 		})
 		partials[i] = total
@@ -176,6 +179,53 @@ type relTermMeta struct {
 	rel  string
 	occs []int
 	rs   *relSynopsis
+	// rowWeight is rs.rowWeightFn(): the per-row Horvitz–Thompson weights
+	// of a stratified sample, nil under the uniform (tuple, page) designs.
+	rowWeight func(row int) float64
+}
+
+// factor is the relation's factor f_R(A) of the sampling weight
+// w(A) = ∏_R f_R(A) of a satisfying assignment — the inverse of the
+// probability that the sample contains the rows A uses from R:
+//
+//   - one occurrence, uniform design: M/m, the sampling unit's (tuple's or
+//     page's) inverse inclusion probability;
+//   - one occurrence, stratified design: the Horvitz–Thompson weight
+//     N_h/n_h of the row's stratum;
+//   - repeated occurrences (tuple SRSWOR only, see checkSampleSizes): the
+//     falling-factorial pattern weight (N)_d/(n)_d over the d distinct
+//     sample rows A uses from R.
+//
+// less is the number of sampling units deleted from R's sample: 0 for an
+// estimate, 1 for the jackknife's delete-one rescaling (uniform designs
+// only). rows is not read when every factor is of the first kind.
+func (m *relTermMeta) factor(rows []int, less int) float64 {
+	switch {
+	case len(m.occs) > 1:
+		d := 0
+		for i := range m.occs {
+			if m.firstUse(rows, i) {
+				d++
+			}
+		}
+		return stats.FallingFactorialRatio(m.rs.N, m.rs.n-less, d)
+	case m.rowWeight != nil:
+		return m.rowWeight(rows[m.occs[0]])
+	default:
+		return float64(m.rs.M) / float64(m.rs.m-less)
+	}
+}
+
+// firstUse reports whether the relation's i-th occurrence is the first in
+// the assignment to use its sample row (occurrence lists are a handful
+// long, so the quadratic scan beats any scratch set).
+func (m *relTermMeta) firstUse(rows []int, i int) bool {
+	for _, oi := range m.occs[:i] {
+		if rows[oi] == rows[m.occs[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // termRelMetas lists a term's relations in first-occurrence order. All
@@ -193,7 +243,7 @@ func termRelMetas(t *algebra.Term, syn *Synopsis) ([]relTermMeta, error) {
 			}
 			j = len(metas)
 			idx[o.RelName] = j
-			metas = append(metas, relTermMeta{rel: o.RelName, rs: rs})
+			metas = append(metas, relTermMeta{rel: o.RelName, rs: rs, rowWeight: rs.rowWeightFn()})
 		}
 		metas[j].occs = append(metas[j].occs, i)
 	}
@@ -215,48 +265,102 @@ func checkTermSamples(metas []relTermMeta) (ok bool, err error) {
 	return true, nil
 }
 
-// termContrib describes the unweighted per-assignment contribution of a
-// term: 1 for COUNT, the output column's value for SUM. The zero value
-// (eval == nil) means "no contribution function available" and disables the
-// single-pass jackknife.
+// boundTerm is one term readied for weighted evaluation over a synopsis:
+// its sample instances, compiled plan and per-relation weighting metadata.
+type boundTerm struct {
+	inst  algebra.Instances
+	pt    *algebra.PreparedTerm
+	metas []relTermMeta
+}
+
+// bindTerm readies the term for evaluation. A nil result with a nil error
+// means the term contributes zero (see checkTermSamples).
+func (eng *engine) bindTerm(t *algebra.Term, syn *Synopsis) (*boundTerm, error) {
+	metas, err := termRelMetas(t, syn)
+	if err != nil {
+		return nil, err
+	}
+	if ok, err := checkTermSamples(metas); !ok {
+		return nil, err
+	}
+	inst, pt, err := eng.plan(t, syn)
+	if err != nil {
+		return nil, err
+	}
+	return &boundTerm{inst: inst, pt: pt, metas: metas}, nil
+}
+
+// weight is the sampling weight w(A) of a satisfying assignment: the
+// product of the per-relation factors in first-occurrence order.
+func (b *boundTerm) weight(rows []int) float64 {
+	w := 1.0
+	for i := range b.metas {
+		w *= b.metas[i].factor(rows, 0)
+	}
+	return w
+}
+
+// constWeight reports whether w(A) is the same for every assignment: no
+// relation repeats and every design is uniform, so w ≡ ∏ M/m.
+func (b *boundTerm) constWeight() bool {
+	for i := range b.metas {
+		if len(b.metas[i].occs) > 1 || b.metas[i].rowWeight != nil {
+			return false
+		}
+	}
+	return true
+}
+
+// termContrib is the contribution c(A) of a satisfying assignment — the one
+// parameter that distinguishes the sample tier's aggregates: 1 for COUNT,
+// the value of an output column for SUM. (GROUP BY's contribution is the
+// vector of group indicators; it accumulates per group in groupby.go over
+// the same weights.)
 type termContrib struct {
-	// eval returns the assignment's contribution; it must not retain rows.
-	eval func(t *algebra.Term, inst algebra.Instances, rows []int) float64
-	// outOcc returns the occurrence index the contribution reads from, or
-	// -1 when it is constant across occurrences (COUNT). Used to decide
-	// whether a folded (non-enumerated) occurrence affects the value.
-	outOcc func(t *algebra.Term) int
+	// col is the output column position summed, negative for COUNT.
+	col int
 }
 
 // countContrib is the COUNT contribution: every satisfying assignment
 // counts 1 and depends on no particular occurrence.
-var countContrib = termContrib{
-	eval:   func(*algebra.Term, algebra.Instances, []int) float64 { return 1 },
-	outOcc: func(*algebra.Term) int { return -1 },
+var countContrib = termContrib{col: -1}
+
+// sumContrib is the SUM contribution for output column position pos: the
+// assignment's value of that column, with nulls contributing zero.
+func sumContrib(pos int) termContrib { return termContrib{col: pos} }
+
+// constant reports whether c(A) = 1 for every assignment.
+func (c termContrib) constant() bool { return c.col < 0 }
+
+// outOcc returns the occurrence index the contribution reads from, or -1
+// when it is constant across occurrences (COUNT). Used to decide whether a
+// folded (non-enumerated) occurrence affects the value.
+func (c termContrib) outOcc(t *algebra.Term) int {
+	if c.col < 0 || c.col >= len(t.Out) {
+		return -1 // out of range is rejected by bind before variance runs
+	}
+	return t.Out[c.col].Occ
 }
 
-// noContrib disables the single-pass jackknife (forces naive replication).
-var noContrib = termContrib{}
-
-// sumContrib returns the SUM contribution for output column position pos:
-// the assignment's value of that column, with nulls contributing zero.
-func sumContrib(pos int) termContrib {
-	return termContrib{
-		eval: func(t *algebra.Term, inst algebra.Instances, rows []int) float64 {
-			ref := t.Out[pos]
-			v := inst[ref.Occ].Value(rows[ref.Occ], ref.Col)
-			if v.IsNull() {
-				return 0
-			}
-			return v.Float64()
-		},
-		outOcc: func(t *algebra.Term) int {
-			if pos >= len(t.Out) {
-				return -1 // rejected by the point estimate before variance runs
-			}
-			return t.Out[pos].Occ
-		},
+// bind resolves the contribution against one term: the output column maps
+// to an occurrence column through the term's Out mapping. The returned
+// function must not retain rows.
+func (c termContrib) bind(t *algebra.Term, inst algebra.Instances) (func(rows []int) float64, error) {
+	if c.constant() {
+		return func([]int) float64 { return 1 }, nil
 	}
+	if c.col >= len(t.Out) {
+		return nil, fmt.Errorf("estimator: output column %d outside term mapping of width %d", c.col, len(t.Out))
+	}
+	ref := t.Out[c.col]
+	src := inst[ref.Occ]
+	return func(rows []int) float64 {
+		v := src.Value(rows[ref.Occ], ref.Col)
+		if v.IsNull() {
+			return 0
+		}
+		return v.Float64()
+	}, nil
 }
 
 // splitWorkers decides where a polynomial's parallelism goes: across terms
@@ -325,11 +429,7 @@ func singlePassEligible(poly algebra.Polynomial, syn *Synopsis, eng *engine, con
 				return false, nil // pattern weights need tuple SRSWOR
 			}
 		}
-		inst, err := algebra.BindInstances(t, syn)
-		if err != nil {
-			return false, err
-		}
-		pt, err := eng.prepare(t, inst)
+		_, pt, err := eng.plan(t, syn)
 		if err != nil {
 			return false, err
 		}
@@ -440,17 +540,17 @@ func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, co
 			return err
 		}
 		metasByTerm[ti] = metas
-		inst, err := algebra.BindInstances(t, syn)
-		if err != nil {
-			return err
-		}
-		pt, err := eng.prepare(t, inst)
+		inst, pt, err := eng.plan(t, syn)
 		if err != nil {
 			return err
 		}
 		if pt.TailOnly() {
 			accs[ti] = foldedTermAcc(pt, metas)
 			return nil
+		}
+		value, err := contrib.bind(t, inst)
+		if err != nil {
+			return err
 		}
 		rowUnits := make([][]int, len(metas))
 		for j, m := range metas {
@@ -461,67 +561,27 @@ func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, co
 		parallel.For(parts, inner, func(part int) {
 			acc := newJackTermAcc(metas)
 			factor := make([]float64, len(metas))
-			factorDel := make([]float64, len(metas))
-			var distinctRows []int
 			pt.EnumeratePart(part, parts, func(rows []int) bool {
-				w := contrib.eval(t, inst, rows)
+				w := value(rows)
 				//lint:ignore floateq exactly-zero contributions add nothing to any replicate; skipping them is order-independent
 				if w == 0 {
 					return true
 				}
 				for j := range metas {
-					m := &metas[j]
-					if len(m.occs) == 1 {
-						factor[j] = m.rs.scale()
-						factorDel[j] = float64(m.rs.M) / float64(m.rs.m-1)
-					} else {
-						// distinct sample rows among this relation's occurrences
-						distinctRows = distinctRows[:0]
-						for _, oi := range m.occs {
-							row := rows[oi]
-							seen := false
-							for _, r := range distinctRows {
-								if r == row {
-									seen = true
-									break
-								}
-							}
-							if !seen {
-								distinctRows = append(distinctRows, row)
-							}
-						}
-						d := len(distinctRows)
-						factor[j] = stats.FallingFactorialRatio(m.rs.N, m.rs.n, d)
-						factorDel[j] = stats.FallingFactorialRatio(m.rs.N, m.rs.n-1, d)
-					}
+					factor[j] = metas[j].factor(rows, 0)
 					w *= factor[j]
 				}
 				acc.s += w
 				for j := range metas {
 					m := &metas[j]
-					wp := w / factor[j] * factorDel[j]
+					wp := w / factor[j] * m.factor(rows, 1)
 					acc.rels[j].sPrime += wp
-					if len(m.occs) == 1 {
-						acc.rels[j].perUnit[rowUnits[j][rows[m.occs[0]]]] += wp
-						continue
-					}
-					// tuple design: units are rows; charge each distinct one.
-					distinctRows = distinctRows[:0]
-					for _, oi := range m.occs {
-						row := rows[oi]
-						seen := false
-						for _, r := range distinctRows {
-							if r == row {
-								seen = true
-								break
-							}
+					// Charge every distinct unit the assignment uses at R
+					// (repeats imply the tuple design: units are rows).
+					for i, oi := range m.occs {
+						if m.firstUse(rows, i) {
+							acc.rels[j].perUnit[rowUnits[j][rows[oi]]] += wp
 						}
-						if !seen {
-							distinctRows = append(distinctRows, row)
-						}
-					}
-					for _, row := range distinctRows {
-						acc.rels[j].perUnit[rowUnits[j][row]] += wp
 					}
 				}
 				return true

@@ -7,7 +7,6 @@ import (
 	"relest/internal/algebra"
 	"relest/internal/obs"
 	"relest/internal/parallel"
-	"relest/internal/stats"
 )
 
 // Estimate is the result of a COUNT estimation.
@@ -141,30 +140,49 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// countPoly is the sample tier: it evaluates the counting polynomial over
-// the synopsis and assesses its variance with the requested method.
-func countPoly(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options) (Estimate, error) {
+// estimatePoly is the sample tier, the one estimator every aggregate
+// shares (DESIGN.md §3):
+//
+//	Ŷ = Σ_T coef_T · Σ_A c(A)·w(A)
+//
+// summed over the polynomial's terms T and each term's satisfying sample
+// assignments A, with w the sampling weight (relTermMeta.factor) and c the
+// contribution: 1 for COUNT, a column's value for SUM. It evaluates the
+// point estimate and assesses its variance with the requested method.
+func estimatePoly(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options, contrib termContrib) (Estimate, error) {
 	opts = opts.withDefaults()
-	if err := checkSampleSizes(poly, syn); err != nil {
+	eng, err := startEstimate(ctx, poly, syn, opts)
+	if err != nil {
 		return Estimate{}, err
 	}
-	eng := newEngine(ctx, opts)
-	eng.span = eng.rec.Span(sEstimate)
 	defer eng.span.End()
-	recordSynopsis(eng.rec, poly, syn)
-	eng.attachCSE(poly, syn)
-	value, err := pointEstimate(poly, syn, eng)
+	value, err := pointEstimate(poly, syn, eng, contrib)
 	if err != nil {
 		return Estimate{}, err
 	}
 	vspan := eng.span.Child(sVariance)
-	variance, method, err := estimateVariance(poly, syn, opts, eng)
+	variance, method, err := estimateVariance(poly, syn, opts, eng, contrib)
 	vspan.End()
 	if err != nil {
 		return Estimate{}, err
 	}
 	eng.rec.Add(varianceMethodMetric(method), 1)
 	return finishEstimate(value, variance, method, poly.NumTerms(), opts), nil
+}
+
+// startEstimate opens one sample-tier evaluation: it checks the
+// unbiasedness preconditions and returns the call's engine with its root
+// span open (the caller ends it), the sample volume recorded and the
+// polynomial's shared prefixes attached.
+func startEstimate(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options) (*engine, error) {
+	if err := checkSampleSizes(poly, syn); err != nil {
+		return nil, err
+	}
+	eng := newEngine(ctx, opts)
+	eng.span = eng.rec.Span(sEstimate)
+	recordSynopsis(eng.rec, poly, syn)
+	eng.attachCSE(poly, syn)
+	return eng, nil
 }
 
 // checkSampleSizes verifies n_R ≥ (occurrences of R in any term) for every
@@ -202,7 +220,7 @@ func checkSampleSizes(poly algebra.Polynomial, syn *Synopsis) error {
 // fanning the terms (or, for a single term, its plan partitions) across the
 // engine's workers. Per-term values are reduced in term order, so the result
 // does not depend on the worker count.
-func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64, error) {
+func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	vals := make([]float64, len(poly.Terms))
 	outer, inner := splitWorkers(len(poly.Terms), eng.workers)
 	err := parallel.ForErrRec(len(poly.Terms), outer, eng.rec, func(i int) error {
@@ -210,7 +228,7 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64
 			return err
 		}
 		ts := eng.span.Child(sTerm)
-		v, err := estimateTerm(&poly.Terms[i], syn, eng, inner)
+		v, err := estimateTerm(&poly.Terms[i], syn, eng, inner, contrib)
 		ts.End()
 		vals[i] = v
 		return err
@@ -225,93 +243,28 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64
 	return total, nil
 }
 
-// estimateTerm computes the unbiased estimate of one counting term from the
-// per-relation samples.
+// estimateTerm computes the unbiased estimate Σ_A c(A)·w(A) of one term
+// from the per-relation samples: every satisfying sample assignment is
+// weighted by the inverse of its inclusion probability (see
+// relTermMeta.factor, package doc and DESIGN.md for the unbiasedness
+// argument, including the repeated-relation pattern weights).
 //
-// Fast path: when every base relation occurs once in the term, the pattern
-// weight is the constant ∏ N_R/n_R and the estimate is that constant times
-// the number of satisfying sample assignments.
-//
-// General path (repeated relations): enumerate satisfying assignments and
-// weight each by ∏_R (N_R)_{d_R}/(n_R)_{d_R}, where d_R is the number of
-// distinct sample rows the assignment uses from relation R. See package doc
-// and DESIGN.md for the unbiasedness argument.
-func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int) (float64, error) {
-	inst, err := algebra.BindInstances(t, syn)
+// Fast path: a COUNT whose weight is the constant ∏ M_R/m_R is that
+// constant times the number of satisfying assignments, which the plan
+// counts without enumerating folded tails.
+func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib) (float64, error) {
+	b, err := eng.bindTerm(t, syn)
+	if b == nil {
+		return 0, err
+	}
+	if contrib.constant() && b.constWeight() {
+		return b.weight(nil) * countTerm(b.pt, workers), nil
+	}
+	value, err := contrib.bind(t, b.inst)
 	if err != nil {
 		return 0, err
 	}
-	// Relations in first-occurrence order; detect repeats and stratification.
-	metas, err := termRelMetas(t, syn)
-	if err != nil {
-		return 0, err
-	}
-	if ok, err := checkTermSamples(metas); !ok {
-		return 0, err
-	}
-	repeated := false
-	uniform := true
-	for _, m := range metas {
-		if len(m.occs) > 1 {
-			repeated = true
-		}
-		if !m.rs.uniformWeights() {
-			uniform = false
-		}
-	}
-	pt, err := eng.prepare(t, inst)
-	if err != nil {
-		return 0, err
-	}
-	if !repeated && uniform {
-		// Single occurrence per relation with equal inclusion
-		// probabilities: every sampling unit (tuple or page) is included
-		// with probability m/M, so scaling by ∏ M/m is unbiased.
-		w := 1.0
-		for _, m := range metas {
-			w *= m.rs.scale()
-		}
-		return w * countTerm(pt, workers), nil
-	}
-	if !repeated {
-		// Single occurrence per relation, non-uniform weights (stratified
-		// designs): each satisfying assignment is Horvitz–Thompson
-		// weighted by the product of its rows' inverse inclusion
-		// probabilities.
-		weightOf := make([]func(int) float64, len(t.Occs))
-		for i, o := range t.Occs {
-			weightOf[i] = syn.rels[o.RelName].rowWeightFn()
-		}
-		return sumTerm(pt, workers, func() func(rows []int) float64 {
-			return func(rows []int) float64 {
-				w := 1.0
-				for i, row := range rows {
-					w *= weightOf[i](row)
-				}
-				return w
-			}
-		}), nil
-	}
-	// Pattern-weighted enumeration; the distinct-row scratch is allocated
-	// per partition so parts can run concurrently.
-	return sumTerm(pt, workers, func() func(rows []int) float64 {
-		distinct := make(map[int]struct{}, 4)
-		return func(rows []int) float64 {
-			w := 1.0
-			for _, m := range metas {
-				if len(m.occs) == 1 {
-					w *= m.rs.scale()
-					continue
-				}
-				for k := range distinct {
-					delete(distinct, k)
-				}
-				for _, oi := range m.occs {
-					distinct[rows[oi]] = struct{}{}
-				}
-				w *= stats.FallingFactorialRatio(m.rs.N, m.rs.n, len(distinct))
-			}
-			return w
-		}
+	return sumTerm(b.pt, workers, func(rows []int) float64 {
+		return value(rows) * b.weight(rows)
 	}), nil
 }

@@ -410,3 +410,45 @@ func TestTermsReported(t *testing.T) {
 		t.Errorf("union should report 3 terms, got %d", est.Terms)
 	}
 }
+
+// TestVarianceLadderSharedByCountAndSum pins the one ladder: on a sample
+// too small for the requested 8 split-sample groups, an explicit
+// VarSplitSample is the documented error for COUNT and SUM alike, while
+// VarAuto (and SUM's degraded VarAnalytic) resolves to split-sample with
+// the group count shrunk to fit.
+func TestVarianceLadderSharedByCountAndSum(t *testing.T) {
+	r, s := biggishFixtures(t)
+	syn := NewSynopsis()
+	rng := testRand(3)
+	if err := syn.AddDrawn(r, 5, rng); err != nil {
+		t.Fatal(err)
+	}
+	if err := syn.AddDrawn(s, 5, rng); err != nil {
+		t.Fatal(err)
+	}
+	union := algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))
+	col := union.Schema().Column(0).Name
+
+	if _, err := countOf(union, syn, Options{Variance: VarSplitSample}); err == nil {
+		t.Error("COUNT: explicit split-sample with 8 groups on 5 rows should fail")
+	}
+	if _, err := sumOf(union, col, syn, Options{Variance: VarSplitSample}); err == nil {
+		t.Error("SUM: explicit split-sample with 8 groups on 5 rows should fail")
+	}
+	for _, v := range []VarianceMethod{VarAuto, VarAnalytic} {
+		est, err := sumOf(union, col, syn, Options{Variance: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if est.VarianceMethod != VarSplitSample || math.IsNaN(est.Variance) {
+			t.Errorf("SUM %v: method %v variance %v, want shrunk split-sample", v, est.VarianceMethod, est.Variance)
+		}
+	}
+	est, err := countOf(union, syn, Options{Variance: VarAuto})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.VarianceMethod != VarSplitSample || math.IsNaN(est.Variance) {
+		t.Errorf("COUNT auto: method %v variance %v, want shrunk split-sample", est.VarianceMethod, est.Variance)
+	}
+}

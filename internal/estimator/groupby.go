@@ -1,19 +1,21 @@
 package estimator
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
 	"relest/internal/algebra"
 	"relest/internal/parallel"
 	"relest/internal/relation"
-	"relest/internal/stats"
 )
 
 // Group-by estimation: COUNT(*) GROUP BY col over a π-free expression,
 // from the same synopsis. Each group's count is a restricted COUNT(E) (the
-// indicator additionally matches the group value), so the per-group
-// estimates inherit the COUNT estimator's exact unbiasedness.
+// contribution is the indicator of the group value) under the same
+// sampling weights, so the per-group estimates inherit the COUNT
+// estimator's exact unbiasedness under every design it supports — tuple,
+// page and stratified — and sum to the COUNT estimate.
 //
 // The caveat is coverage, not bias: a group none of whose contributing
 // tuples were sampled produces no output row at all, so small groups are
@@ -32,8 +34,9 @@ type GroupEstimate struct {
 
 // groupCount estimates COUNT(*) GROUP BY col over the π-free expression e.
 // Results are sorted by descending estimated count (ties by value order)
-// and include only groups observed in the sample.
-func groupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, error) {
+// and include only groups observed in the sample. Cancellation is polled
+// between terms, as in pointEstimate.
+func groupCount(ctx context.Context, e *algebra.Expr, col string, syn *Synopsis, opts Options) ([]GroupEstimate, error) {
 	pos := e.Schema().ColumnIndex(col)
 	if pos < 0 {
 		return nil, fmt.Errorf("estimator: no column %q in expression schema %s", col, e.Schema())
@@ -42,16 +45,22 @@ func groupCount(e *algebra.Expr, col string, syn *Synopsis) ([]GroupEstimate, er
 	if err != nil {
 		return nil, err
 	}
-	if err := checkSampleSizes(poly, syn); err != nil {
+	eng, err := startEstimate(ctx, poly, syn, opts)
+	if err != nil {
 		return nil, err
 	}
+	defer eng.span.End()
 	// Terms (or, for a single term, its plan partitions) fan out across
 	// workers; per-term group maps merge in term order so the counts are
 	// identical for every worker count.
-	eng := newEngine(nil, Options{})
 	termAccs := make([]map[string]*GroupEstimate, len(poly.Terms))
 	outer, inner := splitWorkers(len(poly.Terms), eng.workers)
-	err = parallel.ForErr(len(poly.Terms), outer, func(i int) error {
+	err = parallel.ForErrRec(len(poly.Terms), outer, eng.rec, func(i int) error {
+		if err := eng.cancelled(); err != nil {
+			return err
+		}
+		ts := eng.span.Child(sTerm)
+		defer ts.End()
 		termAccs[i] = map[string]*GroupEstimate{}
 		return accumulateGroups(&poly.Terms[i], syn, pos, eng, inner, termAccs[i])
 	})
@@ -111,68 +120,24 @@ func accumulateGroups(t *algebra.Term, syn *Synopsis, pos int, eng *engine, work
 		return fmt.Errorf("estimator: output column %d outside term mapping of width %d", pos, len(t.Out))
 	}
 	ref := t.Out[pos]
-	inst, err := algebra.BindInstances(t, syn)
-	if err != nil {
-		return err
-	}
-	metas, err := termRelMetas(t, syn)
-	if err != nil {
-		return err
-	}
-	if ok, err := checkTermSamples(metas); !ok {
-		return err
-	}
-	uniform := true
-	for _, m := range metas {
-		if !m.rs.uniformWeights() {
-			uniform = false
-		}
-	}
-	weightOf := make([]func(int) float64, len(t.Occs))
-	for i, o := range t.Occs {
-		weightOf[i] = syn.rels[o.RelName].rowWeightFn()
-	}
-	pt, err := eng.prepare(t, inst)
-	if err != nil {
+	b, err := eng.bindTerm(t, syn)
+	if b == nil {
 		return err
 	}
 	coef := float64(t.Coef)
-	parts := pt.Parts()
+	parts := b.pt.Parts()
 	partAccs := make([]map[string]*GroupEstimate, parts)
 	parallel.For(parts, workers, func(part int) {
 		local := map[string]*GroupEstimate{}
-		distinct := make(map[int]struct{}, 4)
-		pt.EnumeratePart(part, parts, func(rows []int) bool {
-			v := inst[ref.Occ].Value(rows[ref.Occ], ref.Col)
-			w := 1.0
-			if uniform {
-				for _, m := range metas {
-					if len(m.occs) == 1 {
-						w *= float64(m.rs.N) / float64(m.rs.n)
-						continue
-					}
-					for k := range distinct {
-						delete(distinct, k)
-					}
-					for _, oi := range m.occs {
-						distinct[rows[oi]] = struct{}{}
-					}
-					w *= stats.FallingFactorialRatio(m.rs.N, m.rs.n, len(distinct))
-				}
-			} else {
-				// Non-uniform designs: Horvitz–Thompson per-row weights
-				// (repeated relations already rejected by checkSampleSizes).
-				for i, row := range rows {
-					w *= weightOf[i](row)
-				}
-			}
+		b.pt.EnumeratePart(part, parts, func(rows []int) bool {
+			v := b.inst[ref.Occ].Value(rows[ref.Occ], ref.Col)
 			k := relation.Tuple{v}.Key(nil)
 			g, ok := local[k]
 			if !ok {
 				g = &GroupEstimate{Value: v}
 				local[k] = g
 			}
-			g.Count += coef * w
+			g.Count += coef * b.weight(rows)
 			return true
 		})
 		partAccs[part] = local

@@ -177,7 +177,11 @@ func (e *Estimator) Sum(ctx context.Context, req Request) (Result, error) {
 	if e.policyFor(req) == TierSketchOnly {
 		return Result{}, fmt.Errorf("estimator: sketch tier cannot answer SUM(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
-	est, err := sumExpr(ctx, req.Expr, req.Col, e.syn, e.opts)
+	poly, contrib, err := sumPoly(req.Expr, req.Col)
+	if err != nil {
+		return Result{}, err
+	}
+	est, err := estimatePoly(ctx, poly, e.syn, e.opts, contrib)
 	if err != nil {
 		return Result{}, err
 	}
@@ -193,15 +197,21 @@ func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport
 	if e.policyFor(req) == TierSketchOnly {
 		return AvgResult{}, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer AVG(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
-	sum, err := sumExpr(ctx, req.Expr, req.Col, e.syn, e.opts)
+	poly, contrib, err := sumPoly(req.Expr, req.Col)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
-	poly, err := algebra.Normalize(req.Expr)
+	// Both passes evaluate the same terms over the same samples: one plan
+	// cache compiles and CSE-attaches them once.
+	opts := e.opts
+	if opts.Plans == nil {
+		opts.Plans = algebra.NewPlanCacheRec(opts.Recorder)
+	}
+	sum, err := estimatePoly(ctx, poly, e.syn, opts, contrib)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
-	cnt, err := countPoly(ctx, poly, e.syn, e.opts)
+	cnt, err := estimatePoly(ctx, poly, e.syn, opts, countContrib)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
@@ -221,10 +231,7 @@ func (e *Estimator) GroupCount(ctx context.Context, req Request) ([]GroupEstimat
 	if e.policyFor(req) == TierSketchOnly {
 		return nil, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer GROUP BY %s; grouping needs the sample tier (auto or sample policy)", req.Col)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, TierReport{}, err
-	}
-	groups, err := groupCount(req.Expr, req.Col, e.syn)
+	groups, err := groupCount(ctx, req.Expr, req.Col, e.syn, e.opts)
 	if err != nil {
 		return nil, TierReport{}, err
 	}

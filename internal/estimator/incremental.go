@@ -3,6 +3,7 @@ package estimator
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"relest/internal/relation"
 	"relest/internal/sampling"
@@ -109,6 +110,16 @@ func (inc *Incremental) Delete(name string, t relation.Tuple) error {
 	}
 	ir.sketches.remove(t)
 	return nil
+}
+
+// Names returns the tracked relation names, sorted.
+func (inc *Incremental) Names() []string {
+	out := make([]string, 0, len(inc.rels))
+	for n := range inc.rels {
+		out = append(out, n)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // PopulationSize returns the maintained exact cardinality of the relation.

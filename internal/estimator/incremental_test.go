@@ -18,6 +18,12 @@ func TestIncrementalTrackAndCounts(t *testing.T) {
 	if err := inc.Track("R", schema); err == nil {
 		t.Error("duplicate Track should fail")
 	}
+	if err := inc.Track("A", schema); err != nil {
+		t.Fatal(err)
+	}
+	if names := inc.Names(); len(names) != 2 || names[0] != "A" || names[1] != "R" {
+		t.Errorf("Names() = %v, want [A R]", names)
+	}
 	for i := 0; i < 25; i++ {
 		if err := inc.Insert("R", relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i * 10))}); err != nil {
 			t.Fatal(err)

@@ -114,9 +114,7 @@ func jackknifeBothWays(t *testing.T, poly algebra.Polynomial, syn *Synopsis) (si
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err = jackknifeNaive(poly, syn, eng, func(sub *Synopsis, sube *engine) (float64, error) {
-		return pointEstimate(poly, sub, sube)
-	})
+	naive, err = jackknifeNaive(poly, syn, eng, countContrib)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,9 +214,7 @@ func TestSinglePassJackknifeSum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := jackknifeNaive(poly, syn, eng, func(sub *Synopsis, sube *engine) (float64, error) {
-		return sumEstimate(poly, sub, pos, sube)
-	})
+	naive, err := jackknifeNaive(poly, syn, eng, sumContrib(pos))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,9 +345,7 @@ func BenchmarkJackknifeNaive(b *testing.B) {
 	eng := newEngine(nil, Options{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := jackknifeNaive(poly, syn, eng, func(sub *Synopsis, sube *engine) (float64, error) {
-			return pointEstimate(poly, sub, sube)
-		})
+		_, err := jackknifeNaive(poly, syn, eng, countContrib)
 		if err != nil {
 			b.Fatal(err)
 		}

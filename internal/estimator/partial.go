@@ -48,7 +48,7 @@ type StratifiedMerge struct {
 // estimator: Ŷ = Σ ŷ_s is unbiased because each ŷ_s is, and since the
 // strata sample independently, V̂ = Σ V̂_s. With one stratum the merge
 // reproduces that stratum's estimate bit for bit (the CI is rebuilt with
-// the same formulas countPoly uses), which is what keeps a shards=1
+// the same formulas estimatePoly uses), which is what keeps a shards=1
 // cluster byte-identical to a single node.
 //
 // With a < total strata answering, the answered set is treated as a
@@ -130,7 +130,7 @@ func MergeStratified(parts []Partial, total int, opts Options) (Estimate, Strati
 
 // finishEstimate assembles an Estimate from a point value and a variance
 // the way every COUNT and SUM path does: NaN variance under VarNone,
-// StdErr clamped at zero, CI at the requested level. countPoly and
+// StdErr clamped at zero, CI at the requested level. estimatePoly and
 // MergeStratified share this so a one-stratum merge reproduces the
 // single-synopsis estimate bit for bit. opts must already carry defaults.
 func finishEstimate(value, variance float64, method VarianceMethod, terms int, opts Options) Estimate {

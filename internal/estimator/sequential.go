@@ -129,7 +129,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 			}
 		}
 	}
-	pilot, err := countPoly(ctx, poly, syn, opts.Estimate)
+	pilot, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -160,7 +160,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 			}
 		}
 	}
-	final, err := countPoly(ctx, poly, syn, opts.Estimate)
+	final, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -304,7 +304,7 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 				exhausted = false
 			}
 		}
-		est, err := countPoly(ctx, poly, syn, opts.Estimate)
+		est, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
 		if err != nil {
 			return Estimate{}, nil, err
 		}

@@ -15,8 +15,9 @@
 //     hypergeometric (U-statistic) correction that restores unbiasedness;
 //   - distinct counts (π) use Goodman's unbiased estimator and practical
 //     consistent alternatives;
-//   - SUM and AVG extend the counting machinery to weighted counts (the
-//     authors' TODS 1991 follow-up);
+//   - SUM, AVG and GROUP BY are the same estimator with a different
+//     per-assignment contribution (the authors' TODS 1991 follow-up): one
+//     kernel, Σ_T coef_T·Σ_A c(A)·w(A), serves every aggregate;
 //   - variance comes from closed forms where they exist (single-relation
 //     polynomials, two-relation join terms) and from split-sample
 //     replication or the delete-one jackknife otherwise;
@@ -83,11 +84,12 @@ func (rs *relSynopsis) stratified() bool { return rs.strata != nil }
 // false for stratified samples).
 func (rs *relSynopsis) uniformWeights() bool { return rs.strata == nil }
 
-// rowWeightFn returns the per-sample-row inverse inclusion probability.
+// rowWeightFn returns the per-sample-row inverse inclusion probability of
+// a stratified sample (N_h/n_h of the row's stratum), or nil when every
+// sampling unit shares the one weight scale().
 func (rs *relSynopsis) rowWeightFn() func(row int) float64 {
 	if rs.uniformWeights() {
-		w := rs.scale()
-		return func(int) float64 { return w }
+		return nil
 	}
 	weights := make([]float64, rs.n)
 	for _, st := range rs.strata {

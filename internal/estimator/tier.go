@@ -183,7 +183,7 @@ func sketchTermEstimate(t *algebra.Term, syn *Synopsis, shape termShape) (sketch
 	return sketch.Estimate{}, false
 }
 
-// ciZ returns the CI multiplier the options imply (shared with countPoly).
+// ciZ returns the CI multiplier the options imply (shared with estimatePoly).
 func ciZ(opts Options) float64 {
 	switch opts.CI {
 	case CIChebyshev:
@@ -212,7 +212,7 @@ func meetsPrecision(est sketch.Estimate, z, precision float64) bool {
 // composing values and variances across tiers. Under TierSampleOnly no
 // term is offered to the sketch tier — not even the exact-cardinality
 // shape — so every term counts as escalated and the whole polynomial goes
-// to countPoly as is.
+// to estimatePoly as is.
 func tieredCount(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options, policy TierPolicy, precision float64) (Estimate, TierReport, error) {
 	opts = opts.withDefaults()
 	if precision <= 0 {
@@ -250,7 +250,7 @@ func tieredCount(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, op
 	switch {
 	case nSketch == 0:
 		rep.Answered = TierAnsweredSample
-		est, err := countPoly(ctx, poly, syn, opts)
+		est, err := estimatePoly(ctx, poly, syn, opts, countContrib)
 		return est, rep, err
 
 	case len(escalated) == 0:
@@ -264,7 +264,7 @@ func tieredCount(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, op
 	default:
 		rep.Answered = TierAnsweredMixed
 		sub := algebra.Polynomial{Terms: escalated}
-		sEst, err := countPoly(ctx, sub, syn, opts)
+		sEst, err := estimatePoly(ctx, sub, syn, opts, countContrib)
 		if err != nil {
 			return Estimate{}, rep, err
 		}

@@ -10,10 +10,20 @@ import (
 	"relest/internal/stats"
 )
 
-// estimateVariance dispatches to the requested variance method and returns
-// the variance estimate together with the method actually used.
-func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng *engine) (float64, VarianceMethod, error) {
-	switch opts.Variance {
+// estimateVariance is the variance ladder of every aggregate: it runs the
+// requested method and returns the variance estimate together with the
+// method actually used. The closed forms are derived for the COUNT
+// contribution only; a weighted count asking for VarAnalytic degrades to
+// VarAuto. VarAuto resolves to the first rung that applies — closed form
+// (COUNT), split-sample with the group count shrunk to fit the samples,
+// jackknife, none — whereas an explicitly requested method runs as asked or
+// fails.
+func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng *engine, contrib termContrib) (float64, VarianceMethod, error) {
+	method := opts.Variance
+	if method == VarAnalytic && !contrib.constant() {
+		method = VarAuto
+	}
+	switch method {
 	case VarNone:
 		return math.NaN(), VarNone, nil
 	case VarAnalytic:
@@ -24,19 +34,21 @@ func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng 
 		}
 		return 0, VarAnalytic, fmt.Errorf("estimator: no closed-form variance for this expression shape; use split-sample or jackknife")
 	case VarSplitSample:
-		v, err := splitSampleVariance(poly, syn, opts, false, eng)
+		v, err := splitSampleVariance(poly, syn, opts, false, eng, contrib)
 		return v, VarSplitSample, err
 	case VarJackknife:
-		v, err := jackknifeVariance(poly, syn, eng)
+		v, err := jackknifeVariance(poly, syn, eng, contrib)
 		return v, VarJackknife, err
 	default: // VarAuto
-		if v, ok, err := analyticVariance(poly, syn, eng); err == nil && ok {
-			return v, VarAnalytic, nil
+		if contrib.constant() {
+			if v, ok, err := analyticVariance(poly, syn, eng); err == nil && ok {
+				return v, VarAnalytic, nil
+			}
 		}
-		if v, err := splitSampleVariance(poly, syn, opts, true, eng); err == nil {
+		if v, err := splitSampleVariance(poly, syn, opts, true, eng, contrib); err == nil {
 			return v, VarSplitSample, nil
 		}
-		if v, err := jackknifeVariance(poly, syn, eng); err == nil {
+		if v, err := jackknifeVariance(poly, syn, eng, contrib); err == nil {
 			return v, VarJackknife, nil
 		}
 		return math.NaN(), VarNone, nil
@@ -96,11 +108,7 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 	y := make([]float64, rs.n)
 	for i := range poly.Terms {
 		t := &poly.Terms[i]
-		inst, err := algebra.BindInstances(t, syn)
-		if err != nil {
-			return 0, err
-		}
-		pt, err := eng.prepare(t, inst)
+		_, pt, err := eng.plan(t, syn)
 		if err != nil {
 			return 0, err
 		}
@@ -175,11 +183,7 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float
 	if n1 < 2 || n2 < 2 {
 		return 0, fmt.Errorf("estimator: samples too small for the two-relation variance (n1=%d, n2=%d)", n1, n2)
 	}
-	inst, err := algebra.BindInstances(t, syn)
-	if err != nil {
-		return 0, err
-	}
-	pt, err := eng.prepare(t, inst)
+	_, pt, err := eng.plan(t, syn)
 	if err != nil {
 		return 0, err
 	}
@@ -233,22 +237,11 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float
 // every variance component is first-order), in exchange for requiring
 // nothing about the expression's shape.
 //
-// When shrink is true the group count is reduced as needed so that each
-// group keeps at least max-occurrences rows per relation (VarAuto mode);
-// otherwise too-small samples are an error.
-func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, eng *engine) (float64, error) {
-	return splitSampleVarianceImpl(poly, syn, opts, shrink, eng, func(sub *Synopsis, sube *engine) (float64, error) {
-		return pointEstimate(poly, sub, sube)
-	})
-}
-
-// splitSampleVarianceFn is the split-sample method for an arbitrary
-// re-estimation function (SUM, page-sampling); group shrinking enabled.
-func splitSampleVarianceFn(poly algebra.Polynomial, syn *Synopsis, opts Options, eng *engine, estimate func(*Synopsis, *engine) (float64, error)) (float64, error) {
-	return splitSampleVarianceImpl(poly, syn, opts, true, eng, estimate)
-}
-
-func splitSampleVarianceImpl(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, eng *engine, estimate func(*Synopsis, *engine) (float64, error)) (float64, error) {
+// When shrink is true (the method was resolved by VarAuto, not requested)
+// the group count is reduced as needed so that each group keeps at least
+// max-occurrences rows per relation; otherwise too-small samples are an
+// error.
+func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, eng *engine, contrib termContrib) (float64, error) {
 	need := poly.MaxOccurrences()
 	if need < 1 {
 		need = 1
@@ -310,7 +303,7 @@ func splitSampleVarianceImpl(poly algebra.Polynomial, syn *Synopsis, opts Option
 			unitSel[rel] = groupsByRel[rel][i]
 		}
 		sub := syn.subSynopsisUnits(unitSel)
-		v, err := estimate(sub, subEngine(nil, nil))
+		v, err := pointEstimate(poly, sub, subEngine(nil, nil), contrib)
 		vals[i] = v
 		return err
 	})
@@ -336,18 +329,7 @@ func splitSampleVarianceImpl(poly algebra.Polynomial, syn *Synopsis, opts Option
 // instead of the naive Σ m_R full re-evaluations. Terms with folded
 // cross-product tails fall back to the naive path, which fans replicates
 // across workers and shares full-sample plans between them.
-func jackknifeVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64, error) {
-	return jackknifeVarianceFn(poly, syn, eng, func(sub *Synopsis, sube *engine) (float64, error) {
-		return pointEstimate(poly, sub, sube)
-	}, countContrib)
-}
-
-// jackknifeVarianceFn is the delete-one jackknife for an arbitrary
-// re-estimation function. contrib, when its eval is set, is the
-// per-assignment contribution underlying estimate (1 for COUNT, the output
-// column for SUM) and enables the single-pass computation; pass noContrib
-// to force naive replication.
-func jackknifeVarianceFn(poly algebra.Polynomial, syn *Synopsis, eng *engine, estimate func(*Synopsis, *engine) (float64, error), contrib termContrib) (float64, error) {
+func jackknifeVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	need := poly.MaxOccurrences()
 	for _, rel := range poly.RelationNames() {
 		rs, ok := syn.rels[rel]
@@ -361,16 +343,14 @@ func jackknifeVarianceFn(poly algebra.Polynomial, syn *Synopsis, eng *engine, es
 			return 0, fmt.Errorf("estimator: sample of %q too small for jackknife (m=%d units, need %d rows after deletion)", rel, rs.m, need)
 		}
 	}
-	if contrib.eval != nil {
-		ok, err := singlePassEligible(poly, syn, eng, contrib)
-		if err != nil {
-			return 0, err
-		}
-		if ok {
-			return jackknifeSinglePass(poly, syn, eng, contrib)
-		}
+	ok, err := singlePassEligible(poly, syn, eng, contrib)
+	if err != nil {
+		return 0, err
 	}
-	return jackknifeNaive(poly, syn, eng, estimate)
+	if ok {
+		return jackknifeSinglePass(poly, syn, eng, contrib)
+	}
+	return jackknifeNaive(poly, syn, eng, contrib)
 }
 
 // jackknifeNaive runs the delete-one replicates by full re-estimation,
@@ -379,7 +359,7 @@ func jackknifeVarianceFn(poly algebra.Polynomial, syn *Synopsis, eng *engine, es
 // the full-sample instances; those plans are shared across all m replicates
 // through a per-relation cache, while plans touching R stay uncached (each
 // replicate's is used once).
-func jackknifeNaive(poly algebra.Polynomial, syn *Synopsis, eng *engine, estimate func(*Synopsis, *engine) (float64, error)) (float64, error) {
+func jackknifeNaive(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	total := 0.0
 	for _, rel := range poly.RelationNames() {
 		rs := syn.rels[rel]
@@ -398,7 +378,7 @@ func jackknifeNaive(poly algebra.Polynomial, syn *Synopsis, eng *engine, estimat
 				return err
 			}
 			sub := syn.withoutUnit(del, u)
-			v, err := estimate(sub, subEngine(relCache, cacheIf))
+			v, err := pointEstimate(poly, sub, subEngine(relCache, cacheIf), contrib)
 			vals[u] = v
 			return err
 		})

@@ -345,11 +345,11 @@ func TrueCost(q Query, order []string, cat algebra.Catalog) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		card, err := algebra.CountStreaming(joined, cat)
+		card, err := algebra.Count(joined, cat)
 		if err != nil {
 			return 0, err
 		}
-		total += card
+		total += float64(card)
 		prefix = joined
 		prevMask |= 1 << j
 	}
@@ -385,7 +385,8 @@ type Exact struct {
 
 // Cardinality implements CardinalityEstimator.
 func (x Exact) Cardinality(e *algebra.Expr) (float64, error) {
-	return algebra.CountStreaming(e, x.Cat)
+	c, err := algebra.Count(e, x.Cat)
+	return float64(c), err
 }
 
 func popcount(x uint32) int {

@@ -490,22 +490,12 @@ func (e *synopsisEntry) info(name string) SynopsisInfo {
 			sizes[rel] = n
 		}
 	case e.inc != nil:
-		for _, rel := range e.incNames() {
+		for _, rel := range e.inc.Names() {
 			n, _ := e.inc.SampleSize(rel)
 			sizes[rel] = n
 		}
 	}
 	return SynopsisInfo{Name: name, Kind: e.kind, Tenant: e.tenant, Relations: sizes, Evicted: e.evicted}
-}
-
-// incNames lists the incremental synopsis's tracked relations via a
-// snapshot (Incremental does not expose its name set directly).
-func (e *synopsisEntry) incNames() []string {
-	syn, err := e.inc.Snapshot()
-	if err != nil {
-		return nil
-	}
-	return syn.Names()
 }
 
 // apply feeds one stream event to an incremental synopsis, appending it
