@@ -1,9 +1,9 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build vet lint lint-json lint-budget test race cover golden memgate bench fuzz smoke soak-short shard-short
+.PHONY: check build vet lint lint-json lint-budget test race cover golden memgate bench fuzz smoke soak-short shard-short leakcheck
 
-check: build vet lint lint-budget test race cover golden memgate soak-short shard-short
+check: build vet lint lint-budget test race cover golden memgate soak-short shard-short leakcheck
 
 build:
 	$(GO) build ./...
@@ -75,6 +75,14 @@ soak-short:
 # shards={1,2,4} calibration bands, which run in `make test`.
 shard-short:
 	$(GO) test -count=1 -run 'TestShardFanout|TestShardDeadlineMiss|TestShardRebalance' -v ./internal/cluster | grep -v '^=== RUN'
+
+# Leak gate, last in `check`: the tests spawn the real daemon
+# (cmd/relestd), and one that is still alive after they finish was
+# orphaned — fail here rather than surprise whatever runs next.
+leakcheck:
+	@if pgrep -x relestd >/dev/null; then \
+		echo "leaked relestd process(es):"; pgrep -ax relestd; exit 1; \
+	fi
 
 # Service smoke test: build the daemon, walk the whole lifecycle against
 # the real binary (start, register, estimate, scrape /metrics, SIGTERM,

@@ -235,7 +235,7 @@ func BenchmarkRelationFootprint(b *testing.B) {
 	b.ReportMetric(float64(accounted)/rows, "bytes/row")
 }
 
-// overlapBenchFixture builds the PR-6 multi-term workload: a 3-way union
+// overlapBenchFixture builds the multi-term workload: a 3-way union
 // of 5-relation join chains that differ only in the selection on the last
 // relation,
 //
@@ -243,10 +243,10 @@ func BenchmarkRelationFootprint(b *testing.B) {
 //
 // an 8-step join chain over a 3-way union of disjoint selections. The
 // counting polynomial expands the union into 7 terms (3 singles, 3
-// pairs, 1 triple) that all share the [R..Z] join prefix — CSE computes
-// it once per estimate — while the disjoint x-ranges kill every cross
-// term at its final probe. Sample sizes ascend R < S < … < Z < σT so
-// each term plans the chain in the same order with the prefix first.
+// pairs, 1 triple) that each enumerate the [R..Z] join prefix, while the
+// disjoint x-ranges kill every cross term at its final probe. Sample
+// sizes ascend R < S < … < Z < σT so each term plans the chain in the
+// same order with the prefix first.
 func overlapBenchFixture(b *testing.B) (*relest.Expr, *relest.Synopsis) {
 	b.Helper()
 	build := func(name string, n int, cols []string, row func(i int) []int64) *relest.Relation {
@@ -304,11 +304,11 @@ func overlapBenchFixture(b *testing.B) (*relest.Expr, *relest.Synopsis) {
 	return e, syn
 }
 
-// benchMultiTermOverlap runs one full COUNT estimate of the overlapping
-// 3-term union per iteration.
-func benchMultiTermOverlap(b *testing.B, disableCSE bool) {
+// BenchmarkMultiTermOverlap measures multi-term estimate throughput: one
+// full COUNT estimate of the overlapping 3-way union per iteration.
+func BenchmarkMultiTermOverlap(b *testing.B) {
 	e, syn := overlapBenchFixture(b)
-	opts := relest.Options{Variance: relest.VarNone, DisableCSE: disableCSE}
+	opts := relest.Options{Variance: relest.VarNone}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := count(e, syn, opts); err != nil {
@@ -316,15 +316,6 @@ func benchMultiTermOverlap(b *testing.B, disableCSE bool) {
 		}
 	}
 }
-
-// BenchmarkMultiTermOverlap measures multi-term estimate throughput with
-// cross-term subexpression sharing (the default); the baseline is
-// BenchmarkMultiTermOverlapNoCSE, the same workload with -no-cse.
-func BenchmarkMultiTermOverlap(b *testing.B) { benchMultiTermOverlap(b, false) }
-
-// BenchmarkMultiTermOverlapNoCSE is the same estimate with sharing
-// disabled — every term re-evaluates the common join prefix.
-func BenchmarkMultiTermOverlapNoCSE(b *testing.B) { benchMultiTermOverlap(b, true) }
 
 // streamCeilingFixture builds the streaming executor's memory fixture: a
 // σ/⋈ pipeline whose probe side has rows rows against a fixed 64-row

@@ -94,7 +94,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	workers := fs.Int("workers", 0, "evaluation goroutines (0 = all CPUs, 1 = serial); estimates are identical for every setting")
 	tier := fs.String("tier", "sample", "synopsis tiers for plain count queries: auto (sketch first, escalate per term), sketch (sketch only), sample (exact legacy path)")
 	precision := fs.Float64("precision", 0, "target relative CI half-width for accepting a sketch-tier answer (0 = default 0.1); implies -tier auto unless one is given")
-	noCSE := fs.Bool("no-cse", false, "disable cross-term subexpression sharing (estimates are bit-identical either way)")
 	metricsOut := fs.String("metrics", "", `write metrics on exit (Prometheus text + JSON snapshot) to this file; "-" = stderr`)
 	traceOut := fs.String("trace", "", `write the span trace on exit to this file; "-" = stderr`)
 	if err := fs.Parse(args); err != nil {
@@ -103,6 +102,10 @@ func run(args []string, stdout io.Writer) (err error) {
 	if fs.NArg() > 0 {
 		fs.Usage()
 		return fmt.Errorf("unexpected argument %q (all inputs are flags)", fs.Arg(0))
+	}
+	if *workers < 0 {
+		fs.Usage()
+		return fmt.Errorf("-workers must be >= 0, got %d", *workers)
 	}
 	parallel.SetWorkers(*workers)
 
@@ -262,7 +265,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return nil
 	}
 
-	opts := estimator.Options{Confidence: *confidence, Workers: *workers, DisableCSE: *noCSE, Recorder: rec}
+	opts := estimator.Options{Confidence: *confidence, Workers: *workers, Recorder: rec}
 	// Every plain query goes through one handle; -tier sample (the default,
 	// and the only policy group/sum/avg accept) pins the sample-only path
 	// bit for bit, so the output is byte-identical to earlier releases.

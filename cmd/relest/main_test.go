@@ -152,10 +152,10 @@ func TestMetricsOutput(t *testing.T) {
 	}
 }
 
-// TestStreamAndCSEMetrics checks the PR-6 families reach the -metrics
-// exposition: -exact routes through the streaming executor (batch counter
-// and peak-working-set gauge), and a union whose terms overlap on a join
-// prefix drives the CSE sharing counter.
+// TestStreamAndCSEMetrics checks the streaming-executor families reach the
+// -metrics exposition on a multi-term query: -exact routes through the
+// streaming executor (batch counter and peak-working-set gauge). (The CSE
+// families the name remembers went with the layer in PR 22.)
 func TestStreamAndCSEMetrics(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.out")
@@ -178,42 +178,10 @@ func TestStreamAndCSEMetrics(t *testing.T) {
 	for _, family := range []string{
 		"relest_stream_batches_total",
 		"relest_stream_peak_bytes",
-		"relest_cse_subplans_shared_total",
-		"relest_cse_subplan_bytes",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("-metrics output missing family %q:\n%s", family, text)
 		}
-	}
-}
-
-// TestNoCSEFlag pins the -no-cse debugging switch: the estimate is
-// bit-identical with sharing disabled and the sharing counter stays
-// silent.
-func TestNoCSEFlag(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.out")
-	query := "count(union(" +
-		"join(join(customers, orders, on id = cust_id), select(orders2, amount > 0), on cust_id = id), " +
-		"join(join(customers, orders, on id = cust_id), select(orders2, amount > 1), on cust_id = id)))"
-	base := []string{
-		"-rel", "orders=testdata/orders.csv",
-		"-rel", "customers=testdata/customers.csv",
-		"-rel", "orders2=testdata/orders.csv",
-		"-query", query,
-		"-seed", "7",
-	}
-	withCSE := runCLI(t, base...)
-	without := runCLI(t, append(append([]string{}, base...), "-no-cse", "-metrics", metrics)...)
-	if withCSE != without {
-		t.Errorf("-no-cse changed the output:\nwith CSE:\n%s\nwithout:\n%s", withCSE, without)
-	}
-	raw, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(raw), "relest_cse_subplans_shared_total") {
-		t.Errorf("-no-cse run still recorded subplan sharing:\n%s", raw)
 	}
 }
 
@@ -228,6 +196,7 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}},
 		{"stray arg", []string{"estimate"}},
 		{"flag then stray arg", []string{"-seed", "42", "extra"}},
+		{"negative workers", []string{"-workers", "-3"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

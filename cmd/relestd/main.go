@@ -90,6 +90,10 @@ func run(args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
+	if *workers < 0 || *concurrency < 0 {
+		fs.Usage()
+		return fmt.Errorf("-workers and -concurrency must be >= 0, got %d and %d", *workers, *concurrency)
+	}
 
 	switch *role {
 	case "single":

@@ -3,12 +3,15 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -25,6 +28,8 @@ func TestFlagValidation(t *testing.T) {
 		{"unknown flag", []string{"-no-such-flag"}},
 		{"stray arg", []string{"serve"}},
 		{"flag then stray arg", []string{"-queue", "8", "extra"}},
+		{"negative workers", []string{"-workers", "-3"}},
+		{"negative concurrency", []string{"-concurrency", "-3"}},
 		{"unknown role", []string{"-role", "replica"}},
 		{"coordinator without shard addrs", []string{"-role", "coordinator"}},
 		{"shard addrs without coordinator role", []string{"-shard-addrs", "http://h1:7878"}},
@@ -43,6 +48,122 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
+// startDaemon builds the real binary, starts it with the given arguments
+// and returns the base URL from its "relestd listening on" line, a scanner
+// over the rest of its output, and stop. The process cannot outlive the
+// test binary's own deadline: its context expires 10 s before t.Deadline()
+// (2 min without one), expiry and stop both send SIGTERM, and a daemon that
+// ignores it is killed 5 s later — which also ends a Scan blocked on a
+// daemon that never prints. stop waits for the exit, fails the test unless
+// it was clean, and is idempotent (it is also the test's Cleanup); output
+// the daemon wrote while draining stays readable from lines afterwards.
+func startDaemon(t *testing.T, args ...string) (base string, lines *bufio.Scanner, stop func()) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Minute)
+	if d, ok := t.Deadline(); ok {
+		deadline = d.Add(-10 * time.Second)
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), deadline)
+	t.Cleanup(cancel)
+
+	bin := filepath.Join(t.TempDir(), "relestd")
+	if out, err := exec.CommandContext(ctx, "go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+
+	// An os.Pipe rather than StdoutPipe: Wait closes StdoutPipe's reader,
+	// and the drain messages are read after stop has waited.
+	pr, pw, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pr.Close() })
+	cmd := exec.CommandContext(ctx, bin, args...)
+	cmd.Stdout, cmd.Stderr = pw, pw
+	cmd.Cancel = func() error { return cmd.Process.Signal(syscall.SIGTERM) }
+	cmd.WaitDelay = 5 * time.Second
+	err = cmd.Start()
+	_ = pw.Close() // the child holds its own copy; ours would keep Scan from seeing EOF
+	if err != nil {
+		t.Fatal(err)
+	}
+	var once sync.Once
+	stop = func() {
+		once.Do(func() {
+			cancel()
+			_ = cmd.Wait() // context.Canceled after a clean exit; the state below is the verdict
+			if !cmd.ProcessState.Success() {
+				t.Errorf("daemon exit: %v", cmd.ProcessState)
+			}
+		})
+	}
+	t.Cleanup(stop)
+
+	lines = bufio.NewScanner(pr)
+	if !lines.Scan() {
+		t.Fatalf("no startup line: %v", lines.Err())
+	}
+	addr, ok := strings.CutPrefix(lines.Text(), "relestd listening on ")
+	if !ok {
+		t.Fatalf("unexpected startup line %q", lines.Text())
+	}
+	return "http://" + addr, lines, stop
+}
+
+// expectDrained stops the daemon and requires the drain messages in what
+// it printed on the way out.
+func expectDrained(t *testing.T, lines *bufio.Scanner, stop func()) {
+	t.Helper()
+	stop()
+	var tail []string
+	for lines.Scan() {
+		tail = append(tail, lines.Text())
+	}
+	joined := strings.Join(tail, "\n")
+	if !strings.Contains(joined, "relestd draining") || !strings.Contains(joined, "relestd stopped") {
+		t.Errorf("drain messages missing from shutdown output: %v", tail)
+	}
+}
+
+// post sends one JSON request to the daemon and returns the status and
+// response body.
+func post(t *testing.T, base, path string, body any) (int, []byte) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(base+path, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("POST %s: %v", path, err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
+
+// scrape returns the daemon's /metrics exposition.
+func scrape(t *testing.T, base string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestDaemonSmoke builds the real binary and walks the whole service
 // lifecycle: start, register data, estimate, scrape metrics, SIGTERM,
 // clean exit. Everything runs sequentially off the daemon's stdout — the
@@ -52,70 +173,19 @@ func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs a binary")
 	}
-	bin := filepath.Join(t.TempDir(), "relestd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	base, lines, stop := startDaemon(t, "-addr", "127.0.0.1:0", "-queue", "8")
 
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-queue", "8")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
-
-	scanner := bufio.NewScanner(stdout)
-	if !scanner.Scan() {
-		t.Fatalf("no startup line: %v", scanner.Err())
-	}
-	first := scanner.Text()
-	addr, ok := strings.CutPrefix(first, "relestd listening on ")
-	if !ok {
-		t.Fatalf("unexpected startup line %q", first)
-	}
-	base := "http://" + addr
-
-	post := func(path string, body any) (int, []byte) {
-		t.Helper()
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, out
-	}
-
-	if status, out := post("/v1/generate", map[string]any{
+	if status, out := post(t, base, "/v1/generate", map[string]any{
 		"kind": "zipf-pair", "n": 2000, "domain": 200, "seed": 7,
 	}); status != http.StatusCreated {
 		t.Fatalf("generate: %d %s", status, out)
 	}
-	if status, out := post("/v1/synopses/main", map[string]any{
+	if status, out := post(t, base, "/v1/synopses/main", map[string]any{
 		"kind": "static", "relations": map[string]int{"R1": 200, "R2": 200}, "seed": 9,
 	}); status != http.StatusCreated {
 		t.Fatalf("synopsis: %d %s", status, out)
 	}
-	status, out := post("/v1/estimate", map[string]any{
+	status, out := post(t, base, "/v1/estimate", map[string]any{
 		"query": "count(join(R1, R2, on a = a))", "synopsis": "main", "seed": 3,
 	})
 	if status != http.StatusOK {
@@ -133,39 +203,12 @@ func TestDaemonSmoke(t *testing.T) {
 		t.Fatalf("estimate value = %v", resp.Estimate.Value)
 	}
 
-	metricsResp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(metricsResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metricsResp.Body.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(metrics), "relestd_requests_total") {
+	metrics := scrape(t, base)
+	if !strings.Contains(metrics, "relestd_requests_total") {
 		t.Errorf("/metrics lacks the request counter:\n%s", metrics)
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	var tail []string
-	deadline := time.Now().Add(30 * time.Second)
-	for scanner.Scan() {
-		tail = append(tail, scanner.Text())
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon did not finish draining; output so far: %v", tail)
-		}
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exit: %v (output %v)", err, tail)
-	}
-	joined := strings.Join(tail, "\n")
-	if !strings.Contains(joined, "relestd draining") || !strings.Contains(joined, "relestd stopped") {
-		t.Errorf("drain messages missing from shutdown output: %v", tail)
-	}
+	expectDrained(t, lines, stop)
 }
 
 // TestClusterSmoke walks the -shards mode end to end against the real
@@ -176,78 +219,27 @@ func TestClusterSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs a binary")
 	}
-	bin := filepath.Join(t.TempDir(), "relestd")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-shards", "2")
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cmd.Stderr = cmd.Stdout
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if cmd.ProcessState == nil {
-			_ = cmd.Process.Kill()
-			_ = cmd.Wait()
-		}
-	}()
-
-	scanner := bufio.NewScanner(stdout)
-	if !scanner.Scan() {
-		t.Fatalf("no startup line: %v", scanner.Err())
-	}
-	first := scanner.Text()
-	addr, ok := strings.CutPrefix(first, "relestd listening on ")
-	if !ok {
-		t.Fatalf("unexpected startup line %q", first)
-	}
+	base, lines, stop := startDaemon(t, "-addr", "127.0.0.1:0", "-shards", "2")
 	for i := 0; i < 2; i++ {
-		if !scanner.Scan() {
-			t.Fatalf("missing shard %d startup line: %v", i, scanner.Err())
+		if !lines.Scan() {
+			t.Fatalf("missing shard %d startup line: %v", i, lines.Err())
 		}
-		if line := scanner.Text(); !strings.HasPrefix(line, "relestd shard ") {
+		if line := lines.Text(); !strings.HasPrefix(line, "relestd shard ") {
 			t.Fatalf("unexpected shard startup line %q", line)
 		}
 	}
-	base := "http://" + addr
 
-	post := func(path string, body any) (int, []byte) {
-		t.Helper()
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(base+path, "application/json", bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("POST %s: %v", path, err)
-		}
-		out, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := resp.Body.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, out
-	}
-
-	if status, out := post("/v1/generate", map[string]any{
+	if status, out := post(t, base, "/v1/generate", map[string]any{
 		"kind": "zipf-pair", "n": 2000, "domain": 200, "seed": 7,
 	}); status != http.StatusCreated {
 		t.Fatalf("generate: %d %s", status, out)
 	}
-	if status, out := post("/v1/synopses/main", map[string]any{
+	if status, out := post(t, base, "/v1/synopses/main", map[string]any{
 		"kind": "static", "relations": map[string]int{"R1": 200, "R2": 200}, "seed": 9,
 	}); status != http.StatusCreated {
 		t.Fatalf("synopsis: %d %s", status, out)
 	}
-	status, out := post("/v1/estimate", map[string]any{
+	status, out := post(t, base, "/v1/estimate", map[string]any{
 		"query": "count(join(R1, R2, on a = a))", "synopsis": "main", "seed": 3,
 	})
 	if status != http.StatusOK {
@@ -266,39 +258,12 @@ func TestClusterSmoke(t *testing.T) {
 		t.Fatalf("cluster estimate value=%v partial=%v", resp.Estimate.Value, resp.Partial)
 	}
 
-	metricsResp, err := http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := io.ReadAll(metricsResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := metricsResp.Body.Close(); err != nil {
-		t.Fatal(err)
-	}
+	metrics := scrape(t, base)
 	for _, want := range []string{"relestd_shard_fanout_total", `shard="0"`, `shard="1"`} {
-		if !strings.Contains(string(metrics), want) {
+		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics lacks %q", want)
 		}
 	}
 
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	var tail []string
-	deadline := time.Now().Add(30 * time.Second)
-	for scanner.Scan() {
-		tail = append(tail, scanner.Text())
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon did not finish draining; output so far: %v", tail)
-		}
-	}
-	if err := cmd.Wait(); err != nil {
-		t.Fatalf("daemon exit: %v (output %v)", err, tail)
-	}
-	joined := strings.Join(tail, "\n")
-	if !strings.Contains(joined, "relestd draining") || !strings.Contains(joined, "relestd stopped") {
-		t.Errorf("drain messages missing from shutdown output: %v", tail)
-	}
+	expectDrained(t, lines, stop)
 }

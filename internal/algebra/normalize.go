@@ -42,17 +42,11 @@ type ColRef struct {
 // Occurrence is one use of a base relation inside a term. LocalPreds are
 // selection conditions that constrain this occurrence alone and can be
 // applied before any joining; they read rows of the occurrence's instance
-// directly from column storage. LocalFps, aligned with LocalPreds, carries a
-// semantic fingerprint of each pushed-down closure: two occurrences with
-// equal fingerprint sequences filter identically, which is what lets the
-// cross-term CSE planner treat them as the same sub-plan step. A zero
-// fingerprint (e.g. on hand-built terms) marks the closure opaque and
-// excludes the term from sharing.
+// directly from column storage.
 type Occurrence struct {
 	RelName    string
 	Schema     *relation.Schema
 	LocalPreds []func(relation.Row) bool
-	LocalFps   []uint64
 }
 
 // EqCol is an equality constraint between two occurrence columns.
@@ -69,10 +63,6 @@ type TermPred struct {
 	Width   int
 	ReadPos []int
 	Refs    []ColRef // aligned with ReadPos
-	// Fp identifies the Eval closure (the serial of the predicate binding it
-	// was built from): equal Fp means the same closure with the same captured
-	// state. Zero marks the closure opaque to the CSE planner.
-	Fp uint64
 }
 
 // Term is one conjunctive summand of a counting polynomial.
@@ -314,7 +304,6 @@ func attachPredicate(t *Term, bp boundPred, width int) {
 			return eval(virt)
 		}
 		t.Occs[occ].LocalPreds = append(t.Occs[occ].LocalPreds, local)
-		t.Occs[occ].LocalFps = append(t.Occs[occ].LocalFps, localPredFp(bp.id, width, readPos, refs))
 		return
 	}
 	t.Preds = append(t.Preds, TermPred{
@@ -322,39 +311,7 @@ func attachPredicate(t *Term, bp boundPred, width int) {
 		Width:   width,
 		ReadPos: append([]int{}, bp.cols...),
 		Refs:    refs,
-		Fp:      bp.id,
 	})
-}
-
-// localPredFp fingerprints a pushed-down local closure: the binding serial
-// plus everything else the closure captured — virtual-tuple width, read
-// positions, and the occurrence columns feeding them. Two closures with
-// equal fingerprints accept exactly the same rows.
-func localPredFp(id uint64, width int, readPos []int, refs []ColRef) uint64 {
-	if id == 0 {
-		return 0
-	}
-	h := fnvMix(fnvOffset, id)
-	h = fnvMix(h, uint64(width))
-	for i := range readPos {
-		h = fnvMix(h, uint64(readPos[i]))
-		h = fnvMix(h, uint64(refs[i].Col))
-	}
-	if h == 0 {
-		h = 1 // keep 0 reserved for "opaque"
-	}
-	return h
-}
-
-const fnvOffset = 14695981039346656037
-
-func fnvMix(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= 1099511628211
-		v >>= 8
-	}
-	return h
 }
 
 func shiftRef(r ColRef, by int) ColRef { return ColRef{Occ: r.Occ + by, Col: r.Col} }

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"relest/internal/relation"
 )
 
 // joinTermFixture returns the single term of R ⋈ S on a, with its bound
@@ -140,6 +142,9 @@ func TestPreparedFoldedTail(t *testing.T) {
 	}
 }
 
+// TestPlanCacheReusesAndInvalidates pins the cache key: the same (term,
+// instances) pair hits, and swapping an instance for another relation
+// object — the only way a plan goes stale — misses.
 func TestPlanCacheReusesAndInvalidates(t *testing.T) {
 	term, inst := joinTermFixture(t)
 	c := NewPlanCache()
@@ -169,17 +174,6 @@ func TestPlanCacheReusesAndInvalidates(t *testing.T) {
 	}
 	if c.Len() != 2 {
 		t.Errorf("cache Len = %d, want 2", c.Len())
-	}
-	c.Invalidate()
-	if c.Len() != 0 {
-		t.Errorf("cache Len after Invalidate = %d, want 0", c.Len())
-	}
-	pt4, err := c.Prepare(term, inst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pt4 == pt1 {
-		t.Error("Invalidate should force a fresh plan")
 	}
 }
 
@@ -217,5 +211,58 @@ func TestPreparedTermConcurrentUse(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestPlanCacheKeyStructural feeds the structural key encoder the
+// adversarial shapes that break separator-joined keys: component splits
+// whose concatenations collide, and (term, instances) pairs that are
+// prefixes, repetitions or permutations of one another.
+func TestPlanCacheKeyStructural(t *testing.T) {
+	encode := func(parts ...string) string {
+		var buf []byte
+		for _, p := range parts {
+			buf = appendKeyPart(buf, p)
+		}
+		return string(buf)
+	}
+	splits := [][2][]string{
+		{{"ab", "c"}, {"a", "bc"}},
+		{{"abc"}, {"ab", "c"}},
+		{{"", "x"}, {"x", ""}},
+		{{"x", "", ""}, {"x", ""}},
+		{{"a:b"}, {"a", "b"}},
+		{{"a", ":b"}, {"a:", "b"}},
+	}
+	for _, c := range splits {
+		if encode(c[0]...) == encode(c[1]...) {
+			t.Errorf("encoder collision: %q vs %q", c[0], c[1])
+		}
+	}
+
+	schema := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt})
+	t1, t2 := &Term{}, &Term{}
+	r1, r2 := relation.New("R", schema), relation.New("R", schema)
+	pairs := []struct {
+		name string
+		t    *Term
+		inst Instances
+	}{
+		{"t1/none", t1, nil},
+		{"t1/r1", t1, Instances{r1}},
+		{"t1/r2", t1, Instances{r2}},
+		{"t1/r1r1", t1, Instances{r1, r1}},
+		{"t1/r1r2", t1, Instances{r1, r2}},
+		{"t1/r2r1", t1, Instances{r2, r1}},
+		{"t2/r1", t2, Instances{r1}},
+		{"t2/r1r2", t2, Instances{r1, r2}},
+	}
+	seen := make(map[string]string, len(pairs))
+	for _, p := range pairs {
+		key := planCacheKey(p.t, p.inst)
+		if prev, dup := seen[key]; dup {
+			t.Errorf("planCacheKey collision: %s and %s encode identically", prev, p.name)
+		}
+		seen[key] = p.name
 	}
 }

@@ -2,7 +2,6 @@ package algebra
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"relest/internal/relation"
 )
@@ -34,18 +33,7 @@ type boundPred struct {
 	evalRow func(relation.Row) bool
 	cols    []int // positions read, for pushdown analysis
 	src     Predicate
-	// id is a process-unique serial identifying this binding. A predicate
-	// binds once per expression node, and normalization shallow-copies the
-	// binding into every term it reaches, so two term predicates carry the
-	// same id exactly when they are the same closure applied the same way —
-	// the identity the cross-term CSE planner fingerprints sub-plans with.
-	// (Comparing closure code pointers would wrongly merge distinct
-	// predicates that share a function body but not captured state.)
-	id uint64
 }
-
-// predSerial feeds boundPred.id; 0 is reserved as "no fingerprint".
-var predSerial atomic.Uint64
 
 func bindPredicate(p Predicate, s *relation.Schema) (boundPred, error) {
 	eval, err := p.bind(s)
@@ -65,7 +53,7 @@ func bindPredicate(p Predicate, s *relation.Schema) (boundPred, error) {
 		}
 		cols[i] = c
 	}
-	return boundPred{eval: eval, evalRow: evalRow, cols: cols, src: p, id: predSerial.Add(1)}, nil
+	return boundPred{eval: eval, evalRow: evalRow, cols: cols, src: p}, nil
 }
 
 // CmpOp enumerates comparison operators.

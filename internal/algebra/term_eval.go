@@ -64,8 +64,8 @@ func BindInstances(t *Term, cat Catalog) (Instances, error) {
 // (a) the Term's constraint structure is unchanged and (b) every bound
 // instance still holds the same rows it held at compile time. Swapping an
 // instance for a different *relation.Relation naturally misses the cache
-// (keys include instance identity); mutating a relation in place behind a
-// cached plan requires PlanCache.Invalidate.
+// (keys include instance identity); relations are not mutated in place
+// behind a cached plan — a cache is scoped to one evaluation.
 type termPlan struct {
 	term *Term
 	inst Instances
@@ -86,14 +86,6 @@ type termPlan struct {
 	// predicates; maxProbeWidth sizes the probe-value scratch.
 	maxPredWidth  int
 	maxProbeWidth int
-
-	// shared, when non-nil, is the cross-term CSE attachment: the plan's
-	// first shared.upto steps enumerate identically to every other plan in
-	// the sharing group, so Count/Enumerate read the group's materialized
-	// assignment table instead of re-enumerating the prefix. Set by
-	// PlanCache.AttachCSE before any evaluation; nil plans evaluate the
-	// plain recursive paths. See cse.go.
-	shared *subplanEntry
 }
 
 type planStep struct {
@@ -402,9 +394,6 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 		}
 		return p.tailFactor
 	}
-	if p.shared != nil {
-		return p.countPartShared(part, parts)
-	}
 	ev := p.newEval()
 	var rec func(k int) float64
 	rec = func(k int) float64 {
@@ -445,10 +434,6 @@ func (pt *PreparedTerm) Enumerate(visit func(rows []int) bool) {
 // accumulators.
 func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bool) {
 	p := pt.p
-	if p.shared != nil {
-		p.enumeratePartShared(part, parts, visit)
-		return
-	}
 	m := len(p.steps)
 	ev := p.newEval()
 	var rec func(k int) bool
@@ -485,16 +470,11 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 // plan.
 //
 // The cache holds plans for as long as it lives, so callers scope it to an
-// evaluation (the estimator builds one engine per top-level call) or call
-// Invalidate after mutating any relation a cached plan was compiled over.
+// evaluation (the estimator builds one engine per top-level call).
 type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	// subplans holds the shared enumeration prefixes AttachCSE registered,
-	// keyed by canonical prefix encoding (cse.go); their assignment tables
-	// materialize lazily on first evaluation.
-	subplans map[string]*subplanEntry
-	rec      obs.Recorder
+	rec     obs.Recorder
 }
 
 type cacheEntry struct {
@@ -520,9 +500,8 @@ func NewPlanCache() *PlanCache {
 // hits to the recorder (nil = no reporting).
 func NewPlanCacheRec(rec obs.Recorder) *PlanCache {
 	return &PlanCache{
-		entries:  make(map[string]*cacheEntry),
-		subplans: make(map[string]*subplanEntry),
-		rec:      obs.Or(rec),
+		entries: make(map[string]*cacheEntry),
+		rec:     obs.Or(rec),
 	}
 }
 
@@ -571,13 +550,11 @@ func (c *PlanCache) Prepare(t *Term, inst Instances) (*PreparedTerm, error) {
 	return e.pt, e.err
 }
 
-// Invalidate drops every cached plan. Call it after mutating a relation
-// that cached plans were compiled over.
-func (c *PlanCache) Invalidate() {
-	c.mu.Lock()
-	c.entries = make(map[string]*cacheEntry)
-	c.subplans = make(map[string]*subplanEntry)
-	c.mu.Unlock()
+// Vestigial: cross-term prefix sharing was removed in PR 22 (DESIGN.md §11)
+// and this method stays, attaching nothing, only because benchmark/ compiles
+// against it. Remove when the benchmark contract is next revised.
+func (c *PlanCache) AttachCSE(plans []*PreparedTerm) int {
+	return 0
 }
 
 // Len returns the number of cached (term, instances) entries.

@@ -40,9 +40,6 @@ type engine struct {
 	// It is polled between terms and between variance replicates, never
 	// inside an enumeration, so honoring it cannot reorder reductions.
 	ctx context.Context
-	// disableCSE skips the cross-term shared-prefix attachment pass
-	// (Options.DisableCSE).
-	disableCSE bool
 }
 
 // newEngine builds the engine for one top-level estimation call. ctx may
@@ -55,11 +52,10 @@ func newEngine(ctx context.Context, opts Options) *engine {
 		plans = algebra.NewPlanCacheRec(rec)
 	}
 	return &engine{
-		workers:    parallel.Resolve(opts.Workers),
-		plans:      plans,
-		rec:        rec,
-		ctx:        ctx,
-		disableCSE: opts.DisableCSE,
+		workers: parallel.Resolve(opts.Workers),
+		plans:   plans,
+		rec:     rec,
+		ctx:     ctx,
 	}
 }
 
@@ -112,27 +108,6 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 	}
 	pt, err := eng.prepare(t, inst)
 	return inst, pt, err
-}
-
-// attachCSE prepares every term's plan over the synopsis instances and
-// registers shared enumeration prefixes across them (algebra.AttachCSE), so
-// structurally identical sub-joins are computed once per estimate. It runs
-// single-threaded before any evaluation; because the plan cache returns the
-// same compiled plan for the same (term, instances) pair, the point
-// estimate, analytic variance pass and untouched-instance replicates all
-// see the attached plans. Per-term binding or compilation errors are
-// ignored here — the evaluation paths report them with full context.
-func (eng *engine) attachCSE(poly algebra.Polynomial, syn *Synopsis) {
-	if eng.disableCSE || eng.plans == nil || len(poly.Terms) < 2 {
-		return
-	}
-	plans := make([]*algebra.PreparedTerm, 0, len(poly.Terms))
-	for i := range poly.Terms {
-		if _, pt, err := eng.plan(&poly.Terms[i], syn); err == nil {
-			plans = append(plans, pt)
-		}
-	}
-	eng.plans.AttachCSE(plans)
 }
 
 // countTerm evaluates a pure count over the plan's fixed partitioning,

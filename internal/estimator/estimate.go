@@ -113,20 +113,17 @@ type Options struct {
 	// never consumes randomness or changes evaluation order — so estimates
 	// are bit-identical with or without it.
 	Recorder obs.Recorder
-	// DisableCSE turns off cross-term common-subexpression elimination:
-	// every term then re-enumerates its own join prefix instead of sharing
-	// materialized prefixes with structurally identical terms. Estimates
-	// are bit-identical either way (the sharing layer preserves the exact
-	// reduction order); the switch exists for debugging and benchmarking.
+	// Vestigial: no effect since PR 22 removed cross-term prefix sharing
+	// (DESIGN.md §11); the field stays only because benchmark/ compiles
+	// against it. Remove when the benchmark contract is next revised.
 	DisableCSE bool
 	// Plans, when non-nil, is used as the call's plan cache instead of a
-	// fresh one, letting several estimation calls over the same synopsis
-	// share compiled plans and materialized CSE prefixes (the batched
-	// estimate API passes one cache for the whole batch). Sharing never
-	// changes values — cached plans and shared prefixes reproduce the
-	// uncached reduction order exactly — but the caller must not mutate
-	// any relation the cache's plans were compiled over while the cache
-	// lives (Invalidate after mutation, or scope the cache accordingly).
+	// fresh one, letting several estimation calls over the same Terms and
+	// synopsis share compiled plans (Avg runs its SUM and COUNT passes
+	// through one cache). Sharing never changes values — a cached plan
+	// reproduces the uncached reduction order exactly — but the caller
+	// must not mutate any relation the cache's plans were compiled over
+	// while the cache lives.
 	Plans *algebra.PlanCache
 }
 
@@ -172,8 +169,7 @@ func estimatePoly(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, o
 
 // startEstimate opens one sample-tier evaluation: it checks the
 // unbiasedness preconditions and returns the call's engine with its root
-// span open (the caller ends it), the sample volume recorded and the
-// polynomial's shared prefixes attached.
+// span open (the caller ends it) and the sample volume recorded.
 func startEstimate(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, opts Options) (*engine, error) {
 	if err := checkSampleSizes(poly, syn); err != nil {
 		return nil, err
@@ -181,7 +177,6 @@ func startEstimate(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, 
 	eng := newEngine(ctx, opts)
 	eng.span = eng.rec.Span(sEstimate)
 	recordSynopsis(eng.rec, poly, syn)
-	eng.attachCSE(poly, syn)
 	return eng, nil
 }
 

@@ -202,7 +202,7 @@ func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport
 		return AvgResult{}, TierReport{}, err
 	}
 	// Both passes evaluate the same terms over the same samples: one plan
-	// cache compiles and CSE-attaches them once.
+	// cache compiles them once.
 	opts := e.opts
 	if opts.Plans == nil {
 		opts.Plans = algebra.NewPlanCacheRec(opts.Recorder)

@@ -194,7 +194,9 @@ func kernelGoldenOutput(t *testing.T, workers int) []byte {
 	}
 	groups("repeat/group/selfjoin", selfJoin, "a", tuple)
 
-	// Set-operation polynomials, CSE on and off.
+	// Set-operation polynomials. The cse=true/false rows were generated
+	// with cross-term sharing on and off; the layer is gone (PR 22), so the
+	// pairs now pin that the vestigial DisableCSE field is inert.
 	for _, disable := range []bool{false, true} {
 		for _, m := range []VarianceMethod{VarAuto, VarJackknife} {
 			o := opts(m)

@@ -132,9 +132,9 @@ const (
 	MetricSynopsisBytes = "relest_synopsis_bytes"
 )
 
-// Streaming-executor and shared-subplan metric names, recorded by
-// internal/algebra and exposed wherever a Collector is scraped (/metrics in
-// relestd, -metrics in cmd/relest).
+// Streaming-executor metric names, recorded by internal/algebra and exposed
+// wherever a Collector is scraped (/metrics in relestd, -metrics in
+// cmd/relest).
 const (
 	// MetricStreamBatches counts batches emitted by streaming operators.
 	MetricStreamBatches = "relest_stream_batches_total"
@@ -143,13 +143,6 @@ const (
 	// and dedup state — the executor's memory ceiling, independent of
 	// probe-side input size.
 	MetricStreamPeakBytes = "relest_stream_peak_bytes"
-	// MetricCSESubplansShared counts plans that attached to an already
-	// registered shared enumeration prefix (each shared subplan counts its
-	// consumers beyond the first).
-	MetricCSESubplansShared = "relest_cse_subplans_shared_total"
-	// MetricCSESubplanBytes gauges the resident bytes of materialized
-	// shared-subplan assignment tables in the current plan cache.
-	MetricCSESubplanBytes = "relest_cse_subplan_bytes"
 )
 
 // Metrics is the instrument registry. Instruments are created on first

@@ -170,9 +170,9 @@ type EstimateResponse struct {
 }
 
 // BatchEstimateRequest is the body of POST /v1/estimate/batch: many
-// estimation queries admitted as one task, sharing one queue slot and one
-// plan cache, so compiled plans and materialized CSE prefixes are reused
-// across the batch's queries.
+// estimation queries admitted as one task — one queue slot, one tenant
+// slot, one worker — and answered item by item exactly as the singleton
+// endpoint would answer each.
 type BatchEstimateRequest struct {
 	Queries []EstimateRequest `json:"queries"`
 	// TimeoutMS caps the whole batch's wall-clock time; 0 uses the server

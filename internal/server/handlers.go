@@ -292,7 +292,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 
 	t := &task{
 		ctx:    ctx,
-		do:     func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req, nil) },
+		do:     func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req) },
 		tenant: requestTenant(r),
 		done:   make(chan struct{}),
 	}
@@ -312,9 +312,9 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatchEstimate admits a whole batch of estimation queries as one
-// task: one queue slot, one tenant slot, one worker, and one shared plan
-// cache, so admission control and plan-compilation/CSE work are amortized
-// across the batch. The batch answers 200 whenever it ran; per-query
+// task: one queue slot, one tenant slot and one worker, so admission
+// control is paid once for the batch. Each query still parses, plans and
+// estimates on its own. The batch answers 200 whenever it ran; per-query
 // failures are reported per item (partial success).
 func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
@@ -356,15 +356,14 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	_ = WriteJSON(w, t.status, t.body)
 }
 
-// doBatch runs the batch's queries in order on one worker, all sharing
-// one plan cache. A query that fails does not abort the batch — its item
-// records the status the singleton endpoint would have answered — but
-// once the batch context dies, every remaining item answers the
-// cancellation status immediately: the ctx check at the top of
+// doBatch runs the batch's queries in order on one worker. A query that
+// fails does not abort the batch — its item records the status the
+// singleton endpoint would have answered — but once the batch context
+// dies, every remaining item answers the cancellation status
+// immediately: the ctx check at the top of
 // ValidateEstimate guarantees no sampling starts (and therefore no
 // partial estimate is ever surfaced) after a cancel.
 func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, any) {
-	plans := algebra.NewPlanCacheRec(s.col)
 	resp := BatchEstimateResponse{Results: make([]BatchItemResult, len(req.Queries))}
 	for i := range req.Queries {
 		q := req.Queries[i]
@@ -375,7 +374,7 @@ func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, an
 			// running afterwards.
 			qctx, qcancel = context.WithTimeout(ctx, time.Duration(q.TimeoutMS)*time.Millisecond)
 		}
-		status, body := s.doEstimate(qctx, q, plans)
+		status, body := s.doEstimate(qctx, q)
 		if qcancel != nil {
 			qcancel()
 		}
@@ -535,12 +534,9 @@ func ValidateEstimate(ctx context.Context, req EstimateRequest, schemasFor func(
 // doEstimate runs one estimation request on a worker goroutine and
 // returns the HTTP status and response body. Everything here is
 // deterministic for a pinned seed: the response is byte-identical to
-// what the library produces directly. plans is nil for a singleton
-// request; the batch endpoint passes one cache for its whole run so
-// compiled plans and materialized CSE prefixes are reused across the
-// batch's queries (the cache keys on term and relation-instance identity,
-// so sharing never changes values).
-func (s *Server) doEstimate(ctx context.Context, req EstimateRequest, plans *algebra.PlanCache) (int, any) {
+// what the library produces directly. A batch item runs through here
+// exactly like a singleton request.
+func (s *Server) doEstimate(ctx context.Context, req EstimateRequest) (int, any) {
 	var syn *estimator.Synopsis
 	p, status, msg := ValidateEstimate(ctx, req, func(synopsis, mode string) (query.SchemaProvider, int, string) {
 		entry, ok := s.reg.synopsis(synopsis)
@@ -567,7 +563,6 @@ func (s *Server) doEstimate(ctx context.Context, req EstimateRequest, plans *alg
 		Seed:       req.Seed,
 		Workers:    workers,
 		Recorder:   s.col,
-		Plans:      plans,
 	}
 
 	resp := EstimateResponse{Query: req.Query, Synopsis: req.Synopsis, Mode: req.Mode}

@@ -221,7 +221,7 @@ func batchResp(t *testing.T, raw []byte) BatchEstimateResponse {
 // TestBatchEstimatePartialSuccess pins the batch contract: a mix of valid
 // and invalid queries answers 200 with per-item statuses mirroring the
 // singleton endpoint — valid items carry estimates identical to their
-// singleton counterparts (the shared plan cache must not change values),
+// singleton counterparts (batching must not change values),
 // invalid items carry the singleton's status and error.
 func TestBatchEstimatePartialSuccess(t *testing.T) {
 	s, base := startServer(t, Config{})
@@ -230,7 +230,7 @@ func TestBatchEstimatePartialSuccess(t *testing.T) {
 	queries := []EstimateRequest{
 		{Query: "count(join(R1, R2, on a = a))", Synopsis: "main", Seed: 3},
 		{Query: "count(join(R1, R2, on a = a))", Synopsis: "nope", Seed: 3},    // 404
-		{Query: "count(join(R1, R2, on a = a))", Synopsis: "main", Seed: 4},    // CSE prefix shared with item 0
+		{Query: "count(join(R1, R2, on a = a))", Synopsis: "main", Seed: 4},    // item 0's query at another seed
 		{Query: "count(syntax error", Synopsis: "main"},                        // 400
 		{Query: "sum(R1, a)", Synopsis: "main", Mode: "sequential"},            // 400: sequential is count-only
 		{Query: "count(R1)", Synopsis: "main", Seed: 3, Variance: "jackknife"}, // different variance path
@@ -368,20 +368,20 @@ func TestDeadEntryContextAnswersCancelStatus(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if status, body := s.doEstimate(cancelled, req, nil); status != StatusClientClosedRequest {
+	if status, body := s.doEstimate(cancelled, req); status != StatusClientClosedRequest {
 		t.Errorf("cancelled ctx: status %d (%+v), want %d", status, body, StatusClientClosedRequest)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	if status, body := s.doEstimate(expired, req, nil); status != http.StatusGatewayTimeout {
+	if status, body := s.doEstimate(expired, req); status != http.StatusGatewayTimeout {
 		t.Errorf("expired ctx: status %d (%+v), want 504", status, body)
 	}
 
 	// Sanity: the same request with a live deadline still succeeds.
 	live, cancel3 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel3()
-	if status, body := s.doEstimate(live, req, nil); status != http.StatusOK {
+	if status, body := s.doEstimate(live, req); status != http.StatusOK {
 		t.Errorf("live ctx: status %d (%+v), want 200", status, body)
 	}
 	_ = base

@@ -665,16 +665,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("estimate: %d %s", status, raw)
 	}
 
-	// A union whose branches repeat the same join makes the polynomial's
-	// terms share a subplan, so the CSE counter must surface on /metrics.
-	status, raw = postJSON(t, base+"/v1/estimate", EstimateRequest{
-		Query:    "count(union(join(R1, R2, on a = a), join(R1, R2, on a = a)))",
-		Synopsis: "main", Seed: 3,
-	})
-	if status != http.StatusOK {
-		t.Fatalf("union estimate: %d %s", status, raw)
-	}
-
 	status, raw = getBody(t, base+"/metrics")
 	if status != http.StatusOK {
 		t.Fatalf("/metrics: %d", status)
@@ -683,7 +673,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, family := range []string{
 		"relestd_requests_total", "relestd_queue_depth", "relestd_request_seconds",
 		"relest_samples_rows_total",
-		"relest_cse_subplans_shared_total", "relest_cse_subplan_bytes",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics lacks %s:\n%s", family, text)
