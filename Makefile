@@ -1,9 +1,13 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build vet lint lint-json lint-budget test race cover golden memgate bench fuzz smoke soak-short shard-short leakcheck
+.PHONY: check build vet lint lint-json lint-budget test race cover golden golden-drift memgate bench fuzz smoke soak-short shard-short leakcheck
 
-check: build vet lint lint-budget test race cover golden memgate soak-short shard-short leakcheck
+# The suite runs twice: once under the race detector, once with coverage
+# (which is also the plain run, and includes every slice the stand-alone
+# targets below pick out: lint-budget, golden, memgate, soak-short,
+# shard-short).
+check: build vet lint race cover golden-drift leakcheck
 
 build:
 	$(GO) build ./...
@@ -50,13 +54,17 @@ COVER_FLOORS = internal/obs:70 internal/server:70 internal/lint:70 \
 	internal/sketch:70 internal/cluster:70 internal/estimator:85
 
 cover:
-	$(GO) test -cover ./... | grep -v '\[no test files\]'
-	@for pf in $(COVER_FLOORS); do \
+	@out=$$($(GO) test -cover ./... 2>&1); st=$$?; \
+	echo "$$out" | grep -v '\[no test files\]'; \
+	[ $$st -eq 0 ] || exit $$st; \
+	for pf in $(COVER_FLOORS); do \
 		pkg=$${pf%%:*}; floor=$${pf##*:}; \
-		pct=$$($(GO) test -cover ./$$pkg | sed -n 's/.*coverage: \([0-9.]*\)%.*/\1/p'); \
-		awk -v p="$$pct" -v f="$$floor" -v pkg="$$pkg" 'BEGIN { \
-			if (p+0 < f+0) { printf "%s coverage %.1f%% is below the %d%% floor\n", pkg, p, f; exit 1 } \
-			printf "%s coverage %.1f%% (floor %d%%)\n", pkg, p, f }' || exit 1; \
+		echo "$$out" | awk -v want="relest/$$pkg" -v f="$$floor" -v pkg="$$pkg" ' \
+			$$1 == "ok" && $$2 == want { for (i = 3; i < NF; i++) if ($$i == "coverage:") { p = $$(i+1); sub(/%/, "", p); seen = 1 } } \
+			END { \
+				if (!seen) { printf "%s: no coverage line in the test output\n", pkg; exit 1 } \
+				if (p+0 < f+0) { printf "%s coverage %.1f%% is below the %d%% floor\n", pkg, p, f; exit 1 } \
+				printf "%s coverage %.1f%% (floor %d%%)\n", pkg, p, f }' || exit 1; \
 	done
 
 # Adversarial soak slice: the five workload scenarios (zipf-mix, bursty,
@@ -77,11 +85,16 @@ shard-short:
 	$(GO) test -count=1 -run 'TestShardFanout|TestShardDeadlineMiss|TestShardRebalance' -v ./internal/cluster | grep -v '^=== RUN'
 
 # Leak gate, last in `check`: the tests spawn the real daemon
-# (cmd/relestd), and one that is still alive after they finish was
-# orphaned — fail here rather than surprise whatever runs next.
+# (cmd/relestd), the benchmark builds relbench, and every package runs as
+# a *.test binary; one that is still alive after they finish was orphaned
+# — fail here rather than surprise whatever runs next. (-f because the
+# kernel truncates process names to 15 characters; anchored to the first
+# word so a shell whose command text merely mentions a test binary does
+# not count.)
 leakcheck:
-	@if pgrep -x relestd >/dev/null; then \
-		echo "leaked relestd process(es):"; pgrep -ax relestd; exit 1; \
+	@leaked=$$(pgrep -ax relestd; pgrep -ax relbench; pgrep -af '^[^ ]*[.]test( |$$)'); \
+	if [ -n "$$leaked" ]; then \
+		echo "leaked process(es):"; echo "$$leaked"; exit 1; \
 	fi
 
 # Service smoke test: build the daemon, walk the whole lifecycle against
@@ -103,8 +116,11 @@ fuzz:
 # bit-pattern table), and nothing may have regenerated them — a drifted
 # golden means estimates changed, which is never a side effect. (A fixture
 # staged for its first commit and untouched since, "A ", is not drift.)
-golden:
+# `check` runs the drift half only: its full-suite runs include the tests.
+golden: golden-drift
 	$(GO) test -count=1 -run 'TestGoldenOutput|TestMetricsOutput|TestEstimateGoldenByteIdentity|TestKernelGolden' ./cmd/relest ./internal/server ./internal/estimator
+
+golden-drift:
 	@drift=$$(git status --porcelain -- cmd/relest/testdata internal/server/testdata internal/estimator/testdata | grep -v '^A  '); \
 	if [ -n "$$drift" ]; then \
 		echo "golden estimate fixtures drifted:"; echo "$$drift"; exit 1; \

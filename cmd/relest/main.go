@@ -266,6 +266,11 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	opts := estimator.Options{Confidence: *confidence, Workers: *workers, Recorder: rec}
+	if st.Agg == "avg" {
+		// Only the three point values of an AVG are printed; a variance
+		// pass over the SUM and the COUNT would be work nobody reads.
+		opts.Variance = estimator.VarNone
+	}
 	// Every plain query goes through one handle; -tier sample (the default,
 	// and the only policy group/sum/avg accept) pins the sample-only path
 	// bit for bit, so the output is byte-identical to earlier releases.

@@ -31,16 +31,16 @@
 //
 // Cluster modes:
 //
-//	relestd -role coordinator -shard-addrs http://h1:7878,http://h2:7878
+//	relestd -shard-addrs http://h1:7878,http://h2:7878
 //	relestd -shards 4
 //
-// A coordinator fronts stock relestd shard nodes, hash- or range-sharding
-// registered relations by -shard-key and answering estimates by
-// stratified merge of per-shard partials (byte-identical to a single node
-// at one shard). -shards N runs coordinator and N shard nodes inside one
-// process. Coordinators add POST /v1/cluster/rebalance and
-// GET /v1/cluster, and their /metrics merges every shard's families under
-// distinct shard="N" labels.
+// With -shard-addrs the daemon is a coordinator: it fronts stock relestd
+// shard nodes, hash- or range-sharding registered relations by -shard-key
+// and answering estimates by stratified merge of per-shard partials
+// (byte-identical to a single node at one shard). -shards N runs
+// coordinator and N shard nodes inside one process. Coordinators add
+// POST /v1/cluster/rebalance and GET /v1/cluster, and their /metrics
+// merges every shard's families under distinct shard="N" labels.
 package main
 
 import (
@@ -77,8 +77,7 @@ func run(args []string, stdout io.Writer) error {
 	synBudget := fs.Int64("synopsis-budget-bytes", 0, "total resident static synopsis bytes before LRU eviction; evicted synopses rebuild transparently on next use (0 = unlimited)")
 	tenantSlots := fs.Int("tenant-queue-slots", 0, "concurrently admitted estimation requests per tenant before 429 (0 = unlimited)")
 	tenantBytes := fs.Int64("tenant-synopsis-bytes", 0, "resident static synopsis bytes per tenant before creations are rejected with 413 (0 = unlimited)")
-	role := fs.String("role", "single", "\"single\" (stock daemon) or \"coordinator\" (front a -shard-addrs cluster)")
-	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard node base URLs (coordinator role)")
+	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard node base URLs; when set, run as the coordinator fronting them")
 	shards := fs.Int("shards", 0, "run an in-process cluster: a coordinator fronting this many shard nodes in one binary (0 = off)")
 	shardKey := fs.String("shard-key", "", "default shard-key column for registered relations (empty = first column)")
 	shardMode := fs.String("shard-mode", "hash", "shard routing: \"hash\" or \"range\" (range needs -shard-bounds)")
@@ -95,26 +94,15 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("-workers and -concurrency must be >= 0, got %d and %d", *workers, *concurrency)
 	}
 
-	switch *role {
-	case "single":
-		if *shardAddrs != "" {
-			return fmt.Errorf("-shard-addrs requires -role coordinator")
-		}
-	case "coordinator":
-		if *shards > 0 {
-			return fmt.Errorf("-shards runs its own in-process coordinator; it conflicts with -role coordinator")
-		}
-		if *shardAddrs == "" {
-			return fmt.Errorf("-role coordinator requires -shard-addrs")
-		}
-	default:
-		return fmt.Errorf("unknown role %q (want single or coordinator)", *role)
+	coordinator := *shardAddrs != ""
+	if coordinator && *shards > 0 {
+		return fmt.Errorf("-shards runs its own in-process coordinator; it conflicts with -shard-addrs")
 	}
 	bounds, err := parseBounds(*shardBounds)
 	if err != nil {
 		return err
 	}
-	if (*role == "coordinator" || *shards > 0) && *snapshotDir != "" {
+	if (coordinator || *shards > 0) && *snapshotDir != "" {
 		// A coordinator holds no synopses of its own and in-process shard
 		// nodes would collide inside one snapshot directory; refusing beats
 		// silently not persisting.
@@ -131,7 +119,7 @@ func run(args []string, stdout io.Writer) error {
 		TenantQueueSlots:    *tenantSlots,
 		TenantSynopsisBytes: *tenantBytes,
 	}
-	if *role == "coordinator" {
+	if coordinator {
 		coord, err := cluster.New(cluster.Config{
 			Addr:            *addr,
 			ShardAddrs:      strings.Split(*shardAddrs, ","),

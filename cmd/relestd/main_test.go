@@ -30,10 +30,8 @@ func TestFlagValidation(t *testing.T) {
 		{"flag then stray arg", []string{"-queue", "8", "extra"}},
 		{"negative workers", []string{"-workers", "-3"}},
 		{"negative concurrency", []string{"-concurrency", "-3"}},
-		{"unknown role", []string{"-role", "replica"}},
-		{"coordinator without shard addrs", []string{"-role", "coordinator"}},
-		{"shard addrs without coordinator role", []string{"-shard-addrs", "http://h1:7878"}},
-		{"shards conflicts with coordinator role", []string{"-role", "coordinator", "-shard-addrs", "http://h1:7878", "-shards", "2"}},
+		{"retired role flag", []string{"-role", "coordinator", "-shard-addrs", "http://h1:7878"}},
+		{"shards conflicts with coordinator role", []string{"-shard-addrs", "http://h1:7878", "-shards", "2"}},
 		{"snapshot dir in cluster mode", []string{"-shards", "2", "-snapshot-dir", "/tmp/x"}},
 		{"bad shard bounds", []string{"-shards", "2", "-shard-mode", "range", "-shard-bounds", "ten"}},
 		{"range bounds mismatch", []string{"-shards", "3", "-shard-mode", "range", "-shard-bounds", "10"}},

@@ -128,6 +128,49 @@ func TestStreamMatchesEvalFuzzCorpus(t *testing.T) {
 	}
 }
 
+// TestStreamSelectAboveJoinReadsSetOpBuildColumn pins a selection above a
+// join that reads a build-side column when the build side is itself a set
+// operation (which owns its output rows): the streaming count must equal
+// Eval's for workers 1 and 4.
+func TestStreamSelectAboveJoinReadsSetOpBuildColumn(t *testing.T) {
+	schema := func() *relation.Schema {
+		return relation.MustSchema(
+			relation.Column{Name: "a", Kind: relation.KindInt},
+			relation.Column{Name: "b", Kind: relation.KindInt},
+		)
+	}
+	r := relation.New("R", schema())
+	for i := 0; i < 8*relation.BatchRows; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 16)), relation.Int(int64(i))})
+	}
+	s1 := relation.New("S1", schema())
+	s2 := relation.New("S2", schema())
+	for i := 0; i < 16; i++ {
+		s1.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i * 10))})
+		s2.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i*10 + 1))})
+	}
+	cat := MapCatalog{"R": r, "S1": s1, "S2": s2}
+	u := Must(Union(BaseOf(s1), BaseOf(s2)))
+	j := Must(Join(BaseOf(r), u, []On{{Left: "a", Right: "a"}}, nil, "u"))
+	// Selection above the join reading a build-side column (colliding
+	// right-side names are prefixed "u.": see Join's rightPrefix doc).
+	e := Must(Select(j, Cmp{Col: "u.b", Op: GE, Val: relation.Int(0)}))
+
+	want, err := Eval(e, cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 4} {
+		n, err := StreamCountOpts(e, cat, StreamOptions{Workers: w})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
+		}
+		if n != int64(want.Len()) {
+			t.Fatalf("workers=%d: got %d want %d", w, n, want.Len())
+		}
+	}
+}
+
 // streamFixture builds a σ/⋈ pipeline whose probe side has n rows: a large
 // scan filtered and hash-joined against a fixed 64-row build side. The
 // pipeline's live state is its operator batches plus that build side, so

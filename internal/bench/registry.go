@@ -60,13 +60,3 @@ func IDs() []string {
 	}
 	return append(append(ts, fs...), as...)
 }
-
-// RunAll executes every experiment in order.
-func RunAll(seed int64, scale Scale) []*Table {
-	var out []*Table
-	for _, id := range IDs() {
-		e := registry[id]
-		out = append(out, e.Run(seed, scale))
-	}
-	return out
-}

@@ -57,10 +57,12 @@ type coordRel struct {
 
 // coordSyn records a synopsis's creation spec: the client's request plus
 // the exact per-shard requests pushed at creation. A rebalance replays
-// perShard[s] verbatim on the target node, which rebuilds the shard's
-// sample byte-identically (same slice, same derived seed).
+// perShard[s] verbatim on the target node, under the creating tenant, which
+// rebuilds the shard's sample byte-identically (same slice, same derived
+// seed) and keeps it on the same tenant's byte quota.
 type coordSyn struct {
 	kind     string
+	tenant   string
 	req      server.SynopsisRequest
 	perShard []server.SynopsisRequest
 }
@@ -171,6 +173,22 @@ func (c *Coordinator) shardDrivers() []*workload.Driver {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return append([]*workload.Driver(nil), c.drivers...)
+}
+
+// callerTenant is the tenant header of an incoming request ("" when the
+// caller sent none, which the shards account to their default tenant).
+func callerTenant(r *http.Request) string { return r.Header.Get("X-Relest-Tenant") }
+
+// forTenant returns a driver that reaches d's shard on behalf of tenant:
+// the coordinator forwards the caller's tenant on everything a shard
+// accounts per tenant (queue slots, synopsis bytes), or every tenant
+// behind it would share the default tenant's quota. An empty tenant
+// returns d itself.
+func forTenant(d *workload.Driver, tenant string) *workload.Driver {
+	if tenant == "" {
+		return d
+	}
+	return &workload.Driver{BaseURL: d.BaseURL, Client: d.Client, Tenant: tenant}
 }
 
 func (c *Coordinator) routes() http.Handler {
@@ -398,11 +416,11 @@ func (c *Coordinator) handleCreateSynopsis(w http.ResponseWriter, r *http.Reques
 	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	status, body := c.createSynopsis(r.Context(), name, req)
+	status, body := c.createSynopsis(r.Context(), name, callerTenant(r), req)
 	_ = server.WriteJSON(w, status, body)
 }
 
-func (c *Coordinator) createSynopsis(ctx context.Context, name string, req server.SynopsisRequest) (int, any) {
+func (c *Coordinator) createSynopsis(ctx context.Context, name, tenant string, req server.SynopsisRequest) (int, any) {
 	if req.Kind != "static" && req.Kind != "incremental" {
 		return http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("unknown synopsis kind %q (want static or incremental)", req.Kind)}
 	}
@@ -455,7 +473,7 @@ func (c *Coordinator) createSynopsis(ctx context.Context, name string, req serve
 		perShard[s] = sreq
 	}
 	for s, d := range drivers {
-		status, raw, err := d.DoRetry(ctx, "/v1/synopses/"+url.PathEscape(name), perShard[s])
+		status, raw, err := forTenant(d, tenant).DoRetry(ctx, "/v1/synopses/"+url.PathEscape(name), perShard[s])
 		if err != nil {
 			c.rollbackPush(drivers[:s], "/v1/synopses/"+url.PathEscape(name))
 			return http.StatusBadGateway, server.ErrorResponse{Error: fmt.Sprintf("shard %d synopsis push: %v", s, err)}
@@ -467,7 +485,7 @@ func (c *Coordinator) createSynopsis(ctx context.Context, name string, req serve
 	}
 
 	c.mu.Lock()
-	c.syns[name] = &coordSyn{kind: req.Kind, req: req, perShard: perShard}
+	c.syns[name] = &coordSyn{kind: req.Kind, tenant: tenant, req: req, perShard: perShard}
 	c.mu.Unlock()
 	info := server.SynopsisInfo{Name: name, Kind: req.Kind, Relations: map[string]int{}}
 	for _, rn := range relNames {
@@ -603,8 +621,7 @@ func (c *Coordinator) handleStream(w http.ResponseWriter, r *http.Request) {
 		_ = server.WriteError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	drivers := c.shardDrivers()
-	status, raw, err := drivers[shard].DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(name)+"/stream", req)
+	status, raw, err := forTenant(c.shardDrivers()[shard], callerTenant(r)).DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(name)+"/stream", req)
 	if err != nil {
 		_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("shard %d stream: %v", shard, err))
 		return
@@ -701,9 +718,9 @@ func (c *Coordinator) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, sn := range synNames {
 		c.mu.RLock()
-		spec := c.syns[sn].perShard[req.Shard]
+		syn := c.syns[sn]
 		c.mu.RUnlock()
-		status, raw, err := target.DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(sn), spec)
+		status, raw, err := forTenant(target, syn.tenant).DoRetry(r.Context(), "/v1/synopses/"+url.PathEscape(sn), syn.perShard[req.Shard])
 		if err != nil {
 			scrubTarget()
 			_ = server.WriteError(w, http.StatusBadGateway, fmt.Sprintf("target synopsis push %q: %v", sn, err))

@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -710,5 +711,136 @@ func TestStreamRefusedWhileDraining(t *testing.T) {
 	})
 	if status != http.StatusServiceUnavailable {
 		t.Errorf("stream while draining: %d %s, want 503", status, raw)
+	}
+}
+
+// postAs is postJSON on behalf of a tenant.
+func postAs(t *testing.T, url, tenant string, v any) (int, []byte) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Relest-Tenant", tenant)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("POST %s: %v", url, err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// TestCoordinatorForwardsTenant pins that the caller's X-Relest-Tenant
+// reaches the shards: a synopsis created through the coordinator is
+// accounted to the creating tenant (listing and byte quota), and the
+// estimate, batch and stream sub-requests carry the header.
+func TestCoordinatorForwardsTenant(t *testing.T) {
+	big := server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 200, "R2": 200}, Seed: 9}
+	generate := func(base string) {
+		t.Helper()
+		if status, raw := postJSON(t, base+"/v1/generate", server.GenerateRequest{Kind: "zipf-pair", N: 2000, Domain: 200, Seed: 7}); status != http.StatusCreated {
+			t.Fatalf("generate: %d %s", status, raw)
+		}
+	}
+
+	// Unlimited cluster: the listing names the tenant, and the shards'
+	// gauges size one synopsis for the quota below.
+	h, base := startCluster(t, HarnessConfig{Shards: 2})
+	generate(base)
+	if status, raw := postAs(t, base+"/v1/synopses/mine", "a", big); status != http.StatusCreated {
+		t.Fatalf("create as tenant a: %d %s", status, raw)
+	}
+	_, raw := getBody(t, base+"/v1/synopses")
+	var infos []server.SynopsisInfo
+	if err := json.Unmarshal(raw, &infos); err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != 1 || infos[0].Tenant != "a" {
+		t.Fatalf("listing = %+v, want one synopsis owned by tenant a", infos)
+	}
+	one := 0.0
+	for _, s := range h.Shards {
+		one = max(one, s.Collector().Metrics().Gauge("relest_synopsis_bytes").Value())
+	}
+
+	// A per-tenant quota sized for one synopsis is per tenant behind the
+	// coordinator too: a's second create is refused, b's first lands.
+	_, base = startCluster(t, HarnessConfig{Shards: 2, Shard: server.Config{TenantSynopsisBytes: int64(one * 3 / 2)}})
+	generate(base)
+	if status, raw := postAs(t, base+"/v1/synopses/a1", "a", big); status != http.StatusCreated {
+		t.Fatalf("tenant a's first create: %d %s", status, raw)
+	}
+	if status, raw := postAs(t, base+"/v1/synopses/a2", "a", big); status == http.StatusCreated || !strings.Contains(string(raw), "quota") {
+		t.Errorf("tenant a's second create: %d %s, want a quota refusal", status, raw)
+	}
+	if status, raw := postAs(t, base+"/v1/synopses/b1", "b", big); status != http.StatusCreated {
+		t.Errorf("tenant b's first create: %d %s", status, raw)
+	}
+
+	// One shard behind a proxy that records the tenant header per path.
+	shard := server.New(server.Config{Addr: "127.0.0.1:0"})
+	if err := shard.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = shard.Shutdown(ctx)
+	})
+	target, err := url.Parse("http://" + shard.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy := httputil.NewSingleHostReverseProxy(target)
+	var mu sync.Mutex
+	seen := map[string]string{}
+	recording := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.URL.Path] = r.Header.Get("X-Relest-Tenant")
+		mu.Unlock()
+		proxy.ServeHTTP(w, r)
+	}))
+	t.Cleanup(recording.Close)
+	coord, err := New(Config{ShardAddrs: []string{recording.URL}, Spec: ShardSpec{Shards: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = coord.Shutdown(ctx)
+	})
+	base = "http://" + coord.Addr()
+	setupClusterDataset(t, base, 2000, 200)
+	if status, raw := postJSON(t, base+"/v1/synopses/live", server.SynopsisRequest{Kind: "incremental", Relations: map[string]int{"R1": 0}, Seed: 5}); status != http.StatusCreated {
+		t.Fatalf("incremental synopsis: %d %s", status, raw)
+	}
+	est := server.EstimateRequest{Query: "count(join(R1, R2, on a = a))", Synopsis: "main", Seed: 3}
+	for path, body := range map[string]any{
+		"/v1/estimate":             est,
+		"/v1/estimate/batch":       server.BatchEstimateRequest{Queries: []server.EstimateRequest{est}},
+		"/v1/synopses/live/stream": server.StreamRequest{Op: "insert", Relation: "R1", Tuple: []string{"1", "2"}},
+	} {
+		if status, raw := postAs(t, base+path, "a", body); status != http.StatusOK {
+			t.Fatalf("%s as tenant a: %d %s", path, status, raw)
+		}
+		mu.Lock()
+		got := seen[path]
+		mu.Unlock()
+		if got != "a" {
+			t.Errorf("%s reached the shard with tenant %q, want a", path, got)
+		}
 	}
 }

@@ -77,6 +77,9 @@ func TestNodeCoordinatorSameValidation(t *testing.T) {
 		{name: "valid count", req: server.EstimateRequest{Query: join, Synopsis: "main", Seed: 3}, want: 200},
 		{name: "valid sum", req: server.EstimateRequest{Query: "sum(R1, id)", Synopsis: "main", Seed: 3}, want: 200},
 		{name: "valid avg", req: server.EstimateRequest{Query: "avg(R1, id)", Synopsis: "main", Seed: 3}, want: 200},
+		// The avg response carries no variance, so none is computed and a
+		// method the shape has no closed form for cannot refuse it.
+		{name: "avg analytic without closed form", req: server.EstimateRequest{Query: "avg(union(select(R1, a < 50), select(R1, a > 100)), id)", Synopsis: "main", Seed: 3, Variance: "analytic"}, want: 200},
 		{name: "tier policy default", req: server.EstimateRequest{Query: join, Synopsis: "main", Seed: 3, TierPolicy: "default"}, want: 200},
 		{name: "missing query", req: server.EstimateRequest{Synopsis: "main"}, want: 400},
 		{name: "missing synopsis", req: server.EstimateRequest{Query: join}, want: 400},

@@ -149,29 +149,54 @@ func (c *Coordinator) shardBudget(ctx context.Context) time.Duration {
 
 const budgetExhausted = "request budget exhausted before fanout"
 
-// fanEstimate issues the per-shard sub-requests for one validated
-// estimate and collects the outcomes.
-func (c *Coordinator) fanEstimate(ctx context.Context, req server.EstimateRequest) ([]shardOutcome, int, string) {
-	drivers := c.shardDrivers()
-	n := len(drivers)
+// shardReply is one shard's raw answer to a fanned-out sub-request.
+type shardReply struct {
+	status int
+	raw    []byte
+	err    error
+}
+
+// fanShards posts one sub-request per shard to path, on behalf of tenant,
+// and returns the raw replies by shard index, or nil when the request is
+// out of time before any fanout. body builds shard s's sub-request, given
+// the time budget each shard gets in milliseconds; each call runs under
+// that budget with shed retries, and its latency is observed per shard.
+func (c *Coordinator) fanShards(ctx context.Context, tenant, path string, body func(s int, budgetMS int64) any) []shardReply {
 	shardBudget := c.shardBudget(ctx)
 	if shardBudget <= 0 {
-		return nil, http.StatusGatewayTimeout, budgetExhausted
+		return nil
 	}
-
+	drivers := c.shardDrivers()
+	n := len(drivers)
 	c.col.Add(mFanout, float64(n))
-	outs := make([]shardOutcome, n)
-	workload.Fanout(n, n, func(i int) {
-		sreq := req
-		sreq.Seed = shardSeed(req.Seed, i)
-		sreq.TimeoutMS = max(1, shardBudget.Milliseconds())
+	replies := make([]shardReply, n)
+	workload.Fanout(n, n, func(s int) {
 		sctx, cancel := context.WithTimeout(ctx, shardBudget)
 		defer cancel()
 		start := time.Now()
-		status, raw, err := drivers[i].DoRetry(sctx, "/v1/estimate", sreq)
-		c.col.Observe(shardLabel(mShardLatency, i), time.Since(start).Seconds())
-		outs[i] = classifyOutcome(status, raw, err)
+		status, raw, err := forTenant(drivers[s], tenant).DoRetry(sctx, path, body(s, max(1, shardBudget.Milliseconds())))
+		c.col.Observe(shardLabel(mShardLatency, s), time.Since(start).Seconds())
+		replies[s] = shardReply{status, raw, err}
 	})
+	return replies
+}
+
+// fanEstimate issues the per-shard sub-requests for one validated
+// estimate and collects the outcomes.
+func (c *Coordinator) fanEstimate(ctx context.Context, tenant string, req server.EstimateRequest) ([]shardOutcome, int, string) {
+	replies := c.fanShards(ctx, tenant, "/v1/estimate", func(s int, budgetMS int64) any {
+		sreq := req
+		sreq.Seed = shardSeed(req.Seed, s)
+		sreq.TimeoutMS = budgetMS
+		return sreq
+	})
+	if replies == nil {
+		return nil, http.StatusGatewayTimeout, budgetExhausted
+	}
+	outs := make([]shardOutcome, len(replies))
+	for s, r := range replies {
+		outs[s] = classifyOutcome(r.status, r.raw, r.err)
+	}
 	return outs, 0, ""
 }
 
@@ -351,17 +376,17 @@ func (c *Coordinator) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := c.requestCtx(r, req.TimeoutMS)
 	defer cancel()
-	status, body := c.doEstimate(ctx, req)
+	status, body := c.doEstimate(ctx, callerTenant(r), req)
 	c.col.Add(coordReqMetric(status), 1)
 	_ = server.WriteJSON(w, status, body)
 }
 
-func (c *Coordinator) doEstimate(ctx context.Context, req server.EstimateRequest) (int, any) {
+func (c *Coordinator) doEstimate(ctx context.Context, tenant string, req server.EstimateRequest) (int, any) {
 	req, status, msg := c.validateEstimate(ctx, req)
 	if status != 0 {
 		return status, server.ErrorResponse{Error: msg}
 	}
-	outs, status, msg := c.fanEstimate(ctx, req)
+	outs, status, msg := c.fanEstimate(ctx, tenant, req)
 	if status != 0 {
 		return status, server.ErrorResponse{Error: msg}
 	}
@@ -406,7 +431,7 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 	}
 
 	if len(fanIdx) > 0 {
-		c.fanBatch(ctx, normalized, fanIdx, results)
+		c.fanBatch(ctx, callerTenant(r), normalized, fanIdx, results)
 	}
 
 	out := BatchEstimateResponse{Results: results}
@@ -446,25 +471,11 @@ func batchReply(status int, raw []byte, err error, items int) (*server.BatchEsti
 // items (normalized[i] for i in fanIdx) and merges the answers per item
 // into results. A shard whose whole batch call failed contributes that
 // failure to every item, classified as the singleton path classifies it.
-func (c *Coordinator) fanBatch(ctx context.Context, normalized []server.EstimateRequest, fanIdx []int, results []BatchItemResult) {
-	shardBudget := c.shardBudget(ctx)
-	if shardBudget <= 0 {
-		for _, i := range fanIdx {
-			results[i] = BatchItemResult{Status: http.StatusGatewayTimeout, Error: budgetExhausted}
-		}
-		return
-	}
-	drivers := c.shardDrivers()
-	n := len(drivers)
-	c.col.Add(mFanout, float64(n))
-	// Per shard: the decoded batch reply, or the outcome its failure
-	// gives every item.
-	replies := make([]*server.BatchEstimateResponse, n)
-	failures := make([]shardOutcome, n)
-	workload.Fanout(n, n, func(s int) {
+func (c *Coordinator) fanBatch(ctx context.Context, tenant string, normalized []server.EstimateRequest, fanIdx []int, results []BatchItemResult) {
+	raws := c.fanShards(ctx, tenant, "/v1/estimate/batch", func(s int, budgetMS int64) any {
 		sub := server.BatchEstimateRequest{
 			Queries:   make([]server.EstimateRequest, len(fanIdx)),
-			TimeoutMS: max(1, shardBudget.Milliseconds()),
+			TimeoutMS: budgetMS,
 		}
 		for k, i := range fanIdx {
 			sreq := normalized[i]
@@ -472,13 +483,22 @@ func (c *Coordinator) fanBatch(ctx context.Context, normalized []server.Estimate
 			sreq.TimeoutMS = 0 // the batch budget governs
 			sub.Queries[k] = sreq
 		}
-		sctx, cancel := context.WithTimeout(ctx, shardBudget)
-		defer cancel()
-		start := time.Now()
-		status, raw, err := drivers[s].DoRetry(sctx, "/v1/estimate/batch", sub)
-		c.col.Observe(shardLabel(mShardLatency, s), time.Since(start).Seconds())
-		replies[s], failures[s] = batchReply(status, raw, err, len(fanIdx))
+		return sub
 	})
+	if raws == nil {
+		for _, i := range fanIdx {
+			results[i] = BatchItemResult{Status: http.StatusGatewayTimeout, Error: budgetExhausted}
+		}
+		return
+	}
+	// Per shard: the decoded batch reply, or the outcome its failure
+	// gives every item.
+	n := len(raws)
+	replies := make([]*server.BatchEstimateResponse, n)
+	failures := make([]shardOutcome, n)
+	for s, r := range raws {
+		replies[s], failures[s] = batchReply(r.status, r.raw, r.err, len(fanIdx))
+	}
 
 	for k, i := range fanIdx {
 		outs := make([]shardOutcome, n)

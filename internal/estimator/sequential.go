@@ -51,6 +51,35 @@ func rngOrSeeded(rng *rand.Rand, seed int64) *rand.Rand {
 	return sampling.Seeded(seed)
 }
 
+// extendTo raises the sample of every relation that holds fewer than
+// want(n, N) sampling units — n held now, N in the population, which also
+// caps the target — to that size, in rels order (the order fixes which
+// units the rng draws).
+func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) int) error {
+	for _, rel := range rels {
+		n, ok := syn.SampleSize(rel)
+		if !ok {
+			return fmt.Errorf("estimator: no sample for %q in synopsis", rel)
+		}
+		N, _ := syn.PopulationSize(rel)
+		if w := min(want(n, N), N); w > n {
+			if err := syn.ExtendSample(rel, w-n, rng); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// sampleSizes reports the current per-relation sample sizes.
+func sampleSizes(syn *Synopsis, rels []string) map[string]int {
+	sizes := make(map[string]int, len(rels))
+	for _, rel := range rels {
+		sizes[rel], _ = syn.SampleSize(rel)
+	}
+	return sizes
+}
+
 // SequentialResult reports both phases of a double-sampling run.
 type SequentialResult struct {
 	// Pilot is the phase-one estimate from the pilot samples.
@@ -113,28 +142,15 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 	if err := ctxErr(ctx); err != nil {
 		return SequentialResult{}, err
 	}
-	for _, rel := range rels {
-		n, ok := syn.SampleSize(rel)
-		if !ok {
-			return SequentialResult{}, fmt.Errorf("estimator: no sample for %q in synopsis", rel)
-		}
-		N, _ := syn.PopulationSize(rel)
-		want := opts.PilotSize
-		if want > N {
-			want = N
-		}
-		if n < want {
-			if err := syn.ExtendSample(rel, want-n, rng); err != nil {
-				return SequentialResult{}, err
-			}
-		}
+	if err := extendTo(syn, rels, rng, func(int, int) int { return opts.PilotSize }); err != nil {
+		return SequentialResult{}, err
 	}
 	pilot, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
 	if err != nil {
 		return SequentialResult{}, err
 	}
 
-	res := SequentialResult{Pilot: pilot, SampleSizes: map[string]int{}, GrowthFactor: 1}
+	res := SequentialResult{Pilot: pilot, GrowthFactor: 1}
 
 	// Phase two: grow the samples so that z·σ ≤ e·|J|. With σ² ∝ 1/φ when
 	// all sample sizes grow by φ: φ = (z·σ̂ / (e·|Ĵ|))².
@@ -148,15 +164,9 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 		phi := math.Pow(z*pilot.StdErr/(opts.TargetRelErr*math.Abs(pilot.Value)), 2)
 		if phi > 1 {
 			res.GrowthFactor = phi
-			for _, rel := range rels {
-				n, _ := syn.SampleSize(rel)
-				N, _ := syn.PopulationSize(rel)
-				target := growTarget(n, phi, opts.MaxFraction, N)
-				if target > n {
-					if err := syn.ExtendSample(rel, target-n, rng); err != nil {
-						return SequentialResult{}, err
-					}
-				}
+			grow := func(n, N int) int { return growTarget(n, phi, opts.MaxFraction, N) }
+			if err := extendTo(syn, rels, rng, grow); err != nil {
+				return SequentialResult{}, err
 			}
 		}
 	}
@@ -165,10 +175,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 		return SequentialResult{}, err
 	}
 	res.Final = final
-	for _, rel := range rels {
-		n, _ := syn.SampleSize(rel)
-		res.SampleSizes[rel] = n
-	}
+	res.SampleSizes = sampleSizes(syn, rels)
 	recordSeqPhase(rec, "final", z, final, rels, syn)
 	rec.Set(mSeqGrowth, res.GrowthFactor)
 	// The stopping verdict needs an actual variance estimate: a run whose
@@ -273,45 +280,31 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 	start := time.Now()
 	deadline := start.Add(opts.Budget)
 
+	maxN := 0
+	for _, rel := range rels {
+		N, _ := syn.PopulationSize(rel)
+		maxN = max(maxN, N)
+	}
 	var history []DeadlineStep
 	target := opts.InitialSize
-	maxN := 0
 	for {
 		if err := ctxErr(ctx); err != nil {
 			return Estimate{}, nil, err
 		}
 		rspan := rec.Span(sDeadlineRound)
-		exhausted := true
-		for _, rel := range rels {
-			n, ok := syn.SampleSize(rel)
-			if !ok {
-				return Estimate{}, nil, fmt.Errorf("estimator: no sample for %q in synopsis", rel)
-			}
-			N, _ := syn.PopulationSize(rel)
-			if N > maxN {
-				maxN = N
-			}
-			want := target
-			if want > N {
-				want = N
-			}
-			if n < want {
-				if err := syn.ExtendSample(rel, want-n, rng); err != nil {
-					return Estimate{}, nil, err
-				}
-			}
-			if n, _ := syn.SampleSize(rel); n < N {
-				exhausted = false
-			}
+		if err := extendTo(syn, rels, rng, func(int, int) int { return target }); err != nil {
+			return Estimate{}, nil, err
 		}
 		est, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
 		if err != nil {
 			return Estimate{}, nil, err
 		}
-		sizes := map[string]int{}
+		sizes := sampleSizes(syn, rels)
+		exhausted := true
 		for _, rel := range rels {
-			n, _ := syn.SampleSize(rel)
-			sizes[rel] = n
+			if N, _ := syn.PopulationSize(rel); sizes[rel] < N {
+				exhausted = false
+			}
 		}
 		history = append(history, DeadlineStep{
 			SampleSizes: sizes,

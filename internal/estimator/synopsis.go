@@ -290,23 +290,7 @@ func (s *Synopsis) AddDrawnPages(base *relation.Relation, pageSize, pages int, r
 		base:     base,
 		units:    unitIDs,
 	}
-	var positions []int
-	for _, p := range unitIDs {
-		lo := p * pageSize
-		hi := lo + pageSize
-		if hi > base.Len() {
-			hi = base.Len()
-		}
-		var cluster []int
-		for i := lo; i < hi; i++ {
-			cluster = append(cluster, len(positions))
-			positions = append(positions, i)
-		}
-		rs.clusters = append(rs.clusters, cluster)
-	}
-	//lint:ignore viewescape the synopsis IS a retained sample view by design: the capacity clamp snapshots the base at draw time, and bases are append-only
-	rs.sample = base.Subset(base.Name(), positions)
-	rs.n = rs.sample.Len()
+	rs.materializePages()
 	s.rels[base.Name()] = rs
 	return nil
 }
@@ -465,14 +449,19 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 		rs.clusters = singletonClusters(rs.n)
 		return nil
 	}
+	rs.materializePages()
+	return nil
+}
+
+// materializePages derives a page-design sample from its drawn page ids
+// (rs.units): one cluster of sample row positions per page — the last page
+// of the base may be short — and the sample view over those base rows.
+func (rs *relSynopsis) materializePages() {
 	var positions []int
 	rs.clusters = rs.clusters[:0]
 	for _, p := range rs.units {
 		lo := p * rs.pageSize
-		hi := lo + rs.pageSize
-		if hi > rs.base.Len() {
-			hi = rs.base.Len()
-		}
+		hi := min(lo+rs.pageSize, rs.base.Len())
 		var cluster []int
 		for i := lo; i < hi; i++ {
 			cluster = append(cluster, len(positions))
@@ -480,10 +469,9 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 		}
 		rs.clusters = append(rs.clusters, cluster)
 	}
-	//lint:ignore viewescape incremental extension re-derives the retained sample view from the kept base; the fresh clamp covers the newly drawn rows
-	rs.sample = rs.base.Subset(name, positions)
+	//lint:ignore viewescape the synopsis IS a retained sample view by design: the capacity clamp snapshots the base at draw (or extension) time, and bases are append-only
+	rs.sample = rs.base.Subset(rs.name, positions)
 	rs.n = rs.sample.Len()
-	return nil
 }
 
 // subSynopsisUnits builds a synopsis whose sample for each selected

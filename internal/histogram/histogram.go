@@ -1,9 +1,9 @@
 // Package histogram implements classical one-dimensional equi-width and
 // equi-depth histograms over integer attribute domains, with the
-// System-R-era selection and join estimates (uniform spread within buckets,
-// attribute-value independence across relations). It is the second baseline
-// the sampling estimators are compared against: the synopsis a 1988-vintage
-// optimizer would actually have had.
+// System-R-era join estimate (uniform spread within buckets, containment
+// across relations). It is the second baseline the sampling estimators are
+// compared against: the synopsis a 1988-vintage optimizer would actually
+// have had.
 package histogram
 
 import (
@@ -144,38 +144,6 @@ func (h *Histogram) Total() float64 { return h.total }
 // equal-space comparisons.
 func (h *Histogram) Size() int { return 4 * len(h.buckets) }
 
-// EstimateRange estimates the number of tuples with value in [lo, hi]
-// (inclusive) under the uniform-spread assumption within buckets.
-func (h *Histogram) EstimateRange(lo, hi int64) float64 {
-	if hi < lo {
-		return 0
-	}
-	est := 0.0
-	for _, b := range h.buckets {
-		l, r := maxi(lo, b.Lo), mini(hi, b.Hi)
-		if r < l {
-			continue
-		}
-		est += b.Count * float64(r-l+1) / b.Width()
-	}
-	return est
-}
-
-// EstimateEqual estimates the number of tuples equal to v: bucket count
-// divided by the bucket's distinct-value count.
-func (h *Histogram) EstimateEqual(v int64) float64 {
-	for _, b := range h.buckets {
-		if v >= b.Lo && v <= b.Hi {
-			//lint:ignore floateq division guard: an exactly-empty bucket has no per-value frequency
-			if b.Distinct == 0 {
-				return 0
-			}
-			return b.Count / b.Distinct
-		}
-	}
-	return 0
-}
-
 // EstimateJoin estimates the equi-join size Σ_v f₁(v)·f₂(v) between the
 // attributes summarized by h and g, using bucket-overlap alignment with
 // uniform spread and the standard containment assumption: within an
@@ -185,7 +153,7 @@ func EstimateJoin(h, g *Histogram) float64 {
 	est := 0.0
 	for _, a := range h.buckets {
 		for _, b := range g.buckets {
-			lo, hi := maxi(a.Lo, b.Lo), mini(a.Hi, b.Hi)
+			lo, hi := max(a.Lo, b.Lo), min(a.Hi, b.Hi)
 			if hi < lo {
 				continue
 			}
@@ -207,18 +175,4 @@ func EstimateJoin(h, g *Histogram) float64 {
 		}
 	}
 	return est
-}
-
-func maxi(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func mini(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

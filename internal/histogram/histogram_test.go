@@ -77,46 +77,11 @@ func TestBuildValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Total() != 0 || h.EstimateRange(0, 100) != 0 {
+	if h.Total() != 0 || EstimateJoin(h, h) != 0 {
 		t.Error("empty histogram should estimate 0")
 	}
 	if _, err := Build(Kind(99), []int64{1}, 1); err == nil {
 		t.Error("unknown kind should fail")
-	}
-}
-
-func TestEstimateRangeExactOnUniform(t *testing.T) {
-	var vals []int64
-	for v := int64(0); v < 100; v++ {
-		vals = append(vals, v)
-	}
-	h, _ := Build(EquiWidth, vals, 10)
-	if got := h.EstimateRange(0, 99); math.Abs(got-100) > 1e-9 {
-		t.Errorf("full range %v", got)
-	}
-	if got := h.EstimateRange(10, 19); math.Abs(got-10) > 1e-9 {
-		t.Errorf("aligned range %v", got)
-	}
-	if got := h.EstimateRange(15, 24); math.Abs(got-10) > 1e-9 {
-		t.Errorf("straddling range %v (uniform spread should still be exact)", got)
-	}
-	if got := h.EstimateRange(200, 300); got != 0 {
-		t.Errorf("out of range %v", got)
-	}
-	if got := h.EstimateRange(50, 40); got != 0 {
-		t.Errorf("inverted range %v", got)
-	}
-}
-
-func TestEstimateEqual(t *testing.T) {
-	vals := []int64{1, 1, 1, 2, 3, 3}
-	h, _ := Build(EquiWidth, vals, 1)
-	// One bucket: count 6, distinct 3 ⇒ per-value estimate 2.
-	if got := h.EstimateEqual(2); math.Abs(got-2) > 1e-9 {
-		t.Errorf("equal estimate %v", got)
-	}
-	if got := h.EstimateEqual(99); got != 0 {
-		t.Errorf("missing value estimate %v", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 // RawGo flags `go` statements everywhere except an explicit allowlist of
 // packages. The estimation engine's determinism contract (bit-identical
 // estimates for every -workers setting) holds because all estimation
-// fan-out runs through parallel.For/ForErr, whose callers write results
+// fan-out runs through parallel.For/ForErrRec, whose callers write results
 // into index-addressed slots and reduce them in index order. Ad-hoc
 // goroutines bypass that contract.
 var RawGo = &Analyzer{
@@ -50,7 +50,7 @@ func runRawGo(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			if g, ok := n.(*ast.GoStmt); ok {
-				p.Reportf(g.Pos(), "go statement outside %s; use parallel.For/ForErr so results reduce in index order and estimates stay bit-identical across worker counts", strings.Join(goAllowedPkgs, ", "))
+				p.Reportf(g.Pos(), "go statement outside %s; use parallel.For/ForErrRec so results reduce in index order and estimates stay bit-identical across worker counts", strings.Join(goAllowedPkgs, ", "))
 			}
 			return true
 		})

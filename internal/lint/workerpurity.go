@@ -12,7 +12,7 @@ import (
 // internal/parallel pool run concurrently, and the pool's README is
 // explicit — each task writes its result into an index-addressed slot and
 // the caller reduces the slots in index order. The rule finds every
-// worker closure passed to parallel.For/ForErr/ForRec/ForErrRec and
+// worker closure passed to parallel.For/ForRec/ForErrRec and
 // reports:
 //
 //   - a write to a captured variable that is not an element store into a
@@ -39,7 +39,7 @@ var WorkerPurity = &Analyzer{
 
 // poolEntryPoints are the internal/parallel fan-out functions whose last
 // argument is the worker closure.
-var poolEntryPoints = map[string]bool{"For": true, "ForErr": true, "ForRec": true, "ForErrRec": true}
+var poolEntryPoints = map[string]bool{"For": true, "ForRec": true, "ForErrRec": true}
 
 func runWorkerPurity(mp *ModulePass) {
 	graph := mp.Graph()

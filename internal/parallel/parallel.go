@@ -83,14 +83,6 @@ func For(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForErr runs fn(i) for every i in [0, n) like For and returns the error of
-// the lowest-indexed failing task, so the reported error does not depend on
-// scheduling. All tasks run even when an early one fails (errors are the
-// exceptional path; the common case needs every result anyway).
-func ForErr(n, workers int, fn func(i int) error) error {
-	return ForErrRec(n, workers, nil, fn)
-}
-
 // Pool metric names. Queue depth is the number of unclaimed tasks of the
 // most recent fan-out; utilization is busy_seconds / (elapsed_seconds ×
 // workers) aggregated over fan-outs.
@@ -160,7 +152,10 @@ func ForRec(n, workers int, rec obs.Recorder, fn func(i int)) {
 	}
 }
 
-// ForErrRec is ForErr with ForRec's instrumentation.
+// ForErrRec runs fn(i) for every i in [0, n) like ForRec and returns the
+// error of the lowest-indexed failing task, so the reported error does not
+// depend on scheduling. All tasks run even when an early one fails (errors
+// are the exceptional path; the common case needs every result anyway).
 func ForErrRec(n, workers int, rec obs.Recorder, fn func(i int) error) error {
 	errs := make([]error, n)
 	ForRec(n, workers, rec, func(i int) { errs[i] = fn(i) })

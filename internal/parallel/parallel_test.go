@@ -34,7 +34,7 @@ func TestForSmallN(t *testing.T) {
 
 func TestForErrReturnsLowestIndexedError(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		err := ForErr(100, workers, func(i int) error {
+		err := ForErrRec(100, workers, nil, func(i int) error {
 			if i == 97 || i == 13 || i == 40 {
 				return fmt.Errorf("task %d", i)
 			}
@@ -44,11 +44,11 @@ func TestForErrReturnsLowestIndexedError(t *testing.T) {
 			t.Fatalf("workers=%d: got %v, want task 13", workers, err)
 		}
 	}
-	if err := ForErr(10, 4, func(int) error { return nil }); err != nil {
+	if err := ForErrRec(10, 4, nil, func(int) error { return nil }); err != nil {
 		t.Fatalf("unexpected error %v", err)
 	}
 	want := errors.New("boom")
-	if err := ForErr(1, 1, func(int) error { return want }); err != want {
+	if err := ForErrRec(1, 1, nil, func(int) error { return want }); err != want {
 		t.Fatalf("got %v, want %v", err, want)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"relest/internal/algebra"
 	"relest/internal/estimator"
@@ -407,11 +406,4 @@ func reverseFloats(xs []float64) {
 	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
 		xs[i], xs[j] = xs[j], xs[i]
 	}
-}
-
-// sortedRelations is used by tests to canonicalize orders.
-func sortedRelations(xs []string) []string {
-	out := append([]string(nil), xs...)
-	sort.Strings(out)
-	return out
 }

@@ -78,13 +78,6 @@ func (b *Batch) Value(i, c int) Value {
 	return s.Rel.Value(s.Rows[i], bc.Col)
 }
 
-// IsNull reports whether column c of row i is null.
-func (b *Batch) IsNull(i, c int) bool {
-	bc := b.Cols[c]
-	s := &b.Srcs[bc.Src]
-	return s.Rel.IsNull(s.Rows[i], bc.Col)
-}
-
 // AppendKey appends the self-delimiting key encoding of row i over the
 // given batch column positions (nil cols keys every column) to buf and
 // returns the extended buffer. Keys are Value-compatible with Tuple.Key and

@@ -176,49 +176,6 @@ func (ix *Index) LookupRow(probe *Relation, probeRow int, probeCols []int) []int
 	return nil
 }
 
-// Lookup returns the row positions whose key columns equal those of probe
-// (a materialized tuple from another relation) at probeCols. The returned
-// slice must not be modified.
-func (ix *Index) Lookup(probe Tuple, probeCols []int) []int {
-	h := hashSeed
-	for _, c := range probeCols {
-		h = combineHash(h, probe[c].Hash())
-	}
-	gi, ok := ix.byHash[h]
-	for ok {
-		g := &ix.groups[gi]
-		match := true
-		for k, c := range ix.cols {
-			if !ix.rel.Value(g.head, c).Equal(probe[probeCols[k]]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return g.rows
-		}
-		if g.next < 0 {
-			return nil
-		}
-		gi = g.next
-	}
-	return nil
-}
-
 // Buckets returns the number of distinct composite keys in the index
 // (hash collisions between distinct keys are counted separately, exactly).
 func (ix *Index) Buckets() int { return len(ix.groups) }
-
-// EachBucket iterates over the distinct keys in first-seen (ascending row)
-// order, calling fn with an exemplar row holding the key and the positions
-// of every row sharing it, stopping early if fn returns false. The
-// deterministic order makes bucket-level reductions reproducible without
-// sorting.
-func (ix *Index) EachBucket(fn func(exemplar Row, positions []int) bool) {
-	for gi := range ix.groups {
-		g := &ix.groups[gi]
-		if !fn(ix.rel.Row(g.head), g.rows) {
-			return
-		}
-	}
-}

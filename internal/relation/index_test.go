@@ -60,10 +60,6 @@ func TestIndexLookupRow(t *testing.T) {
 	if got := ix.LookupRow(probe, 1, []int{1, 0}); got != nil {
 		t.Errorf("probe miss returned %v", got)
 	}
-	// Tuple-probe compatibility path agrees.
-	if got := ix.Lookup(Tuple{Str("apple"), Int(1)}, []int{1, 0}); len(got) != 2 {
-		t.Errorf("Lookup(tuple) = %v, want 2 rows", got)
-	}
 }
 
 func TestBuildIndexRows(t *testing.T) {
@@ -93,32 +89,6 @@ func TestIndexOnView(t *testing.T) {
 	// Positions are view-relative: resolve through the view's accessor.
 	if q := v.Value(got[1], 2).Float64(); q != 5 {
 		t.Errorf("view row %d qty = %v, want 5", got[1], q)
-	}
-}
-
-func TestIndexBucketOrder(t *testing.T) {
-	r := ordersRelation(t)
-	ix := BuildIndex(r, []int{1})
-	if ix.Buckets() != 2 {
-		t.Fatalf("buckets = %d, want 2", ix.Buckets())
-	}
-	// First-seen (ascending exemplar row) order: apple (row 0), pear (row 1).
-	var names []string
-	ix.EachBucket(func(ex Row, ps []int) bool {
-		names = append(names, ex.Value(1).Text())
-		return true
-	})
-	if len(names) != 2 || names[0] != "apple" || names[1] != "pear" {
-		t.Errorf("bucket order %v, want [apple pear]", names)
-	}
-	// Early stop.
-	calls := 0
-	ix.EachBucket(func(ex Row, ps []int) bool {
-		calls++
-		return false
-	})
-	if calls != 1 {
-		t.Errorf("early stop visited %d buckets", calls)
 	}
 }
 
@@ -153,9 +123,6 @@ func TestIndexCollisionChain(t *testing.T) {
 	probe.MustAppend(Tuple{Str("a")})
 	if got := ix.LookupRow(probe, 0, []int{0}); len(got) != 2 {
 		t.Errorf("chained LookupRow = %v, want 2 rows", got)
-	}
-	if got := ix.Lookup(Tuple{Str("a")}, []int{0}); len(got) != 2 {
-		t.Errorf("chained Lookup = %v, want 2 rows", got)
 	}
 }
 

@@ -485,10 +485,3 @@ func (r *Relation) Bytes() int {
 func (r *Relation) String() string {
 	return fmt.Sprintf("%s%s[%d rows]", r.name, r.schema, r.n)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

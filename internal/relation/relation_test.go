@@ -313,23 +313,15 @@ func TestRelationSortAndEach(t *testing.T) {
 func TestIndex(t *testing.T) {
 	r := testRelation(t)
 	ix := BuildIndex(r, []int{1}) // index on name
-	hits := ix.Lookup(Tuple{Int(0), Str("a")}, []int{1})
+	hits := ix.LookupValues([]Value{Str("a")})
 	if len(hits) != 2 {
 		t.Errorf("lookup 'a' returned %v", hits)
 	}
-	if got := ix.Lookup(Tuple{Int(0), Str("zzz")}, []int{1}); len(got) != 0 {
+	if got := ix.LookupValues([]Value{Str("zzz")}); len(got) != 0 {
 		t.Errorf("lookup miss returned %v", got)
 	}
 	if ix.Buckets() != 2 {
 		t.Errorf("buckets = %d", ix.Buckets())
-	}
-	total := 0
-	ix.EachBucket(func(ex Row, ps []int) bool {
-		total += len(ps)
-		return true
-	})
-	if total != 3 {
-		t.Errorf("bucket positions total %d", total)
 	}
 }
 

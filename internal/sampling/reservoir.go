@@ -6,92 +6,6 @@ import (
 	"math/rand"
 )
 
-// Reservoir maintains a uniform SRSWOR sample of capacity k over an
-// insert-only stream of unknown length: after any number of Add calls, the
-// held items are a uniform k-subset of everything added so far (or all of
-// it, while fewer than k items have arrived).
-//
-// The implementation is Vitter's Algorithm R upgraded with the skip-based
-// acceleration of Algorithm X: once the reservoir is full it draws, in O(1)
-// amortized time, the number of stream items to skip before the next
-// replacement, instead of flipping a coin per item.
-type Reservoir[T any] struct {
-	rng       *rand.Rand
-	cap       int
-	seen      int64
-	items     []T
-	skip      int64 // items still to pass over before the next replacement
-	displaced int64 // sample items overwritten by later stream items
-}
-
-// NewReservoir creates a reservoir with the given capacity.
-// It panics if capacity < 1.
-func NewReservoir[T any](rng *rand.Rand, capacity int) *Reservoir[T] {
-	if capacity < 1 {
-		panic(fmt.Sprintf("sampling: reservoir capacity %d < 1", capacity))
-	}
-	return &Reservoir[T]{rng: rng, cap: capacity}
-}
-
-// Add offers one stream item to the reservoir.
-func (r *Reservoir[T]) Add(item T) {
-	r.seen++
-	if len(r.items) < r.cap {
-		r.items = append(r.items, item)
-		if len(r.items) == r.cap {
-			r.skip = r.drawSkip()
-		}
-		return
-	}
-	if r.skip > 0 {
-		r.skip--
-		return
-	}
-	// This item replaces a uniformly chosen slot.
-	r.items[r.rng.Intn(r.cap)] = item
-	r.displaced++
-	recorder().Add(mReservoirDisplaced, 1)
-	r.skip = r.drawSkip()
-}
-
-// drawSkip draws the number of upcoming items to pass over before the next
-// replacement, using the Algorithm X distribution: with t items seen so far
-// and a full reservoir of size k,
-//
-//	P(skip ≥ s) = ∏_{j=1..s} (t+j−k)/(t+j),
-//
-// inverted by sequential search against one uniform variate. The expected
-// work per accepted item is O(t/k), making the whole stream O(k·(1+log(T/k)))
-// random draws instead of one per item.
-func (r *Reservoir[T]) drawSkip() int64 {
-	k := int64(r.cap)
-	t := r.seen
-	u := r.rng.Float64()
-	var s int64
-	// quot = P(skip ≥ s+1), maintained incrementally.
-	quot := float64(t+1-k) / float64(t+1)
-	for quot > u {
-		s++
-		t++
-		quot *= float64(t+1-k) / float64(t+1)
-	}
-	return s
-}
-
-// Items returns the current sample. The returned slice is the reservoir's
-// own storage and must not be modified.
-func (r *Reservoir[T]) Items() []T { return r.items }
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir[T]) Seen() int64 { return r.seen }
-
-// Displaced returns how many sample items have been overwritten by later
-// stream items — a measure of how much the sample has churned.
-func (r *Reservoir[T]) Displaced() int64 { return r.displaced }
-
-// Cap returns the reservoir capacity.
-func (r *Reservoir[T]) Cap() int { return r.cap }
-
 // PairedReservoir maintains a bounded uniform sample over a stream of
 // insertions AND deletions, using the random-pairing scheme
 // (Gemulla–Lehner–Haas, VLDB 2006): every deletion is conceptually paired
@@ -114,8 +28,6 @@ type PairedReservoir[T any] struct {
 	// item, c2 deletions that did not. While c1+c2 > 0, insertions
 	// compensate them instead of running the plain reservoir step.
 	c1, c2 int64
-
-	displaced int64 // sample items overwritten by later insertions
 }
 
 // NewPairedReservoir creates a random-pairing reservoir with the given
@@ -189,7 +101,6 @@ func (p *PairedReservoir[T]) place(item T) {
 
 // replace overwrites the item at slot with a new item.
 func (p *PairedReservoir[T]) replace(slot int, item T) {
-	p.displaced++
 	recorder().Add(mReservoirDisplaced, 1)
 	p.unindex(slot)
 	p.items[slot] = item
@@ -239,10 +150,6 @@ func (p *PairedReservoir[T]) PopulationSize() int64 { return p.size }
 // capacity after bursts of deletions; random pairing refills it as
 // insertions arrive.
 func (p *PairedReservoir[T]) SampleSize() int { return len(p.items) }
-
-// Displaced returns how many sample items have been overwritten by later
-// insertions.
-func (p *PairedReservoir[T]) Displaced() int64 { return p.displaced }
 
 // Allocation strategies for stratified sampling.
 

@@ -1,9 +1,8 @@
 // Package sampling implements the random-sampling substrate of the library:
-// simple random sampling with and without replacement over index spaces,
-// Bernoulli sampling, bounded reservoirs maintained over insert-only streams
-// (Vitter's Algorithm R with the skip-based acceleration of Algorithm X),
-// reservoirs maintained under deletions (random pairing), and stratified
-// sample allocation.
+// simple random sampling without replacement over index spaces (drawn fresh
+// or extended), split-sample grouping, a bounded reservoir maintained under
+// insertions and deletions (random pairing), and stratified sample
+// allocation.
 //
 // All randomness flows from explicitly seeded generators so that every
 // experiment in this repository is reproducible; Source derives independent

@@ -140,81 +140,6 @@ func TestExtendPanics(t *testing.T) {
 	}()
 }
 
-func TestWithReplacement(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	s := WithReplacement(rng, 3, 1000)
-	if len(s) != 1000 {
-		t.Fatal("size")
-	}
-	counts := [3]int{}
-	for _, i := range s {
-		counts[i]++
-	}
-	for v, c := range counts {
-		if c < 250 || c > 420 {
-			t.Errorf("value %d count %d far from uniform", v, c)
-		}
-	}
-}
-
-func TestBernoulli(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	s := Bernoulli(rng, 10000, 0.2)
-	if len(s) < 1700 || len(s) > 2300 {
-		t.Errorf("bernoulli size %d far from 2000", len(s))
-	}
-	if !sort.IntsAreSorted(s) {
-		t.Error("not sorted")
-	}
-	if got := Bernoulli(rng, 100, 0); len(got) != 0 {
-		t.Error("p=0 should be empty")
-	}
-	if got := Bernoulli(rng, 100, 1); len(got) != 100 {
-		t.Error("p=1 should include all")
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	// Stream 1..T through a reservoir of size k; each item must end up in
-	// the final sample with probability k/T.
-	const T, k, trials = 100, 10, 20000
-	counts := make([]int, T)
-	rng := rand.New(rand.NewSource(13))
-	for tr := 0; tr < trials; tr++ {
-		r := NewReservoir[int](rng, k)
-		for i := 0; i < T; i++ {
-			r.Add(i)
-		}
-		if len(r.Items()) != k {
-			t.Fatalf("sample size %d", len(r.Items()))
-		}
-		if r.Seen() != T {
-			t.Fatalf("seen %d", r.Seen())
-		}
-		for _, it := range r.Items() {
-			counts[it]++
-		}
-	}
-	p := float64(k) / float64(T)
-	want := p * trials
-	sigma := math.Sqrt(trials * p * (1 - p))
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*sigma {
-			t.Errorf("item %d in sample %d times, want %.0f±%.0f", i, c, want, 6*sigma)
-		}
-	}
-}
-
-func TestReservoirShortStream(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	r := NewReservoir[string](rng, 5)
-	r.Add("a")
-	r.Add("b")
-	if len(r.Items()) != 2 || r.Cap() != 5 {
-		t.Errorf("short stream: %v", r.Items())
-	}
-}
-
 func TestPairedReservoirInsertOnlyUniform(t *testing.T) {
 	// Without deletions, the paired reservoir must behave exactly like a
 	// plain reservoir: inclusion probability k/T for every item.

@@ -109,42 +109,6 @@ func Extend(rng *rand.Rand, N int, existing []int, m int) []int {
 	return out
 }
 
-// WithReplacement draws n indices uniformly and independently from [0, N)
-// — SRSWR, provided for baseline comparisons. It panics if n < 0 or N <= 0
-// with n > 0.
-func WithReplacement(rng *rand.Rand, N, n int) []int {
-	if n < 0 || (N <= 0 && n > 0) {
-		panic(fmt.Sprintf("sampling: WithReplacement(N=%d, n=%d) out of range", N, n))
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = rng.Intn(N)
-	}
-	countDraw(n)
-	return out
-}
-
-// Bernoulli includes each index of [0, N) independently with probability p,
-// returning the ascending included indices. The expected sample size is
-// N·p but the realized size is random — the property that distinguishes
-// Bernoulli designs from SRSWOR in the estimators' variance.
-func Bernoulli(rng *rand.Rand, N int, p float64) []int {
-	if p < 0 || p > 1 {
-		panic(fmt.Sprintf("sampling: Bernoulli probability %v outside [0,1]", p))
-	}
-	var out []int
-	for i := 0; i < N; i++ {
-		if rng.Float64() < p {
-			out = append(out, i)
-		}
-	}
-	if out == nil {
-		out = []int{}
-	}
-	countDraw(len(out))
-	return out
-}
-
 // Shuffle permutes xs in place (Fisher–Yates).
 func Shuffle(rng *rand.Rand, xs []int) {
 	for i := len(xs) - 1; i > 0; i-- {

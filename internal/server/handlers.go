@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"time"
 
@@ -265,9 +266,43 @@ func (s *Server) requestCtx(r *http.Request, timeoutMS int64) (context.Context, 
 	return context.WithTimeout(r.Context(), timeout)
 }
 
+// normalizeMode maps a request's mode to its canonical name (empty means
+// plain) and reports whether it is one of the closed set the service runs.
+func normalizeMode(mode string) (string, bool) {
+	switch mode {
+	case "":
+		return "plain", true
+	case "plain", "sequential", "deadline":
+		return mode, true
+	}
+	return mode, false
+}
+
+// runAdmitted admits do into the bounded queue as one task — one queue
+// slot, one tenant slot and one worker — under the request's effective
+// timeout, waits for a worker to run it, counts the outcome (latency under
+// the given mode label) and writes it. The ResponseWriter never leaves
+// this goroutine.
+func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, start time.Time, timeoutMS int64, mode string, do func(context.Context) (int, any)) {
+	ctx, cancel := s.requestCtx(r, timeoutMS)
+	defer cancel()
+	t := &task{ctx: ctx, do: do, tenant: requestTenant(r), done: make(chan struct{})}
+	if ok, status, msg := s.admit(t); !ok {
+		s.col.Add(reqMetric(status), 1)
+		_ = WriteError(w, status, msg)
+		return
+	}
+	<-t.done
+	if t.status == http.StatusGatewayTimeout || t.status == StatusClientClosedRequest {
+		s.col.Add(mCancelled, 1)
+	}
+	s.col.Add(reqMetric(t.status), 1)
+	s.col.Observe(latencyMetric(mode), time.Since(start).Seconds())
+	_ = WriteJSON(w, t.status, t.body)
+}
+
 // handleEstimate admits the request into the bounded queue, waits for a
-// worker to run it, and writes the outcome. The ResponseWriter never
-// leaves this goroutine.
+// worker to run it, and writes the outcome.
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req EstimateRequest
@@ -279,43 +314,17 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// an arbitrary string here would let clients mint unbounded metric
 	// series. Unknown modes are rejected later with a 400; their latency
 	// is recorded under one shared label.
-	mode := req.Mode
-	switch mode {
-	case "":
-		mode = "plain"
-	case "plain", "sequential", "deadline":
-	default:
+	mode, known := normalizeMode(req.Mode)
+	if !known {
 		mode = "invalid"
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	t := &task{
-		ctx:    ctx,
-		do:     func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req) },
-		tenant: requestTenant(r),
-		done:   make(chan struct{}),
-	}
-	if ok, status, msg := s.admit(t); !ok {
-		s.col.Add(reqMetric(status), 1)
-		_ = WriteError(w, status, msg)
-		return
-	}
-	<-t.done
-
-	if t.status == http.StatusGatewayTimeout || t.status == StatusClientClosedRequest {
-		s.col.Add(mCancelled, 1)
-	}
-	s.col.Add(reqMetric(t.status), 1)
-	s.col.Observe(latencyMetric(mode), time.Since(start).Seconds())
-	_ = WriteJSON(w, t.status, t.body)
+	s.runAdmitted(w, r, start, req.TimeoutMS, mode, func(ctx context.Context) (int, any) { return s.doEstimate(ctx, req) })
 }
 
 // handleBatchEstimate admits a whole batch of estimation queries as one
-// task: one queue slot, one tenant slot and one worker, so admission
-// control is paid once for the batch. Each query still parses, plans and
-// estimates on its own. The batch answers 200 whenever it ran; per-query
-// failures are reported per item (partial success).
+// task, so admission control is paid once for the batch. Each query still
+// parses, plans and estimates on its own. The batch answers 200 whenever
+// it ran; per-query failures are reported per item (partial success).
 func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req BatchEstimateRequest
@@ -334,29 +343,11 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d queries; the server caps batches at %d", len(req.Queries), s.cfg.MaxBatchQueries))
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
-	defer cancel()
-
-	t := &task{
-		ctx:    ctx,
-		do:     func(ctx context.Context) (int, any) { return s.doBatch(ctx, req) },
-		tenant: requestTenant(r),
-		done:   make(chan struct{}),
-	}
-	if ok, status, msg := s.admit(t); !ok {
-		s.col.Add(reqMetric(status), 1)
-		_ = WriteError(w, status, msg)
-		return
-	}
-	<-t.done
-
-	s.col.Add(mBatch, 1)
-	s.col.Add(reqMetric(t.status), 1)
-	s.col.Observe(latencyMetric("batch"), time.Since(start).Seconds())
-	_ = WriteJSON(w, t.status, t.body)
+	s.runAdmitted(w, r, start, req.TimeoutMS, "batch", func(ctx context.Context) (int, any) { return s.doBatch(ctx, req) })
 }
 
-// doBatch runs the batch's queries in order on one worker. A query that
+// doBatch runs an admitted batch — counted here, once per batch — with its
+// queries in order on one worker. A query that
 // fails does not abort the batch — its item records the status the
 // singleton endpoint would have answered — but once the batch context
 // dies, every remaining item answers the cancellation status
@@ -364,6 +355,7 @@ func (s *Server) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 // ValidateEstimate guarantees no sampling starts (and therefore no
 // partial estimate is ever surfaced) after a cancel.
 func (s *Server) doBatch(ctx context.Context, req BatchEstimateRequest) (int, any) {
+	s.col.Add(mBatch, 1)
 	resp := BatchEstimateResponse{Results: make([]BatchItemResult, len(req.Queries))}
 	for i := range req.Queries {
 		q := req.Queries[i]
@@ -496,11 +488,8 @@ func ValidateEstimate(ctx context.Context, req EstimateRequest, schemasFor func(
 	if req.Synopsis == "" {
 		return PreparedEstimate{}, http.StatusBadRequest, "no synopsis given"
 	}
-	switch req.Mode {
-	case "":
-		req.Mode = "plain"
-	case "plain", "sequential", "deadline":
-	default:
+	var known bool
+	if req.Mode, known = normalizeMode(req.Mode); !known {
 		return PreparedEstimate{}, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want plain, sequential or deadline)", req.Mode)
 	}
 	schemas, status, msg := schemasFor(req.Synopsis, req.Mode)
@@ -649,6 +638,12 @@ func answerPlain(ctx context.Context, p PreparedEstimate, syn *estimator.Synopsi
 	if !p.Tiered {
 		policy = estimator.TierSampleOnly
 	}
+	if p.Stmt.Agg == "avg" {
+		// The avg response carries the point value only (see below); a
+		// variance pass over the SUM and the COUNT would be work nobody
+		// reads.
+		opts.Variance = estimator.VarNone
+	}
 	h := estimator.NewEstimator(syn,
 		estimator.WithOptions(opts),
 		estimator.WithTierPolicy(policy),
@@ -696,17 +691,11 @@ func toResult(est estimator.Estimate) EstimateResult {
 		VarianceMethod: est.VarianceMethod.String(),
 		Terms:          est.Terms,
 	}
-	if !isNaN(est.Variance) {
+	if !math.IsNaN(est.Variance) {
 		v := est.Variance
 		out.Variance = &v
 	}
 	return out
-}
-
-// isNaN is math.IsNaN without the import weight; NaN is the only value
-// that differs from itself.
-func isNaN(v float64) bool {
-	return v != v // floateq recognizes the NaN self-comparison idiom
 }
 
 // consumedSamples reports the per-relation sample sizes a plain estimate

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"relest/internal/relation"
 )
@@ -147,16 +148,8 @@ func (reg *registry) saveSnapshot(dir string) (relations, synopses int, err erro
 // sortManifest orders manifest sections by name so the file is
 // deterministic for a given registry state.
 func sortManifest(m *manifest) {
-	sortBy(m.Relations, func(r manifestRelation) string { return r.Name })
-	sortBy(m.Synopses, func(s manifestSynopsis) string { return s.Name })
-}
-
-func sortBy[T any](xs []T, key func(T) string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && key(xs[j]) < key(xs[j-1]); j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	sort.Slice(m.Relations, func(i, j int) bool { return m.Relations[i].Name < m.Relations[j].Name })
+	sort.Slice(m.Synopses, func(i, j int) bool { return m.Synopses[i].Name < m.Synopses[j].Name })
 }
 
 // restoreSnapshot loads dir into an empty registry: relations are

@@ -63,8 +63,8 @@ func JoinEstimateVar(s, t *Sketch) (Estimate, error) {
 	return estimateFromProducts(products, s.cfg), nil
 }
 
-// SelfJoinEstimateVar is SelfJoinEstimate with a variance for the returned
-// value (the second frequency moment F₂ with its standard error).
+// SelfJoinEstimateVar estimates Σ_v f(v)², the second frequency moment F₂,
+// with a variance for the returned value.
 func (s *Sketch) SelfJoinEstimateVar() Estimate {
 	products := make([]float64, len(s.atoms))
 	for i, a := range s.atoms {

@@ -60,7 +60,7 @@ func TestSelfJoinEstimate(t *testing.T) {
 		s.Update(v, int64(v)+1)
 		f2 += float64((v + 1) * (v + 1))
 	}
-	got := s.SelfJoinEstimate()
+	got := s.SelfJoinEstimateVar().Value
 	if math.Abs(got-f2)/f2 > 0.30 {
 		t.Errorf("self-join estimate %v, want %v (±30%%)", got, f2)
 	}
@@ -142,7 +142,7 @@ func TestDeletionsCancel(t *testing.T) {
 			t.Fatal("atoms nonzero after inserting and deleting everything")
 		}
 	}
-	if got := s.SelfJoinEstimate(); got != 0 {
+	if got := s.SelfJoinEstimateVar().Value; got != 0 {
 		t.Errorf("empty self-join estimate %v", got)
 	}
 }
@@ -176,7 +176,7 @@ func TestConfigDefaultsAndAtoms(t *testing.T) {
 func TestMedianOfMeansEvenGroups(t *testing.T) {
 	// Even group count takes the midpoint of the two central medians.
 	products := []float64{1, 1, 3, 3} // groups of size 2: means 1 and 3
-	if got := medianOfMeans(products, 2, 2); got != 2 {
+	if got := estimateFromProducts(products, Config{Groups: 2, GroupSize: 2}).Value; got != 2 {
 		t.Errorf("median of means = %v, want 2", got)
 	}
 }

@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// NormalPDF returns the standard normal density at x.
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
-}
-
 // NormalCDF returns Φ(x), the standard normal cumulative distribution,
 // computed from the complementary error function.
 func NormalCDF(x float64) float64 {
@@ -68,35 +63,6 @@ func NormalQuantile(p float64) float64 {
 	return x
 }
 
-// StudentTQuantile returns the upper quantile t such that
-// P(T_ν ≤ t) = p for a Student's t distribution with ν degrees of freedom,
-// using the Cornish–Fisher style expansion of Peizer–Pratt/Hill around the
-// normal quantile. For ν ≥ 2 the absolute error is below 1e-3 across
-// p ∈ [0.005, 0.995], which is ample for confidence-interval construction.
-// For ν ≤ 0 it panics; for very large ν it converges to NormalQuantile.
-func StudentTQuantile(p float64, nu int) float64 {
-	if nu <= 0 {
-		panic(fmt.Sprintf("stats: StudentTQuantile requires nu > 0, got %d", nu))
-	}
-	if nu == 1 {
-		// Exact: Cauchy quantile.
-		return math.Tan(math.Pi * (p - 0.5))
-	}
-	if nu == 2 {
-		// Exact closed form for ν = 2.
-		alpha := 2*p - 1
-		return alpha * math.Sqrt(2/(1-alpha*alpha))
-	}
-	z := NormalQuantile(p)
-	// Hill's asymptotic inversion (Algorithm 396 flavor, truncated).
-	g1 := (z*z*z + z) / 4
-	g2 := (5*math.Pow(z, 5) + 16*z*z*z + 3*z) / 96
-	g3 := (3*math.Pow(z, 7) + 19*math.Pow(z, 5) + 17*z*z*z - 15*z) / 384
-	g4 := (79*math.Pow(z, 9) + 776*math.Pow(z, 7) + 1482*math.Pow(z, 5) - 1920*z*z*z - 945*z) / 92160
-	v := float64(nu)
-	return z + g1/v + g2/(v*v) + g3/(v*v*v) + g4/(v*v*v*v)
-}
-
 // ChebyshevZ returns the multiplier k such that Est ± k·σ is a
 // distribution-free confidence interval at level 1−delta, by Chebyshev's
 // inequality: P(|X−μ| ≥ kσ) ≤ 1/k². It panics unless 0 < delta < 1.
@@ -105,125 +71,4 @@ func ChebyshevZ(delta float64) float64 {
 		panic(fmt.Sprintf("stats: ChebyshevZ requires 0 < delta < 1, got %v", delta))
 	}
 	return 1 / math.Sqrt(delta)
-}
-
-// Hypergeometric describes the distribution of the number of "marked" units
-// in an SRSWOR sample: population of size N containing K marked units,
-// sample of size n.
-type Hypergeometric struct {
-	N int // population size
-	K int // marked units in population
-	n int // sample size
-}
-
-// NewHypergeometric validates and constructs the distribution.
-func NewHypergeometric(N, K, n int) (Hypergeometric, error) {
-	switch {
-	case N < 0:
-		return Hypergeometric{}, fmt.Errorf("stats: hypergeometric N = %d < 0", N)
-	case K < 0 || K > N:
-		return Hypergeometric{}, fmt.Errorf("stats: hypergeometric K = %d outside [0, %d]", K, N)
-	case n < 0 || n > N:
-		return Hypergeometric{}, fmt.Errorf("stats: hypergeometric n = %d outside [0, %d]", n, N)
-	}
-	return Hypergeometric{N: N, K: K, n: n}, nil
-}
-
-// Mean returns E[X] = n·K/N.
-func (h Hypergeometric) Mean() float64 {
-	if h.N == 0 {
-		return 0
-	}
-	return float64(h.n) * float64(h.K) / float64(h.N)
-}
-
-// Variance returns Var[X] = n·(K/N)·(1−K/N)·(N−n)/(N−1).
-func (h Hypergeometric) Variance() float64 {
-	if h.N <= 1 {
-		return 0
-	}
-	p := float64(h.K) / float64(h.N)
-	return float64(h.n) * p * (1 - p) * float64(h.N-h.n) / float64(h.N-1)
-}
-
-// PMF returns P(X = k), computed in log space for stability.
-func (h Hypergeometric) PMF(k int) float64 {
-	if k < 0 || k > h.n || k > h.K || h.n-k > h.N-h.K {
-		return 0
-	}
-	lp := logChoose(h.K, k) + logChoose(h.N-h.K, h.n-k) - logChoose(h.N, h.n)
-	return math.Exp(lp)
-}
-
-// CDF returns P(X ≤ k) by direct summation of the PMF. The support of the
-// distributions used in this library is small (sample sizes), so direct
-// summation is both exact enough and fast enough.
-func (h Hypergeometric) CDF(k int) float64 {
-	if k < 0 {
-		return 0
-	}
-	lo := h.n - (h.N - h.K)
-	if lo < 0 {
-		lo = 0
-	}
-	hi := k
-	if m := min(h.n, h.K); hi > m {
-		hi = m
-	}
-	sum := 0.0
-	for i := lo; i <= hi; i++ {
-		sum += h.PMF(i)
-	}
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
-}
-
-// Binomial describes a Binomial(n, p) distribution, used for Bernoulli
-// sampling analysis and as the with-replacement limit of Hypergeometric.
-type Binomial struct {
-	N int
-	P float64
-}
-
-// Mean returns n·p.
-func (b Binomial) Mean() float64 { return float64(b.N) * b.P }
-
-// Variance returns n·p·(1−p).
-func (b Binomial) Variance() float64 { return float64(b.N) * b.P * (1 - b.P) }
-
-// PMF returns P(X = k) in log space.
-func (b Binomial) PMF(k int) float64 {
-	if k < 0 || k > b.N {
-		return 0
-	}
-	//lint:ignore floateq degenerate-distribution branch: P is a caller-supplied parameter, exactly 0 means point mass at 0
-	if b.P == 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	//lint:ignore floateq degenerate-distribution branch: exactly 1 means point mass at N
-	if b.P == 1 {
-		if k == b.N {
-			return 1
-		}
-		return 0
-	}
-	lp := logChoose(b.N, k) + float64(k)*math.Log(b.P) + float64(b.N-k)*math.Log(1-b.P)
-	return math.Exp(lp)
-}
-
-// logChoose returns log C(n, k) via log-gamma.
-func logChoose(n, k int) float64 {
-	if k < 0 || k > n {
-		return math.Inf(-1)
-	}
-	lg := func(x int) float64 {
-		v, _ := math.Lgamma(float64(x) + 1)
-		return v
-	}
-	return lg(n) - lg(k) - lg(n-k)
 }

@@ -6,38 +6,6 @@ import (
 	"math/big"
 )
 
-// FallingFactorial returns (x)_d = x·(x−1)·…·(x−d+1) as a float64.
-// (x)_0 = 1 by convention. It panics for d < 0.
-// For the population/sample sizes used in this library the result can
-// overflow float64 for large d; use LogFallingFactorial or the big.Float
-// variants when d is large.
-func FallingFactorial(x, d int) float64 {
-	if d < 0 {
-		panic(fmt.Sprintf("stats: FallingFactorial requires d >= 0, got %d", d))
-	}
-	r := 1.0
-	for i := 0; i < d; i++ {
-		r *= float64(x - i)
-	}
-	return r
-}
-
-// LogFallingFactorial returns log (x)_d for x ≥ d ≥ 0 using log-gamma,
-// which stays finite where the direct product would overflow.
-// It returns −Inf when x < d (the product contains a zero or the ratio is
-// used in a context where the pattern is infeasible).
-func LogFallingFactorial(x, d int) float64 {
-	if d < 0 {
-		panic(fmt.Sprintf("stats: LogFallingFactorial requires d >= 0, got %d", d))
-	}
-	if x < d {
-		return math.Inf(-1)
-	}
-	a, _ := math.Lgamma(float64(x) + 1)
-	b, _ := math.Lgamma(float64(x-d) + 1)
-	return a - b
-}
-
 // FallingFactorialRatio returns (N)_d / (n)_d, the inverse inclusion
 // probability of an ordered d-subset under SRSWOR of n from N. It is the
 // fundamental scaling weight of the pattern-weighted term estimator.
@@ -72,14 +40,5 @@ func BigFallingFactorial(x, d int) *big.Float {
 		t.SetInt64(int64(x - i))
 		r.Mul(r, t)
 	}
-	return new(big.Float).SetPrec(256).SetInt(r)
-}
-
-// BigChoose returns C(n, k) as an exact big.Float (precision 256 bits).
-func BigChoose(n, k int) *big.Float {
-	if k < 0 || k > n {
-		return big.NewFloat(0)
-	}
-	r := new(big.Int).Binomial(int64(n), int64(k))
 	return new(big.Float).SetPrec(256).SetInt(r)
 }

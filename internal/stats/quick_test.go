@@ -37,48 +37,6 @@ func TestQuickNormalCDFQuantileInverse(t *testing.T) {
 	}
 }
 
-func TestQuickHypergeometricCDFMonotoneAndBounded(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		N := 1 + rng.Intn(40)
-		K := rng.Intn(N + 1)
-		n := rng.Intn(N + 1)
-		h, err := NewHypergeometric(N, K, n)
-		if err != nil {
-			return false
-		}
-		prev := -1.0
-		for k := -1; k <= n+1; k++ {
-			c := h.CDF(k)
-			if c < prev-1e-12 || c < -1e-12 || c > 1+1e-12 {
-				return false
-			}
-			prev = c
-		}
-		return math.Abs(h.CDF(n)-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickFallingFactorialRecurrence(t *testing.T) {
-	f := func(xRaw, dRaw uint8) bool {
-		x := int(xRaw%40) + 1
-		d := int(dRaw % 10)
-		if d > x {
-			d = x
-		}
-		// (x)_{d+1} = (x)_d · (x−d)
-		lhs := FallingFactorial(x, d+1)
-		rhs := FallingFactorial(x, d) * float64(x-d)
-		return lhs == rhs
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickFallingFactorialRatioInverseInclusion(t *testing.T) {
 	// (N)_d/(n)_d · (n)_d/(N)_d = 1 whenever both are finite, and the
 	// ratio decreases as n grows toward N.

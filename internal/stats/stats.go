@@ -1,18 +1,15 @@
 // Package stats provides the small statistical substrate the estimators are
-// built on: streaming moment accumulators, finite-population (SRSWOR)
-// variance algebra, classical distributions (normal, Student's t,
-// hypergeometric, binomial), confidence-interval helpers, and exact
-// falling-factorial arithmetic (float64 with log-space fallback, and
-// arbitrary-precision big.Float for Goodman's distinct-count estimator).
+// built on: a streaming moment accumulator, finite-population (SRSWOR)
+// variance algebra, the normal quantile and Chebyshev multipliers behind the
+// confidence intervals, and falling-factorial arithmetic (the float64 ratio
+// that weights a pattern, and arbitrary-precision big.Float for Goodman's
+// distinct-count estimator).
 //
 // Everything in this package is deterministic and allocation-light; the
 // random machinery lives in package sampling.
 package stats
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Welford accumulates a running mean and variance using Welford's
 // numerically stable online algorithm. The zero value is ready to use.
@@ -28,38 +25,6 @@ func (w *Welford) Add(x float64) {
 	d := x - w.mean
 	w.mean += d / float64(w.n)
 	w.m2 += d * (x - w.mean)
-}
-
-// AddN incorporates the observation x with integer weight k (k copies).
-func (w *Welford) AddN(x float64, k int64) {
-	if k <= 0 {
-		return
-	}
-	// Chan et al. parallel update of (n, mean, M2) with a block of k
-	// identical observations: the block has mean x and zero variance.
-	nb := float64(k)
-	na := float64(w.n)
-	d := x - w.mean
-	w.n += k
-	w.mean += d * nb / (na + nb)
-	w.m2 += d * d * na * nb / (na + nb)
-}
-
-// Merge combines another accumulator into w, as if all of v's observations
-// had been added to w.
-func (w *Welford) Merge(v Welford) {
-	if v.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = v
-		return
-	}
-	na, nb := float64(w.n), float64(v.n)
-	d := v.mean - w.mean
-	w.mean += d * nb / (na + nb)
-	w.m2 += v.m2 + d*d*na*nb/(na+nb)
-	w.n += v.n
 }
 
 // N returns the number of observations seen.
@@ -88,14 +53,6 @@ func (w *Welford) PopVariance() float64 {
 // StdDev returns the unbiased sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
 
-// Reset restores the accumulator to its zero state.
-func (w *Welford) Reset() { *w = Welford{} }
-
-// String implements fmt.Stringer for debugging.
-func (w *Welford) String() string {
-	return fmt.Sprintf("Welford{n=%d mean=%g s2=%g}", w.n, w.Mean(), w.Variance())
-}
-
 // SRSWOR variance algebra.
 //
 // For a simple random sample of size n drawn without replacement from a
@@ -111,11 +68,6 @@ func (w *Welford) String() string {
 // algebra once so every estimator uses identical finite-population
 // corrections.
 
-// TotalEstimate returns the SRSWOR estimator N·ȳ of a population total.
-func TotalEstimate(populationSize int, sampleMean float64) float64 {
-	return float64(populationSize) * sampleMean
-}
-
 // TotalVariance returns the unbiased variance estimate of the SRSWOR total
 // estimator N·ȳ given the sample variance s² (divisor n−1).
 // It returns 0 when n ≥ N (a census has no sampling error) or n < 2.
@@ -126,19 +78,6 @@ func TotalVariance(populationSize, sampleSize int, sampleVariance float64) float
 	}
 	fpc := 1 - n/N
 	return N * N * fpc * sampleVariance / n
-}
-
-// ProportionTotalVariance is TotalVariance specialized to 0/1 observations:
-// x of the n sampled units have the property, and the estimated number of
-// population units with the property is N·x/n. The sample variance of a 0/1
-// sample is s² = n/(n−1) · p̂(1−p̂).
-func ProportionTotalVariance(populationSize, sampleSize, hits int) float64 {
-	if sampleSize < 2 {
-		return 0
-	}
-	p := float64(hits) / float64(sampleSize)
-	s2 := float64(sampleSize) / float64(sampleSize-1) * p * (1 - p)
-	return TotalVariance(populationSize, sampleSize, s2)
 }
 
 // RelativeError returns |est − actual| / actual. When actual is 0 it

@@ -2,9 +2,7 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func almostEqual(a, b, tol float64) bool {
@@ -50,68 +48,6 @@ func TestWelfordAgainstDirect(t *testing.T) {
 		if w.N() != int64(len(xs)) {
 			t.Errorf("n = %d, want %d", w.N(), len(xs))
 		}
-	}
-}
-
-func TestWelfordAddN(t *testing.T) {
-	var a, b Welford
-	for i := 0; i < 7; i++ {
-		a.Add(4.5)
-	}
-	a.Add(-2)
-	b.AddN(4.5, 7)
-	b.AddN(-2, 1)
-	if !almostEqual(a.Mean(), b.Mean(), 1e-12) || !almostEqual(a.Variance(), b.Variance(), 1e-12) {
-		t.Errorf("AddN mismatch: %v vs %v", a.String(), b.String())
-	}
-	var c Welford
-	c.AddN(3, 0) // no-op
-	if c.N() != 0 {
-		t.Errorf("AddN with k=0 should be a no-op, n=%d", c.N())
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	f := func(seed int64, split uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + int(split%50)
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
-		}
-		k := int(split) % n
-		var whole, left, right Welford
-		for _, x := range xs {
-			whole.Add(x)
-		}
-		for _, x := range xs[:k] {
-			left.Add(x)
-		}
-		for _, x := range xs[k:] {
-			right.Add(x)
-		}
-		left.Merge(right)
-		return almostEqual(whole.Mean(), left.Mean(), 1e-9) &&
-			almostEqual(whole.Variance(), left.Variance(), 1e-9) &&
-			whole.N() == left.N()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestWelfordMergeIntoEmpty(t *testing.T) {
-	var a, b Welford
-	b.Add(1)
-	b.Add(2)
-	a.Merge(b)
-	if a.N() != 2 || !almostEqual(a.Mean(), 1.5, 1e-12) {
-		t.Errorf("merge into empty: %v", a.String())
-	}
-	var empty Welford
-	a.Merge(empty)
-	if a.N() != 2 {
-		t.Errorf("merge of empty changed state: %v", a.String())
 	}
 }
 
@@ -167,39 +103,30 @@ func TestTotalVarianceEdgeCases(t *testing.T) {
 }
 
 func TestProportionTotalVarianceUnbiased(t *testing.T) {
-	// The plug-in variance estimator for a 0/1 population must be unbiased:
-	// average it over all samples and compare to the true variance.
+	// The plug-in estimator TotalVariance(N, n, s²) must be unbiased: on a
+	// 0/1 population, average it over all C(N, n) samples and compare with
+	// the true variance of N·ȳ, N²(1−f)S²/n.
 	const N, K, n = 8, 3, 4
-	pop := make([]float64, N)
-	for i := 0; i < K; i++ {
-		pop[i] = 1
-	}
-	h, err := NewHypergeometric(N, K, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trueVar := h.Variance() * float64(N) * float64(N) / float64(n) / float64(n)
+	p := float64(K) / N
+	trueVar := float64(N*N) * (1 - float64(n)/N) * (p * (1 - p) * N / (N - 1)) / n
 
 	var avg Welford
-	idx := make([]int, n)
-	var rec func(start, k int)
-	rec = func(start, k int) {
-		if k == n {
-			hits := 0
-			for _, i := range idx {
-				if pop[i] == 1 {
-					hits++
-				}
-			}
-			avg.Add(ProportionTotalVariance(N, n, hits))
+	var rec func(start, chosen, hits int)
+	rec = func(start, chosen, hits int) {
+		if chosen == n {
+			ph := float64(hits) / n
+			avg.Add(TotalVariance(N, n, ph*(1-ph)*n/(n-1)))
 			return
 		}
 		for i := start; i < N; i++ {
-			idx[k] = i
-			rec(i+1, k+1)
+			h := hits
+			if i < K { // the first K units carry the property
+				h++
+			}
+			rec(i+1, chosen+1, h)
 		}
 	}
-	rec(0, 0)
+	rec(0, 0, 0)
 	if !almostEqual(avg.Mean(), trueVar, 1e-9) {
 		t.Errorf("E[var estimate] = %v, true variance = %v", avg.Mean(), trueVar)
 	}
@@ -254,37 +181,6 @@ func TestNormalQuantilePanics(t *testing.T) {
 	}
 }
 
-func TestStudentTQuantile(t *testing.T) {
-	// Reference values from standard t tables.
-	cases := []struct {
-		p    float64
-		nu   int
-		want float64
-		tol  float64
-	}{
-		{0.975, 1, 12.706, 1e-2},
-		{0.975, 2, 4.3027, 1e-3},
-		{0.975, 5, 2.5706, 2e-3},
-		{0.975, 10, 2.2281, 2e-3},
-		{0.975, 30, 2.0423, 2e-3},
-		{0.95, 10, 1.8125, 2e-3},
-		{0.99, 20, 2.5280, 5e-3},
-	}
-	for _, c := range cases {
-		got := StudentTQuantile(c.p, c.nu)
-		if math.Abs(got-c.want) > c.tol*c.want {
-			t.Errorf("t(%v, %d) = %v, want %v", c.p, c.nu, got, c.want)
-		}
-	}
-	// Symmetry and convergence to normal.
-	if got := StudentTQuantile(0.5, 7); math.Abs(got) > 1e-9 {
-		t.Errorf("median should be 0, got %v", got)
-	}
-	if got, want := StudentTQuantile(0.975, 100000), NormalQuantile(0.975); math.Abs(got-want) > 1e-3 {
-		t.Errorf("large-nu t = %v, normal = %v", got, want)
-	}
-}
-
 func TestChebyshevZ(t *testing.T) {
 	if got := ChebyshevZ(0.25); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("ChebyshevZ(0.25) = %v, want 2", got)
@@ -297,117 +193,6 @@ func TestChebyshevZ(t *testing.T) {
 		}()
 		ChebyshevZ(0)
 	}()
-}
-
-func TestHypergeometric(t *testing.T) {
-	h, err := NewHypergeometric(50, 5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(h.Mean(), 1.0, 1e-12) {
-		t.Errorf("mean = %v", h.Mean())
-	}
-	// PMF sums to 1.
-	sum := 0.0
-	for k := 0; k <= 10; k++ {
-		sum += h.PMF(k)
-	}
-	if !almostEqual(sum, 1, 1e-10) {
-		t.Errorf("PMF sums to %v", sum)
-	}
-	// CDF at the top of the support is 1.
-	if got := h.CDF(10); !almostEqual(got, 1, 1e-10) {
-		t.Errorf("CDF(10) = %v", got)
-	}
-	// Mean and variance match the PMF moments.
-	var m, v float64
-	for k := 0; k <= 10; k++ {
-		m += float64(k) * h.PMF(k)
-	}
-	for k := 0; k <= 10; k++ {
-		v += (float64(k) - m) * (float64(k) - m) * h.PMF(k)
-	}
-	if !almostEqual(m, h.Mean(), 1e-9) || !almostEqual(v, h.Variance(), 1e-9) {
-		t.Errorf("moments: pmf(%v, %v) vs formula(%v, %v)", m, v, h.Mean(), h.Variance())
-	}
-}
-
-func TestHypergeometricValidation(t *testing.T) {
-	bad := [][3]int{{-1, 0, 0}, {5, 6, 1}, {5, -1, 1}, {5, 2, 6}, {5, 2, -1}}
-	for _, c := range bad {
-		if _, err := NewHypergeometric(c[0], c[1], c[2]); err == nil {
-			t.Errorf("NewHypergeometric(%v) should fail", c)
-		}
-	}
-}
-
-func TestHypergeometricInfeasiblePMF(t *testing.T) {
-	h, _ := NewHypergeometric(10, 2, 9)
-	// With only 8 unmarked units, a sample of 9 must contain ≥ 1 marked.
-	if p := h.PMF(0); p != 0 {
-		t.Errorf("PMF(0) = %v, want 0", p)
-	}
-	sum := 0.0
-	for k := 0; k <= 9; k++ {
-		sum += h.PMF(k)
-	}
-	if !almostEqual(sum, 1, 1e-10) {
-		t.Errorf("PMF sums to %v", sum)
-	}
-}
-
-func TestBinomial(t *testing.T) {
-	b := Binomial{N: 20, P: 0.3}
-	sum := 0.0
-	for k := 0; k <= 20; k++ {
-		sum += b.PMF(k)
-	}
-	if !almostEqual(sum, 1, 1e-10) {
-		t.Errorf("PMF sums to %v", sum)
-	}
-	if !almostEqual(b.Mean(), 6, 1e-12) || !almostEqual(b.Variance(), 4.2, 1e-12) {
-		t.Errorf("moments: %v, %v", b.Mean(), b.Variance())
-	}
-	// Degenerate p.
-	b0 := Binomial{N: 5, P: 0}
-	if b0.PMF(0) != 1 || b0.PMF(1) != 0 {
-		t.Error("p=0 PMF wrong")
-	}
-	b1 := Binomial{N: 5, P: 1}
-	if b1.PMF(5) != 1 || b1.PMF(4) != 0 {
-		t.Error("p=1 PMF wrong")
-	}
-}
-
-func TestFallingFactorial(t *testing.T) {
-	cases := []struct {
-		x, d int
-		want float64
-	}{
-		{5, 0, 1},
-		{5, 1, 5},
-		{5, 3, 60},
-		{5, 5, 120},
-		{5, 6, 0}, // passes through zero
-		{3, 2, 6},
-	}
-	for _, c := range cases {
-		if got := FallingFactorial(c.x, c.d); got != c.want {
-			t.Errorf("(%d)_%d = %v, want %v", c.x, c.d, got, c.want)
-		}
-	}
-}
-
-func TestLogFallingFactorial(t *testing.T) {
-	for _, c := range []struct{ x, d int }{{10, 3}, {100, 7}, {1000, 2}, {4, 4}} {
-		want := math.Log(FallingFactorial(c.x, c.d))
-		if got := LogFallingFactorial(c.x, c.d); !almostEqual(got, want, 1e-10) {
-			t.Errorf("log(%d)_%d = %v, want %v", c.x, c.d, got, want)
-		}
-	}
-	if got := LogFallingFactorial(3, 5); !math.IsInf(got, -1) {
-		t.Errorf("x<d should give -Inf, got %v", got)
-	}
 }
 
 func TestFallingFactorialRatio(t *testing.T) {
@@ -430,21 +215,13 @@ func TestFallingFactorialRatio(t *testing.T) {
 }
 
 func TestBigFallingFactorialMatchesFloat(t *testing.T) {
-	for _, c := range []struct{ x, d int }{{5, 3}, {20, 10}, {7, 0}} {
-		want := FallingFactorial(c.x, c.d)
+	for _, c := range []struct {
+		x, d int
+		want float64
+	}{{5, 3, 60}, {20, 10, 670442572800}, {7, 0, 1}, {5, 6, 0}} {
 		got, _ := BigFallingFactorial(c.x, c.d).Float64()
-		if got != want {
-			t.Errorf("big (%d)_%d = %v, want %v", c.x, c.d, got, want)
+		if got != c.want {
+			t.Errorf("big (%d)_%d = %v, want %v", c.x, c.d, got, c.want)
 		}
-	}
-}
-
-func TestBigChoose(t *testing.T) {
-	got, _ := BigChoose(10, 3).Float64()
-	if got != 120 {
-		t.Errorf("C(10,3) = %v, want 120", got)
-	}
-	if v, _ := BigChoose(5, 7).Float64(); v != 0 {
-		t.Errorf("C(5,7) = %v, want 0", v)
 	}
 }

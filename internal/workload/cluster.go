@@ -111,10 +111,3 @@ func clampRegion(center, width, domain int) region {
 	}
 	return region{lo: lo, hi: hi}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

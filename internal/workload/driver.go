@@ -46,21 +46,21 @@ func (d *Driver) client() *http.Client {
 	return http.DefaultClient
 }
 
-// Do posts body as JSON to path and returns the status and raw response
-// bytes. A nil body sends an empty JSON object.
-func (d *Driver) Do(ctx context.Context, path string, body any) (int, []byte, error) {
-	if body == nil {
-		body = struct{}{}
+// roundTrip is the one HTTP exchange every Driver call goes through:
+// build the request (a nil body sends none), attach the content type and
+// the tenant header when set, send, and read the whole response.
+func (d *Driver) roundTrip(ctx context.Context, method, path, contentType string, body []byte) (int, []byte, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
 	}
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, nil, fmt.Errorf("workload: encoding %s body: %w", path, err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.BaseURL+path, bytes.NewReader(buf))
+	req, err := http.NewRequestWithContext(ctx, method, d.BaseURL+path, rd)
 	if err != nil {
 		return 0, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	if d.Tenant != "" {
 		req.Header.Set("X-Relest-Tenant", d.Tenant)
 	}
@@ -77,73 +77,37 @@ func (d *Driver) Do(ctx context.Context, path string, body any) (int, []byte, er
 	return resp.StatusCode, raw, nil
 }
 
+// Do posts body as JSON to path and returns the status and raw response
+// bytes. A nil body sends an empty JSON object.
+func (d *Driver) Do(ctx context.Context, path string, body any) (int, []byte, error) {
+	if body == nil {
+		body = struct{}{}
+	}
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return 0, nil, fmt.Errorf("workload: encoding %s body: %w", path, err)
+	}
+	return d.roundTrip(ctx, http.MethodPost, path, "application/json", buf)
+}
+
 // DoRaw posts a raw (non-JSON) body — a CSV slice, say — with the given
 // content type. The sharded coordinator pushes relation slices to shard
 // nodes through this.
 func (d *Driver) DoRaw(ctx context.Context, path, contentType string, body []byte) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, d.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", contentType)
-	if d.Tenant != "" {
-		req.Header.Set("X-Relest-Tenant", d.Tenant)
-	}
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, raw, nil
+	return d.roundTrip(ctx, http.MethodPost, path, contentType, body)
 }
 
 // Get fetches path (e.g. /metrics, /v1/synopses) and returns the status
 // and raw body.
 func (d *Driver) Get(ctx context.Context, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, d.BaseURL+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if d.Tenant != "" {
-		req.Header.Set("X-Relest-Tenant", d.Tenant)
-	}
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, raw, nil
+	return d.roundTrip(ctx, http.MethodGet, path, "", nil)
 }
 
 // Delete issues a DELETE to path and returns the status and raw body.
 // The sharded coordinator rolls half-registered relations and synopses
 // back through this after a failed fanout.
 func (d *Driver) Delete(ctx context.Context, path string) (int, []byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete, d.BaseURL+path, nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	if d.Tenant != "" {
-		req.Header.Set("X-Relest-Tenant", d.Tenant)
-	}
-	resp, err := d.client().Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer func() { _ = resp.Body.Close() }()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return resp.StatusCode, nil, err
-	}
-	return resp.StatusCode, raw, nil
+	return d.roundTrip(ctx, http.MethodDelete, path, "", nil)
 }
 
 // shedStatus reports whether a status is load shedding worth retrying:
