@@ -1,12 +1,11 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build vet lint lint-json lint-budget test race cover golden golden-drift memgate bench fuzz smoke soak-short shard-short leakcheck
+.PHONY: check build vet lint lint-json lint-budget test race cover golden golden-drift bench fuzz smoke soak-short shard-short leakcheck
 
 # The suite runs twice: once under the race detector, once with coverage
 # (which is also the plain run, and includes every slice the stand-alone
-# targets below pick out: lint-budget, golden, memgate, soak-short,
-# shard-short).
+# targets below pick out: lint-budget, golden, soak-short, shard-short).
 check: build vet lint race cover golden-drift leakcheck
 
 build:
@@ -129,9 +128,3 @@ golden-drift:
 # The repo's one benchmark (BENCHMARK.json; see benchmark/README.md).
 bench:
 	bash benchmark/run.sh
-
-# Memory-ceiling regression gate: the streaming executor's peak working
-# set must stay flat when the probe relation grows 10x (see
-# TestStreamMemoryCeiling).
-memgate:
-	$(GO) test -count=1 -run TestStreamMemoryCeiling ./internal/algebra

@@ -10,9 +10,7 @@ import (
 	"testing"
 
 	"relest"
-	"relest/internal/algebra"
 	"relest/internal/bench"
-	"relest/internal/obs"
 	"relest/internal/relation"
 	"relest/internal/sketch"
 )
@@ -315,60 +313,6 @@ func BenchmarkMultiTermOverlap(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// streamCeilingFixture builds the streaming executor's memory fixture: a
-// σ/⋈ pipeline whose probe side has rows rows against a fixed 64-row
-// build side, so the pipeline's live state (operator batches + build
-// side) is independent of rows.
-func streamCeilingFixture(rows int) (*algebra.Expr, algebra.MapCatalog) {
-	schema := func() *relest.Schema {
-		return relest.MustSchema(relest.Col("a", relest.KindInt), relest.Col("b", relest.KindInt))
-	}
-	r := relest.NewRelation("R", schema())
-	for i := 0; i < rows; i++ {
-		r.MustAppend(relest.Tuple{relest.Int(int64(i % 64)), relest.Int(int64(i))})
-	}
-	s := relest.NewRelation("S", schema())
-	for i := 0; i < 64; i++ {
-		s.MustAppend(relest.Tuple{relest.Int(int64(i)), relest.Int(int64(i * 100))})
-	}
-	sel := algebra.Must(algebra.Select(algebra.BaseOf(r), algebra.Cmp{Col: "b", Op: algebra.GE, Val: relest.Int(0)}))
-	e := algebra.Must(algebra.Join(sel, algebra.BaseOf(s), []algebra.On{{Left: "a", Right: "a"}}, nil, "s"))
-	return e, algebra.MapCatalog{"R": r, "S": s}
-}
-
-// BenchmarkStreamCountCeiling runs the streaming exact count over a probe
-// relation 40x the batch size (≥10x the batch working set) and reports
-// the executor's peak working set next to the relation's resident bytes.
-// peak-ratio-10x is the peak at 40x batches over the peak at 4x batches —
-// ~1.0 is the constant-memory property (a materializing evaluator scales
-// it 10x with the input).
-func BenchmarkStreamCountCeiling(b *testing.B) {
-	smallE, smallCat := streamCeilingFixture(4 * relation.BatchRows)
-	largeE, largeCat := streamCeilingFixture(40 * relation.BatchRows)
-	peak := func(e *algebra.Expr, cat algebra.MapCatalog) float64 {
-		col := obs.NewCollector()
-		if _, err := algebra.StreamCountOpts(e, cat, algebra.StreamOptions{Workers: 1, Rec: col}); err != nil {
-			b.Fatal(err)
-		}
-		return col.Metrics().Gauge(obs.MetricStreamPeakBytes).Value()
-	}
-	small, large := peak(smallE, smallCat), peak(largeE, largeCat)
-	b.ResetTimer()
-	var n int64
-	for i := 0; i < b.N; i++ {
-		var err error
-		n, err = algebra.StreamCount(largeE, largeCat)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if n == 0 {
-		b.Fatal("empty join result")
-	}
-	b.ReportMetric(large, "peak-bytes")
-	b.ReportMetric(large/small, "peak-ratio-10x")
 }
 
 // BenchmarkExactCountJoin is the cost the estimators avoid: the exact

@@ -256,7 +256,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			if err != nil {
 				return err
 			}
-			actual, err := algebra.StreamCountOpts(e, cat, algebra.StreamOptions{Workers: *workers, Rec: rec})
+			actual, err := algebra.Count(e, cat)
 			if err != nil {
 				return err
 			}
@@ -385,7 +385,7 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	if *exact {
 		start := time.Now()
-		actual, err := algebra.StreamCountOpts(st.Expr, cat, algebra.StreamOptions{Workers: *workers, Rec: rec})
+		actual, err := algebra.Count(st.Expr, cat)
 		if err != nil {
 			return err
 		}

@@ -152,39 +152,6 @@ func TestMetricsOutput(t *testing.T) {
 	}
 }
 
-// TestStreamAndCSEMetrics checks the streaming-executor families reach the
-// -metrics exposition on a multi-term query: -exact routes through the
-// streaming executor (batch counter and peak-working-set gauge). (The CSE
-// families the name remembers went with the layer in PR 22.)
-func TestStreamAndCSEMetrics(t *testing.T) {
-	dir := t.TempDir()
-	metrics := filepath.Join(dir, "metrics.out")
-	args := []string{
-		"-rel", "orders=testdata/orders.csv",
-		"-rel", "customers=testdata/customers.csv",
-		"-rel", "orders2=testdata/orders.csv",
-		"-query", "count(union(" +
-			"join(join(customers, orders, on id = cust_id), select(orders2, amount > 0), on cust_id = id), " +
-			"join(join(customers, orders, on id = cust_id), select(orders2, amount > 1), on cust_id = id)))",
-		"-seed", "7", "-exact",
-		"-metrics", metrics,
-	}
-	runCLI(t, args...)
-	raw, err := os.ReadFile(metrics)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
-	for _, family := range []string{
-		"relest_stream_batches_total",
-		"relest_stream_peak_bytes",
-	} {
-		if !strings.Contains(text, family) {
-			t.Errorf("-metrics output missing family %q:\n%s", family, text)
-		}
-	}
-}
-
 // TestFlagValidation pins the CLI contract: unknown flags and stray
 // positional arguments fail with a usage error instead of being
 // silently ignored (all inputs are flags; a stray word is a typo).

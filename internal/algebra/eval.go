@@ -3,6 +3,7 @@ package algebra
 import (
 	"fmt"
 
+	"relest/internal/parallel"
 	"relest/internal/relation"
 )
 
@@ -15,12 +16,12 @@ import (
 // projections and set operations build fresh columnar relations by
 // column-wise copy, never materializing intermediate tuples.
 //
-// Eval materializes every intermediate result, which makes it the oracle
-// the streaming executor (stream.go) is validated against — and too
-// expensive for anything but validation and small exports. Counting goes
-// through Count/StreamCount instead; the relestlint `materialize` rule
-// flags Eval calls outside this package so the escape hatch stays
-// deliberate.
+// Eval materializes every intermediate result, which makes it the
+// set-semantics oracle Count is validated against — and too expensive for
+// anything but validation, small exports and the π/∪/∩/− counts Count
+// routes here. Counting goes through Count instead; the relestlint
+// `materialize` rule flags Eval calls outside this package so the escape
+// hatch stays deliberate.
 func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 	switch e.op {
 	case OpBase:
@@ -167,12 +168,44 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 	}
 }
 
-// Count evaluates COUNT(E) exactly through the streaming batch executor:
-// σ/⋈/× pipelines are drained batch-by-batch without materializing
-// intermediate relations, and set operations keep only their dedup state.
-// Use StreamCountOpts directly to bound workers or record batch metrics.
+// Count evaluates COUNT(E) exactly, routed by the expression itself: with a
+// π or a set operation anywhere, it is the length of Eval's set-semantics
+// result; otherwise E is σ/⋈/× only, Normalize yields one term with
+// coefficient 1, and the count is that term's satisfying assignments over
+// the catalog's full relations — the estimator's term evaluator at a
+// census (every N_i/n_i is 1), holding candidate lists and hash indexes but
+// nothing per output row. The term's parts are counted with parallel.For at
+// the process default worker count (parallel.SetWorkers, i.e. relest
+// -workers) and added in part order; counts are exact below 2^53.
 func Count(e *Expr, cat Catalog) (int64, error) {
-	return StreamCount(e, cat)
+	if e.HasProjection() || e.HasSetOp() {
+		r, err := Eval(e, cat)
+		if err != nil {
+			return 0, err
+		}
+		return int64(r.Len()), nil
+	}
+	p, err := Normalize(e)
+	if err != nil {
+		return 0, err
+	}
+	t := &p.Terms[0]
+	inst, err := BindInstances(t, cat)
+	if err != nil {
+		return 0, err
+	}
+	pt, err := Prepare(t, inst)
+	if err != nil {
+		return 0, err
+	}
+	parts := pt.Parts()
+	counts := make([]float64, parts)
+	parallel.For(parts, parallel.Resolve(0), func(part int) { counts[part] = pt.CountPart(part, parts) })
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	return int64(total), nil
 }
 
 func evalSetOp(op Op, schema *relation.Schema, left, right *relation.Relation) *relation.Relation {

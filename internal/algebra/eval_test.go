@@ -1,9 +1,11 @@
 package algebra
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 
+	"relest/internal/parallel"
 	"relest/internal/relation"
 )
 
@@ -290,5 +292,53 @@ func TestExprIntrospection(t *testing.T) {
 		if e.String() == "" {
 			t.Error("empty String()")
 		}
+	}
+}
+
+// TestCountAllocIndependentOfOutput pins what Count's σ/⋈/× route does not
+// do: materialize. At fixed |R| = 20 000 and |S| = 2 000, growing |R ⋈ S|
+// from 200 to 400 000 rows must leave Count's allocated bytes flat — the
+// term plan holds candidate lists and one hash index over R, nothing per
+// output row. (Eval's allocations grow with the output.)
+func TestCountAllocIndependentOfOutput(t *testing.T) {
+	r := relation.New("R", abSchema())
+	for i := 0; i < 20_000; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 100)), relation.Int(int64(i))})
+	}
+	// Every R key carries 200 rows; the first `matching` S rows hit one
+	// key each, the rest carry keys no R row has.
+	join := func(matching int) (*Expr, MapCatalog) {
+		s := relation.New("S", abSchema())
+		for i := 0; i < 2_000; i++ {
+			a := int64(i % 100)
+			if i >= matching {
+				a = int64(1_000 + i)
+			}
+			s.MustAppend(relation.Tuple{relation.Int(a), relation.Int(int64(i))})
+		}
+		return Must(Join(BaseOf(r), BaseOf(s), []On{{Left: "a", Right: "a"}}, nil, "s")), MapCatalog{"R": r, "S": s}
+	}
+	allocBytes := func(e *Expr, cat Catalog, want int64) uint64 {
+		parallel.SetWorkers(1)
+		defer parallel.SetWorkers(0)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if got := mustCount(t, e, cat); got != want {
+				t.Fatalf("%s: Count %d, want %d", e, got, want)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	smallE, smallCat := join(1)
+	largeE, largeCat := join(2_000)
+	small := allocBytes(smallE, smallCat, 200)
+	large := allocBytes(largeE, largeCat, 400_000)
+	t.Logf("Count allocated %d B for 200 output rows, %d B for 400 000", small, large)
+	if large > small+small/10 {
+		t.Errorf("Count allocated %d B for a 400 000-row join and %d B for a 200-row one: allocation grows with the output", large, small)
 	}
 }

@@ -2,9 +2,14 @@ package algebra
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"relest/internal/parallel"
 	"relest/internal/relation"
 )
 
@@ -131,20 +136,54 @@ func overlapFixture() (MapCatalog, *Expr) {
 	return cat, e
 }
 
-// exactCountAgrees checks the four exact readings of COUNT(e) against one
-// another: the streaming executor, the materializing evaluator, the
-// polynomial's ExactCount and Σ coef·PreparedTerm.Count() — and, per term,
-// that CountPart summed over 1 and over 16 parts reproduces Count().
+// countAt runs Count with the process-default worker count pinned to w.
+func countAt(w int, e *Expr, cat Catalog) (int64, error) {
+	parallel.SetWorkers(w)
+	defer parallel.SetWorkers(0)
+	return Count(e, cat)
+}
+
+// countMatchesEval checks Count ≡ len(Eval) at workers 1 and 4; when Eval
+// fails, Count must fail with Eval's exact error text. It returns Eval's
+// result (nil when Eval failed) and whether every check held.
+func countMatchesEval(t *testing.T, e *Expr, cat Catalog) (*relation.Relation, bool) {
+	t.Helper()
+	rel, werr := Eval(e, cat)
+	for _, w := range []int{1, 4} {
+		got, err := countAt(w, e, cat)
+		if werr != nil || err != nil {
+			if werr == nil || err == nil || werr.Error() != err.Error() {
+				t.Errorf("%s workers=%d: Eval err %v, Count err %v", e, w, werr, err)
+				return nil, false
+			}
+			continue
+		}
+		if got != int64(rel.Len()) {
+			t.Errorf("%s workers=%d: Count %d, len(Eval) %d", e, w, got, rel.Len())
+			return nil, false
+		}
+	}
+	return rel, true
+}
+
+// exactCountAgrees checks the exact readings of COUNT(e) against one
+// another: Count at workers 1 and 4 equals len(Eval) (countMatchesEval),
+// and for π-free expressions so do the polynomial's ExactCount and
+// Σ coef·PreparedTerm.Count() — with, per term, CountPart summed over 1
+// and over 16 parts reproducing Count().
 func exactCountAgrees(t *testing.T, e *Expr, cat Catalog) bool {
 	t.Helper()
-	want, err := Count(e, cat)
-	if err != nil {
-		t.Fatal(err)
+	rel, ok := countMatchesEval(t, e, cat)
+	if !ok {
+		return false
 	}
-	rel, err := Eval(e, cat)
-	if err != nil {
-		t.Fatal(err)
+	if rel == nil {
+		t.Fatalf("%s: unexpected evaluation error", e)
 	}
+	if e.HasProjection() {
+		return true
+	}
+	want := int64(rel.Len())
 	p, err := Normalize(e)
 	if err != nil {
 		t.Fatal(err)
@@ -177,18 +216,19 @@ func exactCountAgrees(t *testing.T, e *Expr, cat Catalog) bool {
 		}
 		sum += float64(tm.Coef) * c
 	}
-	if exact != float64(want) || sum != float64(want) || rel.Len() != int(want) {
-		t.Errorf("%s: Count %d, len(Eval) %d, ExactCount %v, Σ coef·Count() %v", e, want, rel.Len(), exact, sum)
+	if exact != float64(want) || sum != float64(want) {
+		t.Errorf("%s: len(Eval) %d, ExactCount %v, Σ coef·Count() %v", e, want, exact, sum)
 		return false
 	}
 	return true
 }
 
-// TestQuickExactCountMatchesCount: the counting polynomial evaluated with
-// unit weights over the full relations must agree with the streaming
-// executor on random π-free expressions — shallow ones through
-// testing/quick, then the multi-term shapes with repeated relations (the
-// canonical overlapping union and deeper random nestings of 2–120 terms).
+// TestQuickExactCountMatchesCount: Count, len(Eval) and the counting
+// polynomial evaluated with unit weights over the full relations agree on
+// random π-free expressions — shallow ones through testing/quick, then the
+// multi-term shapes with repeated relations (the canonical overlapping
+// union and deeper random nestings of 2–120 terms) — and Count ≡ len(Eval)
+// holds on every other input family below, at workers 1 and 4.
 func TestQuickExactCountMatchesCount(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -219,6 +259,154 @@ func TestQuickExactCountMatchesCount(t *testing.T) {
 	if multi == 0 {
 		t.Error("randomized trials produced no multi-term polynomial; the generator has lost its coverage")
 	}
+
+	// Depth-3 random π-free expressions of every polynomial size, with no
+	// term-count filter: Count ≡ len(Eval) at workers 1 and 4.
+	t.Run("randomized", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 150; trial++ {
+			cat, bases := randomCatalog(rng)
+			countMatchesEval(t, randomExpr(rng, bases, 3), cat)
+		}
+	})
+
+	// π over joins and set operations: Eval's dedup is the count.
+	t.Run("projected", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		for trial := 0; trial < 60; trial++ {
+			cat, bases := randomCatalog(rng)
+			inner := randomExpr(rng, bases, 2)
+			cols := inner.Schema().Columns()
+			exactCountAgrees(t, Must(Project(inner, cols[rng.Intn(len(cols))].Name)), cat)
+		}
+	})
+
+	// The committed FuzzNormalize corpus, decoded with the fuzzer's own
+	// reader, so the corpus keeps covering every exact reading.
+	t.Run("fuzz corpus", func(t *testing.T) {
+		dir := filepath.Join("testdata", "fuzz", "FuzzNormalize")
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatalf("read corpus dir: %v", err)
+		}
+		if len(entries) == 0 {
+			t.Fatal("empty fuzz corpus")
+		}
+		for _, ent := range entries {
+			raw, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(string(raw), "\n")
+			if len(lines) < 2 || !strings.HasPrefix(lines[1], "[]byte(") {
+				t.Fatalf("%s: unexpected corpus format", ent.Name())
+			}
+			data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+			if err != nil {
+				t.Fatalf("%s: unquote corpus payload: %v", ent.Name(), err)
+			}
+			cat := fuzzCatalog()
+			exactCountAgrees(t, (&exprReader{data: []byte(data)}).expr(cat, 4), cat)
+		}
+	})
+
+	// A selection above a join that reads a column of the join's right
+	// operand when that operand is itself a set operation.
+	t.Run("select above join over union", func(t *testing.T) {
+		r := relation.New("R", abSchema())
+		for i := 0; i < 8192; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i % 16)), relation.Int(int64(i))})
+		}
+		s1, s2 := relation.New("S1", abSchema()), relation.New("S2", abSchema())
+		for i := 0; i < 16; i++ {
+			s1.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i * 10))})
+			s2.MustAppend(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i*10 + 1))})
+		}
+		u := Must(Union(BaseOf(s1), BaseOf(s2)))
+		j := Must(Join(BaseOf(r), u, []On{{Left: "a", Right: "a"}}, nil, "u"))
+		exactCountAgrees(t, Must(Select(j, Cmp{Col: "u.b", Op: GE, Val: relation.Int(0)})), MapCatalog{"R": r, "S1": s1, "S2": s2})
+	})
+
+	// A σ/⋈ term large enough to split into partitionParts parts, so
+	// workers 4 really counts the parts concurrently.
+	t.Run("partitioned term", func(t *testing.T) {
+		r, s := relation.New("R", abSchema()), relation.New("S", abSchema())
+		for i := 0; i < 8192; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i % 1024)), relation.Int(int64(i))})
+			s.MustAppend(relation.Tuple{relation.Int(int64(i % 1024)), relation.Int(int64(-i))})
+		}
+		cat := MapCatalog{"R": r, "S": s}
+		j := Must(Join(BaseOf(r), BaseOf(s), []On{{Left: "a", Right: "a"}}, nil, "s"))
+		e := Must(Select(j, Cmp{Col: "s.b", Op: GT, Val: relation.Int(-4096)}))
+		p := must(Normalize(e))
+		pt := must(Prepare(&p.Terms[0], must(BindInstances(&p.Terms[0], cat))))
+		if pt.Parts() != partitionParts {
+			t.Fatalf("term splits into %d parts, want %d", pt.Parts(), partitionParts)
+		}
+		exactCountAgrees(t, e, cat)
+	})
+
+	// Relations with duplicate rows: ∪, ∩, − and π count Eval's
+	// duplicate-free result, σ/⋈/× count the bag.
+	t.Run("duplicate rows", func(t *testing.T) {
+		r, s := relation.New("R", abSchema()), relation.New("S", abSchema())
+		for _, v := range []int64{1, 1, 2, 3, 3} {
+			r.MustAppend(relation.Tuple{relation.Int(v), relation.Int(v)})
+		}
+		for _, v := range []int64{1, 2, 2, 4} {
+			s.MustAppend(relation.Tuple{relation.Int(v), relation.Int(v)})
+		}
+		cat := MapCatalog{"R": r, "S": s}
+		rb, sb := BaseOf(r), BaseOf(s)
+		for _, c := range []struct {
+			e    *Expr
+			want int
+		}{
+			{rb, 5},
+			{Must(Join(rb, sb, []On{{Left: "a", Right: "a"}}, nil, "s")), 4},
+			{Must(Union(rb, sb)), 4},
+			{Must(Union(rb, rb)), 3},
+			{Must(Intersect(rb, sb)), 2},
+			{Must(Diff(rb, sb)), 1},
+			{Must(Project(rb, "a")), 3},
+		} {
+			if rel, ok := countMatchesEval(t, c.e, cat); ok && rel.Len() != c.want {
+				t.Errorf("%s: Count %d, want %d", c.e, rel.Len(), c.want)
+			}
+		}
+	})
+
+	// A relation missing from the catalog: both routes fail with Eval's
+	// error text.
+	t.Run("missing relation", func(t *testing.T) {
+		cat, bases := randomCatalog(rand.New(rand.NewSource(1)))
+		missing := Base("missing", bases[0].Schema())
+		for _, e := range []*Expr{
+			missing,
+			Must(Join(bases[0], missing, []On{{Left: "a", Right: "a"}}, nil, "m")),
+			Must(Union(bases[0], missing)),
+			Must(Project(missing, "a")),
+		} {
+			if rel, ok := countMatchesEval(t, e, cat); ok && rel != nil {
+				t.Errorf("%s: evaluated without the missing relation", e)
+			}
+		}
+	})
+}
+
+// abSchema is the (a int, b int) layout of the hand-built relations above.
+func abSchema() *relation.Schema {
+	return relation.MustSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+	)
+}
+
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // TestQuickJoinCommutative: |L ⋈ R| == |R ⋈ L| through both evaluation

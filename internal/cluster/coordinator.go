@@ -407,29 +407,23 @@ func (c *Coordinator) handleCreateSynopsis(w http.ResponseWriter, r *http.Reques
 	if c.refuseDraining(w) {
 		return
 	}
-	name := r.PathValue("name")
-	if !server.ValidName(name) {
-		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("invalid synopsis name %q", name))
-		return
-	}
 	var req server.SynopsisRequest
 	if !server.DecodeBody(w, r, &req) {
 		return
 	}
-	status, body := c.createSynopsis(r.Context(), name, callerTenant(r), req)
+	status, body := c.createSynopsis(r.Context(), r.PathValue("name"), callerTenant(r), req)
 	_ = server.WriteJSON(w, status, body)
 }
 
+// createSynopsis validates the request exactly as a node does
+// (server.ValidateSynopsis, against the coordinator's routing table), then
+// pushes each shard its share. The answer merges the shards' own 201
+// bodies, so at shards=1 it is the node's body byte for byte.
 func (c *Coordinator) createSynopsis(ctx context.Context, name, tenant string, req server.SynopsisRequest) (int, any) {
-	if req.Kind != "static" && req.Kind != "incremental" {
-		return http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("unknown synopsis kind %q (want static or incremental)", req.Kind)}
-	}
-	if len(req.Relations) == 0 {
-		return http.StatusBadRequest, server.ErrorResponse{Error: "synopsis needs at least one relation"}
-	}
 	c.regMu.Lock()
 	defer c.regMu.Unlock()
 	c.mu.RLock()
+	req, err := server.ValidateSynopsis(name, req, func(rel string) bool { return c.rels[rel] != nil })
 	_, dup := c.syns[name]
 	drivers := append([]*workload.Driver(nil), c.drivers...)
 	relNames := make([]string, 0, len(req.Relations))
@@ -439,15 +433,13 @@ func (c *Coordinator) createSynopsis(ctx context.Context, name, tenant string, r
 		rels[rn] = c.rels[rn]
 	}
 	c.mu.RUnlock()
+	if err != nil {
+		return http.StatusBadRequest, server.ErrorResponse{Error: err.Error()}
+	}
 	if dup {
 		return http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("synopsis %q already exists", name)}
 	}
 	sort.Strings(relNames)
-	for _, rn := range relNames {
-		if rels[rn] == nil {
-			return http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("no relation %q registered", rn)}
-		}
-	}
 
 	perShard := make([]server.SynopsisRequest, c.cfg.Spec.Shards)
 	for s := range perShard {
@@ -472,6 +464,7 @@ func (c *Coordinator) createSynopsis(ctx context.Context, name, tenant string, r
 		}
 		perShard[s] = sreq
 	}
+	info := server.SynopsisInfo{Name: name, Relations: map[string]int{}}
 	for s, d := range drivers {
 		status, raw, err := forTenant(d, tenant).DoRetry(ctx, "/v1/synopses/"+url.PathEscape(name), perShard[s])
 		if err != nil {
@@ -482,17 +475,20 @@ func (c *Coordinator) createSynopsis(ctx context.Context, name, tenant string, r
 			c.rollbackPush(drivers[:s], "/v1/synopses/"+url.PathEscape(name))
 			return http.StatusBadGateway, server.ErrorResponse{Error: fmt.Sprintf("shard %d refused synopsis %q: %s", s, name, raw)}
 		}
+		var shardInfo server.SynopsisInfo
+		if err := json.Unmarshal(raw, &shardInfo); err != nil {
+			c.rollbackPush(drivers[:s+1], "/v1/synopses/"+url.PathEscape(name))
+			return http.StatusBadGateway, server.ErrorResponse{Error: fmt.Sprintf("shard %d synopsis push: %v", s, err)}
+		}
+		info.Kind, info.Tenant = shardInfo.Kind, shardInfo.Tenant
+		for rn, n := range shardInfo.Relations {
+			info.Relations[rn] += n
+		}
 	}
 
 	c.mu.Lock()
 	c.syns[name] = &coordSyn{kind: req.Kind, tenant: tenant, req: req, perShard: perShard}
 	c.mu.Unlock()
-	info := server.SynopsisInfo{Name: name, Kind: req.Kind, Relations: map[string]int{}}
-	for _, rn := range relNames {
-		for s := range perShard {
-			info.Relations[rn] += min(perShard[s].Relations[rn], len(rels[rn].rowsByShard[s]))
-		}
-	}
 	return http.StatusCreated, info
 }
 
@@ -507,9 +503,6 @@ func proportionalAlloc(sizes []int, total int) []int {
 		n += s
 	}
 	out := make([]int, len(sizes))
-	if total < 1 {
-		total = 1
-	}
 	if n == 0 {
 		for i := range out {
 			out[i] = 1

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -122,6 +123,47 @@ func TestNodeCoordinatorSameValidation(t *testing.T) {
 				t.Errorf("coordinator differs from node:\nnode:  %d %s\ncoord: %d %s", nStatus, nBody, cStatus, cBody)
 			}
 		})
+	}
+}
+
+// TestNodeCoordinatorSameSynopsisCreate pins "the coordinator creates the
+// synopses a node creates and refuses the rest in the node's words": the
+// same create goes to a stock node and to a coordinator, whose status must
+// match the node's at shards 1 and 2, and whose body must be byte-identical
+// at shards=1.
+func TestNodeCoordinatorSameSynopsisCreate(t *testing.T) {
+	rows := []struct {
+		name, synopsis string
+		req            server.SynopsisRequest
+		want           int // the node's status
+	}{
+		{name: "default kind", synopsis: "dflt", req: server.SynopsisRequest{Relations: map[string]int{"R1": 50}}, want: 201},
+		{name: "static", synopsis: "st", req: server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 50, "R2": 40}, Seed: 4}, want: 201},
+		{name: "incremental", synopsis: "inc", req: server.SynopsisRequest{Kind: "incremental", Relations: map[string]int{"R1": 0}, Capacity: 100}, want: 201},
+		{name: "zero sample size", synopsis: "zero", req: server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 0}}, want: 400},
+		{name: "negative sample size", synopsis: "neg", req: server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 5, "R2": -3}}, want: 400},
+		{name: "no relations", synopsis: "none", req: server.SynopsisRequest{Kind: "static"}, want: 400},
+		{name: "unknown kind", synopsis: "kind", req: server.SynopsisRequest{Kind: "psychic", Relations: map[string]int{"R1": 5}}, want: 400},
+		{name: "unknown relation", synopsis: "unk", req: server.SynopsisRequest{Kind: "incremental", Relations: map[string]int{"R1": 5, "R9": 5}}, want: 400},
+		{name: "bad name", synopsis: "bad.name", req: server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 5}}, want: 400},
+		{name: "duplicate", synopsis: "main", req: server.SynopsisRequest{Kind: "static", Relations: map[string]int{"R1": 5}}, want: 400},
+	}
+	for _, shards := range []int{1, 2} {
+		node, h := startTwin(t, shards)
+		for _, r := range rows {
+			t.Run(fmt.Sprintf("shards=%d/%s", shards, r.name), func(t *testing.T) {
+				body := mustJSON(t, r.req)
+				path := "/v1/synopses/" + r.synopsis
+				nStatus, nBody := serve(context.Background(), node.Handler(), path, body)
+				cStatus, cBody := serve(context.Background(), h.Coord.Handler(), path, body)
+				if nStatus != r.want {
+					t.Fatalf("node answered %d %s, want %d", nStatus, nBody, r.want)
+				}
+				if cStatus != nStatus || (shards == 1 && !bytes.Equal(cBody, nBody)) {
+					t.Errorf("coordinator differs from node:\nnode:  %d %s\ncoord: %d %s", nStatus, nBody, cStatus, cBody)
+				}
+			})
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"relest/internal/algebra"
 	"relest/internal/obs"
@@ -36,15 +35,13 @@ func WithOptions(opts Options) EstimatorOption {
 	return func(e *Estimator) { e.opts = opts }
 }
 
-// WithTierPolicy sets the handle's default tier policy (TierAuto when
-// unset); individual requests override it via Request.Tier.
+// WithTierPolicy sets the handle's tier policy (TierAuto when unset).
 func WithTierPolicy(p TierPolicy) EstimatorOption {
 	return func(e *Estimator) { e.policy = p }
 }
 
-// WithPrecision sets the handle's default target relative CI half-width
-// for accepting sketch-tier answers (DefaultPrecision when unset);
-// individual requests override it via Request.Precision.
+// WithPrecision sets the handle's target relative CI half-width for
+// accepting sketch-tier answers (DefaultPrecision when unset).
 func WithPrecision(w float64) EstimatorOption {
 	return func(e *Estimator) { e.precision = w }
 }
@@ -77,16 +74,6 @@ type Request struct {
 	// Col names the aggregated column (Sum/Avg) or grouping column
 	// (GroupCount); ignored by Count.
 	Col string
-	// Precision is the target relative CI half-width for accepting a
-	// sketch-tier answer; 0 uses the handle's default.
-	Precision float64
-	// Deadline, when positive, bounds the request's wall time (the
-	// context is narrowed with a timeout; cancellation aborts between
-	// polynomial terms and variance replicates with no partial result).
-	Deadline time.Duration
-	// Tier overrides the handle's tier policy for this request;
-	// TierDefault (the zero value) keeps the handle's.
-	Tier TierPolicy
 }
 
 // Result is an estimate plus the tier(s) that answered it.
@@ -94,30 +81,6 @@ type Result struct {
 	Estimate
 	// Tier reports which tier(s) produced the value.
 	Tier TierReport
-}
-
-// requestContext narrows the context by the request's deadline.
-func (req Request) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
-	if req.Deadline > 0 {
-		return context.WithTimeout(ctx, req.Deadline)
-	}
-	return ctx, func() {}
-}
-
-// policyFor resolves the effective tier policy of a request.
-func (e *Estimator) policyFor(req Request) TierPolicy {
-	if req.Tier != TierDefault {
-		return req.Tier
-	}
-	return e.policy
-}
-
-// precisionFor resolves the effective precision target of a request.
-func (e *Estimator) precisionFor(req Request) float64 {
-	if req.Precision > 0 {
-		return req.Precision
-	}
-	return e.precision
 }
 
 // recordTier emits the tier-planner metrics (tiered requests only, so
@@ -148,21 +111,15 @@ func (e *Estimator) recordTier(rep TierReport) {
 // polynomial to the sample tier untouched: no sketches are built and no
 // tier metrics are emitted.
 func (e *Estimator) Count(ctx context.Context, req Request) (Result, error) {
-	ctx, cancel := req.requestContext(ctx)
-	defer cancel()
 	poly, err := algebra.Normalize(req.Expr)
 	if err != nil {
 		return Result{}, err
 	}
-	policy := e.policyFor(req)
-	if policy != TierSampleOnly {
-		e.syn.EnsureSketches() // per-request tier overrides on a sample-only handle
-	}
-	est, rep, err := tieredCount(ctx, poly, e.syn, e.opts, policy, e.precisionFor(req))
+	est, rep, err := tieredCount(ctx, poly, e.syn, e.opts, e.policy, e.precision)
 	if err != nil {
 		return Result{}, err
 	}
-	if policy != TierSampleOnly {
+	if e.policy != TierSampleOnly {
 		e.recordTier(rep)
 	}
 	return Result{Estimate: est, Tier: rep}, nil
@@ -172,9 +129,7 @@ func (e *Estimator) Count(ctx context.Context, req Request) (Result, error) {
 // sketch form, so every Sum is answered by the sample tier; a
 // TierSketchOnly request fails rather than silently downgrading.
 func (e *Estimator) Sum(ctx context.Context, req Request) (Result, error) {
-	ctx, cancel := req.requestContext(ctx)
-	defer cancel()
-	if e.policyFor(req) == TierSketchOnly {
+	if e.policy == TierSketchOnly {
 		return Result{}, fmt.Errorf("estimator: sketch tier cannot answer SUM(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
 	poly, contrib, err := sumPoly(req.Expr, req.Col)
@@ -192,9 +147,7 @@ func (e *Estimator) Sum(ctx context.Context, req Request) (Result, error) {
 // SUM and COUNT estimators — biased O(1/n) but consistent (the classical
 // ratio estimator). Like Sum it is always sample-tier.
 func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport, error) {
-	ctx, cancel := req.requestContext(ctx)
-	defer cancel()
-	if e.policyFor(req) == TierSketchOnly {
+	if e.policy == TierSketchOnly {
 		return AvgResult{}, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer AVG(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
 	}
 	poly, contrib, err := sumPoly(req.Expr, req.Col)
@@ -226,9 +179,7 @@ func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport
 // GroupCount estimates COUNT(*) GROUP BY req.Col over req.Expr's result,
 // sorted by descending estimated count. Always sample-tier.
 func (e *Estimator) GroupCount(ctx context.Context, req Request) ([]GroupEstimate, TierReport, error) {
-	ctx, cancel := req.requestContext(ctx)
-	defer cancel()
-	if e.policyFor(req) == TierSketchOnly {
+	if e.policy == TierSketchOnly {
 		return nil, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer GROUP BY %s; grouping needs the sample tier (auto or sample policy)", req.Col)
 	}
 	groups, err := groupCount(ctx, req.Expr, req.Col, e.syn, e.opts)

@@ -47,8 +47,7 @@ type TierPolicy int
 
 // Tier policies.
 const (
-	// TierDefault (the zero value) defers to the Estimator handle's
-	// configured policy (itself defaulting to TierAuto).
+	// TierDefault (the zero value) selects TierAuto in NewEstimator.
 	TierDefault TierPolicy = iota
 	// TierAuto answers each term from the sketch tier when it meets the
 	// precision target, escalating per term to the sample tier.
@@ -93,8 +92,8 @@ func ParseTierPolicy(s string) (TierPolicy, error) {
 	}
 }
 
-// DefaultPrecision is the target relative CI half-width used when neither
-// the handle nor the request sets one: a sketch answer is accepted when
+// DefaultPrecision is the target relative CI half-width used when the
+// handle sets none: a sketch answer is accepted when
 // z·σ̂ is within 10% of the estimate.
 const DefaultPrecision = 0.1
 

@@ -255,7 +255,7 @@ func TestTierMixedComposition(t *testing.T) {
 
 // TestEstimatorHandleAggregates covers the handle's non-count surface:
 // aggregates are sample-tier by construction, refuse the sketch-only
-// policy, and honor request deadlines.
+// policy, and honor cancellation.
 func TestEstimatorHandleAggregates(t *testing.T) {
 	src := sampling.NewSource(29)
 	r1, _ := workload.JoinPair(src.Rand(0), workload.JoinPairSpec{
@@ -310,14 +310,26 @@ func TestEstimatorHandleAggregates(t *testing.T) {
 		t.Error("cancelled GroupCount must fail")
 	}
 
-	// A per-request tier override on a sample-only handle still works: the
-	// handle lazily builds the sketch tier for the overriding request.
-	so := estimator.NewEstimator(syn, estimator.WithTierPolicy(estimator.TierSampleOnly))
-	res, err := so.Count(ctx, estimator.Request{Expr: base, Tier: estimator.TierAuto})
+	// The tier policy belongs to the handle: a sample-only handle builds no
+	// sketches, and a TierAuto handle over the same synopsis builds them at
+	// construction and answers the bare cardinality from them.
+	fresh := estimator.NewSynopsis()
+	if err := fresh.AddDrawn(r1, 200, src.Rand(2)); err != nil {
+		t.Fatal(err)
+	}
+	so := estimator.NewEstimator(fresh, estimator.WithTierPolicy(estimator.TierSampleOnly))
+	if _, err := so.Count(ctx, estimator.Request{Expr: base}); err != nil {
+		t.Fatal(err)
+	}
+	if b := fresh.SketchBytes(); b != 0 {
+		t.Errorf("sample-only handle built %d B of sketches", b)
+	}
+	auto := estimator.NewEstimator(fresh, estimator.WithTierPolicy(estimator.TierAuto))
+	res, err := auto.Count(ctx, estimator.Request{Expr: base})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Tier.Answered != estimator.TierAnsweredSketch {
-		t.Errorf("per-request auto override answered %q, want sketch (bare cardinality)", res.Tier.Answered)
+		t.Errorf("auto handle answered %q, want sketch (bare cardinality)", res.Tier.Answered)
 	}
 }

@@ -6,26 +6,26 @@ import (
 	"strings"
 )
 
-// Materialize protects the executor's streaming discipline. Since the
-// streaming batch executor landed, σ/⋈ pipelines count and drain through
-// StreamCount / StreamCountOpts / StreamEval, which hold at most one
-// batch per operator plus hash build sides; algebra.Eval materializes
-// every intermediate relation and is kept as the executor's oracle and
-// as the escape hatch for callers that genuinely need a fully
-// materialized result they will index repeatedly. The rule flags, outside
-// internal/algebra itself, every call to that materializing entry point.
+// Materialize keeps exact counting off the materializing evaluator.
+// algebra.Count counts σ/⋈/× expressions with the term evaluator, which
+// holds candidate lists and hash indexes but nothing per output row, and
+// routes only π and set operations through Eval; algebra.Eval materializes
+// every intermediate relation and is kept as Count's set-semantics oracle
+// and as the escape hatch for callers that genuinely need a fully
+// materialized result. The rule flags, outside internal/algebra itself,
+// every call to that materializing entry point.
 //
 // Deliberate uses (exact-answer export paths, oracles) carry a
 // //lint:ignore materialize directive with the justification.
 var Materialize = &Analyzer{
 	Name: "materialize",
-	Doc:  "relational results stream through StreamCount/StreamEval; materializing Eval is an annotated escape hatch",
+	Doc:  "exact cardinalities go through algebra.Count; materializing Eval is an annotated escape hatch",
 	Run:  runMaterialize,
 }
 
-// algebraPkgSuffix identifies the executor package, which owns both
-// evaluators and is free to call the materializing one (the streaming
-// property tests depend on it as the oracle).
+// algebraPkgSuffix identifies the evaluator package, which owns Count and
+// Eval and is free to call the materializing one (Count routes π and set
+// operations to it, and its property tests use it as the oracle).
 const algebraPkgSuffix = "internal/algebra"
 
 func runMaterialize(p *Pass) {
@@ -49,7 +49,7 @@ func runMaterialize(p *Pass) {
 			if !ok || sig.Recv() != nil {
 				return true
 			}
-			p.Reportf(call.Pos(), "algebra.Eval materializes every intermediate relation; stream with StreamCount/StreamCountOpts (cardinalities) or StreamEval (rows)")
+			p.Reportf(call.Pos(), "algebra.Eval materializes every intermediate relation; count with algebra.Count")
 			return true
 		})
 	}

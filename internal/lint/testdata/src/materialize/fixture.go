@@ -17,15 +17,9 @@ func materializingCount(e *algebra.Expr, cat algebra.Catalog) (int64, error) {
 	return int64(r.Len()), nil
 }
 
-// streamingCount counts through the streaming executor: no finding.
-func streamingCount(e *algebra.Expr, cat algebra.Catalog) (int64, error) {
-	return algebra.StreamCount(e, cat)
-}
-
-// streamingRows drains the pipeline batch by batch: no finding — the
-// result relation is the caller's, not a materialized intermediate.
-func streamingRows(e *algebra.Expr, cat algebra.Catalog) (*relation.Relation, error) {
-	return algebra.StreamEval(e, cat)
+// exactCount counts through algebra.Count: no finding.
+func exactCount(e *algebra.Expr, cat algebra.Catalog) (int64, error) {
+	return algebra.Count(e, cat)
 }
 
 // methodEval calls an unrelated method that happens to be named Eval:

@@ -132,19 +132,6 @@ const (
 	MetricSynopsisBytes = "relest_synopsis_bytes"
 )
 
-// Streaming-executor metric names, recorded by internal/algebra and exposed
-// wherever a Collector is scraped (/metrics in relestd, -metrics in
-// cmd/relest).
-const (
-	// MetricStreamBatches counts batches emitted by streaming operators.
-	MetricStreamBatches = "relest_stream_batches_total"
-	// MetricStreamPeakBytes gauges the peak live working set of the most
-	// recent streaming pipeline: operator batches, hash-join build sides
-	// and dedup state — the executor's memory ceiling, independent of
-	// probe-side input size.
-	MetricStreamPeakBytes = "relest_stream_peak_bytes"
-)
-
 // Metrics is the instrument registry. Instruments are created on first
 // use and live for the registry's lifetime; names follow Prometheus
 // conventions (`relest_<noun>_<unit>[_total]`) and may carry inline

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"sort"
 	"time"
 
 	"relest/internal/algebra"
@@ -201,10 +202,6 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCreateSynopsis(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	if !ValidName(name) {
-		_ = WriteError(w, http.StatusBadRequest, errBadName("synopsis", name).Error())
-		return
-	}
 	var req SynopsisRequest
 	if !DecodeBody(w, r, &req) {
 		return
@@ -220,6 +217,43 @@ func (s *Server) handleCreateSynopsis(w http.ResponseWriter, r *http.Request) {
 	}
 	entry, _ := s.reg.synopsis(name)
 	_ = WriteJSON(w, http.StatusCreated, entry.info(name))
+}
+
+// ValidateSynopsis runs every check on a synopsis-create request that needs
+// no sampling and returns the request with its kind defaulted to static.
+// In order: the name, a non-empty relation set, the kind, then relation by
+// relation in name order that it is registered (registered looks a name up
+// in the caller's catalog) and, for a static synopsis, that its sample size
+// is ≥ 1 (incremental sizes are ignored). A node runs it against its
+// catalog and the sharded coordinator against its routing table, so both
+// create the same synopses and refuse the rest with the same 400 body.
+func ValidateSynopsis(name string, req SynopsisRequest, registered func(rel string) bool) (SynopsisRequest, error) {
+	if req.Kind == "" {
+		req.Kind = "static"
+	}
+	if !ValidName(name) {
+		return req, errBadName("synopsis", name)
+	}
+	if len(req.Relations) == 0 {
+		return req, fmt.Errorf("synopsis %q: no relations given", name)
+	}
+	if req.Kind != "static" && req.Kind != "incremental" {
+		return req, fmt.Errorf("synopsis %q: unknown kind %q (want static or incremental)", name, req.Kind)
+	}
+	rels := make([]string, 0, len(req.Relations))
+	for rel := range req.Relations {
+		rels = append(rels, rel)
+	}
+	sort.Strings(rels)
+	for _, rel := range rels {
+		if !registered(rel) {
+			return req, fmt.Errorf("synopsis %q: relation %q not registered", name, rel)
+		}
+		if n := req.Relations[rel]; req.Kind == "static" && n < 1 {
+			return req, fmt.Errorf("synopsis %q: sample size %d for %q (want ≥ 1)", name, n, rel)
+		}
+	}
+	return req, nil
 }
 
 // requestTenant resolves the tenant a request is accounted to.

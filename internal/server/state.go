@@ -261,11 +261,12 @@ type quotaError struct {
 
 func (e *quotaError) Error() string { return e.msg }
 
-// buildStatic draws the static synopsis a spec describes. Draws iterate
-// the spec's relations in sorted-name order so the seed pins the synopsis
-// exactly; called with reg.mu held (create) or over the immutable catalog
-// (rebuild — relations are append-only and never replaced, so reading the
-// map under RLock suffices).
+// buildStatic draws the static synopsis a validated spec describes (see
+// ValidateSynopsis; a relation a synopsis references cannot be removed).
+// Draws iterate the spec's relations in sorted-name order so the seed pins
+// the synopsis exactly; called with reg.mu held (create) or over the
+// immutable catalog (rebuild — relations are append-only and never
+// replaced, so reading the map under RLock suffices).
 func (reg *registry) buildStatic(name string, req SynopsisRequest, cat map[string]*relation.Relation) (*estimator.Synopsis, error) {
 	names := make([]string, 0, len(req.Relations))
 	for rel := range req.Relations {
@@ -275,18 +276,8 @@ func (reg *registry) buildStatic(name string, req SynopsisRequest, cat map[strin
 	rng := sampling.NewSource(req.Seed).Rand(0)
 	syn := estimator.NewSynopsis()
 	for _, rel := range names {
-		r, ok := cat[rel]
-		if !ok {
-			return nil, fmt.Errorf("synopsis %q: relation %q not registered", name, rel)
-		}
-		n := req.Relations[rel]
-		if n < 1 {
-			return nil, fmt.Errorf("synopsis %q: sample size %d for %q (want ≥ 1)", name, n, rel)
-		}
-		if n > r.Len() {
-			n = r.Len()
-		}
-		if err := syn.AddDrawn(r, n, rng); err != nil {
+		r := cat[rel]
+		if err := syn.AddDrawn(r, min(req.Relations[rel], r.Len()), rng); err != nil {
 			return nil, fmt.Errorf("synopsis %q: %v", name, err)
 		}
 	}
@@ -300,24 +291,23 @@ func (reg *registry) buildStatic(name string, req SynopsisRequest, cat map[strin
 // synopsis created after the last snapshot survives a crash: restore
 // replays the creation record and then its stream events in order.
 func (reg *registry) addSynopsis(name, tenant string, req SynopsisRequest) error {
-	if !ValidName(name) {
-		return errBadName("synopsis", name)
-	}
-	if len(req.Relations) == 0 {
-		return fmt.Errorf("synopsis %q: no relations given", name)
-	}
 	reg.mu.Lock()
+	req, err := ValidateSynopsis(name, req, func(rel string) bool {
+		_, ok := reg.cat[rel]
+		return ok
+	})
+	if err != nil {
+		reg.mu.Unlock()
+		return err
+	}
 	if _, dup := reg.syns[name]; dup {
 		reg.mu.Unlock()
 		return fmt.Errorf("synopsis %q already exists", name)
 	}
 	entry := &synopsisEntry{kind: req.Kind, tenant: tenant, spec: req}
-	var err error
-	switch req.Kind {
-	case "", "static":
-		entry.kind = "static"
+	if req.Kind == "static" {
 		entry.static, err = reg.buildStatic(name, req, reg.cat)
-	case "incremental":
+	} else {
 		capacity := req.Capacity
 		if capacity <= 0 {
 			capacity = 1000
@@ -331,19 +321,12 @@ func (reg *registry) addSynopsis(name, tenant string, req SynopsisRequest) error
 		}
 		sort.Strings(names)
 		for _, rel := range names {
-			r, ok := reg.cat[rel]
-			if !ok {
-				err = fmt.Errorf("synopsis %q: relation %q not registered", name, rel)
-				break
-			}
-			if terr := inc.Track(rel, r.Schema()); terr != nil {
+			if terr := inc.Track(rel, reg.cat[rel].Schema()); terr != nil {
 				err = fmt.Errorf("synopsis %q: %v", name, terr)
 				break
 			}
 		}
 		entry.inc = inc
-	default:
-		err = fmt.Errorf("synopsis %q: unknown kind %q (want static or incremental)", name, req.Kind)
 	}
 	if err != nil {
 		reg.mu.Unlock()

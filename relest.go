@@ -219,10 +219,12 @@ func ExactEval(e *Expr, cat Catalog) (*Relation, error) {
 //	res, err := est.Count(ctx, relest.Request{Expr: e})
 //	// res.Value ± res.StdErr, CI [res.Lo, res.Hi], res.Tier.Answered
 //
-// Requests carry a precision target, an optional deadline, and a tier
-// policy (TierAuto answers from the sketch tier when it is precise
-// enough, escalating per term to the sample tier; TierSampleOnly answers
-// from the sample-based counting polynomial alone).
+// A request carries the expression (and, for Sum/Avg/GroupCount, the
+// column); the handle carries everything else: options, the precision
+// target (WithPrecision) and the tier policy (WithTierPolicy — TierAuto
+// answers from the sketch tier when it is precise enough, escalating per
+// term to the sample tier; TierSampleOnly answers from the sample-based
+// counting polynomial alone). Bound a request's wall time through ctx.
 type (
 	// Estimator is the unified estimation handle (Count/Sum/Avg/
 	// GroupCount over one synopsis, options and tier policy).
@@ -242,7 +244,7 @@ type (
 
 // Tier policies.
 const (
-	// TierDefault defers to the handle's configured policy.
+	// TierDefault (the zero value) selects TierAuto in New.
 	TierDefault = estimator.TierDefault
 	// TierAuto tries the sketch tier first, escalating per term.
 	TierAuto = estimator.TierAuto
@@ -252,8 +254,8 @@ const (
 	TierSampleOnly = estimator.TierSampleOnly
 )
 
-// DefaultPrecision is the target relative CI half-width used when neither
-// the handle nor the request sets one.
+// DefaultPrecision is the target relative CI half-width used when the
+// handle sets none.
 const DefaultPrecision = estimator.DefaultPrecision
 
 // Tier names reported in Result.Tier.Answered.

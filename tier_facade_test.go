@@ -33,9 +33,9 @@ func count(e *relest.Expr, syn *relest.Synopsis, opts relest.Options) (relest.Es
 }
 
 // TestFacadeLegacyBitIdentityMatrix pins the handle's tier-policy
-// contract across the workers{1,4} × policy matrix: a per-request
-// TierSampleOnly override on an auto handle reproduces a sample-only
-// handle's bits, and a TierAuto handle answering a sketch-ineligible shape
+// contract across the workers{1,4} × policy matrix: building an auto
+// handle (and with it the sketch tier) leaves a sample-only handle's bits
+// unchanged, and a TierAuto handle answering a sketch-ineligible shape
 // lands on those exact bits too — escalation reuses the sample-tier
 // computation unchanged, it does not approximate it. Sum, Avg and
 // GroupCount agree bit for bit across worker counts.
@@ -64,11 +64,12 @@ func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 	var groups [][]relest.GroupEstimate
 	for _, workers := range []int{1, 4} {
 		opts := relest.Options{Workers: workers}
-		auto := relest.New(syn, relest.WithOptions(opts))
-		for _, c := range []struct {
+		cases := []struct {
 			name string
 			expr *relest.Expr
-		}{{"selection", sel}, {"join", join}} {
+		}{{"selection", sel}, {"join", join}}
+		before := make([]relest.Result, len(cases))
+		for i, c := range cases {
 			res, err := sampleOnly(workers).Count(ctx, relest.Request{Expr: c.expr})
 			if err != nil {
 				t.Fatal(err)
@@ -76,13 +77,18 @@ func TestFacadeLegacyBitIdentityMatrix(t *testing.T) {
 			if res.Tier.Answered != relest.TierAnsweredSample {
 				t.Errorf("%s: sample-only handle reported tier %q", c.name, res.Tier.Answered)
 			}
-			// Per-request override on an auto handle: pinning the request to
-			// the sample tier must reproduce the sample-only handle's bits.
-			over, err := auto.Count(ctx, relest.Request{Expr: c.expr, Tier: relest.TierSampleOnly})
+			before[i] = res
+		}
+		// An auto handle builds the synopsis's sketch tier (on the first
+		// pass); a sample-only handle built afterwards must reproduce the
+		// bits it gave before the sketches existed.
+		auto := relest.New(syn, relest.WithOptions(opts))
+		for i, c := range cases {
+			after, err := sampleOnly(workers).Count(ctx, relest.Request{Expr: c.expr})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameEstimate(t, c.name+"/request override", res.Estimate, over.Estimate)
+			requireSameEstimate(t, c.name+"/sample-only beside sketches", before[i].Estimate, after.Estimate)
 		}
 
 		// TierAuto on a sketch-ineligible shape escalates into the exact
