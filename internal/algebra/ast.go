@@ -197,7 +197,7 @@ func BaseOf(r *relation.Relation) *Expr { return Base(r.Name(), r.Schema()) }
 // Select creates σ_p(child). The predicate's columns are resolved against
 // the child's schema at construction.
 func Select(child *Expr, p Predicate) (*Expr, error) {
-	bp, err := bindPredicate(p, child.schema)
+	bp, err := bindPredicate(p, child.schema, oneRow(child.schema))
 	if err != nil {
 		return nil, fmt.Errorf("algebra: select: %w", err)
 	}
@@ -263,7 +263,12 @@ func Join(left, right *Expr, on []On, theta Predicate, rightPrefix string) (*Exp
 	}
 	e := &Expr{op: OpJoin, schema: s, left: left, right: right, joinLeft: jl, joinRight: jr}
 	if theta != nil {
-		bp, err := bindPredicate(theta, s)
+		// Left positions read row 0, right positions row 1.
+		at := oneRow(s)
+		for i := left.schema.Len(); i < len(at); i++ {
+			at[i] = ColRef{Occ: 1, Col: i - left.schema.Len()}
+		}
+		bp, err := bindPredicate(theta, s, at)
 		if err != nil {
 			return nil, fmt.Errorf("algebra: join theta: %w", err)
 		}

@@ -41,8 +41,10 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 			return nil, err
 		}
 		var keep []int
+		var one [1]relation.Row
 		child.EachRow(func(i int, row relation.Row) bool {
-			if e.pred.evalRow(row) {
+			one[0] = row
+			if e.pred.eval(one[:]) {
 				keep = append(keep, i)
 			}
 			return true
@@ -102,17 +104,12 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 		// output ordering matches the row-store evaluator exactly.
 		out := relation.New("⋈", e.schema)
 		theta := e.theta.eval
-		var joined relation.Tuple
+		var pair [2]relation.Row
 		emit := func(li, ri int) {
 			if theta != nil {
-				// The theta predicate is bound against the concatenated
-				// schema; gather the pair into a reused buffer to test it.
-				joined = joined[:0]
-				//lint:ignore tuplecopy theta evaluation needs the concatenated pair; buffer is reused, never retained
-				joined = left.Row(li).MaterializeInto(joined)
-				//lint:ignore tuplecopy see above
-				joined = right.Row(ri).MaterializeInto(joined)
-				if !theta(joined) {
+				// θ reads the left row as row 0 and the right as row 1.
+				pair = [2]relation.Row{left.Row(li), right.Row(ri)}
+				if !theta(pair[:]) {
 					return
 				}
 			}

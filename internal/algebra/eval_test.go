@@ -194,6 +194,19 @@ func TestEvalComposite(t *testing.T) {
 	}
 }
 
+// evalOnRow binds p with oneRow(s) and evaluates it on the single row of a
+// one-row relation holding tup.
+func evalOnRow(t *testing.T, p Predicate, s *relation.Schema, tup relation.Tuple) bool {
+	t.Helper()
+	eval, err := p.bind(s, oneRow(s))
+	if err != nil {
+		t.Fatalf("bind %v: %v", p, err)
+	}
+	r := relation.New("one", s)
+	r.MustAppend(tup)
+	return eval([]relation.Row{r.Row(0)})
+}
+
 func TestPredicates(t *testing.T) {
 	s := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt}, relation.Column{Name: "b", Kind: relation.KindInt})
 	tup := relation.Tuple{relation.Int(5), relation.Int(7)}
@@ -219,11 +232,7 @@ func TestPredicates(t *testing.T) {
 		}}, true},
 	}
 	for i, c := range cases {
-		eval, err := c.p.bind(s)
-		if err != nil {
-			t.Fatalf("case %d: %v", i, err)
-		}
-		if got := eval(tup); got != c.want {
+		if got := evalOnRow(t, c.p, s, tup); got != c.want {
 			t.Errorf("case %d (%v): got %v", i, c.p, got)
 		}
 	}
@@ -233,11 +242,7 @@ func TestPredicateNullSemantics(t *testing.T) {
 	s := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt})
 	tup := relation.Tuple{relation.Null()}
 	for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
-		eval, err := Cmp{Col: "a", Op: op, Val: relation.Int(1)}.bind(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if eval(tup) {
+		if evalOnRow(t, Cmp{Col: "a", Op: op, Val: relation.Int(1)}, s, tup) {
 			t.Errorf("null %s 1 should be false", op)
 		}
 	}
@@ -257,7 +262,7 @@ func TestPredicateColumns(t *testing.T) {
 
 func TestFuncOnColsNilFn(t *testing.T) {
 	s := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt})
-	if _, err := (FuncOnCols{Cols: []string{"a"}}).bind(s); err == nil {
+	if _, err := (FuncOnCols{Cols: []string{"a"}}).bind(s, oneRow(s)); err == nil {
 		t.Error("nil Fn should fail to bind")
 	}
 }
@@ -340,5 +345,27 @@ func TestCountAllocIndependentOfOutput(t *testing.T) {
 	t.Logf("Count allocated %d B for 200 output rows, %d B for 400 000", small, large)
 	if large > small+small/10 {
 		t.Errorf("Count allocated %d B for a 400 000-row join and %d B for a 200-row one: allocation grows with the output", large, small)
+	}
+}
+
+// TestCountSelectAllocsPerPlan: Count(σ(R)) allocates per plan, not per
+// row — the selection reads every candidate row in place.
+func TestCountSelectAllocsPerPlan(t *testing.T) {
+	r := relation.New("R", abSchema())
+	for i := 0; i < 100_000; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 100)), relation.Int(int64(i))})
+	}
+	cat := MapCatalog{"R": r}
+	e := Must(Select(BaseOf(r), Cmp{Col: "b", Op: LT, Val: relation.Int(50_000)}))
+	parallel.SetWorkers(1)
+	defer parallel.SetWorkers(0)
+	allocs := testing.AllocsPerRun(3, func() {
+		if got := mustCount(t, e, cat); got != 50_000 {
+			t.Fatalf("Count %d, want 50000", got)
+		}
+	})
+	t.Logf("Count(σ(R)) at |R| = 100 000: %.0f allocs", allocs)
+	if allocs > 64 {
+		t.Errorf("Count(σ(R)) made %.0f allocations at |R| = 100 000; want ≤ 64 (per plan, not per row)", allocs)
 	}
 }

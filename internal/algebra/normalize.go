@@ -2,6 +2,7 @@ package algebra
 
 import (
 	"fmt"
+	"slices"
 
 	"relest/internal/relation"
 )
@@ -41,12 +42,12 @@ type ColRef struct {
 
 // Occurrence is one use of a base relation inside a term. LocalPreds are
 // selection conditions that constrain this occurrence alone and can be
-// applied before any joining; they read rows of the occurrence's instance
-// directly from column storage.
+// applied before any joining; each is called with a one-row slice holding a
+// row of the occurrence's instance, read in place.
 type Occurrence struct {
 	RelName    string
 	Schema     *relation.Schema
-	LocalPreds []func(relation.Row) bool
+	LocalPreds []func([]relation.Row) bool
 }
 
 // EqCol is an equality constraint between two occurrence columns.
@@ -54,15 +55,12 @@ type EqCol struct {
 	A, B ColRef
 }
 
-// TermPred is a residual predicate spanning multiple occurrences. Eval
-// expects a virtual tuple of Width values in which (at least) the positions
-// listed in ReadPos are populated; Refs maps each read position to the
-// occurrence column providing its value.
+// TermPred is a residual predicate spanning multiple occurrences. Eval is
+// called with one row per entry of Occs: rows[i] is the assigned row of
+// occurrence Occs[i]. Combining terms shifts Occs; Eval never changes.
 type TermPred struct {
-	Eval    func(relation.Tuple) bool
-	Width   int
-	ReadPos []int
-	Refs    []ColRef // aligned with ReadPos
+	Eval func([]relation.Row) bool
+	Occs []int
 }
 
 // Term is one conjunctive summand of a counting polynomial.
@@ -145,7 +143,9 @@ func normalize(e *Expr) (Polynomial, error) {
 			return Polynomial{}, err
 		}
 		for i := range child.Terms {
-			attachPredicate(&child.Terms[i], e.pred, e.left.schema.Len())
+			if err := attachPredicate(&child.Terms[i], e.pred, e.left.schema); err != nil {
+				return Polynomial{}, err
+			}
 		}
 		return child, nil
 
@@ -171,7 +171,9 @@ func normalize(e *Expr) (Polynomial, error) {
 						})
 					}
 					if e.theta.eval != nil {
-						attachPredicate(&t, e.theta, e.schema.Len())
+						if err := attachPredicate(&t, e.theta, e.schema); err != nil {
+							return Polynomial{}, err
+						}
 					}
 				}
 				terms = append(terms, t)
@@ -236,9 +238,11 @@ func combineTerms(l, r Term) Term {
 	}
 	t.Preds = append([]TermPred{}, l.Preds...)
 	for _, p := range r.Preds {
-		np := p
-		np.Refs = shiftRefs(p.Refs, shift)
-		t.Preds = append(t.Preds, np)
+		occs := make([]int, len(p.Occs))
+		for i, o := range p.Occs {
+			occs[i] = o + shift
+		}
+		t.Preds = append(t.Preds, TermPred{Eval: p.Eval, Occs: occs})
 	}
 	t.Out = append([]ColRef{}, l.Out...)
 	t.Out = append(t.Out, shiftRefs(r.Out, shift)...)
@@ -276,42 +280,35 @@ func negate(p Polynomial) Polynomial {
 	return Polynomial{Terms: terms}
 }
 
-// attachPredicate adds a bound selection predicate (over the subexpression
-// output of the given width) to the term. If every column the predicate
-// reads maps to a single occurrence, the predicate is pushed down as a
-// local filter on that occurrence; otherwise it is kept as a residual
+// attachPredicate adds a selection predicate (bound against s, the output
+// schema of the subexpression the term came from) to the term, rebinding it
+// to read the term's occurrences in place. The distinct occurrences it reads
+// are numbered as slots 0, 1, …, so the bound closure does not depend on
+// where the occurrences sit in the term. A predicate reading one occurrence
+// is pushed down as a local filter on it; otherwise it is kept as a residual
 // term predicate.
-func attachPredicate(t *Term, bp boundPred, width int) {
-	refs := make([]ColRef, len(bp.cols))
-	sameOcc := true
-	for i, c := range bp.cols {
-		refs[i] = t.Out[c]
-		if refs[i].Occ != refs[0].Occ {
-			sameOcc = false
+func attachPredicate(t *Term, bp boundPred, s *relation.Schema) error {
+	at := make([]ColRef, len(t.Out))
+	var occs []int
+	for _, c := range bp.cols {
+		ref := t.Out[c]
+		slot := slices.Index(occs, ref.Occ)
+		if slot < 0 {
+			slot = len(occs)
+			occs = append(occs, ref.Occ)
 		}
+		at[c] = ColRef{Occ: slot, Col: ref.Col}
 	}
-	if len(bp.cols) > 0 && sameOcc {
-		occ := refs[0].Occ
-		eval := bp.eval
-		readPos := append([]int{}, bp.cols...)
-		// The virtual tuple is allocated per call: one closure may be shared
-		// by concurrent plan compilations over different instances.
-		local := func(row relation.Row) bool {
-			virt := make(relation.Tuple, width)
-			for i, p := range readPos {
-				virt[p] = row.Value(refs[i].Col)
-			}
-			return eval(virt)
-		}
-		t.Occs[occ].LocalPreds = append(t.Occs[occ].LocalPreds, local)
-		return
+	eval, err := bp.src.bind(s, at)
+	if err != nil {
+		return fmt.Errorf("algebra: rebinding predicate: %w", err)
 	}
-	t.Preds = append(t.Preds, TermPred{
-		Eval:    bp.eval,
-		Width:   width,
-		ReadPos: append([]int{}, bp.cols...),
-		Refs:    refs,
-	})
+	if len(occs) == 1 {
+		t.Occs[occs[0]].LocalPreds = append(t.Occs[occs[0]].LocalPreds, eval)
+		return nil
+	}
+	t.Preds = append(t.Preds, TermPred{Eval: eval, Occs: occs})
+	return nil
 }
 
 func shiftRef(r ColRef, by int) ColRef { return ColRef{Occ: r.Occ + by, Col: r.Col} }

@@ -156,6 +156,26 @@ func TestPolynomialMatchesExactEvaluator(t *testing.T) {
 	}
 }
 
+// TestAttachPredicateBindError: a predicate that does not resolve against
+// the schema it is attached under is an error from attachPredicate and from
+// Normalize, not a panic. The public constructors bind every predicate at
+// construction, so the mismatch is built by hand.
+func TestAttachPredicateBindError(t *testing.T) {
+	xy := relation.MustSchema(
+		relation.Column{Name: "x", Kind: relation.KindInt},
+		relation.Column{Name: "y", Kind: relation.KindInt},
+	)
+	bp := must(bindPredicate(Cmp{Col: "a", Op: EQ, Val: relation.Int(1)}, abSchema(), oneRow(abSchema())))
+	p := must(Normalize(Base("R", xy)))
+	if err := attachPredicate(&p.Terms[0], bp, xy); err == nil {
+		t.Error("attachPredicate bound column a against (x, y)")
+	}
+	sel := &Expr{op: OpSelect, schema: xy, left: Base("R", xy), pred: bp}
+	if _, err := Normalize(sel); err == nil {
+		t.Error("Normalize accepted a predicate that does not bind")
+	}
+}
+
 // randomCatalog builds small random duplicate-free relations with matching
 // layouts so set operations are always applicable between them.
 func randomCatalog(rng *rand.Rand) (MapCatalog, []*Expr) {

@@ -13,47 +13,56 @@ import (
 // the normalizer push single-relation conditions down to the base-relation
 // occurrence they constrain.
 //
-// Each predicate binds twice: bind produces a Tuple evaluator (used on
-// virtual tuples that term evaluation assembles across occurrences), and
-// bindRow produces a Row evaluator that reads column storage directly
-// without materializing anything — the hot path for selections and pushed-
-// down local predicates.
+// A predicate binds once, to a function over a slice of rows read in place:
+// a position map says which row, and which column of it, each schema
+// position reads. σ puts every position on row 0 (oneRow), a θ-join puts
+// the right schema on row 1, and a term predicate gets one row per
+// occurrence it reads.
 type Predicate interface {
 	// Columns returns the column names the predicate reads.
 	Columns() []string
-	// bind resolves names against a schema and returns the tuple evaluator.
-	bind(s *relation.Schema) (func(relation.Tuple) bool, error)
-	// bindRow resolves names against a schema and returns the row evaluator.
-	bindRow(s *relation.Schema) (func(relation.Row) bool, error)
+	// bind resolves names against s; position p reads column at[p].Col of
+	// rows[at[p].Occ].
+	bind(s *relation.Schema, at []ColRef) (func(rows []relation.Row) bool, error)
 }
 
 // boundPred is a predicate resolved against a specific schema.
 type boundPred struct {
-	eval    func(relation.Tuple) bool
-	evalRow func(relation.Row) bool
-	cols    []int // positions read, for pushdown analysis
-	src     Predicate
+	eval func([]relation.Row) bool
+	cols []int // positions read, for pushdown analysis
+	src  Predicate
 }
 
-func bindPredicate(p Predicate, s *relation.Schema) (boundPred, error) {
-	eval, err := p.bind(s)
+// oneRow maps every position of s to the same column of row 0.
+func oneRow(s *relation.Schema) []ColRef {
+	at := make([]ColRef, s.Len())
+	for i := range at {
+		at[i] = ColRef{Col: i}
+	}
+	return at
+}
+
+func bindPredicate(p Predicate, s *relation.Schema, at []ColRef) (boundPred, error) {
+	eval, err := p.bind(s, at)
 	if err != nil {
 		return boundPred{}, err
 	}
-	evalRow, err := p.bindRow(s)
-	if err != nil {
-		return boundPred{}, err
-	}
+	// bind succeeded, so every column resolves.
 	names := p.Columns()
 	cols := make([]int, len(names))
 	for i, n := range names {
-		c := s.ColumnIndex(n)
-		if c < 0 {
-			return boundPred{}, fmt.Errorf("predicate column %q not in schema %s", n, s)
-		}
-		cols[i] = c
+		cols[i] = s.ColumnIndex(n)
 	}
-	return boundPred{eval: eval, evalRow: evalRow, cols: cols, src: p}, nil
+	return boundPred{eval: eval, cols: cols, src: p}, nil
+}
+
+// column resolves a column name to the row and column it is read from.
+func column(s *relation.Schema, at []ColRef, name string) (ColRef, error) {
+	pos := s.ColumnIndex(name)
+	if pos < 0 {
+		return ColRef{}, fmt.Errorf("no column %q in schema %s", name, s)
+	}
+	return at[pos], nil
 }
 
 // CmpOp enumerates comparison operators.
@@ -120,32 +129,17 @@ type Cmp struct {
 // Columns implements Predicate.
 func (c Cmp) Columns() []string { return []string{c.Col} }
 
-func (c Cmp) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	pos := s.ColumnIndex(c.Col)
-	if pos < 0 {
-		return nil, fmt.Errorf("no column %q in schema %s", c.Col, s)
-	}
-	op, val := c.Op, c.Val
-	return func(t relation.Tuple) bool {
-		v := t[pos]
-		if v.IsNull() || val.IsNull() {
-			return false
-		}
-		return op.holds(v.Compare(val))
-	}, nil
-}
-
-func (c Cmp) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	pos := s.ColumnIndex(c.Col)
-	if pos < 0 {
-		return nil, fmt.Errorf("no column %q in schema %s", c.Col, s)
+func (c Cmp) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
+	ref, err := column(s, at, c.Col)
+	if err != nil {
+		return nil, err
 	}
 	op, val := c.Op, c.Val
 	if val.IsNull() {
-		return func(relation.Row) bool { return false }, nil
+		return func([]relation.Row) bool { return false }, nil
 	}
-	return func(row relation.Row) bool {
-		v := row.Value(pos)
+	return func(rows []relation.Row) bool {
+		v := rows[ref.Occ].Value(ref.Col)
 		if v.IsNull() {
 			return false
 		}
@@ -168,40 +162,18 @@ type ColCmp struct {
 // Columns implements Predicate.
 func (c ColCmp) Columns() []string { return []string{c.A, c.B} }
 
-func (c ColCmp) resolve(s *relation.Schema) (pa, pb int, err error) {
-	pa, pb = s.ColumnIndex(c.A), s.ColumnIndex(c.B)
-	if pa < 0 {
-		return 0, 0, fmt.Errorf("no column %q in schema %s", c.A, s)
+func (c ColCmp) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
+	ra, err := column(s, at, c.A)
+	if err != nil {
+		return nil, err
 	}
-	if pb < 0 {
-		return 0, 0, fmt.Errorf("no column %q in schema %s", c.B, s)
-	}
-	return pa, pb, nil
-}
-
-func (c ColCmp) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	pa, pb, err := c.resolve(s)
+	rb, err := column(s, at, c.B)
 	if err != nil {
 		return nil, err
 	}
 	op := c.Op
-	return func(t relation.Tuple) bool {
-		a, b := t[pa], t[pb]
-		if a.IsNull() || b.IsNull() {
-			return false
-		}
-		return op.holds(a.Compare(b))
-	}, nil
-}
-
-func (c ColCmp) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	pa, pb, err := c.resolve(s)
-	if err != nil {
-		return nil, err
-	}
-	op := c.Op
-	return func(row relation.Row) bool {
-		a, b := row.Value(pa), row.Value(pb)
+	return func(rows []relation.Row) bool {
+		a, b := rows[ra.Occ].Value(ra.Col), rows[rb.Occ].Value(rb.Col)
 		if a.IsNull() || b.IsNull() {
 			return false
 		}
@@ -215,37 +187,14 @@ type And []Predicate
 // Columns implements Predicate.
 func (a And) Columns() []string { return unionColumns(a) }
 
-func (a And) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	evals := make([]func(relation.Tuple) bool, len(a))
-	for i, p := range a {
-		e, err := p.bind(s)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = e
+func (a And) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
+	evals, err := bindAll(a, s, at)
+	if err != nil {
+		return nil, err
 	}
-	return func(t relation.Tuple) bool {
+	return func(rows []relation.Row) bool {
 		for _, e := range evals {
-			if !e(t) {
-				return false
-			}
-		}
-		return true
-	}, nil
-}
-
-func (a And) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	evals := make([]func(relation.Row) bool, len(a))
-	for i, p := range a {
-		e, err := p.bindRow(s)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = e
-	}
-	return func(row relation.Row) bool {
-		for _, e := range evals {
-			if !e(row) {
+			if !e(rows) {
 				return false
 			}
 		}
@@ -259,18 +208,14 @@ type Or []Predicate
 // Columns implements Predicate.
 func (o Or) Columns() []string { return unionColumns(o) }
 
-func (o Or) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	evals := make([]func(relation.Tuple) bool, len(o))
-	for i, p := range o {
-		e, err := p.bind(s)
-		if err != nil {
-			return nil, err
-		}
-		evals[i] = e
+func (o Or) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
+	evals, err := bindAll(o, s, at)
+	if err != nil {
+		return nil, err
 	}
-	return func(t relation.Tuple) bool {
+	return func(rows []relation.Row) bool {
 		for _, e := range evals {
-			if e(t) {
+			if e(rows) {
 				return true
 			}
 		}
@@ -278,23 +223,17 @@ func (o Or) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
 	}, nil
 }
 
-func (o Or) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	evals := make([]func(relation.Row) bool, len(o))
-	for i, p := range o {
-		e, err := p.bindRow(s)
+// bindAll binds the parts of a boolean combinator.
+func bindAll(ps []Predicate, s *relation.Schema, at []ColRef) ([]func([]relation.Row) bool, error) {
+	evals := make([]func([]relation.Row) bool, len(ps))
+	for i, p := range ps {
+		e, err := p.bind(s, at)
 		if err != nil {
 			return nil, err
 		}
 		evals[i] = e
 	}
-	return func(row relation.Row) bool {
-		for _, e := range evals {
-			if e(row) {
-				return true
-			}
-		}
-		return false
-	}, nil
+	return evals, nil
 }
 
 // Not negates a predicate.
@@ -303,20 +242,12 @@ type Not struct{ P Predicate }
 // Columns implements Predicate.
 func (n Not) Columns() []string { return n.P.Columns() }
 
-func (n Not) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	e, err := n.P.bind(s)
+func (n Not) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
+	e, err := n.P.bind(s, at)
 	if err != nil {
 		return nil, err
 	}
-	return func(t relation.Tuple) bool { return !e(t) }, nil
-}
-
-func (n Not) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	e, err := n.P.bindRow(s)
-	if err != nil {
-		return nil, err
-	}
-	return func(row relation.Row) bool { return !e(row) }, nil
+	return func(rows []relation.Row) bool { return !e(rows) }, nil
 }
 
 // FuncOnCols is the escape hatch: an arbitrary function over the values of
@@ -329,48 +260,24 @@ type FuncOnCols struct {
 // Columns implements Predicate.
 func (f FuncOnCols) Columns() []string { return append([]string(nil), f.Cols...) }
 
-func (f FuncOnCols) resolve(s *relation.Schema) ([]int, error) {
+func (f FuncOnCols) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, error) {
 	if f.Fn == nil {
 		return nil, fmt.Errorf("FuncOnCols has nil Fn")
 	}
-	pos := make([]int, len(f.Cols))
+	refs := make([]ColRef, len(f.Cols))
 	for i, c := range f.Cols {
-		p := s.ColumnIndex(c)
-		if p < 0 {
-			return nil, fmt.Errorf("no column %q in schema %s", c, s)
+		ref, err := column(s, at, c)
+		if err != nil {
+			return nil, err
 		}
-		pos[i] = p
-	}
-	return pos, nil
-}
-
-func (f FuncOnCols) bind(s *relation.Schema) (func(relation.Tuple) bool, error) {
-	pos, err := f.resolve(s)
-	if err != nil {
-		return nil, err
+		refs[i] = ref
 	}
 	fn := f.Fn
-	return func(t relation.Tuple) bool {
-		vals := make([]relation.Value, len(pos))
-		for i, p := range pos {
-			vals[i] = t[p]
-		}
-		return fn(vals)
-	}, nil
-}
-
-func (f FuncOnCols) bindRow(s *relation.Schema) (func(relation.Row) bool, error) {
-	pos, err := f.resolve(s)
-	if err != nil {
-		return nil, err
-	}
-	fn := f.Fn
-	// A fresh vals slice per call keeps the user function free to retain
-	// its argument, mirroring the Tuple binding.
-	return func(row relation.Row) bool {
-		vals := make([]relation.Value, len(pos))
-		for i, p := range pos {
-			vals[i] = row.Value(p)
+	// A fresh vals slice per call: the user function may retain it.
+	return func(rows []relation.Row) bool {
+		vals := make([]relation.Value, len(refs))
+		for i, ref := range refs {
+			vals[i] = rows[ref.Occ].Value(ref.Col)
 		}
 		return fn(vals)
 	}, nil

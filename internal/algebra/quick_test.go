@@ -1,6 +1,7 @@
 package algebra
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,13 +29,7 @@ func TestQuickPredicateLaws(t *testing.T) {
 		tup := relation.Tuple{relation.Int(int64(rng.Intn(10))), relation.Int(int64(rng.Intn(10)))}
 		p := Cmp{Col: "a", Op: LT, Val: relation.Int(int64(rng.Intn(10)))}
 		q := Cmp{Col: "b", Op: GE, Val: relation.Int(int64(rng.Intn(10)))}
-		eval := func(pred Predicate) bool {
-			fn, err := pred.bind(schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fn(tup)
-		}
+		eval := func(pred Predicate) bool { return evalOnRow(t, pred, schema, tup) }
 		// De Morgan: ¬(p ∧ q) == (¬p ∨ ¬q)
 		if eval(Not{And{p, q}}) != eval(Or{Not{p}, Not{q}}) {
 			return false
@@ -373,6 +368,76 @@ func TestQuickExactCountMatchesCount(t *testing.T) {
 			if rel, ok := countMatchesEval(t, c.e, cat); ok && rel.Len() != c.want {
 				t.Errorf("%s: Count %d, want %d", c.e, rel.Len(), c.want)
 			}
+		}
+	})
+
+	// A two-occurrence ColCmp residual inside the right operand of a ⋈,
+	// and the same residual in both operands of an ∩: combining terms
+	// shifts the predicate's occurrences, never its bound closure. (Count
+	// routes ∩ to Eval; exactCountAgrees also checks Normalize(e).ExactCount.)
+	t.Run("relocated residual", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		ops := []CmpOp{EQ, NE, LT, LE, GT, GE}
+		for trial := 0; trial < 40; trial++ {
+			cat, bases := randomCatalog(rng)
+			residual := func() *Expr {
+				pre := nextPrefix("r")
+				j := Must(Join(bases[0], bases[1], []On{{Left: "a", Right: "a"}}, nil, pre))
+				return Must(Select(j, ColCmp{A: "b", Op: ops[rng.Intn(len(ops))], B: pre + ".b"}))
+			}
+			for _, c := range []struct {
+				e    *Expr
+				occs [][]int // Occs of the first term's residual predicates
+			}{
+				{Must(Join(bases[2], residual(), []On{{Left: "a", Right: "a"}}, nil, nextPrefix("q"))), [][]int{{1, 2}}},
+				{Must(Intersect(residual(), residual())), [][]int{{0, 1}, {2, 3}}},
+			} {
+				p := must(Normalize(c.e))
+				var got [][]int
+				for _, pr := range p.Terms[0].Preds {
+					got = append(got, pr.Occs)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(c.occs) {
+					t.Fatalf("%s: residual occurrences %v, want %v", c.e, got, c.occs)
+				}
+				exactCountAgrees(t, c.e, cat)
+			}
+		}
+	})
+
+	// A θ-join whose θ reads both sides, with NULLs in the compared
+	// columns: a comparison with NULL is false on every route.
+	t.Run("theta join over nulls", func(t *testing.T) {
+		r, s := relation.New("R", abSchema()), relation.New("S", abSchema())
+		b := func(i int) relation.Value {
+			if i%3 == 0 {
+				return relation.Null()
+			}
+			return relation.Int(int64(i % 7))
+		}
+		for i := 0; i < 30; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i % 4)), b(i)})
+			s.MustAppend(relation.Tuple{relation.Int(int64(i % 5)), b(i + 1)})
+		}
+		cat := MapCatalog{"R": r, "S": s}
+		for _, op := range []CmpOp{EQ, NE, LT, LE, GT, GE} {
+			e := Must(Join(BaseOf(r), BaseOf(s), []On{{Left: "a", Right: "a"}}, ColCmp{A: "b", Op: op, B: "s.b"}, "s"))
+			want := 0
+			for i := 0; i < r.Len(); i++ {
+				for j := 0; j < s.Len(); j++ {
+					rb, sb := r.Value(i, 1), s.Value(j, 1)
+					if r.Value(i, 0).Equal(s.Value(j, 0)) && !rb.IsNull() && !sb.IsNull() && op.holds(rb.Compare(sb)) {
+						want++
+					}
+				}
+			}
+			if want == 0 {
+				t.Fatalf("%s: fixture matches no pair", e)
+			}
+			if rel, ok := countMatchesEval(t, e, cat); ok && rel.Len() != want {
+				t.Errorf("%s: Count %d, want %d", e, rel.Len(), want)
+			}
+			exactCountAgrees(t, e, cat)
 		}
 	})
 

@@ -59,7 +59,7 @@ func BindInstances(t *Term, cat Catalog) (Instances, error) {
 //
 // Plan reuse rules: a plan is immutable once compile returns — all mutable
 // per-evaluation state (the assignment under construction, probe-key and
-// virtual-tuple scratch) lives in termEval — so a single plan may be shared
+// predicate-row scratch) lives in termEval — so a single plan may be shared
 // freely across goroutines. A cached plan remains valid exactly as long as
 // (a) the Term's constraint structure is unchanged and (b) every bound
 // instance still holds the same rows it held at compile time. Swapping an
@@ -82,9 +82,9 @@ type termPlan struct {
 	enumUpto   int
 	tailFactor float64
 
-	// maxPredWidth sizes the per-evaluation virtual tuple for residual
+	// maxPredOccs sizes the per-evaluation row scratch for residual
 	// predicates; maxProbeWidth sizes the probe-value scratch.
-	maxPredWidth  int
+	maxPredOccs   int
 	maxProbeWidth int
 }
 
@@ -131,11 +131,12 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 				i, r.Schema(), t.Occs[i].Schema)
 		}
 		rows := make([]int, 0, r.Len())
+		var one [1]relation.Row
 	scan:
 		for ri := 0; ri < r.Len(); ri++ {
-			row := r.Row(ri)
+			one[0] = r.Row(ri)
 			for _, lp := range t.Occs[i].LocalPreds {
-				if !lp(row) {
+				if !lp(one[:]) {
 					continue scan
 				}
 			}
@@ -203,15 +204,11 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 	}
 	for _, pr := range t.Preds {
 		last := 0
-		for _, ref := range pr.Refs {
-			if p.pos[ref.Occ] > last {
-				last = p.pos[ref.Occ]
-			}
+		for _, occ := range pr.Occs {
+			last = max(last, p.pos[occ])
 		}
 		p.steps[last].preds = append(p.steps[last].preds, pr)
-		if pr.Width > p.maxPredWidth {
-			p.maxPredWidth = pr.Width
-		}
+		p.maxPredOccs = max(p.maxPredOccs, len(pr.Occs))
 	}
 
 	// Build indexes and mark the independent tail. Candidate lists are
@@ -241,8 +238,8 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 }
 
 // termEval is the per-evaluation scratch over an immutable plan: the
-// assignment under construction, the probe-value buffer and the virtual
-// tuple for residual predicates. Hoisting these out of the innermost
+// assignment under construction, the probe-value buffer and the rows
+// residual predicates read. Hoisting these out of the innermost
 // enumeration loops removes the per-probe/per-check allocations, and
 // keeping them off the plan lets concurrent evaluations share one plan
 // safely.
@@ -250,7 +247,7 @@ type termEval struct {
 	p      *termPlan
 	assign []int
 	vals   []relation.Value
-	virt   relation.Tuple
+	rows   []relation.Row
 }
 
 func (p *termPlan) newEval() *termEval {
@@ -258,7 +255,7 @@ func (p *termPlan) newEval() *termEval {
 		p:      p,
 		assign: make([]int, len(p.steps)),
 		vals:   make([]relation.Value, p.maxProbeWidth),
-		virt:   make(relation.Tuple, p.maxPredWidth),
+		rows:   make([]relation.Row, p.maxPredOccs),
 	}
 }
 
@@ -280,12 +277,11 @@ func (ev *termEval) candidatesAt(k int) []int {
 func (ev *termEval) predsHold(k int) bool {
 	p := ev.p
 	for _, pr := range p.steps[k].preds {
-		virt := ev.virt[:pr.Width]
-		for i, pos := range pr.ReadPos {
-			ref := pr.Refs[i]
-			virt[pos] = p.inst[ref.Occ].Value(ev.assign[ref.Occ], ref.Col)
+		rows := ev.rows[:len(pr.Occs)]
+		for i, occ := range pr.Occs {
+			rows[i] = p.inst[occ].Row(ev.assign[occ])
 		}
-		if !pr.Eval(virt) {
+		if !pr.Eval(rows) {
 			return false
 		}
 	}

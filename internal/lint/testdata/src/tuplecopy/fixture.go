@@ -21,11 +21,8 @@ func eachTuples(r *relation.Relation) int {
 	return n
 }
 
-// materializeRow copies the row view out of column storage: two findings
-// (Materialize and MaterializeInto).
-func materializeRow(row relation.Row, buf relation.Tuple) relation.Tuple {
-	buf = row.MaterializeInto(buf)
-	_ = buf
+// materializeRow copies the row view out of column storage: finding.
+func materializeRow(row relation.Row) relation.Tuple {
 	return row.Materialize()
 }
 

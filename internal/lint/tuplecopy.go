@@ -14,8 +14,8 @@ import (
 // internal/relation itself, every call to the materializing escape hatches
 // declared there:
 //
-//   - Relation.Materialize / Row.Materialize / Row.MaterializeInto,
-//     which copy a stored row out of column storage;
+//   - Relation.Materialize / Row.Materialize, which copy a stored row out
+//     of column storage;
 //   - Relation.Each, which materializes one Tuple per visited row
 //     (EachRow is the allocation-free iteration).
 //
@@ -34,9 +34,8 @@ const relationPkgSuffix = "internal/relation"
 
 // tupleCopyMethods are the materializing escape hatches by method name.
 var tupleCopyMethods = map[string]string{
-	"Materialize":     "copies the row out of column storage",
-	"MaterializeInto": "copies the row out of column storage",
-	"Each":            "materializes one Tuple per visited row; iterate with EachRow instead",
+	"Materialize": "copies the row out of column storage",
+	"Each":        "materializes one Tuple per visited row; iterate with EachRow instead",
 }
 
 func runTupleCopy(p *Pass) {

@@ -216,8 +216,8 @@ func TestQuickRowRoundTripsMaterialize(t *testing.T) {
 			if tup.Key(nil) != row.Key(nil) {
 				return false
 			}
-			// MaterializeInto over a reused buffer yields the same tuple.
-			if !row.MaterializeInto(make(Tuple, 0, 3)).Equal(tup) {
+			// Materializing twice yields equal, independent tuples.
+			if again := row.Materialize(); !again.Equal(tup) || (len(tup) > 0 && &again[0] == &tup[0]) {
 				return false
 			}
 		}

@@ -204,16 +204,12 @@ func (w Row) AppendKey(buf []byte, cols []int) []byte {
 // the explicit escape hatch for cold paths (export, display, stream
 // payloads). Hot paths read Value/IsNull instead; relestlint's `tuplecopy`
 // rule flags unannotated uses outside internal/relation.
-func (w Row) Materialize() Tuple { return w.MaterializeInto(nil) }
-
-// MaterializeInto appends the row's values to buf and returns it, letting
-// loops reuse one buffer. Subject to the same `tuplecopy` discipline as
-// Materialize.
-func (w Row) MaterializeInto(buf Tuple) Tuple {
+func (w Row) Materialize() Tuple {
+	var t Tuple
 	for c := 0; c < w.r.schema.Len(); c++ {
-		buf = append(buf, w.r.Value(w.i, c))
+		t = append(t, w.r.Value(w.i, c))
 	}
-	return buf
+	return t
 }
 
 // String renders the row like Tuple.String, without materializing it.
