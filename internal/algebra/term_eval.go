@@ -27,8 +27,9 @@ import (
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
-// are built once, and every evaluation carries its own scratch state
-// (termEval), so one plan can serve any number of concurrent evaluations.
+// are built once (whole-view indexes once per sample view, see compile),
+// and every evaluation carries its own scratch state (termEval), so one
+// plan can serve any number of concurrent evaluations.
 
 // Instances carries one relation instance per occurrence of a term,
 // positionally aligned with Term.Occs. All occurrences of the same base
@@ -65,7 +66,11 @@ func BindInstances(t *Term, cat Catalog) (Instances, error) {
 // instance still holds the same rows it held at compile time. Swapping an
 // instance for a different *relation.Relation naturally misses the cache
 // (keys include instance identity); relations are not mutated in place
-// behind a cached plan — a cache is scoped to one evaluation.
+// behind a cached plan — a cache is scoped to one evaluation. A step whose
+// candidate list is the whole instance takes the instance's shared index
+// (relation.SharedIndex): on a sample view that index is memoized with the
+// view and read by every plan over it, which is safe because indexes are
+// immutable too.
 type termPlan struct {
 	term *Term
 	inst Instances
@@ -212,11 +217,18 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 	}
 
 	// Build indexes and mark the independent tail. Candidate lists are
-	// ascending, so bucket rows keep ascending (enumeration) order.
+	// ascending, so bucket rows keep ascending (enumeration) order. A list
+	// that keeps every row indexes the whole instance, which a sample view
+	// memoizes across plans (SharedIndex); a filtered list is indexed here.
 	for k := range p.steps {
 		st := &p.steps[k]
 		if len(st.keyCols) > 0 {
-			st.index = relation.BuildIndexRows(inst[st.occ], st.keyCols, p.cand[st.occ])
+			r := inst[st.occ]
+			if len(p.cand[st.occ]) == r.Len() {
+				st.index = r.SharedIndex(st.keyCols)
+			} else {
+				st.index = relation.BuildIndexRows(r, st.keyCols, p.cand[st.occ])
+			}
 			if len(st.boundRefs) > p.maxProbeWidth {
 				p.maxProbeWidth = len(st.boundRefs)
 			}
@@ -466,7 +478,10 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 // plan.
 //
 // The cache holds plans for as long as it lives, so callers scope it to an
-// evaluation (the estimator builds one engine per top-level call).
+// evaluation (the estimator builds one engine per top-level call). What
+// outlives it is per view, not per plan: whole-view join indexes stay
+// memoized on the sample views (relation.SharedIndex), so a later call over
+// the same synopsis recompiles its plans but not those indexes.
 type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry

@@ -192,8 +192,9 @@ func (s *Synopsis) Design(name string) (pageSize int, ok bool) {
 
 // Bytes estimates the synopsis's resident sample storage. Drawn samples
 // are zero-copy views into their base relations, so they count only their
-// index vectors (relation.Bytes view accounting); externally supplied
-// samples count their full column storage.
+// index vectors plus the join indexes memoized on them (relation.Bytes view
+// accounting; at most one index per sample view and key column set);
+// externally supplied samples count their full column storage.
 func (s *Synopsis) Bytes() int {
 	total := 0
 	for _, rs := range s.rels {
@@ -487,17 +488,22 @@ func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 			out.rels[name] = rs
 			continue
 		}
-		var positions []int
-		clusters := make([][]int, 0, len(sel))
-		newUnitOf := map[int]int{} // original unit index → new unit index
+		// Each kept unit's rows are appended in bulk; the new cluster lists
+		// are consecutive ranges of one backing array.
+		total := 0
+		for _, u := range sel {
+			total += len(rs.clusters[u])
+		}
+		positions := make([]int, 0, total)
+		backing := make([]int, total)
+		for i := range backing {
+			backing[i] = i
+		}
+		clusters := make([][]int, len(sel))
 		for newU, u := range sel {
-			var cluster []int
-			for _, rowPos := range rs.clusters[u] {
-				cluster = append(cluster, len(positions))
-				positions = append(positions, rowPos)
-			}
-			clusters = append(clusters, cluster)
-			newUnitOf[u] = newU
+			lo := len(positions)
+			positions = append(positions, rs.clusters[u]...)
+			clusters[newU] = backing[lo:len(positions):len(positions)]
 		}
 		sub := &relSynopsis{
 			name: name,
@@ -512,6 +518,13 @@ func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 		}
 		// A subset of a stratified sample is again stratified: keep each
 		// stratum's population size with its surviving units.
+		var newUnitOf map[int]int // original unit index → new unit index
+		if rs.stratified() {
+			newUnitOf = make(map[int]int, len(sel))
+			for newU, u := range sel {
+				newUnitOf[u] = newU
+			}
+		}
 		for _, st := range rs.strata {
 			sub2 := stratumInfo{Nh: st.Nh}
 			for _, u := range st.units {

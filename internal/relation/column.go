@@ -194,21 +194,21 @@ func (c *column) value(i int) Value {
 	}
 }
 
-// hashAt returns Value.Hash of row i without constructing the Value's
-// string header; string hashes come from the dictionary cache.
-func (c *column) hashAt(i int) uint64 {
+// keyHashAt returns the index key hash (see keyHash) of row i without
+// constructing a Value; string hashes come from the dictionary cache.
+func (c *column) keyHashAt(i int) uint64 {
 	if c.isNull(i) {
-		return Value{}.Hash()
+		return nullKeyHash
 	}
 	switch c.kind {
 	case KindInt:
-		return Value{kind: KindInt, i: c.ints[i]}.Hash()
+		return numKeyHash(float64(c.ints[i]))
 	case KindFloat:
-		return Value{kind: KindFloat, f: c.floats[i]}.Hash()
+		return numKeyHash(c.floats[i])
 	case KindString:
 		return c.dict.hashes[c.codes[i]]
 	default:
-		return Value{}.Hash()
+		return nullKeyHash
 	}
 }
 

@@ -1,34 +1,48 @@
 package relation
 
+import (
+	"math"
+	"math/bits"
+	"slices"
+	"sync"
+	"sync/atomic"
+)
+
 // Index is a hash index mapping a composite key over a fixed column set to
 // the row positions holding that key. It is the access path used by the
 // exact evaluator's hash joins and by the estimators' sample-side joins.
 //
-// Since the columnar refactor the index is typed: keys are 64-bit hashes
-// combined from the column vectors (Value.Hash per column, so Int(2) and
-// Float(2.0) collide exactly as Equal demands), with collision verification
-// against a bucket's exemplar row — no per-row key string is ever
-// materialized. Rows with Equal key values land in one bucket; distinct key
-// values that merely share a hash live on a chain and are disambiguated by
-// typed comparison at build and probe time.
+// The layout is flat: an open-addressing slot table (a power of two at
+// least twice the indexed row count, linear probing) points into buckets
+// kept in first-seen (ascending row) order, and every bucket's rows are one
+// [lo, hi) range of a single row vector filled by counting and prefix sums.
+// A build therefore allocates a fixed handful of slices however many
+// distinct keys there are. Keys are 64-bit hashes combined from the column
+// vectors (keyHash per column, so Int(2) and Float(2.0) collide exactly as
+// Equal demands), with collision verification against a bucket's exemplar
+// row — no per-row key string is ever materialized. Rows with Equal key
+// values land in one bucket; distinct key values that merely share a hash
+// get distinct buckets, disambiguated by typed comparison at build and
+// probe time.
 type Index struct {
 	rel  *Relation
 	cols []int
 
-	byHash map[uint64]int32 // combined hash → first bucket on the chain
-	groups []bucket         // buckets in first-seen (ascending row) order
+	shift  uint     // slot of hash h is h >> shift (the hash's top bits)
+	slots  []int32  // bucket index + 1; 0 = empty
+	groups []bucket // buckets in first-seen (ascending row) order
+	rows   []int    // bucket g's rows are rows[g.lo:g.hi], in insertion order
 }
 
-// bucket is one distinct composite key: its rows in insertion order, an
-// exemplar row for typed verification, and the chain link to the next
-// bucket sharing the same 64-bit hash (-1 = none).
+// bucket is one distinct composite key: its full hash, an exemplar row for
+// typed verification, and its range of the flat row vector.
 type bucket struct {
-	head int // exemplar row position (first inserted)
-	rows []int
-	next int32
+	hash   uint64
+	head   int // exemplar row position (first inserted)
+	lo, hi int32
 }
 
-// hashSeed and hashStep combine per-column Value hashes into one composite
+// hashSeed and hashStep combine per-column key hashes into one composite
 // key hash. The combination is order-sensitive and shared by every probe
 // path, so build- and probe-side hashes agree by construction.
 const (
@@ -36,13 +50,50 @@ const (
 	hashStep = uint64(fnvPrime)
 )
 
-func combineHash(h, valueHash uint64) uint64 { return (h ^ valueHash) * hashStep }
+func combineHash(h, keyHash uint64) uint64 { return (h ^ keyHash) * hashStep }
+
+// nullKeyHash is the key hash of null (null == null under Equal).
+const nullKeyHash = 0x9e3779b97f4a7c15
+
+// numKeyHash is the key hash of a numeric value: a 64-bit mix of its
+// float64 bits, so Int(k) and Float(k) collide as Equal demands. −0 is
+// folded into +0 on the bit pattern (the two zeros are Equal).
+func numKeyHash(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b == 1<<63 {
+		b = 0
+	}
+	b ^= b >> 30
+	b *= 0xbf58476d1ce4e5b9
+	b ^= b >> 27
+	b *= 0x94d049bb133111eb
+	return b ^ b>>31
+}
+
+// keyHash is the index's private per-value key hash, consistent with
+// Equal. Strings keep Value.Hash, which dictionaries cache per entry;
+// numerics use numKeyHash, cheaper than Value.Hash's byte-wise FNV. The
+// index needs only agreement with Equal, whereas shard routing and the
+// sketches depend on Value.Hash's exact values, so that stays as it is.
+func keyHash(v Value) uint64 {
+	switch v.kind {
+	case KindNull:
+		return nullKeyHash
+	case KindInt:
+		return numKeyHash(float64(v.i))
+	case KindFloat:
+		return numKeyHash(v.f)
+	default:
+		return v.Hash()
+	}
+}
 
 // rowHash computes the composite hash of row i over ix.cols.
 func (ix *Index) rowHash(i int) uint64 {
+	p := ix.rel.phys(i)
 	h := hashSeed
 	for _, c := range ix.cols {
-		h = combineHash(h, ix.rel.hashAt(i, c))
+		h = combineHash(h, ix.rel.cols[c].keyHashAt(p))
 	}
 	return h
 }
@@ -59,123 +110,186 @@ func (ix *Index) rowsEqual(i, j int) bool {
 	return true
 }
 
-// BuildIndex indexes relation r on the given column positions.
+// BuildIndex indexes relation r on the given column positions. It always
+// builds; SharedIndex is the memoized form for immutable views.
 func BuildIndex(r *Relation, cols []int) *Index {
-	return buildIndex(r, cols, r.Len(), func(i int) int { return i })
+	return buildIndex(r, cols, r.Len(), nil)
 }
 
 // BuildIndexRows indexes only the given row positions of r (in the given
 // order), the access path term evaluation uses to index candidate lists
 // without copying them into a new relation.
 func BuildIndexRows(r *Relation, cols []int, rows []int) *Index {
-	return buildIndex(r, cols, len(rows), func(i int) int { return rows[i] })
+	return buildIndex(r, cols, len(rows), rows)
 }
 
-func buildIndex(r *Relation, cols []int, n int, rowAt func(int) int) *Index {
-	ix := &Index{
-		rel:    r,
-		cols:   append([]int(nil), cols...),
-		byHash: make(map[uint64]int32, n),
+// buildIndex indexes n rows of r: rows[i] when rows is non-nil, else i.
+func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
+	size := 1
+	for size < 2*n {
+		size <<= 1
 	}
+	ix := &Index{
+		rel:   r,
+		cols:  append([]int(nil), cols...),
+		shift: uint(64 - bits.TrailingZeros(uint(size))),
+		slots: make([]int32, size),
+	}
+	mask := uint64(size - 1)
+	// Pass 1: assign every row its bucket, counting rows per bucket in hi.
+	groupOf := make([]int32, n)
 	for i := 0; i < n; i++ {
-		row := rowAt(i)
+		row := i
+		if rows != nil {
+			row = rows[i]
+		}
 		h := ix.rowHash(row)
-		first, exists := ix.byHash[h]
-		if !exists {
-			ix.byHash[h] = int32(len(ix.groups))
-			ix.groups = append(ix.groups, bucket{head: row, rows: []int{row}, next: -1})
-			continue
-		}
-		// Walk the collision chain for the row's key; extend the chain when
-		// the hash is shared by a new distinct key.
-		gi := first
-		for {
-			g := &ix.groups[gi]
-			if ix.rowsEqual(g.head, row) {
-				g.rows = append(g.rows, row)
-				gi = -1
-				break
+		for s := h >> ix.shift; ; s = (s + 1) & mask {
+			g := ix.slots[s] - 1
+			if g < 0 {
+				g = int32(len(ix.groups))
+				ix.slots[s] = g + 1
+				ix.groups = append(ix.groups, bucket{hash: h, head: row})
+			} else if b := &ix.groups[g]; b.hash != h || !ix.rowsEqual(b.head, row) {
+				continue
 			}
-			if g.next < 0 {
-				break
-			}
-			gi = g.next
+			ix.groups[g].hi++
+			groupOf[i] = g
+			break
 		}
-		if gi >= 0 {
-			ni := int32(len(ix.groups))
-			ix.groups = append(ix.groups, bucket{head: row, rows: []int{row}, next: -1})
-			ix.groups[gi].next = ni
+	}
+	// Pass 2: prefix sums turn counts into ranges; hi becomes the fill
+	// cursor and ends at lo + count.
+	off := int32(0)
+	for g := range ix.groups {
+		b := &ix.groups[g]
+		b.lo, off = off, off+b.hi
+		b.hi = b.lo
+	}
+	ix.rows = make([]int, n)
+	for i, g := range groupOf {
+		row := i
+		if rows != nil {
+			row = rows[i]
 		}
+		b := &ix.groups[g]
+		ix.rows[b.hi] = row
+		b.hi++
 	}
 	return ix
-}
-
-// valuesHash computes the composite hash of probe values via Value.Hash —
-// consistent with rowHash for Equal values.
-func valuesHash(vals []Value) uint64 {
-	h := hashSeed
-	for _, v := range vals {
-		h = combineHash(h, v.Hash())
-	}
-	return h
 }
 
 // LookupValues returns the row positions whose key columns Equal the probe
 // values (positionally aligned with the index's column set). The returned
 // slice is shared with the index and must not be modified. Allocation-free.
 func (ix *Index) LookupValues(vals []Value) []int {
-	gi, ok := ix.byHash[valuesHash(vals)]
-	for ok {
-		g := &ix.groups[gi]
-		if ix.headEqualsValues(g.head, vals) {
-			return g.rows
-		}
-		if g.next < 0 {
+	h := hashSeed
+	for _, v := range vals {
+		h = combineHash(h, keyHash(v))
+	}
+	mask := uint64(len(ix.slots) - 1)
+probe:
+	for s := h >> ix.shift; ; s = (s + 1) & mask {
+		g := ix.slots[s] - 1
+		if g < 0 {
 			return nil
 		}
-		gi = g.next
-	}
-	return nil
-}
-
-func (ix *Index) headEqualsValues(head int, vals []Value) bool {
-	for k, c := range ix.cols {
-		if !ix.rel.Value(head, c).Equal(vals[k]) {
-			return false
+		b := &ix.groups[g]
+		if b.hash != h {
+			continue
 		}
+		for k, c := range ix.cols {
+			if !ix.rel.Value(b.head, c).Equal(vals[k]) {
+				continue probe
+			}
+		}
+		return ix.rows[b.lo:b.hi:b.hi]
 	}
-	return true
 }
 
 // LookupRow returns the row positions whose key columns Equal those of row
 // probeRow of probe at probeCols. Allocation-free; the returned slice must
 // not be modified.
 func (ix *Index) LookupRow(probe *Relation, probeRow int, probeCols []int) []int {
+	p := probe.phys(probeRow)
 	h := hashSeed
 	for _, c := range probeCols {
-		h = combineHash(h, probe.hashAt(probeRow, c))
+		h = combineHash(h, probe.cols[c].keyHashAt(p))
 	}
-	gi, ok := ix.byHash[h]
-	for ok {
-		g := &ix.groups[gi]
-		match := true
-		for k, c := range ix.cols {
-			if !ix.rel.Value(g.head, c).Equal(probe.Value(probeRow, probeCols[k])) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return g.rows
-		}
-		if g.next < 0 {
+	mask := uint64(len(ix.slots) - 1)
+probe:
+	for s := h >> ix.shift; ; s = (s + 1) & mask {
+		g := ix.slots[s] - 1
+		if g < 0 {
 			return nil
 		}
-		gi = g.next
+		b := &ix.groups[g]
+		if b.hash != h {
+			continue
+		}
+		for k, c := range ix.cols {
+			if !ix.rel.Value(b.head, c).Equal(probe.Value(probeRow, probeCols[k])) {
+				continue probe
+			}
+		}
+		return ix.rows[b.lo:b.hi:b.hi]
 	}
-	return nil
 }
 
 // Buckets returns the number of distinct composite keys in the index
 // (hash collisions between distinct keys are counted separately, exactly).
 func (ix *Index) Buckets() int { return len(ix.groups) }
+
+// Bytes estimates the index's resident size: slot table, buckets, the
+// flat row vector and the key column list.
+func (ix *Index) Bytes() int {
+	return len(ix.slots)*4 + cap(ix.groups)*24 + len(ix.rows)*8 + len(ix.cols)*8
+}
+
+// indexMemo is a view's memo of whole-view indexes, one per key column
+// set. Entries are created under the relation's memo mutex and built at
+// most once by their own sync.Once, so concurrent callers share one build.
+type indexMemo struct {
+	cols []int
+	once sync.Once
+	ix   atomic.Pointer[Index]
+}
+
+// SharedIndex returns an index of the whole relation on the given column
+// positions — the same result BuildIndex returns. On a view (Subset,
+// Clone), whose rows can never change, the index is built once per key
+// column set and every caller gets the same *Index; a base relation can
+// grow by appending, so it gets a fresh build on every call.
+func (r *Relation) SharedIndex(cols []int) *Index {
+	if r.view == nil {
+		return BuildIndex(r, cols)
+	}
+	r.memoMu.Lock()
+	var e *indexMemo
+	for _, m := range r.memo {
+		if slices.Equal(m.cols, cols) {
+			e = m
+			break
+		}
+	}
+	if e == nil {
+		e = &indexMemo{cols: append([]int(nil), cols...)}
+		r.memo = append(r.memo, e)
+	}
+	r.memoMu.Unlock()
+	e.once.Do(func() { e.ix.Store(BuildIndex(r, e.cols)) })
+	return e.ix.Load()
+}
+
+// memoBytes sums the resident size of the view's built memoized indexes.
+func (r *Relation) memoBytes() int {
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	total := 0
+	for _, m := range r.memo {
+		if ix := m.ix.Load(); ix != nil {
+			total += ix.Bytes()
+		}
+	}
+	return total
+}

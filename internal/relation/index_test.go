@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -92,101 +95,130 @@ func TestIndexOnView(t *testing.T) {
 	}
 }
 
-// TestIndexCollisionChain exercises the chain-walk paths directly. Real
+// TestIndexCollisionChain exercises the collision paths directly. Real
 // 64-bit hash collisions between distinct keys cannot be crafted from the
-// public API, so the test assembles an Index whose byHash entry points at a
-// two-bucket chain and verifies every probe path disambiguates by typed
-// comparison: the matching bucket is found mid-chain, and a probe that
-// matches no bucket on the chain misses.
+// public API, so the test assembles an Index whose two buckets — distinct
+// keys "b" and "a" — carry one forced hash and sit in adjacent slots, and
+// verifies every probe path disambiguates by typed comparison: the
+// matching bucket is found past the colliding one, and a probe that
+// matches neither bucket misses.
 func TestIndexCollisionChain(t *testing.T) {
 	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
-	ix := &Index{
-		rel:    r,
-		cols:   []int{1},
-		byHash: map[uint64]int32{},
-		groups: []bucket{
-			{head: 1, rows: []int{1}, next: 1},     // "b", chained
-			{head: 0, rows: []int{0, 2}, next: -1}, // "a", chain tail
-		},
+	collided := func(h uint64) *Index {
+		ix := &Index{
+			rel:   r,
+			cols:  []int{1},
+			shift: 62, // four slots
+			slots: make([]int32, 4),
+			groups: []bucket{
+				{hash: h, head: 1, lo: 0, hi: 1}, // "b"
+				{hash: h, head: 0, lo: 1, hi: 3}, // "a", one slot further on
+			},
+			rows: []int{1, 0, 2},
+		}
+		s := h >> ix.shift
+		ix.slots[s], ix.slots[(s+1)&3] = 1, 2
+		return ix
 	}
-	// Both probe hashes land on the same chain, simulating a collision.
-	ix.byHash[valuesHash([]Value{Str("a")})] = 0
-	ix.byHash[valuesHash([]Value{Str("zzz")})] = 0
-
-	if got := ix.LookupValues([]Value{Str("a")}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("chained LookupValues = %v, want [0 2]", got)
-	}
-	if got := ix.LookupValues([]Value{Str("zzz")}); got != nil {
-		t.Errorf("colliding miss = %v, want nil", got)
+	hit := collided(combineHash(hashSeed, keyHash(Str("a"))))
+	if got := hit.LookupValues([]Value{Str("a")}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("collided LookupValues = %v, want [0 2]", got)
 	}
 	probe := New("p", MustSchema(Column{"name", KindString}))
 	probe.MustAppend(Tuple{Str("a")})
-	if got := ix.LookupRow(probe, 0, []int{0}); len(got) != 2 {
-		t.Errorf("chained LookupRow = %v, want 2 rows", got)
+	if got := hit.LookupRow(probe, 0, []int{0}); len(got) != 2 {
+		t.Errorf("collided LookupRow = %v, want 2 rows", got)
+	}
+	miss := collided(combineHash(hashSeed, keyHash(Str("zzz"))))
+	if got := miss.LookupValues([]Value{Str("zzz")}); got != nil {
+		t.Errorf("colliding miss = %v, want nil", got)
 	}
 }
 
 // TestQuickIndexMatchesScan checks the index against the naive scan on
-// random data: for every row's own key, lookup returns exactly the rows an
+// random data: for every row, both probe paths return exactly the rows an
 // Equal-based scan finds, in ascending order; and bucket counts match the
-// number of distinct keys.
+// number of distinct keys. The data mixes Int and Float keys that compare
+// equal (probing a Float column with Int values and back), ±0, nulls and
+// two-column keys, over base relations and views with repeated rows. The
+// memoized SharedIndex must agree with BuildIndex lookup for lookup, and a
+// view must hand every caller the same memoized index.
 func TestQuickIndexMatchesScan(t *testing.T) {
+	keySets := []struct{ cols, probe []int }{
+		{[]int{0}, []int{0}},
+		{[]int{1}, []int{1}},
+		{[]int{2}, []int{2}},
+		{[]int{2}, []int{0}}, // Float index, Int probe
+		{[]int{0}, []int{2}}, // Int index, Float probe
+		{[]int{0, 1}, []int{0, 1}},
+		{[]int{2, 1}, []int{0, 1}},
+		{[]int{0, 2}, []int{2, 0}},
+	}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		r := New("R", MustSchema(Column{"a", KindInt}, Column{"b", KindString}))
+		base := New("R", MustSchema(Column{"a", KindInt}, Column{"b", KindString}, Column{"f", KindFloat}))
 		n := 1 + rng.Intn(30)
 		letters := []string{"", "a", "b", "ab"}
+		floats := []float64{0, math.Copysign(0, -1), 1, 2, 2.5}
 		for i := 0; i < n; i++ {
 			// Small domains with nulls force duplicate keys and null==null
 			// matches; kinds stay within each column's schema kind.
-			a, b := Int(int64(rng.Intn(4))), Str(letters[rng.Intn(len(letters))])
-			row := Tuple{a, b}
+			row := Tuple{Int(int64(rng.Intn(4))), Str(letters[rng.Intn(len(letters))]), Float(floats[rng.Intn(len(floats))])}
 			if rng.Intn(5) == 0 {
-				row[rng.Intn(2)] = Null()
+				row[rng.Intn(3)] = Null()
 			}
-			r.MustAppend(row)
+			base.MustAppend(row)
 		}
-		cols := []int{rng.Intn(2)}
+		r := base
 		if rng.Intn(2) == 0 {
-			cols = []int{0, 1}
+			pos := make([]int, 1+rng.Intn(2*n))
+			for i := range pos {
+				pos[i] = rng.Intn(n)
+			}
+			r = base.Subset("V", pos)
 		}
-		ix := BuildIndex(r, cols)
-		for i := 0; i < n; i++ {
-			var want []int
-			for j := 0; j < n; j++ {
-				eq := true
-				for _, c := range cols {
-					if !r.Value(i, c).Equal(r.Value(j, c)) {
-						eq = false
-						break
-					}
+		ks := keySets[rng.Intn(len(keySets))]
+		ix := BuildIndex(r, ks.cols)
+		shared := r.SharedIndex(ks.cols)
+		if shared.Buckets() != ix.Buckets() {
+			return false
+		}
+		if r.IsView() && r.SharedIndex(ks.cols) != shared {
+			return false
+		}
+		matches := func(i, j int, probe []int) bool {
+			for k, c := range ks.cols {
+				if !r.Value(j, c).Equal(r.Value(i, probe[k])) {
+					return false
 				}
-				if eq {
+			}
+			return true
+		}
+		vals := make([]Value, len(ks.cols))
+		for i := 0; i < r.Len(); i++ {
+			var want []int
+			for j := 0; j < r.Len(); j++ {
+				if matches(i, j, ks.probe) {
 					want = append(want, j)
 				}
 			}
-			got := ix.LookupRow(r, i, cols)
-			if len(got) != len(want) {
-				return false
+			for k, c := range ks.probe {
+				vals[k] = r.Value(i, c)
 			}
-			for k := range got {
-				if got[k] != want[k] {
+			for _, got := range [][]int{
+				ix.LookupRow(r, i, ks.probe), ix.LookupValues(vals),
+				shared.LookupRow(r, i, ks.probe), shared.LookupValues(vals),
+			} {
+				if !slices.Equal(got, want) {
 					return false
 				}
 			}
 		}
 		distinct := 0
-		for i := 0; i < n; i++ {
+		for i := 0; i < r.Len(); i++ {
 			first := true
 			for j := 0; j < i; j++ {
-				eq := true
-				for _, c := range cols {
-					if !r.Value(i, c).Equal(r.Value(j, c)) {
-						eq = false
-						break
-					}
-				}
-				if eq {
+				if matches(i, j, ks.cols) {
 					first = false
 					break
 				}
@@ -197,7 +229,72 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 		}
 		return ix.Buckets() == distinct
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBuildIndexAllocsFlat pins the flat layout's allocation bound: a build
+// allocates a fixed handful of slices (the bucket list grows by doubling),
+// not one slice per distinct key.
+func TestBuildIndexAllocsFlat(t *testing.T) {
+	r := New("R", MustSchema(Column{"k", KindInt}))
+	for i := 0; i < 10000; i++ {
+		r.MustAppend(Tuple{Int(int64(i % 1500))})
+	}
+	cols := []int{0}
+	if b := BuildIndex(r, cols).Buckets(); b < 1000 {
+		t.Fatalf("fixture has %d distinct keys, want >= 1000", b)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { BuildIndex(r, cols) }); allocs > 32 {
+		t.Errorf("BuildIndex allocates %.0f times over 10000 rows, want <= 32", allocs)
+	}
+}
+
+// TestSharedIndexMemo checks the memo rule: a view hands every caller the
+// same index per key column set; a base relation, which can still grow,
+// gets a fresh build each time; a memoized index is counted in the view's
+// Bytes; and Sort, which reorders a view in place, drops the memo.
+func TestSharedIndexMemo(t *testing.T) {
+	base := ordersRelation(t)
+	if base.SharedIndex([]int{0}) == base.SharedIndex([]int{0}) {
+		t.Error("a base relation must not memoize its index")
+	}
+	v := base.Subset("v", []int{4, 2, 0, 3})
+	before := v.Bytes()
+	ix := v.SharedIndex([]int{1})
+	if v.SharedIndex([]int{1}) != ix {
+		t.Error("second SharedIndex on a view returned a different index")
+	}
+	if v.SharedIndex([]int{0, 1}) == ix {
+		t.Error("distinct key column sets share one index")
+	}
+	if got, want := v.Bytes(), before+ix.Bytes()+v.SharedIndex([]int{0, 1}).Bytes(); got != want {
+		t.Errorf("view Bytes = %d, want %d (index vector plus memoized indexes)", got, want)
+	}
+	v.Sort()
+	if v.SharedIndex([]int{1}) == ix {
+		t.Error("Sort kept an index over the old row order")
+	}
+}
+
+// TestSharedIndexConcurrent has eight goroutines race for a view's first
+// SharedIndex call: exactly one build happens and every caller gets it.
+func TestSharedIndexConcurrent(t *testing.T) {
+	v := ordersRelation(t).Clone("v")
+	got := make([]*Index, 8)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = v.SharedIndex([]int{0, 1})
+		}()
+	}
+	wg.Wait()
+	for g, ix := range got {
+		if ix == nil || ix != got[0] {
+			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p", g, ix, got[0])
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Tuple is one materialized row: a slice of values positionally aligned
@@ -107,6 +108,10 @@ type Relation struct {
 	// view maps logical row i to position view[i] of cols. nil means the
 	// relation is a base: logical rows are storage rows [0, n).
 	view []int
+	// memo holds a view's whole-view indexes (see SharedIndex), created on
+	// first use and guarded by memoMu. Bases never memoize.
+	memoMu sync.Mutex
+	memo   []*indexMemo
 }
 
 // New creates an empty base relation with the given name and schema.
@@ -145,10 +150,6 @@ func (r *Relation) Value(i, c int) Value { return r.cols[c].value(r.phys(i)) }
 
 // IsNull reports whether the value at row i, column c is null.
 func (r *Relation) IsNull(i, c int) bool { return r.cols[c].isNull(r.phys(i)) }
-
-// hashAt returns Value.Hash of the value at row i, column c without
-// materializing it; used by the typed hash indexes.
-func (r *Relation) hashAt(i, c int) uint64 { return r.cols[c].hashAt(r.phys(i)) }
 
 // Row returns a lightweight handle on row i — the compact row-view API the
 // layers above read through. The handle stays valid for the lifetime of the
@@ -438,7 +439,11 @@ func (r *Relation) Sort() {
 	}
 	sort.Slice(perm, func(a, b int) bool { return r.compareRows(perm[a], perm[b]) < 0 })
 	if r.view != nil {
-		// Views reorder by permuting the index vector.
+		// Views reorder by permuting the index vector, which invalidates
+		// any memoized index over the old order.
+		r.memoMu.Lock()
+		r.memo = nil
+		r.memoMu.Unlock()
 		old := r.view
 		view := make([]int, r.n)
 		for i, p := range perm {
@@ -459,10 +464,11 @@ func (r *Relation) Sort() {
 // Bytes estimates the relation's resident storage in bytes: column vectors,
 // null bitmaps and string dictionaries for base relations; the index vector
 // for views (whose column storage is shared with, and accounted to, the
-// base). It feeds the relest_relation_bytes / relest_synopsis_bytes gauges.
+// base) plus the indexes memoized on them (SharedIndex). It feeds the
+// relest_relation_bytes / relest_synopsis_bytes gauges.
 func (r *Relation) Bytes() int {
 	if r.view != nil {
-		return len(r.view) * 8
+		return len(r.view)*8 + r.memoBytes()
 	}
 	total := 0
 	seenDict := map[*dict]bool{}
