@@ -334,6 +334,27 @@ func BenchmarkExactCountJoin(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectCount is the σ scan alone: the exact COUNT of
+// σ_{a<1000} over one relation of a 100k-row join pair, which term
+// evaluation answers by filtering the candidate list through the typed
+// Cmp kernel and counting it.
+func BenchmarkSelectCount(b *testing.B) {
+	rng := relest.Seeded(5)
+	r1, _ := relest.JoinPair(rng, relest.JoinPairSpec{
+		Z1: 0.5, Z2: 1.0, Domain: 2_000, N1: 100_000, N2: 100_000,
+		Correlation: relest.Independent,
+	})
+	e := relest.Must(relest.Select(relest.BaseOf(r1),
+		relest.Cmp{Col: "a", Op: relest.LT, Val: relest.Int(1000)}))
+	cat := relest.MapCatalog{"R1": r1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := relest.ExactCount(e, cat); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkA1Stratified(b *testing.B)   { experimentBench(b, "A1") }
 func BenchmarkA2PageSampling(b *testing.B) { experimentBench(b, "A2") }
 

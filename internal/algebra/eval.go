@@ -119,13 +119,7 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 		// can reserve the exact (pre-theta) match count up front; the emit
 		// pass then appends without a reallocation cascade.
 		if right.Len() <= left.Len() {
-			ix := relation.BuildIndex(right, e.joinRight)
-			matches := make([][]int, left.Len())
-			total := 0
-			for i := 0; i < left.Len(); i++ {
-				matches[i] = ix.LookupRow(left, i, e.joinLeft)
-				total += len(matches[i])
-			}
+			matches, total := hashProbe(right, e.joinRight, left, e.joinLeft)
 			out.Grow(total)
 			for i, m := range matches {
 				for _, j := range m {
@@ -133,13 +127,7 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 				}
 			}
 		} else {
-			ix := relation.BuildIndex(left, e.joinLeft)
-			matches := make([][]int, right.Len())
-			total := 0
-			for j := 0; j < right.Len(); j++ {
-				matches[j] = ix.LookupRow(right, j, e.joinRight)
-				total += len(matches[j])
-			}
+			matches, total := hashProbe(left, e.joinLeft, right, e.joinRight)
 			out.Grow(total)
 			for j, m := range matches {
 				for _, i := range m {
@@ -163,6 +151,26 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 	default:
 		return nil, fmt.Errorf("algebra: cannot evaluate op %s", e.op)
 	}
+}
+
+// hashProbe indexes build on buildCols and looks every row of probe up on
+// probeCols, returning each probe row's bucket (shared with the index) and
+// the total match count.
+func hashProbe(build *relation.Relation, buildCols []int, probe *relation.Relation, probeCols []int) ([][]int, int) {
+	ix := relation.BuildIndex(build, buildCols)
+	key := make([]relation.KeyRef, len(probeCols))
+	for k, c := range probeCols {
+		key[k] = relation.KeyRef{Rel: probe, Col: c}
+	}
+	matches := make([][]int, probe.Len())
+	total := 0
+	at := []int{0}
+	for i := range matches {
+		at[0] = i
+		matches[i] = ix.Lookup(key, at)
+		total += len(matches[i])
+	}
+	return matches, total
 }
 
 // Count evaluates COUNT(E) exactly, routed by the expression itself: with a

@@ -42,12 +42,12 @@ type ColRef struct {
 
 // Occurrence is one use of a base relation inside a term. LocalPreds are
 // selection conditions that constrain this occurrence alone and can be
-// applied before any joining; each is called with a one-row slice holding a
-// row of the occurrence's instance, read in place.
+// applied before any joining; each filters a list of the occurrence
+// instance's rows in place (see RowFilter).
 type Occurrence struct {
 	RelName    string
 	Schema     *relation.Schema
-	LocalPreds []func([]relation.Row) bool
+	LocalPreds []RowFilter
 }
 
 // EqCol is an equality constraint between two occurrence columns.
@@ -285,8 +285,8 @@ func negate(p Polynomial) Polynomial {
 // to read the term's occurrences in place. The distinct occurrences it reads
 // are numbered as slots 0, 1, …, so the bound closure does not depend on
 // where the occurrences sit in the term. A predicate reading one occurrence
-// is pushed down as a local filter on it; otherwise it is kept as a residual
-// term predicate.
+// is pushed down as a list filter on it (bindFilter); otherwise it is kept
+// as a residual term predicate.
 func attachPredicate(t *Term, bp boundPred, s *relation.Schema) error {
 	at := make([]ColRef, len(t.Out))
 	var occs []int
@@ -299,13 +299,17 @@ func attachPredicate(t *Term, bp boundPred, s *relation.Schema) error {
 		}
 		at[c] = ColRef{Occ: slot, Col: ref.Col}
 	}
+	if len(occs) == 1 {
+		f, err := bindFilter(bp.src, s, at)
+		if err != nil {
+			return fmt.Errorf("algebra: rebinding predicate: %w", err)
+		}
+		t.Occs[occs[0]].LocalPreds = append(t.Occs[occs[0]].LocalPreds, f)
+		return nil
+	}
 	eval, err := bp.src.bind(s, at)
 	if err != nil {
 		return fmt.Errorf("algebra: rebinding predicate: %w", err)
-	}
-	if len(occs) == 1 {
-		t.Occs[occs[0]].LocalPreds = append(t.Occs[occs[0]].LocalPreds, eval)
-		return nil
 	}
 	t.Preds = append(t.Preds, TermPred{Eval: eval, Occs: occs})
 	return nil

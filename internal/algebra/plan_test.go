@@ -266,3 +266,49 @@ func TestPlanCacheKeyStructural(t *testing.T) {
 		seen[key] = p.name
 	}
 }
+
+// TestPrepareSelectAllocsFlat pins the σ scan's allocation bound: compiling
+// a selection term allocates the candidate list once and filters it in
+// place — typed kernels for the Cmps under the And, the wrapped row
+// closure for the Or — so the count does not grow with the row count.
+func TestPrepareSelectAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		r := relation.New("R", relation.MustSchema(
+			relation.Column{Name: "a", Kind: relation.KindInt},
+			relation.Column{Name: "s", Kind: relation.KindString},
+		))
+		for i := 0; i < n; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(i % 1000)), relation.Str(string(rune('a' + i%7)))})
+		}
+		e, err := Select(Base("R", r.Schema()), And{
+			Cmp{Col: "a", Op: LT, Val: relation.Int(600)},
+			Cmp{Col: "s", Op: GE, Val: relation.Str("b")},
+			Or{Cmp{Col: "a", Op: GT, Val: relation.Int(10)}, Cmp{Col: "s", Op: EQ, Val: relation.Str("a")}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := Normalize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		term := &p.Terms[0]
+		inst := Instances{r}
+		pt, err := Prepare(term, inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(pt.Candidates(0)); got == 0 || got == n {
+			t.Fatalf("%d rows: σ keeps %d, want a proper subset", n, got)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if _, err := Prepare(term, inst); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1_000), allocs(10_000)
+	if large > small || large > 16 {
+		t.Errorf("Prepare of a σ term allocates %.0f times over 1 000 rows and %.0f over 10 000, want equal and <= 16", small, large)
+	}
+}

@@ -17,13 +17,53 @@ import (
 // a position map says which row, and which column of it, each schema
 // position reads. σ puts every position on row 0 (oneRow), a θ-join puts
 // the right schema on row 1, and a term predicate gets one row per
-// occurrence it reads.
+// occurrence it reads. A predicate pushed down to one occurrence of a term
+// binds instead as a RowFilter over candidate lists (bindFilter): Cmp
+// against a constant and And have a typed one, every other predicate's row
+// closure is wrapped.
 type Predicate interface {
 	// Columns returns the column names the predicate reads.
 	Columns() []string
 	// bind resolves names against s; position p reads column at[p].Col of
 	// rows[at[p].Occ].
 	bind(s *relation.Schema, at []ColRef) (func(rows []relation.Row) bool, error)
+}
+
+// RowFilter is a predicate pushed down to one occurrence of a term: it
+// filters an ascending list of logical rows of r in place and returns the
+// rows the predicate holds on, still ascending.
+type RowFilter func(r *relation.Relation, rows []int) []int
+
+// listFilter is the optional typed path of a predicate pushed down to one
+// occurrence: a filter over whole candidate lists that reads the column
+// vectors in place (Cmp against a constant, And of such parts). bind stays
+// the one required method; bindFilter wraps every other predicate's row
+// closure once.
+type listFilter interface {
+	bindFilter(s *relation.Schema, at []ColRef) (RowFilter, error)
+}
+
+// bindFilter binds p, whose positions all read row 0, as a list filter:
+// its typed filter when it has one, else its row closure called per row.
+func bindFilter(p Predicate, s *relation.Schema, at []ColRef) (RowFilter, error) {
+	if lf, ok := p.(listFilter); ok {
+		return lf.bindFilter(s, at)
+	}
+	eval, err := p.bind(s, at)
+	if err != nil {
+		return nil, err
+	}
+	return func(r *relation.Relation, rows []int) []int {
+		var one [1]relation.Row
+		out := rows[:0]
+		for _, i := range rows {
+			one[0] = r.Row(i)
+			if eval(one[:]) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}, nil
 }
 
 // boundPred is a predicate resolved against a specific schema.
@@ -147,6 +187,21 @@ func (c Cmp) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, e
 	}, nil
 }
 
+// bindFilter implements listFilter: the column's typed vector is compared
+// against the constant over the whole list (relation.FilterCmp), with the
+// operator resolved once into a verdict per three-way result.
+func (c Cmp) bindFilter(s *relation.Schema, at []ColRef) (RowFilter, error) {
+	ref, err := column(s, at, c.Col)
+	if err != nil {
+		return nil, err
+	}
+	col, val := ref.Col, c.Val
+	keep := [3]bool{c.Op.holds(-1), c.Op.holds(0), c.Op.holds(1)}
+	return func(r *relation.Relation, rows []int) []int {
+		return r.FilterCmp(rows, col, val, keep)
+	}, nil
+}
+
 // String renders the comparison.
 func (c Cmp) String() string { return fmt.Sprintf("%s %s %s", c.Col, c.Op, c.Val) }
 
@@ -199,6 +254,24 @@ func (a And) bind(s *relation.Schema, at []ColRef) (func([]relation.Row) bool, e
 			}
 		}
 		return true
+	}, nil
+}
+
+// bindFilter implements listFilter: the parts' filters applied in turn.
+func (a And) bindFilter(s *relation.Schema, at []ColRef) (RowFilter, error) {
+	filters := make([]RowFilter, len(a))
+	for i, p := range a {
+		f, err := bindFilter(p, s, at)
+		if err != nil {
+			return nil, err
+		}
+		filters[i] = f
+	}
+	return func(r *relation.Relation, rows []int) []int {
+		for _, f := range filters {
+			rows = f(r, rows)
+		}
+		return rows
 	}, nil
 }
 

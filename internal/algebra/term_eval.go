@@ -19,11 +19,15 @@ import (
 //     pattern weight supplied by the estimator.
 //
 // Evaluation plans a greedy join order over the term's occurrences, applies
-// pushed-down local predicates first, uses composite-key hash indexes for
-// every equality constraint that connects a new occurrence to already-bound
-// ones, and enumerates assignments recursively. In pure counting mode,
-// occurrences that are unconstrained from some point on are folded into a
-// single multiplicative factor instead of being enumerated.
+// pushed-down local predicates first (as list filters over the typed column
+// vectors), uses composite-key hash indexes for every equality constraint
+// that connects a new occurrence to already-bound ones, probing them with
+// the bound rows' cells read in place, and enumerates assignments
+// recursively. In pure counting mode, occurrences that are unconstrained
+// from some point on are folded into a single multiplicative factor
+// instead of being enumerated, and the last enumerated step, when no
+// residual predicate waits on it, counts its candidates without visiting
+// them.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
@@ -59,7 +63,7 @@ func BindInstances(t *Term, cat Catalog) (Instances, error) {
 // instances.
 //
 // Plan reuse rules: a plan is immutable once compile returns — all mutable
-// per-evaluation state (the assignment under construction, probe-key and
+// per-evaluation state (the assignment under construction and the
 // predicate-row scratch) lives in termEval — so a single plan may be shared
 // freely across goroutines. A cached plan remains valid exactly as long as
 // (a) the Term's constraint structure is unchanged and (b) every bound
@@ -88,21 +92,22 @@ type termPlan struct {
 	tailFactor float64
 
 	// maxPredOccs sizes the per-evaluation row scratch for residual
-	// predicates; maxProbeWidth sizes the probe-value scratch.
-	maxPredOccs   int
-	maxProbeWidth int
+	// predicates.
+	maxPredOccs int
 }
 
 type planStep struct {
 	occ int
-	// probe describes the composite hash index for this step: the
-	// occurrence's candidate rows are indexed on keyCols (typed composite
-	// keys, see relation.Index), probed with values gathered from boundRefs
-	// (aligned with keyCols). Empty keyCols means a full scan of the
-	// candidate list.
-	keyCols   []int
-	boundRefs []ColRef
-	index     *relation.Index
+	// The composite hash index for this step: the occurrence's candidate
+	// rows are indexed on keyCols (typed composite keys, see
+	// relation.Index) and probed in place with the cells probe names,
+	// aligned with keyCols: each reads an already-bound occurrence's
+	// instance at the row the assignment holds for it (Slot is the
+	// occurrence index). Empty keyCols means a full scan of the candidate
+	// list.
+	keyCols []int
+	probe   []relation.KeyRef
+	index   *relation.Index
 	// preds to evaluate once this step's occurrence is bound.
 	preds []TermPred
 	// independent marks a tail step with no constraints at or after it;
@@ -135,22 +140,15 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 			return nil, fmt.Errorf("algebra: instance %d layout %s does not match occurrence schema %s",
 				i, r.Schema(), t.Occs[i].Schema)
 		}
-		rows := make([]int, 0, r.Len())
-		var one [1]relation.Row
-	scan:
-		for ri := 0; ri < r.Len(); ri++ {
-			one[0] = r.Row(ri)
-			for _, lp := range t.Occs[i].LocalPreds {
-				if !lp(one[:]) {
-					continue scan
-				}
-			}
-			for _, eq := range intraEqs[i] {
-				if !r.Value(ri, eq.A.Col).Equal(r.Value(ri, eq.B.Col)) {
-					continue scan
-				}
-			}
-			rows = append(rows, ri)
+		rows := make([]int, r.Len())
+		for ri := range rows {
+			rows[ri] = ri
+		}
+		for _, lp := range t.Occs[i].LocalPreds {
+			rows = lp(r, rows)
+		}
+		for _, eq := range intraEqs[i] {
+			rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
 		}
 		p.cand[i] = rows
 	}
@@ -205,7 +203,7 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 		// a is bound later: index a's occurrence on a.Col, probe with b.
 		st := &p.steps[p.pos[a.Occ]]
 		st.keyCols = append(st.keyCols, a.Col)
-		st.boundRefs = append(st.boundRefs, b)
+		st.probe = append(st.probe, relation.KeyRef{Rel: inst[b.Occ], Slot: b.Occ, Col: b.Col})
 	}
 	for _, pr := range t.Preds {
 		last := 0
@@ -229,9 +227,6 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 			} else {
 				st.index = relation.BuildIndexRows(r, st.keyCols, p.cand[st.occ])
 			}
-			if len(st.boundRefs) > p.maxProbeWidth {
-				p.maxProbeWidth = len(st.boundRefs)
-			}
 		}
 	}
 	p.enumUpto = m
@@ -250,15 +245,14 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 }
 
 // termEval is the per-evaluation scratch over an immutable plan: the
-// assignment under construction, the probe-value buffer and the rows
-// residual predicates read. Hoisting these out of the innermost
-// enumeration loops removes the per-probe/per-check allocations, and
+// assignment under construction (which the join probe reads its key rows
+// from) and the rows residual predicates read. Hoisting these out of the
+// innermost enumeration loops removes the per-check allocations, and
 // keeping them off the plan lets concurrent evaluations share one plan
 // safely.
 type termEval struct {
 	p      *termPlan
 	assign []int
-	vals   []relation.Value
 	rows   []relation.Row
 }
 
@@ -266,23 +260,19 @@ func (p *termPlan) newEval() *termEval {
 	return &termEval{
 		p:      p,
 		assign: make([]int, len(p.steps)),
-		vals:   make([]relation.Value, p.maxProbeWidth),
 		rows:   make([]relation.Row, p.maxPredOccs),
 	}
 }
 
-// candidatesAt returns the rows compatible with the bound prefix at step k.
+// candidatesAt returns the rows compatible with the bound prefix at step k:
+// the step's candidate list, or the index bucket whose key equals the
+// bound cells (typed, in place, allocation-free).
 func (ev *termEval) candidatesAt(k int) []int {
-	p := ev.p
-	st := &p.steps[k]
+	st := &ev.p.steps[k]
 	if st.index == nil {
-		return p.cand[st.occ]
+		return ev.p.cand[st.occ]
 	}
-	vals := ev.vals[:len(st.boundRefs)]
-	for i, ref := range st.boundRefs {
-		vals[i] = p.inst[ref.Occ].Value(ev.assign[ref.Occ], ref.Col)
-	}
-	return st.index.LookupValues(vals) // typed probe, allocation-free
+	return st.index.Lookup(st.probe, ev.assign)
 }
 
 // predsHold evaluates the step's residual predicates on the assignment.
@@ -389,7 +379,10 @@ func (pt *PreparedTerm) Count() float64 {
 }
 
 // CountPart counts the satisfying assignments whose first-step candidate
-// lies in chunk `part` of `parts` (see Parts).
+// lies in chunk `part` of `parts` (see Parts). The last enumerated step
+// contributes the length of its candidate list when it has no residual
+// predicate to check: the same float the per-candidate sum of 1s would
+// reach, exactly, since every partial count is an integer below 2^53.
 func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 	p := pt.p
 	//lint:ignore floateq exact sentinel: a zero tail factor means an empty folded tail, so the term contributes nothing
@@ -403,6 +396,8 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 		return p.tailFactor
 	}
 	ev := p.newEval()
+	last := p.enumUpto - 1
+	countLast := len(p.steps[last].preds) == 0
 	var rec func(k int) float64
 	rec = func(k int) float64 {
 		if k == p.enumUpto {
@@ -413,6 +408,9 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 		if k == 0 {
 			lo, hi := chunk(len(cands), part, parts)
 			cands = cands[lo:hi]
+		}
+		if k == last && countLast {
+			return float64(len(cands))
 		}
 		total := 0.0
 		for _, ri := range cands {

@@ -330,11 +330,8 @@ func (c termContrib) bind(t *algebra.Term, inst algebra.Instances) (func(rows []
 	ref := t.Out[c.col]
 	src := inst[ref.Occ]
 	return func(rows []int) float64 {
-		v := src.Value(rows[ref.Occ], ref.Col)
-		if v.IsNull() {
-			return 0
-		}
-		return v.Float64()
+		f, _ := src.Float64(rows[ref.Occ], ref.Col) // a null cell reads 0
+		return f
 	}, nil
 }
 

@@ -252,8 +252,9 @@ type DeadlineStep struct {
 // deadline is exactly what the CASE-DB use case demands: the best estimate
 // the time allowed.
 //
-// Budget expiry is the normal way out — the round running at the deadline
-// completes and its estimate is returned with a nil error — but context
+// Budget expiry is the normal way out — the loop stops before a round it
+// predicts cannot finish in time, and returns the last completed round's
+// estimate with a nil error; the first round always runs — but context
 // cancellation aborts: it is polled before every sampling round (and,
 // through the estimator, between terms), and a cancelled run returns a
 // non-nil error with no partial estimate. Callers serving a network
@@ -292,6 +293,7 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 			return Estimate{}, nil, err
 		}
 		rspan := rec.Span(sDeadlineRound)
+		roundStart := time.Now()
 		if err := extendTo(syn, rels, rng, func(int, int) int { return target }); err != nil {
 			return Estimate{}, nil, err
 		}
@@ -314,20 +316,32 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 		rspan.End()
 		rec.Add(mDeadlineRounds, 1)
 		recordDeadlineRound(rec, len(history), est, rels, sizes)
-		if exhausted || !time.Now().Before(deadline) {
+		if exhausted {
 			return est, history, nil
 		}
 		// Grow in float space and clamp to the largest population: the
 		// geometric target can overflow int long before the deadline when
 		// Growth is large, and an out-of-range float→int conversion is
 		// implementation-defined (a negative target stalls growth forever).
-		next := math.Ceil(float64(target) * opts.Growth)
-		if next >= float64(maxN) {
-			target = maxN
-		} else {
-			target = int(next)
+		next := maxN
+		if f := math.Ceil(float64(target) * opts.Growth); f < float64(maxN) {
+			next = int(f)
 		}
+		now := time.Now()
+		if !nextRoundFits(now.Sub(roundStart), deadline.Sub(now), float64(next)/float64(target)) {
+			return est, history, nil
+		}
+		target = next
 	}
+}
+
+// nextRoundFits reports whether a deadline round may start with remaining
+// time left after a round that took last. The next round grows the sample
+// target by the factor growth, so it is predicted to cost last × growth;
+// starting it with less time left would overrun the budget by up to its
+// own length, and that length grows with every round the budget affords.
+func nextRoundFits(last, remaining time.Duration, growth float64) bool {
+	return float64(last)*growth < float64(remaining)
 }
 
 // recordDeadlineRound reports one deadline round's CI half-width and sample

@@ -148,6 +148,32 @@ func TestDeadlineCount(t *testing.T) {
 	}
 }
 
+// TestNextRoundFits pins the deadline loop's stop rule: another round
+// starts only when the last round's time × growth fits in the time left,
+// so no round starts that is predicted to overrun the budget.
+func TestNextRoundFits(t *testing.T) {
+	const ms = time.Millisecond
+	cases := []struct {
+		last, remaining time.Duration
+		growth          float64
+		want            bool
+	}{
+		{2 * ms, 5 * ms, 2, true},
+		{2 * ms, 4 * ms, 2, false}, // predicted to end exactly at the deadline
+		{3 * ms, 5 * ms, 2, false},
+		{3 * ms, 5 * ms, 1.5, true},
+		{0, 1, 2, true},
+		{0, 0, 2, false},            // the budget is spent
+		{1 * ms, -1 * ms, 2, false}, // the deadline has passed
+		{1 * ms, time.Hour, 1e300, false},
+	}
+	for _, c := range cases {
+		if got := nextRoundFits(c.last, c.remaining, c.growth); got != c.want {
+			t.Errorf("nextRoundFits(%v, %v, %g) = %v, want %v", c.last, c.remaining, c.growth, got, c.want)
+		}
+	}
+}
+
 func TestDeadlineCountExhaustsSmallRelations(t *testing.T) {
 	// With a tiny relation and a long budget the loop must terminate by
 	// exhaustion (census) rather than spinning.

@@ -82,9 +82,13 @@ func newColumn(kind Kind) column {
 }
 
 // isNull reports whether row i is null.
-func (c *column) isNull(i int) bool {
+func (c *column) isNull(i int) bool { return bitAt(c.nulls, i) }
+
+// bitAt reports whether bit i of a null bitmap is set; bits past the
+// bitmap's end are clear.
+func bitAt(nulls []uint64, i int) bool {
 	w := i >> 6
-	return w < len(c.nulls) && c.nulls[w]&(1<<(uint(i)&63)) != 0
+	return w < len(nulls) && nulls[w]&(1<<(uint(i)&63)) != 0
 }
 
 // setNull marks row i null, growing the bitmap to cover it.
@@ -194,8 +198,12 @@ func (c *column) value(i int) Value {
 	}
 }
 
-// keyHashAt returns the index key hash (see keyHash) of row i without
-// constructing a Value; string hashes come from the dictionary cache.
+// keyHashAt returns the index's private key hash of row i, read in place
+// and consistent with Equal: numerics hash with numKeyHash, cheaper than
+// Value.Hash's byte-wise FNV, and strings keep Value.Hash, which the
+// dictionary caches per entry. The index needs only agreement with Equal,
+// whereas shard routing and the sketches depend on Value.Hash's exact
+// values, so that stays as it is.
 func (c *column) keyHashAt(i int) uint64 {
 	if c.isNull(i) {
 		return nullKeyHash
@@ -229,6 +237,36 @@ func (c *column) equalRows(i, j int) bool {
 	case KindString:
 		return c.codes[i] == c.codes[j]
 	default:
+		return true
+	}
+}
+
+// equalCells reports whether row pa of column a and row pb of column b —
+// columns of possibly different relations — hold Equal values, read in
+// place. Ints compare directly; floats compare with < and > (so NaN and ±0
+// are Equal exactly as Compare has them); strings compare codes when the
+// columns share a dictionary and the strings otherwise; an Int/Float pair
+// falls back to Value.Equal.
+func equalCells(a *column, pa int, b *column, pb int) bool {
+	na, nb := a.isNull(pa), b.isNull(pb)
+	if na || nb {
+		return na && nb
+	}
+	if a.kind != b.kind {
+		return a.value(pa).Equal(b.value(pb))
+	}
+	switch a.kind {
+	case KindInt:
+		return a.ints[pa] == b.ints[pb]
+	case KindFloat:
+		x, y := a.floats[pa], b.floats[pb]
+		return !(x < y) && !(x > y)
+	case KindString:
+		if a.dict == b.dict {
+			return a.codes[pa] == b.codes[pb]
+		}
+		return a.dict.strs[a.codes[pa]] == b.dict.strs[b.codes[pb]]
+	default: // KindNull: every row is null, handled above
 		return true
 	}
 }

@@ -18,12 +18,12 @@ import (
 // [lo, hi) range of a single row vector filled by counting and prefix sums.
 // A build therefore allocates a fixed handful of slices however many
 // distinct keys there are. Keys are 64-bit hashes combined from the column
-// vectors (keyHash per column, so Int(2) and Float(2.0) collide exactly as
-// Equal demands), with collision verification against a bucket's exemplar
-// row — no per-row key string is ever materialized. Rows with Equal key
-// values land in one bucket; distinct key values that merely share a hash
-// get distinct buckets, disambiguated by typed comparison at build and
-// probe time.
+// vectors (column.keyHashAt per column, so Int(2) and Float(2.0) collide
+// exactly as Equal demands), with collision verification against a
+// bucket's exemplar row — no per-row key string is ever materialized. Rows
+// with Equal key values land in one bucket; distinct key values that
+// merely share a hash get distinct buckets, disambiguated by typed
+// comparison at build and probe time.
 type Index struct {
 	rel  *Relation
 	cols []int
@@ -68,24 +68,6 @@ func numKeyHash(f float64) uint64 {
 	b ^= b >> 27
 	b *= 0x94d049bb133111eb
 	return b ^ b>>31
-}
-
-// keyHash is the index's private per-value key hash, consistent with
-// Equal. Strings keep Value.Hash, which dictionaries cache per entry;
-// numerics use numKeyHash, cheaper than Value.Hash's byte-wise FNV. The
-// index needs only agreement with Equal, whereas shard routing and the
-// sketches depend on Value.Hash's exact values, so that stays as it is.
-func keyHash(v Value) uint64 {
-	switch v.kind {
-	case KindNull:
-		return nullKeyHash
-	case KindInt:
-		return numKeyHash(float64(v.i))
-	case KindFloat:
-		return numKeyHash(v.f)
-	default:
-		return v.Hash()
-	}
 }
 
 // rowHash computes the composite hash of row i over ix.cols.
@@ -179,42 +161,27 @@ func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
 	return ix
 }
 
-// LookupValues returns the row positions whose key columns Equal the probe
-// values (positionally aligned with the index's column set). The returned
-// slice is shared with the index and must not be modified. Allocation-free.
-func (ix *Index) LookupValues(vals []Value) []int {
-	h := hashSeed
-	for _, v := range vals {
-		h = combineHash(h, keyHash(v))
-	}
-	mask := uint64(len(ix.slots) - 1)
-probe:
-	for s := h >> ix.shift; ; s = (s + 1) & mask {
-		g := ix.slots[s] - 1
-		if g < 0 {
-			return nil
-		}
-		b := &ix.groups[g]
-		if b.hash != h {
-			continue
-		}
-		for k, c := range ix.cols {
-			if !ix.rel.Value(b.head, c).Equal(vals[k]) {
-				continue probe
-			}
-		}
-		return ix.rows[b.lo:b.hi:b.hi]
-	}
+// KeyRef names one component of a probe key read in place: column Col of
+// relation Rel, at the row the probe supplies for Slot.
+type KeyRef struct {
+	Rel  *Relation
+	Slot int
+	Col  int
 }
 
-// LookupRow returns the row positions whose key columns Equal those of row
-// probeRow of probe at probeCols. Allocation-free; the returned slice must
-// not be modified.
-func (ix *Index) LookupRow(probe *Relation, probeRow int, probeCols []int) []int {
-	p := probe.phys(probeRow)
+// Lookup returns the row positions whose key columns Equal the probe key,
+// read in place: component k is column key[k].Col of logical row
+// rows[key[k].Slot] of key[k].Rel, aligned with the index's column set. So
+// one probe can gather a composite key from several relations (term
+// evaluation's bound occurrences) or from one row of one relation (a hash
+// join's probe side). The key hashes from the column vectors and a bucket
+// is verified cell to cell (equalCells), so no Value is boxed except for an
+// Int/Float pair. The returned slice is shared with the index and must not
+// be modified. Allocation-free.
+func (ix *Index) Lookup(key []KeyRef, rows []int) []int {
 	h := hashSeed
-	for _, c := range probeCols {
-		h = combineHash(h, probe.cols[c].keyHashAt(p))
+	for _, kr := range key {
+		h = combineHash(h, kr.Rel.cols[kr.Col].keyHashAt(kr.Rel.phys(rows[kr.Slot])))
 	}
 	mask := uint64(len(ix.slots) - 1)
 probe:
@@ -227,8 +194,10 @@ probe:
 		if b.hash != h {
 			continue
 		}
+		head := ix.rel.phys(b.head)
 		for k, c := range ix.cols {
-			if !ix.rel.Value(b.head, c).Equal(probe.Value(probeRow, probeCols[k])) {
+			kr := key[k]
+			if !equalCells(&ix.rel.cols[c], head, &kr.Rel.cols[kr.Col], kr.Rel.phys(rows[kr.Slot])) {
 				continue probe
 			}
 		}

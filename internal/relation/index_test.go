@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -25,43 +26,119 @@ func ordersRelation(t *testing.T) *Relation {
 	return r
 }
 
-func TestIndexLookupValues(t *testing.T) {
+// probeValues looks vals up through Lookup, holding them as the one row of
+// a probe relation (a null value gets a null-kind column).
+func probeValues(ix *Index, vals ...Value) []int {
+	cols := make([]Column, len(vals))
+	key := make([]KeyRef, len(vals))
+	for k, v := range vals {
+		cols[k] = Column{fmt.Sprintf("k%d", k), v.Kind()}
+		key[k] = KeyRef{Col: k}
+	}
+	p := New("probe", MustSchema(cols...))
+	p.MustAppend(Tuple(vals))
+	for k := range key {
+		key[k].Rel = p
+	}
+	return ix.Lookup(key, []int{0})
+}
+
+// refKeyHash is the index key hash of a boxed Value, the per-value form of
+// column.keyHashAt.
+func refKeyHash(v Value) uint64 {
+	switch v.kind {
+	case KindNull:
+		return nullKeyHash
+	case KindInt:
+		return numKeyHash(float64(v.i))
+	case KindFloat:
+		return numKeyHash(v.f)
+	default:
+		return v.Hash()
+	}
+}
+
+// refLookup is the boxing reference probe Lookup replaced: hash the boxed
+// probe values, verify a bucket's exemplar with Value.Equal.
+func refLookup(ix *Index, vals []Value) []int {
+	h := hashSeed
+	for _, v := range vals {
+		h = combineHash(h, refKeyHash(v))
+	}
+	mask := uint64(len(ix.slots) - 1)
+probe:
+	for s := h >> ix.shift; ; s = (s + 1) & mask {
+		g := ix.slots[s] - 1
+		if g < 0 {
+			return nil
+		}
+		b := &ix.groups[g]
+		if b.hash != h {
+			continue
+		}
+		for k, c := range ix.cols {
+			if !ix.rel.Value(b.head, c).Equal(vals[k]) {
+				continue probe
+			}
+		}
+		return ix.rows[b.lo:b.hi:b.hi]
+	}
+}
+
+func TestIndexLookup(t *testing.T) {
 	r := ordersRelation(t)
 	ix := BuildIndex(r, []int{0, 1})
 
-	if got := ix.LookupValues([]Value{Int(1), Str("apple")}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+	if got := probeValues(ix, Int(1), Str("apple")); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("(1, apple) = %v, want [0 3]", got)
 	}
-	if got := ix.LookupValues([]Value{Int(2), Str("apple")}); len(got) != 1 || got[0] != 2 {
+	if got := probeValues(ix, Int(2), Str("apple")); len(got) != 1 || got[0] != 2 {
 		t.Errorf("(2, apple) = %v, want [2]", got)
 	}
-	if got := ix.LookupValues([]Value{Int(9), Str("apple")}); got != nil {
+	if got := probeValues(ix, Int(9), Str("apple")); got != nil {
 		t.Errorf("miss returned %v", got)
 	}
 	// Null key values match other nulls, mirroring Value.Equal.
-	if got := ix.LookupValues([]Value{Null(), Str("apple")}); len(got) != 1 || got[0] != 4 {
+	if got := probeValues(ix, Null(), Str("apple")); len(got) != 1 || got[0] != 4 {
 		t.Errorf("(null, apple) = %v, want [4]", got)
 	}
 	// Int/Float numeric equality crosses kinds, as Equal and Hash demand.
 	fx := BuildIndex(r, []int{2})
-	if got := fx.LookupValues([]Value{Int(2)}); len(got) != 1 || got[0] != 0 {
+	if got := probeValues(fx, Int(2)); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Float column probed with Int(2) = %v, want [0]", got)
 	}
 }
 
-func TestIndexLookupRow(t *testing.T) {
+// TestIndexLookupAcrossRelations probes with cells of other relations: one
+// probe row whose key columns sit in a different order, and a composite key
+// gathered from two relations at two slots (term evaluation's shape).
+func TestIndexLookupAcrossRelations(t *testing.T) {
 	r := ordersRelation(t)
 	ix := BuildIndex(r, []int{0, 1})
 
-	// Probe relation lists key columns in a different order/position.
 	probe := New("probe", MustSchema(Column{"item", KindString}, Column{"customer", KindInt}))
 	probe.MustAppend(Tuple{Str("apple"), Int(1)})
 	probe.MustAppend(Tuple{Str("pear"), Int(2)})
-	if got := ix.LookupRow(probe, 0, []int{1, 0}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+	row := []KeyRef{{Rel: probe, Col: 1}, {Rel: probe, Col: 0}}
+	if got := ix.Lookup(row, []int{0}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("probe row 0 = %v, want [0 3]", got)
 	}
-	if got := ix.LookupRow(probe, 1, []int{1, 0}); got != nil {
+	if got := ix.Lookup(row, []int{1}); got != nil {
 		t.Errorf("probe miss returned %v", got)
+	}
+
+	customers := New("C", MustSchema(Column{"id", KindInt}))
+	customers.MustAppend(Tuple{Int(2)})
+	customers.MustAppend(Tuple{Int(1)})
+	items := New("I", MustSchema(Column{"name", KindString}))
+	items.MustAppend(Tuple{Str("pear")})
+	items.MustAppend(Tuple{Str("apple")})
+	two := []KeyRef{{Rel: customers, Slot: 1, Col: 0}, {Rel: items, Slot: 0, Col: 0}}
+	if got := ix.Lookup(two, []int{1, 1}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+		t.Errorf("(C[1], I[1]) = %v, want [0 3]", got)
+	}
+	if got := ix.Lookup(two, []int{0, 0}); got != nil {
+		t.Errorf("(C[0], I[0]) = (2, pear) returned %v", got)
 	}
 }
 
@@ -69,11 +146,11 @@ func TestBuildIndexRows(t *testing.T) {
 	r := ordersRelation(t)
 	// Index only rows {3, 0} (in that order): candidate-list indexing.
 	ix := BuildIndexRows(r, []int{1}, []int{3, 0})
-	got := ix.LookupValues([]Value{Str("apple")})
+	got := probeValues(ix, Str("apple"))
 	if len(got) != 2 || got[0] != 3 || got[1] != 0 {
 		t.Errorf("apple over rows [3 0] = %v, want [3 0] (insertion order)", got)
 	}
-	if got := ix.LookupValues([]Value{Str("pear")}); got != nil {
+	if got := probeValues(ix, Str("pear")); got != nil {
 		t.Errorf("pear is outside the indexed rows, got %v", got)
 	}
 	if ix.Buckets() != 1 {
@@ -85,7 +162,7 @@ func TestIndexOnView(t *testing.T) {
 	r := ordersRelation(t)
 	v := r.Subset("v", []int{4, 2, 0}) // rows in view positions 0,1,2
 	ix := BuildIndex(v, []int{1})
-	got := ix.LookupValues([]Value{Str("apple")})
+	got := probeValues(ix, Str("apple"))
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("apple over view = %v, want [0 1 2] (view positions)", got)
 	}
@@ -99,9 +176,9 @@ func TestIndexOnView(t *testing.T) {
 // 64-bit hash collisions between distinct keys cannot be crafted from the
 // public API, so the test assembles an Index whose two buckets — distinct
 // keys "b" and "a" — carry one forced hash and sit in adjacent slots, and
-// verifies every probe path disambiguates by typed comparison: the
-// matching bucket is found past the colliding one, and a probe that
-// matches neither bucket misses.
+// verifies the probe disambiguates by typed comparison, whether its key
+// shares the index's dictionary or not: the matching bucket is found past
+// the colliding one, and a probe that matches neither bucket misses.
 func TestIndexCollisionChain(t *testing.T) {
 	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
 	collided := func(h uint64) *Index {
@@ -120,24 +197,22 @@ func TestIndexCollisionChain(t *testing.T) {
 		ix.slots[s], ix.slots[(s+1)&3] = 1, 2
 		return ix
 	}
-	hit := collided(combineHash(hashSeed, keyHash(Str("a"))))
-	if got := hit.LookupValues([]Value{Str("a")}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("collided LookupValues = %v, want [0 2]", got)
+	hit := collided(combineHash(hashSeed, refKeyHash(Str("a"))))
+	if got := probeValues(hit, Str("a")); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("collided probe, own dictionary = %v, want [0 2]", got)
 	}
-	probe := New("p", MustSchema(Column{"name", KindString}))
-	probe.MustAppend(Tuple{Str("a")})
-	if got := hit.LookupRow(probe, 0, []int{0}); len(got) != 2 {
-		t.Errorf("collided LookupRow = %v, want 2 rows", got)
+	if got := hit.Lookup([]KeyRef{{Rel: r, Col: 1}}, []int{2}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("collided probe, shared dictionary = %v, want [0 2]", got)
 	}
-	miss := collided(combineHash(hashSeed, keyHash(Str("zzz"))))
-	if got := miss.LookupValues([]Value{Str("zzz")}); got != nil {
+	miss := collided(combineHash(hashSeed, refKeyHash(Str("zzz"))))
+	if got := probeValues(miss, Str("zzz")); got != nil {
 		t.Errorf("colliding miss = %v, want nil", got)
 	}
 }
 
 // TestQuickIndexMatchesScan checks the index against the naive scan on
-// random data: for every row, both probe paths return exactly the rows an
-// Equal-based scan finds, in ascending order; and bucket counts match the
+// random data: for every row, the in-place probe and the boxing reference
+// return exactly the rows an Equal-based scan finds, in ascending order; and bucket counts match the
 // number of distinct keys. The data mixes Int and Float keys that compare
 // equal (probing a Float column with Int values and back), ±0, nulls and
 // two-column keys, over base relations and views with repeated rows. The
@@ -195,6 +270,10 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 			return true
 		}
 		vals := make([]Value, len(ks.cols))
+		key := make([]KeyRef, len(ks.probe))
+		for k, c := range ks.probe {
+			key[k] = KeyRef{Rel: r, Col: c}
+		}
 		for i := 0; i < r.Len(); i++ {
 			var want []int
 			for j := 0; j < r.Len(); j++ {
@@ -206,8 +285,8 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 				vals[k] = r.Value(i, c)
 			}
 			for _, got := range [][]int{
-				ix.LookupRow(r, i, ks.probe), ix.LookupValues(vals),
-				shared.LookupRow(r, i, ks.probe), shared.LookupValues(vals),
+				ix.Lookup(key, []int{i}), refLookup(ix, vals),
+				shared.Lookup(key, []int{i}), refLookup(shared, vals),
 			} {
 				if !slices.Equal(got, want) {
 					return false
@@ -230,6 +309,86 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 		return ix.Buckets() == distinct
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestQuickLookupMatchesBoxedReference checks the in-place probe against
+// the boxing reference it replaced, slice for slice (the same bucket of the
+// same index), on composite keys gathered from up to three relations at
+// distinct slots: string keys from separately built relations (different
+// dictionaries) and from a view of the indexed relation (a shared one),
+// Int cells probing a Float column and back, ±0, NaN and nulls.
+func TestQuickLookupMatchesBoxedReference(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		letters := []string{"", "a", "b", "ab"}
+		floats := []float64{0, math.Copysign(0, -1), 1, 2, math.NaN()}
+		cell := func(k Kind) Value {
+			if rng.Intn(6) == 0 {
+				return Null()
+			}
+			switch k {
+			case KindInt:
+				return Int(int64(rng.Intn(3)))
+			case KindFloat:
+				return Float(floats[rng.Intn(len(floats))])
+			default:
+				return Str(letters[rng.Intn(len(letters))])
+			}
+		}
+		build := func(name string, n int, kinds ...Kind) *Relation {
+			cols := make([]Column, len(kinds))
+			for c, k := range kinds {
+				cols[c] = Column{fmt.Sprintf("c%d", c), k}
+			}
+			r := New(name, MustSchema(cols...))
+			for i := 0; i < n; i++ {
+				row := make(Tuple, len(kinds))
+				for c, k := range kinds {
+					row[c] = cell(k)
+				}
+				r.MustAppend(row)
+			}
+			return r
+		}
+		a := build("A", 1+rng.Intn(40), KindInt, KindString, KindFloat)
+		b := build("B", 1+rng.Intn(10), KindString, KindFloat)
+		c := build("C", 1+rng.Intn(10), KindInt, KindString)
+		v := a.Subset("V", []int{rng.Intn(a.Len()), rng.Intn(a.Len()), 0})
+		cases := []struct {
+			cols []int
+			key  []KeyRef
+		}{
+			{[]int{0, 1}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: c, Slot: 1, Col: 1}}},
+			{[]int{1, 2}, []KeyRef{{Rel: b, Slot: 1, Col: 0}, {Rel: c, Slot: 0, Col: 0}}},
+			{[]int{0, 1, 2}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: v, Slot: 1, Col: 1}, {Rel: c, Slot: 2, Col: 0}}},
+			{[]int{1}, []KeyRef{{Rel: v, Slot: 0, Col: 1}}},
+			{[]int{2, 0}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: c, Slot: 1, Col: 0}}},
+		}
+		ks := cases[rng.Intn(len(cases))]
+		target := a
+		if rng.Intn(2) == 0 {
+			target = a.Subset("W", []int{a.Len() - 1, 0, a.Len() - 1})
+		}
+		ix := BuildIndex(target, ks.cols)
+		rows := make([]int, 3)
+		vals := make([]Value, len(ks.key))
+		for trial := 0; trial < 30; trial++ {
+			for _, kr := range ks.key {
+				rows[kr.Slot] = rng.Intn(kr.Rel.Len())
+			}
+			for k, kr := range ks.key {
+				vals[k] = kr.Rel.Value(rows[kr.Slot], kr.Col)
+			}
+			got, want := ix.Lookup(ks.key, rows), refLookup(ix, vals)
+			if !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &want[0]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -313,11 +313,11 @@ func TestRelationSortAndEach(t *testing.T) {
 func TestIndex(t *testing.T) {
 	r := testRelation(t)
 	ix := BuildIndex(r, []int{1}) // index on name
-	hits := ix.LookupValues([]Value{Str("a")})
+	hits := probeValues(ix, Str("a"))
 	if len(hits) != 2 {
 		t.Errorf("lookup 'a' returned %v", hits)
 	}
-	if got := ix.LookupValues([]Value{Str("zzz")}); len(got) != 0 {
+	if got := probeValues(ix, Str("zzz")); len(got) != 0 {
 		t.Errorf("lookup miss returned %v", got)
 	}
 	if ix.Buckets() != 2 {

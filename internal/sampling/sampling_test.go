@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -118,6 +119,117 @@ func TestExtendDensePath(t *testing.T) {
 	if len(s2) != len(s) {
 		t.Error("extend by 0 changed size")
 	}
+}
+
+// extendByMap is Extend as it stood before its bitset: membership in a map,
+// the result sorted at the end. TestExtendMatchesMapReference pins Extend
+// against it.
+func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
+	n := len(existing)
+	if m < 0 || n+m > N {
+		panic(fmt.Sprintf("sampling: Extend(N=%d, n=%d, m=%d) out of range", N, n, m))
+	}
+	if m == 0 {
+		out := append([]int(nil), existing...)
+		sort.Ints(out)
+		return out
+	}
+	taken := make(map[int]struct{}, n+m)
+	for _, i := range existing {
+		taken[i] = struct{}{}
+	}
+	if len(taken) != n {
+		panic("sampling: Extend given sample with duplicate indices")
+	}
+	if (n+m)*2 < N {
+		for added := 0; added < m; {
+			c := rng.Intn(N)
+			if _, dup := taken[c]; dup {
+				continue
+			}
+			taken[c] = struct{}{}
+			added++
+		}
+	} else {
+		complement := make([]int, 0, N-n)
+		for i := 0; i < N; i++ {
+			if _, dup := taken[i]; !dup {
+				complement = append(complement, i)
+			}
+		}
+		for _, pos := range WithoutReplacement(rng, len(complement), m) {
+			taken[complement[pos]] = struct{}{}
+		}
+	}
+	out := make([]int, 0, n+m)
+	for i := range taken {
+		out = append(out, i)
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestExtendMatchesMapReference pins Extend to the map-based algorithm it
+// replaced: the same result from the same rng, and the same rng draws
+// consumed (the next draw agrees), over sparse and complement-branch
+// sizes, unsorted input, m = 0 and the panics.
+func TestExtendMatchesMapReference(t *testing.T) {
+	cases := []struct {
+		N, n, m int
+		seed    int64
+	}{
+		{1, 0, 1, 1},
+		{10, 0, 0, 2},
+		{10, 3, 0, 3},   // m = 0
+		{10, 2, 2, 4},   // (n+m)*2 < N: rejection
+		{10, 2, 3, 5},   // (n+m)*2 = N: complement
+		{10, 4, 5, 6},   // complement
+		{10, 0, 10, 7},  // fills the population
+		{64, 10, 21, 8}, // rejection, one full bitset word
+		{65, 30, 35, 9}, // complement, a partial last word
+		{1000, 20, 100, 10},
+		{1000, 300, 400, 11},
+		{100000, 1000, 500, 12},
+		{100000, 40000, 20000, 13},
+	}
+	for _, c := range cases {
+		src := rand.New(rand.NewSource(c.seed))
+		existing := WithoutReplacement(src, c.N, c.n)
+		Shuffle(src, existing) // Extend must not rely on sorted input
+		got, gotRNG := rand.New(rand.NewSource(c.seed)), rand.New(rand.NewSource(c.seed))
+		want := extendByMap(gotRNG, c.N, append([]int(nil), existing...), c.m)
+		if out := Extend(got, c.N, existing, c.m); !slices.Equal(out, want) {
+			t.Errorf("N=%d n=%d m=%d seed=%d: Extend = %v, reference %v", c.N, c.n, c.m, c.seed, out, want)
+		}
+		if a, b := got.Int63(), gotRNG.Int63(); a != b {
+			t.Errorf("N=%d n=%d m=%d seed=%d: rng diverged after Extend", c.N, c.n, c.m, c.seed)
+		}
+	}
+	panics := []struct {
+		name     string
+		N        int
+		existing []int
+		m        int
+	}{
+		{"duplicate input", 10, []int{3, 1, 3}, 2},
+		{"duplicate input, complement", 5, []int{1, 1}, 1},
+		{"over-extension", 5, []int{0, 1}, 4},
+		{"negative m", 5, []int{0}, -1},
+	}
+	for _, c := range panics {
+		got := recovered(func() { Extend(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
+		want := recovered(func() { extendByMap(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
+		if got == nil || got != want {
+			t.Errorf("%s: Extend panicked with %v, reference with %v", c.name, got, want)
+		}
+	}
+}
+
+// recovered runs f and returns what it panicked with (nil if it did not).
+func recovered(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
 }
 
 func TestExtendPanics(t *testing.T) {

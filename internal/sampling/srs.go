@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 )
@@ -61,6 +62,10 @@ func WithoutReplacement(rng *rand.Rand, N, n int) []int {
 // combined ascending sample. The result is distributed exactly as a fresh
 // SRSWOR sample of size len(existing)+m (sequential double sampling relies
 // on this). It panics if the extension is impossible.
+//
+// Membership is a bitset over [0, N) — N/8 bytes, a small fraction of the
+// N-row relation being sampled — and the ascending result is read off it,
+// so nothing is hashed and nothing sorted.
 func Extend(rng *rand.Rand, N int, existing []int, m int) []int {
 	n := len(existing)
 	if m < 0 || n+m > N {
@@ -71,40 +76,43 @@ func Extend(rng *rand.Rand, N int, existing []int, m int) []int {
 		sort.Ints(out)
 		return out
 	}
-	taken := make(map[int]struct{}, n+m)
+	taken := make([]uint64, (N+63)>>6)
+	has := func(i int) bool { return taken[i>>6]&(1<<(uint(i)&63)) != 0 }
+	set := func(i int) { taken[i>>6] |= 1 << (uint(i) & 63) }
 	for _, i := range existing {
-		taken[i] = struct{}{}
-	}
-	if len(taken) != n {
-		panic("sampling: Extend given sample with duplicate indices")
+		if has(i) {
+			panic("sampling: Extend given sample with duplicate indices")
+		}
+		set(i)
 	}
 	// Rejection sampling is efficient while the occupied fraction is small;
 	// fall back to sampling positions in the complement when it is not.
 	if (n+m)*2 < N {
 		for added := 0; added < m; {
 			c := rng.Intn(N)
-			if _, dup := taken[c]; dup {
+			if has(c) {
 				continue
 			}
-			taken[c] = struct{}{}
+			set(c)
 			added++
 		}
 	} else {
 		complement := make([]int, 0, N-n)
 		for i := 0; i < N; i++ {
-			if _, dup := taken[i]; !dup {
+			if !has(i) {
 				complement = append(complement, i)
 			}
 		}
 		for _, pos := range WithoutReplacement(rng, len(complement), m) {
-			taken[complement[pos]] = struct{}{}
+			set(complement[pos])
 		}
 	}
 	out := make([]int, 0, n+m)
-	for i := range taken {
-		out = append(out, i)
+	for w, word := range taken {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, w<<6+bits.TrailingZeros64(word))
+		}
 	}
-	sort.Ints(out)
 	countDraw(m)
 	return out
 }
