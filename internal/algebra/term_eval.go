@@ -3,6 +3,7 @@ package algebra
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"relest/internal/obs"
@@ -33,7 +34,10 @@ import (
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
 // are built once (whole-view indexes once per sample view, see compile),
 // and every evaluation carries its own scratch state (termEval), so one
-// plan can serve any number of concurrent evaluations.
+// plan can serve any number of concurrent evaluations. Split-sample
+// replicates are not compiled: PreparedTerm.Split restricts a compiled
+// plan to each replicate's rows by partitioning its candidate lists and
+// indexes.
 
 // Instances carries one relation instance per occurrence of a term,
 // positionally aligned with Term.Occs. All occurrences of the same base
@@ -115,31 +119,42 @@ type planStep struct {
 	independent bool
 }
 
-// compile builds the evaluation plan.
+// compile builds the evaluation plan over the instances: the candidate
+// lists, then planOver. A candidate list that keeps every row indexes the
+// whole instance, which a sample view memoizes across plans (SharedIndex);
+// a filtered list is indexed here.
 func compile(t *Term, inst Instances) (*termPlan, error) {
-	m := len(t.Occs)
-	if len(inst) != m {
-		return nil, fmt.Errorf("algebra: term has %d occurrences, got %d instances", m, len(inst))
+	if len(inst) != len(t.Occs) {
+		return nil, fmt.Errorf("algebra: term has %d occurrences, got %d instances", len(t.Occs), len(inst))
 	}
-	p := &termPlan{term: t, inst: inst}
-
-	// Candidate rows: local predicates plus intra-occurrence equalities.
-	intraEqs := make([][]EqCol, m)
-	var crossEqs []EqCol
-	for _, eq := range t.Eqs {
-		if eq.A.Occ == eq.B.Occ {
-			intraEqs[eq.A.Occ] = append(intraEqs[eq.A.Occ], eq)
-		} else {
-			crossEqs = append(crossEqs, eq)
-		}
-	}
-	p.cand = make([][]int, m)
-	for i := range t.Occs {
-		r := inst[i]
+	for i, r := range inst {
 		if !r.Schema().EqualLayout(t.Occs[i].Schema) {
 			return nil, fmt.Errorf("algebra: instance %d layout %s does not match occurrence schema %s",
 				i, r.Schema(), t.Occs[i].Schema)
 		}
+	}
+	cand := candidates(t, inst)
+	return planOver(t, inst, cand, func(occ int, keyCols []int) *relation.Index {
+		r := inst[occ]
+		if len(cand[occ]) == r.Len() {
+			return r.SharedIndex(keyCols)
+		}
+		return relation.BuildIndexRows(r, keyCols, cand[occ])
+	}), nil
+}
+
+// candidates returns every occurrence's candidate rows: the instance rows,
+// ascending, that pass its local predicates and intra-occurrence
+// equalities.
+func candidates(t *Term, inst Instances) [][]int {
+	intraEqs := make([][]EqCol, len(t.Occs))
+	for _, eq := range t.Eqs {
+		if eq.A.Occ == eq.B.Occ {
+			intraEqs[eq.A.Occ] = append(intraEqs[eq.A.Occ], eq)
+		}
+	}
+	cand := make([][]int, len(t.Occs))
+	for i, r := range inst {
 		rows := make([]int, r.Len())
 		for ri := range rows {
 			rows[ri] = ri
@@ -150,7 +165,26 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 		for _, eq := range intraEqs[i] {
 			rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
 		}
-		p.cand[i] = rows
+		cand[i] = rows
+	}
+	return cand
+}
+
+// planOver plans the term over fixed candidate lists: the greedy join
+// order chosen from their sizes, the constraints assigned to steps, each
+// keyed step's index from indexFor(occurrence, key columns), and the folded
+// tail. Candidate lists must be ascending, so bucket rows keep ascending
+// (enumeration) order. compile and Split both plan through it, so a
+// replicate plan orders its steps exactly as a compile over the
+// replicate's own rows would.
+func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyCols []int) *relation.Index) *termPlan {
+	m := len(t.Occs)
+	p := &termPlan{term: t, inst: inst, cand: cand}
+	var crossEqs []EqCol
+	for _, eq := range t.Eqs {
+		if eq.A.Occ != eq.B.Occ {
+			crossEqs = append(crossEqs, eq)
+		}
 	}
 
 	// Greedy order: smallest candidate list first, then prefer occurrences
@@ -214,19 +248,11 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 		p.maxPredOccs = max(p.maxPredOccs, len(pr.Occs))
 	}
 
-	// Build indexes and mark the independent tail. Candidate lists are
-	// ascending, so bucket rows keep ascending (enumeration) order. A list
-	// that keeps every row indexes the whole instance, which a sample view
-	// memoizes across plans (SharedIndex); a filtered list is indexed here.
+	// Index the keyed steps and mark the independent tail.
 	for k := range p.steps {
 		st := &p.steps[k]
 		if len(st.keyCols) > 0 {
-			r := inst[st.occ]
-			if len(p.cand[st.occ]) == r.Len() {
-				st.index = r.SharedIndex(st.keyCols)
-			} else {
-				st.index = relation.BuildIndexRows(r, st.keyCols, p.cand[st.occ])
-			}
+			st.index = indexFor(st.occ, st.keyCols)
 		}
 	}
 	p.enumUpto = m
@@ -241,7 +267,7 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 			break
 		}
 	}
-	return p, nil
+	return p
 }
 
 // termEval is the per-evaluation scratch over an immutable plan: the
@@ -359,6 +385,153 @@ func (pt *PreparedTerm) Parts() int {
 	return partitionParts
 }
 
+// Partition assigns every row of a term's sample instances to one of g
+// groups — the replicate split of split-sample variance — and memoizes
+// what Split derives from it, so terms sharing an instance share its
+// partitioned candidate lists and split indexes. A Partition is not safe
+// for concurrent use; the plans Split derives from it are.
+type Partition struct {
+	g      int
+	labels map[*relation.Relation][]int32
+
+	cands  map[candKey][][]int
+	built  []builtIndex
+	splits map[*relation.Index][]*relation.Index
+}
+
+// candKey identifies a candidate list: the whole instance or an empty list
+// (first nil, told apart by n), or a filtered list by its backing array.
+type candKey struct {
+	rel   *relation.Relation
+	first *int
+	n     int
+}
+
+// builtIndex is a full-candidate index no full plan held, built once for a
+// replicate order the full plan does not share.
+type builtIndex struct {
+	cand candKey
+	cols []int
+	ix   *relation.Index
+}
+
+// NewPartition partitions instance rows into g groups by label:
+// labels[r][row] ∈ [0, g) is the group of row `row` of instance r, and
+// every instance a split plan reads must be labelled.
+func NewPartition(g int, labels map[*relation.Relation][]int32) *Partition {
+	return &Partition{
+		g:      g,
+		labels: labels,
+		cands:  make(map[candKey][][]int),
+		splits: make(map[*relation.Index][]*relation.Index),
+	}
+}
+
+func keyOf(r *relation.Relation, cand []int) candKey {
+	if len(cand) == 0 || len(cand) == r.Len() {
+		return candKey{rel: r, n: len(cand)}
+	}
+	return candKey{rel: r, first: &cand[0], n: len(cand)}
+}
+
+// candidates partitions a candidate list by label in one pass: part l
+// keeps the rows labelled l, ascending.
+func (pa *Partition) candidates(r *relation.Relation, cand []int) [][]int {
+	if len(cand) == 0 {
+		return make([][]int, pa.g)
+	}
+	key := keyOf(r, cand)
+	if parts, ok := pa.cands[key]; ok {
+		return parts
+	}
+	label := pa.labels[r]
+	count := make([]int, pa.g)
+	for _, row := range cand {
+		count[label[row]]++
+	}
+	backing := make([]int, len(cand))
+	parts := make([][]int, pa.g)
+	off := 0
+	for l, c := range count {
+		parts[l] = backing[off : off : off+c]
+		off += c
+	}
+	for _, row := range cand {
+		l := label[row]
+		parts[l] = append(parts[l], row)
+	}
+	pa.cands[key] = parts
+	return parts
+}
+
+// index returns the g parts of the full-candidate index of occurrence occ
+// of plan p on keyCols: the split of p's own index when a step of p holds
+// it, otherwise of one built here once.
+func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Index {
+	var full *relation.Index
+	for k := range p.steps {
+		if st := &p.steps[k]; st.occ == occ && st.index != nil && slices.Equal(st.keyCols, keyCols) {
+			full = st.index
+			break
+		}
+	}
+	if full == nil {
+		r, cand := p.inst[occ], p.cand[occ]
+		key := keyOf(r, cand)
+		for _, b := range pa.built {
+			if b.cand == key && slices.Equal(b.cols, keyCols) {
+				full = b.ix
+				break
+			}
+		}
+		if full == nil {
+			full = relation.BuildIndexRows(r, keyCols, cand)
+			pa.built = append(pa.built, builtIndex{cand: key, cols: keyCols, ix: full})
+		}
+	}
+	parts, ok := pa.splits[full]
+	if !ok {
+		parts = full.Split(pa.labels[p.inst[occ]], pa.g)
+		pa.splits[full] = parts
+	}
+	return parts
+}
+
+// Split derives the replicate plans of a split-sample variance pass: plan l
+// is this plan restricted to the instance rows labelled l. It reads the
+// same instances, so it reports and enumerates full-instance row
+// positions. Every design lays a replicate's rows out in ascending
+// full-sample order, and candidate lists and index buckets are ascending
+// too, so plan l enumerates exactly the assignments a plan compiled over
+// the group's sub-instances (ascending Subset views) would, in the same
+// order, reading the same cells — every count and sum is bit-identical.
+//
+// Each candidate list is partitioned in one pass; each keyed step's index
+// is a part of the full-candidate index for its occurrence and key
+// columns (relation.Index.Split), never a rebuild; and the greedy order is
+// re-chosen from the replicate's own candidate counts by the same planOver
+// that compile uses, so a replicate whose order differs from this plan's
+// is planned exactly as an independent compile would plan it.
+func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
+	p := pt.p
+	cand := make([][][]int, pa.g) // group → occurrence → rows
+	for l := range cand {
+		cand[l] = make([][]int, len(p.cand))
+	}
+	for occ, rows := range p.cand {
+		for l, part := range pa.candidates(p.inst[occ], rows) {
+			cand[l][occ] = part
+		}
+	}
+	out := make([]*PreparedTerm, pa.g)
+	for l := range out {
+		out[l] = &PreparedTerm{p: planOver(p.term, p.inst, cand[l], func(occ int, keyCols []int) *relation.Index {
+			return pa.index(p, occ, keyCols)[l]
+		})}
+	}
+	return out
+}
+
 // chunk returns the [lo, hi) bounds of chunk part of parts over n rows.
 func chunk(n, part, parts int) (int, int) {
 	return n * part / parts, n * (part + 1) / parts
@@ -468,12 +641,13 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 }
 
 // PlanCache caches compiled term plans keyed by (term identity, instance
-// identities). One estimate with replication-based variance evaluates the
-// same (term, instances) pairs many times — the point estimate plus every
-// replicate that leaves a relation untouched — and the cache makes each
-// pair compile exactly once. It is safe for concurrent
-// use; concurrent Prepare calls for the same key compile once and share the
-// plan.
+// identities). One estimate evaluates the same (term, instances) pairs
+// several times — the point estimate, the closed-form variance passes, the
+// split-sample pass that restricts each plan to its replicates
+// (PreparedTerm.Split), and every jackknife replicate that leaves a
+// relation untouched — and the cache makes each pair compile exactly once.
+// It is safe for concurrent use; concurrent Prepare calls for the same key
+// compile once and share the plan.
 //
 // The cache holds plans for as long as it lives, so callers scope it to an
 // evaluation (the estimator builds one engine per top-level call). What

@@ -13,9 +13,11 @@ import (
 // The evaluation engine: one engine serves one top-level estimation call
 // (point estimate plus variance replicates). It couples a plan cache —
 // compiled term plans keyed by (term, instance identity), so the point
-// estimate, the analytic variance pass and every replicate that leaves a
-// relation's instances untouched share one compilation — with the resolved
-// worker count for the call's parallel fan-outs.
+// estimate, the analytic variance pass, the split-sample replicates (whose
+// plans restrict the cached ones to their rows) and every jackknife
+// replicate that leaves a relation's instances untouched share one
+// compilation — with the resolved worker count for the call's parallel
+// fan-outs.
 //
 // Every fan-out in this package follows the parallel package's determinism
 // contract: results land in index-addressed slots and are reduced in index
@@ -29,6 +31,10 @@ type engine struct {
 	// fallback uses it to share full-sample plans across replicates without
 	// retaining one throwaway plan per deleted unit.
 	cacheIf func(t *algebra.Term) bool
+	// split holds a split-sample replicate's plans, derived from the full
+	// sample's (algebra.PreparedTerm.Split); plan takes a term's plan from
+	// it before compiling.
+	split map[*algebra.Term]*algebra.PreparedTerm
 	// rec receives the call's metrics (never nil — obs.Nop when disabled),
 	// and span is the call's root span for per-term/per-replicate children
 	// (zero value when tracing is off; zero spans are inert). Recording is
@@ -102,6 +108,9 @@ func (eng *engine) prepare(t *algebra.Term, inst algebra.Instances) (*algebra.Pr
 // plan binds the term's occurrences to the synopsis's sample relations and
 // returns them with the compiled plan over them.
 func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *algebra.PreparedTerm, error) {
+	if pt, ok := eng.split[t]; ok {
+		return pt.Instances(), pt, nil
+	}
 	inst, err := algebra.BindInstances(t, syn)
 	if err != nil {
 		return nil, nil, err

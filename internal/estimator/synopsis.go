@@ -63,6 +63,10 @@ type relSynopsis struct {
 	// own population size and its own SRSWOR sample, so the inverse
 	// inclusion probability varies by stratum.
 	strata []stratumInfo
+	// weights is set on the split-sample replicates of a stratified sample
+	// (see split) instead of strata: the weight N_h/n_h,l of every sample
+	// row, n_h,l counting the units of the row's stratum in its group.
+	weights []float64
 
 	// base and unit ids are retained when the synopsis was drawn from a
 	// stored relation, enabling sample extension (sequential estimation).
@@ -81,8 +85,8 @@ func (rs *relSynopsis) stratified() bool { return rs.strata != nil }
 
 // uniformWeights reports whether every sampling unit shares the same
 // inverse inclusion probability (true for the tuple and page designs,
-// false for stratified samples).
-func (rs *relSynopsis) uniformWeights() bool { return rs.strata == nil }
+// false for stratified samples and their replicates).
+func (rs *relSynopsis) uniformWeights() bool { return rs.strata == nil && rs.weights == nil }
 
 // rowWeightFn returns the per-sample-row inverse inclusion probability of
 // a stratified sample (N_h/n_h of the row's stratum), or nil when every
@@ -91,12 +95,15 @@ func (rs *relSynopsis) rowWeightFn() func(row int) float64 {
 	if rs.uniformWeights() {
 		return nil
 	}
-	weights := make([]float64, rs.n)
-	for _, st := range rs.strata {
-		w := float64(st.Nh) / float64(len(st.units))
-		for _, u := range st.units {
-			for _, row := range rs.clusters[u] {
-				weights[row] = w
+	weights := rs.weights
+	if weights == nil {
+		weights = make([]float64, rs.n)
+		for _, st := range rs.strata {
+			w := float64(st.Nh) / float64(len(st.units))
+			for _, u := range st.units {
+				for _, row := range rs.clusters[u] {
+					weights[row] = w
+				}
 			}
 		}
 	}
@@ -539,28 +546,60 @@ func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 	return out
 }
 
-// splitUnits partitions the relation's sampling units into g groups for
-// replication: plain random groups for the tuple/page designs, per-stratum
-// random groups for stratified samples (so every replicate is itself a
-// stratified sample with the same strata).
-func (rs *relSynopsis) splitUnits(rng *rand.Rand, g int) [][]int {
-	if !rs.stratified() {
-		all := make([]int, rs.m)
-		for i := range all {
-			all[i] = i
-		}
-		return sampling.SplitGroups(rng, all, g)
-	}
-	groups := make([][]int, g)
+// split partitions the relation's sampling units into g random groups for
+// split-sample replication (sampling.SplitLabels: plain groups for the
+// tuple and page designs, per-stratum groups for stratified samples, so
+// every replicate is a valid sample of the same design). It returns the
+// group of every sample row and one replicate per group: the same sample
+// view with the group's n and m and, for a stratified sample, row weights
+// N_h/n_h,l indexed by full-sample row. A replicate's rows are its group's
+// rows of that view, read through plans restricted to the group
+// (algebra.PreparedTerm.Split); it carries no cluster list or strata.
+func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
+	var strata [][]int
 	for _, st := range rs.strata {
-		for gi, part := range sampling.SplitGroups(rng, st.units, g) {
-			groups[gi] = append(groups[gi], part...)
+		strata = append(strata, st.units)
+	}
+	unitLabel := sampling.SplitLabels(rng, rs.m, g, strata)
+	reps := make([]relSynopsis, g)
+	for l := range reps {
+		reps[l] = relSynopsis{name: rs.name, sample: rs.sample, N: rs.N, M: rs.M, pageSize: rs.pageSize}
+	}
+	rowLabel := make([]int32, rs.n)
+	for u, cluster := range rs.clusters {
+		rep := &reps[unitLabel[u]]
+		rep.m++
+		rep.n += len(cluster)
+		for _, row := range cluster {
+			rowLabel[row] = unitLabel[u]
 		}
 	}
-	for i := range groups {
-		sort.Ints(groups[i])
+	if rs.stratified() {
+		// One weight per row serves every replicate: each row belongs to
+		// exactly one group, and only that group's plans read it.
+		weights := make([]float64, rs.n)
+		perGroup := make([]int, g)
+		for _, st := range rs.strata {
+			clear(perGroup)
+			for _, u := range st.units {
+				perGroup[unitLabel[u]]++
+			}
+			for _, u := range st.units {
+				w := float64(st.Nh) / float64(perGroup[unitLabel[u]])
+				for _, row := range rs.clusters[u] {
+					weights[row] = w
+				}
+			}
+		}
+		for l := range reps {
+			reps[l].weights = weights
+		}
 	}
-	return groups
+	out := make([]*relSynopsis, g)
+	for l := range reps {
+		out[l] = &reps[l]
+	}
+	return rowLabel, out
 }
 
 // withoutUnit builds a synopsis in which one relation's sample has one

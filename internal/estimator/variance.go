@@ -6,6 +6,7 @@ import (
 
 	"relest/internal/algebra"
 	"relest/internal/parallel"
+	"relest/internal/relation"
 	"relest/internal/sampling"
 	"relest/internal/stats"
 )
@@ -277,19 +278,45 @@ func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, s
 	if g < 2 {
 		return 0, fmt.Errorf("estimator: samples too small for split-sample variance (min sample %d units, need %d per group)", minM, need)
 	}
-	rng := sampling.Seeded(opts.Seed ^ 0x5eed5eed)
 	// Partition each relation's sampling units into g groups; whole units
 	// move together (and strata split evenly) so every group is a valid
 	// smaller sample of the same design. The grouping depends only on the
-	// Seed, never on the worker count.
-	groupsByRel := map[string][][]int{}
+	// Seed, never on the worker count. A replicate keeps the full sample
+	// views and reads them through the point estimate's plans restricted
+	// to its group's rows (algebra.PreparedTerm.Split), which enumerate
+	// what plans compiled over the group's own sub-samples would, in the
+	// same order.
+	rng := sampling.Seeded(opts.Seed ^ 0x5eed5eed)
+	syns := make([]*Synopsis, g)
+	for i := range syns {
+		syns[i] = NewSynopsis()
+	}
+	labels := make(map[*relation.Relation][]int32)
 	for _, rel := range poly.RelationNames() {
-		groupsByRel[rel] = syn.rels[rel].splitUnits(rng, g)
+		rs := syn.rels[rel]
+		rowLabel, reps := rs.split(rng, g)
+		labels[rs.sample] = rowLabel
+		for i, rep := range reps {
+			syns[i].rels[rel] = rep
+		}
+	}
+	part := algebra.NewPartition(g, labels)
+	plans := make([]map[*algebra.Term]*algebra.PreparedTerm, g)
+	for i := range plans {
+		plans[i] = make(map[*algebra.Term]*algebra.PreparedTerm, len(poly.Terms))
+	}
+	for ti := range poly.Terms {
+		t := &poly.Terms[ti]
+		_, pt, err := eng.plan(t, syn)
+		if err != nil {
+			return 0, err
+		}
+		for i, rp := range pt.Split(part) {
+			plans[i][t] = rp
+		}
 	}
 	// Replicates are independent: fan them out and fold the values into the
-	// variance accumulator in replicate order. Replicate plans are
-	// throwaway (group sub-samples share no instances), so they run
-	// uncached.
+	// variance accumulator in replicate order.
 	eng.rec.Add(mRepSplit, float64(g))
 	vals := make([]float64, g)
 	err := parallel.ForErrRec(g, eng.workers, eng.rec, func(i int) error {
@@ -298,12 +325,9 @@ func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, s
 		}
 		rs := eng.span.Child(sReplicate)
 		defer rs.End()
-		unitSel := map[string][]int{}
-		for _, rel := range poly.RelationNames() {
-			unitSel[rel] = groupsByRel[rel][i]
-		}
-		sub := syn.subSynopsisUnits(unitSel)
-		v, err := pointEstimate(poly, sub, subEngine(nil, nil), contrib)
+		sub := subEngine(nil, nil)
+		sub.split = plans[i]
+		v, err := pointEstimate(poly, syns[i], sub, contrib)
 		vals[i] = v
 		return err
 	})

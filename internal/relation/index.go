@@ -15,15 +15,20 @@ import (
 // The layout is flat: an open-addressing slot table (a power of two at
 // least twice the indexed row count, linear probing) points into buckets
 // kept in first-seen (ascending row) order, and every bucket's rows are one
-// [lo, hi) range of a single row vector filled by counting and prefix sums.
-// A build therefore allocates a fixed handful of slices however many
-// distinct keys there are. Keys are 64-bit hashes combined from the column
-// vectors (column.keyHashAt per column, so Int(2) and Float(2.0) collide
-// exactly as Equal demands), with collision verification against a
-// bucket's exemplar row — no per-row key string is ever materialized. Rows
-// with Equal key values land in one bucket; distinct key values that
-// merely share a hash get distinct buckets, disambiguated by typed
-// comparison at build and probe time.
+// range of a single row vector filled by counting and prefix sums, its
+// bounds read from one prefix-sum array. A build therefore allocates a
+// fixed handful of slices however many distinct keys there are. Split
+// restricts an index to row groups the same way: the parts share the slot
+// table and buckets, and each bucket's rows are sorted by group, so part p
+// of bucket b is again one range.
+//
+// Keys are 64-bit hashes combined from the column vectors
+// (column.keyHashAt per column, so Int(2) and Float(2.0) collide exactly
+// as Equal demands), with collision verification against a bucket's
+// exemplar row — no per-row key string is ever materialized. Rows with
+// Equal key values land in one bucket; distinct key values that merely
+// share a hash get distinct buckets, disambiguated by typed comparison at
+// build and probe time.
 type Index struct {
 	rel  *Relation
 	cols []int
@@ -31,15 +36,20 @@ type Index struct {
 	shift  uint     // slot of hash h is h >> shift (the hash's top bits)
 	slots  []int32  // bucket index + 1; 0 = empty
 	groups []bucket // buckets in first-seen (ascending row) order
-	rows   []int    // bucket g's rows are rows[g.lo:g.hi], in insertion order
+	rows   []int    // row positions, grouped by bucket, then by part
+
+	// Bucket b's rows in part p are rows[bounds[b*parts+p]:bounds[b*parts+p+1]],
+	// in insertion order. A built index is the one-part case (parts 1,
+	// part 0); the parts of a Split share bounds and rows.
+	bounds      []int32
+	parts, part int
 }
 
-// bucket is one distinct composite key: its full hash, an exemplar row for
-// typed verification, and its range of the flat row vector.
+// bucket is one distinct composite key: its full hash and an exemplar row
+// for typed verification.
 type bucket struct {
-	hash   uint64
-	head   int // exemplar row position (first inserted)
-	lo, hi int32
+	hash uint64
+	head int // exemplar row position (first inserted)
 }
 
 // hashSeed and hashStep combine per-column key hashes into one composite
@@ -116,9 +126,10 @@ func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
 		cols:  append([]int(nil), cols...),
 		shift: uint(64 - bits.TrailingZeros(uint(size))),
 		slots: make([]int32, size),
+		parts: 1,
 	}
 	mask := uint64(size - 1)
-	// Pass 1: assign every row its bucket, counting rows per bucket in hi.
+	// Pass 1: assign every row its bucket.
 	groupOf := make([]int32, n)
 	for i := 0; i < n; i++ {
 		row := i
@@ -135,18 +146,19 @@ func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
 			} else if b := &ix.groups[g]; b.hash != h || !ix.rowsEqual(b.head, row) {
 				continue
 			}
-			ix.groups[g].hi++
 			groupOf[i] = g
 			break
 		}
 	}
-	// Pass 2: prefix sums turn counts into ranges; hi becomes the fill
-	// cursor and ends at lo + count.
-	off := int32(0)
-	for g := range ix.groups {
-		b := &ix.groups[g]
-		b.lo, off = off, off+b.hi
-		b.hi = b.lo
+	// Pass 2: count rows per bucket into bounds[g+1]; prefix sums make
+	// bounds[g] bucket g's start, which then serves as its fill cursor and
+	// ends at bucket g+1's start, so one shift restores the starts.
+	ix.bounds = make([]int32, len(ix.groups)+1)
+	for _, g := range groupOf {
+		ix.bounds[g+1]++
+	}
+	for g := 1; g < len(ix.bounds); g++ {
+		ix.bounds[g] += ix.bounds[g-1]
 	}
 	ix.rows = make([]int, n)
 	for i, g := range groupOf {
@@ -154,11 +166,59 @@ func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
 		if rows != nil {
 			row = rows[i]
 		}
-		b := &ix.groups[g]
-		ix.rows[b.hi] = row
-		b.hi++
+		ix.rows[ix.bounds[g]] = row
+		ix.bounds[g]++
 	}
+	copy(ix.bounds[1:], ix.bounds[:len(ix.groups)])
+	ix.bounds[0] = 0
 	return ix
+}
+
+// Split restricts the index to g groups of its rows: part l indexes the
+// rows r with label[r] == l, and its Lookup returns exactly the receiver's
+// result for the same key filtered to those rows, in the same order. label
+// is indexed by row position of the indexed relation and must map every
+// indexed row into [0, g).
+//
+// The parts share the slot table, the buckets and one row vector; Split
+// sorts each bucket's rows stably by label with one counting pass and
+// records the B·g+1 part boundaries in one prefix-sum array. It never
+// rehashes a key.
+func (ix *Index) Split(label []int32, g int) []*Index {
+	nb := len(ix.groups)
+	bounds := make([]int32, nb*g+1)
+	for b := 0; b < nb; b++ {
+		for _, row := range ix.bucketRows(b) {
+			bounds[b*g+int(label[row])+1]++
+		}
+	}
+	for i := 1; i < len(bounds); i++ {
+		bounds[i] += bounds[i-1]
+	}
+	rows := make([]int, bounds[nb*g])
+	cursor := make([]int32, g)
+	for b := 0; b < nb; b++ {
+		copy(cursor, bounds[b*g:b*g+g])
+		for _, row := range ix.bucketRows(b) {
+			l := label[row]
+			rows[cursor[l]] = row
+			cursor[l]++
+		}
+	}
+	out := make([]*Index, g)
+	for l := range out {
+		part := *ix
+		part.rows, part.bounds, part.parts, part.part = rows, bounds, g, l
+		out[l] = &part
+	}
+	return out
+}
+
+// bucketRows returns bucket b's rows in the index's part.
+func (ix *Index) bucketRows(b int) []int {
+	i := b*ix.parts + ix.part
+	lo, hi := ix.bounds[i], ix.bounds[i+1]
+	return ix.rows[lo:hi:hi]
 }
 
 // KeyRef names one component of a probe key read in place: column Col of
@@ -177,7 +237,8 @@ type KeyRef struct {
 // join's probe side). The key hashes from the column vectors and a bucket
 // is verified cell to cell (equalCells), so no Value is boxed except for an
 // Int/Float pair. The returned slice is shared with the index and must not
-// be modified. Allocation-free.
+// be modified; it is nil when the key is absent and may be empty when the
+// key has no rows in a Split part. Allocation-free.
 func (ix *Index) Lookup(key []KeyRef, rows []int) []int {
 	h := hashSeed
 	for _, kr := range key {
@@ -201,7 +262,7 @@ probe:
 				continue probe
 			}
 		}
-		return ix.rows[b.lo:b.hi:b.hi]
+		return ix.bucketRows(int(g))
 	}
 }
 
@@ -210,9 +271,9 @@ probe:
 func (ix *Index) Buckets() int { return len(ix.groups) }
 
 // Bytes estimates the index's resident size: slot table, buckets, the
-// flat row vector and the key column list.
+// flat row vector, the part boundaries and the key column list.
 func (ix *Index) Bytes() int {
-	return len(ix.slots)*4 + cap(ix.groups)*24 + len(ix.rows)*8 + len(ix.cols)*8
+	return len(ix.slots)*4 + cap(ix.groups)*16 + len(ix.rows)*8 + len(ix.bounds)*4 + len(ix.cols)*8
 }
 
 // indexMemo is a view's memo of whole-view indexes, one per key column

@@ -81,7 +81,7 @@ probe:
 				continue probe
 			}
 		}
-		return ix.rows[b.lo:b.hi:b.hi]
+		return ix.bucketRows(int(g))
 	}
 }
 
@@ -181,22 +181,7 @@ func TestIndexOnView(t *testing.T) {
 // the colliding one, and a probe that matches neither bucket misses.
 func TestIndexCollisionChain(t *testing.T) {
 	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
-	collided := func(h uint64) *Index {
-		ix := &Index{
-			rel:   r,
-			cols:  []int{1},
-			shift: 62, // four slots
-			slots: make([]int32, 4),
-			groups: []bucket{
-				{hash: h, head: 1, lo: 0, hi: 1}, // "b"
-				{hash: h, head: 0, lo: 1, hi: 3}, // "a", one slot further on
-			},
-			rows: []int{1, 0, 2},
-		}
-		s := h >> ix.shift
-		ix.slots[s], ix.slots[(s+1)&3] = 1, 2
-		return ix
-	}
+	collided := func(h uint64) *Index { return collidedIndex(r, h) }
 	hit := collided(combineHash(hashSeed, refKeyHash(Str("a"))))
 	if got := probeValues(hit, Str("a")); len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Errorf("collided probe, own dictionary = %v, want [0 2]", got)
@@ -208,6 +193,28 @@ func TestIndexCollisionChain(t *testing.T) {
 	if got := probeValues(miss, Str("zzz")); got != nil {
 		t.Errorf("colliding miss = %v, want nil", got)
 	}
+}
+
+// collidedIndex assembles an index on column 1 of testRelation whose two
+// buckets — distinct keys "b" and "a" — carry the one forced hash h and sit
+// in adjacent slots of a four-slot table.
+func collidedIndex(r *Relation, h uint64) *Index {
+	ix := &Index{
+		rel:   r,
+		cols:  []int{1},
+		shift: 62, // four slots
+		slots: make([]int32, 4),
+		groups: []bucket{
+			{hash: h, head: 1}, // "b"
+			{hash: h, head: 0}, // "a", one slot further on
+		},
+		rows:   []int{1, 0, 2},
+		bounds: []int32{0, 1, 3},
+		parts:  1,
+	}
+	s := h >> ix.shift
+	ix.slots[s], ix.slots[(s+1)&3] = 1, 2
+	return ix
 }
 
 // TestQuickIndexMatchesScan checks the index against the naive scan on
@@ -454,6 +461,141 @@ func TestSharedIndexConcurrent(t *testing.T) {
 	for g, ix := range got {
 		if ix == nil || ix != got[0] {
 			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p", g, ix, got[0])
+		}
+	}
+}
+
+// splitAgrees checks Split's contract for one probe: part l returns exactly
+// the parent's rows for the key that are labelled l, in the parent's order,
+// for every part.
+func splitAgrees(parent *Index, parts []*Index, label []int32, key []KeyRef, rows []int) bool {
+	want := parent.Lookup(key, rows)
+	total := 0
+	for l, part := range parts {
+		got := part.Lookup(key, rows)
+		total += len(got)
+		i := 0
+		for _, row := range want {
+			if label[row] != int32(l) {
+				continue
+			}
+			if i >= len(got) || got[i] != row {
+				return false
+			}
+			i++
+		}
+		if i != len(got) {
+			return false
+		}
+	}
+	return total == len(want)
+}
+
+// TestQuickSplitMatchesFilteredLookup checks Index.Split against its
+// definition on random data: for random labels, every part's probe equals
+// the parent's probe filtered to the part's label, in order. The data has
+// null keys, composite keys gathered from two relations, Int cells probing
+// a Float column and back, labels drawn from a prefix of the groups (so
+// trailing parts are empty), and indexes over a whole relation, a view
+// with repeated rows, and a filtered candidate list (BuildIndexRows).
+func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		letters := []string{"", "a", "b"}
+		floats := []float64{0, math.Copysign(0, -1), 1, 2, 2.5}
+		build := func(name string, n int, kinds ...Kind) *Relation {
+			cols := make([]Column, len(kinds))
+			for c, k := range kinds {
+				cols[c] = Column{fmt.Sprintf("c%d", c), k}
+			}
+			r := New(name, MustSchema(cols...))
+			for i := 0; i < n; i++ {
+				row := make(Tuple, len(kinds))
+				for c, k := range kinds {
+					switch {
+					case rng.Intn(6) == 0:
+						row[c] = Null()
+					case k == KindInt:
+						row[c] = Int(int64(rng.Intn(3)))
+					case k == KindFloat:
+						row[c] = Float(floats[rng.Intn(len(floats))])
+					default:
+						row[c] = Str(letters[rng.Intn(len(letters))])
+					}
+				}
+				r.MustAppend(row)
+			}
+			return r
+		}
+		a := build("A", 1+rng.Intn(60), KindInt, KindString, KindFloat)
+		c := build("C", 1+rng.Intn(10), KindFloat, KindString, KindInt)
+		target := a
+		if rng.Intn(3) == 0 {
+			pos := make([]int, 1+rng.Intn(2*a.Len()))
+			for i := range pos {
+				pos[i] = rng.Intn(a.Len())
+			}
+			target = a.Subset("V", pos)
+		}
+		cases := []struct {
+			cols []int
+			key  []KeyRef
+		}{
+			{[]int{0, 1}, []KeyRef{{Rel: target, Slot: 0, Col: 0}, {Rel: c, Slot: 1, Col: 1}}},
+			{[]int{0, 1}, []KeyRef{{Rel: c, Slot: 1, Col: 0}, {Rel: target, Slot: 0, Col: 1}}}, // Float probes Int
+			{[]int{2, 1}, []KeyRef{{Rel: c, Slot: 1, Col: 2}, {Rel: target, Slot: 0, Col: 1}}}, // Int probes Float
+			{[]int{2}, []KeyRef{{Rel: target, Slot: 0, Col: 2}}},
+		}
+		ks := cases[rng.Intn(len(cases))]
+		var ix *Index
+		if rng.Intn(2) == 0 {
+			ix = BuildIndex(target, ks.cols)
+		} else {
+			var rows []int
+			for i := 0; i < target.Len(); i++ {
+				if rng.Intn(3) > 0 {
+					rows = append(rows, i)
+				}
+			}
+			ix = BuildIndexRows(target, ks.cols, rows)
+		}
+		g := 1 + rng.Intn(6)
+		used := 1 + rng.Intn(g)
+		label := make([]int32, target.Len())
+		for i := range label {
+			label[i] = int32(rng.Intn(used))
+		}
+		parts := ix.Split(label, g)
+		if len(parts) != g {
+			return false
+		}
+		rows := make([]int, 2)
+		for trial := 0; trial < 40; trial++ {
+			rows[0], rows[1] = rng.Intn(target.Len()), rng.Intn(c.Len())
+			if !splitAgrees(ix, parts, label, ks.key, rows) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestSplitCollisionChain splits the forced-collision fixture: the parts
+// keep the shared slot table and buckets, so a probe still walks past the
+// colliding bucket, and each part returns only its own rows of the match.
+func TestSplitCollisionChain(t *testing.T) {
+	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
+	for _, probe := range []string{"a", "b", "zzz"} {
+		ix := collidedIndex(r, combineHash(hashSeed, refKeyHash(Str(probe))))
+		label := []int32{1, 0, 0}
+		parts := ix.Split(label, 3)
+		p := New("probe", MustSchema(Column{"k", KindString}))
+		p.MustAppend(Tuple{Str(probe)})
+		if !splitAgrees(ix, parts, label, []KeyRef{{Rel: p, Col: 0}}, []int{0}) {
+			t.Errorf("probe %q: split parts disagree with the filtered parent", probe)
 		}
 	}
 }

@@ -336,27 +336,109 @@ func TestPairedReservoirDeleteUnknown(t *testing.T) {
 
 func TestSplitGroups(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	sample := WithoutReplacement(rng, 100, 20)
-	groups := SplitGroups(rng, sample, 4)
-	if len(groups) != 4 {
-		t.Fatal("group count")
+	label := SplitLabels(rng, 20, 4, nil)
+	if len(label) != 20 {
+		t.Fatal("label count")
 	}
-	var all []int
-	for _, g := range groups {
-		if len(g) != 5 {
-			t.Errorf("group size %d", len(g))
+	sizes := make([]int, 4)
+	for _, l := range label {
+		if l < 0 || l >= 4 {
+			t.Fatalf("label %d outside [0, 4)", l)
 		}
-		if !sort.IntsAreSorted(g) {
-			t.Error("group not sorted")
-		}
-		all = append(all, g...)
+		sizes[l]++
 	}
-	sort.Ints(all)
-	for i := range all {
-		if all[i] != sample[i] {
-			t.Fatalf("groups lost elements: %v vs %v", all, sample)
+	for l, n := range sizes {
+		if n != 5 {
+			t.Errorf("group %d size %d", l, n)
 		}
 	}
+}
+
+// splitGroupsRef is the sort-based grouping SplitLabels replaced, verbatim:
+// shuffle a copy, deal round-robin, sort every group.
+func splitGroupsRef(rng *rand.Rand, sample []int, g int) [][]int {
+	if g < 1 {
+		panic(fmt.Sprintf("sampling: SplitGroups with g=%d", g))
+	}
+	shuffled := append([]int(nil), sample...)
+	Shuffle(rng, shuffled)
+	groups := make([][]int, g)
+	for i, x := range shuffled {
+		groups[i%g] = append(groups[i%g], x)
+	}
+	for i := range groups {
+		sort.Ints(groups[i])
+	}
+	return groups
+}
+
+// TestSplitLabelsMatchesSortedGroups pins SplitLabels to the grouping it
+// replaced, draw for draw: over (m, g, seed) the labels name exactly the
+// reference's groups — per stratum, in stratum order, for stratified
+// samples, whose per-group unions the old code sorted — including g = 1,
+// g > m (empty groups), and the rng state after the split.
+func TestSplitLabelsMatchesSortedGroups(t *testing.T) {
+	groupsOf := func(label []int32, g int) [][]int {
+		groups := make([][]int, g)
+		for u, l := range label {
+			groups[l] = append(groups[l], u)
+		}
+		return groups
+	}
+	same := func(a, b [][]int) bool {
+		for i := range a {
+			if len(a[i]) != len(b[i]) || (len(a[i]) > 0 && !slices.Equal(a[i], b[i])) {
+				return false
+			}
+		}
+		return len(a) == len(b)
+	}
+	for _, m := range []int{0, 1, 2, 7, 16, 50} {
+		for _, g := range []int{1, 2, 3, 8, 13, 60} {
+			for seed := int64(1); seed <= 4; seed++ {
+				// Plain: units 0..m-1.
+				all := make([]int, m)
+				for i := range all {
+					all[i] = i
+				}
+				ref, got := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want := splitGroupsRef(ref, all, g)
+				if label := SplitLabels(got, m, g, nil); !same(groupsOf(label, g), want) {
+					t.Errorf("m=%d g=%d seed=%d: labels %v, want groups %v", m, g, seed, label, want)
+				}
+				if ref.Int63() != got.Int63() {
+					t.Errorf("m=%d g=%d seed=%d: rng state differs after the split", m, g, seed)
+				}
+				// Stratified: units dealt to strata by a fixed interleaving.
+				strata := make([][]int, 3)
+				for u := 0; u < m; u++ {
+					strata[(u*u+u/2)%3] = append(strata[(u*u+u/2)%3], u)
+				}
+				ref, got = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				want = make([][]int, g)
+				for _, units := range strata {
+					for gi, part := range splitGroupsRef(ref, units, g) {
+						want[gi] = append(want[gi], part...)
+					}
+				}
+				for i := range want {
+					sort.Ints(want[i])
+				}
+				if label := SplitLabels(got, m, g, strata); !same(groupsOf(label, g), want) {
+					t.Errorf("stratified m=%d g=%d seed=%d: labels %v, want groups %v", m, g, seed, label, want)
+				}
+				if ref.Int63() != got.Int63() {
+					t.Errorf("stratified m=%d g=%d seed=%d: rng state differs after the split", m, g, seed)
+				}
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SplitLabels with g=0 did not panic")
+		}
+	}()
+	SplitLabels(rand.New(rand.NewSource(1)), 4, 0, nil)
 }
 
 func TestProportional(t *testing.T) {

@@ -125,22 +125,43 @@ func Shuffle(rng *rand.Rand, xs []int) {
 	}
 }
 
-// SplitGroups partitions a sample into g nearly equal groups after a random
-// shuffle, for split-sample (replicated) variance estimation. Each group is
-// itself an SRSWOR sample of the population. It panics if g < 1; groups may
-// be empty when g exceeds the sample size.
-func SplitGroups(rng *rand.Rand, sample []int, g int) [][]int {
+// SplitLabels randomly partitions n sampled units into g nearly equal
+// groups for split-sample (replicated) variance estimation and returns each
+// unit's group, label[u] ∈ [0, g): the units are shuffled (Shuffle) and
+// dealt round-robin, so group sizes differ by at most one and each group is
+// itself an SRSWOR sample of the population. When strata is non-nil it
+// lists the units of each stratum, which together must cover [0, n) once:
+// every stratum is shuffled and dealt on its own, in order, so each group
+// is again a stratified sample with the same strata. Nothing is sorted. It
+// panics if g < 1; groups are empty when g exceeds a (stratum's) size.
+func SplitLabels(rng *rand.Rand, n, g int, strata [][]int) []int32 {
 	if g < 1 {
-		panic(fmt.Sprintf("sampling: SplitGroups with g=%d", g))
+		panic(fmt.Sprintf("sampling: SplitLabels with g=%d", g))
 	}
-	shuffled := append([]int(nil), sample...)
-	Shuffle(rng, shuffled)
-	groups := make([][]int, g)
-	for i, x := range shuffled {
-		groups[i%g] = append(groups[i%g], x)
+	label := make([]int32, n)
+	perm := make([]int, n)
+	deal := func(units []int, k int) {
+		perm := perm[:k]
+		for i := range perm {
+			perm[i] = i
+		}
+		Shuffle(rng, perm)
+		l := int32(0) // i % g for the i-th dealt unit
+		for _, j := range perm {
+			if units != nil {
+				j = units[j]
+			}
+			label[j] = l
+			if l++; int(l) == g {
+				l = 0
+			}
+		}
 	}
-	for i := range groups {
-		sort.Ints(groups[i])
+	if strata == nil {
+		deal(nil, n)
 	}
-	return groups
+	for _, units := range strata {
+		deal(units, len(units))
+	}
+	return label
 }
