@@ -145,6 +145,42 @@ func BenchmarkSplitSampleVariance(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchCountVariance(b, relest.VarSplitSample, 0) })
 }
 
+// BenchmarkJoinVariance guards the join COUNT's variance passes on the
+// heavy benchmark's shape: 2 000-row samples of each side of a 100k-row
+// zipf pair (domain 2 000, skews 0.5 and 1.0), estimated with the
+// two-relation closed form and with the single-pass jackknife, serially.
+// Each estimate's variance reads one moment pass.
+func BenchmarkJoinVariance(b *testing.B) {
+	rng := relest.Seeded(7)
+	r1, r2 := relest.JoinPair(rng, relest.JoinPairSpec{
+		Z1: 0.5, Z2: 1.0, Domain: 2_000, N1: 100_000, N2: 100_000,
+		Correlation: relest.Independent,
+	})
+	e := relest.Must(relest.Join(relest.BaseOf(r1), relest.BaseOf(r2),
+		[]relest.On{{Left: "a", Right: "a"}}, nil, "R2"))
+	syn := relest.NewSynopsis()
+	if err := syn.AddDrawn(r1, 2_000, rng); err != nil {
+		b.Fatal(err)
+	}
+	if err := syn.AddDrawn(r2, 2_000, rng); err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		method relest.VarianceMethod
+	}{{"analytic", relest.VarAnalytic}, {"jackknife", relest.VarJackknife}} {
+		b.Run(c.name, func(b *testing.B) {
+			opts := relest.Options{Variance: c.method, Seed: 42, Workers: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := count(e, syn, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkIncrementalUpdate measures the per-tuple cost of maintaining
 // the incremental synopsis (reservoir + random pairing).
 func BenchmarkIncrementalUpdate(b *testing.B) {

@@ -1,0 +1,183 @@
+package algebra
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"relest/internal/relation"
+)
+
+// enumeratedMarginals is the reference the moment pass must reproduce:
+// every satisfying assignment visited once, counted per bound row.
+func enumeratedMarginals(pt *PreparedTerm) Marginals {
+	ref := Marginals{Rows: make([][]float64, len(pt.Instances()))}
+	for occ, r := range pt.Instances() {
+		ref.Rows[occ] = make([]float64, r.Len())
+	}
+	pt.Enumerate(func(rows []int) bool {
+		for occ, row := range rows {
+			ref.Rows[occ][row]++
+		}
+		ref.Total++
+		return true
+	})
+	return ref
+}
+
+// marginalsMatch reports whether the plan's moment pass equals the
+// enumeration reference exactly and its Total equals Count bit for bit.
+func marginalsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
+	t.Helper()
+	got, want := pt.Marginals(), enumeratedMarginals(pt)
+	if math.Float64bits(got.Total) != math.Float64bits(want.Total) {
+		t.Errorf("%s: Total %v, enumeration %v (factorizes %v)", what, got.Total, want.Total, pt.Factorizes())
+		return false
+	}
+	if c := pt.Count(); math.Float64bits(got.Total) != math.Float64bits(c) {
+		t.Errorf("%s: Total %v, Count %v", what, got.Total, c)
+		return false
+	}
+	for occ := range want.Rows {
+		if !slices.Equal(got.Rows[occ], want.Rows[occ]) {
+			t.Errorf("%s: occurrence %d marginals %v, enumeration %v (factorizes %v)", what, occ, got.Rows[occ], want.Rows[occ], pt.Factorizes())
+			return false
+		}
+	}
+	return true
+}
+
+// nullableCatalog is randomCatalog's layout-compatible variant for keys
+// the moment pass must bucket like the probe does: column b is Float with
+// values that Equal some Int keys of column a (Int↔Float joins), and
+// either column may be NULL (null keys share one bucket).
+func nullableCatalog(rng *rand.Rand) (MapCatalog, []*Expr) {
+	cat := MapCatalog{}
+	var bases []*Expr
+	for _, name := range []string{"A", "B", "C"} {
+		r := relation.New(name, relation.MustSchema(
+			relation.Column{Name: "a", Kind: relation.KindInt},
+			relation.Column{Name: "b", Kind: relation.KindFloat},
+		))
+		for i, n := 0, 3+rng.Intn(8); i < n; i++ {
+			row := relation.Tuple{relation.Int(int64(rng.Intn(5))), relation.Float(float64(rng.Intn(3)) * 2)}
+			if rng.Intn(5) == 0 {
+				row[rng.Intn(2)] = relation.Null()
+			}
+			r.MustAppend(row)
+		}
+		cat[name] = r
+		bases = append(bases, BaseOf(r))
+	}
+	return cat, bases
+}
+
+// TestQuickMarginalsMatchEnumeration checks the moment pass against
+// enumeration on the terms of random π-free expressions from the
+// normalizer's generator: σ'd candidate lists (σ over a missing value
+// empties a join), joins and self-joins, composite keys (∩ equates every
+// column), products with folded tails, chains the pass must enumerate,
+// over duplicate-free integer relations and over relations with null keys
+// and Int↔Float key pairs. Every term is checked on the full sample
+// views and on each replicate plan PreparedTerm.Split derives from them.
+// (Keys whose hashes collide are bucketed by the index's probe, which
+// relation's collision tests pin bucket id by bucket id.)
+func TestQuickMarginalsMatchEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var terms, keyed, tailed, empty, split, enumerated int
+	for trial := 0; trial < 400 && !t.Failed(); trial++ {
+		base, bases := randomCatalog(rng)
+		if trial%2 == 1 {
+			base, bases = nullableCatalog(rng)
+		}
+		poly, err := Normalize(randomExpr(rng, bases, 2+rng.Intn(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if poly.NumTerms() > 40 {
+			continue
+		}
+		g := 1 + rng.Intn(3)
+		cat, labels := sampleViews(rng, base, g)
+		byRel := make(map[*relation.Relation][]int32, len(labels))
+		for name, r := range cat {
+			byRel[r] = labels[name]
+		}
+		part := NewPartition(g, byRel)
+		for ti := range poly.Terms {
+			tm := &poly.Terms[ti]
+			inst, err := BindInstances(tm, cat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt, err := Prepare(tm, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			terms++
+			switch p := pt.p; {
+			case !pt.Factorizes():
+				enumerated++
+			case p.enumUpto == 2 && pt.Count() == 0:
+				empty++
+			case p.enumUpto == 2:
+				keyed++
+			}
+			if pt.Factorizes() && pt.FoldedTail() && !pt.TailOnly() {
+				tailed++
+			}
+			if !marginalsMatch(t, pt, "full plan") {
+				t.Logf("trial %d term %d: %v", trial, ti, tm)
+				break
+			}
+			for l, rp := range pt.Split(part) {
+				split++
+				if !marginalsMatch(t, rp, "replicate plan") {
+					t.Logf("trial %d term %d group %d of %d: %v", trial, ti, l, g, tm)
+					break
+				}
+			}
+		}
+	}
+	t.Logf("%d terms: %d keyed joins, %d empty joins, %d with folded tails, %d enumerated; %d replicate plans",
+		terms, keyed, empty, tailed, enumerated, split)
+	if terms < 300 || keyed == 0 || empty == 0 || tailed == 0 || enumerated == 0 {
+		t.Errorf("the generator has lost coverage: %d terms, %d keyed, %d empty, %d tailed, %d enumerated",
+			terms, keyed, empty, tailed, enumerated)
+	}
+}
+
+// TestMarginalsPartitioned covers a join large enough to count in parts
+// (Parts > 1): Total must still add one product per part, as Count does.
+func TestMarginalsPartitioned(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+	)
+	r := relation.New("R", schema)
+	s := relation.New("S", schema)
+	for i := 0; i < 10000; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 3001)), relation.Int(int64(i))})
+	}
+	for i := 0; i < 9000; i++ {
+		s.MustAppend(relation.Tuple{relation.Int(int64(i % 2999)), relation.Int(int64(i))})
+	}
+	cat := MapCatalog{"R": r, "S": s}
+	poly, err := Normalize(Must(Join(BaseOf(s), BaseOf(r), []On{{Left: "a", Right: "a"}}, nil, "r_")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := BindInstances(&poly.Terms[0], cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := Prepare(&poly.Terms[0], inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Parts() == 1 || !pt.Factorizes() {
+		t.Fatalf("fixture counts in %d part(s), factorizes %v; want a partitioned factorized join", pt.Parts(), pt.Factorizes())
+	}
+	marginalsMatch(t, pt, "partitioned join")
+}

@@ -28,7 +28,9 @@ import (
 // from some point on are folded into a single multiplicative factor
 // instead of being enumerated, and the last enumerated step, when no
 // residual predicate waits on it, counts its candidates without visiting
-// them.
+// them. The moment pass (Marginals) goes one step further for the COUNT
+// variance forms: it derives every row's partner count from per-bucket
+// counts of the probes counting makes.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
@@ -638,6 +640,140 @@ func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bo
 		return true
 	}
 	rec(0)
+}
+
+// Marginals is a term's moment pass: the number of satisfying assignments
+// and, per occurrence, how many of them bind each instance row — the
+// per-row marginals every COUNT variance form is a sum over.
+type Marginals struct {
+	// Total is the number of satisfying assignments, bit-identical to
+	// Count.
+	Total float64
+	// Rows[occ][row] is the number of satisfying assignments that bind
+	// occurrence occ to instance row `row` (zero for a row that is not a
+	// candidate); each vector is as long as the occurrence's instance.
+	Rows [][]float64
+}
+
+// Factorizes reports whether Marginals counts per bucket instead of
+// enumerating: the plan enumerates at most two steps, and a second
+// enumerated step is keyed with no residual predicate to check. Every
+// equi-join of two occurrences has this shape, with any σ pushed into the
+// candidate lists and any unconstrained tail folded.
+func (pt *PreparedTerm) Factorizes() bool {
+	p := pt.p
+	switch p.enumUpto {
+	case 0, 1:
+		return true
+	case 2:
+		st := &p.steps[1]
+		return st.index != nil && len(st.preds) == 0
+	default:
+		return false
+	}
+}
+
+// Marginals runs the term's moment pass. A plan that Factorizes never
+// visits an assignment: it scans the first step's candidates once, probes
+// the second step's index for each (the same probes Count makes), and
+// counts per bucket — a_k scanned rows probe bucket k of size b_k, so a
+// scanned row's marginal is b_k, an indexed row's is a_k and the total is
+// Σ a_k·b_k — and a folded tail multiplies every count by the other tail
+// occurrences' candidate counts. The cost is O(Σ candidate rows), not
+// O(assignments). Any other plan enumerates its assignments here.
+//
+// Every count is an integer below 2^53, so the result equals enumeration
+// exactly, and Total is summed in Count's part order, so it equals Count
+// bit for bit.
+func (pt *PreparedTerm) Marginals() Marginals {
+	p := pt.p
+	mg := Marginals{Rows: make([][]float64, len(p.inst))}
+	for occ, r := range p.inst {
+		mg.Rows[occ] = make([]float64, r.Len())
+	}
+	if !pt.Factorizes() {
+		pt.Enumerate(func(rows []int) bool {
+			for occ, row := range rows {
+				mg.Rows[occ][row]++
+			}
+			mg.Total++
+			return true
+		})
+		return mg
+	}
+	prefix := 1 // satisfying assignments of the enumerated steps
+	if p.enumUpto == 0 {
+		mg.Total = p.tailFactor
+	} else {
+		prefix = pt.scanPrefix(&mg)
+	}
+	// A tail candidate pairs with every prefix assignment and every
+	// combination of the other tail occurrences' candidates.
+	for k := p.enumUpto; k < len(p.steps); k++ {
+		w := float64(prefix)
+		for j := p.enumUpto; j < len(p.steps); j++ {
+			if j != k {
+				w *= float64(len(p.cand[p.steps[j].occ]))
+			}
+		}
+		occ := p.steps[k].occ
+		for _, row := range p.cand[occ] {
+			mg.Rows[occ][row] = w
+		}
+	}
+	return mg
+}
+
+// scanPrefix fills the marginals of a factorizable plan's enumerated steps
+// (scaled by the folded tail's factor) and its Total, and returns the
+// number of prefix assignments. Total adds one product per part, as Count
+// does.
+func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
+	p := pt.p
+	ev := p.newEval()
+	first := &p.steps[0]
+	cands := p.cand[first.occ]
+	var second *planStep
+	var a []int // a[k]: scanned rows whose probe lands in bucket k
+	if p.enumUpto == 2 {
+		second = &p.steps[1]
+		a = make([]int, second.index.Buckets())
+	}
+	prefix := 0
+	parts := pt.Parts()
+	for part := 0; part < parts; part++ {
+		lo, hi := chunk(len(cands), part, parts)
+		n := 0
+		for _, row := range cands[lo:hi] {
+			ev.assign[first.occ] = row
+			if !ev.predsHold(0) {
+				continue
+			}
+			c := 1
+			if second != nil {
+				k, _ := second.index.LookupBucket(second.probe, ev.assign)
+				if k < 0 {
+					continue
+				}
+				a[k]++
+				c = second.index.BucketLen(k)
+			}
+			mg.Rows[first.occ][row] = float64(c) * p.tailFactor
+			n += c
+		}
+		mg.Total += float64(n) * p.tailFactor
+		prefix += n
+	}
+	for k, ak := range a {
+		if ak == 0 {
+			continue
+		}
+		w := float64(ak) * p.tailFactor
+		for _, row := range second.index.BucketRows(k) {
+			mg.Rows[second.occ][row] = w
+		}
+	}
+	return prefix
 }
 
 // PlanCache caches compiled term plans keyed by (term identity, instance

@@ -119,6 +119,19 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 	return inst, pt, err
 }
 
+// marginals runs the plan's moment pass (algebra.PreparedTerm.Marginals)
+// for a COUNT variance form and counts the path that served it. The point
+// estimate counts instead (countTerm), so a call runs the pass once per
+// plan: only one variance form reads it.
+func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
+	if pt.Factorizes() {
+		eng.rec.Add(mMarginalsFactorized, 1)
+	} else {
+		eng.rec.Add(mMarginalsEnumerated, 1)
+	}
+	return pt.Marginals()
+}
+
 // countTerm evaluates a pure count over the plan's fixed partitioning,
 // fanning parts across up to `workers` goroutines and reducing in part
 // order.
@@ -284,11 +297,12 @@ func (b *boundTerm) weight(rows []int) float64 {
 	return w
 }
 
-// constWeight reports whether w(A) is the same for every assignment: no
-// relation repeats and every design is uniform, so w ≡ ∏ M/m.
-func (b *boundTerm) constWeight() bool {
-	for i := range b.metas {
-		if len(b.metas[i].occs) > 1 || b.metas[i].rowWeight != nil {
+// constWeight reports whether w(A) is the same for every assignment of a
+// term with these relations: no relation repeats and every design is
+// uniform, so w ≡ ∏ M/m.
+func constWeight(metas []relTermMeta) bool {
+	for i := range metas {
+		if len(metas[i].occs) > 1 || metas[i].rowWeight != nil {
 			return false
 		}
 	}
@@ -378,19 +392,32 @@ func splitWorkers(numTerms, workers int) (outer, inner int) {
 //	         = S′_{T,R} − a_{T,R,u},
 //
 // with S′_{T,R} = Σ_A c·w′_R(A) and a_{T,R,u} = Σ_{A using u at R} c·w′_R(A).
-// One enumeration accumulates S′ and the per-unit a totals for every
-// relation simultaneously, and every delete-one estimate is then a pair of
-// additions: O(enum + Σ m) total.
+// One pass accumulates S′ and the per-unit a totals for every relation
+// simultaneously, and every delete-one estimate is then a pair of
+// additions: O(pass + Σ m) total.
 //
-// The pass enumerates each term, with one exception: fully folded terms —
-// bare |R| or |R×S| terms whose plan enumerates nothing and counts by
-// multiplying instance sizes — get their S′ and per-unit totals in closed
-// form (every unit of R appears in (rows-in-unit)·∏_{other} n assignments,
-// all with the same weight), so set-operation polynomials stay on the
-// single-pass path. Partially folded terms (an unconstrained cross-product
-// tail behind constrained occurrences) fall back to naive replication: for
-// those, enumeration would visit the product space the counting shortcut
-// exists to avoid.
+// The pass depends on the term:
+//   - a COUNT term whose relations each occur once has one weight w and
+//     one deletion weight w′_R for every assignment, so Ŝ = w·T,
+//     S′_{T,R} = w′_R·T and a_{T,R,u} = w′_R·α_u, where T is the number of
+//     assignments and α_u the number that use unit u's rows at R. When the
+//     plan factorizes, both come from the term's moment pass
+//     (algebra.PreparedTerm.Marginals), which counts an equi-join per
+//     bucket in O(Σ n) probes instead of visiting its assignments;
+//   - fully folded terms — bare |R| or |R×S| terms whose plan enumerates
+//     nothing and counts by multiplying instance sizes — get their S′ and
+//     per-unit totals in closed form (every unit of R appears in
+//     (rows-in-unit)·∏_{other} n assignments, all with the same weight),
+//     so set-operation polynomials stay on the single-pass path;
+//   - SUM terms and terms with repeated relations, whose contribution or
+//     pattern weight varies by assignment, enumerate, as do COUNT terms
+//     whose plan does not factorize (their enumeration fans out across the
+//     plan's parts).
+//
+// Partially folded terms (an unconstrained cross-product tail behind
+// constrained occurrences) fall back to naive replication: for those,
+// enumeration would visit the product space the counting shortcut exists
+// to avoid.
 // ---------------------------------------------------------------------------
 
 // singlePassEligible reports whether every term of the polynomial admits
@@ -467,6 +494,33 @@ func foldedTermAcc(pt *algebra.PreparedTerm, metas []relTermMeta) *jackTermAcc {
 	return acc
 }
 
+// countTermAcc fills a COUNT term's accumulators from its moment pass when
+// the plan factorizes and every relation occurs once under a uniform
+// design: every assignment has
+// weight w = ∏ f_R and, with one unit of R deleted, w′_R, so Ŝ = w·T,
+// S′_R = w′_R·T and unit u's total is Σ_{row ∈ u} w′_R·α_row, α_row the
+// row's marginal at R's occurrence — one product per row where enumeration
+// added w′_R once per assignment.
+func countTermAcc(mg algebra.Marginals, metas []relTermMeta) *jackTermAcc {
+	acc := newJackTermAcc(metas)
+	w := 1.0
+	for j := range metas {
+		w *= metas[j].factor(nil, 0)
+	}
+	acc.s = w * mg.Total
+	for j := range metas {
+		m := &metas[j]
+		wp := w / m.factor(nil, 0) * m.factor(nil, 1)
+		acc.rels[j].sPrime = wp * mg.Total
+		perUnit := acc.rels[j].perUnit
+		ru := m.rs.rowUnits()
+		for row, alpha := range mg.Rows[m.occs[0]] {
+			perUnit[ru[row]] += wp * alpha
+		}
+	}
+	return acc
+}
+
 // jackTermAcc accumulates one term's single-pass totals; rels is aligned
 // with the term's relTermMetas order.
 type jackTermAcc struct {
@@ -527,6 +581,10 @@ func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, co
 		}
 		if pt.TailOnly() {
 			accs[ti] = foldedTermAcc(pt, metas)
+			return nil
+		}
+		if contrib.constant() && constWeight(metas) && pt.Factorizes() {
+			accs[ti] = countTermAcc(eng.marginals(pt), metas)
 			return nil
 		}
 		value, err := contrib.bind(t, inst)

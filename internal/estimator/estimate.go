@@ -252,7 +252,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 	if b == nil {
 		return 0, err
 	}
-	if contrib.constant() && b.constWeight() {
+	if contrib.constant() && constWeight(b.metas) {
 		return b.weight(nil) * countTerm(b.pt, workers), nil
 	}
 	value, err := contrib.bind(t, b.inst)

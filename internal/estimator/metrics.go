@@ -31,6 +31,7 @@ const (
 	mDeadlineRounds  = "relest_deadline_rounds_total"
 	mDeadHalfwidth   = "relest_deadline_halfwidth"   // labeled round=...
 	mDeadSampleRows  = "relest_deadline_sample_rows" // labeled round=..., rel=...
+	mMarginals       = "relest_marginals_total"      // labeled path=...
 
 	// Tier planner (handle requests with a sketch-capable policy only, so
 	// legacy sample-only paths emit exactly the families they always did).
@@ -50,6 +51,9 @@ var (
 
 	mRepSplit     = obs.L(mReplicatesTotal, "method", "split-sample")
 	mRepJackknife = obs.L(mReplicatesTotal, "method", "jackknife")
+
+	mMarginalsFactorized = obs.L(mMarginals, "path", "factorized")
+	mMarginalsEnumerated = obs.L(mMarginals, "path", "enumerated")
 
 	mTierSketch = obs.L(mTierAnswered, "tier", TierAnsweredSketch)
 	mTierSample = obs.L(mTierAnswered, "tier", TierAnsweredSample)

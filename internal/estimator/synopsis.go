@@ -132,11 +132,15 @@ func (rs *relSynopsis) rowUnits() []int {
 	return out
 }
 
-// singletonClusters builds the cluster list of a tuple-design sample.
+// singletonClusters builds the cluster list of a tuple-design sample: the
+// singletons {i} are consecutive one-element slices of one backing array,
+// their capacity capped so no append can reach a neighbour.
 func singletonClusters(n int) [][]int {
+	rows := make([]int, n)
 	cs := make([][]int, n)
 	for i := range cs {
-		cs[i] = []int{i}
+		rows[i] = i
+		cs[i] = rows[i : i+1 : i+1]
 	}
 	return cs
 }

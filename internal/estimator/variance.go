@@ -175,6 +175,15 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 //
 // is unbiased. It can be negative on unlucky samples, as unbiased variance
 // estimators are allowed to be.
+//
+// The sample statistics are T, Σα² and Σβ², where α_u (β_v) counts the
+// partners of sample row u of R₁ (v of R₂). All three come from the
+// term's moment pass (engine.marginals): for an equi-join it counts per
+// bucket — a_k rows
+// of s₁ probe bucket k of b_k rows of s₂, so α_u = b_k, β_v = a_k and
+// T = Σ a_k·b_k — in O(n₁ + n₂) probes, never visiting the join's
+// assignments. The sums run over the per-row vectors in row order, so the
+// result has the bits a sum over enumerated per-row counts has.
 func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float64, error) {
 	rel1, rel2 := t.Occs[0].RelName, t.Occs[1].RelName
 	n1, _ := syn.SampleSize(rel1)
@@ -188,20 +197,13 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float
 	if err != nil {
 		return 0, err
 	}
-	alpha := make([]float64, n1)
-	beta := make([]float64, n2)
-	var T float64
-	pt.Enumerate(func(rows []int) bool {
-		alpha[rows[0]]++
-		beta[rows[1]]++
-		T++
-		return true
-	})
+	mg := eng.marginals(pt)
+	T := mg.Total
 	var sumA2, sumB2 float64
-	for _, a := range alpha {
+	for _, a := range mg.Rows[0] {
 		sumA2 += a * a
 	}
-	for _, b := range beta {
+	for _, b := range mg.Rows[1] {
 		sumB2 += b * b
 	}
 	r1 := stats.FallingFactorialRatio(N1, n1, 1)  // N1/n1

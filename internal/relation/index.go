@@ -188,7 +188,7 @@ func (ix *Index) Split(label []int32, g int) []*Index {
 	nb := len(ix.groups)
 	bounds := make([]int32, nb*g+1)
 	for b := 0; b < nb; b++ {
-		for _, row := range ix.bucketRows(b) {
+		for _, row := range ix.BucketRows(b) {
 			bounds[b*g+int(label[row])+1]++
 		}
 	}
@@ -199,7 +199,7 @@ func (ix *Index) Split(label []int32, g int) []*Index {
 	cursor := make([]int32, g)
 	for b := 0; b < nb; b++ {
 		copy(cursor, bounds[b*g:b*g+g])
-		for _, row := range ix.bucketRows(b) {
+		for _, row := range ix.BucketRows(b) {
 			l := label[row]
 			rows[cursor[l]] = row
 			cursor[l]++
@@ -214,11 +214,20 @@ func (ix *Index) Split(label []int32, g int) []*Index {
 	return out
 }
 
-// bucketRows returns bucket b's rows in the index's part.
-func (ix *Index) bucketRows(b int) []int {
+// BucketRows returns bucket b's rows in the index's part, in insertion
+// order. b is a bucket id as LookupBucket returns it, in [0, Buckets()).
+// The slice is shared with the index and must not be modified.
+func (ix *Index) BucketRows(b int) []int {
 	i := b*ix.parts + ix.part
 	lo, hi := ix.bounds[i], ix.bounds[i+1]
 	return ix.rows[lo:hi:hi]
+}
+
+// BucketLen returns the number of rows of bucket b in the index's part:
+// len(BucketRows(b)) without forming the slice.
+func (ix *Index) BucketLen(b int) int {
+	i := b*ix.parts + ix.part
+	return int(ix.bounds[i+1] - ix.bounds[i])
 }
 
 // KeyRef names one component of a probe key read in place: column Col of
@@ -229,17 +238,31 @@ type KeyRef struct {
 	Col  int
 }
 
-// Lookup returns the row positions whose key columns Equal the probe key,
-// read in place: component k is column key[k].Col of logical row
+// Lookup returns the row positions whose key columns Equal the probe key:
+// the rows of LookupBucket. The returned slice is shared with the index and
+// must not be modified; it is nil when the key is absent and may be empty
+// when the key has no rows in a Split part. Allocation-free.
+func (ix *Index) Lookup(key []KeyRef, rows []int) []int {
+	_, out := ix.LookupBucket(key, rows)
+	return out
+}
+
+// LookupBucket finds the bucket whose key columns Equal the probe key, read
+// in place: component k is column key[k].Col of logical row
 // rows[key[k].Slot] of key[k].Rel, aligned with the index's column set. So
 // one probe can gather a composite key from several relations (term
 // evaluation's bound occurrences) or from one row of one relation (a hash
 // join's probe side). The key hashes from the column vectors and a bucket
 // is verified cell to cell (equalCells), so no Value is boxed except for an
-// Int/Float pair. The returned slice is shared with the index and must not
-// be modified; it is nil when the key is absent and may be empty when the
-// key has no rows in a Split part. Allocation-free.
-func (ix *Index) Lookup(key []KeyRef, rows []int) []int {
+// Int/Float pair.
+//
+// It returns the bucket's id in [0, Buckets()) and its rows in the index's
+// part (BucketRows), or (-1, nil) when the key is absent. Equal keys get
+// equal ids, distinct keys distinct ids even when their hashes collide,
+// and every part of a Split shares the ids of the index it came from, so
+// per-bucket counts gathered from probes line up across parts.
+// Allocation-free.
+func (ix *Index) LookupBucket(key []KeyRef, rows []int) (int, []int) {
 	h := hashSeed
 	for _, kr := range key {
 		h = combineHash(h, kr.Rel.cols[kr.Col].keyHashAt(kr.Rel.phys(rows[kr.Slot])))
@@ -249,7 +272,7 @@ probe:
 	for s := h >> ix.shift; ; s = (s + 1) & mask {
 		g := ix.slots[s] - 1
 		if g < 0 {
-			return nil
+			return -1, nil
 		}
 		b := &ix.groups[g]
 		if b.hash != h {
@@ -262,7 +285,7 @@ probe:
 				continue probe
 			}
 		}
-		return ix.bucketRows(int(g))
+		return int(g), ix.BucketRows(int(g))
 	}
 }
 

@@ -81,7 +81,7 @@ probe:
 				continue probe
 			}
 		}
-		return ix.bucketRows(int(g))
+		return ix.BucketRows(int(g))
 	}
 }
 
@@ -192,6 +192,21 @@ func TestIndexCollisionChain(t *testing.T) {
 	miss := collided(combineHash(hashSeed, refKeyHash(Str("zzz"))))
 	if got := probeValues(miss, Str("zzz")); got != nil {
 		t.Errorf("colliding miss = %v, want nil", got)
+	}
+	// The colliding keys keep distinct bucket ids, each with its own size,
+	// whichever of them carries the probed key's hash.
+	for _, c := range []struct {
+		key           string
+		row, id, size int
+	}{{"a", 0, 1, 2}, {"a", 2, 1, 2}, {"b", 1, 0, 1}} {
+		ix := collided(combineHash(hashSeed, refKeyHash(Str(c.key))))
+		id, rows := ix.LookupBucket([]KeyRef{{Rel: r, Col: 1}}, []int{c.row})
+		if id != c.id || len(rows) != c.size || ix.BucketLen(c.id) != c.size {
+			t.Errorf("collided probe of row %d: bucket %d of %d rows, want bucket %d of %d", c.row, id, len(rows), c.id, c.size)
+		}
+	}
+	if id, rows := miss.LookupBucket([]KeyRef{{Rel: r, Col: 1}}, []int{1}); id != -1 || rows != nil {
+		t.Errorf("colliding miss = bucket %d %v, want -1 nil", id, rows)
 	}
 }
 
@@ -325,7 +340,10 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 // same index), on composite keys gathered from up to three relations at
 // distinct slots: string keys from separately built relations (different
 // dictionaries) and from a view of the indexed relation (a shared one),
-// Int cells probing a Float column and back, ±0, NaN and nulls.
+// Int cells probing a Float column and back, ±0, NaN and nulls. Bucket ids
+// follow key equality: probes with Equal NaN-free keys get one id, probes
+// that hit buckets with distinct keys get distinct ids, and an id's
+// BucketRows and BucketLen are the probe's rows.
 func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -380,11 +398,16 @@ func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 		}
 		ix := BuildIndex(target, ks.cols)
 		rows := make([]int, 3)
-		vals := make([]Value, len(ks.key))
+		type probed struct {
+			vals []Value
+			id   int
+		}
+		var seen []probed
 		for trial := 0; trial < 30; trial++ {
 			for _, kr := range ks.key {
 				rows[kr.Slot] = rng.Intn(kr.Rel.Len())
 			}
+			vals := make([]Value, len(ks.key))
 			for k, kr := range ks.key {
 				vals[k] = kr.Rel.Value(rows[kr.Slot], kr.Col)
 			}
@@ -392,6 +415,28 @@ func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 			if !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &want[0]) {
 				return false
 			}
+			id, bucket := ix.LookupBucket(ks.key, rows)
+			if !slices.Equal(bucket, got) || (id < 0) != (got == nil) {
+				return false
+			}
+			if id >= 0 && (ix.BucketLen(id) != len(got) || !slices.Equal(ix.BucketRows(id), got)) {
+				return false
+			}
+			// NaN compares equal to every number but hashes as itself, so
+			// key equality is an equivalence only on NaN-free keys.
+			if slices.ContainsFunc(vals, func(v Value) bool { return v.kind == KindFloat && math.IsNaN(v.f) }) {
+				continue
+			}
+			for _, p := range seen {
+				equal := true
+				for k := range vals {
+					equal = equal && vals[k].Equal(p.vals[k])
+				}
+				if (equal && id != p.id) || (!equal && id >= 0 && id == p.id) {
+					return false
+				}
+			}
+			seen = append(seen, probed{vals: vals, id: id})
 		}
 		return true
 	}
@@ -467,13 +512,20 @@ func TestSharedIndexConcurrent(t *testing.T) {
 
 // splitAgrees checks Split's contract for one probe: part l returns exactly
 // the parent's rows for the key that are labelled l, in the parent's order,
-// for every part.
+// for every part, under the parent's bucket id, and the part's BucketLen
+// for that id is the filtered length.
 func splitAgrees(parent *Index, parts []*Index, label []int32, key []KeyRef, rows []int) bool {
-	want := parent.Lookup(key, rows)
+	id, want := parent.LookupBucket(key, rows)
 	total := 0
 	for l, part := range parts {
 		got := part.Lookup(key, rows)
 		total += len(got)
+		if pid, _ := part.LookupBucket(key, rows); pid != id {
+			return false
+		}
+		if id >= 0 && part.BucketLen(id) != len(got) {
+			return false
+		}
 		i := 0
 		for _, row := range want {
 			if label[row] != int32(l) {
@@ -493,7 +545,8 @@ func splitAgrees(parent *Index, parts []*Index, label []int32, key []KeyRef, row
 
 // TestQuickSplitMatchesFilteredLookup checks Index.Split against its
 // definition on random data: for random labels, every part's probe equals
-// the parent's probe filtered to the part's label, in order. The data has
+// the parent's probe filtered to the part's label, in order, and every
+// part reports the parent's bucket id with the filtered BucketLen. The data has
 // null keys, composite keys gathered from two relations, Int cells probing
 // a Float column and back, labels drawn from a prefix of the groups (so
 // trailing parts are empty), and indexes over a whole relation, a view

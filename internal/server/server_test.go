@@ -654,7 +654,8 @@ func TestPanicIsolation(t *testing.T) {
 }
 
 // TestMetricsEndpoint checks /metrics serves the daemon families next to
-// the estimator's after some traffic.
+// the estimator's after some traffic, including the path the join's
+// moment pass took.
 func TestMetricsEndpoint(t *testing.T) {
 	_, base := startServer(t, Config{})
 	setupDataset(t, base, 2000, 200)
@@ -672,7 +673,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	text := string(raw)
 	for _, family := range []string{
 		"relestd_requests_total", "relestd_queue_depth", "relestd_request_seconds",
-		"relest_samples_rows_total",
+		"relest_samples_rows_total", `relest_marginals_total{path="factorized"}`,
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics lacks %s:\n%s", family, text)
