@@ -1,15 +1,22 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build vet lint lint-json lint-budget test race cover golden golden-drift bench fuzz smoke soak-short shard-short leakcheck
+.PHONY: check build fmt vet lint lint-json lint-budget test race cover golden golden-drift bench fuzz smoke soak-short shard-short leakcheck
 
 # The suite runs twice: once under the race detector, once with coverage
 # (which is also the plain run, and includes every slice the stand-alone
 # targets below pick out: lint-budget, golden, soak-short, shard-short).
-check: build vet lint race cover golden-drift leakcheck
+check: build fmt vet lint race cover golden-drift leakcheck
 
 build:
 	$(GO) build ./...
+
+# Formatting gate: every Go file is gofmt-clean (the listing is empty).
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed:"; echo "$$unformatted"; exit 1; \
+	fi
 
 vet:
 	$(GO) vet ./...

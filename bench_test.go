@@ -96,6 +96,46 @@ func BenchmarkPointEstimateWithVariance(b *testing.B) {
 	}
 }
 
+// BenchmarkDeadlineRounds measures the work of one deadline request
+// without its clock: eight rounds at fixed targets, 100 doubling to
+// 25 600 rows per relation of a 100k-row join pair, each round extending
+// a private clone of a 100-row synopsis and estimating the join with the
+// closed-form variance. It prices what a round pays for the rows it adds:
+// the draw, the grown sample view and its index, and the point estimate
+// and variance over the grown sample.
+func BenchmarkDeadlineRounds(b *testing.B) {
+	rng := relest.Seeded(7)
+	r1, r2 := relest.JoinPair(rng, relest.JoinPairSpec{
+		Z1: 0.5, Z2: 0.5, Domain: 2_000, N1: 100_000, N2: 100_000,
+		Correlation: relest.Independent,
+	})
+	e := relest.Must(relest.Join(relest.BaseOf(r1), relest.BaseOf(r2),
+		[]relest.On{{Left: "a", Right: "a"}}, nil, "R2"))
+	base := relest.NewSynopsis()
+	for _, r := range []*relation.Relation{r1, r2} {
+		if err := base.AddDrawn(r, 100, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := relest.Options{Variance: relest.VarAnalytic, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		syn, draw := base.Clone(), relest.Seeded(int64(i))
+		for target := 100; target <= 25_600; target *= 2 {
+			for _, name := range []string{r1.Name(), r2.Name()} {
+				n, _ := syn.SampleSize(name)
+				if err := syn.ExtendSample(name, target-n, draw); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := count(e, syn, opts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // varianceBenchSynopsis builds the shared join fixture for the variance
 // benchmarks: 20k-row relations, n=1000 samples.
 func varianceBenchSynopsis(b *testing.B, seed int64) (*relest.Expr, *relest.Synopsis) {

@@ -27,7 +27,8 @@ func enumeratedMarginals(pt *PreparedTerm) Marginals {
 }
 
 // marginalsMatch reports whether the plan's moment pass equals the
-// enumeration reference exactly and its Total equals Count bit for bit.
+// enumeration reference exactly and its Total equals Count bit for bit,
+// and whether a plan with the Pairs shape tallies the same numbers.
 func marginalsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 	t.Helper()
 	got, want := pt.Marginals(), enumeratedMarginals(pt)
@@ -42,6 +43,38 @@ func marginalsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 	for occ := range want.Rows {
 		if !slices.Equal(got.Rows[occ], want.Rows[occ]) {
 			t.Errorf("%s: occurrence %d marginals %v, enumeration %v (factorizes %v)", what, occ, got.Rows[occ], want.Rows[occ], pt.Factorizes())
+			return false
+		}
+	}
+	return !pt.Pairs() || pairMomentsMatch(t, pt, want, what)
+}
+
+// pairMomentsMatch reports whether the bucket tally of a plan with the
+// Pairs shape gives, for one worker and for four, Total equal to Count
+// bit for bit and, for each enumerated occurrence, SumSq equal to the sum
+// of its squared enumerated per-row counts (the reference's marginals
+// with the folded tail's factor divided out, exactly), zero elsewhere.
+func pairMomentsMatch(t *testing.T, pt *PreparedTerm, ref Marginals, what string) bool {
+	t.Helper()
+	p := pt.p
+	want := make([]float64, len(p.inst))
+	if p.tailFactor != 0 {
+		for _, k := range []int{0, 1} {
+			occ := p.steps[k].occ
+			for _, v := range ref.Rows[occ] {
+				c := v / p.tailFactor
+				want[occ] += c * c
+			}
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		pm := pt.PairMoments(workers)
+		if c := pt.Count(); math.Float64bits(pm.Total) != math.Float64bits(c) {
+			t.Errorf("%s: tally Total %v with %d workers, Count %v", what, pm.Total, workers, c)
+			return false
+		}
+		if !slices.Equal(pm.SumSq, want) {
+			t.Errorf("%s: tally squares %v with %d workers, enumeration %v", what, pm.SumSq, workers, want)
 			return false
 		}
 	}

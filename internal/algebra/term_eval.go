@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"relest/internal/obs"
+	"relest/internal/parallel"
 	"relest/internal/relation"
 )
 
@@ -28,9 +29,10 @@ import (
 // from some point on are folded into a single multiplicative factor
 // instead of being enumerated, and the last enumerated step, when no
 // residual predicate waits on it, counts its candidates without visiting
-// them. The moment pass (Marginals) goes one step further for the COUNT
-// variance forms: it derives every row's partner count from per-bucket
-// counts of the probes counting makes.
+// them. A two-step keyed plan is counted per bucket (PairMoments), and the
+// same tally yields the sums of squared partner counts the COUNT closed
+// form needs; the moment pass (Marginals) derives every row's partner
+// count from the same per-bucket counts.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
@@ -656,27 +658,171 @@ type Marginals struct {
 }
 
 // Factorizes reports whether Marginals counts per bucket instead of
-// enumerating: the plan enumerates at most two steps, and a second
-// enumerated step is keyed with no residual predicate to check. Every
-// equi-join of two occurrences has this shape, with any σ pushed into the
-// candidate lists and any unconstrained tail folded.
+// enumerating: the plan enumerates at most one step, or has the Pairs
+// shape.
 func (pt *PreparedTerm) Factorizes() bool {
+	return pt.p.enumUpto <= 1 || pt.Pairs()
+}
+
+// Pairs reports whether the plan enumerates exactly two steps and the
+// second is keyed with no residual predicate to check. Every equi-join of
+// two occurrences has this shape, with any σ pushed into the candidate
+// lists and any unconstrained tail folded; PairMoments counts it per
+// bucket.
+func (pt *PreparedTerm) Pairs() bool {
 	p := pt.p
-	switch p.enumUpto {
-	case 0, 1:
-		return true
-	case 2:
-		st := &p.steps[1]
-		return st.index != nil && len(st.preds) == 0
-	default:
-		return false
+	return p.enumUpto == 2 && p.steps[1].index != nil && len(p.steps[1].preds) == 0
+}
+
+// PairMoments is the moment pass of a plan with the Pairs shape, read off
+// its bucket tally: a_k scanned rows (first-step candidates) probe bucket
+// k of the second step's index, which holds b_k rows. These are GUS's
+// keyed group sums for two relations; every COUNT variance form of a
+// two-occurrence join is a function of them.
+type PairMoments struct {
+	// Total is Σ_k a_k·b_k times the folded tail's factor, summed in
+	// Count's part order: bit-identical to Count.
+	Total float64
+	// SumSq[occ] is Σ over occurrence occ's rows of the squared number of
+	// enumerated pairs binding the row, the tail left out: Σ_k a_k·b_k²
+	// for the scanned occurrence, Σ_k b_k·a_k² for the indexed one, zero
+	// for folded occurrences. For a two-occurrence term it is the sum of
+	// squares of Marginals().Rows[occ].
+	SumSq []float64
+}
+
+// PairMoments counts a plan with the Pairs shape per bucket: the parts
+// (Parts) fan out over up to workers goroutines, each with its own tally,
+// and the tallies merge by integer addition, so the result is the same for
+// every worker count. Each scanned row costs one probe, and the squares
+// are summed over the buckets the probes touched; no assignment is
+// visited. Every partial sum is an integer below 2^53, so Total equals
+// Count and SumSq the sums over Marginals exactly, in any order.
+func (pt *PreparedTerm) PairMoments(workers int) PairMoments {
+	p := pt.p
+	first, second := &p.steps[0], &p.steps[1]
+	pm := PairMoments{SumSq: make([]float64, len(p.inst))}
+	//lint:ignore floateq exact sentinel: a zero tail factor means an empty folded tail, so the term has no assignments (Count returns 0 without probing)
+	if p.tailFactor == 0 {
+		return pm
 	}
+	parts := pt.Parts()
+	workers = min(max(workers, 1), parts)
+	pairs := make([]int, parts)
+	tallies := make([]*tally, workers)
+	parallel.For(workers, workers, func(w int) {
+		t := newTally(second.index.Buckets())
+		for part := w; part < parts; part += workers {
+			pairs[part] = p.probePart(part, parts, t, nil)
+		}
+		tallies[w] = t
+	})
+	for _, n := range pairs {
+		pm.Total += float64(n) * p.tailFactor
+	}
+	a := tallies[0]
+	for _, t := range tallies[1:] {
+		for _, k := range t.touched {
+			a.add(int(k), t.count[k])
+		}
+		t.release()
+	}
+	var sa, sb float64
+	for _, k := range a.touched {
+		fa, fb := float64(a.count[k]), float64(second.index.BucketLen(int(k)))
+		sa += fa * fb * fb
+		sb += fb * fa * fa
+	}
+	a.release()
+	pm.SumSq[first.occ], pm.SumSq[second.occ] = sa, sb
+	return pm
+}
+
+// tally is a bucket tally's scratch: count[k] scanned rows landed in
+// bucket k, and touched lists the buckets with a nonzero count, so
+// reading and clearing a tally costs what the probes touched, not the
+// index's bucket count. Released tallies are reused (tallyPool), zeroed.
+type tally struct {
+	count   []int32
+	touched []int32
+}
+
+var tallyPool sync.Pool
+
+// newTally returns a zeroed tally over the given number of buckets.
+func newTally(buckets int) *tally {
+	t, _ := tallyPool.Get().(*tally)
+	if t == nil {
+		t = &tally{}
+	}
+	if cap(t.count) < buckets {
+		t.count = make([]int32, buckets)
+	}
+	t.count = t.count[:buckets]
+	return t
+}
+
+// add adds c to bucket k's count.
+func (t *tally) add(k int, c int32) {
+	if t.count[k] == 0 {
+		t.touched = append(t.touched, int32(k))
+	}
+	t.count[k] += c
+}
+
+// release zeroes the touched counts and returns the tally to the pool.
+func (t *tally) release() {
+	for _, k := range t.touched {
+		t.count[k] = 0
+	}
+	t.touched = t.touched[:0]
+	tallyPool.Put(t)
+}
+
+// probePart is the probe loop of a factorizable plan's enumerated steps:
+// it scans chunk part of parts of the first step's candidates and, when a
+// second step is enumerated, probes its index with every row that passes
+// the first step's residual predicates, adding one to bucket k of t for a
+// row that lands in bucket k. It returns the number of prefix assignments
+// the chunk makes (b_k per row landing in bucket k; one per passing row
+// when only one step is enumerated) and, when rowOut is non-nil, stores
+// every passing row's count times the folded tail's factor in rowOut[row].
+func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64) int {
+	ev := p.newEval()
+	first := &p.steps[0]
+	var second *planStep
+	if p.enumUpto == 2 {
+		second = &p.steps[1]
+	}
+	cands := p.cand[first.occ]
+	lo, hi := chunk(len(cands), part, parts)
+	n := 0
+	for _, row := range cands[lo:hi] {
+		ev.assign[first.occ] = row
+		if !ev.predsHold(0) {
+			continue
+		}
+		c := 1
+		if second != nil {
+			k, _ := second.index.LookupBucket(second.probe, ev.assign)
+			if k < 0 {
+				continue
+			}
+			t.add(k, 1)
+			c = second.index.BucketLen(k)
+		}
+		if rowOut != nil {
+			rowOut[row] = float64(c) * p.tailFactor
+		}
+		n += c
+	}
+	return n
 }
 
 // Marginals runs the term's moment pass. A plan that Factorizes never
 // visits an assignment: it scans the first step's candidates once, probes
-// the second step's index for each (the same probes Count makes), and
-// counts per bucket — a_k scanned rows probe bucket k of size b_k, so a
+// the second step's index for each (probePart, the loop PairMoments
+// runs), and counts per bucket — a_k scanned rows probe bucket k of size b_k, so a
 // scanned row's marginal is b_k, an indexed row's is a_k and the total is
 // Σ a_k·b_k — and a folded tail multiplies every count by the other tail
 // occurrences' candidate counts. The cost is O(Σ candidate rows), not
@@ -730,47 +876,25 @@ func (pt *PreparedTerm) Marginals() Marginals {
 // does.
 func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	p := pt.p
-	ev := p.newEval()
-	first := &p.steps[0]
-	cands := p.cand[first.occ]
-	var second *planStep
-	var a []int // a[k]: scanned rows whose probe lands in bucket k
+	var t *tally // the second step's bucket tally, when there is one
 	if p.enumUpto == 2 {
-		second = &p.steps[1]
-		a = make([]int, second.index.Buckets())
+		t = newTally(p.steps[1].index.Buckets())
+		defer t.release()
 	}
 	prefix := 0
 	parts := pt.Parts()
 	for part := 0; part < parts; part++ {
-		lo, hi := chunk(len(cands), part, parts)
-		n := 0
-		for _, row := range cands[lo:hi] {
-			ev.assign[first.occ] = row
-			if !ev.predsHold(0) {
-				continue
-			}
-			c := 1
-			if second != nil {
-				k, _ := second.index.LookupBucket(second.probe, ev.assign)
-				if k < 0 {
-					continue
-				}
-				a[k]++
-				c = second.index.BucketLen(k)
-			}
-			mg.Rows[first.occ][row] = float64(c) * p.tailFactor
-			n += c
-		}
+		n := p.probePart(part, parts, t, mg.Rows[p.steps[0].occ])
 		mg.Total += float64(n) * p.tailFactor
 		prefix += n
 	}
-	for k, ak := range a {
-		if ak == 0 {
-			continue
-		}
-		w := float64(ak) * p.tailFactor
-		for _, row := range second.index.BucketRows(k) {
-			mg.Rows[second.occ][row] = w
+	if t != nil {
+		second := &p.steps[1]
+		for _, k := range t.touched {
+			w := float64(t.count[k]) * p.tailFactor
+			for _, row := range second.index.BucketRows(int(k)) {
+				mg.Rows[second.occ][row] = w
+			}
 		}
 	}
 	return prefix

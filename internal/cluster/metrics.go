@@ -77,8 +77,8 @@ func writeMergedExposition(w io.Writer, own []byte, scrapes map[int][]byte) erro
 		name  string // full labelled series name
 		value string
 	}
-	fams := map[string]string{}       // family → kind
-	byFam := map[string][]series{}    // family → labelled series in scrape order
+	fams := map[string]string{}    // family → kind
+	byFam := map[string][]series{} // family → labelled series in scrape order
 	shards := make([]int, 0, len(scrapes))
 	for s := range scrapes {
 		shards = append(shards, s)

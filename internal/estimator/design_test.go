@@ -71,28 +71,8 @@ func pageSynopsisFor(t *testing.T, base *relation.Relation, pageSize int, pages 
 	t.Helper()
 	syn := NewSynopsis()
 	M := (base.Len() + pageSize - 1) / pageSize
-	rs := &relSynopsis{
-		name:     base.Name(),
-		N:        base.Len(),
-		M:        M,
-		m:        len(pages),
-		pageSize: pageSize,
-	}
-	var positions []int
-	for _, p := range pages {
-		lo, hi := p*pageSize, (p+1)*pageSize
-		if hi > base.Len() {
-			hi = base.Len()
-		}
-		var cluster []int
-		for i := lo; i < hi; i++ {
-			cluster = append(cluster, len(positions))
-			positions = append(positions, i)
-		}
-		rs.clusters = append(rs.clusters, cluster)
-	}
-	rs.sample = base.Subset(base.Name(), positions)
-	rs.n = rs.sample.Len()
+	rs := &relSynopsis{name: base.Name(), N: base.Len(), M: M, pageSize: pageSize, base: base}
+	rs.addUnits(pages)
 	syn.rels[base.Name()] = rs
 	return syn
 }
@@ -275,7 +255,6 @@ func stratifiedSynopsisFor(t *testing.T, base *relation.Relation, strata [][]int
 	rs.sample = base.Subset(base.Name(), positions)
 	rs.n = rs.sample.Len()
 	rs.m = rs.n
-	rs.clusters = singletonClusters(rs.n)
 	syn.rels[base.Name()] = rs
 	return syn
 }

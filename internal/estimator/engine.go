@@ -3,6 +3,7 @@ package estimator
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"relest/internal/algebra"
 	"relest/internal/obs"
@@ -46,6 +47,11 @@ type engine struct {
 	// It is polled between terms and between variance replicates, never
 	// inside an enumeration, so honoring it cannot reorder reductions.
 	ctx context.Context
+	// pairs holds the moment pass of every plan of the Pairs shape the
+	// call has counted (countTerm), for the closed-form variance to read
+	// instead of probing again. Guarded by pairsMu; nil until first use.
+	pairsMu sync.Mutex
+	pairs   map[*algebra.PreparedTerm]algebra.PairMoments
 }
 
 // newEngine builds the engine for one top-level estimation call. ctx may
@@ -119,23 +125,55 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 	return inst, pt, err
 }
 
-// marginals runs the plan's moment pass (algebra.PreparedTerm.Marginals)
-// for a COUNT variance form and counts the path that served it. The point
-// estimate counts instead (countTerm), so a call runs the pass once per
-// plan: only one variance form reads it.
+// marginals runs the plan's per-row moment pass
+// (algebra.PreparedTerm.Marginals) for the jackknife or a closed form
+// the pair tally does not serve, and counts the path that served it —
+// unless the call already counted the plan's tally (pairMoments): the
+// counter counts plans a call serves from a moment pass, once each.
 func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
-	if pt.Factorizes() {
+	eng.pairsMu.Lock()
+	_, tallied := eng.pairs[pt]
+	eng.pairsMu.Unlock()
+	switch {
+	case tallied:
+	case pt.Factorizes():
 		eng.rec.Add(mMarginalsFactorized, 1)
-	} else {
+	default:
 		eng.rec.Add(mMarginalsEnumerated, 1)
 	}
 	return pt.Marginals()
 }
 
+// pairMoments returns the call's moment pass of a plan with the Pairs
+// shape, running it over up to workers goroutines — and counting it — on
+// first use. The point estimate runs it (countTerm) and the closed-form
+// variance reads it, so a call probes each such join once.
+func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int) algebra.PairMoments {
+	eng.pairsMu.Lock()
+	pm, ok := eng.pairs[pt]
+	eng.pairsMu.Unlock()
+	if ok {
+		return pm
+	}
+	pm = pt.PairMoments(workers)
+	eng.rec.Add(mMarginalsFactorized, 1)
+	eng.pairsMu.Lock()
+	if eng.pairs == nil {
+		eng.pairs = make(map[*algebra.PreparedTerm]algebra.PairMoments)
+	}
+	eng.pairs[pt] = pm
+	eng.pairsMu.Unlock()
+	return pm
+}
+
 // countTerm evaluates a pure count over the plan's fixed partitioning,
 // fanning parts across up to `workers` goroutines and reducing in part
-// order.
-func countTerm(pt *algebra.PreparedTerm, workers int) float64 {
+// order. A plan of the Pairs shape is counted per bucket (pairMoments),
+// which keeps its moment pass for the call.
+func (eng *engine) countTerm(pt *algebra.PreparedTerm, workers int) float64 {
+	if pt.Pairs() {
+		return eng.pairMoments(pt, workers).Total
+	}
 	parts := pt.Parts()
 	if parts == 1 || workers <= 1 {
 		return pt.Count()

@@ -253,7 +253,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 		return 0, err
 	}
 	if contrib.constant() && constWeight(b.metas) {
-		return b.weight(nil) * countTerm(b.pt, workers), nil
+		return b.weight(nil) * eng.countTerm(b.pt, workers), nil
 	}
 	value, err := contrib.bind(t, b.inst)
 	if err != nil {

@@ -300,13 +300,15 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// TestMarginalsCounter checks the moment pass's counter: a COUNT join
-// estimated with the closed form or the jackknife runs one factorized
-// pass, the point estimate and the other variance methods run none, and
-// the recorder leaves every bit of the estimate unchanged. A θ-join, whose
-// residual predicate the pass cannot factorize, counts on the enumerated
-// path under the closed form; a three-way chain's jackknife enumerates
-// across parts without the pass.
+// TestMarginalsCounter checks the moment pass's counter: the point
+// estimate of a COUNT equi-join counts its pair tally, the one factorized
+// pass of the plan, whatever the variance method — the closed form reads
+// the tally and the jackknife's per-row pass over the same plan is not
+// counted again — and the recorder leaves every bit of the estimate
+// unchanged. A θ-join, whose residual predicate the pass cannot factorize,
+// counts on the enumerated path under the closed form; a three-way chain
+// counts by enumeration and its jackknife enumerates across parts, so
+// neither uses the pass.
 func TestMarginalsCounter(t *testing.T) {
 	syn := momentsFixture(t, "tuple")
 	base := func(name string, cols ...string) *algebra.Expr { return algebra.Base(name, intSchema(cols...)) }
@@ -322,8 +324,8 @@ func TestMarginalsCounter(t *testing.T) {
 	}{
 		{join, VarAnalytic, 1, 0},
 		{join, VarJackknife, 1, 0},
-		{join, VarNone, 0, 0},
-		{join, VarSplitSample, 0, 0},
+		{join, VarNone, 1, 0},
+		{join, VarSplitSample, 1, 0},
 		{theta, VarAnalytic, 0, 1},
 		{chain, VarJackknife, 0, 0},
 	} {

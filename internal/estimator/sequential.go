@@ -52,18 +52,22 @@ func rngOrSeeded(rng *rand.Rand, seed int64) *rand.Rand {
 }
 
 // extendTo raises the sample of every relation that holds fewer than
-// want(n, N) sampling units — n held now, N in the population, which also
-// caps the target — to that size, in rels order (the order fixes which
-// units the rng draws).
+// want(n, N) rows — n held now, N in the population, which also caps the
+// target — to that size, in rels order (the order fixes which units the
+// rng draws). A page design adds the fewest whole pages that reach the
+// target, ⌈(w−n)/pageSize⌉, so it overshoots by less than one page.
 func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) int) error {
 	for _, rel := range rels {
-		n, ok := syn.SampleSize(rel)
+		rs, ok := syn.rels[rel]
 		if !ok {
 			return fmt.Errorf("estimator: no sample for %q in synopsis", rel)
 		}
-		N, _ := syn.PopulationSize(rel)
-		if w := min(want(n, N), N); w > n {
-			if err := syn.ExtendSample(rel, w-n, rng); err != nil {
+		if w := min(want(rs.n, rs.N), rs.N); w > rs.n {
+			add := w - rs.n
+			if !rs.tupleDesign() {
+				add = min((add+rs.pageSize-1)/rs.pageSize, rs.M-rs.m)
+			}
+			if err := syn.ExtendSample(rel, add, rng); err != nil {
 				return err
 			}
 		}

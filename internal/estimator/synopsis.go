@@ -33,6 +33,7 @@ package estimator
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -46,18 +47,22 @@ import (
 // The sampling unit is either a tuple (simple random sampling, the paper's
 // main design) or a fixed-size page of consecutive tuples (cluster
 // sampling, the physical design). Both are represented uniformly: the
-// population consists of M units, m of which were drawn SRSWOR; every
-// sampled unit's tuples are in the sample relation, grouped by clusters.
-// For the tuple design M = N, m = n and every cluster is a singleton.
+// population consists of M units, m of which were drawn SRSWOR, and every
+// sampled unit's tuples are one consecutive range of the sample relation's
+// rows, in unit order. For the tuple design M = N, m = n and unit u is
+// sample row u, so no layout is stored; a page design keeps the ranges'
+// boundaries in unitStart.
 type relSynopsis struct {
 	name   string
 	sample *relation.Relation // rows are the sampled tuples
 	n      int                // sampled tuples (== sample.Len())
 	N      int                // population tuples
 
-	M, m     int     // population / sampled sampling units
-	clusters [][]int // sample row positions per sampled unit (len m)
-	pageSize int     // 0 for tuple design, > 0 for page design
+	M, m     int // population / sampled sampling units
+	pageSize int // 0 for tuple design, > 0 for page design
+	// unitStart is the page design's layout: unit u holds sample rows
+	// [unitStart[u], unitStart[u+1]) (len m+1). nil for tuple designs.
+	unitStart []int32
 
 	// strata is non-nil for stratified tuple samples: each stratum has its
 	// own population size and its own SRSWOR sample, so the inverse
@@ -70,8 +75,14 @@ type relSynopsis struct {
 
 	// base and unit ids are retained when the synopsis was drawn from a
 	// stored relation, enabling sample extension (sequential estimation).
+	// units[u] is the id within [0, M) of unit u: the first draw's ids
+	// ascending, then every extension's in draw order, so units (and the
+	// sample's rows) are not sorted once the sample has been extended.
+	// taken is units' membership bitset over [0, M), built on the first
+	// extension and kept current by the later ones; a clone drops it.
 	base  *relation.Relation
-	units []int // sampled unit ids within [0, M)
+	units []int
+	taken []uint64
 }
 
 // stratumInfo describes one stratum of a stratified sample.
@@ -100,10 +111,8 @@ func (rs *relSynopsis) rowWeightFn() func(row int) float64 {
 		weights = make([]float64, rs.n)
 		for _, st := range rs.strata {
 			w := float64(st.Nh) / float64(len(st.units))
-			for _, u := range st.units {
-				for _, row := range rs.clusters[u] {
-					weights[row] = w
-				}
+			for _, u := range st.units { // a stratified unit is a row
+				weights[u] = w
 			}
 		}
 	}
@@ -119,30 +128,57 @@ func (rs *relSynopsis) tupleDesign() bool { return rs.pageSize == 0 }
 // the per-occurrence weight of the point estimator.
 func (rs *relSynopsis) scale() float64 { return float64(rs.M) / float64(rs.m) }
 
+// unitRows returns the [lo, hi) range of sample rows that unit u holds.
+func (rs *relSynopsis) unitRows(u int) (int, int) {
+	if rs.unitStart == nil {
+		return u, u + 1
+	}
+	return int(rs.unitStart[u]), int(rs.unitStart[u+1])
+}
+
 // rowUnits returns the sampling-unit index of every sample row (the
 // identity for tuple designs, the owning page for page designs). Used by
 // the single-pass jackknife to charge assignments to deletable units.
 func (rs *relSynopsis) rowUnits() []int {
 	out := make([]int, rs.n)
-	for u, cluster := range rs.clusters {
-		for _, row := range cluster {
+	for u := range rs.m {
+		lo, hi := rs.unitRows(u)
+		for row := lo; row < hi; row++ {
 			out[row] = u
 		}
 	}
 	return out
 }
 
-// singletonClusters builds the cluster list of a tuple-design sample: the
-// singletons {i} are consecutive one-element slices of one backing array,
-// their capacity capped so no append can reach a neighbour.
-func singletonClusters(n int) [][]int {
-	rows := make([]int, n)
-	cs := make([][]int, n)
-	for i := range cs {
-		rows[i] = i
-		cs[i] = rows[i : i+1 : i+1]
+// addUnits appends the given newly drawn units (ids within [0, M)) to the
+// sample: their rows join the sample view behind the rows it holds, in
+// unit order — a page's rows consecutively, the base's last page possibly
+// short — and the view's built indexes grow by the new rows only
+// (relation.Relation.Extend). A synopsis without a view yet gets one.
+func (rs *relSynopsis) addUnits(ids []int) {
+	rows := ids
+	if !rs.tupleDesign() {
+		rows = nil
+		if rs.unitStart == nil {
+			rs.unitStart = []int32{0}
+		}
+		for _, p := range ids {
+			for i := p * rs.pageSize; i < min((p+1)*rs.pageSize, rs.N); i++ {
+				rows = append(rows, i)
+			}
+			rs.unitStart = append(rs.unitStart, int32(rs.n+len(rows)))
+		}
 	}
-	return cs
+	if rs.sample == nil {
+		//lint:ignore viewescape the synopsis IS a retained sample view by design: the capacity clamp snapshots the base at draw time, and bases are append-only
+		rs.sample = rs.base.Subset(rs.name, rows)
+	} else {
+		//lint:ignore viewescape extension appends to the retained sample view; the fresh clamp covers the newly drawn rows
+		rs.sample = rs.sample.Extend(rs.base, rows)
+	}
+	rs.units = append(rs.units, ids...)
+	rs.m = len(rs.units)
+	rs.n = rs.sample.Len()
 }
 
 // Synopsis is the estimator's input: one uniform sample per base relation,
@@ -237,13 +273,12 @@ func (s *Synopsis) AddSample(sample *relation.Relation, populationSize int) erro
 	}
 	n := sample.Len()
 	s.rels[sample.Name()] = &relSynopsis{
-		name:     sample.Name(),
-		sample:   sample,
-		n:        n,
-		N:        populationSize,
-		M:        populationSize,
-		m:        n,
-		clusters: singletonClusters(n),
+		name:   sample.Name(),
+		sample: sample,
+		n:      n,
+		N:      populationSize,
+		M:      populationSize,
+		m:      n,
 	}
 	return nil
 }
@@ -258,19 +293,9 @@ func (s *Synopsis) AddDrawn(base *relation.Relation, n int, rng *rand.Rand) erro
 	if _, dup := s.rels[base.Name()]; dup {
 		return fmt.Errorf("estimator: relation %q already in synopsis", base.Name())
 	}
-	rows := sampling.WithoutReplacement(rng, base.Len(), n)
-	s.rels[base.Name()] = &relSynopsis{
-		name: base.Name(),
-		//lint:ignore viewescape the synopsis IS a retained sample view by design: the capacity clamp snapshots the base at draw time, and bases are append-only
-		sample:   base.Subset(base.Name(), rows),
-		n:        n,
-		N:        base.Len(),
-		M:        base.Len(),
-		m:        n,
-		clusters: singletonClusters(n),
-		base:     base,
-		units:    rows,
-	}
+	rs := &relSynopsis{name: base.Name(), N: base.Len(), M: base.Len(), base: base}
+	rs.addUnits(sampling.WithoutReplacement(rng, base.Len(), n))
+	s.rels[base.Name()] = rs
 	return nil
 }
 
@@ -292,17 +317,8 @@ func (s *Synopsis) AddDrawnPages(base *relation.Relation, pageSize, pages int, r
 	if pages < 0 || pages > M {
 		return fmt.Errorf("estimator: page count %d outside [0, %d] for %q", pages, M, base.Name())
 	}
-	unitIDs := sampling.WithoutReplacement(rng, M, pages)
-	rs := &relSynopsis{
-		name:     base.Name(),
-		N:        base.Len(),
-		M:        M,
-		m:        pages,
-		pageSize: pageSize,
-		base:     base,
-		units:    unitIDs,
-	}
-	rs.materializePages()
+	rs := &relSynopsis{name: base.Name(), N: base.Len(), M: M, pageSize: pageSize, base: base}
+	rs.addUnits(sampling.WithoutReplacement(rng, M, pages))
 	s.rels[base.Name()] = rs
 	return nil
 }
@@ -379,7 +395,6 @@ func (s *Synopsis) AddDrawnStratified(base *relation.Relation, stratumOf func(re
 	rs.n = rs.sample.Len()
 	rs.m = rs.n
 	rs.M = rs.N
-	rs.clusters = singletonClusters(rs.n)
 	s.rels[base.Name()] = rs
 	return nil
 }
@@ -416,13 +431,14 @@ func (s *Synopsis) Clone() *Synopsis {
 	out := NewSynopsis()
 	for name, rs := range s.rels {
 		cp := *rs
-		// Extension appends to units and rewrites the cluster list in
-		// place; give the clone its own headers so those writes stay
-		// private. Inner cluster slices and the sample/base relations are
-		// never mutated, only replaced, so sharing them is safe.
-		cp.units = append([]int(nil), rs.units...)
-		cp.clusters = append([][]int(nil), rs.clusters...)
-		cp.strata = append([]stratumInfo(nil), rs.strata...)
+		// Extension appends to units and unitStart and sets bits of taken;
+		// clipped headers make the clone's first append copy, and the
+		// clone rebuilds its own bitset, so those writes stay private.
+		// Sample views are never mutated, only replaced (Extend), so
+		// sharing them is safe.
+		cp.units = slices.Clip(rs.units)
+		cp.unitStart = slices.Clip(rs.unitStart)
+		cp.taken = nil
 		out.rels[name] = &cp
 	}
 	// Built sketches are immutable; the clone shares them by reference.
@@ -433,8 +449,9 @@ func (s *Synopsis) Clone() *Synopsis {
 // ExtendSample enlarges the sample of the named relation by add more
 // sampling units (tuples under the tuple design, pages under the page
 // design), drawn SRSWOR from the unsampled remainder; the combined sample
-// is again SRSWOR. It fails if the synopsis was not drawn from a stored
-// relation.
+// is again SRSWOR. The new units' rows are appended to the sample in draw
+// order, and the sample's memoized join indexes grow by those rows only.
+// It fails if the synopsis was not drawn from a stored relation.
 func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 	rs, ok := s.rels[name]
 	if !ok {
@@ -452,45 +469,18 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 	if add == 0 {
 		return nil
 	}
-	rs.units = sampling.Extend(rng, rs.M, rs.units, add)
-	rs.m = len(rs.units)
-	if rs.tupleDesign() {
-		//lint:ignore viewescape incremental extension re-derives the retained sample view from the kept base; the fresh clamp covers the newly drawn rows
-		rs.sample = rs.base.Subset(name, rs.units)
-		rs.n = rs.m
-		rs.clusters = singletonClusters(rs.n)
-		return nil
+	if rs.taken == nil {
+		rs.taken = sampling.Members(rs.M, rs.units)
 	}
-	rs.materializePages()
+	rs.addUnits(sampling.Grow(rng, rs.M, rs.taken, rs.m, add))
 	return nil
 }
 
-// materializePages derives a page-design sample from its drawn page ids
-// (rs.units): one cluster of sample row positions per page — the last page
-// of the base may be short — and the sample view over those base rows.
-func (rs *relSynopsis) materializePages() {
-	var positions []int
-	rs.clusters = rs.clusters[:0]
-	for _, p := range rs.units {
-		lo := p * rs.pageSize
-		hi := min(lo+rs.pageSize, rs.base.Len())
-		var cluster []int
-		for i := lo; i < hi; i++ {
-			cluster = append(cluster, len(positions))
-			positions = append(positions, i)
-		}
-		rs.clusters = append(rs.clusters, cluster)
-	}
-	//lint:ignore viewescape the synopsis IS a retained sample view by design: the capacity clamp snapshots the base at draw (or extension) time, and bases are append-only
-	rs.sample = rs.base.Subset(rs.name, positions)
-	rs.n = rs.sample.Len()
-}
-
 // subSynopsisUnits builds a synopsis whose sample for each selected
-// relation keeps only the sampling units at the given unit indices
-// (indices into the current cluster list). Relations not in the map keep
-// their full samples. Used by the replication variance estimators, which
-// must resample whole units to respect the design.
+// relation keeps only the sampling units at the given unit indices, in the
+// given order. Relations not in the map keep their full samples. Used by
+// the replication variance estimators, which must resample whole units to
+// respect the design.
 func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 	out := NewSynopsis()
 	for name, rs := range s.rels {
@@ -499,33 +489,32 @@ func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 			out.rels[name] = rs
 			continue
 		}
-		// Each kept unit's rows are appended in bulk; the new cluster lists
-		// are consecutive ranges of one backing array.
-		total := 0
+		// Each kept unit's rows are appended in bulk; a page design's kept
+		// units get a fresh layout over them.
+		var positions []int
+		var unitStart []int32
+		if rs.unitStart != nil {
+			unitStart = make([]int32, 1, len(sel)+1)
+		}
 		for _, u := range sel {
-			total += len(rs.clusters[u])
-		}
-		positions := make([]int, 0, total)
-		backing := make([]int, total)
-		for i := range backing {
-			backing[i] = i
-		}
-		clusters := make([][]int, len(sel))
-		for newU, u := range sel {
-			lo := len(positions)
-			positions = append(positions, rs.clusters[u]...)
-			clusters[newU] = backing[lo:len(positions):len(positions)]
+			lo, hi := rs.unitRows(u)
+			for row := lo; row < hi; row++ {
+				positions = append(positions, row)
+			}
+			if unitStart != nil {
+				unitStart = append(unitStart, int32(len(positions)))
+			}
 		}
 		sub := &relSynopsis{
 			name: name,
 			//lint:ignore viewescape replicate sub-synopses alias the parent sample on purpose: they are read-only throwaways that die with the variance pass
-			sample:   rs.sample.Subset(name, positions),
-			n:        len(positions),
-			N:        rs.N,
-			M:        rs.M,
-			m:        len(sel),
-			clusters: clusters,
-			pageSize: rs.pageSize,
+			sample:    rs.sample.Subset(name, positions),
+			n:         len(positions),
+			N:         rs.N,
+			M:         rs.M,
+			m:         len(sel),
+			unitStart: unitStart,
+			pageSize:  rs.pageSize,
 		}
 		// A subset of a stratified sample is again stratified: keep each
 		// stratum's population size with its surviving units.
@@ -558,7 +547,7 @@ func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
 // view with the group's n and m and, for a stratified sample, row weights
 // N_h/n_h,l indexed by full-sample row. A replicate's rows are its group's
 // rows of that view, read through plans restricted to the group
-// (algebra.PreparedTerm.Split); it carries no cluster list or strata.
+// (algebra.PreparedTerm.Split); it carries no unit layout or strata.
 func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
 	var strata [][]int
 	for _, st := range rs.strata {
@@ -570,12 +559,12 @@ func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
 		reps[l] = relSynopsis{name: rs.name, sample: rs.sample, N: rs.N, M: rs.M, pageSize: rs.pageSize}
 	}
 	rowLabel := make([]int32, rs.n)
-	for u, cluster := range rs.clusters {
-		rep := &reps[unitLabel[u]]
-		rep.m++
-		rep.n += len(cluster)
-		for _, row := range cluster {
-			rowLabel[row] = unitLabel[u]
+	for u, l := range unitLabel {
+		lo, hi := rs.unitRows(u)
+		reps[l].m++
+		reps[l].n += hi - lo
+		for row := lo; row < hi; row++ {
+			rowLabel[row] = l
 		}
 	}
 	if rs.stratified() {
@@ -588,11 +577,8 @@ func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
 			for _, u := range st.units {
 				perGroup[unitLabel[u]]++
 			}
-			for _, u := range st.units {
-				w := float64(st.Nh) / float64(perGroup[unitLabel[u]])
-				for _, row := range rs.clusters[u] {
-					weights[row] = w
-				}
+			for _, u := range st.units { // a stratified unit is a row
+				weights[u] = float64(st.Nh) / float64(perGroup[unitLabel[u]])
 			}
 		}
 		for l := range reps {

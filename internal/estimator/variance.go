@@ -1,8 +1,10 @@
 package estimator
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"relest/internal/algebra"
 	"relest/internal/parallel"
@@ -96,6 +98,8 @@ func plainTupleSample(rs *relSynopsis) bool {
 // Var̂ = M²(1−m/M)s²_z/m (Cochran), which is unbiased for both the tuple
 // design (units are tuples) and the page design (units are pages — the
 // "ultimate cluster" variance).
+// The totals enter s²_z by ascending unit id (relSynopsis.unitOrder), so
+// an extended sample gets the bits a fresh draw of its units would.
 //
 // Enumeration is serial (the score vector is shared across terms), but the
 // plans come from the engine cache, so this pass reuses the point
@@ -126,10 +130,8 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 		total := 0.0
 		for _, st := range rs.strata {
 			var w stats.Welford
-			for _, u := range st.units {
-				for _, row := range rs.clusters[u] {
-					w.Add(y[row])
-				}
+			for _, u := range st.units { // a stratified unit is a row
+				w.Add(y[u])
 			}
 			if len(st.units) < 2 {
 				if st.Nh <= len(st.units) {
@@ -142,14 +144,30 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 		return total, nil
 	}
 	var w stats.Welford
-	for _, cluster := range rs.clusters {
+	for _, u := range rs.unitOrder() {
+		lo, hi := rs.unitRows(u)
 		z := 0.0
-		for _, row := range cluster {
-			z += y[row]
+		for _, yi := range y[lo:hi] {
+			z += yi
 		}
 		w.Add(z)
 	}
 	return stats.TotalVariance(rs.M, rs.m, w.Variance()), nil
+}
+
+// unitOrder lists the sampled units by ascending unit id: the draw order
+// of a sample never extended, and otherwise the order a fresh draw of the
+// same units would hold them in. A float sum over it has bits that depend
+// on the sample alone, not on the order extensions appended its units in.
+func (rs *relSynopsis) unitOrder() []int {
+	order := make([]int, rs.m)
+	for u := range order {
+		order[u] = u
+	}
+	if !slices.IsSorted(rs.units) {
+		slices.SortFunc(order, func(a, b int) int { return cmp.Compare(rs.units[a], rs.units[b]) })
+	}
+	return order
 }
 
 // twoRelationTermVariance implements the exactly unbiased variance
@@ -177,13 +195,14 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 // estimators are allowed to be.
 //
 // The sample statistics are T, Σα² and Σβ², where α_u (β_v) counts the
-// partners of sample row u of R₁ (v of R₂). All three come from the
-// term's moment pass (engine.marginals): for an equi-join it counts per
-// bucket — a_k rows
-// of s₁ probe bucket k of b_k rows of s₂, so α_u = b_k, β_v = a_k and
-// T = Σ a_k·b_k — in O(n₁ + n₂) probes, never visiting the join's
-// assignments. The sums run over the per-row vectors in row order, so the
-// result has the bits a sum over enumerated per-row counts has.
+// partners of sample row u of R₁ (v of R₂). For an equi-join all three
+// come from the bucket tally the point estimate already made
+// (engine.pairMoments): a_k scanned rows probe bucket k of b_k rows, so
+// T = Σ a_k·b_k and the squares sum to Σ a_k·b_k² and Σ b_k·a_k² — no
+// probe and no per-row vector here. Any other plan (a θ-join, say) reads
+// the per-row moment pass (engine.marginals). Every partial sum is an
+// integer below 2^53, so either way the result has the bits a sum over
+// enumerated per-row counts has.
 func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float64, error) {
 	rel1, rel2 := t.Occs[0].RelName, t.Occs[1].RelName
 	n1, _ := syn.SampleSize(rel1)
@@ -197,14 +216,19 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float
 	if err != nil {
 		return 0, err
 	}
-	mg := eng.marginals(pt)
-	T := mg.Total
-	var sumA2, sumB2 float64
-	for _, a := range mg.Rows[0] {
-		sumA2 += a * a
-	}
-	for _, b := range mg.Rows[1] {
-		sumB2 += b * b
+	var T, sumA2, sumB2 float64
+	if pt.Pairs() {
+		pm := eng.pairMoments(pt, eng.workers)
+		T, sumA2, sumB2 = pm.Total, pm.SumSq[0], pm.SumSq[1]
+	} else {
+		mg := eng.marginals(pt)
+		T = mg.Total
+		for _, a := range mg.Rows[0] {
+			sumA2 += a * a
+		}
+		for _, b := range mg.Rows[1] {
+			sumB2 += b * b
+		}
 	}
 	r1 := stats.FallingFactorialRatio(N1, n1, 1)  // N1/n1
 	r2 := stats.FallingFactorialRatio(N2, n2, 1)  // N2/n2
@@ -365,7 +389,7 @@ func jackknifeVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, cont
 		if rs.stratified() {
 			return 0, fmt.Errorf("estimator: jackknife does not support the stratified sample of %q; use the analytic or split-sample variance", rel)
 		}
-		if rs.n-len(longestCluster(rs)) < need || rs.m < 2 {
+		if rs.n-rs.largestUnit() < need || rs.m < 2 {
 			return 0, fmt.Errorf("estimator: sample of %q too small for jackknife (m=%d units, need %d rows after deletion)", rel, rs.m, need)
 		}
 	}
@@ -434,14 +458,13 @@ func termUsesRel(t *algebra.Term, rel string) bool {
 	return false
 }
 
-// longestCluster returns the largest sampled unit (for the jackknife's
-// worst-case post-deletion sample-size check).
-func longestCluster(rs *relSynopsis) []int {
-	var best []int
-	for _, c := range rs.clusters {
-		if len(c) > len(best) {
-			best = c
-		}
+// largestUnit returns the row count of the largest sampled unit (for the
+// jackknife's worst-case post-deletion sample-size check).
+func (rs *relSynopsis) largestUnit() int {
+	best := 0
+	for u := range rs.m {
+		lo, hi := rs.unitRows(u)
+		best = max(best, hi-lo)
 	}
 	return best
 }

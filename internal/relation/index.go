@@ -299,13 +299,92 @@ func (ix *Index) Bytes() int {
 	return len(ix.slots)*4 + cap(ix.groups)*16 + len(ix.rows)*8 + len(ix.bounds)*4 + len(ix.cols)*8
 }
 
+// grow returns the index of r on ix's key columns, where ix is a built
+// whole-relation index of a view whose rows are r's first rows (Extend).
+// Only the appended rows are hashed. The result is the index BuildIndex
+// would build over r: buckets keep their ids, and new keys follow in
+// first-seen order; the slot table is copied, or re-slotted from the
+// stored bucket hashes when r needs a larger one, inserting buckets in id
+// order as the build does; and every bucket's rows are laid out by one
+// prefix-sum pass, old rows first. ix itself is not modified.
+func (ix *Index) grow(r *Relation) *Index {
+	old, n := ix.rel.Len(), r.Len()
+	size := len(ix.slots)
+	for size < 2*n {
+		size <<= 1
+	}
+	g := &Index{
+		rel:    r,
+		cols:   ix.cols,
+		shift:  uint(64 - bits.TrailingZeros(uint(size))),
+		groups: slices.Clip(ix.groups),
+		parts:  1,
+	}
+	mask := uint64(size - 1)
+	if size == len(ix.slots) {
+		g.slots = slices.Clone(ix.slots)
+	} else {
+		g.slots = make([]int32, size)
+		for b := range g.groups {
+			s := g.groups[b].hash >> g.shift
+			for g.slots[s] != 0 {
+				s = (s + 1) & mask
+			}
+			g.slots[s] = int32(b) + 1
+		}
+	}
+	groupOf := make([]int32, n-old)
+	for i := old; i < n; i++ {
+		h := g.rowHash(i)
+		for s := h >> g.shift; ; s = (s + 1) & mask {
+			b := g.slots[s] - 1
+			if b < 0 {
+				b = int32(len(g.groups))
+				g.slots[s] = b + 1
+				g.groups = append(g.groups, bucket{hash: h, head: i})
+			} else if bk := &g.groups[b]; bk.hash != h || !g.rowsEqual(bk.head, i) {
+				continue
+			}
+			groupOf[i-old] = b
+			break
+		}
+	}
+	// Counts per bucket (old rows plus new) into bounds[b+1], prefix sums,
+	// then the old rows are copied and the new ones dealt behind them with
+	// bounds[b] as the fill cursor, as in buildIndex.
+	g.bounds = make([]int32, len(g.groups)+1)
+	for b := range ix.groups {
+		g.bounds[b+1] = ix.bounds[b+1] - ix.bounds[b]
+	}
+	for _, b := range groupOf {
+		g.bounds[b+1]++
+	}
+	for b := 1; b < len(g.bounds); b++ {
+		g.bounds[b] += g.bounds[b-1]
+	}
+	g.rows = make([]int, n)
+	for b := range ix.groups {
+		g.bounds[b] += int32(copy(g.rows[g.bounds[b]:], ix.BucketRows(b)))
+	}
+	for i, b := range groupOf {
+		g.rows[g.bounds[b]] = old + i
+		g.bounds[b]++
+	}
+	copy(g.bounds[1:], g.bounds[:len(g.groups)])
+	g.bounds[0] = 0
+	return g
+}
+
 // indexMemo is a view's memo of whole-view indexes, one per key column
 // set. Entries are created under the relation's memo mutex and built at
 // most once by their own sync.Once, so concurrent callers share one build.
+// An entry Extend carried over from the view it grew from holds that
+// view's index in from until its build grows it.
 type indexMemo struct {
 	cols []int
 	once sync.Once
 	ix   atomic.Pointer[Index]
+	from *Index
 }
 
 // SharedIndex returns an index of the whole relation on the given column
@@ -330,7 +409,14 @@ func (r *Relation) SharedIndex(cols []int) *Index {
 		r.memo = append(r.memo, e)
 	}
 	r.memoMu.Unlock()
-	e.once.Do(func() { e.ix.Store(BuildIndex(r, e.cols)) })
+	e.once.Do(func() {
+		if e.from != nil {
+			e.ix.Store(e.from.grow(r))
+			e.from = nil
+			return
+		}
+		e.ix.Store(BuildIndex(r, e.cols))
+	})
 	return e.ix.Load()
 }
 

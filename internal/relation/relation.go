@@ -365,6 +365,36 @@ func (r *Relation) Subset(name string, positions []int) *Relation {
 	return &Relation{name: name, schema: r.schema, cols: r.snapshotCols(), n: len(view), view: view}
 }
 
+// Extend returns a view holding r's rows followed by src's rows at the
+// given positions, in the given order: what src.Subset over r's positions
+// and then these would hold, without rebuilding r's indexes. r must be a
+// view over src's storage (a Subset of src, or a view Extend grew from
+// one). Neither r nor its memoized indexes change: every index built on r
+// is carried to the new view, which grows it on first use by hashing only
+// the appended rows (SharedIndex).
+func (r *Relation) Extend(src *Relation, positions []int) *Relation {
+	if r.view == nil {
+		panic(fmt.Sprintf("relation %s: Extend of a base relation", r.name))
+	}
+	view := make([]int, r.n, r.n+len(positions))
+	copy(view, r.view)
+	for _, p := range positions {
+		if p < 0 || p >= src.n {
+			panic(fmt.Sprintf("relation %s: extend position %d outside [0, %d)", src.name, p, src.n))
+		}
+		view = append(view, src.phys(p))
+	}
+	out := &Relation{name: r.name, schema: r.schema, cols: src.snapshotCols(), n: len(view), view: view}
+	r.memoMu.Lock()
+	for _, m := range r.memo {
+		if ix := m.ix.Load(); ix != nil {
+			out.memo = append(out.memo, &indexMemo{cols: m.cols, from: ix})
+		}
+	}
+	r.memoMu.Unlock()
+	return out
+}
+
 // Clone returns an independent read-only view of the relation's current
 // rows (zero-copy). Use Compact for an appendable deep copy.
 func (r *Relation) Clone(name string) *Relation {

@@ -85,7 +85,7 @@ func TestExtendDistribution(t *testing.T) {
 	counts := map[string]int{}
 	for i := 0; i < trials; i++ {
 		s := WithoutReplacement(rng, 5, 1)
-		s = Extend(rng, 5, s, 1)
+		s = extend(rng, 5, s, 1)
 		counts[subsetKey(s)]++
 	}
 	want := float64(trials) / 10
@@ -103,7 +103,7 @@ func TestExtendDistribution(t *testing.T) {
 func TestExtendDensePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := WithoutReplacement(rng, 10, 4)
-	s = Extend(rng, 10, s, 5) // (4+5)*2 >= 10 → complement path
+	s = extend(rng, 10, s, 5) // (4+5)*2 >= 10 → complement path
 	if len(s) != 9 || !sort.IntsAreSorted(s) {
 		t.Fatalf("extend dense: %v", s)
 	}
@@ -115,19 +115,79 @@ func TestExtendDensePath(t *testing.T) {
 		seen[i] = true
 	}
 	// m = 0 round-trips.
-	s2 := Extend(rng, 10, s, 0)
+	s2 := extend(rng, 10, s, 0)
 	if len(s2) != len(s) {
 		t.Error("extend by 0 changed size")
 	}
 }
 
-// extendByMap is Extend as it stood before its bitset: membership in a map,
-// the result sorted at the end. TestExtendMatchesMapReference pins Extend
-// against it.
+// extend is Grow over a sample given as a list: the combined sample,
+// sorted.
+func extend(rng *rand.Rand, N int, existing []int, m int) []int {
+	added := Grow(rng, N, Members(N, existing), len(existing), m)
+	out := append(append([]int(nil), existing...), added...)
+	sort.Ints(out)
+	return out
+}
+
+// extendByMap is the extension draw as it stood before its bitset:
+// membership in a map, the combined sample sorted at the end.
+// withoutReplacementByMap is WithoutReplacement as it stood before its
+// draw shared pick with Grow: Floyd's algorithm over a map, or a partial
+// shuffle of [0, N), the result sorted.
+func withoutReplacementByMap(rng *rand.Rand, N, n int) []int {
+	var out []int
+	if n*3 < N {
+		chosen := make(map[int]struct{}, n)
+		for j := N - n; j < N; j++ {
+			t := rng.Intn(j + 1)
+			if _, taken := chosen[t]; taken {
+				chosen[j] = struct{}{}
+			} else {
+				chosen[t] = struct{}{}
+			}
+		}
+		for i := range chosen {
+			out = append(out, i)
+		}
+	} else {
+		perm := make([]int, N)
+		for i := range perm {
+			perm[i] = i
+		}
+		for i := 0; i < n; i++ {
+			j := i + rng.Intn(N-i)
+			perm[i], perm[j] = perm[j], perm[i]
+		}
+		out = perm[:n]
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestWithoutReplacementMatchesMapReference pins WithoutReplacement to the
+// map-based draw it replaced: the same sample and the same rng draws
+// consumed, in both branches and at the edges.
+func TestWithoutReplacementMatchesMapReference(t *testing.T) {
+	for _, c := range []struct{ N, n int }{
+		{0, 0}, {1, 0}, {1, 1}, {10, 3}, {10, 4}, {64, 21}, {65, 22}, {1000, 5}, {1000, 333}, {1000, 334}, {1000, 1000}, {100000, 2000},
+	} {
+		got, ref := rand.New(rand.NewSource(int64(c.N+c.n))), rand.New(rand.NewSource(int64(c.N+c.n)))
+		out, want := WithoutReplacement(got, c.N, c.n), withoutReplacementByMap(ref, c.N, c.n)
+		if len(out) != len(want) || (len(want) > 0 && !slices.Equal(out, want)) {
+			t.Errorf("N=%d n=%d: %v, reference %v", c.N, c.n, out, want)
+		}
+		if got.Int63() != ref.Int63() {
+			t.Errorf("N=%d n=%d: rng diverged", c.N, c.n)
+		}
+	}
+}
+
+// TestExtendMatchesMapReference pins Grow against it.
 func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 	n := len(existing)
 	if m < 0 || n+m > N {
-		panic(fmt.Sprintf("sampling: Extend(N=%d, n=%d, m=%d) out of range", N, n, m))
+		panic(fmt.Sprintf("sampling: Grow(N=%d, n=%d, m=%d) out of range", N, n, m))
 	}
 	if m == 0 {
 		out := append([]int(nil), existing...)
@@ -139,7 +199,7 @@ func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 		taken[i] = struct{}{}
 	}
 	if len(taken) != n {
-		panic("sampling: Extend given sample with duplicate indices")
+		panic("sampling: sample has duplicate indices")
 	}
 	if (n+m)*2 < N {
 		for added := 0; added < m; {
@@ -157,7 +217,7 @@ func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 				complement = append(complement, i)
 			}
 		}
-		for _, pos := range WithoutReplacement(rng, len(complement), m) {
+		for _, pos := range withoutReplacementByMap(rng, len(complement), m) {
 			taken[complement[pos]] = struct{}{}
 		}
 	}
@@ -169,10 +229,12 @@ func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 	return out
 }
 
-// TestExtendMatchesMapReference pins Extend to the map-based algorithm it
-// replaced: the same result from the same rng, and the same rng draws
-// consumed (the next draw agrees), over sparse and complement-branch
-// sizes, unsorted input, m = 0 and the panics.
+// TestExtendMatchesMapReference pins Grow to the map-based algorithm it
+// replaced: the same set from the same rng, and the same rng draws
+// consumed (the next draw agrees), over the rejection branch and both
+// complement branches (Floyd's and the shuffle), unsorted input, m = 0
+// and the panics. Grow returns only the added indices, each once, and
+// leaves the bitset holding exactly the combined sample.
 func TestExtendMatchesMapReference(t *testing.T) {
 	cases := []struct {
 		N, n, m int
@@ -191,6 +253,8 @@ func TestExtendMatchesMapReference(t *testing.T) {
 		{1000, 300, 400, 11},
 		{100000, 1000, 500, 12},
 		{100000, 40000, 20000, 13},
+		{1000, 480, 40, 14},  // complement, Floyd's (m·3 < N−n)
+		{1000, 400, 500, 15}, // complement, shuffle
 	}
 	for _, c := range cases {
 		src := rand.New(rand.NewSource(c.seed))
@@ -198,11 +262,18 @@ func TestExtendMatchesMapReference(t *testing.T) {
 		Shuffle(src, existing) // Extend must not rely on sorted input
 		got, gotRNG := rand.New(rand.NewSource(c.seed)), rand.New(rand.NewSource(c.seed))
 		want := extendByMap(gotRNG, c.N, append([]int(nil), existing...), c.m)
-		if out := Extend(got, c.N, existing, c.m); !slices.Equal(out, want) {
-			t.Errorf("N=%d n=%d m=%d seed=%d: Extend = %v, reference %v", c.N, c.n, c.m, c.seed, out, want)
+		taken := Members(c.N, existing)
+		added := Grow(got, c.N, taken, c.n, c.m)
+		out := append(append([]int(nil), existing...), added...)
+		sort.Ints(out)
+		if !slices.Equal(out, want) {
+			t.Errorf("N=%d n=%d m=%d seed=%d: Grow = %v, reference %v", c.N, c.n, c.m, c.seed, out, want)
+		}
+		if !slices.Equal(taken, Members(c.N, want)) {
+			t.Errorf("N=%d n=%d m=%d seed=%d: bitset does not hold the combined sample", c.N, c.n, c.m, c.seed)
 		}
 		if a, b := got.Int63(), gotRNG.Int63(); a != b {
-			t.Errorf("N=%d n=%d m=%d seed=%d: rng diverged after Extend", c.N, c.n, c.m, c.seed)
+			t.Errorf("N=%d n=%d m=%d seed=%d: rng diverged after Grow", c.N, c.n, c.m, c.seed)
 		}
 	}
 	panics := []struct {
@@ -217,10 +288,10 @@ func TestExtendMatchesMapReference(t *testing.T) {
 		{"negative m", 5, []int{0}, -1},
 	}
 	for _, c := range panics {
-		got := recovered(func() { Extend(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
+		got := recovered(func() { extend(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
 		want := recovered(func() { extendByMap(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
 		if got == nil || got != want {
-			t.Errorf("%s: Extend panicked with %v, reference with %v", c.name, got, want)
+			t.Errorf("%s: Grow panicked with %v, reference with %v", c.name, got, want)
 		}
 	}
 }
@@ -240,7 +311,7 @@ func TestExtendPanics(t *testing.T) {
 				t.Error("over-extension should panic")
 			}
 		}()
-		Extend(rng, 5, []int{0, 1}, 4)
+		extend(rng, 5, []int{0, 1}, 4)
 	}()
 	func() {
 		defer func() {
@@ -248,7 +319,7 @@ func TestExtendPanics(t *testing.T) {
 				t.Error("duplicate existing sample should panic")
 			}
 		}()
-		Extend(rng, 5, []int{1, 1}, 1)
+		extend(rng, 5, []int{1, 1}, 1)
 	}()
 }
 

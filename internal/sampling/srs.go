@@ -11,110 +11,108 @@ import (
 // from [0, N) — SRSWOR, the sampling design all of the paper's estimators
 // assume. Every size-n subset is equally likely. The returned slice is in
 // ascending order. It panics if n < 0 or n > N.
-//
-// The implementation picks between Floyd's O(n) set-based algorithm (sparse
-// samples) and a partial Fisher–Yates shuffle (dense samples) so that both
-// n ≪ N and n ≈ N are efficient.
 func WithoutReplacement(rng *rand.Rand, N, n int) []int {
 	if n < 0 || n > N {
 		panic(fmt.Sprintf("sampling: WithoutReplacement(N=%d, n=%d) out of range", N, n))
 	}
-	if n == 0 {
-		return []int{}
-	}
-	var out []int
-	if n*3 < N {
-		// Floyd's algorithm: for j = N−n .. N−1, draw t ∈ [0, j]; take t
-		// unless already taken, in which case take j. Yields a uniform
-		// n-subset using exactly n random draws and an O(n) set.
-		chosen := make(map[int]struct{}, n)
-		for j := N - n; j < N; j++ {
-			t := rng.Intn(j + 1)
-			if _, taken := chosen[t]; taken {
-				chosen[j] = struct{}{}
-			} else {
-				chosen[t] = struct{}{}
-			}
-		}
-		out = make([]int, 0, n)
-		for i := range chosen {
-			out = append(out, i)
-		}
-	} else {
-		// Partial Fisher–Yates over the full index range.
-		perm := make([]int, N)
-		for i := range perm {
-			perm[i] = i
-		}
-		for i := 0; i < n; i++ {
-			j := i + rng.Intn(N-i)
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-		out = perm[:n:n]
-	}
+	out := pick(rng, N, nil, n, make([]uint64, (N+63)>>6))
 	sort.Ints(out)
 	countDraw(n)
 	return out
 }
 
-// Extend enlarges an existing SRSWOR sample of [0, N) by m additional
-// distinct indices drawn uniformly from the complement, returning the
-// combined ascending sample. The result is distributed exactly as a fresh
-// SRSWOR sample of size len(existing)+m (sequential double sampling relies
-// on this). It panics if the extension is impossible.
-//
-// Membership is a bitset over [0, N) — N/8 bytes, a small fraction of the
-// N-row relation being sampled — and the ascending result is read off it,
-// so nothing is hashed and nothing sorted.
-func Extend(rng *rand.Rand, N int, existing []int, m int) []int {
-	n := len(existing)
-	if m < 0 || n+m > N {
-		panic(fmt.Sprintf("sampling: Extend(N=%d, n=%d, m=%d) out of range", N, n, m))
-	}
-	if m == 0 {
-		out := append([]int(nil), existing...)
-		sort.Ints(out)
+// pick draws m distinct entries of ids (of [0, C) itself when ids is nil)
+// uniformly, sets their bits in taken, where none is set yet, and returns
+// them in draw order. It picks between Floyd's algorithm, for m·3 < C —
+// for j = C−m … C−1 draw t ∈ [0, j] and take entry t, or entry j when t's
+// is taken: m draws and no list of C — and a partial Fisher–Yates shuffle
+// of ids (built when nil) otherwise, so that both m ≪ C and m ≈ C are
+// efficient.
+func pick(rng *rand.Rand, C int, ids []int, m int, taken []uint64) []int {
+	if m*3 < C {
+		entry := func(t int) int {
+			if ids == nil {
+				return t
+			}
+			return ids[t]
+		}
+		out := make([]int, 0, m)
+		for j := C - m; j < C; j++ {
+			c := entry(rng.Intn(j + 1))
+			if !setBit(taken, c) {
+				c = entry(j)
+				setBit(taken, c)
+			}
+			out = append(out, c)
+		}
 		return out
 	}
+	if ids == nil {
+		ids = make([]int, C)
+		for i := range ids {
+			ids[i] = i
+		}
+	}
+	for i := 0; i < m; i++ {
+		j := i + rng.Intn(C-i)
+		ids[i], ids[j] = ids[j], ids[i]
+		setBit(taken, ids[i])
+	}
+	return ids[:m:m]
+}
+
+// Members returns the membership bitset of a sample of [0, N): bit i&63 of
+// word i>>6 is set for every i in ids. It panics on a duplicate.
+func Members(N int, ids []int) []uint64 {
 	taken := make([]uint64, (N+63)>>6)
-	has := func(i int) bool { return taken[i>>6]&(1<<(uint(i)&63)) != 0 }
-	set := func(i int) { taken[i>>6] |= 1 << (uint(i) & 63) }
-	for _, i := range existing {
-		if has(i) {
-			panic("sampling: Extend given sample with duplicate indices")
+	for _, i := range ids {
+		if !setBit(taken, i) {
+			panic("sampling: sample has duplicate indices")
 		}
-		set(i)
 	}
-	// Rejection sampling is efficient while the occupied fraction is small;
-	// fall back to sampling positions in the complement when it is not.
+	return taken
+}
+
+// setBit sets bit i of b and reports whether it was clear.
+func setBit(b []uint64, i int) bool {
+	w, bit := i>>6, uint64(1)<<(uint(i)&63)
+	was := b[w] & bit
+	b[w] |= bit
+	return was == 0
+}
+
+// Grow enlarges an SRSWOR sample of [0, N) whose membership bitset taken
+// (Members) holds n indices by m more, drawn uniformly from the complement,
+// sets their bits and returns them in draw order. The combined sample is
+// distributed exactly as a fresh SRSWOR sample of size n+m (sequential
+// double sampling relies on this). Rejection sampling serves while the
+// sample stays under half of N; past that, m entries of the ascending
+// complement are picked with the rng calls WithoutReplacement over it
+// would make, minus its sort. It panics if the extension is impossible.
+func Grow(rng *rand.Rand, N int, taken []uint64, n, m int) []int {
+	if m < 0 || n < 0 || n+m > N {
+		panic(fmt.Sprintf("sampling: Grow(N=%d, n=%d, m=%d) out of range", N, n, m))
+	}
+	added := make([]int, 0, m)
 	if (n+m)*2 < N {
-		for added := 0; added < m; {
-			c := rng.Intn(N)
-			if has(c) {
-				continue
+		for len(added) < m {
+			if c := rng.Intn(N); setBit(taken, c) {
+				added = append(added, c)
 			}
-			set(c)
-			added++
 		}
-	} else {
+	} else if m > 0 {
 		complement := make([]int, 0, N-n)
-		for i := 0; i < N; i++ {
-			if !has(i) {
-				complement = append(complement, i)
+		for w, word := range taken {
+			for free := ^word; free != 0; free &= free - 1 {
+				if i := w<<6 + bits.TrailingZeros64(free); i < N {
+					complement = append(complement, i)
+				}
 			}
 		}
-		for _, pos := range WithoutReplacement(rng, len(complement), m) {
-			set(complement[pos])
-		}
-	}
-	out := make([]int, 0, n+m)
-	for w, word := range taken {
-		for ; word != 0; word &= word - 1 {
-			out = append(out, w<<6+bits.TrailingZeros64(word))
-		}
+		added = pick(rng, len(complement), complement, m, taken)
 	}
 	countDraw(m)
-	return out
+	return added
 }
 
 // Shuffle permutes xs in place (Fisher–Yates).

@@ -86,7 +86,7 @@ func TestTenantQueueSlots(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	slow, err := json.Marshal(EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 1500, Seed: 5, Variance: "none",
 	})
 	if err != nil {
@@ -302,7 +302,7 @@ func TestBatchCancellationNoPartialEstimates(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	slow := EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 10_000, Seed: 5, Variance: "none",
 	}
 	body, err := json.Marshal(BatchEstimateRequest{Queries: []EstimateRequest{slow, slow, slow}})

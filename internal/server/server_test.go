@@ -92,16 +92,29 @@ func setupDataset(t *testing.T, base string, n, sample int) {
 	}
 }
 
-// setupHeavyDataset registers a join pair big enough that deadline-mode
-// sample growth cannot exhaust it within a sub-second budget: the full
-// equi-join enumerates hundreds of millions of pairs, and round cost
-// grows quadratically with the sample, so the budget — not sample
-// exhaustion — ends every run. Load-shedding, cancellation, and drain
-// tests rely on these estimates actually occupying their workers.
+// heavyRows is the size of each relation of the heavy dataset.
+const heavyRows = 400_000
+
+// slowDeadlineQuery is the deadline request the heavy dataset keeps busy
+// by construction: a self-join, whose pattern weights vary by assignment,
+// so every round enumerates every pair its sample joins — a cost that
+// grows with the join's output (quadratically with the sample), not with
+// the probes an equi-join's per-bucket count makes. A census of the heavy
+// dataset's 400 000-row relation would enumerate 4·10⁸ pairs per round,
+// out of reach of every budget these tests set. Tests that read the
+// response assert that premise (samples_consumed below heavyRows) rather
+// than assume it.
+const slowDeadlineQuery = "count(join(R1, R1, on a = a))"
+
+// setupHeavyDataset registers a join pair big enough that a deadline run
+// of slowDeadlineQuery cannot exhaust it within the tests' budgets: the
+// budget — not sample exhaustion — ends every run. Load-shedding,
+// cancellation, and drain tests rely on these estimates actually
+// occupying their workers.
 func setupHeavyDataset(t *testing.T, base string) {
 	t.Helper()
 	status, body := postJSON(t, base+"/v1/generate", GenerateRequest{
-		Kind: "zipf-pair", N: 400_000, Domain: 400, Z1: 0.5, Z2: 0.5, Seed: 7,
+		Kind: "zipf-pair", N: heavyRows, Domain: 400, Z1: 0.5, Z2: 0.5, Seed: 7,
 	})
 	if status != http.StatusCreated {
 		t.Fatalf("generate: %d %s", status, body)
@@ -275,13 +288,13 @@ func TestEstimateModes(t *testing.T) {
 	})
 
 	t.Run("deadline-budget-expiry", func(t *testing.T) {
-		// A dataset large enough that 150ms cannot exhaust the samples:
-		// the budget, not exhaustion, ends the run, and the partial-round
-		// estimate still carries its CI.
+		// A request that 150ms cannot take to a census: the budget, not
+		// exhaustion, ends the run, and the partial-round estimate still
+		// carries its CI.
 		_, bigBase := startServer(t, Config{})
 		setupHeavyDataset(t, bigBase)
 		status, raw := postJSON(t, bigBase+"/v1/estimate", EstimateRequest{
-			Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+			Query: slowDeadlineQuery, Synopsis: "main",
 			Mode: "deadline", BudgetMS: 150, Seed: 5,
 		})
 		if status != http.StatusOK {
@@ -294,8 +307,8 @@ func TestEstimateModes(t *testing.T) {
 		if resp.Estimate.StdErr <= 0 || resp.Estimate.Lo >= resp.Estimate.Hi {
 			t.Errorf("deadline estimate lacks a CI: %+v", resp.Estimate)
 		}
-		if resp.SamplesConsumed["R1"] < 50 {
-			t.Errorf("deadline reported no samples consumed: %s", raw)
+		if n := resp.SamplesConsumed["R1"]; n < 50 || n >= heavyRows {
+			t.Errorf("deadline consumed %d of %d rows; want a partial sample: %s", n, heavyRows, raw)
 		}
 	})
 
@@ -402,7 +415,7 @@ func TestQueueFullSheds429(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	slow := EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 2000, Seed: 5, Variance: "none",
 	}
 	results := make(chan int, 2)
@@ -447,7 +460,7 @@ func TestConcurrentLoadSheds(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	req := EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 150, Seed: 5, Variance: "none",
 	}
 	const inFlight = 64
@@ -459,6 +472,9 @@ func TestConcurrentLoadSheds(t *testing.T) {
 				resp := estimateResp(t, raw)
 				if resp.Rounds < 1 || resp.Estimate.Value < 0 {
 					t.Errorf("malformed 200 body: %s", raw)
+				}
+				if resp.SamplesConsumed["R1"] >= heavyRows {
+					t.Errorf("a deadline request reached a census; it no longer occupies its worker: %s", raw)
 				}
 			}
 			results <- status
@@ -497,7 +513,7 @@ func TestClientCancellationAborts(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	body, err := json.Marshal(EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 10_000, Seed: 5, Variance: "none",
 	})
 	if err != nil {
@@ -561,15 +577,19 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	setupHeavyDataset(t, base)
 
 	req := EstimateRequest{
-		Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
+		Query: slowDeadlineQuery, Synopsis: "main",
 		Mode: "deadline", BudgetMS: 400, Seed: 5, Variance: "none",
 	}
 	const n = 6
-	results := make(chan int, n)
+	type result struct {
+		status int
+		raw    []byte
+	}
+	results := make(chan result, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			status, _ := postJSON(t, base+"/v1/estimate", req)
-			results <- status
+			status, raw := postJSON(t, base+"/v1/estimate", req)
+			results <- result{status, raw}
 		}()
 	}
 	waitFor(t, 5*time.Second, "all admitted", func() bool { return s.depth.Load() == n })
@@ -582,8 +602,15 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}()
 
 	for i := 0; i < n; i++ {
-		if status := <-results; status != http.StatusOK {
-			t.Errorf("admitted estimate %d: want 200 through the drain, got %d", i, status)
+		r := <-results
+		if r.status != http.StatusOK {
+			t.Errorf("admitted estimate %d: want 200 through the drain, got %d", i, r.status)
+			continue
+		}
+		// The premise: each estimate was still sampling when the drain
+		// began, not finished early at a census.
+		if got := estimateResp(t, r.raw).SamplesConsumed["R1"]; got >= heavyRows {
+			t.Errorf("admitted estimate %d reached a census (%d rows); the drain overlapped no work", i, got)
 		}
 	}
 	if err := <-shutdownDone; err != nil {

@@ -68,10 +68,10 @@ func TestPickSpecSkew(t *testing.T) {
 		keys             int
 		minHead, maxHead float64 // share of picks on key 0
 	}{
-		{"uniform", 0, 8, 0.10, 0.15},    // 1/8 = 12.5%
-		{"skewed", 1, 8, 0.30, 0.45},     // 1/H_8 ≈ 36.8%
+		{"uniform", 0, 8, 0.10, 0.15},   // 1/8 = 12.5%
+		{"skewed", 1, 8, 0.30, 0.45},    // 1/H_8 ≈ 36.8%
 		{"hot-key", 2.5, 8, 0.70, 0.85}, // 1/Σ(1/r^2.5) over 8 ranks ≈ 78.7%
-		{"two-keys", 1, 2, 0.60, 0.72},   // 2/3 ≈ 66.7%
+		{"two-keys", 1, 2, 0.60, 0.72},  // 2/3 ≈ 66.7%
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := counts(tc.z, tc.keys)
