@@ -1,7 +1,7 @@
 # Pre-PR gate: `make check` must pass before any change lands.
 GO ?= go
 
-.PHONY: check build fmt vet lint lint-json lint-budget test race cover golden golden-drift bench fuzz smoke soak-short shard-short leakcheck
+.PHONY: check build fmt vet lint lint-json lint-budget test race cover golden golden-drift bench fuzz smoke soak-short shard-short leakcheck loc
 
 # The suite runs twice: once under the race detector, once with coverage
 # (which is also the plain run, and includes every slice the stand-alone
@@ -135,3 +135,20 @@ golden-drift:
 # The repo's one benchmark (BENCHMARK.json; see benchmark/README.md).
 bench:
 	bash benchmark/run.sh
+
+# Size report: non-test and test Go lines per package and in total
+# (benchmark/ and testdata/ excluded), then the lint:ignore suppressions
+# per rule outside internal/lint. Not part of `check`; it is the before and
+# after of a simplification.
+loc:
+	@find . -name '*.go' -not -path './.*' -not -path './benchmark/*' -not -path '*/testdata/*' | sort | \
+	xargs awk '{ dir = FILENAME; sub(/\/[^\/]*$$/, "", dir); sub(/^\.\/?/, "", dir); \
+		pkg[dir] = 1; if (FILENAME ~ /_test\.go$$/) test[dir]++; else prod[dir]++ } \
+		END { for (d in pkg) printf "%s %d %d\n", (d == "" ? "." : d), prod[d], test[d] }' | sort | \
+	awk 'BEGIN { printf "%-28s %8s %8s\n", "package", "non-test", "test" } \
+		{ printf "%-28s %8d %8d\n", $$1, $$2, $$3; p += $$2; t += $$3 } \
+		END { printf "%-28s %8d %8d\n", "total", p, t }'
+	@echo; echo "lint:ignore suppressions outside internal/lint:"
+	@grep -rhoE --include='*.go' --exclude-dir=lint 'lint:ignore [A-Za-z0-9_-]+' . | \
+	awk '{ print $$2 }' | sort | uniq -c | \
+	awk '{ printf "  %-20s %d\n", $$2, $$1; t += $$1 } END { printf "  %-20s %d\n", "total", t }'

@@ -118,7 +118,7 @@ func nullableCatalog(rng *rand.Rand) (MapCatalog, []*Expr) {
 // relation's collision tests pin bucket id by bucket id.)
 func TestQuickMarginalsMatchEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	var terms, keyed, tailed, empty, split, enumerated int
+	var terms, keyed, tailed, enumTailed, empty, split, enumerated int
 	for trial := 0; trial < 400 && !t.Failed(); trial++ {
 		base, bases := randomCatalog(rng)
 		if trial%2 == 1 {
@@ -157,8 +157,12 @@ func TestQuickMarginalsMatchEnumeration(t *testing.T) {
 			case p.enumUpto == 2:
 				keyed++
 			}
-			if pt.Factorizes() && pt.FoldedTail() && !pt.TailOnly() {
-				tailed++
+			if p := pt.p; p.enumUpto > 0 && p.enumUpto < len(p.steps) {
+				if pt.Factorizes() {
+					tailed++
+				} else {
+					enumTailed++
+				}
 			}
 			if !marginalsMatch(t, pt, "full plan") {
 				t.Logf("trial %d term %d: %v", trial, ti, tm)
@@ -173,11 +177,11 @@ func TestQuickMarginalsMatchEnumeration(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d terms: %d keyed joins, %d empty joins, %d with folded tails, %d enumerated; %d replicate plans",
-		terms, keyed, empty, tailed, enumerated, split)
-	if terms < 300 || keyed == 0 || empty == 0 || tailed == 0 || enumerated == 0 {
-		t.Errorf("the generator has lost coverage: %d terms, %d keyed, %d empty, %d tailed, %d enumerated",
-			terms, keyed, empty, tailed, enumerated)
+	t.Logf("%d terms: %d keyed joins, %d empty joins, %d with folded tails, %d enumerated (%d of them before a folded tail); %d replicate plans",
+		terms, keyed, empty, tailed, enumerated, enumTailed, split)
+	if terms < 300 || keyed == 0 || empty == 0 || tailed == 0 || enumerated == 0 || enumTailed == 0 {
+		t.Errorf("the generator has lost coverage: %d terms, %d keyed, %d empty, %d tailed, %d enumerated, %d enumerated before a tail",
+			terms, keyed, empty, tailed, enumerated, enumTailed)
 	}
 }
 

@@ -125,7 +125,7 @@ func TestPreparedFoldedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !pt.FoldedTail() {
+	if pt.p.enumUpto == len(pt.p.steps) {
 		t.Error("product term should fold its tail")
 	}
 	if got := pt.Count(); got != 12 {
@@ -137,7 +137,7 @@ func TestPreparedFoldedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jpt.FoldedTail() {
+	if jpt.p.enumUpto < len(jpt.p.steps) {
 		t.Error("join term should not fold")
 	}
 }
@@ -298,7 +298,7 @@ func TestPrepareSelectAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := len(pt.Candidates(0)); got == 0 || got == n {
+		if got := len(pt.p.cand[0]); got == 0 || got == n {
 			t.Fatalf("%d rows: σ keeps %d, want a proper subset", n, got)
 		}
 		return testing.AllocsPerRun(5, func() {

@@ -69,15 +69,15 @@ func splitMatchesSubsets(t *testing.T, poly Polynomial, cat MapCatalog, labels m
 			if gc, wc := got.Count(), want.Count(); math.Float64bits(gc) != math.Float64bits(wc) {
 				t.Errorf("term %d group %d: Count %v, compiled %v", ti, l, gc, wc)
 			}
-			if got.Parts() != want.Parts() || got.FoldedTail() != want.FoldedTail() {
-				t.Errorf("term %d group %d: Parts/FoldedTail %d/%v, compiled %d/%v",
-					ti, l, got.Parts(), got.FoldedTail(), want.Parts(), want.FoldedTail())
+			if got.Parts() != want.Parts() || got.p.enumUpto != want.p.enumUpto {
+				t.Errorf("term %d group %d: Parts/enumerated steps %d/%d, compiled %d/%d",
+					ti, l, got.Parts(), got.p.enumUpto, want.Parts(), want.p.enumUpto)
 				continue
 			}
 			toFull := func(occ, row int) int { return positions[l][tm.Occs[occ].RelName][row] }
 			for occ := range tm.Occs {
-				wc := want.Candidates(occ)
-				gc := got.Candidates(occ)
+				wc := want.p.cand[occ]
+				gc := got.p.cand[occ]
 				if len(gc) != len(wc) {
 					t.Errorf("term %d group %d occ %d: %d candidates, compiled %d", ti, l, occ, len(gc), len(wc))
 					continue
@@ -253,7 +253,7 @@ func TestSplitPartitionedTerm(t *testing.T) {
 	part := NewPartition(2, map[*relation.Relation][]int32{cat["R"]: labels["R"], cat["S"]: labels["S"]})
 	for _, rp := range pt.Split(part) {
 		if rp.Parts() == 1 {
-			t.Errorf("replicate of %d first-step candidates evaluates in one part; the fixture no longer covers partitioning", len(rp.Candidates(rp.p.order[0])))
+			t.Errorf("replicate of %d first-step candidates evaluates in one part; the fixture no longer covers partitioning", len(rp.p.cand[rp.p.order[0]]))
 		}
 	}
 }

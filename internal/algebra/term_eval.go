@@ -356,24 +356,6 @@ func (pt *PreparedTerm) Term() *Term { return pt.p.term }
 // Instances returns the instances the plan was compiled over.
 func (pt *PreparedTerm) Instances() Instances { return pt.p.inst }
 
-// FoldedTail reports whether counting mode folds an unconstrained tail of
-// occurrences into a multiplicative factor instead of enumerating it. When
-// true, full enumeration visits (possibly vastly) more assignments than
-// Count computes — callers choosing between counting and enumeration-based
-// algorithms use this to avoid blowing up cross-product-heavy terms.
-func (pt *PreparedTerm) FoldedTail() bool { return pt.p.enumUpto < len(pt.p.steps) }
-
-// TailOnly reports whether the plan folds every occurrence: nothing is
-// enumerated and the count is the pure product of the candidate-list sizes
-// (the shape of bare |R| and |σR×σS| polynomial terms).
-func (pt *PreparedTerm) TailOnly() bool { return pt.p.enumUpto == 0 }
-
-// Candidates returns the candidate row list of the given occurrence — the
-// instance rows passing the occurrence's local predicates and
-// intra-occurrence equalities. The slice is shared with the plan and must
-// not be modified.
-func (pt *PreparedTerm) Candidates(occ int) []int { return pt.p.cand[occ] }
-
 // Parts returns the deterministic partition count for this plan: CountPart
 // and EnumeratePart accept parts in [0, Parts()). The count depends only on
 // the plan, so partitioned reductions are reproducible across worker
@@ -616,12 +598,17 @@ func (pt *PreparedTerm) Enumerate(visit func(rows []int) bool) {
 // is what lets workers enumerate one term concurrently with per-part
 // accumulators.
 func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bool) {
-	p := pt.p
-	m := len(p.steps)
+	pt.p.enumerate(part, parts, len(pt.p.steps), visit)
+}
+
+// enumerate is EnumeratePart over the plan's first upto steps: visit sees
+// every satisfying assignment of those steps' occurrences, and the rows it
+// holds for the other occurrences are meaningless.
+func (p *termPlan) enumerate(part, parts, upto int, visit func(rows []int) bool) {
 	ev := p.newEval()
 	var rec func(k int) bool
 	rec = func(k int) bool {
-		if k == m {
+		if k == upto {
 			return visit(ev.assign)
 		}
 		st := &p.steps[k]
@@ -819,14 +806,16 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64) int {
 	return n
 }
 
-// Marginals runs the term's moment pass. A plan that Factorizes never
-// visits an assignment: it scans the first step's candidates once, probes
-// the second step's index for each (probePart, the loop PairMoments
-// runs), and counts per bucket — a_k scanned rows probe bucket k of size b_k, so a
-// scanned row's marginal is b_k, an indexed row's is a_k and the total is
-// Σ a_k·b_k — and a folded tail multiplies every count by the other tail
-// occurrences' candidate counts. The cost is O(Σ candidate rows), not
-// O(assignments). Any other plan enumerates its assignments here.
+// Marginals runs the term's moment pass. It visits only the plan's
+// enumerated prefix. A plan that Factorizes scans the first step's
+// candidates once, probes the second step's index for each (probePart, the
+// loop PairMoments runs), and counts per bucket — a_k scanned rows probe
+// bucket k of size b_k, so a scanned row's marginal is b_k, an indexed
+// row's is a_k and the total is Σ a_k·b_k — at a cost of O(Σ candidate
+// rows), not O(assignments). Any other plan enumerates its prefix
+// assignments. A folded tail is never enumerated: it multiplies every
+// prefix count by its factor, and each tail candidate's marginal is the
+// prefix count times the other tail occurrences' candidate counts.
 //
 // Every count is an integer below 2^53, so the result equals enumeration
 // exactly, and Total is summed in Count's part order, so it equals Count
@@ -837,21 +826,14 @@ func (pt *PreparedTerm) Marginals() Marginals {
 	for occ, r := range p.inst {
 		mg.Rows[occ] = make([]float64, r.Len())
 	}
-	if !pt.Factorizes() {
-		pt.Enumerate(func(rows []int) bool {
-			for occ, row := range rows {
-				mg.Rows[occ][row]++
-			}
-			mg.Total++
-			return true
-		})
-		return mg
-	}
 	prefix := 1 // satisfying assignments of the enumerated steps
-	if p.enumUpto == 0 {
+	switch {
+	case p.enumUpto == 0:
 		mg.Total = p.tailFactor
-	} else {
+	case pt.Factorizes():
 		prefix = pt.scanPrefix(&mg)
+	default:
+		prefix = pt.enumPrefix(&mg)
 	}
 	// A tail candidate pairs with every prefix assignment and every
 	// combination of the other tail occurrences' candidates.
@@ -868,6 +850,29 @@ func (pt *PreparedTerm) Marginals() Marginals {
 		}
 	}
 	return mg
+}
+
+// enumPrefix fills the marginals of a plan's enumerated steps (scaled by
+// the folded tail's factor) and its Total by enumerating the prefix
+// assignments, and returns their number. Total adds one product per part,
+// as Count does.
+func (pt *PreparedTerm) enumPrefix(mg *Marginals) int {
+	p := pt.p
+	prefix := 0
+	parts := pt.Parts()
+	for part := 0; part < parts; part++ {
+		n := 0
+		p.enumerate(part, parts, p.enumUpto, func(rows []int) bool {
+			for _, occ := range p.order[:p.enumUpto] {
+				mg.Rows[occ][rows[occ]] += p.tailFactor
+			}
+			n++
+			return true
+		})
+		mg.Total += float64(n) * p.tailFactor
+		prefix += n
+	}
+	return prefix
 }
 
 // scanPrefix fills the marginals of a factorizable plan's enumerated steps
@@ -903,9 +908,9 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 // PlanCache caches compiled term plans keyed by (term identity, instance
 // identities). One estimate evaluates the same (term, instances) pairs
 // several times — the point estimate, the closed-form variance passes, the
-// split-sample pass that restricts each plan to its replicates
-// (PreparedTerm.Split), and every jackknife replicate that leaves a
-// relation untouched — and the cache makes each pair compile exactly once.
+// jackknife's moment or enumeration pass and the split-sample pass that
+// restricts each plan to its replicates (PreparedTerm.Split) — and the
+// cache makes each pair compile exactly once.
 // It is safe for concurrent use; concurrent Prepare calls for the same key
 // compile once and share the plan.
 //

@@ -447,6 +447,24 @@ func TestBatchSingleAdmission(t *testing.T) {
 			t.Errorf("shard %d ran %v batch queries, want 3", s, got)
 		}
 	}
+
+	// The coordinator counts every batch outcome once: the batch above,
+	// an empty batch and an undecodable body.
+	if status, raw := postJSON(t, base+"/v1/estimate/batch", server.BatchEstimateRequest{}); status != http.StatusBadRequest {
+		t.Fatalf("empty batch: %d %s", status, raw)
+	}
+	bad, err := http.Post(base+"/v1/estimate/batch", "application/json", strings.NewReader("{"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("undecodable batch: %d", bad.StatusCode)
+	}
+	m := h.Coord.Collector().Metrics()
+	if ok, refused := m.Counter(coordReqMetric(http.StatusOK)).Value(), m.Counter(coordReqMetric(http.StatusBadRequest)).Value(); ok != 1 || refused != 2 {
+		t.Errorf("coordinator counted %v answered and %v refused batches, want 1 and 2", ok, refused)
+	}
 }
 
 // TestClusterMetricsExposition pins the merged /metrics contract

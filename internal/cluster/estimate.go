@@ -394,29 +394,36 @@ func (c *Coordinator) doEstimate(ctx context.Context, tenant string, req server.
 	return c.mergeOutcomes(req, outs)
 }
 
-// handleBatchEstimate validates every query locally, then issues exactly
-// one batch sub-request per shard carrying all fan-worthy items — one
-// admission slot per shard per batch, however many queries ride along —
-// and merges per item.
+// handleBatchEstimate answers a batch and counts its outcome once in the
+// coordinator's request counter, as handleEstimate does a single query.
 func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request) {
 	if c.refuseDraining(w) {
+		c.col.Add(coordReqMetric(http.StatusServiceUnavailable), 1)
 		return
 	}
 	var breq server.BatchEstimateRequest
 	if !server.DecodeBody(w, r, &breq) {
-		return
-	}
-	if len(breq.Queries) == 0 {
-		_ = server.WriteError(w, http.StatusBadRequest, "empty batch")
-		return
-	}
-	if len(breq.Queries) > c.cfg.MaxBatchQueries {
-		_ = server.WriteError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds the %d-query limit", len(breq.Queries), c.cfg.MaxBatchQueries))
+		c.col.Add(coordReqMetric(http.StatusBadRequest), 1)
 		return
 	}
 	ctx, cancel := c.requestCtx(r, breq.TimeoutMS)
 	defer cancel()
+	status, body := c.doBatch(ctx, callerTenant(r), breq)
+	c.col.Add(coordReqMetric(status), 1)
+	_ = server.WriteJSON(w, status, body)
+}
 
+// doBatch validates every query locally, then issues exactly one batch
+// sub-request per shard carrying all fan-worthy items — one admission slot
+// per shard per batch, however many queries ride along — and merges per
+// item.
+func (c *Coordinator) doBatch(ctx context.Context, tenant string, breq server.BatchEstimateRequest) (int, any) {
+	if len(breq.Queries) == 0 {
+		return http.StatusBadRequest, server.ErrorResponse{Error: "empty batch"}
+	}
+	if len(breq.Queries) > c.cfg.MaxBatchQueries {
+		return http.StatusBadRequest, server.ErrorResponse{Error: fmt.Sprintf("batch of %d exceeds the %d-query limit", len(breq.Queries), c.cfg.MaxBatchQueries)}
+	}
 	results := make([]BatchItemResult, len(breq.Queries))
 	var fanIdx []int // batch positions that passed validation, in order
 	normalized := make([]server.EstimateRequest, len(breq.Queries))
@@ -431,7 +438,7 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 	}
 
 	if len(fanIdx) > 0 {
-		c.fanBatch(ctx, callerTenant(r), normalized, fanIdx, results)
+		c.fanBatch(ctx, tenant, normalized, fanIdx, results)
 	}
 
 	out := BatchEstimateResponse{Results: results}
@@ -442,7 +449,7 @@ func (c *Coordinator) handleBatchEstimate(w http.ResponseWriter, r *http.Request
 			out.Failed++
 		}
 	}
-	_ = server.WriteJSON(w, http.StatusOK, out)
+	return http.StatusOK, out
 }
 
 // batchReply decodes one shard's reply to a batch of the given size, or

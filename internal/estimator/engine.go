@@ -12,12 +12,11 @@ import (
 )
 
 // The evaluation engine: one engine serves one top-level estimation call
-// (point estimate plus variance replicates). It couples a plan cache —
-// compiled term plans keyed by (term, instance identity), so the point
-// estimate, the analytic variance pass, the split-sample replicates (whose
-// plans restrict the cached ones to their rows) and every jackknife
-// replicate that leaves a relation's instances untouched share one
-// compilation — with the resolved worker count for the call's parallel
+// (point estimate plus variance). It couples a plan cache — compiled term
+// plans keyed by (term, instance identity), so the point estimate, the
+// closed-form and jackknife variance passes and the split-sample
+// replicates (whose plans restrict the cached ones to their rows) share
+// one compilation — with the resolved worker count for the call's parallel
 // fan-outs.
 //
 // Every fan-out in this package follows the parallel package's determinism
@@ -28,10 +27,6 @@ import (
 type engine struct {
 	workers int
 	plans   *algebra.PlanCache
-	// cacheIf gates which terms the cache holds (nil = all). The jackknife
-	// fallback uses it to share full-sample plans across replicates without
-	// retaining one throwaway plan per deleted unit.
-	cacheIf func(t *algebra.Term) bool
 	// split holds a split-sample replicate's plans, derived from the full
 	// sample's (algebra.PreparedTerm.Split); plan takes a term's plan from
 	// it before compiling.
@@ -93,22 +88,14 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// subEngine is the serial engine replicate re-estimations run under (the
-// replicates themselves are already fanned out); plans may be nil for
-// throwaway evaluation. Sub-engines do not record: replicate-internal
-// term spans and counters would swamp the top-level signal, and the
-// replicate fan-out itself is already timed by the caller's recorder.
-func subEngine(plans *algebra.PlanCache, cacheIf func(t *algebra.Term) bool) *engine {
-	return &engine{workers: 1, plans: plans, cacheIf: cacheIf, rec: obs.Nop}
-}
-
-// prepare returns the (cached, when eligible) compiled plan for the term
-// over the instances.
-func (eng *engine) prepare(t *algebra.Term, inst algebra.Instances) (*algebra.PreparedTerm, error) {
-	if eng.plans != nil && (eng.cacheIf == nil || eng.cacheIf(t)) {
-		return eng.plans.Prepare(t, inst)
-	}
-	return algebra.Prepare(t, inst)
+// subEngine is the serial engine a split-sample replicate's re-estimation
+// runs under (the replicates themselves are already fanned out). split must
+// hold a plan for every term the replicate evaluates: a sub-engine has no
+// plan cache. Sub-engines do not record: replicate-internal term spans and
+// counters would swamp the top-level signal, and the replicate fan-out
+// itself is already timed by the caller's recorder.
+func subEngine(split map[*algebra.Term]*algebra.PreparedTerm) *engine {
+	return &engine{workers: 1, split: split, rec: obs.Nop}
 }
 
 // plan binds the term's occurrences to the synopsis's sample relations and
@@ -121,7 +108,7 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 	if err != nil {
 		return nil, nil, err
 	}
-	pt, err := eng.prepare(t, inst)
+	pt, err := eng.plans.Prepare(t, inst)
 	return inst, pt, err
 }
 
@@ -368,16 +355,6 @@ func sumContrib(pos int) termContrib { return termContrib{col: pos} }
 // constant reports whether c(A) = 1 for every assignment.
 func (c termContrib) constant() bool { return c.col < 0 }
 
-// outOcc returns the occurrence index the contribution reads from, or -1
-// when it is constant across occurrences (COUNT). Used to decide whether a
-// folded (non-enumerated) occurrence affects the value.
-func (c termContrib) outOcc(t *algebra.Term) int {
-	if c.col < 0 || c.col >= len(t.Out) {
-		return -1 // out of range is rejected by bind before variance runs
-	}
-	return t.Out[c.col].Occ
-}
-
 // bind resolves the contribution against one term: the output column maps
 // to an occurrence column through the term's Out mapping. The returned
 // function must not retain rows.
@@ -410,11 +387,10 @@ func splitWorkers(numTerms, workers int) (outer, inner int) {
 // ---------------------------------------------------------------------------
 // Single-pass jackknife.
 //
-// The naive delete-one jackknife re-evaluates the whole polynomial once per
-// sampling unit: O(Σ_R m_R × enum). When every term's weights are the
-// uniform per-relation factors (tuple or page design — the only designs the
-// jackknife supports) one enumeration pass suffices. Write the full-sample
-// estimate of term T as
+// Re-evaluating the whole polynomial once per deleted sampling unit costs
+// O(Σ_R m_R × enum). The jackknife supports only the uniform per-relation
+// factors (tuple or page design), and under them one pass per term
+// suffices. Write the full-sample estimate of term T as
 //
 //	Ŝ_T = Σ_A c(A)·w(A),   w(A) = ∏_{R∈T} f_R(d_R(A)),
 //
@@ -438,103 +414,19 @@ func splitWorkers(numTerms, workers int) (outer, inner int) {
 //   - a COUNT term whose relations each occur once has one weight w and
 //     one deletion weight w′_R for every assignment, so Ŝ = w·T,
 //     S′_{T,R} = w′_R·T and a_{T,R,u} = w′_R·α_u, where T is the number of
-//     assignments and α_u the number that use unit u's rows at R. When the
-//     plan factorizes, both come from the term's moment pass
-//     (algebra.PreparedTerm.Marginals), which counts an equi-join per
-//     bucket in O(Σ n) probes instead of visiting its assignments;
-//   - fully folded terms — bare |R| or |R×S| terms whose plan enumerates
-//     nothing and counts by multiplying instance sizes — get their S′ and
-//     per-unit totals in closed form (every unit of R appears in
-//     (rows-in-unit)·∏_{other} n assignments, all with the same weight),
-//     so set-operation polynomials stay on the single-pass path;
-//   - SUM terms and terms with repeated relations, whose contribution or
-//     pattern weight varies by assignment, enumerate, as do COUNT terms
-//     whose plan does not factorize (their enumeration fans out across the
-//     plan's parts).
-//
-// Partially folded terms (an unconstrained cross-product tail behind
-// constrained occurrences) fall back to naive replication: for those,
-// enumeration would visit the product space the counting shortcut exists
-// to avoid.
+//     assignments and α_u the number that use unit u's rows at R. Both
+//     come from the term's moment pass (algebra.PreparedTerm.Marginals),
+//     which counts an equi-join per bucket in O(Σ n) probes, enumerates
+//     only a plan's enumerated prefix, and fills folded occurrences in
+//     closed form — so no COUNT walks a folded tail's cross product;
+//   - every other term (SUM, repeated relations), whose contribution or
+//     pattern weight varies by assignment, enumerates its assignments once,
+//     fanned across the plan's parts — the pass its point estimate
+//     (sumTerm) already makes.
 // ---------------------------------------------------------------------------
 
-// singlePassEligible reports whether every term of the polynomial admits
-// the single-pass jackknife over the synopsis with the given contribution.
-func singlePassEligible(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (bool, error) {
-	for i := range poly.Terms {
-		t := &poly.Terms[i]
-		metas, err := termRelMetas(t, syn)
-		if err != nil {
-			return false, err
-		}
-		for _, m := range metas {
-			if !m.rs.uniformWeights() {
-				return false, nil // stratified: rejected upstream, defensive
-			}
-			if len(m.occs) > 1 && !m.rs.tupleDesign() {
-				return false, nil // pattern weights need tuple SRSWOR
-			}
-		}
-		_, pt, err := eng.plan(t, syn)
-		if err != nil {
-			return false, err
-		}
-		if !pt.FoldedTail() {
-			continue
-		}
-		// Folded tails: only the fully folded single-occurrence COUNT shape
-		// has a closed form; anything else re-evaluates naively.
-		if !pt.TailOnly() || contrib.outOcc(t) >= 0 {
-			return false, nil
-		}
-		for _, m := range metas {
-			if len(m.occs) > 1 {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
-// foldedTermAcc fills one fully folded term's accumulators in closed form:
-// every assignment has weight w = ∏ f_j and contribution 1, there are
-// ∏ |cand_j| of them (cand_j the occurrence's candidate rows, i.e. sample
-// rows passing its local predicates), and unit u of relation R participates
-// in (candidate rows of u) · ∏_{j≠R} |cand_j| of them.
-func foldedTermAcc(pt *algebra.PreparedTerm, metas []relTermMeta) *jackTermAcc {
-	acc := newJackTermAcc(metas)
-	cands := make([][]int, len(metas))
-	w := 1.0
-	for j, m := range metas {
-		cands[j] = pt.Candidates(m.occs[0])
-		w *= m.rs.scale()
-	}
-	prod := 1.0
-	for j := range metas {
-		prod *= float64(len(cands[j]))
-	}
-	acc.s = prod * w
-	for j, m := range metas {
-		fDel := float64(m.rs.M) / float64(m.rs.m-1)
-		wp := w / m.rs.scale() * fDel
-		others := 1.0
-		for k := range metas {
-			if k != j {
-				others *= float64(len(cands[k]))
-			}
-		}
-		acc.rels[j].sPrime = float64(len(cands[j])) * others * wp
-		ru := m.rs.rowUnits()
-		for _, row := range cands[j] {
-			acc.rels[j].perUnit[ru[row]] += others * wp
-		}
-	}
-	return acc
-}
-
 // countTermAcc fills a COUNT term's accumulators from its moment pass when
-// the plan factorizes and every relation occurs once under a uniform
-// design: every assignment has
+// every relation occurs once under a uniform design: every assignment has
 // weight w = ∏ f_R and, with one unit of R deleted, w′_R, so Ŝ = w·T,
 // S′_R = w′_R·T and unit u's total is Σ_{row ∈ u} w′_R·α_row, α_row the
 // row's marginal at R's occurrence — one product per row where enumeration
@@ -590,8 +482,9 @@ func (acc *jackTermAcc) merge(other *jackTermAcc) {
 }
 
 // jackknifeSinglePass computes the delete-one jackknife variance in one
-// enumeration pass per term (see the derivation above). The per-relation
-// sample-size preconditions have already been checked by the caller.
+// moment or enumeration pass per term (see the derivation above). The
+// per-relation design and sample-size preconditions have already been
+// checked by the caller.
 func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	rels := poly.RelationNames()
 	relIdx := make(map[string]int, len(rels))
@@ -617,11 +510,7 @@ func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, co
 		if err != nil {
 			return err
 		}
-		if pt.TailOnly() {
-			accs[ti] = foldedTermAcc(pt, metas)
-			return nil
-		}
-		if contrib.constant() && constWeight(metas) && pt.Factorizes() {
+		if contrib.constant() && constWeight(metas) {
 			accs[ti] = countTermAcc(eng.marginals(pt), metas)
 			return nil
 		}

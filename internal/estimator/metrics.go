@@ -49,8 +49,7 @@ var (
 	mVarMethodJackknife = obs.L(mVarianceMethod, "method", "jackknife")
 	mVarMethodSketch    = obs.L(mVarianceMethod, "method", "sketch")
 
-	mRepSplit     = obs.L(mReplicatesTotal, "method", "split-sample")
-	mRepJackknife = obs.L(mReplicatesTotal, "method", "jackknife")
+	mRepSplit = obs.L(mReplicatesTotal, "method", "split-sample")
 
 	mMarginalsFactorized = obs.L(mMarginals, "path", "factorized")
 	mMarginalsEnumerated = obs.L(mMarginals, "path", "enumerated")

@@ -64,9 +64,9 @@ func enumTwoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (f
 	return ej2 - j2, nil
 }
 
-// enumJackknifeSinglePass is jackknifeSinglePass as it was before the
-// moment pass: every term that is not fully folded enumerates, adding each
-// assignment's weights to the accumulators. The moment-pass form rounds
+// enumJackknifeSinglePass is jackknifeSinglePass without the moment pass:
+// every term enumerates, adding each assignment's weights to the
+// accumulators. The moment-pass form rounds
 // w′·α once per row where this adds w′ α times, so the two agree to a few
 // ulps.
 func enumJackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
@@ -88,10 +88,6 @@ func enumJackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine
 		inst, pt, err := eng.plan(t, syn)
 		if err != nil {
 			return err
-		}
-		if pt.TailOnly() {
-			accs[ti] = foldedTermAcc(pt, metas)
-			return nil
 		}
 		value, err := contrib.bind(t, inst)
 		if err != nil {
@@ -280,11 +276,7 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 						t.Errorf("%s: closed form %v (%016x), enumerated %v (%016x)", label, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
-				eng := newEngine(nil, Options{Workers: workers})
-				if ok, err := singlePassEligible(poly, syn, eng, countContrib); err != nil || !ok {
-					t.Fatalf("%s: single-pass eligible %v, %v", label, ok, err)
-				}
-				got, err := jackknifeSinglePass(poly, syn, eng, countContrib)
+				got, err := jackknifeSinglePass(poly, syn, newEngine(nil, Options{Workers: workers}), countContrib)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -307,8 +299,8 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 // counted again — and the recorder leaves every bit of the estimate
 // unchanged. A θ-join, whose residual predicate the pass cannot factorize,
 // counts on the enumerated path under the closed form; a three-way chain
-// counts by enumeration and its jackknife enumerates across parts, so
-// neither uses the pass.
+// counts by enumeration, and its jackknife reads an enumerated moment
+// pass.
 func TestMarginalsCounter(t *testing.T) {
 	syn := momentsFixture(t, "tuple")
 	base := func(name string, cols ...string) *algebra.Expr { return algebra.Base(name, intSchema(cols...)) }
@@ -327,7 +319,7 @@ func TestMarginalsCounter(t *testing.T) {
 		{join, VarNone, 1, 0},
 		{join, VarSplitSample, 1, 0},
 		{theta, VarAnalytic, 0, 1},
-		{chain, VarJackknife, 0, 0},
+		{chain, VarJackknife, 0, 1},
 	} {
 		opts := Options{Variance: c.variance, Seed: 3}
 		plain, err := countOf(c.e, syn, opts)

@@ -97,104 +97,164 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	}
 }
 
-// jackknifeBothWays computes the jackknife variance through the single-pass
-// derivation and through naive delete-one re-estimation, asserting
-// eligibility for the former.
-func jackknifeBothWays(t *testing.T, poly algebra.Polynomial, syn *Synopsis) (single, naive float64) {
+// jackknifeBothWays computes the jackknife variance through the single
+// pass and through naive delete-one re-estimation (jackknifeNaive), both at
+// the given worker count.
+func jackknifeBothWays(t *testing.T, poly algebra.Polynomial, syn *Synopsis, workers int, contrib termContrib) (single, naive float64) {
 	t.Helper()
-	eng := newEngine(nil, Options{Workers: 1})
-	ok, err := singlePassEligible(poly, syn, eng, countContrib)
+	eng := newEngine(nil, Options{Workers: workers})
+	single, err := jackknifeSinglePass(poly, syn, eng, contrib)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ok {
-		t.Fatal("expected the polynomial to be single-pass eligible")
-	}
-	single, err = jackknifeSinglePass(poly, syn, eng, countContrib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive, err = jackknifeNaive(poly, syn, eng, countContrib)
+	naive, err = jackknifeNaive(poly, syn, eng, contrib)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return single, naive
 }
 
-// TestSinglePassJackknifeMatchesNaive verifies the single-pass derivation
-// against brute-force delete-one replication on joins, multi-term set
-// operations, a repeated-relation (self-intersect) polynomial, and a
-// page-design sample.
-func TestSinglePassJackknifeMatchesNaive(t *testing.T) {
-	t.Run("join", func(t *testing.T) {
-		expr, syn := drawnJoinSynopsis(t, 200, 150, 25, 3)
-		poly, err := algebra.Normalize(expr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, naive := jackknifeBothWays(t, poly, syn)
-		if !almostEqual(single, naive, 1e-9) {
-			t.Errorf("join: single-pass %v != naive %v", single, naive)
-		}
-	})
-	t.Run("union", func(t *testing.T) {
-		r := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}})
-		s := intRelation("S", []string{"a"}, [][]int64{{5}, {6}, {7}, {8}, {9}})
-		syn := synopsisFor(t, []*relation.Relation{r, s}, [][]int{{0, 1, 3, 4, 6}, {0, 2, 3}})
-		u := algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))
-		poly, err := algebra.Normalize(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, naive := jackknifeBothWays(t, poly, syn)
-		if !almostEqual(single, naive, 1e-9) {
-			t.Errorf("union: single-pass %v != naive %v", single, naive)
-		}
-	})
-	t.Run("self-intersect", func(t *testing.T) {
-		// Repeated relation: R appears twice in one term; the reweighting
-		// uses falling-factorial ratios at n−1.
-		r := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}})
-		syn := synopsisFor(t, []*relation.Relation{r}, [][]int{{0, 2, 3, 5, 7}})
-		e := algebra.Must(algebra.Intersect(algebra.BaseOf(r), algebra.BaseOf(r)))
-		poly, err := algebra.Normalize(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		single, naive := jackknifeBothWays(t, poly, syn)
-		if !almostEqual(single, naive, 1e-9) {
-			t.Errorf("self-intersect: single-pass %v != naive %v", single, naive)
-		}
-	})
-	t.Run("page-design", func(t *testing.T) {
-		rng := rand.New(rand.NewSource(17))
-		rows := make([][]int64, 120)
+// foldFixture samples R(a, b) under the named design and R2(a, c),
+// T(c, d) and S(e, f) tuple at a time. S's sample is the largest, so the
+// greedy plan order binds it last and a term that crosses it with
+// anything constrained folds it into a tail. R has 203 rows, so under the
+// page design its 5-row pages end in a short one, which the sample
+// includes.
+func foldFixture(t *testing.T, design string) *Synopsis {
+	t.Helper()
+	rng := testRand(77)
+	rel := func(name string, cols []string, n, domA, domB int) *relation.Relation {
+		rows := make([][]int64, n)
 		for i := range rows {
-			rows[i] = []int64{int64(rng.Intn(12)), int64(i)}
+			rows[i] = []int64{int64(rng.Intn(domA)), int64(rng.Intn(domB))}
 		}
-		r := intRelation("R", []string{"a", "b"}, rows)
-		sRows := make([][]int64, 90)
-		for i := range sRows {
-			sRows[i] = []int64{int64(rng.Intn(12)), int64(i)}
-		}
-		s := intRelation("S", []string{"a", "c"}, sRows)
-		syn := NewSynopsis()
-		if err := syn.AddDrawnPages(r, 6, 5, rng); err != nil {
+		return intRelation(name, cols, rows)
+	}
+	r := rel("R", []string{"a", "b"}, 203, 8, 100)
+	var syn *Synopsis
+	if design == "page" {
+		syn = pageSynopsisFor(t, r, 5, []int{3, 17, 40, 8, 25, 31, 12})
+	} else {
+		syn = NewSynopsis()
+		if err := syn.AddDrawn(r, 30, rng); err != nil {
 			t.Fatal(err)
 		}
-		if err := syn.AddDrawn(s, 20, rng); err != nil {
+	}
+	for _, o := range []struct {
+		r *relation.Relation
+		n int
+	}{
+		{rel("R2", []string{"a", "c"}, 120, 8, 12), 20},
+		{rel("T", []string{"c", "d"}, 100, 12, 50), 25},
+		{rel("S", []string{"e", "f"}, 150, 40, 40), 45},
+	} {
+		if err := syn.AddDrawn(o.r, o.n, rng); err != nil {
 			t.Fatal(err)
 		}
-		e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-		poly, err := algebra.Normalize(e)
-		if err != nil {
-			t.Fatal(err)
+	}
+	return syn
+}
+
+// TestSinglePassJackknifeMatchesNaive verifies the single pass against
+// brute-force delete-one replication (1e-9 relative) at workers 1 and 4,
+// and that the single pass gives the same bits at both worker counts. The
+// shapes cover joins, multi-term set operations, repeated relations and
+// the page design, plus every folded shape: a fully folded SUM, a partial
+// fold behind a factorizable prefix as COUNT and as SUM with the
+// contribution on a prefix or on the folded occurrence, a fold behind a
+// chain that does not factorize, and a fold behind a self-join.
+func TestSinglePassJackknifeMatchesNaive(t *testing.T) {
+	type jackCase struct {
+		name string
+		syn  *Synopsis
+		e    *algebra.Expr
+		col  string // SUM column; "" for COUNT
+	}
+	var cases []jackCase
+
+	expr, syn := drawnJoinSynopsis(t, 200, 150, 25, 3)
+	cases = append(cases, jackCase{name: "join", syn: syn, e: expr})
+
+	r := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}})
+	s := intRelation("S", []string{"a"}, [][]int64{{5}, {6}, {7}, {8}, {9}})
+	cases = append(cases, jackCase{name: "union",
+		syn: synopsisFor(t, []*relation.Relation{r, s}, [][]int{{0, 1, 3, 4, 6}, {0, 2, 3}}),
+		e:   algebra.Must(algebra.Union(algebra.BaseOf(r), algebra.BaseOf(s)))})
+
+	// Repeated relation: R appears twice in one term; the reweighting uses
+	// falling-factorial ratios at n−1.
+	r8 := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}, {8}})
+	cases = append(cases, jackCase{name: "self-intersect",
+		syn: synopsisFor(t, []*relation.Relation{r8}, [][]int{{0, 2, 3, 5, 7}}),
+		e:   algebra.Must(algebra.Intersect(algebra.BaseOf(r8), algebra.BaseOf(r8)))})
+
+	rng := rand.New(rand.NewSource(17))
+	rows := make([][]int64, 120)
+	for i := range rows {
+		rows[i] = []int64{int64(rng.Intn(12)), int64(i)}
+	}
+	pr := intRelation("R", []string{"a", "b"}, rows)
+	sRows := make([][]int64, 90)
+	for i := range sRows {
+		sRows[i] = []int64{int64(rng.Intn(12)), int64(i)}
+	}
+	ps := intRelation("S", []string{"a", "c"}, sRows)
+	psyn := NewSynopsis()
+	if err := psyn.AddDrawnPages(pr, 6, 5, rng); err != nil {
+		t.Fatal(err)
+	}
+	if err := psyn.AddDrawn(ps, 20, rng); err != nil {
+		t.Fatal(err)
+	}
+	cases = append(cases, jackCase{name: "page-design", syn: psyn,
+		e: algebra.Must(algebra.Join(algebra.BaseOf(pr), algebra.BaseOf(ps), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))})
+
+	base := func(name string, cols ...string) *algebra.Expr { return algebra.Base(name, intSchema(cols...)) }
+	fr, fr2, ft, fs := base("R", "a", "b"), base("R2", "a", "c"), base("T", "c", "d"), base("S", "e", "f")
+	onA := []algebra.On{{Left: "a", Right: "a"}}
+	pair := algebra.Must(algebra.Join(fr, fr2, onA, nil, "R2"))
+	chain := algebra.Must(algebra.Join(pair, ft, []algebra.On{{Left: "c", Right: "c"}}, nil, "T"))
+	self := algebra.Must(algebra.Join(fr, fr, onA, nil, "X"))
+	cross := func(e *algebra.Expr) *algebra.Expr { return algebra.Must(algebra.Product(e, fs, "S")) }
+	for _, design := range []string{"tuple", "page"} {
+		fsyn := foldFixture(t, design)
+		add := func(name string, e *algebra.Expr, col string) {
+			cases = append(cases, jackCase{name: design + "/" + name, syn: fsyn, e: e, col: col})
 		}
-		single, naive := jackknifeBothWays(t, poly, syn)
-		if !almostEqual(single, naive, 1e-9) {
-			t.Errorf("page-design: single-pass %v != naive %v", single, naive)
+		add("select-sum", algebra.Must(algebra.Select(fr, algebra.Cmp{Col: "b", Op: algebra.LT, Val: relation.Int(60)})), "b")
+		add("pair-x-S-count", cross(pair), "")
+		add("pair-x-S-sum-prefix", cross(pair), "b")
+		add("pair-x-S-sum-folded", cross(pair), "f")
+		add("chain-x-S-count", cross(chain), "")
+		if design == "tuple" { // repeated relations need the tuple design
+			add("selfjoin-x-S-count", cross(self), "")
 		}
-	})
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			poly, err := algebra.Normalize(c.e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			contrib := countContrib
+			if c.col != "" {
+				contrib = sumContrib(c.e.Schema().ColumnIndex(c.col))
+			}
+			var first float64
+			for i, workers := range []int{1, 4} {
+				single, naive := jackknifeBothWays(t, poly, c.syn, workers, contrib)
+				if !almostEqual(single, naive, 1e-9) {
+					t.Errorf("workers=%d: single pass %v != naive %v", workers, single, naive)
+				}
+				if i == 0 {
+					first = single
+				} else if !sameBits(single, first) {
+					t.Errorf("workers=%d: single pass %v, workers=1 %v", workers, single, first)
+				}
+			}
+		})
+	}
 }
 
 // TestSinglePassJackknifeSum verifies the SUM variant: the per-assignment
@@ -223,10 +283,12 @@ func TestSinglePassJackknifeSum(t *testing.T) {
 	}
 }
 
-// TestSinglePassFoldedTerms checks the two folded-tail regimes: fully
-// folded terms (pure products) take the closed form and match naive
-// replication exactly, while partially folded terms (a constrained prefix
-// with an unconstrained cross-product tail) are routed to the naive path.
+// TestSinglePassFoldedTerms checks the folded-tail regimes against naive
+// replication: fully folded terms (pure products, whose moment pass is a
+// closed form over candidate counts) and a partially folded term (a
+// constrained prefix with an unconstrained cross-product tail, whose moment
+// pass enumerates the prefix only) — and that the public path reports the
+// jackknife for the latter.
 func TestSinglePassFoldedTerms(t *testing.T) {
 	r := intRelation("R", []string{"a"}, [][]int64{{1}, {2}, {3}, {4}})
 	s := intRelation("S", []string{"b"}, [][]int64{{1}, {2}, {3}})
@@ -236,9 +298,9 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, naive := jackknifeBothWays(t, poly, syn)
+	single, naive := jackknifeBothWays(t, poly, syn, 1, countContrib)
 	if !almostEqual(single, naive, 1e-9) {
-		t.Errorf("product: closed form %v != naive %v", single, naive)
+		t.Errorf("product: single pass %v != naive %v", single, naive)
 	}
 
 	// σ(R) × S also folds fully — local predicates are pre-applied to the
@@ -250,14 +312,13 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, naive = jackknifeBothWays(t, spoly, syn)
+	single, naive = jackknifeBothWays(t, spoly, syn, 1, countContrib)
 	if !almostEqual(single, naive, 1e-9) {
-		t.Errorf("selected product: closed form %v != naive %v", single, naive)
+		t.Errorf("selected product: single pass %v != naive %v", single, naive)
 	}
 
 	// (R ⋈ R2) × S with a large S: the greedy order binds the joined pair
-	// first and S (the biggest candidate list) folds behind it — a partial
-	// fold with no closed form.
+	// first and S (the biggest candidate list) folds behind it.
 	r2 := intRelation("R2", []string{"a"}, [][]int64{{2}, {3}, {4}, {5}})
 	bigS := intRelation("S", []string{"b"}, [][]int64{{1}, {2}, {3}, {4}, {5}, {6}, {7}})
 	syn2 := synopsisFor(t, []*relation.Relation{r, r2, bigS}, [][]int{{0, 1, 2}, {0, 1, 3}, {0, 2, 3, 5, 6}})
@@ -268,21 +329,16 @@ func TestSinglePassFoldedTerms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := newEngine(nil, Options{Workers: 1})
-	ok, err := singlePassEligible(ppoly, syn2, eng, countContrib)
-	if err != nil {
-		t.Fatal(err)
+	single, naive = jackknifeBothWays(t, ppoly, syn2, 1, countContrib)
+	if !almostEqual(single, naive, 1e-9) {
+		t.Errorf("partial fold: single pass %v != naive %v", single, naive)
 	}
-	if ok {
-		t.Error("partially folded term should not be single-pass eligible")
-	}
-	// The public path must still produce a jackknife variance via fallback.
 	est, err := countOf(partial, syn2, Options{Variance: VarJackknife})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.VarianceMethod != VarJackknife {
-		t.Errorf("method %v", est.VarianceMethod)
+	if est.VarianceMethod != VarJackknife || !sameBits(est.Variance, single) {
+		t.Errorf("public path: %v variance %v, single pass %v", est.VarianceMethod, est.Variance, single)
 	}
 }
 

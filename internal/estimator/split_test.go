@@ -51,7 +51,7 @@ func splitUnitsRef(rs *relSynopsis, rng *rand.Rand, g int) [][]int {
 
 // splitSampleVarianceRef is the former replicate path: every replicate is
 // a sub-synopsis of its groups' units (subSynopsisUnits) estimated by a
-// throwaway, uncached pointEstimate that compiles its own plans.
+// serial pointEstimate that compiles its own plans.
 func splitSampleVarianceRef(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, contrib termContrib) (float64, error) {
 	need := max(poly.MaxOccurrences(), 1)
 	g := opts.Groups
@@ -84,7 +84,7 @@ func splitSampleVarianceRef(poly algebra.Polynomial, syn *Synopsis, opts Options
 		for _, rel := range poly.RelationNames() {
 			unitSel[rel] = groupsByRel[rel][i]
 		}
-		v, err := pointEstimate(poly, syn.subSynopsisUnits(unitSel), subEngine(nil, nil), contrib)
+		v, err := pointEstimate(poly, syn.subSynopsisUnits(unitSel), newEngine(nil, Options{Workers: 1}), contrib)
 		if err != nil {
 			return 0, err
 		}

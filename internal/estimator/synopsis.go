@@ -476,69 +476,6 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 	return nil
 }
 
-// subSynopsisUnits builds a synopsis whose sample for each selected
-// relation keeps only the sampling units at the given unit indices, in the
-// given order. Relations not in the map keep their full samples. Used by
-// the replication variance estimators, which must resample whole units to
-// respect the design.
-func (s *Synopsis) subSynopsisUnits(unitSel map[string][]int) *Synopsis {
-	out := NewSynopsis()
-	for name, rs := range s.rels {
-		sel, ok := unitSel[name]
-		if !ok {
-			out.rels[name] = rs
-			continue
-		}
-		// Each kept unit's rows are appended in bulk; a page design's kept
-		// units get a fresh layout over them.
-		var positions []int
-		var unitStart []int32
-		if rs.unitStart != nil {
-			unitStart = make([]int32, 1, len(sel)+1)
-		}
-		for _, u := range sel {
-			lo, hi := rs.unitRows(u)
-			for row := lo; row < hi; row++ {
-				positions = append(positions, row)
-			}
-			if unitStart != nil {
-				unitStart = append(unitStart, int32(len(positions)))
-			}
-		}
-		sub := &relSynopsis{
-			name: name,
-			//lint:ignore viewescape replicate sub-synopses alias the parent sample on purpose: they are read-only throwaways that die with the variance pass
-			sample:    rs.sample.Subset(name, positions),
-			n:         len(positions),
-			N:         rs.N,
-			M:         rs.M,
-			m:         len(sel),
-			unitStart: unitStart,
-			pageSize:  rs.pageSize,
-		}
-		// A subset of a stratified sample is again stratified: keep each
-		// stratum's population size with its surviving units.
-		var newUnitOf map[int]int // original unit index → new unit index
-		if rs.stratified() {
-			newUnitOf = make(map[int]int, len(sel))
-			for newU, u := range sel {
-				newUnitOf[u] = newU
-			}
-		}
-		for _, st := range rs.strata {
-			sub2 := stratumInfo{Nh: st.Nh}
-			for _, u := range st.units {
-				if nu, kept := newUnitOf[u]; kept {
-					sub2.units = append(sub2.units, nu)
-				}
-			}
-			sub.strata = append(sub.strata, sub2)
-		}
-		out.rels[name] = sub
-	}
-	return out
-}
-
 // split partitions the relation's sampling units into g random groups for
 // split-sample replication (sampling.SplitLabels: plain groups for the
 // tuple and page designs, per-stratum groups for stratified samples, so
@@ -590,17 +527,4 @@ func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
 		out[l] = &reps[l]
 	}
 	return rowLabel, out
-}
-
-// withoutUnit builds a synopsis in which one relation's sample has one
-// sampling unit removed (delete-one jackknife replicate).
-func (s *Synopsis) withoutUnit(name string, unit int) *Synopsis {
-	rs := s.rels[name]
-	keep := make([]int, 0, rs.m-1)
-	for i := 0; i < rs.m; i++ {
-		if i != unit {
-			keep = append(keep, i)
-		}
-	}
-	return s.subSynopsisUnits(map[string][]int{name: keep})
 }

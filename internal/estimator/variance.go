@@ -351,9 +351,7 @@ func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, s
 		}
 		rs := eng.span.Child(sReplicate)
 		defer rs.End()
-		sub := subEngine(nil, nil)
-		sub.split = plans[i]
-		v, err := pointEstimate(poly, syns[i], sub, contrib)
+		v, err := pointEstimate(poly, syns[i], subEngine(plans[i]), contrib)
 		vals[i] = v
 		return err
 	})
@@ -368,17 +366,15 @@ func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, s
 }
 
 // jackknifeVariance estimates variance with delete-one replicates: for
-// each relation R and each sampling unit u (tuple or page), the point
-// estimate is recomputed without that unit; the per-relation jackknife
+// each relation R and each sampling unit u (tuple or page), θ₍ᵤ₎ is the
+// point estimate over the sample without that unit; the per-relation jackknife
 // variances (m−1)/m·Σ(θ₍ᵤ₎−θ̄)², each scaled by the finite-population
 // correction (1−m/M), add up across relations (the samples are
 // independent).
 //
-// When every term admits it, the replicates are derived from a single
-// enumeration pass per term (see jackknifeSinglePass): O(enum + Σ m_R)
-// instead of the naive Σ m_R full re-evaluations. Terms with folded
-// cross-product tails fall back to the naive path, which fans replicates
-// across workers and shares full-sample plans between them.
+// The replicates are derived from a single moment or enumeration pass per
+// term (see jackknifeSinglePass): O(pass + Σ m_R) instead of Σ m_R full
+// re-evaluations.
 func jackknifeVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	need := poly.MaxOccurrences()
 	for _, rel := range poly.RelationNames() {
@@ -393,69 +389,7 @@ func jackknifeVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, cont
 			return 0, fmt.Errorf("estimator: sample of %q too small for jackknife (m=%d units, need %d rows after deletion)", rel, rs.m, need)
 		}
 	}
-	ok, err := singlePassEligible(poly, syn, eng, contrib)
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		return jackknifeSinglePass(poly, syn, eng, contrib)
-	}
-	return jackknifeNaive(poly, syn, eng, contrib)
-}
-
-// jackknifeNaive runs the delete-one replicates by full re-estimation,
-// fanned across the engine's workers. Deleting a unit of relation R swaps
-// only R's instance, so every term not mentioning R evaluates over exactly
-// the full-sample instances; those plans are shared across all m replicates
-// through a per-relation cache, while plans touching R stay uncached (each
-// replicate's is used once).
-func jackknifeNaive(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
-	total := 0.0
-	for _, rel := range poly.RelationNames() {
-		rs := syn.rels[rel]
-		m := rs.m
-		del := rel
-		relCache := algebra.NewPlanCacheRec(eng.rec)
-		cacheIf := func(t *algebra.Term) bool { return !termUsesRel(t, del) }
-		// One counter bump per replicate, but no per-replicate spans: a
-		// jackknife runs one replicate per sampling unit, and thousands of
-		// spans would drown the trace (the pool task histogram already
-		// carries replicate latency).
-		eng.rec.Add(mRepJackknife, float64(m))
-		vals := make([]float64, m)
-		err := parallel.ForErrRec(m, eng.workers, eng.rec, func(u int) error {
-			if err := eng.cancelled(); err != nil {
-				return err
-			}
-			sub := syn.withoutUnit(del, u)
-			v, err := pointEstimate(poly, sub, subEngine(relCache, cacheIf), contrib)
-			vals[u] = v
-			return err
-		})
-		if err != nil {
-			return 0, err
-		}
-		var reps stats.Welford
-		for _, v := range vals {
-			reps.Add(v)
-		}
-		// (m−1)/m · Σ(θ₍ᵤ₎−θ̄)², with Σ(θ−θ̄)² = (m−1)·s² from Welford.
-		sumSq := float64(reps.N()-1) * reps.Variance()
-		vr := float64(m-1) / float64(m) * sumSq
-		vr *= 1 - float64(m)/float64(rs.M)
-		total += vr
-	}
-	return total, nil
-}
-
-// termUsesRel reports whether the term references the relation.
-func termUsesRel(t *algebra.Term, rel string) bool {
-	for _, o := range t.Occs {
-		if o.RelName == rel {
-			return true
-		}
-	}
-	return false
+	return jackknifeSinglePass(poly, syn, eng, contrib)
 }
 
 // largestUnit returns the row count of the largest sampled unit (for the

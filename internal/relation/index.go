@@ -115,63 +115,108 @@ func BuildIndexRows(r *Relation, cols []int, rows []int) *Index {
 	return buildIndex(r, cols, len(rows), rows)
 }
 
-// buildIndex indexes n rows of r: rows[i] when rows is non-nil, else i.
+// buildIndex indexes n rows of r: rows[i] when rows is non-nil, else i. A
+// build is a grow from zero buckets.
 func buildIndex(r *Relation, cols []int, n int, rows []int) *Index {
-	size := 1
-	for size < 2*n {
+	empty := &Index{cols: append([]int(nil), cols...)}
+	return empty.add(r, n, rows, 0)
+}
+
+// add returns the index over r on ix's key columns that holds ix's buckets
+// and rows followed by n more rows: rows[i] when rows is non-nil, else
+// first+i. Buckets keep their ids and new keys follow in first-seen order.
+// The slot table is sized for all the rows, never smaller than ix's: it is
+// copied when the size holds, and otherwise re-slotted from the stored
+// bucket hashes in id order, which is the order a build inserts them in.
+// Every bucket lists ix's rows first, then its new rows in order (layout).
+// ix itself is not modified.
+func (ix *Index) add(r *Relation, n int, rows []int, first int) *Index {
+	size := max(len(ix.slots), 1)
+	for size < 2*(len(ix.rows)+n) {
 		size <<= 1
 	}
-	ix := &Index{
-		rel:   r,
-		cols:  append([]int(nil), cols...),
-		shift: uint(64 - bits.TrailingZeros(uint(size))),
-		slots: make([]int32, size),
-		parts: 1,
+	g := &Index{
+		rel:    r,
+		cols:   ix.cols,
+		shift:  uint(64 - bits.TrailingZeros(uint(size))),
+		groups: slices.Clip(ix.groups),
+		parts:  1,
 	}
-	mask := uint64(size - 1)
-	// Pass 1: assign every row its bucket.
-	groupOf := make([]int32, n)
-	for i := 0; i < n; i++ {
-		row := i
-		if rows != nil {
-			row = rows[i]
-		}
-		h := ix.rowHash(row)
-		for s := h >> ix.shift; ; s = (s + 1) & mask {
-			g := ix.slots[s] - 1
-			if g < 0 {
-				g = int32(len(ix.groups))
-				ix.slots[s] = g + 1
-				ix.groups = append(ix.groups, bucket{hash: h, head: row})
-			} else if b := &ix.groups[g]; b.hash != h || !ix.rowsEqual(b.head, row) {
-				continue
+	if size == len(ix.slots) {
+		g.slots = slices.Clone(ix.slots)
+	} else {
+		g.slots = make([]int32, size)
+		mask := uint64(size - 1)
+		for b := range g.groups {
+			s := g.groups[b].hash >> g.shift
+			for g.slots[s] != 0 {
+				s = (s + 1) & mask
 			}
-			groupOf[i] = g
-			break
+			g.slots[s] = int32(b) + 1
 		}
 	}
-	// Pass 2: count rows per bucket into bounds[g+1]; prefix sums make
-	// bounds[g] bucket g's start, which then serves as its fill cursor and
-	// ends at bucket g+1's start, so one shift restores the starts.
-	ix.bounds = make([]int32, len(ix.groups)+1)
-	for _, g := range groupOf {
-		ix.bounds[g+1]++
-	}
-	for g := 1; g < len(ix.bounds); g++ {
-		ix.bounds[g] += ix.bounds[g-1]
-	}
-	ix.rows = make([]int, n)
-	for i, g := range groupOf {
-		row := i
+	groupOf := make([]int32, n)
+	for i := range groupOf {
+		row := first + i
 		if rows != nil {
 			row = rows[i]
 		}
-		ix.rows[ix.bounds[g]] = row
-		ix.bounds[g]++
+		groupOf[i] = g.assign(row)
+	}
+	g.layout(ix, groupOf, rows, first)
+	return g
+}
+
+// assign returns row's bucket: the slot probe finds the bucket whose key
+// the row Equals, or appends a new bucket headed by the row.
+func (ix *Index) assign(row int) int32 {
+	h := ix.rowHash(row)
+	mask := uint64(len(ix.slots) - 1)
+	for s := h >> ix.shift; ; s = (s + 1) & mask {
+		b := ix.slots[s] - 1
+		if b < 0 {
+			b = int32(len(ix.groups))
+			ix.slots[s] = b + 1
+			ix.groups = append(ix.groups, bucket{hash: h, head: row})
+			return b
+		}
+		if bk := &ix.groups[b]; bk.hash == h && ix.rowsEqual(bk.head, row) {
+			return b
+		}
+	}
+}
+
+// layout fills ix's bounds and row vector by counting sort: prev's rows
+// per bucket (prev holds ix's first buckets), then the new rows in order,
+// new row i (rows[i], or first+i when rows is nil) in bucket groupOf[i].
+// Counts go into bounds[b+1] and prefix sums make bounds[b] bucket b's
+// start, which serves as its fill cursor and ends at bucket b+1's start,
+// so one shift restores the starts.
+func (ix *Index) layout(prev *Index, groupOf []int32, rows []int, first int) {
+	ix.bounds = make([]int32, len(ix.groups)+1)
+	for b := range prev.groups {
+		ix.bounds[b+1] = int32(prev.BucketLen(b))
+	}
+	for _, b := range groupOf {
+		ix.bounds[b+1]++
+	}
+	for b := 1; b < len(ix.bounds); b++ {
+		ix.bounds[b] += ix.bounds[b-1]
+	}
+	ix.rows = make([]int, len(prev.rows)+len(groupOf))
+	for b := range prev.groups {
+		ix.bounds[b] += int32(copy(ix.rows[ix.bounds[b]:], prev.BucketRows(b)))
+	}
+	for i, b := range groupOf {
+		row := first + i
+		if rows != nil {
+			row = rows[i]
+		}
+		ix.rows[ix.bounds[b]] = row
+		ix.bounds[b]++
 	}
 	copy(ix.bounds[1:], ix.bounds[:len(ix.groups)])
 	ix.bounds[0] = 0
-	return ix
 }
 
 // Split restricts the index to g groups of its rows: part l indexes the
@@ -301,78 +346,11 @@ func (ix *Index) Bytes() int {
 
 // grow returns the index of r on ix's key columns, where ix is a built
 // whole-relation index of a view whose rows are r's first rows (Extend).
-// Only the appended rows are hashed. The result is the index BuildIndex
-// would build over r: buckets keep their ids, and new keys follow in
-// first-seen order; the slot table is copied, or re-slotted from the
-// stored bucket hashes when r needs a larger one, inserting buckets in id
-// order as the build does; and every bucket's rows are laid out by one
-// prefix-sum pass, old rows first. ix itself is not modified.
+// Only the appended rows are hashed, and the result is the index
+// BuildIndex would build over r (add).
 func (ix *Index) grow(r *Relation) *Index {
-	old, n := ix.rel.Len(), r.Len()
-	size := len(ix.slots)
-	for size < 2*n {
-		size <<= 1
-	}
-	g := &Index{
-		rel:    r,
-		cols:   ix.cols,
-		shift:  uint(64 - bits.TrailingZeros(uint(size))),
-		groups: slices.Clip(ix.groups),
-		parts:  1,
-	}
-	mask := uint64(size - 1)
-	if size == len(ix.slots) {
-		g.slots = slices.Clone(ix.slots)
-	} else {
-		g.slots = make([]int32, size)
-		for b := range g.groups {
-			s := g.groups[b].hash >> g.shift
-			for g.slots[s] != 0 {
-				s = (s + 1) & mask
-			}
-			g.slots[s] = int32(b) + 1
-		}
-	}
-	groupOf := make([]int32, n-old)
-	for i := old; i < n; i++ {
-		h := g.rowHash(i)
-		for s := h >> g.shift; ; s = (s + 1) & mask {
-			b := g.slots[s] - 1
-			if b < 0 {
-				b = int32(len(g.groups))
-				g.slots[s] = b + 1
-				g.groups = append(g.groups, bucket{hash: h, head: i})
-			} else if bk := &g.groups[b]; bk.hash != h || !g.rowsEqual(bk.head, i) {
-				continue
-			}
-			groupOf[i-old] = b
-			break
-		}
-	}
-	// Counts per bucket (old rows plus new) into bounds[b+1], prefix sums,
-	// then the old rows are copied and the new ones dealt behind them with
-	// bounds[b] as the fill cursor, as in buildIndex.
-	g.bounds = make([]int32, len(g.groups)+1)
-	for b := range ix.groups {
-		g.bounds[b+1] = ix.bounds[b+1] - ix.bounds[b]
-	}
-	for _, b := range groupOf {
-		g.bounds[b+1]++
-	}
-	for b := 1; b < len(g.bounds); b++ {
-		g.bounds[b] += g.bounds[b-1]
-	}
-	g.rows = make([]int, n)
-	for b := range ix.groups {
-		g.bounds[b] += int32(copy(g.rows[g.bounds[b]:], ix.BucketRows(b)))
-	}
-	for i, b := range groupOf {
-		g.rows[g.bounds[b]] = old + i
-		g.bounds[b]++
-	}
-	copy(g.bounds[1:], g.bounds[:len(g.groups)])
-	g.bounds[0] = 0
-	return g
+	old := ix.rel.Len()
+	return ix.add(r, r.Len()-old, nil, old)
 }
 
 // indexMemo is a view's memo of whole-view indexes, one per key column
