@@ -3,6 +3,7 @@ package algebra
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -46,7 +47,7 @@ func marginalsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 			return false
 		}
 	}
-	return !pt.Pairs() || pairMomentsMatch(t, pt, want, what)
+	return !pt.Pairs() || pairMomentsMatch(t, pt, want, what) && weightedPairsMatch(t, pt, what)
 }
 
 // pairMomentsMatch reports whether the bucket tally of a plan with the
@@ -68,7 +69,11 @@ func pairMomentsMatch(t *testing.T, pt *PreparedTerm, ref Marginals, what string
 		}
 	}
 	for _, workers := range []int{1, 4} {
-		pm := pt.PairMoments(workers)
+		pm, counts := pt.PairMoments(workers, nil)
+		if !reflect.DeepEqual(pm, counts) {
+			t.Errorf("%s: an unweighted tally's moments %+v differ from its counts %+v", what, pm, counts)
+			return false
+		}
 		if c := pt.Count(); math.Float64bits(pm.Total) != math.Float64bits(c) {
 			t.Errorf("%s: tally Total %v with %d workers, Count %v", what, pm.Total, workers, c)
 			return false
@@ -76,6 +81,81 @@ func pairMomentsMatch(t *testing.T, pt *PreparedTerm, ref Marginals, what string
 		if !slices.Equal(pm.SumSq, want) {
 			t.Errorf("%s: tally squares %v with %d workers, enumeration %v", what, pm.SumSq, workers, want)
 			return false
+		}
+	}
+	return true
+}
+
+// weightedPairsMatch reports whether the weighted bucket tally of a plan
+// with the Pairs shape reproduces enumeration, with the weight on either
+// enumerated occurrence: Total = Σ over assignments of the bound row's
+// weight, SumY2 the sum of its squares and SumSq[occ] the sum over occ's
+// rows of the squared per-row weight totals (the tail's factor divided
+// out). An integer weight (negative and zero ones included) must match
+// exactly, a positive float weight to 1e-12 relative; both must give the
+// same bits for one worker and four, and leave the counts unchanged.
+func weightedPairsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
+	t.Helper()
+	p := pt.p
+	weights := []struct {
+		name  string
+		w     func(row int) float64
+		exact bool
+	}{
+		{"integer", func(row int) float64 { return float64(row%7 - 2) }, true},
+		{"float", func(row int) float64 { return 0.1*float64(row) + 1.0/3 }, false},
+	}
+	_, plain := pt.PairMoments(1, nil)
+	for _, step := range p.steps[:2] {
+		for _, wc := range weights {
+			rw := &RowWeight{Occ: step.occ, W: wc.w}
+			var want PairMoments
+			want.SumSq = make([]float64, len(p.inst))
+			perRow := make([][]float64, len(p.inst))
+			for _, s := range p.steps[:2] {
+				perRow[s.occ] = make([]float64, p.inst[s.occ].Len())
+			}
+			pt.Enumerate(func(rows []int) bool {
+				y := wc.w(rows[step.occ])
+				want.Total += y
+				want.SumY2 += y * y
+				for _, s := range p.steps[:2] {
+					perRow[s.occ][rows[s.occ]] += y
+				}
+				return true
+			})
+			if p.tailFactor != 0 {
+				want.SumY2 /= p.tailFactor
+				for _, s := range p.steps[:2] {
+					for _, v := range perRow[s.occ] {
+						v /= p.tailFactor
+						want.SumSq[s.occ] += v * v
+					}
+				}
+			}
+			got, counts := pt.PairMoments(1, rw)
+			if got4, counts4 := pt.PairMoments(4, rw); !reflect.DeepEqual(got4, got) || !reflect.DeepEqual(counts4, counts) {
+				t.Errorf("%s: %s weight on occurrence %d tallies %+v with four workers, %+v with one", what, wc.name, step.occ, got4, got)
+				return false
+			}
+			if !reflect.DeepEqual(counts, plain) {
+				t.Errorf("%s: a weighted pass's counts %+v differ from the plain tally's %+v", what, counts, plain)
+				return false
+			}
+			close := func(a, b float64) bool {
+				if wc.exact {
+					return a == b
+				}
+				return math.Abs(a-b) <= 1e-12*math.Abs(b)
+			}
+			ok := close(got.Total, want.Total) && close(got.SumY2, want.SumY2)
+			for occ := range want.SumSq {
+				ok = ok && close(got.SumSq[occ], want.SumSq[occ])
+			}
+			if !ok {
+				t.Errorf("%s: %s weight on occurrence %d tallies %+v, enumeration %+v", what, wc.name, step.occ, got, want)
+				return false
+			}
 		}
 	}
 	return true

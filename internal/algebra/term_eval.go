@@ -29,10 +29,11 @@ import (
 // from some point on are folded into a single multiplicative factor
 // instead of being enumerated, and the last enumerated step, when no
 // residual predicate waits on it, counts its candidates without visiting
-// them. A two-step keyed plan is counted per bucket (PairMoments), and the
-// same tally yields the sums of squared partner counts the COUNT closed
-// form needs; the moment pass (Marginals) derives every row's partner
-// count from the same per-bucket counts.
+// them. A two-step keyed plan is counted per bucket (PairMoments) — or
+// summed, with a weight on one occurrence's rows — and the same tally
+// yields the sums of squares the COUNT and SUM closed forms need; the
+// moment pass (Marginals) derives every row's partner count from the same
+// per-bucket counts.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
 // produces an immutable PreparedTerm whose candidate lists and hash indexes
@@ -661,92 +662,181 @@ func (pt *PreparedTerm) Pairs() bool {
 	return p.enumUpto == 2 && p.steps[1].index != nil && len(p.steps[1].preds) == 0
 }
 
+// Enumerated reports whether the plan enumerates occurrence occ, rather
+// than folding it into the tail's factor: only an enumerated occurrence
+// can carry a PairMoments row weight.
+func (pt *PreparedTerm) Enumerated(occ int) bool {
+	return pt.p.pos[occ] < pt.p.enumUpto
+}
+
+// RowWeight weights the rows of one occurrence in a bucket tally: W(row)
+// is the weight of instance row `row` of occurrence Occ. W may be called
+// concurrently and must depend on the row alone.
+type RowWeight struct {
+	Occ int
+	W   func(row int) float64
+}
+
 // PairMoments is the moment pass of a plan with the Pairs shape, read off
-// its bucket tally: a_k scanned rows (first-step candidates) probe bucket
-// k of the second step's index, which holds b_k rows. These are GUS's
-// keyed group sums for two relations; every COUNT variance form of a
-// two-occurrence join is a function of them.
+// its bucket tally: the scanned rows (first-step candidates) that probe
+// bucket k of the second step's index have weights summing to A_k, with
+// squares summing to Qa_k, and the bucket's own rows have B_k and Qb_k.
+// An unweighted side has its row count for both, so a COUNT has a_k and
+// b_k. These are GUS's keyed group sums for two relations; every COUNT
+// and SUM variance form of a two-occurrence join is a function of them.
 type PairMoments struct {
-	// Total is Σ_k a_k·b_k times the folded tail's factor, summed in
-	// Count's part order: bit-identical to Count.
+	// Total is T = Σ_k A_k·B_k times the folded tail's factor. Unweighted,
+	// it is summed in Count's part order: bit-identical to Count.
 	Total float64
-	// SumSq[occ] is Σ over occurrence occ's rows of the squared number of
-	// enumerated pairs binding the row, the tail left out: Σ_k a_k·b_k²
-	// for the scanned occurrence, Σ_k b_k·a_k² for the indexed one, zero
-	// for folded occurrences. For a two-occurrence term it is the sum of
-	// squares of Marginals().Rows[occ].
+	// SumY2 is Σ_k Qa_k·Qb_k, the tail left out: the sum over enumerated
+	// pairs of the squared pair weight, which is T itself when no side is
+	// weighted.
+	SumY2 float64
+	// SumSq[occ] is Σ over occurrence occ's rows of the squared weight of
+	// the enumerated pairs binding the row, the tail left out:
+	// Σ_k Qa_k·B_k² for the scanned occurrence, Σ_k Qb_k·A_k² for the
+	// indexed one, zero for folded occurrences. Unweighted, for a
+	// two-occurrence term it is the sum of squares of Marginals().Rows[occ].
 	SumSq []float64
 }
 
-// PairMoments counts a plan with the Pairs shape per bucket: the parts
-// (Parts) fan out over up to workers goroutines, each with its own tally,
-// and the tallies merge by integer addition, so the result is the same for
-// every worker count. Each scanned row costs one probe, and the squares
-// are summed over the buckets the probes touched; no assignment is
-// visited. Every partial sum is an integer below 2^53, so Total equals
-// Count and SumSq the sums over Marginals exactly, in any order.
-func (pt *PreparedTerm) PairMoments(workers int) PairMoments {
+// PairMoments counts a plan with the Pairs shape per bucket, weighting the
+// rows of w's occurrence by w (nil counts). It returns the weighted
+// moments and, from the same probes, the unweighted ones (counts; pm
+// itself when w is nil). w's occurrence must be one of the two enumerated
+// ones.
+//
+// The parts (Parts) fan out over up to workers goroutines. Each scanned
+// row costs one probe, and the sums run over the buckets the probes
+// touched; no assignment is visited. Counting keeps one tally per worker,
+// merged by integer addition: every partial sum is an integer below 2^53,
+// so Total equals Count and SumSq the sums over Marginals exactly, in any
+// order. A weighted pass keeps one tally per part and merges them in part
+// order, and sums over the buckets in the order the scan first touched
+// them, so its float sums have the same bits for every worker count.
+func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairMoments) {
 	p := pt.p
 	first, second := &p.steps[0], &p.steps[1]
-	pm := PairMoments{SumSq: make([]float64, len(p.inst))}
+	counts = PairMoments{SumSq: make([]float64, len(p.inst))}
+	pm = counts
+	var scanW, indexW func(row int) float64
+	if w != nil {
+		pm.SumSq = make([]float64, len(p.inst))
+		switch w.Occ {
+		case first.occ:
+			scanW = w.W
+		case second.occ:
+			indexW = w.W
+		default:
+			panic(fmt.Sprintf("algebra: PairMoments weight on occurrence %d, which the plan does not enumerate", w.Occ))
+		}
+	}
 	//lint:ignore floateq exact sentinel: a zero tail factor means an empty folded tail, so the term has no assignments (Count returns 0 without probing)
 	if p.tailFactor == 0 {
-		return pm
+		return pm, counts
 	}
 	parts := pt.Parts()
 	workers = min(max(workers, 1), parts)
 	pairs := make([]int, parts)
 	tallies := make([]*tally, workers)
-	parallel.For(workers, workers, func(w int) {
-		t := newTally(second.index.Buckets())
-		for part := w; part < parts; part += workers {
-			pairs[part] = p.probePart(part, parts, t, nil)
+	if w != nil {
+		tallies = make([]*tally, parts)
+	}
+	buckets := second.index.Buckets()
+	parallel.For(workers, workers, func(wk int) {
+		var t *tally
+		for part := wk; part < parts; part += workers {
+			if w != nil {
+				t = newTally(buckets, scanW != nil)
+				tallies[part] = t
+			} else if t == nil {
+				t = newTally(buckets, false)
+				tallies[wk] = t
+			}
+			pairs[part] = p.probePart(part, parts, t, nil, scanW)
 		}
-		tallies[w] = t
 	})
 	for _, n := range pairs {
-		pm.Total += float64(n) * p.tailFactor
+		counts.Total += float64(n) * p.tailFactor
 	}
 	a := tallies[0]
 	for _, t := range tallies[1:] {
-		for _, k := range t.touched {
-			a.add(int(k), t.count[k])
-		}
+		a.merge(t)
 		t.release()
 	}
-	var sa, sb float64
+	var ca, cb float64 // the counts' SumSq
+	var T, y2, sa, sb float64
 	for _, k := range a.touched {
 		fa, fb := float64(a.count[k]), float64(second.index.BucketLen(int(k)))
-		sa += fa * fb * fb
-		sb += fb * fa * fa
+		counts.SumY2 += fa * fb
+		ca += fa * fb * fb
+		cb += fb * fa * fa
+		if w == nil {
+			continue
+		}
+		A, Qa, B, Qb := fa, fa, fb, fb
+		if scanW != nil {
+			A, Qa = a.sum[k], a.sq[k]
+		} else {
+			B, Qb = 0, 0
+			for _, row := range second.index.BucketRows(int(k)) {
+				x := indexW(row)
+				B += x
+				Qb += x * x
+			}
+		}
+		T += A * B
+		y2 += Qa * Qb
+		sa += Qa * B * B
+		sb += Qb * A * A
 	}
 	a.release()
+	counts.SumSq[first.occ], counts.SumSq[second.occ] = ca, cb
+	if w == nil {
+		return counts, counts
+	}
+	pm.Total, pm.SumY2 = T*p.tailFactor, y2
 	pm.SumSq[first.occ], pm.SumSq[second.occ] = sa, sb
-	return pm
+	return pm, counts
 }
 
 // tally is a bucket tally's scratch: count[k] scanned rows landed in
-// bucket k, and touched lists the buckets with a nonzero count, so
-// reading and clearing a tally costs what the probes touched, not the
-// index's bucket count. Released tallies are reused (tallyPool), zeroed.
+// bucket k, and touched lists the buckets with a nonzero count in the
+// order they were first touched, so reading and clearing a tally costs
+// what the probes touched, not the index's bucket count. A weighted tally
+// also sums the scanned rows' weights (sum) and squared weights (sq) per
+// bucket. Released tallies are reused (tallyPool), zeroed.
 type tally struct {
-	count   []int32
-	touched []int32
+	count    []int32
+	sum, sq  []float64
+	weighted bool
+	touched  []int32
 }
 
 var tallyPool sync.Pool
 
 // newTally returns a zeroed tally over the given number of buckets.
-func newTally(buckets int) *tally {
+func newTally(buckets int, weighted bool) *tally {
 	t, _ := tallyPool.Get().(*tally)
 	if t == nil {
 		t = &tally{}
 	}
-	if cap(t.count) < buckets {
-		t.count = make([]int32, buckets)
+	t.count = grown(t.count, buckets)
+	t.weighted = weighted
+	if weighted {
+		t.sum, t.sq = grown(t.sum, buckets), grown(t.sq, buckets)
 	}
-	t.count = t.count[:buckets]
 	return t
+}
+
+// grown returns s resliced to length n, reallocated (zeroed) when its
+// capacity is short. Every element a tally ever writes is zeroed on
+// release, so the reslice holds zeros either way.
+func grown[E int32 | float64](s []E, n int) []E {
+	if cap(s) < n {
+		return make([]E, n)
+	}
+	return s[:n]
 }
 
 // add adds c to bucket k's count.
@@ -757,10 +847,24 @@ func (t *tally) add(k int, c int32) {
 	t.count[k] += c
 }
 
+// merge adds o's buckets to t's, in o's touched order.
+func (t *tally) merge(o *tally) {
+	for _, k := range o.touched {
+		t.add(int(k), o.count[k])
+		if t.weighted {
+			t.sum[k] += o.sum[k]
+			t.sq[k] += o.sq[k]
+		}
+	}
+}
+
 // release zeroes the touched counts and returns the tally to the pool.
 func (t *tally) release() {
 	for _, k := range t.touched {
 		t.count[k] = 0
+		if t.weighted {
+			t.sum[k], t.sq[k] = 0, 0
+		}
 	}
 	t.touched = t.touched[:0]
 	tallyPool.Put(t)
@@ -769,12 +873,14 @@ func (t *tally) release() {
 // probePart is the probe loop of a factorizable plan's enumerated steps:
 // it scans chunk part of parts of the first step's candidates and, when a
 // second step is enumerated, probes its index with every row that passes
-// the first step's residual predicates, adding one to bucket k of t for a
-// row that lands in bucket k. It returns the number of prefix assignments
-// the chunk makes (b_k per row landing in bucket k; one per passing row
-// when only one step is enumerated) and, when rowOut is non-nil, stores
-// every passing row's count times the folded tail's factor in rowOut[row].
-func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64) int {
+// the first step's residual predicates, adding one to bucket k of t — and,
+// when w is non-nil, the row's weight w(row) and its square to the
+// bucket's sums — for a row that lands in bucket k. It returns the number
+// of prefix assignments the chunk makes (b_k per row landing in bucket k;
+// one per passing row when only one step is enumerated) and, when rowOut
+// is non-nil, stores every passing row's count times the folded tail's
+// factor in rowOut[row].
+func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
 	ev := p.newEval()
 	first := &p.steps[0]
 	var second *planStep
@@ -796,6 +902,11 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64) int {
 				continue
 			}
 			t.add(k, 1)
+			if w != nil {
+				x := w(row)
+				t.sum[k] += x
+				t.sq[k] += x * x
+			}
 			c = second.index.BucketLen(k)
 		}
 		if rowOut != nil {
@@ -883,13 +994,13 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	p := pt.p
 	var t *tally // the second step's bucket tally, when there is one
 	if p.enumUpto == 2 {
-		t = newTally(p.steps[1].index.Buckets())
+		t = newTally(p.steps[1].index.Buckets(), false)
 		defer t.release()
 	}
 	prefix := 0
 	parts := pt.Parts()
 	for part := 0; part < parts; part++ {
-		n := p.probePart(part, parts, t, mg.Rows[p.steps[0].occ])
+		n := p.probePart(part, parts, t, mg.Rows[p.steps[0].occ], nil)
 		mg.Total += float64(n) * p.tailFactor
 		prefix += n
 	}

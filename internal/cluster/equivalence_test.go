@@ -81,6 +81,9 @@ func TestNodeCoordinatorSameValidation(t *testing.T) {
 		// The avg response carries no variance, so none is computed and a
 		// method the shape has no closed form for cannot refuse it.
 		{name: "avg analytic without closed form", req: server.EstimateRequest{Query: "avg(union(select(R1, a < 50), select(R1, a > 100)), id)", Synopsis: "main", Seed: 3, Variance: "analytic"}, want: 200},
+		// No sampled row passes the selection: the node refuses the
+		// undefined ratio, and the shard's refusal passes through as is.
+		{name: "avg of an empty selection", req: server.EstimateRequest{Query: "avg(select(R1, a < -5), a)", Synopsis: "main", Seed: 3}, want: 422},
 		{name: "tier policy default", req: server.EstimateRequest{Query: join, Synopsis: "main", Seed: 3, TierPolicy: "default"}, want: 200},
 		{name: "missing query", req: server.EstimateRequest{Synopsis: "main"}, want: 400},
 		{name: "missing synopsis", req: server.EstimateRequest{Query: join}, want: 400},

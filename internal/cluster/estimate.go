@@ -279,7 +279,13 @@ func (c *Coordinator) mergeOutcomes(req server.EstimateRequest, outs []shardOutc
 			continue
 		}
 		if o.resp == nil {
-			return o.status, server.ErrorResponse{Error: fmt.Sprintf("shard %d: %s", i, o.errMsg)}
+			// A cluster of one shard refuses in its shard's words, so its
+			// refusals stay byte-identical to a node's.
+			msg := o.errMsg
+			if len(outs) > 1 {
+				msg = fmt.Sprintf("shard %d: %s", i, msg)
+			}
+			return o.status, server.ErrorResponse{Error: msg}
 		}
 		p := estimator.Partial{Value: o.resp.Estimate.Value, Variance: math.NaN(), Method: estimator.VarNone, Terms: o.resp.Estimate.Terms}
 		if o.resp.Estimate.Variance != nil {

@@ -31,6 +31,13 @@ func sampleCount(e *algebra.Expr, syn *estimator.Synopsis, opts estimator.Option
 	return res.Estimate, err
 }
 
+// sampleSum estimates SUM(col) over e through a sample-only handle.
+func sampleSum(e *algebra.Expr, col string, syn *estimator.Synopsis, opts estimator.Options) (estimator.Estimate, error) {
+	h := estimator.NewEstimator(syn, estimator.WithOptions(opts), estimator.WithTierPolicy(estimator.TierSampleOnly))
+	res, err := h.Sum(context.Background(), estimator.Request{Expr: e, Col: col})
+	return res.Estimate, err
+}
+
 // inBand fails the test when v is outside [lo, hi].
 func inBand(t *testing.T, what string, v, lo, hi float64) {
 	t.Helper()
@@ -127,6 +134,75 @@ func TestCalibrationJoin(t *testing.T) {
 	}
 	inBand(t, "join bias %", es.Bias(), -5, 5)
 	inBand(t, "join 95% coverage", cov.Rate(), 88, 99)
+}
+
+// TestCalibrationSum pins the closed forms SUM reaches under VarAuto: a
+// SUM over an equi-join (the weighted bucket tally's two-relation form,
+// weighted by R1's id, which JoinPair assigns by key frequency rank) and
+// a single-relation SUM (Cochran's form over y_i = value). Both must
+// answer analytically, stay unbiased, and cover in the join band: the
+// closed form is narrower than the split-sample replication it replaces
+// (which over-covers, E[V̂]/Var ≈ 3 on T5's join) and must stay honest.
+func TestCalibrationSum(t *testing.T) {
+	const (
+		nRows  = 8_000
+		frac   = 0.05
+		trials = 120
+	)
+	src := sampling.NewSource(23)
+	r1, r2 := workload.JoinPair(src.Rand(0), workload.JoinPairSpec{
+		Z1: 0.5, Z2: 0.5, Domain: nRows / 20, N1: nRows, N2: nRows,
+		Correlation: workload.Independent,
+	})
+	cat := algebra.MapCatalog{"R1": r1, "R2": r2}
+	lt := func(col string, v int64) algebra.Predicate {
+		return algebra.Cmp{Col: col, Op: algebra.LT, Val: relation.Int(v)}
+	}
+	join := algebra.Must(algebra.Join(algebra.Must(algebra.Select(algebra.BaseOf(r1), lt("a", nRows/40))),
+		algebra.BaseOf(r2), []algebra.On{{Left: "a", Right: "a"}}, nil, "R2"))
+	sel := algebra.Must(algebra.Select(algebra.BaseOf(r1), lt("id", nRows/4)))
+	for _, c := range []struct {
+		name string
+		e    *algebra.Expr
+		rels []*relation.Relation
+	}{
+		{"join", join, []*relation.Relation{r1, r2}},
+		{"select", sel, []*relation.Relation{r1}},
+	} {
+		res, err := algebra.Eval(c.e, cat)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pos := res.Schema().MustColumnIndex("id")
+		actual := 0.0
+		res.EachRow(func(_ int, row relation.Row) bool {
+			actual += float64(row.Value(pos).Int64())
+			return true
+		})
+		var es bench.ErrorStats
+		var cov bench.Coverage
+		for tr := 0; tr < trials; tr++ {
+			rng := src.Rand(1000 + tr)
+			syn := estimator.NewSynopsis()
+			for _, r := range c.rels {
+				if err := syn.AddDrawn(r, int(frac*nRows), rng); err != nil {
+					t.Fatal(err)
+				}
+			}
+			est, err := sampleSum(c.e, "id", syn, estimator.Options{Seed: int64(tr)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if est.VarianceMethod != estimator.VarAnalytic {
+				t.Fatalf("%s SUM answered by %v under VarAuto, want the closed form", c.name, est.VarianceMethod)
+			}
+			es.Observe(est.Value, actual)
+			cov.Observe(est.Lo, est.Hi, actual)
+		}
+		t.Logf("%s SUM: bias %.2f%%, ARE %.2f%%, 95%% coverage %.1f%%", c.name, es.Bias(), es.ARE(), cov.Rate())
+		inBand(t, c.name+" SUM bias %", es.Bias(), -5, 5)
+		inBand(t, c.name+" SUM 95% coverage", cov.Rate(), 88, 99)
+	}
 }
 
 // TestCalibrationCoverageVsNominal pins the F2 contract: over the same

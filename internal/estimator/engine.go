@@ -12,12 +12,12 @@ import (
 )
 
 // The evaluation engine: one engine serves one top-level estimation call
-// (point estimate plus variance). It couples a plan cache — compiled term
-// plans keyed by (term, instance identity), so the point estimate, the
-// closed-form and jackknife variance passes and the split-sample
-// replicates (whose plans restrict the cached ones to their rows) share
-// one compilation — with the resolved worker count for the call's parallel
-// fan-outs.
+// (point estimate plus variance; Avg's SUM and COUNT share one). It
+// couples a plan cache — compiled term plans keyed by (term, instance
+// identity), so the point estimate, the closed-form and jackknife
+// variance passes and the split-sample replicates (whose plans restrict
+// the cached ones to their rows) share one compilation — with the
+// resolved worker count for the call's parallel fan-outs.
 //
 // Every fan-out in this package follows the parallel package's determinism
 // contract: results land in index-addressed slots and are reduced in index
@@ -43,10 +43,18 @@ type engine struct {
 	// inside an enumeration, so honoring it cannot reorder reductions.
 	ctx context.Context
 	// pairs holds the moment pass of every plan of the Pairs shape the
-	// call has counted (countTerm), for the closed-form variance to read
-	// instead of probing again. Guarded by pairsMu; nil until first use.
+	// call has tallied, per contribution (pairMoments), for the closed-form
+	// variance — and a COUNT over the same plan — to read instead of
+	// probing again. Guarded by pairsMu; nil until first use.
 	pairsMu sync.Mutex
-	pairs   map[*algebra.PreparedTerm]algebra.PairMoments
+	pairs   map[pairKey]algebra.PairMoments
+}
+
+// pairKey names one tally of a call: a plan and the output column its
+// rows are weighted by (termContrib.col, negative for the plain counts).
+type pairKey struct {
+	pt  *algebra.PreparedTerm
+	col int
 }
 
 // newEngine builds the engine for one top-level estimation call. ctx may
@@ -54,13 +62,9 @@ type engine struct {
 // pass.
 func newEngine(ctx context.Context, opts Options) *engine {
 	rec := obs.Or(opts.Recorder)
-	plans := opts.Plans
-	if plans == nil {
-		plans = algebra.NewPlanCacheRec(rec)
-	}
 	return &engine{
 		workers: parallel.Resolve(opts.Workers),
-		plans:   plans,
+		plans:   algebra.NewPlanCacheRec(rec),
 		rec:     rec,
 		ctx:     ctx,
 	}
@@ -119,7 +123,7 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 // counter counts plans a call serves from a moment pass, once each.
 func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
 	eng.pairsMu.Lock()
-	_, tallied := eng.pairs[pt]
+	_, tallied := eng.pairs[pairKey{pt, countContrib.col}]
 	eng.pairsMu.Unlock()
 	switch {
 	case tallied:
@@ -132,23 +136,30 @@ func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
 }
 
 // pairMoments returns the call's moment pass of a plan with the Pairs
-// shape, running it over up to workers goroutines — and counting it — on
-// first use. The point estimate runs it (countTerm) and the closed-form
-// variance reads it, so a call probes each such join once.
-func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int) algebra.PairMoments {
+// shape under contribution c, whose rows weight w (nil for COUNT; see
+// termContrib.rowWeight), running it over up to workers goroutines — and
+// counting it — on first use. A weighted pass records its plain counts
+// too. The point estimate runs the pass and the closed-form variance, and
+// a COUNT of the same plan (Avg), read it, so a call probes each such join
+// once.
+func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int, c termContrib, w *algebra.RowWeight) algebra.PairMoments {
+	key := pairKey{pt, c.col}
 	eng.pairsMu.Lock()
-	pm, ok := eng.pairs[pt]
+	pm, ok := eng.pairs[key]
 	eng.pairsMu.Unlock()
 	if ok {
 		return pm
 	}
-	pm = pt.PairMoments(workers)
+	pm, counts := pt.PairMoments(workers, w)
 	eng.rec.Add(mMarginalsFactorized, 1)
 	eng.pairsMu.Lock()
 	if eng.pairs == nil {
-		eng.pairs = make(map[*algebra.PreparedTerm]algebra.PairMoments)
+		eng.pairs = make(map[pairKey]algebra.PairMoments)
 	}
-	eng.pairs[pt] = pm
+	eng.pairs[key] = pm
+	if w != nil {
+		eng.pairs[pairKey{pt, countContrib.col}] = counts
+	}
 	eng.pairsMu.Unlock()
 	return pm
 }
@@ -159,7 +170,7 @@ func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int) algebra.Pa
 // which keeps its moment pass for the call.
 func (eng *engine) countTerm(pt *algebra.PreparedTerm, workers int) float64 {
 	if pt.Pairs() {
-		return eng.pairMoments(pt, workers).Total
+		return eng.pairMoments(pt, workers, countContrib, nil).Total
 	}
 	parts := pt.Parts()
 	if parts == 1 || workers <= 1 {
@@ -355,22 +366,33 @@ func sumContrib(pos int) termContrib { return termContrib{col: pos} }
 // constant reports whether c(A) = 1 for every assignment.
 func (c termContrib) constant() bool { return c.col < 0 }
 
-// bind resolves the contribution against one term: the output column maps
-// to an occurrence column through the term's Out mapping. The returned
-// function must not retain rows.
-func (c termContrib) bind(t *algebra.Term, inst algebra.Instances) (func(rows []int) float64, error) {
+// rowWeight resolves the contribution against one term as a weight on the
+// rows of the occurrence that supplies the output column (nil for COUNT):
+// the output column maps to an occurrence column through the term's Out
+// mapping, and a null cell weighs 0.
+func (c termContrib) rowWeight(t *algebra.Term, inst algebra.Instances) (*algebra.RowWeight, error) {
 	if c.constant() {
-		return func([]int) float64 { return 1 }, nil
+		return nil, nil
 	}
 	if c.col >= len(t.Out) {
 		return nil, fmt.Errorf("estimator: output column %d outside term mapping of width %d", c.col, len(t.Out))
 	}
 	ref := t.Out[c.col]
 	src := inst[ref.Occ]
-	return func(rows []int) float64 {
-		f, _ := src.Float64(rows[ref.Occ], ref.Col) // a null cell reads 0
+	return &algebra.RowWeight{Occ: ref.Occ, W: func(row int) float64 {
+		f, _ := src.Float64(row, ref.Col) // a null cell reads 0
 		return f
-	}, nil
+	}}, nil
+}
+
+// bind resolves the contribution against one term as a function of the
+// assignment. The returned function must not retain rows.
+func (c termContrib) bind(t *algebra.Term, inst algebra.Instances) (func(rows []int) float64, error) {
+	w, err := c.rowWeight(t, inst)
+	if err != nil || w == nil {
+		return func([]int) float64 { return 1 }, err
+	}
+	return func(rows []int) float64 { return w.W(rows[w.Occ]) }, nil
 }
 
 // splitWorkers decides where a polynomial's parallelism goes: across terms

@@ -117,14 +117,6 @@ type Options struct {
 	// (DESIGN.md §11); the field stays only because benchmark/ compiles
 	// against it. Remove when the benchmark contract is next revised.
 	DisableCSE bool
-	// Plans, when non-nil, is used as the call's plan cache instead of a
-	// fresh one, letting several estimation calls over the same Terms and
-	// synopsis share compiled plans (Avg runs its SUM and COUNT passes
-	// through one cache). Sharing never changes values — a cached plan
-	// reproduces the uncached reduction order exactly — but the caller
-	// must not mutate any relation the cache's plans were compiled over
-	// while the cache lives.
-	Plans *algebra.PlanCache
 }
 
 func (o Options) withDefaults() Options {
@@ -153,6 +145,13 @@ func estimatePoly(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, o
 		return Estimate{}, err
 	}
 	defer eng.span.End()
+	return eng.estimate(poly, syn, opts, contrib)
+}
+
+// estimate is one aggregate's point estimate and variance on the call's
+// engine. Several aggregates of one polynomial (Avg's SUM and COUNT) share
+// an engine, and with it its plans and its pair tallies.
+func (eng *engine) estimate(poly algebra.Polynomial, syn *Synopsis, opts Options, contrib termContrib) (Estimate, error) {
 	value, err := pointEstimate(poly, syn, eng, contrib)
 	if err != nil {
 		return Estimate{}, err
@@ -244,16 +243,30 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib 
 // relTermMeta.factor, package doc and DESIGN.md for the unbiasedness
 // argument, including the repeated-relation pattern weights).
 //
-// Fast path: a COUNT whose weight is the constant ∏ M_R/m_R is that
-// constant times the number of satisfying assignments, which the plan
-// counts without enumerating folded tails.
+// Fast paths, when the weight is the constant w = ∏ M_R/m_R: a COUNT is w
+// times the number of satisfying assignments, which the plan counts
+// without enumerating folded tails; a SUM over a plan of the Pairs shape
+// whose summed column an enumerated occurrence supplies is w times the
+// weighted bucket tally's T (engine.pairMoments). Every other SUM
+// enumerates its assignments.
 func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib) (float64, error) {
 	b, err := eng.bindTerm(t, syn)
 	if b == nil {
 		return 0, err
 	}
-	if contrib.constant() && constWeight(b.metas) {
-		return b.weight(nil) * eng.countTerm(b.pt, workers), nil
+	if constWeight(b.metas) {
+		if contrib.constant() {
+			return b.weight(nil) * eng.countTerm(b.pt, workers), nil
+		}
+		if b.pt.Pairs() {
+			w, err := contrib.rowWeight(t, b.inst)
+			if err != nil {
+				return 0, err
+			}
+			if b.pt.Enumerated(w.Occ) {
+				return b.weight(nil) * eng.pairMoments(b.pt, workers, contrib, w).Total, nil
+			}
+		}
 	}
 	value, err := contrib.bind(t, b.inst)
 	if err != nil {

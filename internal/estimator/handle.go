@@ -145,7 +145,10 @@ func (e *Estimator) Sum(ctx context.Context, req Request) (Result, error) {
 
 // Avg estimates AVG(req.Col) over req.Expr's result as the ratio of the
 // SUM and COUNT estimators — biased O(1/n) but consistent (the classical
-// ratio estimator). Like Sum it is always sample-tier.
+// ratio estimator). Like Sum it is always sample-tier. Both estimates run
+// on one engine: they share its plans, and a COUNT term of the Pairs shape
+// reads the plain counts the SUM's weighted tally recorded instead of
+// probing the join again.
 func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport, error) {
 	if e.policy == TierSketchOnly {
 		return AvgResult{}, TierReport{}, fmt.Errorf("estimator: sketch tier cannot answer AVG(%s); aggregates need the sample tier (auto or sample policy)", req.Col)
@@ -154,17 +157,17 @@ func (e *Estimator) Avg(ctx context.Context, req Request) (AvgResult, TierReport
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
-	// Both passes evaluate the same terms over the same samples: one plan
-	// cache compiles them once.
-	opts := e.opts
-	if opts.Plans == nil {
-		opts.Plans = algebra.NewPlanCacheRec(opts.Recorder)
-	}
-	sum, err := estimatePoly(ctx, poly, e.syn, opts, contrib)
+	opts := e.opts.withDefaults()
+	eng, err := startEstimate(ctx, poly, e.syn, opts)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}
-	cnt, err := estimatePoly(ctx, poly, e.syn, opts, countContrib)
+	defer eng.span.End()
+	sum, err := eng.estimate(poly, e.syn, opts, contrib)
+	if err != nil {
+		return AvgResult{}, TierReport{}, err
+	}
+	cnt, err := eng.estimate(poly, e.syn, opts, countContrib)
 	if err != nil {
 		return AvgResult{}, TierReport{}, err
 	}

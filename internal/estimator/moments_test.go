@@ -264,7 +264,11 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%s/workers=%d", design, c.name, workers)
 				if poly.NumTerms() == 1 {
-					got, err := twoRelationTermVariance(&poly.Terms[0], syn, newEngine(nil, Options{Workers: workers}))
+					sums, _, err := twoRelationSums(&poly.Terms[0], syn, newEngine(nil, Options{Workers: workers}), countContrib)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := twoRelationTermVariance(&poly.Terms[0], syn, sums)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -337,6 +341,42 @@ func TestMarginalsCounter(t *testing.T) {
 		if f, e := m.Counter(mMarginalsFactorized).Value(), m.Counter(mMarginalsEnumerated).Value(); f != c.factorized || e != c.enumered {
 			t.Errorf("%v over %d occurrences: %v factorized and %v enumerated passes, want %v and %v",
 				c.variance, len(c.e.Schema().Columns())/2, f, e, c.factorized, c.enumered)
+		}
+	}
+}
+
+// TestAvgProbesOnce checks that AVG over an equi-join probes the join
+// once: its SUM's weighted tally records the plain counts its COUNT reads,
+// so the call counts one factorized pass, and both components keep the
+// bits a standalone SUM and COUNT give, under every variance method.
+func TestAvgProbesOnce(t *testing.T) {
+	syn := momentsFixture(t, "tuple")
+	base := func(name string, cols ...string) *algebra.Expr { return algebra.Base(name, intSchema(cols...)) }
+	join := algebra.Must(algebra.Join(base("R", "a", "b"), base("S", "a", "c"), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
+	for _, col := range []string{"b", "c"} {
+		for _, variance := range []VarianceMethod{VarNone, VarAuto, VarJackknife, VarSplitSample} {
+			label := fmt.Sprintf("avg(%s)/%v", col, variance)
+			passes := func(rec *obs.Collector) float64 { return rec.Metrics().Counter(mMarginalsFactorized).Value() }
+			sumRec, avgRec := obs.NewCollector(), obs.NewCollector()
+			sum, err := sumOf(join, col, syn, Options{Variance: variance, Seed: 3, Recorder: sumRec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cnt, err := countOf(join, syn, Options{Variance: variance, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			avg, err := avgOf(join, col, syn, Options{Variance: variance, Seed: 3, Recorder: avgRec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertSameEstimate(t, label+" sum", avg.Sum, sum)
+			assertSameEstimate(t, label+" count", avg.Count, cnt)
+			// The SUM alone tallies the join once; the AVG adds its COUNT
+			// without a second pass.
+			if s, a := passes(sumRec), passes(avgRec); s != 1 || a != 1 {
+				t.Errorf("%s: SUM counted %v factorized passes and AVG %v, want 1 and 1", label, s, a)
+			}
 		}
 	}
 }

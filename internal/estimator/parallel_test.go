@@ -97,6 +97,60 @@ func TestWorkersDeterminismSum(t *testing.T) {
 	}
 }
 
+// TestWorkersDeterminismSumPartitioned holds the contract on a SUM over a
+// join large enough to tally in parts (more than 4 096 first-step
+// candidates), weighted by a Float column on either occurrence: the
+// weighted tally's float sums, and so the point estimate and the closed
+// form, have the same bits at workers 1, 2 and 4.
+func TestWorkersDeterminismSumPartitioned(t *testing.T) {
+	rng := testRand(64)
+	rel := func(name string, n int) *relation.Relation {
+		r := relation.New(name, relation.MustSchema(
+			relation.Column{Name: "a", Kind: relation.KindInt},
+			relation.Column{Name: "v", Kind: relation.KindFloat},
+		))
+		for i := 0; i < n; i++ {
+			r.MustAppend(relation.Tuple{relation.Int(int64(rng.Intn(3000))), relation.Float(rng.Float64()*100 - 20)})
+		}
+		return r
+	}
+	r, s := rel("R", 12_000), rel("S", 11_000)
+	syn := NewSynopsis()
+	for _, x := range []*relation.Relation{r, s} {
+		if err := syn.AddDrawn(x, 6_000, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := algebra.Must(algebra.Join(algebra.BaseOf(r), algebra.BaseOf(s), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
+	poly, err := algebra.Normalize(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, pt, err := newEngine(nil, Options{}).plan(&poly.Terms[0], syn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pt.Parts() == 1 || !pt.Pairs() {
+		t.Fatalf("fixture tallies in %d part(s), pairs %v; want a partitioned pair tally", pt.Parts(), pt.Pairs())
+	}
+	for _, col := range []string{"v", "S.v"} {
+		var base Estimate
+		for i, workers := range []int{1, 2, 4} {
+			est, err := sumOf(e, col, syn, Options{Variance: VarAnalytic, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				base = est
+				continue
+			}
+			if !sameBits(est.Value, base.Value) || !sameBits(est.Variance, base.Variance) || !sameBits(est.Lo, base.Lo) || !sameBits(est.Hi, base.Hi) {
+				t.Errorf("SUM(%s) workers=%d diverges: %+v vs %+v", col, workers, est, base)
+			}
+		}
+	}
+}
+
 // jackknifeBothWays computes the jackknife variance through the single
 // pass and through naive delete-one re-estimation (jackknifeNaive), both at
 // the given worker count.

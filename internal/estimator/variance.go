@@ -15,12 +15,12 @@ import (
 
 // estimateVariance is the variance ladder of every aggregate: it runs the
 // requested method and returns the variance estimate together with the
-// method actually used. The closed forms are derived for the COUNT
-// contribution only; a weighted count asking for VarAnalytic degrades to
-// VarAuto. VarAuto resolves to the first rung that applies — closed form
-// (COUNT), split-sample with the group count shrunk to fit the samples,
-// jackknife, none — whereas an explicitly requested method runs as asked or
-// fails.
+// method actually used. VarAuto resolves to the first rung that applies —
+// closed form, split-sample with the group count shrunk to fit the
+// samples, jackknife, none — whereas an explicitly requested method runs
+// as asked or fails. The one exception is a SUM asking for VarAnalytic: it
+// takes the closed form where one exists and otherwise degrades to
+// VarAuto's ladder instead of failing.
 func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng *engine, contrib termContrib) (float64, VarianceMethod, error) {
 	method := opts.Variance
 	if method == VarAnalytic && !contrib.constant() {
@@ -30,7 +30,7 @@ func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng 
 	case VarNone:
 		return math.NaN(), VarNone, nil
 	case VarAnalytic:
-		if v, ok, err := analyticVariance(poly, syn, eng); err != nil {
+		if v, ok, err := analyticVariance(poly, syn, eng, contrib); err != nil {
 			return 0, VarAnalytic, err
 		} else if ok {
 			return v, VarAnalytic, nil
@@ -43,10 +43,8 @@ func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng 
 		v, err := jackknifeVariance(poly, syn, eng, contrib)
 		return v, VarJackknife, err
 	default: // VarAuto
-		if contrib.constant() {
-			if v, ok, err := analyticVariance(poly, syn, eng); err == nil && ok {
-				return v, VarAnalytic, nil
-			}
+		if v, ok, err := analyticVariance(poly, syn, eng, contrib); err == nil && ok {
+			return v, VarAnalytic, nil
 		}
 		if v, err := splitSampleVariance(poly, syn, opts, true, eng, contrib); err == nil {
 			return v, VarSplitSample, nil
@@ -67,19 +65,25 @@ func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng 
 //   - a single term over two distinct relations (the paper's join
 //     estimator): the exactly unbiased two-sample variance estimator
 //     derived from the second-moment decomposition over index-equality
-//     patterns (see below).
+//     patterns (see below). A COUNT has it for every such term; a SUM for
+//     an equi-join, whose weighted bucket tally supplies its sums.
 //
 // The boolean result reports whether a closed form applied.
-func analyticVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64, bool, error) {
+func analyticVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, bool, error) {
 	if len(poly.RelationNames()) == 1 && poly.MaxOccurrences() == 1 {
-		v, err := singleRelationVariance(poly, syn, eng)
+		v, err := singleRelationVariance(poly, syn, eng, contrib)
 		return v, err == nil, err
 	}
 	if poly.NumTerms() == 1 && len(poly.Terms[0].Occs) == 2 &&
 		poly.Terms[0].Occs[0].RelName != poly.Terms[0].Occs[1].RelName &&
 		plainTupleSample(syn.rels[poly.Terms[0].Occs[0].RelName]) &&
 		plainTupleSample(syn.rels[poly.Terms[0].Occs[1].RelName]) {
-		v, err := twoRelationTermVariance(&poly.Terms[0], syn, eng)
+		t := &poly.Terms[0]
+		sums, ok, err := twoRelationSums(t, syn, eng, contrib)
+		if !ok || err != nil {
+			return 0, false, err
+		}
+		v, err := twoRelationTermVariance(t, syn, sums)
 		return v, err == nil, err
 	}
 	return 0, false, nil
@@ -93,18 +97,20 @@ func plainTupleSample(rs *relSynopsis) bool {
 
 // singleRelationVariance handles polynomials over one relation with one
 // occurrence per term. Every sample tuple i has a deterministic score
-// y_i = Σ_j coef_j·ψ_j(t_i); summed within each sampling unit this gives
-// per-unit totals z_u, the estimator equals M·z̄, and
+// y_i = Σ_j coef_j·c_j(t_i)·ψ_j(t_i), c_j the contribution (1 for COUNT,
+// the summed column's value for SUM); summed within each sampling unit
+// this gives per-unit totals z_u, the estimator equals M·z̄, and
 // Var̂ = M²(1−m/M)s²_z/m (Cochran), which is unbiased for both the tuple
 // design (units are tuples) and the page design (units are pages — the
-// "ultimate cluster" variance).
+// "ultimate cluster" variance). Nothing in the derivation asks more of y
+// than being a function of the tuple.
 // The totals enter s²_z by ascending unit id (relSynopsis.unitOrder), so
 // an extended sample gets the bits a fresh draw of its units would.
 //
 // Enumeration is serial (the score vector is shared across terms), but the
 // plans come from the engine cache, so this pass reuses the point
 // estimate's compiled indexes.
-func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine) (float64, error) {
+func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, error) {
 	rel := poly.RelationNames()[0]
 	rs := syn.rels[rel]
 	if rs.m < 2 {
@@ -113,13 +119,17 @@ func singleRelationVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine)
 	y := make([]float64, rs.n)
 	for i := range poly.Terms {
 		t := &poly.Terms[i]
-		_, pt, err := eng.plan(t, syn)
+		inst, pt, err := eng.plan(t, syn)
+		if err != nil {
+			return 0, err
+		}
+		value, err := contrib.bind(t, inst)
 		if err != nil {
 			return 0, err
 		}
 		coef := float64(t.Coef)
 		pt.Enumerate(func(rows []int) bool {
-			y[rows[0]] += coef
+			y[rows[0]] += coef * value(rows)
 			return true
 		})
 	}
@@ -170,19 +180,58 @@ func (rs *relSynopsis) unitOrder() []int {
 	return order
 }
 
+// twoRelationSums reads the four sample sums the two-relation closed form
+// needs, as a PairMoments, for a two-occurrence term whose satisfying
+// sample pairs (u, v) carry contributions y(u, v) (1 for COUNT):
+// Total = T = Σ y, SumY2 = Σ y², and SumSq = (Σ_u α_u², Σ_v β_v²), with
+// α_u = Σ_v y(u, v) the total of sample row u of the first occurrence and
+// β_v that of row v of the second. An equi-join reads the bucket tally the
+// point estimate already made (engine.pairMoments), weighted by the summed
+// column for a SUM: no probe and no per-row vector here. A COUNT over any
+// other plan (a θ-join, say) reads the per-row moment pass
+// (engine.marginals); a SUM over one has no closed form (ok false). Every
+// partial sum of a COUNT is an integer below 2^53, so either way its sums
+// have the bits a sum over enumerated per-row counts has.
+func twoRelationSums(t *algebra.Term, syn *Synopsis, eng *engine, contrib termContrib) (algebra.PairMoments, bool, error) {
+	inst, pt, err := eng.plan(t, syn)
+	if err != nil {
+		return algebra.PairMoments{}, false, err
+	}
+	if pt.Pairs() {
+		w, err := contrib.rowWeight(t, inst)
+		if err != nil {
+			return algebra.PairMoments{}, false, err
+		}
+		return eng.pairMoments(pt, eng.workers, contrib, w), true, nil
+	}
+	if !contrib.constant() {
+		return algebra.PairMoments{}, false, nil
+	}
+	mg := eng.marginals(pt)
+	s := algebra.PairMoments{Total: mg.Total, SumY2: mg.Total, SumSq: make([]float64, 2)}
+	for occ, rows := range mg.Rows {
+		for _, a := range rows {
+			s.SumSq[occ] += a * a
+		}
+	}
+	return s, true, nil
+}
+
 // twoRelationTermVariance implements the exactly unbiased variance
-// estimator for Ĵ = c·T, c = N₁N₂/(n₁n₂), T = Σ_{u∈s₁,v∈s₂} ψ(u,v), with
-// independent SRSWOR samples.
+// estimator for Ĵ = c·T, c = N₁N₂/(n₁n₂), T = Σ_{u∈s₁,v∈s₂} y(u,v), with
+// independent SRSWOR samples and y(u,v) the pair's contribution times its
+// join indicator ψ(u,v) — 1·ψ for COUNT, the summed column's value times ψ
+// for SUM.
 //
 // Decompose E[T²] over the index-equality patterns of the pair of pairs
 // ((u,v),(u′,v′)):
 //
 //	E[T²] = p₁₁S₁₁ + p₁₂S₁₂ + p₂₁S₂₁ + p₂₂S₂₂
 //
-// with population quantities (a_U, b_V the join degrees)
+// with population quantities (a_U = Σ_V y(U,V), b_V = Σ_U y(U,V))
 //
-//	S₁₁ = J,  S₁₂ = Σ_U a_U² − J,  S₂₁ = Σ_V b_V² − J,
-//	S₂₂ = J² − Σa² − Σb² + J,
+//	S₁₁ = Σ y²,  S₁₂ = Σ_U a_U² − Σ y²,  S₂₁ = Σ_V b_V² − Σ y²,
+//	S₂₂ = J² − Σa² − Σb² + Σ y²,
 //
 // and inclusion probabilities p₁₁ = (n₁n₂)/(N₁N₂),
 // p₁₂ = (n₁/N₁)·(n₂)₂/(N₂)₂, p₂₁ symmetric, p₂₂ = (n₁)₂/(N₁)₂·(n₂)₂/(N₂)₂.
@@ -192,18 +241,11 @@ func (rs *relSynopsis) unitOrder() []int {
 //	Var̂(Ĵ) = c²·(p₁₁Ŝ₁₁ + p₁₂Ŝ₁₂ + p₂₁Ŝ₂₁ + p₂₂Ŝ₂₂) − (Ŝ₁₁+Ŝ₂₁+Ŝ₁₂+Ŝ₂₂)
 //
 // is unbiased. It can be negative on unlucky samples, as unbiased variance
-// estimators are allowed to be.
+// estimators are allowed to be. For COUNT y² = y, so Σ y² is T.
 //
-// The sample statistics are T, Σα² and Σβ², where α_u (β_v) counts the
-// partners of sample row u of R₁ (v of R₂). For an equi-join all three
-// come from the bucket tally the point estimate already made
-// (engine.pairMoments): a_k scanned rows probe bucket k of b_k rows, so
-// T = Σ a_k·b_k and the squares sum to Σ a_k·b_k² and Σ b_k·a_k² — no
-// probe and no per-row vector here. Any other plan (a θ-join, say) reads
-// the per-row moment pass (engine.marginals). Every partial sum is an
-// integer below 2^53, so either way the result has the bits a sum over
-// enumerated per-row counts has.
-func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float64, error) {
+// The sample statistics are T, Σy², Σα² and Σβ² (twoRelationSums), where
+// α_u (β_v) is the total contribution of sample row u of R₁ (v of R₂).
+func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, s algebra.PairMoments) (float64, error) {
 	rel1, rel2 := t.Occs[0].RelName, t.Occs[1].RelName
 	n1, _ := syn.SampleSize(rel1)
 	n2, _ := syn.SampleSize(rel2)
@@ -212,33 +254,16 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, eng *engine) (float
 	if n1 < 2 || n2 < 2 {
 		return 0, fmt.Errorf("estimator: samples too small for the two-relation variance (n1=%d, n2=%d)", n1, n2)
 	}
-	_, pt, err := eng.plan(t, syn)
-	if err != nil {
-		return 0, err
-	}
-	var T, sumA2, sumB2 float64
-	if pt.Pairs() {
-		pm := eng.pairMoments(pt, eng.workers)
-		T, sumA2, sumB2 = pm.Total, pm.SumSq[0], pm.SumSq[1]
-	} else {
-		mg := eng.marginals(pt)
-		T = mg.Total
-		for _, a := range mg.Rows[0] {
-			sumA2 += a * a
-		}
-		for _, b := range mg.Rows[1] {
-			sumB2 += b * b
-		}
-	}
 	r1 := stats.FallingFactorialRatio(N1, n1, 1)  // N1/n1
 	r2 := stats.FallingFactorialRatio(N2, n2, 1)  // N2/n2
 	r11 := stats.FallingFactorialRatio(N1, n1, 2) // (N1)₂/(n1)₂
 	r22 := stats.FallingFactorialRatio(N2, n2, 2)
 
-	s11 := r1 * r2 * T
-	s12 := r1 * r22 * (sumA2 - T)
-	s21 := r11 * r2 * (sumB2 - T)
-	s22 := r11 * r22 * (T*T - sumA2 - sumB2 + T)
+	T, y2, a2, b2 := s.Total, s.SumY2, s.SumSq[0], s.SumSq[1]
+	s11 := r1 * r2 * y2
+	s12 := r1 * r22 * (a2 - y2)
+	s21 := r11 * r2 * (b2 - y2)
+	s22 := r11 * r22 * (T*T - a2 - b2 + y2)
 
 	c := r1 * r2
 	p11 := 1 / (r1 * r2)

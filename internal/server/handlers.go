@@ -701,6 +701,11 @@ func answerPlain(ctx context.Context, p PreparedEstimate, syn *estimator.Synopsi
 		if err != nil {
 			return EstimateResult{}, "", err
 		}
+		if math.IsNaN(res.Avg) {
+			// JSON has no NaN: refuse (422) rather than fail the encode
+			// after the 200 header is out.
+			return EstimateResult{}, "", errors.New("avg is undefined: the COUNT estimate is 0")
+		}
 		// AVG is a ratio of two estimates; it has no CI of its own, so
 		// only the point value and the underlying term count are set.
 		return EstimateResult{

@@ -261,6 +261,20 @@ func TestEstimateModes(t *testing.T) {
 		}
 	})
 
+	t.Run("avg-zero-count", func(t *testing.T) {
+		// No sampled row passes the selection, so the COUNT estimate is 0
+		// and the ratio is undefined: a 422 that says so, not a 200 whose
+		// NaN cannot be encoded.
+		status, raw := postJSON(t, base+"/v1/estimate", EstimateRequest{
+			Query: "avg(select(R1, a < -5), a)", Synopsis: "main", Seed: 3,
+		})
+		var e ErrorResponse
+		if err := json.Unmarshal(raw, &e); err != nil || status != http.StatusUnprocessableEntity ||
+			!strings.Contains(e.Error, "avg is undefined") || !strings.Contains(e.Error, "COUNT estimate is 0") {
+			t.Fatalf("avg over an empty selection: %d %q (decode error %v), want a 422 naming the zero COUNT", status, raw, err)
+		}
+	})
+
 	t.Run("sequential", func(t *testing.T) {
 		status, raw := postJSON(t, base+"/v1/estimate", EstimateRequest{
 			Query: "count(join(R1, R2, on a = a))", Synopsis: "main",
