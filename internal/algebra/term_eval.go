@@ -33,13 +33,17 @@ import (
 // summed, with a weight on one occurrence's rows — and the same tally
 // yields the sums of squares the COUNT and SUM closed forms need; the
 // moment pass (Marginals) derives every row's partner count from the same
-// per-bucket counts.
+// per-bucket counts. When the plan is compiled with a key domain and
+// joins on one column of two sample views, its buckets are the key codes
+// of that domain (relation.KeyDomain): the tally reads two code vectors,
+// and no hash index is built or probed.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
-// produces an immutable PreparedTerm whose candidate lists and hash indexes
-// are built once (whole-view indexes once per sample view, see compile),
-// and every evaluation carries its own scratch state (termEval), so one
-// plan can serve any number of concurrent evaluations. Split-sample
+// produces an immutable PreparedTerm whose candidate lists are built once
+// and whose hash indexes are built once, on first use (whole-view indexes
+// once per sample view, see compile), and every evaluation carries its own
+// scratch state (termEval), so one plan can serve any number of concurrent
+// evaluations. Split-sample
 // replicates are not compiled: PreparedTerm.Split restricts a compiled
 // plan to each replicate's rows by partitioning its candidate lists and
 // indexes.
@@ -103,6 +107,21 @@ type termPlan struct {
 	// maxPredOccs sizes the per-evaluation row scratch for residual
 	// predicates.
 	maxPredOccs int
+
+	// codes is set on a plan of the Pairs shape whose join it counts by
+	// key code (codeKeys); nil means the join is probed through the
+	// second step's hash index.
+	codes *pairCodes
+}
+
+// pairCodes is a coded Pairs plan's join: the codes of the scanned (first
+// step's) occurrence's key cells and of the indexed (second step's)
+// occurrence's, both by instance row, and the number of the second step's
+// candidates holding each code. A code is a bucket: the tally counts
+// scanned rows per code, and the bucket's size is size[code].
+type pairCodes struct {
+	scan, keys []int32
+	size       []int32
 }
 
 type planStep struct {
@@ -113,10 +132,10 @@ type planStep struct {
 	// aligned with keyCols: each reads an already-bound occurrence's
 	// instance at the row the assignment holds for it (Slot is the
 	// occurrence index). Empty keyCols means a full scan of the candidate
-	// list.
+	// list, and a nil index.
 	keyCols []int
 	probe   []relation.KeyRef
-	index   *relation.Index
+	index   *stepIndex
 	// preds to evaluate once this step's occurrence is bound.
 	preds []TermPred
 	// independent marks a tail step with no constraints at or after it;
@@ -124,11 +143,31 @@ type planStep struct {
 	independent bool
 }
 
+// stepIndex is a keyed step's hash index, built on first use: a coded
+// pair plan never asks for it, so it never builds one, and any evaluation
+// that probes (enumeration, Count, a hashed tally, Split) builds it once
+// for every caller of the plan.
+type stepIndex struct {
+	once  sync.Once
+	build func() *relation.Index
+	ix    *relation.Index
+}
+
+// get returns the index, building it on the first call.
+func (s *stepIndex) get() *relation.Index {
+	s.once.Do(func() {
+		s.ix = s.build()
+		s.build = nil
+	})
+	return s.ix
+}
+
 // compile builds the evaluation plan over the instances: the candidate
-// lists, then planOver. A candidate list that keeps every row indexes the
-// whole instance, which a sample view memoizes across plans (SharedIndex);
-// a filtered list is indexed here.
-func compile(t *Term, inst Instances) (*termPlan, error) {
+// lists, then planOver, then, given a key domain, the key codes of a pair
+// plan (codeKeys). A candidate list that keeps every row indexes the whole
+// instance, which a sample view memoizes across plans (SharedIndex); a
+// filtered list is indexed here.
+func compile(t *Term, inst Instances, dom *relation.KeyDomain) (*termPlan, error) {
 	if len(inst) != len(t.Occs) {
 		return nil, fmt.Errorf("algebra: term has %d occurrences, got %d instances", len(t.Occs), len(inst))
 	}
@@ -139,13 +178,40 @@ func compile(t *Term, inst Instances) (*termPlan, error) {
 		}
 	}
 	cand := candidates(t, inst)
-	return planOver(t, inst, cand, func(occ int, keyCols []int) *relation.Index {
+	p := planOver(t, inst, cand, func(occ int, keyCols []int) *relation.Index {
 		r := inst[occ]
 		if len(cand[occ]) == r.Len() {
 			return r.SharedIndex(keyCols)
 		}
 		return relation.BuildIndexRows(r, keyCols, cand[occ])
-	}), nil
+	})
+	if dom != nil {
+		p.codeKeys(dom)
+	}
+	return p, nil
+}
+
+// codeKeys makes a plan of the Pairs shape whose join is on a single
+// column count that join by key code: when both occurrences' instances
+// have code vectors in dom (sample views do, base relations do not), it
+// records them and the per-code size of the second step's candidates. A
+// composite key keeps the hash index.
+func (p *termPlan) codeKeys(dom *relation.KeyDomain) {
+	if !p.pairs() || len(p.steps[1].keyCols) != 1 {
+		return
+	}
+	second := &p.steps[1]
+	kr := second.probe[0]
+	scan := kr.Rel.KeyCodes(kr.Col, dom)
+	keys := p.inst[second.occ].KeyCodes(second.keyCols[0], dom)
+	if scan == nil || keys == nil {
+		return
+	}
+	size := make([]int32, dom.Len()) // every code either vector holds is below it
+	for _, row := range p.cand[second.occ] {
+		size[keys[row]]++
+	}
+	p.codes = &pairCodes{scan: scan, keys: keys, size: size}
 }
 
 // candidates returns every occurrence's candidate rows: the instance rows,
@@ -177,11 +243,11 @@ func candidates(t *Term, inst Instances) [][]int {
 
 // planOver plans the term over fixed candidate lists: the greedy join
 // order chosen from their sizes, the constraints assigned to steps, each
-// keyed step's index from indexFor(occurrence, key columns), and the folded
-// tail. Candidate lists must be ascending, so bucket rows keep ascending
-// (enumeration) order. compile and Split both plan through it, so a
-// replicate plan orders its steps exactly as a compile over the
-// replicate's own rows would.
+// keyed step's index from indexFor(occurrence, key columns) on first use
+// (stepIndex), and the folded tail. Candidate lists must be ascending, so
+// bucket rows keep ascending (enumeration) order. compile and Split both
+// plan through it, so a replicate plan orders its steps exactly as a
+// compile over the replicate's own rows would.
 func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyCols []int) *relation.Index) *termPlan {
 	m := len(t.Occs)
 	p := &termPlan{term: t, inst: inst, cand: cand}
@@ -257,7 +323,8 @@ func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyC
 	for k := range p.steps {
 		st := &p.steps[k]
 		if len(st.keyCols) > 0 {
-			st.index = indexFor(st.occ, st.keyCols)
+			occ, keyCols := st.occ, st.keyCols
+			st.index = &stepIndex{build: func() *relation.Index { return indexFor(occ, keyCols) }}
 		}
 	}
 	p.enumUpto = m
@@ -303,7 +370,7 @@ func (ev *termEval) candidatesAt(k int) []int {
 	if st.index == nil {
 		return ev.p.cand[st.occ]
 	}
-	return st.index.Lookup(st.probe, ev.assign)
+	return st.index.get().Lookup(st.probe, ev.assign)
 }
 
 // predsHold evaluates the step's residual predicates on the assignment.
@@ -342,9 +409,18 @@ type PreparedTerm struct {
 	p *termPlan
 }
 
-// Prepare compiles an evaluation plan for the term over the instances.
+// Prepare compiles an evaluation plan for the term over the instances. Its
+// joins are probed through hash indexes; a PlanCache with a key domain
+// (NewPlanCacheRec) compiles plans that count a single-column pair join by
+// key code instead.
 func Prepare(t *Term, inst Instances) (*PreparedTerm, error) {
-	p, err := compile(t, inst)
+	return prepare(t, inst, nil)
+}
+
+// prepare compiles the plan, coding its pair join's keys in dom when dom
+// is non-nil (codeKeys).
+func prepare(t *Term, inst Instances, dom *relation.KeyDomain) (*PreparedTerm, error) {
+	p, err := compile(t, inst, dom)
 	if err != nil {
 		return nil, err
 	}
@@ -458,7 +534,7 @@ func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Inde
 	var full *relation.Index
 	for k := range p.steps {
 		if st := &p.steps[k]; st.occ == occ && st.index != nil && slices.Equal(st.keyCols, keyCols) {
-			full = st.index
+			full = st.index.get()
 			break
 		}
 	}
@@ -495,10 +571,12 @@ func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Inde
 //
 // Each candidate list is partitioned in one pass; each keyed step's index
 // is a part of the full-candidate index for its occurrence and key
-// columns (relation.Index.Split), never a rebuild; and the greedy order is
+// columns (relation.Index.Split), never a rebuild, taken here because a
+// Partition is not safe for concurrent use; and the greedy order is
 // re-chosen from the replicate's own candidate counts by the same planOver
 // that compile uses, so a replicate whose order differs from this plan's
-// is planned exactly as an independent compile would plan it.
+// is planned exactly as an independent compile would plan it. Replicate
+// plans probe their hash indexes: they are never coded.
 func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
 	p := pt.p
 	cand := make([][][]int, pa.g) // group → occurrence → rows
@@ -512,9 +590,15 @@ func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
 	}
 	out := make([]*PreparedTerm, pa.g)
 	for l := range out {
-		out[l] = &PreparedTerm{p: planOver(p.term, p.inst, cand[l], func(occ int, keyCols []int) *relation.Index {
+		rp := planOver(p.term, p.inst, cand[l], func(occ int, keyCols []int) *relation.Index {
 			return pa.index(p, occ, keyCols)[l]
-		})}
+		})
+		for k := range rp.steps {
+			if st := &rp.steps[k]; st.index != nil {
+				st.index.get()
+			}
+		}
+		out[l] = &PreparedTerm{p: rp}
 	}
 	return out
 }
@@ -657,10 +741,16 @@ func (pt *PreparedTerm) Factorizes() bool {
 // two occurrences has this shape, with any σ pushed into the candidate
 // lists and any unconstrained tail folded; PairMoments counts it per
 // bucket.
-func (pt *PreparedTerm) Pairs() bool {
-	p := pt.p
-	return p.enumUpto == 2 && p.steps[1].index != nil && len(p.steps[1].preds) == 0
+func (pt *PreparedTerm) Pairs() bool { return pt.p.pairs() }
+
+func (p *termPlan) pairs() bool {
+	return p.enumUpto == 2 && len(p.steps[1].keyCols) > 0 && len(p.steps[1].preds) == 0
 }
+
+// Coded reports whether the plan counts its pair join by key code
+// (PairMoments and Marginals read code vectors and never probe a hash
+// index) rather than through the second step's index.
+func (pt *PreparedTerm) Coded() bool { return pt.p.codes != nil }
 
 // Enumerated reports whether the plan enumerates occurrence occ, rather
 // than folding it into the tail's factor: only an enumerated occurrence
@@ -707,7 +797,8 @@ type PairMoments struct {
 // ones.
 //
 // The parts (Parts) fan out over up to workers goroutines. Each scanned
-// row costs one probe, and the sums run over the buckets the probes
+// row costs one probe, or one code read on a coded plan, whose buckets
+// are key codes (Coded), and the sums run over the buckets the scan
 // touched; no assignment is visited. Counting keeps one tally per worker,
 // merged by integer addition: every partial sum is an integer below 2^53,
 // so Total equals Count and SumSq the sums over Marginals exactly, in any
@@ -742,7 +833,7 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 	if w != nil {
 		tallies = make([]*tally, parts)
 	}
-	buckets := second.index.Buckets()
+	buckets, bucketLen := p.buckets()
 	parallel.For(workers, workers, func(wk int) {
 		var t *tally
 		for part := wk; part < parts; part += workers {
@@ -753,7 +844,7 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 				t = newTally(buckets, false)
 				tallies[wk] = t
 			}
-			pairs[part] = p.probePart(part, parts, t, nil, scanW)
+			pairs[part] = p.scanPart(part, parts, t, nil, scanW)
 		}
 	})
 	for _, n := range pairs {
@@ -764,10 +855,22 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 		a.merge(t)
 		t.release()
 	}
+	// A coded plan sums the indexed side's weights per code over its
+	// candidates, ascending: each code's rows in the order the hashed
+	// bucket lists them, so every sum has the bits a bucket's would.
+	var codeB, codeQb []float64
+	if indexW != nil && p.codes != nil {
+		codeB, codeQb = make([]float64, buckets), make([]float64, buckets)
+		for _, row := range p.cand[second.occ] {
+			c, x := p.codes.keys[row], indexW(row)
+			codeB[c] += x
+			codeQb[c] += x * x
+		}
+	}
 	var ca, cb float64 // the counts' SumSq
 	var T, y2, sa, sb float64
 	for _, k := range a.touched {
-		fa, fb := float64(a.count[k]), float64(second.index.BucketLen(int(k)))
+		fa, fb := float64(a.count[k]), float64(bucketLen(k))
 		counts.SumY2 += fa * fb
 		ca += fa * fb * fb
 		cb += fb * fa * fa
@@ -775,11 +878,14 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 			continue
 		}
 		A, Qa, B, Qb := fa, fa, fb, fb
-		if scanW != nil {
+		switch {
+		case scanW != nil:
 			A, Qa = a.sum[k], a.sq[k]
-		} else {
+		case codeB != nil:
+			B, Qb = codeB[k], codeQb[k]
+		default:
 			B, Qb = 0, 0
-			for _, row := range second.index.BucketRows(int(k)) {
+			for _, row := range second.index.get().BucketRows(int(k)) {
 				x := indexW(row)
 				B += x
 				Qb += x * x
@@ -798,6 +904,17 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 	pm.Total, pm.SumY2 = T*p.tailFactor, y2
 	pm.SumSq[first.occ], pm.SumSq[second.occ] = sa, sb
 	return pm, counts
+}
+
+// buckets returns the number of bucket ids of a Pairs plan's join and the
+// size of bucket k: the key codes and the per-code candidate counts of a
+// coded plan, else the second step's index buckets.
+func (p *termPlan) buckets() (int, func(k int32) int) {
+	if c := p.codes; c != nil {
+		return len(c.size), func(k int32) int { return int(c.size[k]) }
+	}
+	ix := p.steps[1].index.get()
+	return ix.Buckets(), func(k int32) int { return ix.BucketLen(int(k)) }
 }
 
 // tally is a bucket tally's scratch: count[k] scanned rows landed in
@@ -870,6 +987,56 @@ func (t *tally) release() {
 	tallyPool.Put(t)
 }
 
+// scanPart is the scan of a factorizable plan's enumerated steps:
+// tallyPart on a coded plan, probePart otherwise. Both count the same
+// rows into the same buckets in the same order.
+func (p *termPlan) scanPart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
+	if p.codes != nil {
+		return p.tallyPart(part, parts, t, rowOut, w)
+	}
+	return p.probePart(part, parts, t, rowOut, w)
+}
+
+// tallyPart is probePart on a coded plan: a scanned row's bucket is its
+// key code, read from the code vector, and a code the second step's
+// candidates do not hold is an empty bucket, which the row does not touch
+// (a probe that misses). No hash is computed and no cell is compared.
+func (p *termPlan) tallyPart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
+	first := &p.steps[0]
+	var ev *termEval
+	if len(first.preds) > 0 {
+		ev = p.newEval()
+	}
+	scan, size := p.codes.scan, p.codes.size
+	cands := p.cand[first.occ]
+	lo, hi := chunk(len(cands), part, parts)
+	n := 0
+	for _, row := range cands[lo:hi] {
+		if ev != nil {
+			ev.assign[first.occ] = row
+			if !ev.predsHold(0) {
+				continue
+			}
+		}
+		k := scan[row]
+		c := int(size[k])
+		if c == 0 {
+			continue
+		}
+		t.add(int(k), 1)
+		if w != nil {
+			x := w(row)
+			t.sum[k] += x
+			t.sq[k] += x * x
+		}
+		if rowOut != nil {
+			rowOut[row] = float64(c) * p.tailFactor
+		}
+		n += c
+	}
+	return n
+}
+
 // probePart is the probe loop of a factorizable plan's enumerated steps:
 // it scans chunk part of parts of the first step's candidates and, when a
 // second step is enumerated, probes its index with every row that passes
@@ -887,6 +1054,10 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 	if p.enumUpto == 2 {
 		second = &p.steps[1]
 	}
+	var ix *relation.Index
+	if second != nil {
+		ix = second.index.get()
+	}
 	cands := p.cand[first.occ]
 	lo, hi := chunk(len(cands), part, parts)
 	n := 0
@@ -897,7 +1068,7 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 		}
 		c := 1
 		if second != nil {
-			k, _ := second.index.LookupBucket(second.probe, ev.assign)
+			k, _ := ix.LookupBucket(second.probe, ev.assign)
 			if k < 0 {
 				continue
 			}
@@ -907,7 +1078,7 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 				t.sum[k] += x
 				t.sq[k] += x * x
 			}
-			c = second.index.BucketLen(k)
+			c = ix.BucketLen(k)
 		}
 		if rowOut != nil {
 			rowOut[row] = float64(c) * p.tailFactor
@@ -919,8 +1090,8 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 
 // Marginals runs the term's moment pass. It visits only the plan's
 // enumerated prefix. A plan that Factorizes scans the first step's
-// candidates once, probes the second step's index for each (probePart, the
-// loop PairMoments runs), and counts per bucket — a_k scanned rows probe
+// candidates once, probes the second step's index for each or reads its
+// key code (scanPart, the loop PairMoments runs), and counts per bucket — a_k scanned rows probe
 // bucket k of size b_k, so a scanned row's marginal is b_k, an indexed
 // row's is a_k and the total is Σ a_k·b_k — at a cost of O(Σ candidate
 // rows), not O(assignments). Any other plan enumerates its prefix
@@ -994,23 +1165,35 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	p := pt.p
 	var t *tally // the second step's bucket tally, when there is one
 	if p.enumUpto == 2 {
-		t = newTally(p.steps[1].index.Buckets(), false)
+		buckets, _ := p.buckets()
+		t = newTally(buckets, false)
 		defer t.release()
 	}
 	prefix := 0
 	parts := pt.Parts()
 	for part := 0; part < parts; part++ {
-		n := p.probePart(part, parts, t, mg.Rows[p.steps[0].occ], nil)
+		n := p.scanPart(part, parts, t, mg.Rows[p.steps[0].occ], nil)
 		mg.Total += float64(n) * p.tailFactor
 		prefix += n
 	}
-	if t != nil {
-		second := &p.steps[1]
-		for _, k := range t.touched {
-			w := float64(t.count[k]) * p.tailFactor
-			for _, row := range second.index.BucketRows(int(k)) {
-				mg.Rows[second.occ][row] = w
+	if t == nil {
+		return prefix
+	}
+	second := &p.steps[1]
+	rows := mg.Rows[second.occ]
+	if p.codes != nil {
+		for _, row := range p.cand[second.occ] {
+			if a := t.count[p.codes.keys[row]]; a != 0 {
+				rows[row] = float64(a) * p.tailFactor
 			}
+		}
+		return prefix
+	}
+	ix := second.index.get()
+	for _, k := range t.touched {
+		w := float64(t.count[k]) * p.tailFactor
+		for _, row := range ix.BucketRows(int(k)) {
+			rows[row] = w
 		}
 	}
 	return prefix
@@ -1034,6 +1217,9 @@ type PlanCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	rec     obs.Recorder
+	// keys, when non-nil, is the key domain the cache's plans code their
+	// pair joins in (codeKeys).
+	keys *relation.KeyDomain
 }
 
 type cacheEntry struct {
@@ -1050,17 +1236,22 @@ const (
 	mPlanHit   = "relest_plan_cache_hit_total"
 )
 
-// NewPlanCache creates an empty plan cache.
+// NewPlanCache creates an empty plan cache that reports nothing and whose
+// plans probe their joins through hash indexes.
 func NewPlanCache() *PlanCache {
-	return NewPlanCacheRec(nil)
+	return NewPlanCacheRec(nil, nil)
 }
 
 // NewPlanCacheRec creates an empty plan cache reporting compilations and
-// hits to the recorder (nil = no reporting).
-func NewPlanCacheRec(rec obs.Recorder) *PlanCache {
+// hits to the recorder (nil = no reporting). Given a key domain, its plans
+// count a single-column pair join over sample views by key code in keys
+// (Coded); one domain serves every plan of the cache, so the codes of any
+// two views it joins agree. With nil keys every join probes a hash index.
+func NewPlanCacheRec(rec obs.Recorder, keys *relation.KeyDomain) *PlanCache {
 	return &PlanCache{
 		entries: make(map[string]*cacheEntry),
 		rec:     obs.Or(rec),
+		keys:    keys,
 	}
 }
 
@@ -1105,7 +1296,7 @@ func (c *PlanCache) Prepare(t *Term, inst Instances) (*PreparedTerm, error) {
 	} else {
 		c.rec.Add(mPlanBuilt, 1)
 	}
-	e.once.Do(func() { e.pt, e.err = Prepare(t, inst) })
+	e.once.Do(func() { e.pt, e.err = prepare(t, inst, c.keys) })
 	return e.pt, e.err
 }
 

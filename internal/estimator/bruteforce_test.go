@@ -24,7 +24,7 @@ func jackknifeNaive(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib
 		m := rs.m
 		vals := make([]float64, m)
 		err := parallel.ForErrRec(m, eng.workers, obs.Nop, func(u int) error {
-			v, err := pointEstimate(poly, syn.withoutUnit(rel, u), newEngine(nil, Options{Workers: 1}), contrib)
+			v, err := pointEstimate(poly, syn.withoutUnit(rel, u), newEngine(nil, syn, Options{Workers: 1}), contrib)
 			vals[u] = v
 			return err
 		})

@@ -173,7 +173,7 @@ func startEstimate(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, 
 	if err := checkSampleSizes(poly, syn); err != nil {
 		return nil, err
 	}
-	eng := newEngine(ctx, opts)
+	eng := newEngine(ctx, syn, opts)
 	eng.span = eng.rec.Span(sEstimate)
 	recordSynopsis(eng.rec, poly, syn)
 	return eng, nil

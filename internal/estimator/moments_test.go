@@ -264,7 +264,7 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 			for _, workers := range []int{1, 4} {
 				label := fmt.Sprintf("%s/%s/workers=%d", design, c.name, workers)
 				if poly.NumTerms() == 1 {
-					sums, _, err := twoRelationSums(&poly.Terms[0], syn, newEngine(nil, Options{Workers: workers}), countContrib)
+					sums, _, err := twoRelationSums(&poly.Terms[0], syn, newEngine(nil, syn, Options{Workers: workers}), countContrib)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -272,7 +272,7 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := enumTwoRelationTermVariance(&poly.Terms[0], syn, newEngine(nil, Options{Workers: workers}))
+					want, err := enumTwoRelationTermVariance(&poly.Terms[0], syn, newEngine(nil, syn, Options{Workers: workers}))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -280,11 +280,11 @@ func TestMomentPassMatchesEnumeration(t *testing.T) {
 						t.Errorf("%s: closed form %v (%016x), enumerated %v (%016x)", label, got, math.Float64bits(got), want, math.Float64bits(want))
 					}
 				}
-				got, err := jackknifeSinglePass(poly, syn, newEngine(nil, Options{Workers: workers}), countContrib)
+				got, err := jackknifeSinglePass(poly, syn, newEngine(nil, syn, Options{Workers: workers}), countContrib)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := enumJackknifeSinglePass(poly, syn, newEngine(nil, Options{Workers: workers}), countContrib)
+				want, err := enumJackknifeSinglePass(poly, syn, newEngine(nil, syn, Options{Workers: workers}), countContrib)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -391,7 +391,7 @@ func TestAvgProbesOnce(t *testing.T) {
 // Σ(θ−θ̄)² changes by at most 2·Σ|θ−θ̄|·2δ for |δ_u| ≤ δ = 8·ε·max|θ|.
 func exactJackknife(t *testing.T, poly algebra.Polynomial, syn *Synopsis) (exact, slack float64) {
 	t.Helper()
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(nil, syn, Options{Workers: 1})
 	rat := func(a, b int) *big.Rat { return big.NewRat(int64(a), int64(b)) }
 	total := new(big.Rat)
 	for _, rel := range poly.RelationNames() {

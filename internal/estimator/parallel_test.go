@@ -126,7 +126,7 @@ func TestWorkersDeterminismSumPartitioned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, pt, err := newEngine(nil, Options{}).plan(&poly.Terms[0], syn)
+	_, pt, err := newEngine(nil, syn, Options{}).plan(&poly.Terms[0], syn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestWorkersDeterminismSumPartitioned(t *testing.T) {
 // the given worker count.
 func jackknifeBothWays(t *testing.T, poly algebra.Polynomial, syn *Synopsis, workers int, contrib termContrib) (single, naive float64) {
 	t.Helper()
-	eng := newEngine(nil, Options{Workers: workers})
+	eng := newEngine(nil, syn, Options{Workers: workers})
 	single, err := jackknifeSinglePass(poly, syn, eng, contrib)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestSinglePassJackknifeSum(t *testing.T) {
 	if pos < 0 {
 		t.Fatal("no column b")
 	}
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(nil, syn, Options{Workers: 1})
 	single, err := jackknifeSinglePass(poly, syn, eng, sumContrib(pos))
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +441,7 @@ func benchJackknifeSetup(b *testing.B) (algebra.Polynomial, *Synopsis) {
 
 func BenchmarkJackknifeSinglePass(b *testing.B) {
 	poly, syn := benchJackknifeSetup(b)
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(nil, syn, Options{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := jackknifeSinglePass(poly, syn, eng, countContrib); err != nil {
@@ -452,7 +452,7 @@ func BenchmarkJackknifeSinglePass(b *testing.B) {
 
 func BenchmarkJackknifeNaive(b *testing.B) {
 	poly, syn := benchJackknifeSetup(b)
-	eng := newEngine(nil, Options{Workers: 1})
+	eng := newEngine(nil, syn, Options{Workers: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := jackknifeNaive(poly, syn, eng, countContrib)

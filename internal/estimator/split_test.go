@@ -84,7 +84,7 @@ func splitSampleVarianceRef(poly algebra.Polynomial, syn *Synopsis, opts Options
 		for _, rel := range poly.RelationNames() {
 			unitSel[rel] = groupsByRel[rel][i]
 		}
-		v, err := pointEstimate(poly, syn.subSynopsisUnits(unitSel), newEngine(nil, Options{Workers: 1}), contrib)
+		v, err := pointEstimate(poly, syn.subSynopsisUnits(unitSel), newEngine(nil, syn, Options{Workers: 1}), contrib)
 		if err != nil {
 			return 0, err
 		}
@@ -153,7 +153,7 @@ func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 							name := fmt.Sprintf("%s/%s/%s/g=%d/w=%d/shrink=%v", design, ex.name, agg, groups, workers, shrink)
 							opts := Options{Groups: groups, Seed: 7, Workers: workers}.withDefaults()
 							want, werr := splitSampleVarianceRef(poly, syn, opts, shrink, contrib)
-							eng := newEngine(nil, opts)
+							eng := newEngine(nil, syn, opts)
 							if _, err := pointEstimate(poly, syn, eng, contrib); err != nil {
 								t.Fatalf("%s: point estimate: %v", name, err)
 							}

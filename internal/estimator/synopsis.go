@@ -188,6 +188,12 @@ func (rs *relSynopsis) addUnits(ids []int) {
 type Synopsis struct {
 	rels map[string]*relSynopsis
 
+	// keys is the key domain every plan over the synopsis codes its
+	// single-column pair joins in (algebra.NewPlanCacheRec): the sample
+	// views code each join key column once, on first use, and keep the
+	// codes as they grow. A clone gets a domain of its own.
+	keys *relation.KeyDomain
+
 	// sketches is the optional sketch tier (per-relation AGMS column
 	// sketches plus KMV distinct summaries over the FULL relation), built
 	// lazily by EnsureSketches or transplanted by Incremental.Snapshot.
@@ -198,7 +204,9 @@ type Synopsis struct {
 }
 
 // NewSynopsis creates an empty synopsis.
-func NewSynopsis() *Synopsis { return &Synopsis{rels: make(map[string]*relSynopsis)} }
+func NewSynopsis() *Synopsis {
+	return &Synopsis{rels: make(map[string]*relSynopsis), keys: relation.NewKeyDomain()}
+}
 
 // Relation implements algebra.Catalog, returning the sample relation.
 func (s *Synopsis) Relation(name string) (*relation.Relation, bool) {
@@ -239,11 +247,13 @@ func (s *Synopsis) Design(name string) (pageSize int, ok bool) {
 
 // Bytes estimates the synopsis's resident sample storage. Drawn samples
 // are zero-copy views into their base relations, so they count only their
-// index vectors plus the join indexes memoized on them (relation.Bytes view
-// accounting; at most one index per sample view and key column set);
-// externally supplied samples count their full column storage.
+// index vectors plus the join indexes and key code vectors memoized on
+// them (relation.Bytes view accounting; at most one index per sample view
+// and key column set, one code vector per key column); externally
+// supplied samples count their full column storage. The key domain counts
+// once.
 func (s *Synopsis) Bytes() int {
-	total := 0
+	total := s.keys.Bytes()
 	for _, rs := range s.rels {
 		total += rs.sample.Bytes()
 	}
@@ -422,11 +432,17 @@ func Draw(rels []*relation.Relation, fraction float64, minSize int, rng *rand.Ra
 }
 
 // Clone returns an independently extendable copy of the synopsis: the two
-// share the (immutable) base relations and current sample relations, but
+// share the (immutable) base relations and current samples, but
 // ExtendSample on one never changes what the other sees. Servers use this
 // to give each sequential/deadline request its own growable view of a
 // shared synopsis without re-drawing, so concurrent requests neither race
 // nor perturb each other's estimates.
+//
+// The clone codes its join keys in a key domain of its own, so concurrent
+// requests never contend for one domain's lock, and it reads its samples
+// through aliases of the shared views (relation.Relation.Alias), so the
+// code vectors it builds are dropped with it instead of piling up on the
+// views every request shares.
 func (s *Synopsis) Clone() *Synopsis {
 	out := NewSynopsis()
 	for name, rs := range s.rels {
@@ -435,7 +451,9 @@ func (s *Synopsis) Clone() *Synopsis {
 		// clipped headers make the clone's first append copy, and the
 		// clone rebuilds its own bitset, so those writes stay private.
 		// Sample views are never mutated, only replaced (Extend), so
-		// sharing them is safe.
+		// sharing their rows and storage is safe.
+		//lint:ignore viewescape the clone retains an alias of the synopsis's retained sample view: same rows, same pinned storage
+		cp.sample = rs.sample.Alias()
 		cp.units = slices.Clip(rs.units)
 		cp.unitStart = slices.Clip(rs.unitStart)
 		cp.taken = nil

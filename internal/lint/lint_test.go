@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -103,20 +104,11 @@ func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
+	run := lintModule(t)
+	if run.pkgs < 15 {
+		t.Fatalf("LoadAll found only %d packages; the module walk is broken", run.pkgs)
 	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pkgs) < 15 {
-		t.Fatalf("LoadAll found only %d packages; the module walk is broken", len(pkgs))
-	}
-	findings := Run(pkgs, All())
-	Relativize(findings, loader.ModuleRoot())
-	for _, f := range findings {
+	for _, f := range run.findings {
 		t.Errorf("%s", f)
 	}
 }
@@ -132,21 +124,54 @@ func TestLintRuntimeBudget(t *testing.T) {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
 	const budget = 30 * time.Second
-	start := time.Now()
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	Run(pkgs, All())
-	if elapsed := time.Since(start); elapsed > budget {
+	if elapsed := lintModule(t).elapsed; elapsed > budget {
 		t.Errorf("full lint run took %s, over the %s budget", elapsed.Round(time.Millisecond), budget)
 	} else {
 		t.Logf("full lint run: %s (budget %s)", elapsed.Round(time.Millisecond), budget)
 	}
+}
+
+// moduleRun is one full lint run over the module: the load, every rule,
+// and the wall clock both took.
+type moduleRun struct {
+	pkgs     int
+	findings []Finding
+	elapsed  time.Duration
+	err      error
+}
+
+var (
+	moduleOnce sync.Once
+	module     moduleRun
+)
+
+// lintModule loads and lints the whole module once per test binary, timed,
+// and hands every caller that run: loading the module is most of the
+// package's test time, and TestRepoClean and TestLintRuntimeBudget assert
+// over the same run. Each test still triggers it alone under -run.
+func lintModule(t *testing.T) moduleRun {
+	t.Helper()
+	moduleOnce.Do(func() {
+		start := time.Now()
+		loader, err := NewLoader(".")
+		if err != nil {
+			module.err = err
+			return
+		}
+		pkgs, err := loader.LoadAll()
+		if err != nil {
+			module.err = err
+			return
+		}
+		module.findings = Run(pkgs, All())
+		module.elapsed = time.Since(start)
+		module.pkgs = len(pkgs)
+		Relativize(module.findings, loader.ModuleRoot())
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
+	}
+	return module
 }
 
 // TestAnalyzerSet pins the shipped rule set: twelve analyzers, stable

@@ -9,13 +9,13 @@ import (
 
 // ViewEscape statically guards the storage engine's copy-on-write
 // invariant. relation.Row values and the *Relation views minted by
-// Subset/Clone/Extend are zero-copy: they read the base relation's column vectors
+// Subset/Clone/Extend/Alias are zero-copy: they read the base relation's column vectors
 // in place, snapshot-clamped at creation time. That is exactly what makes
 // sampling cheap — and exactly what makes a retained view dangerous: a
 // view outliving the statement that made it can silently diverge from (or
 // race with) its base. Outside internal/relation the rule flags:
 //
-//   - a Row or freshly-minted Subset/Clone/Extend view stored into a struct
+//   - a Row or freshly-minted Subset/Clone/Extend/Alias view stored into a struct
 //     field (composite literal or field assignment): the field pins the
 //     base's columns and, after a base Sort or incremental rebuild, reads
 //     remapped rows;
@@ -38,7 +38,7 @@ var ViewEscape = &Analyzer{
 }
 
 // viewMethods are the *Relation methods that mint zero-copy views.
-var viewMethods = map[string]bool{"Subset": true, "Clone": true, "Extend": true}
+var viewMethods = map[string]bool{"Subset": true, "Clone": true, "Extend": true, "Alias": true}
 
 // appendMethods are the *Relation methods that grow the base in place.
 var appendMethods = map[string]bool{
@@ -242,7 +242,7 @@ func isRowType(t types.Type) bool {
 }
 
 // isViewCall reports whether call mints a zero-copy view (Relation.Subset,
-// Relation.Clone or Relation.Extend).
+// Relation.Clone, Relation.Extend or Relation.Alias).
 func isViewCall(p *Pass, call *ast.CallExpr) bool {
 	fn := calleeFunc(p, call)
 	if fn == nil || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), relationPkgSuffix) {

@@ -222,7 +222,9 @@ func (c *column) keyHashAt(i int) uint64 {
 
 // equalRows reports whether rows i and j of the same column hold Equal
 // values. Dictionary codes compare directly (the dictionary interns), so
-// string equality is O(1).
+// string equality is O(1); floats compare with < and >, as equalCells and
+// Compare do, so an index build puts two NaNs of one bit pattern (one
+// hash) in one bucket, where its probe finds them.
 func (c *column) equalRows(i, j int) bool {
 	ni, nj := c.isNull(i), c.isNull(j)
 	if ni || nj {
@@ -232,8 +234,8 @@ func (c *column) equalRows(i, j int) bool {
 	case KindInt:
 		return c.ints[i] == c.ints[j]
 	case KindFloat:
-		//lint:ignore floateq columnar fast path must agree exactly with Value.Equal, which compares floats with ==
-		return c.floats[i] == c.floats[j]
+		x, y := c.floats[i], c.floats[j]
+		return !(x < y) && !(x > y)
 	case KindString:
 		return c.codes[i] == c.codes[j]
 	default:
@@ -246,14 +248,20 @@ func (c *column) equalRows(i, j int) bool {
 // place. Ints compare directly; floats compare with < and > (so NaN and ±0
 // are Equal exactly as Compare has them); strings compare codes when the
 // columns share a dictionary and the strings otherwise; an Int/Float pair
-// falls back to Value.Equal.
+// compares exactly (cmpIntFloat), and other kinds never match.
 func equalCells(a *column, pa int, b *column, pb int) bool {
 	na, nb := a.isNull(pa), b.isNull(pb)
 	if na || nb {
 		return na && nb
 	}
 	if a.kind != b.kind {
-		return a.value(pa).Equal(b.value(pb))
+		switch {
+		case a.kind == KindInt && b.kind == KindFloat:
+			return cmpIntFloat(a.ints[pa], b.floats[pb]) == 0
+		case a.kind == KindFloat && b.kind == KindInt:
+			return cmpIntFloat(b.ints[pb], a.floats[pa]) == 0
+		}
+		return false
 	}
 	switch a.kind {
 	case KindInt:

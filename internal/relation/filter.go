@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Typed list kernels: term evaluation's σ scan and join probe read the
 // column vectors directly, over whole lists of logical rows, with the view
@@ -16,9 +19,11 @@ import "fmt"
 //
 // The comparison reads the typed vector: ints against an Int compare as
 // int64, any other numeric pair as float64 (NaN compares 0, as in
-// Compare), strings compare in place through the dictionary, and a
-// numeric cell against a string constant (or the reverse) takes Compare's
-// cross-kind order, numerics below strings, without reading the cell.
+// Compare) where float64 orders it exactly, and through cmpIntFloat, as
+// Compare does, where an int past ±2^53 meets a float; strings compare in
+// place through the dictionary, and a numeric cell against a string
+// constant (or the reverse) takes Compare's cross-kind order, numerics
+// below strings, without reading the cell.
 func (r *Relation) FilterCmp(rows []int, c int, k Value, keep [3]bool) []int {
 	col := &r.cols[c]
 	if k.IsNull() || col.kind == KindNull {
@@ -32,14 +37,22 @@ func (r *Relation) FilterCmp(rows []int, c int, k Value, keep [3]bool) []int {
 			return filterNonNull(rows, r.view, col.nulls, keep[0])
 		case k.kind == KindInt:
 			return filterOrdered(rows, r.view, col.nulls, col.ints, k.i, keep)
-		default:
+		case math.Abs(k.f) < 1<<53 || math.IsNaN(k.f):
 			return filterOrdered(rows, r.view, col.nulls, col.ints, k.f, keep)
+		default:
+			return filterMixed(rows, r.view, col.nulls, col.ints, func(x int64) int { return cmpIntFloat(x, k.f) }, keep)
 		}
 	case KindFloat:
-		if !numeric {
+		switch {
+		case !numeric:
 			return filterNonNull(rows, r.view, col.nulls, keep[0])
+		case k.kind == KindFloat:
+			return filterOrdered(rows, r.view, col.nulls, col.floats, k.f, keep)
 		}
-		return filterOrdered(rows, r.view, col.nulls, col.floats, k.Float64(), keep)
+		if f, exact := exactFloat(k.i); exact {
+			return filterOrdered(rows, r.view, col.nulls, col.floats, f, keep)
+		}
+		return filterMixed(rows, r.view, col.nulls, col.floats, func(x float64) int { return -cmpIntFloat(k.i, x) }, keep)
 	case KindString:
 		if numeric {
 			return filterNonNull(rows, r.view, col.nulls, keep[2])
@@ -71,6 +84,26 @@ func filterOrdered[E, K int64 | float64](rows, view []int, nulls []uint64, vec [
 			v = 2
 		}
 		if keep[v] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// filterMixed is FilterCmp over an Int/Float pair that float64 would
+// round: each non-null cell is ordered against the constant by cmp, the
+// exact three-way comparison of cell and constant.
+func filterMixed[E int64 | float64](rows, view []int, nulls []uint64, vec []E, cmp func(E) int, keep [3]bool) []int {
+	out := rows[:0]
+	for _, i := range rows {
+		p := i
+		if view != nil {
+			p = view[i]
+		}
+		if nulls != nil && bitAt(nulls, p) {
+			continue
+		}
+		if keep[cmp(vec[p])+1] {
 			out = append(out, i)
 		}
 	}

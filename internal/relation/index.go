@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -69,10 +68,12 @@ const nullKeyHash = 0x9e3779b97f4a7c15
 // float64 bits, so Int(k) and Float(k) collide as Equal demands. −0 is
 // folded into +0 on the bit pattern (the two zeros are Equal).
 func numKeyHash(f float64) uint64 {
-	b := math.Float64bits(f)
-	if b == 1<<63 {
-		b = 0
-	}
+	return mixBits(numBits(f))
+}
+
+// mixBits is a 64-bit finalizer (splitmix64's): every input bit moves
+// every output bit, so slots taken from the top bits spread.
+func mixBits(b uint64) uint64 {
 	b ^= b >> 30
 	b *= 0xbf58476d1ce4e5b9
 	b ^= b >> 27
@@ -398,7 +399,8 @@ func (r *Relation) SharedIndex(cols []int) *Index {
 	return e.ix.Load()
 }
 
-// memoBytes sums the resident size of the view's built memoized indexes.
+// memoBytes sums the resident size of the view's built memoized indexes
+// and code vectors.
 func (r *Relation) memoBytes() int {
 	r.memoMu.Lock()
 	defer r.memoMu.Unlock()
@@ -406,6 +408,11 @@ func (r *Relation) memoBytes() int {
 	for _, m := range r.memo {
 		if ix := m.ix.Load(); ix != nil {
 			total += ix.Bytes()
+		}
+	}
+	for _, m := range r.codes {
+		if c := m.codes.Load(); c != nil {
+			total += len(*c) * 4
 		}
 	}
 	return total

@@ -108,10 +108,12 @@ type Relation struct {
 	// view maps logical row i to position view[i] of cols. nil means the
 	// relation is a base: logical rows are storage rows [0, n).
 	view []int
-	// memo holds a view's whole-view indexes (see SharedIndex), created on
-	// first use and guarded by memoMu. Bases never memoize.
+	// memo holds a view's whole-view indexes (see SharedIndex) and codes
+	// its key columns' code vectors (see KeyCodes), created on first use
+	// and guarded by memoMu. Bases never memoize.
 	memoMu sync.Mutex
 	memo   []*indexMemo
+	codes  []*codeMemo
 }
 
 // New creates an empty base relation with the given name and schema.
@@ -369,9 +371,9 @@ func (r *Relation) Subset(name string, positions []int) *Relation {
 // given positions, in the given order: what src.Subset over r's positions
 // and then these would hold, without rebuilding r's indexes. r must be a
 // view over src's storage (a Subset of src, or a view Extend grew from
-// one). Neither r nor its memoized indexes change: every index built on r
-// is carried to the new view, which grows it on first use by hashing only
-// the appended rows (SharedIndex).
+// one). Neither r nor its memoized indexes change: every index and code
+// vector built on r is carried to the new view, which grows it on first
+// use by hashing or coding only the appended rows (SharedIndex, KeyCodes).
 func (r *Relation) Extend(src *Relation, positions []int) *Relation {
 	if r.view == nil {
 		panic(fmt.Sprintf("relation %s: Extend of a base relation", r.name))
@@ -389,6 +391,11 @@ func (r *Relation) Extend(src *Relation, positions []int) *Relation {
 	for _, m := range r.memo {
 		if ix := m.ix.Load(); ix != nil {
 			out.memo = append(out.memo, &indexMemo{cols: m.cols, from: ix})
+		}
+	}
+	for _, m := range r.codes {
+		if c := m.codes.Load(); c != nil {
+			out.codes = append(out.codes, &codeMemo{col: m.col, dom: m.dom, from: *c})
 		}
 	}
 	r.memoMu.Unlock()
@@ -470,9 +477,9 @@ func (r *Relation) Sort() {
 	sort.Slice(perm, func(a, b int) bool { return r.compareRows(perm[a], perm[b]) < 0 })
 	if r.view != nil {
 		// Views reorder by permuting the index vector, which invalidates
-		// any memoized index over the old order.
+		// any memoized index or code vector over the old order.
 		r.memoMu.Lock()
-		r.memo = nil
+		r.memo, r.codes = nil, nil
 		r.memoMu.Unlock()
 		old := r.view
 		view := make([]int, r.n)
@@ -494,7 +501,8 @@ func (r *Relation) Sort() {
 // Bytes estimates the relation's resident storage in bytes: column vectors,
 // null bitmaps and string dictionaries for base relations; the index vector
 // for views (whose column storage is shared with, and accounted to, the
-// base) plus the indexes memoized on them (SharedIndex). It feeds the
+// base) plus the indexes and code vectors memoized on them (SharedIndex,
+// KeyCodes). It feeds the
 // relest_relation_bytes / relest_synopsis_bytes gauges.
 func (r *Relation) Bytes() int {
 	if r.view != nil {

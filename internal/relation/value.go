@@ -118,9 +118,12 @@ func (v Value) String() string {
 }
 
 // Equal reports value equality. Numeric values of different kinds compare
-// numerically (Int(2) equals Float(2.0)); null equals only null. This is the
-// equality used by joins, intersections and duplicate elimination, so it
-// must agree with Compare and with Hash.
+// numerically and exactly (Int(2) equals Float(2.0), Int(2^53+1) equals
+// no float); null equals only null. This is the equality used by joins,
+// intersections and duplicate elimination, so it must agree with Compare,
+// with Hash (equal values hash equal) and with the Key encoding (equal
+// values encode equal, and only they; a NaN is the one exception, see
+// appendKey).
 func (v Value) Equal(u Value) bool { return v.Compare(u) == 0 }
 
 // Compare returns -1, 0 or +1 ordering v against u. The total order is:
@@ -139,8 +142,9 @@ func (v Value) Compare(u Value) int {
 	case 0: // both null
 		return 0
 	case 1: // both numeric
-		// Compare exactly when both are ints to avoid float rounding.
-		if v.kind == KindInt && u.kind == KindInt {
+		// An int compares exactly, never through a rounded float64.
+		switch {
+		case v.kind == KindInt && u.kind == KindInt:
 			switch {
 			case v.i < u.i:
 				return -1
@@ -148,8 +152,12 @@ func (v Value) Compare(u Value) int {
 				return 1
 			}
 			return 0
+		case v.kind == KindInt:
+			return cmpIntFloat(v.i, u.f)
+		case u.kind == KindInt:
+			return -cmpIntFloat(u.i, v.f)
 		}
-		a, b := v.Float64(), u.Float64()
+		a, b := v.f, u.f
 		switch {
 		case a < b:
 			return -1
@@ -166,6 +174,54 @@ func (v Value) Compare(u Value) int {
 		}
 		return 0
 	}
+}
+
+// cmpIntFloat orders the int i against the float f exactly: float64(i)
+// rounds past ±2^53, so Int(2^53+1) would otherwise compare equal to
+// Float(2^53). A NaN compares 0, as it does against every numeric.
+func cmpIntFloat(i int64, f float64) int {
+	switch {
+	case math.IsNaN(f):
+		return 0
+	case f >= 1<<63:
+		return -1
+	case f < -(1 << 63):
+		return 1
+	}
+	// f is inside int64's range, and its integer part is a float64, so
+	// the conversion is exact.
+	t := int64(f)
+	switch {
+	case i < t:
+		return -1
+	case i > t:
+		return 1
+	case f > float64(t):
+		return -1
+	case f < float64(t):
+		return 1
+	}
+	return 0
+}
+
+// exactFloat returns float64(i) and whether it converts back to i: every
+// int up to ±2^53 does, and past it only those float64 holds exactly.
+func exactFloat(i int64) (float64, bool) {
+	f := float64(i)
+	if -1<<53 <= i && i <= 1<<53 {
+		return f, true
+	}
+	return f, f < 1<<63 && int64(f) == i
+}
+
+// numBits returns f's bit pattern with −0 folded into +0: the two zeros
+// are Equal, and every other numeric key is told apart by its bits.
+func numBits(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b == 1<<63 {
+		b = 0
+	}
+	return b
 }
 
 // class buckets kinds into null(0) / numeric(1) / string(2) for Compare.
@@ -224,19 +280,26 @@ func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
 
 // appendKey appends a self-delimiting encoding of the value to dst such
 // that two values have identical encodings iff they are Equal. Used to
-// build composite hash-join keys.
+// build composite hash-join keys. A numeric encodes its float64 bits, −0
+// folded into +0, so Int(2) and Float(2.0) share one encoding; an int that
+// float64 does not hold exactly (past ±2^53) equals no float and encodes
+// its own bits under a tag of its own. A NaN encodes its bit pattern, so
+// it shares a key only with a NaN of the same bits, although Compare puts
+// it level with every numeric.
 func (v Value) appendKey(dst []byte) []byte {
 	switch v.kind {
 	case KindNull:
 		return append(dst, 0)
 	case KindInt, KindFloat:
-		f := v.Float64()
-		//lint:ignore floateq -0 folding: ==0 is exactly true for both IEEE zeros, rewriting -0 to +0 before encoding
-		if f == 0 {
-			f = 0 // fold -0
+		tag, bits := byte(1), numBits(v.f)
+		if v.kind == KindInt {
+			if f, exact := exactFloat(v.i); exact {
+				bits = numBits(f)
+			} else {
+				tag, bits = 3, uint64(v.i)
+			}
 		}
-		bits := math.Float64bits(f)
-		dst = append(dst, 1)
+		dst = append(dst, tag)
 		for i := 0; i < 8; i++ {
 			dst = append(dst, byte(bits>>(8*i)))
 		}
