@@ -38,45 +38,47 @@ func sameMarginals(a, b Marginals) bool {
 	return true
 }
 
-// codedMatchesHashed reports whether the coded plan answers what the
-// hashed plan of the same term answers, bit for bit: the pair tally at one
-// worker and at four, unweighted and with a Float weight on either
-// enumerated occurrence, and the moment pass.
-func codedMatchesHashed(t *testing.T, coded, hashed *PreparedTerm, what string) bool {
+// plansAgree reports whether two plans of one term over the same
+// instances, their keys coded in different domains, answer alike bit for
+// bit: the pair tally at one worker and at four, unweighted and with a
+// Float weight on either enumerated occurrence, and the moment pass. Bucket
+// ids and codes differ between the domains; no bit may.
+func plansAgree(t *testing.T, a, b *PreparedTerm, what string) bool {
 	t.Helper()
 	weights := []*RowWeight{nil}
-	for _, st := range coded.p.steps[:2] {
+	for _, st := range a.p.steps[:2] {
 		weights = append(weights, &RowWeight{Occ: st.occ, W: func(row int) float64 { return 0.1*float64(row) + 1.0/3 }})
 	}
 	for _, w := range weights {
 		for _, workers := range []int{1, 4} {
-			gotPM, gotCounts := coded.PairMoments(workers, w)
-			wantPM, wantCounts := hashed.PairMoments(workers, w)
+			gotPM, gotCounts := a.PairMoments(workers, w)
+			wantPM, wantCounts := b.PairMoments(workers, w)
 			if !sameMoments(gotPM, wantPM) || !sameMoments(gotCounts, wantCounts) {
 				occ := -1
 				if w != nil {
 					occ = w.Occ
 				}
-				t.Errorf("%s: weight on occurrence %d, %d workers: coded tally %+v %+v, hashed %+v %+v", what, occ, workers, gotPM, gotCounts, wantPM, wantCounts)
+				t.Errorf("%s: weight on occurrence %d, %d workers: tally %+v %+v, other domain's %+v %+v", what, occ, workers, gotPM, gotCounts, wantPM, wantCounts)
 				return false
 			}
 		}
 	}
-	if got, want := coded.Marginals(), hashed.Marginals(); !sameMarginals(got, want) {
-		t.Errorf("%s: coded moment pass %+v, hashed %+v", what, got, want)
+	if got, want := a.Marginals(), b.Marginals(); !sameMarginals(got, want) {
+		t.Errorf("%s: moment pass %+v, other domain's %+v", what, got, want)
 		return false
 	}
 	return true
 }
 
-// TestQuickCodedPairsMatchHashed compiles the terms of the normalizer's
-// random expressions twice, with and without a key domain, over sample
-// views of relations with and without null and Int↔Float keys: a coded
-// pair plan must tally and pass exactly as the hashed plan does, and
-// reproduce enumeration; a composite key (∩) stays hashed.
-func TestQuickCodedPairsMatchHashed(t *testing.T) {
+// TestQuickPairPlansAgree compiles the terms of the normalizer's random
+// expressions twice over sample views of relations with and without null
+// and Int↔Float keys: once in one memoizing domain shared by every term
+// (a synopsis's), once by Prepare in a domain of its own. Every pair plan,
+// on one column or on a composite key (∩), must tally and pass with the
+// same bits in both, and reproduce enumeration.
+func TestQuickPairPlansAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	var coded, composite int
+	var single, composite int
 	for trial := 0; trial < 400 && !t.Failed(); trial++ {
 		base, bases := randomCatalog(rng)
 		if trial%2 == 1 {
@@ -90,46 +92,46 @@ func TestQuickCodedPairsMatchHashed(t *testing.T) {
 			continue
 		}
 		cat, _ := sampleViews(rng, base, 1)
-		dom := relation.NewKeyDomain()
+		dom := relation.NewMemoKeyDomain()
 		for ti := range poly.Terms {
 			tm := &poly.Terms[ti]
 			inst, err := BindInstances(tm, cat)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hashed, err := Prepare(tm, inst)
+			own, err := Prepare(tm, inst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pc, err := prepare(tm, inst, dom)
+			shared, err := prepare(tm, inst, dom)
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch {
-			case pc.Coded():
-				coded++
-			case pc.Pairs() && len(pc.p.steps[1].keyCols) > 1:
+			if !shared.Pairs() {
+				continue
+			}
+			if len(shared.p.steps[1].keyCols) > 1 {
 				composite++
-			case pc.Pairs():
-				t.Fatalf("trial %d term %d: a single-column pair join over sample views is not coded: %v", trial, ti, tm)
+			} else {
+				single++
 			}
-			if pc.Coded() && (!codedMatchesHashed(t, pc, hashed, "coded plan") || !marginalsMatch(t, pc, "coded plan")) {
+			if !plansAgree(t, shared, own, "pair plan") || !marginalsMatch(t, shared, "pair plan") {
 				t.Logf("trial %d term %d: %v", trial, ti, tm)
 				break
 			}
 		}
 	}
-	t.Logf("%d coded pair plans, %d composite-key pair plans", coded, composite)
-	if coded < 40 || composite == 0 {
-		t.Errorf("the generator has lost coverage: %d coded, %d composite", coded, composite)
+	t.Logf("%d single-column pair plans, %d composite-key pair plans", single, composite)
+	if single < 40 || composite == 0 {
+		t.Errorf("the generator has lost coverage: %d single-column, %d composite", single, composite)
 	}
 }
 
-// TestCodedPairsPartitioned covers coded joins large enough to count in
-// parts (Parts > 1), on an int key and on a string key whose relations
-// intern their strings in two dictionaries: the coded plan tallies and
-// passes with the hashed plan's bits at one worker and at four, and
-// builds no hash index doing so.
+// TestCodedPairsPartitioned covers joins large enough to count in parts
+// (Parts > 1), on an int key and on a string key whose relations intern
+// their strings in two dictionaries: the plan tallies and passes with the
+// same bits whichever domain codes its keys, at one worker and at four,
+// and reproduces enumeration.
 func TestCodedPairsPartitioned(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range []relation.Kind{relation.KindInt, relation.KindString} {
@@ -157,22 +159,19 @@ func TestCodedPairsPartitioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashed, err := Prepare(&poly.Terms[0], inst)
+		own, err := Prepare(&poly.Terms[0], inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := prepare(&poly.Terms[0], inst, relation.NewKeyDomain())
+		pc, err := prepare(&poly.Terms[0], inst, relation.NewMemoKeyDomain())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pc.Parts() == 1 || !pc.Coded() {
-			t.Fatalf("%v key: fixture counts in %d part(s), coded %v; want a partitioned coded join", kind, pc.Parts(), pc.Coded())
+		if pc.Parts() == 1 || !pc.Pairs() {
+			t.Fatalf("%v key: fixture counts in %d part(s), pair shape %v; want a partitioned pair join", kind, pc.Parts(), pc.Pairs())
 		}
-		codedMatchesHashed(t, pc, hashed, fmt.Sprintf("%v key", kind))
-		if pc.p.steps[1].index.ix != nil {
-			t.Errorf("%v key: the coded tally built a hash index", kind)
-		}
-		marginalsMatch(t, pc, fmt.Sprintf("%v key, coded", kind))
+		plansAgree(t, pc, own, fmt.Sprintf("%v key", kind))
+		marginalsMatch(t, pc, fmt.Sprintf("%v key", kind))
 	}
 }
 
@@ -227,9 +226,8 @@ func TestLazyIndexConcurrent(t *testing.T) {
 }
 
 // BenchmarkPairTally prices one COUNT tally of a two-relation equi-join
-// over sample views of two 100k-row relations with 2 000 keys: probing
-// the second view's prebuilt hash index with every row of the first
-// (hashed), against counting both views' prebuilt key codes (coded).
+// over sample views of two 100k-row relations with 2 000 keys, reading
+// the first view's key codes and the second's index, both built once.
 func BenchmarkPairTally(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	schema := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt})
@@ -248,23 +246,17 @@ func BenchmarkPairTally(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, keys := range []string{"hashed", "coded"} {
-			b.Run(fmt.Sprintf("%s/n=%d", keys, n), func(b *testing.B) {
-				var dom *relation.KeyDomain
-				if keys == "coded" {
-					dom = relation.NewKeyDomain()
-				}
-				pt, err := prepare(&poly.Terms[0], inst, dom)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pt.PairMoments(1, nil) // the index or the codes, built once
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pt.PairMoments(1, nil)
-				}
-			})
-		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			pt, err := Prepare(&poly.Terms[0], inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pt.PairMoments(1, nil) // the index, built once
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pt.PairMoments(1, nil)
+			}
+		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // Eval evaluates the expression exactly against the catalog and returns the
 // result relation. It is the ground truth that every estimator in this
-// repository is measured against: hash joins for equi-joins, key-set
+// repository is measured against: code-index joins for equi-joins, key-set
 // algorithms for the set operations, full duplicate elimination for π.
 //
 // Selections return zero-copy views over their input; joins, products,
@@ -119,7 +119,7 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 		// can reserve the exact (pre-theta) match count up front; the emit
 		// pass then appends without a reallocation cascade.
 		if right.Len() <= left.Len() {
-			matches, total := hashProbe(right, e.joinRight, left, e.joinLeft)
+			matches, total := joinProbe(right, e.joinRight, left, e.joinLeft)
 			out.Grow(total)
 			for i, m := range matches {
 				for _, j := range m {
@@ -127,7 +127,7 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 				}
 			}
 		} else {
-			matches, total := hashProbe(left, e.joinLeft, right, e.joinRight)
+			matches, total := joinProbe(left, e.joinLeft, right, e.joinRight)
 			out.Grow(total)
 			for j, m := range matches {
 				for _, i := range m {
@@ -153,21 +153,17 @@ func Eval(e *Expr, cat Catalog) (*relation.Relation, error) {
 	}
 }
 
-// hashProbe indexes build on buildCols and looks every row of probe up on
-// probeCols, returning each probe row's bucket (shared with the index) and
-// the total match count.
-func hashProbe(build *relation.Relation, buildCols []int, probe *relation.Relation, probeCols []int) ([][]int, int) {
-	ix := relation.BuildIndex(build, buildCols)
-	key := make([]relation.KeyRef, len(probeCols))
-	for k, c := range probeCols {
-		key[k] = relation.KeyRef{Rel: probe, Col: c}
-	}
+// joinProbe codes build's buildCols and probe's probeCols in one key
+// domain, which lives only for the call, indexes build by code and looks
+// every row of probe up, returning each probe row's bucket (shared with
+// the index) and the total match count.
+func joinProbe(build *relation.Relation, buildCols []int, probe *relation.Relation, probeCols []int) ([][]int, int) {
+	keys := relation.NewKeyDomain()
+	ix := relation.NewIndex(build.KeyCodes(buildCols, keys), nil)
 	matches := make([][]int, probe.Len())
 	total := 0
-	at := []int{0}
-	for i := range matches {
-		at[0] = i
-		matches[i] = ix.Lookup(key, at)
+	for i, code := range probe.KeyCodes(probeCols, keys) {
+		matches[i] = ix.Lookup(code)
 		total += len(matches[i])
 	}
 	return matches, total
@@ -178,10 +174,11 @@ func hashProbe(build *relation.Relation, buildCols []int, probe *relation.Relati
 // result; otherwise E is σ/⋈/× only, Normalize yields one term with
 // coefficient 1, and the count is that term's satisfying assignments over
 // the catalog's full relations — the estimator's term evaluator at a
-// census (every N_i/n_i is 1), holding candidate lists and hash indexes but
-// nothing per output row. The term's parts are counted with parallel.For at
-// the process default worker count (parallel.SetWorkers, i.e. relest
-// -workers) and added in part order; counts are exact below 2^53.
+// census (every N_i/n_i is 1), holding candidate lists, key codes and
+// indexes but nothing per output row. The term's parts are counted with
+// parallel.For at the process default worker count (parallel.SetWorkers,
+// i.e. relest -workers) and added in part order; counts are exact below
+// 2^53.
 func Count(e *Expr, cat Catalog) (int64, error) {
 	if e.HasProjection() || e.HasSetOp() {
 		r, err := Eval(e, cat)

@@ -194,8 +194,8 @@ func nullableCatalog(rng *rand.Rand) (MapCatalog, []*Expr) {
 // over duplicate-free integer relations and over relations with null keys
 // and Int↔Float key pairs. Every term is checked on the full sample
 // views and on each replicate plan PreparedTerm.Split derives from them.
-// (Keys whose hashes collide are bucketed by the index's probe, which
-// relation's collision tests pin bucket id by bucket id.)
+// (A plan buckets keys by their codes in its key domain; relation's
+// domain collision test pins distinct codes for keys on one probe chain.)
 func TestQuickMarginalsMatchEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var terms, keyed, tailed, enumTailed, empty, split, enumerated int

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"relest/internal/obs"
 	"relest/internal/relation"
 )
 
@@ -214,32 +215,10 @@ func TestPreparedTermConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestPlanCacheKeyStructural feeds the structural key encoder the
-// adversarial shapes that break separator-joined keys: component splits
-// whose concatenations collide, and (term, instances) pairs that are
-// prefixes, repetitions or permutations of one another.
+// TestPlanCacheKeyStructural feeds the cache (term, instances) pairs that
+// are prefixes, repetitions or permutations of one another: each pair
+// compiles once, on its first Prepare, and every later Prepare of it hits.
 func TestPlanCacheKeyStructural(t *testing.T) {
-	encode := func(parts ...string) string {
-		var buf []byte
-		for _, p := range parts {
-			buf = appendKeyPart(buf, p)
-		}
-		return string(buf)
-	}
-	splits := [][2][]string{
-		{{"ab", "c"}, {"a", "bc"}},
-		{{"abc"}, {"ab", "c"}},
-		{{"", "x"}, {"x", ""}},
-		{{"x", "", ""}, {"x", ""}},
-		{{"a:b"}, {"a", "b"}},
-		{{"a", ":b"}, {"a:", "b"}},
-	}
-	for _, c := range splits {
-		if encode(c[0]...) == encode(c[1]...) {
-			t.Errorf("encoder collision: %q vs %q", c[0], c[1])
-		}
-	}
-
 	schema := relation.MustSchema(relation.Column{Name: "a", Kind: relation.KindInt})
 	t1, t2 := &Term{}, &Term{}
 	r1, r2 := relation.New("R", schema), relation.New("R", schema)
@@ -257,13 +236,27 @@ func TestPlanCacheKeyStructural(t *testing.T) {
 		{"t2/r1", t2, Instances{r1}},
 		{"t2/r1r2", t2, Instances{r1, r2}},
 	}
-	seen := make(map[string]string, len(pairs))
-	for _, p := range pairs {
-		key := planCacheKey(p.t, p.inst)
-		if prev, dup := seen[key]; dup {
-			t.Errorf("planCacheKey collision: %s and %s encode identically", prev, p.name)
+	rec := obs.NewCollector()
+	c := NewPlanCacheRec(rec, relation.NewKeyDomain())
+	counts := func() (built, hit float64) {
+		m := rec.Metrics()
+		return m.Counter(mPlanBuilt).Value(), m.Counter(mPlanHit).Value()
+	}
+	for round := 0; round < 3; round++ {
+		for i, p := range pairs {
+			_, _ = c.Prepare(p.t, p.inst) // most pairs do not compile (arity); errors are cached like plans
+			built, hit := counts()
+			wantBuilt, wantHit := float64(i+1), float64(round*len(pairs))
+			if round > 0 {
+				wantBuilt, wantHit = float64(len(pairs)), float64((round-1)*len(pairs)+i+1)
+			}
+			if built != wantBuilt || hit != wantHit {
+				t.Fatalf("round %d, %s: %v built and %v hit, want %v and %v", round, p.name, built, hit, wantBuilt, wantHit)
+			}
 		}
-		seen[key] = p.name
+	}
+	if c.Len() != len(pairs) {
+		t.Errorf("cache Len = %d, want %d", c.Len(), len(pairs))
 	}
 }
 

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sync"
@@ -22,26 +21,26 @@ import (
 //
 // Evaluation plans a greedy join order over the term's occurrences, applies
 // pushed-down local predicates first (as list filters over the typed column
-// vectors), uses composite-key hash indexes for every equality constraint
-// that connects a new occurrence to already-bound ones, probing them with
-// the bound rows' cells read in place, and enumerates assignments
-// recursively. In pure counting mode, occurrences that are unconstrained
-// from some point on are folded into a single multiplicative factor
-// instead of being enumerated, and the last enumerated step, when no
+// vectors), buckets every occurrence that an equality connects to
+// already-bound ones by key code (relation.KeyDomain, relation.Index),
+// reading the bound row's code to find its bucket, and enumerates
+// assignments recursively. In pure counting mode, occurrences that are
+// unconstrained from some point on are folded into a single
+// multiplicative factor instead of being enumerated, and the last enumerated step, when no
 // residual predicate waits on it, counts its candidates without visiting
 // them. A two-step keyed plan is counted per bucket (PairMoments) — or
 // summed, with a weight on one occurrence's rows — and the same tally
 // yields the sums of squares the COUNT and SUM closed forms need; the
 // moment pass (Marginals) derives every row's partner count from the same
-// per-bucket counts. When the plan is compiled with a key domain and
-// joins on one column of two sample views, its buckets are the key codes
-// of that domain (relation.KeyDomain): the tally reads two code vectors,
-// and no hash index is built or probed.
+// per-bucket counts. Every keyed step of every plan finds its bucket the
+// same way, so the tally, enumeration, Count and split-sample replicates
+// share one definition of a join match: equal codes in the plan's domain.
 //
 // Compilation is separated from evaluation: Prepare (or a PlanCache)
-// produces an immutable PreparedTerm whose candidate lists are built once
-// and whose hash indexes are built once, on first use (whole-view indexes
-// once per sample view, see compile), and every evaluation carries its own
+// produces an immutable PreparedTerm whose candidate lists and key codes
+// are built once and whose indexes are built once, on first use (a sample
+// view keeps its codes in a synopsis's domain across plans), and every
+// evaluation carries its own
 // scratch state (termEval), so one plan can serve any number of concurrent
 // evaluations. Split-sample
 // replicates are not compiled: PreparedTerm.Split restricts a compiled
@@ -82,15 +81,16 @@ func BindInstances(t *Term, cat Catalog) (Instances, error) {
 // (a) the Term's constraint structure is unchanged and (b) every bound
 // instance still holds the same rows it held at compile time. Swapping an
 // instance for a different *relation.Relation naturally misses the cache
-// (keys include instance identity); relations are not mutated in place
-// behind a cached plan — a cache is scoped to one evaluation. A step whose
-// candidate list is the whole instance takes the instance's shared index
-// (relation.SharedIndex): on a sample view that index is memoized with the
-// view and read by every plan over it, which is safe because indexes are
-// immutable too.
+// (entries match on instance identity); relations are not mutated in
+// place behind a cached plan — a cache is scoped to one evaluation.
 type termPlan struct {
 	term *Term
 	inst Instances
+
+	// keys is the domain the plan codes its join keys in, and coded the
+	// code vectors compile took from it (keyCoder), which Split reuses.
+	keys  *relation.KeyDomain
+	coded []codedKey
 
 	order []int   // plan position → occurrence index
 	pos   []int   // occurrence index → plan position
@@ -107,35 +107,26 @@ type termPlan struct {
 	// maxPredOccs sizes the per-evaluation row scratch for residual
 	// predicates.
 	maxPredOccs int
-
-	// codes is set on a plan of the Pairs shape whose join it counts by
-	// key code (codeKeys); nil means the join is probed through the
-	// second step's hash index.
-	codes *pairCodes
-}
-
-// pairCodes is a coded Pairs plan's join: the codes of the scanned (first
-// step's) occurrence's key cells and of the indexed (second step's)
-// occurrence's, both by instance row, and the number of the second step's
-// candidates holding each code. A code is a bucket: the tally counts
-// scanned rows per code, and the bucket's size is size[code].
-type pairCodes struct {
-	scan, keys []int32
-	size       []int32
 }
 
 type planStep struct {
 	occ int
-	// The composite hash index for this step: the occurrence's candidate
-	// rows are indexed on keyCols (typed composite keys, see
-	// relation.Index) and probed in place with the cells probe names,
-	// aligned with keyCols: each reads an already-bound occurrence's
-	// instance at the row the assignment holds for it (Slot is the
-	// occurrence index). Empty keyCols means a full scan of the candidate
-	// list, and a nil index.
-	keyCols []int
-	probe   []relation.KeyRef
-	index   *stepIndex
+	// A keyed step reads its candidates from an index of the occurrence's
+	// candidate rows by the codes of their cells on keyCols
+	// (relation.Index), and the bucket a step reads is the one of probe's
+	// code at the row the assignment binds occurrence probeOcc to — probe
+	// holds the codes of probeOcc's cells on the columns keyCols are
+	// equated with, in the same domain, so equal codes are Equal keys.
+	// Empty keyCols means a full scan of the candidate list, and a nil
+	// index.
+	keyCols  []int
+	probeOcc int
+	probe    []int32
+	index    *stepIndex
+	// checks are the step's other equalities to bound occurrences, those
+	// whose bound side is not probeOcc: each holds when two code vectors
+	// agree at the assigned rows.
+	checks []codeCheck
 	// preds to evaluate once this step's occurrence is bound.
 	preds []TermPred
 	// independent marks a tail step with no constraints at or after it;
@@ -143,10 +134,16 @@ type planStep struct {
 	independent bool
 }
 
-// stepIndex is a keyed step's hash index, built on first use: a coded
-// pair plan never asks for it, so it never builds one, and any evaluation
-// that probes (enumeration, Count, a hashed tally, Split) builds it once
-// for every caller of the plan.
+// codeCheck is one equality a keyed step checks after its probe: the code
+// of the step's occurrence's cell (own, by instance row) equals the code
+// of bound occurrence occ's cell (other).
+type codeCheck struct {
+	occ        int
+	own, other []int32
+}
+
+// stepIndex is a keyed step's index, built on first use, once for every
+// caller of the plan.
 type stepIndex struct {
 	once  sync.Once
 	build func() *relation.Index
@@ -162,12 +159,38 @@ func (s *stepIndex) get() *relation.Index {
 	return s.ix
 }
 
-// compile builds the evaluation plan over the instances: the candidate
-// lists, then planOver, then, given a key domain, the key codes of a pair
-// plan (codeKeys). A candidate list that keeps every row indexes the whole
-// instance, which a sample view memoizes across plans (SharedIndex); a
-// filtered list is indexed here.
-func compile(t *Term, inst Instances, dom *relation.KeyDomain) (*termPlan, error) {
+// keyCoder hands out the code vectors a plan joins on, coded in one domain
+// (relation.Relation.KeyCodes), each (instance, columns) pair once: a
+// self-join over a base relation codes its key once, and Split reuses the
+// vectors compile took.
+type keyCoder struct {
+	keys *relation.KeyDomain
+	done []codedKey
+}
+
+// codedKey is one code vector a keyCoder handed out.
+type codedKey struct {
+	rel   *relation.Relation
+	cols  []int
+	codes []int32
+}
+
+// codes returns the codes of r's cells on cols.
+func (kc *keyCoder) codes(r *relation.Relation, cols []int) []int32 {
+	for _, c := range kc.done {
+		if c.rel == r && slices.Equal(c.cols, cols) {
+			return c.codes
+		}
+	}
+	codes := r.KeyCodes(cols, kc.keys)
+	kc.done = append(kc.done, codedKey{rel: r, cols: cols, codes: codes})
+	return codes
+}
+
+// compile builds the evaluation plan over the instances, coding its join
+// keys in the domain keys: the candidate lists, then planOver, whose keyed
+// steps index their candidates by code on first use.
+func compile(t *Term, inst Instances, keys *relation.KeyDomain) (*termPlan, error) {
 	if len(inst) != len(t.Occs) {
 		return nil, fmt.Errorf("algebra: term has %d occurrences, got %d instances", len(t.Occs), len(inst))
 	}
@@ -178,40 +201,12 @@ func compile(t *Term, inst Instances, dom *relation.KeyDomain) (*termPlan, error
 		}
 	}
 	cand := candidates(t, inst)
-	p := planOver(t, inst, cand, func(occ int, keyCols []int) *relation.Index {
-		r := inst[occ]
-		if len(cand[occ]) == r.Len() {
-			return r.SharedIndex(keyCols)
-		}
-		return relation.BuildIndexRows(r, keyCols, cand[occ])
+	kc := &keyCoder{keys: keys}
+	p := planOver(t, inst, cand, kc, func(occ int, _ []int, codes []int32) *relation.Index {
+		return relation.NewIndex(codes, cand[occ])
 	})
-	if dom != nil {
-		p.codeKeys(dom)
-	}
+	p.keys, p.coded = keys, slices.Clip(kc.done)
 	return p, nil
-}
-
-// codeKeys makes a plan of the Pairs shape whose join is on a single
-// column count that join by key code: when both occurrences' instances
-// have code vectors in dom (sample views do, base relations do not), it
-// records them and the per-code size of the second step's candidates. A
-// composite key keeps the hash index.
-func (p *termPlan) codeKeys(dom *relation.KeyDomain) {
-	if !p.pairs() || len(p.steps[1].keyCols) != 1 {
-		return
-	}
-	second := &p.steps[1]
-	kr := second.probe[0]
-	scan := kr.Rel.KeyCodes(kr.Col, dom)
-	keys := p.inst[second.occ].KeyCodes(second.keyCols[0], dom)
-	if scan == nil || keys == nil {
-		return
-	}
-	size := make([]int32, dom.Len()) // every code either vector holds is below it
-	for _, row := range p.cand[second.occ] {
-		size[keys[row]]++
-	}
-	p.codes = &pairCodes{scan: scan, keys: keys, size: size}
 }
 
 // candidates returns every occurrence's candidate rows: the instance rows,
@@ -243,12 +238,20 @@ func candidates(t *Term, inst Instances) [][]int {
 
 // planOver plans the term over fixed candidate lists: the greedy join
 // order chosen from their sizes, the constraints assigned to steps, each
-// keyed step's index from indexFor(occurrence, key columns) on first use
-// (stepIndex), and the folded tail. Candidate lists must be ascending, so
-// bucket rows keep ascending (enumeration) order. compile and Split both
-// plan through it, so a replicate plan orders its steps exactly as a
-// compile over the replicate's own rows would.
-func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyCols []int) *relation.Index) *termPlan {
+// keyed step's code vectors from kc and its index from
+// indexFor(occurrence, key columns, key codes) on first use (stepIndex),
+// and the folded tail. Candidate lists must be ascending, so bucket rows
+// keep ascending (enumeration) order. compile and Split both plan through
+// it, so a replicate plan orders its steps exactly as a compile over the
+// replicate's own rows would.
+//
+// A step's equalities to bound occurrences key its index when they all
+// reach one occurrence, on the tuple of their columns. When they reach
+// several, the equalities to the first one reached key the index and the
+// rest are checked per candidate (codeCheck): the rows that pass are the
+// rows a composite index over every equality would list, in the same
+// ascending order.
+func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func(occ int, keyCols []int, codes []int32) *relation.Index) *termPlan {
 	m := len(t.Occs)
 	p := &termPlan{term: t, inst: inst, cand: cand}
 	var crossEqs []EqCol
@@ -299,16 +302,27 @@ func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyC
 	for k, occ := range p.order {
 		p.steps[k].occ = occ
 	}
+	probeCols := make([][]int, m) // plan position → probeOcc's columns, aligned with keyCols
 	for _, eq := range crossEqs {
 		// The equality is enforced at the later of its two occurrences.
 		a, b := eq.A, eq.B
 		if p.pos[a.Occ] < p.pos[b.Occ] {
 			a, b = b, a
 		}
-		// a is bound later: index a's occurrence on a.Col, probe with b.
-		st := &p.steps[p.pos[a.Occ]]
-		st.keyCols = append(st.keyCols, a.Col)
-		st.probe = append(st.probe, relation.KeyRef{Rel: inst[b.Occ], Slot: b.Occ, Col: b.Col})
+		// a is bound later: key a's occurrence on a.Col, probe with b.
+		k := p.pos[a.Occ]
+		st := &p.steps[k]
+		if len(st.keyCols) == 0 || st.probeOcc == b.Occ {
+			st.probeOcc = b.Occ
+			st.keyCols = append(st.keyCols, a.Col)
+			probeCols[k] = append(probeCols[k], b.Col)
+			continue
+		}
+		st.checks = append(st.checks, codeCheck{
+			occ:   b.Occ,
+			own:   kc.codes(inst[a.Occ], []int{a.Col}),
+			other: kc.codes(inst[b.Occ], []int{b.Col}),
+		})
 	}
 	for _, pr := range t.Preds {
 		last := 0
@@ -319,12 +333,13 @@ func planOver(t *Term, inst Instances, cand [][]int, indexFor func(occ int, keyC
 		p.maxPredOccs = max(p.maxPredOccs, len(pr.Occs))
 	}
 
-	// Index the keyed steps and mark the independent tail.
+	// Code and index the keyed steps and mark the independent tail.
 	for k := range p.steps {
 		st := &p.steps[k]
 		if len(st.keyCols) > 0 {
-			occ, keyCols := st.occ, st.keyCols
-			st.index = &stepIndex{build: func() *relation.Index { return indexFor(occ, keyCols) }}
+			st.probe = kc.codes(inst[st.probeOcc], probeCols[k])
+			occ, keyCols, codes := st.occ, st.keyCols, kc.codes(inst[st.occ], st.keyCols)
+			st.index = &stepIndex{build: func() *relation.Index { return indexFor(occ, keyCols, codes) }}
 		}
 	}
 	p.enumUpto = m
@@ -363,20 +378,28 @@ func (p *termPlan) newEval() *termEval {
 }
 
 // candidatesAt returns the rows compatible with the bound prefix at step k:
-// the step's candidate list, or the index bucket whose key equals the
-// bound cells (typed, in place, allocation-free).
+// the step's candidate list, or the index bucket of the probe key's code
+// (allocation-free).
 func (ev *termEval) candidatesAt(k int) []int {
 	st := &ev.p.steps[k]
 	if st.index == nil {
 		return ev.p.cand[st.occ]
 	}
-	return st.index.get().Lookup(st.probe, ev.assign)
+	return st.index.get().Lookup(st.probe[ev.assign[st.probeOcc]])
 }
 
-// predsHold evaluates the step's residual predicates on the assignment.
-func (ev *termEval) predsHold(k int) bool {
+// holds evaluates the step's code checks and residual predicates on the
+// assignment.
+func (ev *termEval) holds(k int) bool {
 	p := ev.p
-	for _, pr := range p.steps[k].preds {
+	st := &p.steps[k]
+	row := ev.assign[st.occ]
+	for _, c := range st.checks {
+		if c.own[row] != c.other[ev.assign[c.occ]] {
+			return false
+		}
+	}
+	for _, pr := range st.preds {
 		rows := ev.rows[:len(pr.Occs)]
 		for i, occ := range pr.Occs {
 			rows[i] = p.inst[occ].Row(ev.assign[occ])
@@ -409,18 +432,16 @@ type PreparedTerm struct {
 	p *termPlan
 }
 
-// Prepare compiles an evaluation plan for the term over the instances. Its
-// joins are probed through hash indexes; a PlanCache with a key domain
-// (NewPlanCacheRec) compiles plans that count a single-column pair join by
-// key code instead.
+// Prepare compiles an evaluation plan for the term over the instances,
+// coding its join keys in a domain of its own: the codes live as long as
+// the plan.
 func Prepare(t *Term, inst Instances) (*PreparedTerm, error) {
-	return prepare(t, inst, nil)
+	return prepare(t, inst, relation.NewKeyDomain())
 }
 
-// prepare compiles the plan, coding its pair join's keys in dom when dom
-// is non-nil (codeKeys).
-func prepare(t *Term, inst Instances, dom *relation.KeyDomain) (*PreparedTerm, error) {
-	p, err := compile(t, inst, dom)
+// prepare compiles the plan, coding its join keys in keys.
+func prepare(t *Term, inst Instances, keys *relation.KeyDomain) (*PreparedTerm, error) {
+	p, err := compile(t, inst, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -458,8 +479,7 @@ type Partition struct {
 	labels map[*relation.Relation][]int32
 
 	cands  map[candKey][][]int
-	built  []builtIndex
-	splits map[*relation.Index][]*relation.Index
+	splits []splitIndex
 }
 
 // candKey identifies a candidate list: the whole instance or an empty list
@@ -470,12 +490,14 @@ type candKey struct {
 	n     int
 }
 
-// builtIndex is a full-candidate index no full plan held, built once for a
-// replicate order the full plan does not share.
-type builtIndex struct {
-	cand candKey
-	cols []int
-	ix   *relation.Index
+// splitIndex is the g parts of one full-candidate index: an instance's
+// candidate list cand keyed on cols, coded in keys. Its buckets are codes
+// of one domain, so only plans coding their keys in it share it.
+type splitIndex struct {
+	keys  *relation.KeyDomain
+	cand  candKey
+	cols  []int
+	parts []*relation.Index
 }
 
 // NewPartition partitions instance rows into g groups by label:
@@ -486,7 +508,6 @@ func NewPartition(g int, labels map[*relation.Relation][]int32) *Partition {
 		g:      g,
 		labels: labels,
 		cands:  make(map[candKey][][]int),
-		splits: make(map[*relation.Index][]*relation.Index),
 	}
 }
 
@@ -528,9 +549,17 @@ func (pa *Partition) candidates(r *relation.Relation, cand []int) [][]int {
 }
 
 // index returns the g parts of the full-candidate index of occurrence occ
-// of plan p on keyCols: the split of p's own index when a step of p holds
-// it, otherwise of one built here once.
-func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Index {
+// of plan p on keyCols, whose codes are codes: split once per Partition
+// for every plan over the same candidates, from p's own index when a step
+// of p holds it, otherwise from one built here.
+func (pa *Partition) index(p *termPlan, occ int, keyCols []int, codes []int32) []*relation.Index {
+	r, cand := p.inst[occ], p.cand[occ]
+	key := keyOf(r, cand)
+	for _, s := range pa.splits {
+		if s.keys == p.keys && s.cand == key && slices.Equal(s.cols, keyCols) {
+			return s.parts
+		}
+	}
 	var full *relation.Index
 	for k := range p.steps {
 		if st := &p.steps[k]; st.occ == occ && st.index != nil && slices.Equal(st.keyCols, keyCols) {
@@ -539,24 +568,10 @@ func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Inde
 		}
 	}
 	if full == nil {
-		r, cand := p.inst[occ], p.cand[occ]
-		key := keyOf(r, cand)
-		for _, b := range pa.built {
-			if b.cand == key && slices.Equal(b.cols, keyCols) {
-				full = b.ix
-				break
-			}
-		}
-		if full == nil {
-			full = relation.BuildIndexRows(r, keyCols, cand)
-			pa.built = append(pa.built, builtIndex{cand: key, cols: keyCols, ix: full})
-		}
+		full = relation.NewIndex(codes, cand)
 	}
-	parts, ok := pa.splits[full]
-	if !ok {
-		parts = full.Split(pa.labels[p.inst[occ]], pa.g)
-		pa.splits[full] = parts
-	}
+	parts := full.Split(pa.labels[r], pa.g)
+	pa.splits = append(pa.splits, splitIndex{keys: p.keys, cand: key, cols: keyCols, parts: parts})
 	return parts
 }
 
@@ -572,13 +587,14 @@ func (pa *Partition) index(p *termPlan, occ int, keyCols []int) []*relation.Inde
 // Each candidate list is partitioned in one pass; each keyed step's index
 // is a part of the full-candidate index for its occurrence and key
 // columns (relation.Index.Split), never a rebuild, taken here because a
-// Partition is not safe for concurrent use; and the greedy order is
-// re-chosen from the replicate's own candidate counts by the same planOver
-// that compile uses, so a replicate whose order differs from this plan's
-// is planned exactly as an independent compile would plan it. Replicate
-// plans probe their hash indexes: they are never coded.
+// Partition is not safe for concurrent use; keys are the codes this plan
+// holds, or coded in its domain; and the greedy order is re-chosen from
+// the replicate's own candidate counts by the same planOver that compile
+// uses, so a replicate whose order differs from this plan's is planned
+// exactly as an independent compile would plan it.
 func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
 	p := pt.p
+	kc := &keyCoder{keys: p.keys, done: p.coded}
 	cand := make([][][]int, pa.g) // group → occurrence → rows
 	for l := range cand {
 		cand[l] = make([][]int, len(p.cand))
@@ -590,8 +606,8 @@ func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
 	}
 	out := make([]*PreparedTerm, pa.g)
 	for l := range out {
-		rp := planOver(p.term, p.inst, cand[l], func(occ int, keyCols []int) *relation.Index {
-			return pa.index(p, occ, keyCols)[l]
+		rp := planOver(p.term, p.inst, cand[l], kc, func(occ int, keyCols []int, codes []int32) *relation.Index {
+			return pa.index(p, occ, keyCols, codes)[l]
 		})
 		for k := range rp.steps {
 			if st := &rp.steps[k]; st.index != nil {
@@ -624,8 +640,8 @@ func (pt *PreparedTerm) Count() float64 {
 
 // CountPart counts the satisfying assignments whose first-step candidate
 // lies in chunk `part` of `parts` (see Parts). The last enumerated step
-// contributes the length of its candidate list when it has no residual
-// predicate to check: the same float the per-candidate sum of 1s would
+// contributes the length of its candidate list when it has no code check
+// or residual predicate: the same float the per-candidate sum of 1s would
 // reach, exactly, since every partial count is an integer below 2^53.
 func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 	p := pt.p
@@ -641,7 +657,7 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 	}
 	ev := p.newEval()
 	last := p.enumUpto - 1
-	countLast := len(p.steps[last].preds) == 0
+	countLast := len(p.steps[last].preds) == 0 && len(p.steps[last].checks) == 0
 	var rec func(k int) float64
 	rec = func(k int) float64 {
 		if k == p.enumUpto {
@@ -659,7 +675,7 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 		total := 0.0
 		for _, ri := range cands {
 			ev.assign[st.occ] = ri
-			if !ev.predsHold(k) {
+			if !ev.holds(k) {
 				continue
 			}
 			total += rec(k + 1)
@@ -704,7 +720,7 @@ func (p *termPlan) enumerate(part, parts, upto int, visit func(rows []int) bool)
 		}
 		for _, ri := range cands {
 			ev.assign[st.occ] = ri
-			if !ev.predsHold(k) {
+			if !ev.holds(k) {
 				continue
 			}
 			if !rec(k + 1) {
@@ -747,11 +763,6 @@ func (p *termPlan) pairs() bool {
 	return p.enumUpto == 2 && len(p.steps[1].keyCols) > 0 && len(p.steps[1].preds) == 0
 }
 
-// Coded reports whether the plan counts its pair join by key code
-// (PairMoments and Marginals read code vectors and never probe a hash
-// index) rather than through the second step's index.
-func (pt *PreparedTerm) Coded() bool { return pt.p.codes != nil }
-
 // Enumerated reports whether the plan enumerates occurrence occ, rather
 // than folding it into the tail's factor: only an enumerated occurrence
 // can carry a PairMoments row weight.
@@ -768,7 +779,7 @@ type RowWeight struct {
 }
 
 // PairMoments is the moment pass of a plan with the Pairs shape, read off
-// its bucket tally: the scanned rows (first-step candidates) that probe
+// its bucket tally: the scanned rows (first-step candidates) that land in
 // bucket k of the second step's index have weights summing to A_k, with
 // squares summing to Qa_k, and the bucket's own rows have B_k and Qb_k.
 // An unweighted side has its row count for both, so a COUNT has a_k and
@@ -792,19 +803,19 @@ type PairMoments struct {
 
 // PairMoments counts a plan with the Pairs shape per bucket, weighting the
 // rows of w's occurrence by w (nil counts). It returns the weighted
-// moments and, from the same probes, the unweighted ones (counts; pm
+// moments and, from the same scan, the unweighted ones (counts; pm
 // itself when w is nil). w's occurrence must be one of the two enumerated
 // ones.
 //
 // The parts (Parts) fan out over up to workers goroutines. Each scanned
-// row costs one probe, or one code read on a coded plan, whose buckets
-// are key codes (Coded), and the sums run over the buckets the scan
-// touched; no assignment is visited. Counting keeps one tally per worker,
-// merged by integer addition: every partial sum is an integer below 2^53,
-// so Total equals Count and SumSq the sums over Marginals exactly, in any
-// order. A weighted pass keeps one tally per part and merges them in part
-// order, and sums over the buckets in the order the scan first touched
-// them, so its float sums have the same bits for every worker count.
+// row costs one code read and one bucket read, and the sums run over the
+// buckets the scan touched; no assignment is visited. Counting keeps one
+// tally per worker, merged by integer addition: every partial sum is an
+// integer below 2^53, so Total equals Count and SumSq the sums over
+// Marginals exactly, in any order. A weighted pass keeps one tally per
+// part and merges them in part order, and sums over the buckets in the
+// order the scan first touched them, so its float sums have the same bits
+// for every worker count.
 func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairMoments) {
 	p := pt.p
 	first, second := &p.steps[0], &p.steps[1]
@@ -833,7 +844,8 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 	if w != nil {
 		tallies = make([]*tally, parts)
 	}
-	buckets, bucketLen := p.buckets()
+	ix := second.index.get()
+	buckets := ix.Buckets()
 	parallel.For(workers, workers, func(wk int) {
 		var t *tally
 		for part := wk; part < parts; part += workers {
@@ -855,22 +867,10 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 		a.merge(t)
 		t.release()
 	}
-	// A coded plan sums the indexed side's weights per code over its
-	// candidates, ascending: each code's rows in the order the hashed
-	// bucket lists them, so every sum has the bits a bucket's would.
-	var codeB, codeQb []float64
-	if indexW != nil && p.codes != nil {
-		codeB, codeQb = make([]float64, buckets), make([]float64, buckets)
-		for _, row := range p.cand[second.occ] {
-			c, x := p.codes.keys[row], indexW(row)
-			codeB[c] += x
-			codeQb[c] += x * x
-		}
-	}
 	var ca, cb float64 // the counts' SumSq
 	var T, y2, sa, sb float64
 	for _, k := range a.touched {
-		fa, fb := float64(a.count[k]), float64(bucketLen(k))
+		fa, fb := float64(a.count[k]), float64(ix.BucketLen(int(k)))
 		counts.SumY2 += fa * fb
 		ca += fa * fb * fb
 		cb += fb * fa * fa
@@ -878,14 +878,11 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 			continue
 		}
 		A, Qa, B, Qb := fa, fa, fb, fb
-		switch {
-		case scanW != nil:
+		if scanW != nil {
 			A, Qa = a.sum[k], a.sq[k]
-		case codeB != nil:
-			B, Qb = codeB[k], codeQb[k]
-		default:
+		} else {
 			B, Qb = 0, 0
-			for _, row := range second.index.get().BucketRows(int(k)) {
+			for _, row := range ix.BucketRows(int(k)) {
 				x := indexW(row)
 				B += x
 				Qb += x * x
@@ -906,21 +903,10 @@ func (pt *PreparedTerm) PairMoments(workers int, w *RowWeight) (pm, counts PairM
 	return pm, counts
 }
 
-// buckets returns the number of bucket ids of a Pairs plan's join and the
-// size of bucket k: the key codes and the per-code candidate counts of a
-// coded plan, else the second step's index buckets.
-func (p *termPlan) buckets() (int, func(k int32) int) {
-	if c := p.codes; c != nil {
-		return len(c.size), func(k int32) int { return int(c.size[k]) }
-	}
-	ix := p.steps[1].index.get()
-	return ix.Buckets(), func(k int32) int { return ix.BucketLen(int(k)) }
-}
-
 // tally is a bucket tally's scratch: count[k] scanned rows landed in
 // bucket k, and touched lists the buckets with a nonzero count in the
 // order they were first touched, so reading and clearing a tally costs
-// what the probes touched, not the index's bucket count. A weighted tally
+// what the scan touched, not the index's bucket count. A weighted tally
 // also sums the scanned rows' weights (sum) and squared weights (sq) per
 // bucket. Released tallies are reused (tallyPool), zeroed.
 type tally struct {
@@ -987,90 +973,46 @@ func (t *tally) release() {
 	tallyPool.Put(t)
 }
 
-// scanPart is the scan of a factorizable plan's enumerated steps:
-// tallyPart on a coded plan, probePart otherwise. Both count the same
-// rows into the same buckets in the same order.
+// scanPart is the scan of a factorizable plan's enumerated steps: it scans
+// chunk part of parts of the first step's candidates and, when a second
+// step is enumerated, reads the bucket of every row that passes the first
+// step's residual predicates — the second step's index bucket of the
+// row's key code — adding one to bucket k of t (and, when w is non-nil,
+// the row's weight w(row) and its square to the bucket's sums) for a row
+// whose bucket k holds rows. It returns the number of prefix assignments
+// the chunk makes (b_k per row landing in bucket k; one per passing row
+// when only one step is enumerated) and, when rowOut is non-nil, stores
+// every passing row's count times the folded tail's factor in
+// rowOut[row].
 func (p *termPlan) scanPart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
-	if p.codes != nil {
-		return p.tallyPart(part, parts, t, rowOut, w)
-	}
-	return p.probePart(part, parts, t, rowOut, w)
-}
-
-// tallyPart is probePart on a coded plan: a scanned row's bucket is its
-// key code, read from the code vector, and a code the second step's
-// candidates do not hold is an empty bucket, which the row does not touch
-// (a probe that misses). No hash is computed and no cell is compared.
-func (p *termPlan) tallyPart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
 	first := &p.steps[0]
 	var ev *termEval
 	if len(first.preds) > 0 {
 		ev = p.newEval()
 	}
-	scan, size := p.codes.scan, p.codes.size
+	var ix *relation.Index
+	var probe []int32 // the scanned rows' key codes, when a second step is enumerated
+	if p.enumUpto == 2 {
+		ix, probe = p.steps[1].index.get(), p.steps[1].probe
+	}
 	cands := p.cand[first.occ]
 	lo, hi := chunk(len(cands), part, parts)
 	n := 0
 	for _, row := range cands[lo:hi] {
 		if ev != nil {
 			ev.assign[first.occ] = row
-			if !ev.predsHold(0) {
+			if !ev.holds(0) {
 				continue
 			}
 		}
-		k := scan[row]
-		c := int(size[k])
-		if c == 0 {
-			continue
-		}
-		t.add(int(k), 1)
-		if w != nil {
-			x := w(row)
-			t.sum[k] += x
-			t.sq[k] += x * x
-		}
-		if rowOut != nil {
-			rowOut[row] = float64(c) * p.tailFactor
-		}
-		n += c
-	}
-	return n
-}
-
-// probePart is the probe loop of a factorizable plan's enumerated steps:
-// it scans chunk part of parts of the first step's candidates and, when a
-// second step is enumerated, probes its index with every row that passes
-// the first step's residual predicates, adding one to bucket k of t — and,
-// when w is non-nil, the row's weight w(row) and its square to the
-// bucket's sums — for a row that lands in bucket k. It returns the number
-// of prefix assignments the chunk makes (b_k per row landing in bucket k;
-// one per passing row when only one step is enumerated) and, when rowOut
-// is non-nil, stores every passing row's count times the folded tail's
-// factor in rowOut[row].
-func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func(row int) float64) int {
-	ev := p.newEval()
-	first := &p.steps[0]
-	var second *planStep
-	if p.enumUpto == 2 {
-		second = &p.steps[1]
-	}
-	var ix *relation.Index
-	if second != nil {
-		ix = second.index.get()
-	}
-	cands := p.cand[first.occ]
-	lo, hi := chunk(len(cands), part, parts)
-	n := 0
-	for _, row := range cands[lo:hi] {
-		ev.assign[first.occ] = row
-		if !ev.predsHold(0) {
-			continue
-		}
 		c := 1
-		if second != nil {
-			k, _ := ix.LookupBucket(second.probe, ev.assign)
+		if ix != nil {
+			k := ix.Bucket(probe[row])
 			if k < 0 {
 				continue
+			}
+			if c = ix.BucketLen(k); c == 0 {
+				continue // the key's rows all sit in other parts of a Split
 			}
 			t.add(k, 1)
 			if w != nil {
@@ -1078,7 +1020,6 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 				t.sum[k] += x
 				t.sq[k] += x * x
 			}
-			c = ix.BucketLen(k)
 		}
 		if rowOut != nil {
 			rowOut[row] = float64(c) * p.tailFactor
@@ -1090,9 +1031,9 @@ func (p *termPlan) probePart(part, parts int, t *tally, rowOut []float64, w func
 
 // Marginals runs the term's moment pass. It visits only the plan's
 // enumerated prefix. A plan that Factorizes scans the first step's
-// candidates once, probes the second step's index for each or reads its
-// key code (scanPart, the loop PairMoments runs), and counts per bucket — a_k scanned rows probe
-// bucket k of size b_k, so a scanned row's marginal is b_k, an indexed
+// candidates once, reads each one's bucket of the second step's index
+// (scanPart, the loop PairMoments runs), and counts per bucket — a_k
+// scanned rows land in bucket k of size b_k, so a scanned row's marginal is b_k, an indexed
 // row's is a_k and the total is Σ a_k·b_k — at a cost of O(Σ candidate
 // rows), not O(assignments). Any other plan enumerates its prefix
 // assignments. A folded tail is never enumerated: it multiplies every
@@ -1165,8 +1106,7 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	p := pt.p
 	var t *tally // the second step's bucket tally, when there is one
 	if p.enumUpto == 2 {
-		buckets, _ := p.buckets()
-		t = newTally(buckets, false)
+		t = newTally(p.steps[1].index.get().Buckets(), false)
 		defer t.release()
 	}
 	prefix := 0
@@ -1181,14 +1121,6 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	}
 	second := &p.steps[1]
 	rows := mg.Rows[second.occ]
-	if p.codes != nil {
-		for _, row := range p.cand[second.occ] {
-			if a := t.count[p.codes.keys[row]]; a != 0 {
-				rows[row] = float64(a) * p.tailFactor
-			}
-		}
-		return prefix
-	}
 	ix := second.index.get()
 	for _, k := range t.touched {
 		w := float64(t.count[k]) * p.tailFactor
@@ -1199,30 +1131,32 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 	return prefix
 }
 
-// PlanCache caches compiled term plans keyed by (term identity, instance
-// identities). One estimate evaluates the same (term, instances) pairs
-// several times — the point estimate, the closed-form variance passes, the
-// jackknife's moment or enumeration pass and the split-sample pass that
-// restricts each plan to its replicates (PreparedTerm.Split) — and the
-// cache makes each pair compile exactly once.
-// It is safe for concurrent use; concurrent Prepare calls for the same key
-// compile once and share the plan.
+// PlanCache caches compiled term plans per (term, instances) pair, by
+// identity: an entry matches the term's pointer and every instance's. One
+// estimate evaluates the same (term, instances) pairs several times — the
+// point estimate, the closed-form variance passes, the jackknife's moment
+// or enumeration pass and the split-sample pass that restricts each plan
+// to its replicates (PreparedTerm.Split) — and the cache makes each pair
+// compile exactly once.
+// It is safe for concurrent use; concurrent Prepare calls for the same
+// pair compile once and share the plan.
 //
 // The cache holds plans for as long as it lives, so callers scope it to an
-// evaluation (the estimator builds one engine per top-level call). What
-// outlives it is per view, not per plan: whole-view join indexes stay
-// memoized on the sample views (relation.SharedIndex), so a later call over
-// the same synopsis recompiles its plans but not those indexes.
+// evaluation (the estimator builds one engine per top-level call). Every
+// plan of a cache codes its join keys in the cache's key domain, so the
+// codes of any two instances it joins agree. What outlives the cache is
+// per view, not per plan: a sample view memoizes its code vectors in a
+// synopsis's domain (relation.NewMemoKeyDomain), so a later call over the
+// same synopsis recompiles its plans but does not recode those keys.
 type PlanCache struct {
 	mu      sync.Mutex
-	entries map[string]*cacheEntry
+	entries map[*Term][]*cacheEntry
 	rec     obs.Recorder
-	// keys, when non-nil, is the key domain the cache's plans code their
-	// pair joins in (codeKeys).
-	keys *relation.KeyDomain
+	keys    *relation.KeyDomain
 }
 
 type cacheEntry struct {
+	inst Instances
 	once sync.Once
 	pt   *PreparedTerm
 	err  error
@@ -1237,61 +1171,40 @@ const (
 )
 
 // NewPlanCache creates an empty plan cache that reports nothing and whose
-// plans probe their joins through hash indexes.
+// plans code their join keys in a domain of the cache's own, which dies
+// with it.
 func NewPlanCache() *PlanCache {
-	return NewPlanCacheRec(nil, nil)
+	return NewPlanCacheRec(nil, relation.NewKeyDomain())
 }
 
 // NewPlanCacheRec creates an empty plan cache reporting compilations and
-// hits to the recorder (nil = no reporting). Given a key domain, its plans
-// count a single-column pair join over sample views by key code in keys
-// (Coded); one domain serves every plan of the cache, so the codes of any
-// two views it joins agree. With nil keys every join probes a hash index.
+// hits to the recorder (nil = no reporting), whose plans code their join
+// keys in keys (non-nil).
 func NewPlanCacheRec(rec obs.Recorder, keys *relation.KeyDomain) *PlanCache {
 	return &PlanCache{
-		entries: make(map[string]*cacheEntry),
+		entries: make(map[*Term][]*cacheEntry),
 		rec:     obs.Or(rec),
 		keys:    keys,
 	}
 }
 
-// planCacheKey identifies a (term, instances) pair by pointer identity,
-// encoded structurally: every component is length-prefixed and the instance
-// count is explicit, so no concatenation of distinct (term, instances)
-// pairs can produce the same byte string. (Naive separator-joined keys
-// collide whenever a component can contain the separator or a boundary can
-// shift — the adversarial cases TestPlanCacheKeyStructural feeds the
-// encoder.)
-func planCacheKey(t *Term, inst Instances) string {
-	buf := make([]byte, 0, 20+20*len(inst))
-	buf = appendKeyPart(buf, fmt.Sprintf("%p", t))
-	buf = binary.AppendUvarint(buf, uint64(len(inst)))
-	for _, r := range inst {
-		buf = appendKeyPart(buf, fmt.Sprintf("%p", r))
-	}
-	return string(buf)
-}
-
-// appendKeyPart appends one length-prefixed component to a structural key.
-// Length-prefixing makes the encoding injective: part boundaries are
-// explicit, so ("ab","c") and ("a","bc") encode differently even though
-// their concatenations are equal.
-func appendKeyPart(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
 // Prepare returns the cached plan for (t, inst), compiling it on first use.
 func (c *PlanCache) Prepare(t *Term, inst Instances) (*PreparedTerm, error) {
-	key := planCacheKey(t, inst)
 	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		c.entries[key] = e
+	var e *cacheEntry
+	for _, x := range c.entries[t] {
+		if slices.Equal(x.inst, inst) {
+			e = x
+			break
+		}
+	}
+	hit := e != nil
+	if !hit {
+		e = &cacheEntry{inst: slices.Clone(inst)}
+		c.entries[t] = append(c.entries[t], e)
 	}
 	c.mu.Unlock()
-	if ok {
+	if hit {
 		c.rec.Add(mPlanHit, 1)
 	} else {
 		c.rec.Add(mPlanBuilt, 1)
@@ -1311,7 +1224,11 @@ func (c *PlanCache) AttachCSE(plans []*PreparedTerm) int {
 func (c *PlanCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.entries)
+	n := 0
+	for _, es := range c.entries {
+		n += len(es)
+	}
+	return n
 }
 
 // CountAssignments returns the number of occurrence-row assignments

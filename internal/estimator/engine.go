@@ -58,7 +58,7 @@ type pairKey struct {
 }
 
 // newEngine builds the engine for one top-level estimation call over syn,
-// whose key domain its plans code their pair joins in. ctx may be nil (no
+// whose key domain its plans code their join keys in. ctx may be nil (no
 // cancellation), which is what the non-context entry points pass.
 func newEngine(ctx context.Context, syn *Synopsis, opts Options) *engine {
 	rec := obs.Or(opts.Recorder)
@@ -129,23 +129,10 @@ func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
 	case tallied:
 	case pt.Factorizes():
 		eng.rec.Add(mMarginalsFactorized, 1)
-		eng.countTally(pt)
 	default:
 		eng.rec.Add(mMarginalsEnumerated, 1)
 	}
 	return pt.Marginals()
-}
-
-// countTally counts one bucket tally of a plan of the Pairs shape by how
-// it found its buckets: key codes or hash-index probes.
-func (eng *engine) countTally(pt *algebra.PreparedTerm) {
-	switch {
-	case !pt.Pairs():
-	case pt.Coded():
-		eng.rec.Add(mPairTallyCoded, 1)
-	default:
-		eng.rec.Add(mPairTallyHashed, 1)
-	}
 }
 
 // pairMoments returns the call's moment pass of a plan with the Pairs
@@ -165,7 +152,6 @@ func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int, c termCont
 	}
 	pm, counts := pt.PairMoments(workers, w)
 	eng.rec.Add(mMarginalsFactorized, 1)
-	eng.countTally(pt)
 	eng.pairsMu.Lock()
 	if eng.pairs == nil {
 		eng.pairs = make(map[pairKey]algebra.PairMoments)

@@ -1,51 +1,71 @@
 package estimator
 
 import (
-	"context"
 	"testing"
-	"time"
 
 	"relest/internal/algebra"
-	"relest/internal/obs"
 )
 
-// TestPairTallyCounter pins which keys the pair tallies read: every round
-// of a deadline request over a single-column equi-join counts its join by
-// key code, and an ∩ term, whose occurrences are equated on every column,
-// probes its composite key through a hash index. The request's clone
-// codes in its own domain and leaves no code vector on the views it
-// shares with the synopsis it was cloned from.
-func TestPairTallyCounter(t *testing.T) {
+// TestCallDomainsLeaveViewsBare pins who keeps a code vector. An estimate
+// through the synopsis codes its join keys in the synopsis's domain, and
+// the sample views memoize those codes. Prepare, a NewPlanCache and Eval
+// over the same views code their keys in a domain that dies with the
+// call, so they must leave no code vector on the views: the synopsis's
+// Bytes (its views' memos and its domain) is unchanged after them.
+func TestCallDomainsLeaveViewsBare(t *testing.T) {
 	syn := momentsFixture(t, "tuple")
 	base := func(name string, cols ...string) *algebra.Expr { return algebra.Base(name, intSchema(cols...)) }
 	join := algebra.Must(algebra.Join(base("R", "a", "b"), base("S", "a", "c"), []algebra.On{{Left: "a", Right: "a"}}, nil, "S"))
-	tally := func(rec *obs.Collector) (coded, hashed float64) {
-		m := rec.Metrics()
-		return m.Counter(mPairTallyCoded).Value(), m.Counter(mPairTallyHashed).Value()
+	both := algebra.Must(algebra.Intersect(base("R", "a", "b"), base("T", "a", "b")))
+
+	fresh := syn.Bytes()
+	for _, e := range []*algebra.Expr{join, both} {
+		if _, err := countOf(e, syn, Options{Variance: VarAnalytic}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shared := syn.Bytes()
+	if shared <= fresh {
+		t.Fatalf("estimates through the synopsis memoized nothing: Bytes %d → %d", fresh, shared)
 	}
 
-	rec := obs.NewCollector()
-	shared := syn.Bytes()
-	_, steps, err := DeadlineCountContext(context.Background(), join, syn.Clone(), DeadlineOptions{
-		Budget: time.Minute, Estimate: Options{Variance: VarAnalytic, Recorder: rec}, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rounds := rec.Metrics().Counter(mDeadlineRounds).Value()
-	if coded, hashed := tally(rec); len(steps) < 3 || coded != rounds || hashed != 0 {
-		t.Errorf("%d deadline rounds (%v counted): %v coded and %v hashed tallies, want one coded tally a round", len(steps), rounds, coded, hashed)
+	for _, e := range []*algebra.Expr{join, both} {
+		poly, err := algebra.Normalize(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := algebra.NewPlanCache()
+		for i := range poly.Terms {
+			tm := &poly.Terms[i]
+			inst, err := algebra.BindInstances(tm, syn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pt, err := algebra.Prepare(tm, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, err := cache.Prepare(tm, inst)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := pt.Count(), cached.Count(); a != b {
+				t.Fatalf("Prepare counts %v, a NewPlanCache plan %v", a, b)
+			}
+			cached.Marginals()
+		}
+		if _, err := algebra.Count(e, syn); err != nil {
+			t.Fatal(err)
+		}
+		res, err := algebra.Eval(e, syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() == 0 {
+			t.Fatalf("%v: Eval over the sample views is empty; the fixture joins nothing", e)
+		}
 	}
 	if b := syn.Bytes(); b != shared {
-		t.Errorf("the request on a clone left %d bytes of code vectors on the synopsis it cloned", b-shared)
-	}
-
-	rec = obs.NewCollector()
-	both := algebra.Must(algebra.Intersect(base("R", "a", "b"), base("T", "a", "b")))
-	if _, err := countOf(both, syn, Options{Variance: VarAnalytic, Recorder: rec}); err != nil {
-		t.Fatal(err)
-	}
-	if coded, hashed := tally(rec); coded != 0 || hashed != 1 {
-		t.Errorf("R ∩ T: %v coded and %v hashed tallies, want one hashed", coded, hashed)
+		t.Errorf("Prepare, NewPlanCache and Eval left %d bytes of code vectors on the synopsis's views", b-shared)
 	}
 }

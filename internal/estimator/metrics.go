@@ -32,7 +32,6 @@ const (
 	mDeadHalfwidth   = "relest_deadline_halfwidth"   // labeled round=...
 	mDeadSampleRows  = "relest_deadline_sample_rows" // labeled round=..., rel=...
 	mMarginals       = "relest_marginals_total"      // labeled path=...
-	mPairTally       = "relest_pair_tally_total"     // labeled keys=...
 
 	// Tier planner (handle requests with a sketch-capable policy only, so
 	// legacy sample-only paths emit exactly the families they always did).
@@ -54,9 +53,6 @@ var (
 
 	mMarginalsFactorized = obs.L(mMarginals, "path", "factorized")
 	mMarginalsEnumerated = obs.L(mMarginals, "path", "enumerated")
-
-	mPairTallyCoded  = obs.L(mPairTally, "keys", "coded")
-	mPairTallyHashed = obs.L(mPairTally, "keys", "hashed")
 
 	mTierSketch = obs.L(mTierAnswered, "tier", TierAnsweredSketch)
 	mTierSample = obs.L(mTierAnswered, "tier", TierAnsweredSample)

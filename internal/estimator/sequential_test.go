@@ -1,6 +1,7 @@
 package estimator
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -145,6 +146,18 @@ func TestDeadlineCount(t *testing.T) {
 	// Validation.
 	if _, _, err := deadlineCount(e, syn, rng, DeadlineOptions{}); err == nil {
 		t.Error("zero budget should fail")
+	}
+	// A request on a clone codes its keys in the clone's own domain, on
+	// aliases of the shared views: the synopsis it was cloned from keeps
+	// its Bytes.
+	shared := syn.Bytes()
+	if _, _, err := DeadlineCountContext(context.Background(), e, syn.Clone(), DeadlineOptions{
+		Budget: 50 * time.Millisecond, InitialSize: 50, Seed: 5,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b := syn.Bytes(); b != shared {
+		t.Errorf("the request on a clone left %d bytes of code vectors on the synopsis it cloned", b-shared)
 	}
 }
 

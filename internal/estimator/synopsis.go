@@ -188,10 +188,10 @@ func (rs *relSynopsis) addUnits(ids []int) {
 type Synopsis struct {
 	rels map[string]*relSynopsis
 
-	// keys is the key domain every plan over the synopsis codes its
-	// single-column pair joins in (algebra.NewPlanCacheRec): the sample
-	// views code each join key column once, on first use, and keep the
-	// codes as they grow. A clone gets a domain of its own.
+	// keys is the key domain every plan over the synopsis codes its join
+	// keys in (algebra.NewPlanCacheRec): the sample views code each join
+	// key once, on first use, and keep the codes as they grow. A clone
+	// gets a domain of its own.
 	keys *relation.KeyDomain
 
 	// sketches is the optional sketch tier (per-relation AGMS column
@@ -205,7 +205,7 @@ type Synopsis struct {
 
 // NewSynopsis creates an empty synopsis.
 func NewSynopsis() *Synopsis {
-	return &Synopsis{rels: make(map[string]*relSynopsis), keys: relation.NewKeyDomain()}
+	return &Synopsis{rels: make(map[string]*relSynopsis), keys: relation.NewMemoKeyDomain()}
 }
 
 // Relation implements algebra.Catalog, returning the sample relation.

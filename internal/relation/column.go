@@ -15,8 +15,8 @@ package relation
 
 // dict is an append-only string dictionary shared by a column and every
 // view over it. Codes are assigned in first-appearance order; entry hashes
-// (Value.Hash of the string) are cached so index builds hash string rows
-// without rescanning bytes.
+// (Value.Hash of the string) are cached so a key domain places string
+// keys without rescanning bytes.
 type dict struct {
 	strs   []string
 	hashes []uint64
@@ -195,51 +195,6 @@ func (c *column) value(i int) Value {
 		return Value{kind: KindString, s: c.dict.strs[c.codes[i]]}
 	default: // KindNull column: every row is null
 		return Value{}
-	}
-}
-
-// keyHashAt returns the index's private key hash of row i, read in place
-// and consistent with Equal: numerics hash with numKeyHash, cheaper than
-// Value.Hash's byte-wise FNV, and strings keep Value.Hash, which the
-// dictionary caches per entry. The index needs only agreement with Equal,
-// whereas shard routing and the sketches depend on Value.Hash's exact
-// values, so that stays as it is.
-func (c *column) keyHashAt(i int) uint64 {
-	if c.isNull(i) {
-		return nullKeyHash
-	}
-	switch c.kind {
-	case KindInt:
-		return numKeyHash(float64(c.ints[i]))
-	case KindFloat:
-		return numKeyHash(c.floats[i])
-	case KindString:
-		return c.dict.hashes[c.codes[i]]
-	default:
-		return nullKeyHash
-	}
-}
-
-// equalRows reports whether rows i and j of the same column hold Equal
-// values. Dictionary codes compare directly (the dictionary interns), so
-// string equality is O(1); floats compare with < and >, as equalCells and
-// Compare do, so an index build puts two NaNs of one bit pattern (one
-// hash) in one bucket, where its probe finds them.
-func (c *column) equalRows(i, j int) bool {
-	ni, nj := c.isNull(i), c.isNull(j)
-	if ni || nj {
-		return ni && nj // null equals only null (Compare semantics)
-	}
-	switch c.kind {
-	case KindInt:
-		return c.ints[i] == c.ints[j]
-	case KindFloat:
-		x, y := c.floats[i], c.floats[j]
-		return !(x < y) && !(x > y)
-	case KindString:
-		return c.codes[i] == c.codes[j]
-	default:
-		return true
 	}
 }
 

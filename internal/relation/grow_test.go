@@ -10,27 +10,22 @@ import (
 )
 
 // sameIndex reports whether two indexes of the same rows agree field for
-// field: slot table, buckets (hash and exemplar), bucket boundaries and row
-// vector — everything but the relation pointer.
+// field: bucket boundaries and row vector.
 func sameIndex(a, b *Index) bool {
-	return a.shift == b.shift && slices.Equal(a.slots, b.slots) && slices.Equal(a.groups, b.groups) &&
-		slices.Equal(a.bounds, b.bounds) && slices.Equal(a.rows, b.rows) &&
-		slices.Equal(a.cols, b.cols) && a.parts == b.parts && a.part == b.part
+	return slices.Equal(a.bounds, b.bounds) && slices.Equal(a.layout(), b.layout()) &&
+		a.parts == b.parts && a.part == b.part
 }
 
-// TestQuickGrownIndexMatchesBuild grows memoized view indexes through one
-// to three Extend calls and checks every grown index against BuildIndex
-// over the grown view: the same bucket id for every key the view held
-// before (old rows probed through the old index and the grown one, where
-// the old index holds the probed key), the
-// same BucketRows and BucketLen for every bucket, the same LookupBucket
-// result for every row's key, including Int keys probing a Float column
-// and back — and, since the grown index is what the build produces, the
-// same layout field for field. The data mixes nulls, ±0, duplicate keys
-// and two-column keys; extensions cross slot-table doublings and leave
-// some intermediate views unindexed, so carried indexes grow across
-// several appends at once. The parent views and their indexes must come
-// out unchanged.
+// TestQuickGrownIndexMatchesBuild grows memoized view code vectors through
+// one to three Extend calls and checks the index over every grown vector
+// against the index over a fresh view holding the same rows, coded in the
+// same domain: the same layout field for field, so the same bucket id,
+// BucketRows and BucketLen for every key, and the same bucket for every
+// row's probe, including Int keys probing a Float column and back. Every
+// old row keeps its code. The data mixes nulls, ±0, duplicate keys and
+// two-column keys; some intermediate views are left uncoded, so carried
+// codes grow across several appends at once. The parent views and their
+// codes must come out unchanged.
 func TestQuickGrownIndexMatchesBuild(t *testing.T) {
 	keySets := []struct{ cols, probe []int }{
 		{[]int{0}, []int{0}},
@@ -53,6 +48,7 @@ func TestQuickGrownIndexMatchesBuild(t *testing.T) {
 			}
 			base.MustAppend(row)
 		}
+		var held []int // the base positions the current view holds
 		positions := func(k int) []int {
 			pos := make([]int, k)
 			for i := range pos {
@@ -61,51 +57,37 @@ func TestQuickGrownIndexMatchesBuild(t *testing.T) {
 			return pos
 		}
 		ks := keySets[rng.Intn(len(keySets))]
-		v := base.Subset("V", positions(1+rng.Intn(n)))
-		ix := v.SharedIndex(ks.cols)
+		dom := NewMemoKeyDomain()
+		held = positions(1 + rng.Intn(n))
+		v := base.Subset("V", held)
+		codes := v.KeyCodes(ks.cols, dom)
 		for step := 1 + rng.Intn(3); step > 0; step-- {
-			snapshot := *ix
-			rowsBefore := slices.Clone(ix.rows)
-			w := v.Extend(base, positions(rng.Intn(2*n)))
+			before := slices.Clone(codes)
+			add := positions(rng.Intn(2 * n))
+			w := v.Extend(base, add)
+			held = append(held, add...)
 			if rng.Intn(3) == 0 && step > 1 {
-				// Leave this view unindexed: the next one grows ix by both
+				// Leave this view uncoded: the next one grows codes by both
 				// appends at once.
 				v = w
 				continue
 			}
-			grown, built := w.SharedIndex(ks.cols), BuildIndex(w, ks.cols)
-			if !sameIndex(grown, built) || w.SharedIndex(ks.cols) != grown {
+			grown := w.KeyCodes(ks.cols, dom)
+			if !slices.Equal(grown[:len(codes)], codes) || !slices.Equal(codes, before) {
+				return false // an old row was recoded, or the parent's codes changed
+			}
+			fresh := base.Subset("F", held)
+			gx, fx := NewIndex(grown, nil), NewIndex(fresh.KeyCodes(ks.cols, dom), nil)
+			if !sameIndex(gx, fx) {
 				return false
 			}
-			if !sameIndex(ix, &snapshot) || !slices.Equal(ix.rows, rowsBefore) {
-				return false // the parent's index changed
-			}
-			key := make([]KeyRef, len(ks.probe))
-			for k, c := range ks.probe {
-				key[k] = KeyRef{Rel: w, Col: c}
-			}
-			for i := 0; i < w.Len(); i++ {
-				gid, grows := grown.LookupBucket(key, []int{i})
-				bid, brows := built.LookupBucket(key, []int{i})
-				if gid != bid || !slices.Equal(grows, brows) {
-					return false
-				}
-				if i < ix.rel.Len() {
-					oldKey := make([]KeyRef, len(key))
-					for k := range key {
-						oldKey[k] = KeyRef{Rel: ix.rel, Col: key[k].Col}
-					}
-					if oid, _ := ix.LookupBucket(oldKey, []int{i}); oid >= 0 && oid != gid {
-						return false
-					}
-				}
-			}
-			for b := 0; b < built.Buckets(); b++ {
-				if !slices.Equal(grown.BucketRows(b), built.BucketRows(b)) || grown.BucketLen(b) != built.BucketLen(b) {
+			probe := w.KeyCodes(ks.probe, dom)
+			for i := range probe {
+				if gx.Bucket(probe[i]) != fx.Bucket(probe[i]) || !slices.Equal(gx.Lookup(probe[i]), fx.Lookup(probe[i])) {
 					return false
 				}
 			}
-			v, ix = w, grown
+			v, codes = w, grown
 		}
 		return true
 	}
@@ -114,61 +96,28 @@ func TestQuickGrownIndexMatchesBuild(t *testing.T) {
 	}
 }
 
-// TestGrownIndexCollisionChain grows an index whose two keys share one
-// hash (collidedIndex, "b" forced onto the hash of "a" and first in its
-// chain): appended "a" rows probe past the "b" bucket into their own,
-// behind the old rows, a new key gets the next id, "b" keeps its rows,
-// and the re-slotted table keeps the chain.
-func TestGrownIndexCollisionChain(t *testing.T) {
-	for _, extra := range [][]int{{2, 0}, {0, 2, 2, 0, 0, 2}} {
-		r := testRelation(t) // rows: (1,a) (2,b) (3,a)
-		r.MustAppend(Tuple{Int(4), Str("c")})
-		v := r.Subset("V", []int{0, 1, 2})
-		ix := collidedIndex(v, combineHash(hashSeed, refKeyHash(Str("a"))))
-		v.memo = append(v.memo, &indexMemo{cols: []int{1}})
-		v.memo[0].once.Do(func() { v.memo[0].ix.Store(ix) })
-		w := v.Extend(r, append([]int{3}, extra...)) // "c", then rows of "a"
-		g := w.SharedIndex([]int{1})
-		want := map[string][]int{"a": {0, 2}, "c": {3}}
-		for i := range extra {
-			want["a"] = append(want["a"], 4+i)
-		}
-		if rows := g.BucketRows(0); !slices.Equal(rows, []int{1}) {
-			t.Errorf("extra %v: bucket 0 (b) rows %v, want [1]", extra, rows)
-		}
-		for _, c := range []struct {
-			id  int
-			key string
-		}{{1, "a"}, {2, "c"}} {
-			gid, rows := g.LookupBucket([]KeyRef{{Rel: w, Col: 1}}, []int{want[c.key][0]})
-			if gid != c.id || !slices.Equal(rows, want[c.key]) || g.BucketLen(c.id) != len(want[c.key]) {
-				t.Errorf("extra %v, key %q: bucket %d rows %v, want bucket %d rows %v", extra, c.key, gid, rows, c.id, want[c.key])
-			}
-		}
-		if g.Buckets() != 3 {
-			t.Errorf("extra %v: %d buckets, want 3", extra, g.Buckets())
-		}
-	}
-}
-
 // TestExtendKeepsParent checks that Extend appends to a copy: the parent
-// view keeps its rows and its memoized index, and an unbuilt memo entry
-// is not carried.
+// view keeps its rows and its memoized code vector, and an uncoded memo
+// entry is not carried.
 func TestExtendKeepsParent(t *testing.T) {
 	base := ordersRelation(t)
+	dom := NewMemoKeyDomain()
 	v := base.Subset("v", []int{4, 2})
-	ix := v.SharedIndex([]int{0})
+	codes := v.KeyCodes([]int{0}, dom)
+	v.memoMu.Lock()
+	v.codes = append(v.codes, &codeMemo{cols: []int{1}, dom: dom}) // never coded
+	v.memoMu.Unlock()
 	w := v.Extend(base, []int{0, 3, 2})
-	if v.Len() != 2 || w.Len() != 5 || v.SharedIndex([]int{0}) != ix {
-		t.Fatalf("parent changed: %d rows, index kept %v", v.Len(), v.SharedIndex([]int{0}) == ix)
+	if again := v.KeyCodes([]int{0}, dom); v.Len() != 2 || w.Len() != 5 || &again[0] != &codes[0] {
+		t.Fatalf("parent changed: %d rows, codes kept %v", v.Len(), &again[0] == &codes[0])
 	}
 	for i, p := range []int{4, 2, 0, 3, 2} {
 		if !w.Row(i).Materialize().Equal(base.Row(p).Materialize()) {
 			t.Errorf("row %d = %v, want base row %d", i, w.Row(i).Materialize(), p)
 		}
 	}
-	if len(w.memo) != 1 {
-		t.Errorf("extended view carries %d memo entries, want 1", len(w.memo))
+	if len(w.codes) != 1 {
+		t.Errorf("extended view carries %d code memo entries, want 1", len(w.codes))
 	}
 	defer func() {
 		if recover() == nil {
@@ -179,29 +128,32 @@ func TestExtendKeepsParent(t *testing.T) {
 }
 
 // TestGrownIndexConcurrent has eight goroutines race for the first
-// SharedIndex call on an extended view: the carried index grows once and
-// every caller gets the grown index, while the parent keeps its own.
+// KeyCodes call on an extended view: the carried codes grow once, every
+// caller gets the grown vector, the parent keeps its own, and the index
+// over the grown codes is the index over a fresh view's.
 func TestGrownIndexConcurrent(t *testing.T) {
 	base := ordersRelation(t)
+	dom := NewMemoKeyDomain()
 	v := base.Subset("v", []int{0, 1})
-	parent := v.SharedIndex([]int{0, 1})
+	parent := v.KeyCodes([]int{0, 1}, dom)
 	w := v.Extend(base, []int{2, 3, 4})
-	got := make([]*Index, 8)
+	got := make([][]int32, 8)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = w.SharedIndex([]int{0, 1})
+			got[g] = w.KeyCodes([]int{0, 1}, dom)
 		}()
 	}
 	wg.Wait()
-	for g, ix := range got {
-		if ix == nil || ix != got[0] || ix == parent {
-			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p (parent %p)", g, ix, got[0], parent)
+	for g, codes := range got {
+		if len(codes) != w.Len() || &codes[0] != &got[0][0] || &codes[0] == &parent[0] {
+			t.Fatalf("goroutine %d got its own code vector, or the parent's", g)
 		}
 	}
-	if !sameIndex(got[0], BuildIndex(w, []int{0, 1})) || v.SharedIndex([]int{0, 1}) != parent {
-		t.Error("the grown index differs from a build, or the parent lost its index")
+	fresh := base.Subset("f", []int{0, 1, 2, 3, 4}).KeyCodes([]int{0, 1}, dom)
+	if again := v.KeyCodes([]int{0, 1}, dom); !sameIndex(NewIndex(got[0], nil), NewIndex(fresh, nil)) || &again[0] != &parent[0] {
+		t.Error("the grown codes index differently from a fresh view's, or the parent lost its codes")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -26,104 +25,116 @@ func ordersRelation(t *testing.T) *Relation {
 	return r
 }
 
-// probeValues looks vals up through Lookup, holding them as the one row of
-// a probe relation (a null value gets a null-kind column).
-func probeValues(ix *Index, vals ...Value) []int {
+// indexOn indexes every row of r on cols, coded in dom.
+func indexOn(r *Relation, cols []int, dom *KeyDomain) *Index {
+	return NewIndex(r.KeyCodes(cols, dom), nil)
+}
+
+// valuesCode codes vals in dom as the one row of a probe relation (a null
+// value gets a null-kind column): a single value's code, or the tuple code
+// of several.
+func valuesCode(dom *KeyDomain, vals ...Value) int32 {
 	cols := make([]Column, len(vals))
-	key := make([]KeyRef, len(vals))
 	for k, v := range vals {
 		cols[k] = Column{fmt.Sprintf("k%d", k), v.Kind()}
-		key[k] = KeyRef{Col: k}
 	}
 	p := New("probe", MustSchema(cols...))
 	p.MustAppend(Tuple(vals))
-	for k := range key {
-		key[k].Rel = p
-	}
-	return ix.Lookup(key, []int{0})
+	return p.KeyCodes(seq(len(vals)), dom)[0]
 }
 
-// refKeyHash is the index key hash of a boxed Value, the per-value form of
-// column.keyHashAt.
-func refKeyHash(v Value) uint64 {
-	switch v.kind {
-	case KindNull:
-		return nullKeyHash
-	case KindInt:
-		return numKeyHash(float64(v.i))
-	case KindFloat:
-		return numKeyHash(v.f)
-	default:
-		return v.Hash()
-	}
+// probeValues looks vals up in ix, whose keys are coded in dom.
+func probeValues(ix *Index, dom *KeyDomain, vals ...Value) []int {
+	return ix.Lookup(valuesCode(dom, vals...))
 }
 
-// refLookup is the boxing reference probe Lookup replaced: hash the boxed
-// probe values, verify a bucket's exemplar with Value.Equal.
-func refLookup(ix *Index, vals []Value) []int {
-	h := hashSeed
+// tupleOf chains codes into one tuple code, as a key over several columns
+// is coded.
+func tupleOf(dom *KeyDomain, codes ...int32) int32 {
+	dom.mu.Lock()
+	defer dom.mu.Unlock()
+	c := codes[0]
+	for _, next := range codes[1:] {
+		c = dom.tupleCode(c, next)
+	}
+	return c
+}
+
+// padDomain codes n distinct keys no test relation holds, so the codes
+// dom hands out next are sparse: past every padding code.
+func padDomain(dom *KeyDomain, n int) {
+	pad := New("pad", MustSchema(Column{"p", KindFloat}))
+	for i := 0; i < n; i++ {
+		pad.MustAppend(Tuple{Float(float64(i) + 0.25)})
+	}
+	pad.KeyCodes([]int{0}, dom)
+}
+
+// filled returns the number of ix's buckets that hold rows: one per
+// distinct key among the indexed rows.
+func filled(ix *Index) int {
+	n := 0
+	for b := 0; b < ix.Buckets(); b++ {
+		if ix.BucketLen(b) > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// keyOf is the key encoding of vals (appendKey, column by column): the
+// boxed reference for key identity, which agrees with Equal on NaN-free
+// keys and keys a NaN by its bit pattern.
+func keyOf(vals []Value) string {
+	var b []byte
 	for _, v := range vals {
-		h = combineHash(h, refKeyHash(v))
+		b = v.appendKey(b)
 	}
-	mask := uint64(len(ix.slots) - 1)
-probe:
-	for s := h >> ix.shift; ; s = (s + 1) & mask {
-		g := ix.slots[s] - 1
-		if g < 0 {
-			return nil
-		}
-		b := &ix.groups[g]
-		if b.hash != h {
-			continue
-		}
-		for k, c := range ix.cols {
-			if !ix.rel.Value(b.head, c).Equal(vals[k]) {
-				continue probe
-			}
-		}
-		return ix.BucketRows(int(g))
-	}
+	return string(b)
 }
 
 func TestIndexLookup(t *testing.T) {
 	r := ordersRelation(t)
-	ix := BuildIndex(r, []int{0, 1})
+	dom := NewKeyDomain()
+	ix := indexOn(r, []int{0, 1}, dom)
 
-	if got := probeValues(ix, Int(1), Str("apple")); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+	if got := probeValues(ix, dom, Int(1), Str("apple")); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("(1, apple) = %v, want [0 3]", got)
 	}
-	if got := probeValues(ix, Int(2), Str("apple")); len(got) != 1 || got[0] != 2 {
+	if got := probeValues(ix, dom, Int(2), Str("apple")); len(got) != 1 || got[0] != 2 {
 		t.Errorf("(2, apple) = %v, want [2]", got)
 	}
-	if got := probeValues(ix, Int(9), Str("apple")); got != nil {
+	if got := probeValues(ix, dom, Int(9), Str("apple")); got != nil {
 		t.Errorf("miss returned %v", got)
 	}
 	// Null key values match other nulls, mirroring Value.Equal.
-	if got := probeValues(ix, Null(), Str("apple")); len(got) != 1 || got[0] != 4 {
+	if got := probeValues(ix, dom, Null(), Str("apple")); len(got) != 1 || got[0] != 4 {
 		t.Errorf("(null, apple) = %v, want [4]", got)
 	}
 	// Int/Float numeric equality crosses kinds, as Equal and Hash demand.
-	fx := BuildIndex(r, []int{2})
-	if got := probeValues(fx, Int(2)); len(got) != 1 || got[0] != 0 {
+	fx := indexOn(r, []int{2}, dom)
+	if got := probeValues(fx, dom, Int(2)); len(got) != 1 || got[0] != 0 {
 		t.Errorf("Float column probed with Int(2) = %v, want [0]", got)
 	}
 }
 
 // TestIndexLookupAcrossRelations probes with cells of other relations: one
 // probe row whose key columns sit in a different order, and a composite key
-// gathered from two relations at two slots (term evaluation's shape).
+// gathered from two relations at two rows (term evaluation's shape), its
+// tuple code chained from the two cells' codes.
 func TestIndexLookupAcrossRelations(t *testing.T) {
 	r := ordersRelation(t)
-	ix := BuildIndex(r, []int{0, 1})
+	dom := NewKeyDomain()
+	ix := indexOn(r, []int{0, 1}, dom)
 
 	probe := New("probe", MustSchema(Column{"item", KindString}, Column{"customer", KindInt}))
 	probe.MustAppend(Tuple{Str("apple"), Int(1)})
 	probe.MustAppend(Tuple{Str("pear"), Int(2)})
-	row := []KeyRef{{Rel: probe, Col: 1}, {Rel: probe, Col: 0}}
-	if got := ix.Lookup(row, []int{0}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+	codes := probe.KeyCodes([]int{1, 0}, dom)
+	if got := ix.Lookup(codes[0]); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("probe row 0 = %v, want [0 3]", got)
 	}
-	if got := ix.Lookup(row, []int{1}); got != nil {
+	if got := ix.Lookup(codes[1]); got != nil {
 		t.Errorf("probe miss returned %v", got)
 	}
 
@@ -133,36 +144,38 @@ func TestIndexLookupAcrossRelations(t *testing.T) {
 	items := New("I", MustSchema(Column{"name", KindString}))
 	items.MustAppend(Tuple{Str("pear")})
 	items.MustAppend(Tuple{Str("apple")})
-	two := []KeyRef{{Rel: customers, Slot: 1, Col: 0}, {Rel: items, Slot: 0, Col: 0}}
-	if got := ix.Lookup(two, []int{1, 1}); len(got) != 2 || got[0] != 0 || got[1] != 3 {
+	c, i := customers.KeyCodes([]int{0}, dom), items.KeyCodes([]int{0}, dom)
+	if got := ix.Lookup(tupleOf(dom, c[1], i[1])); len(got) != 2 || got[0] != 0 || got[1] != 3 {
 		t.Errorf("(C[1], I[1]) = %v, want [0 3]", got)
 	}
-	if got := ix.Lookup(two, []int{0, 0}); got != nil {
+	if got := ix.Lookup(tupleOf(dom, c[0], i[0])); got != nil {
 		t.Errorf("(C[0], I[0]) = (2, pear) returned %v", got)
 	}
 }
 
 func TestBuildIndexRows(t *testing.T) {
 	r := ordersRelation(t)
+	dom := NewKeyDomain()
 	// Index only rows {3, 0} (in that order): candidate-list indexing.
-	ix := BuildIndexRows(r, []int{1}, []int{3, 0})
-	got := probeValues(ix, Str("apple"))
+	ix := NewIndex(r.KeyCodes([]int{1}, dom), []int{3, 0})
+	got := probeValues(ix, dom, Str("apple"))
 	if len(got) != 2 || got[0] != 3 || got[1] != 0 {
 		t.Errorf("apple over rows [3 0] = %v, want [3 0] (insertion order)", got)
 	}
-	if got := probeValues(ix, Str("pear")); got != nil {
+	if got := probeValues(ix, dom, Str("pear")); got != nil {
 		t.Errorf("pear is outside the indexed rows, got %v", got)
 	}
-	if ix.Buckets() != 1 {
-		t.Errorf("buckets = %d, want 1", ix.Buckets())
+	if filled(ix) != 1 {
+		t.Errorf("filled buckets = %d, want 1", filled(ix))
 	}
 }
 
 func TestIndexOnView(t *testing.T) {
 	r := ordersRelation(t)
 	v := r.Subset("v", []int{4, 2, 0}) // rows in view positions 0,1,2
-	ix := BuildIndex(v, []int{1})
-	got := probeValues(ix, Str("apple"))
+	dom := NewKeyDomain()
+	ix := indexOn(v, []int{1}, dom)
+	got := probeValues(ix, dom, Str("apple"))
 	if len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("apple over view = %v, want [0 1 2] (view positions)", got)
 	}
@@ -172,74 +185,16 @@ func TestIndexOnView(t *testing.T) {
 	}
 }
 
-// TestIndexCollisionChain exercises the collision paths directly. Real
-// 64-bit hash collisions between distinct keys cannot be crafted from the
-// public API, so the test assembles an Index whose two buckets — distinct
-// keys "b" and "a" — carry one forced hash and sit in adjacent slots, and
-// verifies the probe disambiguates by typed comparison, whether its key
-// shares the index's dictionary or not: the matching bucket is found past
-// the colliding one, and a probe that matches neither bucket misses.
-func TestIndexCollisionChain(t *testing.T) {
-	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
-	collided := func(h uint64) *Index { return collidedIndex(r, h) }
-	hit := collided(combineHash(hashSeed, refKeyHash(Str("a"))))
-	if got := probeValues(hit, Str("a")); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("collided probe, own dictionary = %v, want [0 2]", got)
-	}
-	if got := hit.Lookup([]KeyRef{{Rel: r, Col: 1}}, []int{2}); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("collided probe, shared dictionary = %v, want [0 2]", got)
-	}
-	miss := collided(combineHash(hashSeed, refKeyHash(Str("zzz"))))
-	if got := probeValues(miss, Str("zzz")); got != nil {
-		t.Errorf("colliding miss = %v, want nil", got)
-	}
-	// The colliding keys keep distinct bucket ids, each with its own size,
-	// whichever of them carries the probed key's hash.
-	for _, c := range []struct {
-		key           string
-		row, id, size int
-	}{{"a", 0, 1, 2}, {"a", 2, 1, 2}, {"b", 1, 0, 1}} {
-		ix := collided(combineHash(hashSeed, refKeyHash(Str(c.key))))
-		id, rows := ix.LookupBucket([]KeyRef{{Rel: r, Col: 1}}, []int{c.row})
-		if id != c.id || len(rows) != c.size || ix.BucketLen(c.id) != c.size {
-			t.Errorf("collided probe of row %d: bucket %d of %d rows, want bucket %d of %d", c.row, id, len(rows), c.id, c.size)
-		}
-	}
-	if id, rows := miss.LookupBucket([]KeyRef{{Rel: r, Col: 1}}, []int{1}); id != -1 || rows != nil {
-		t.Errorf("colliding miss = bucket %d %v, want -1 nil", id, rows)
-	}
-}
-
-// collidedIndex assembles an index on column 1 of testRelation whose two
-// buckets — distinct keys "b" and "a" — carry the one forced hash h and sit
-// in adjacent slots of a four-slot table.
-func collidedIndex(r *Relation, h uint64) *Index {
-	ix := &Index{
-		rel:   r,
-		cols:  []int{1},
-		shift: 62, // four slots
-		slots: make([]int32, 4),
-		groups: []bucket{
-			{hash: h, head: 1}, // "b"
-			{hash: h, head: 0}, // "a", one slot further on
-		},
-		rows:   []int{1, 0, 2},
-		bounds: []int32{0, 1, 3},
-		parts:  1,
-	}
-	s := h >> ix.shift
-	ix.slots[s], ix.slots[(s+1)&3] = 1, 2
-	return ix
-}
-
 // TestQuickIndexMatchesScan checks the index against the naive scan on
-// random data: for every row, the in-place probe and the boxing reference
-// return exactly the rows an Equal-based scan finds, in ascending order; and bucket counts match the
-// number of distinct keys. The data mixes Int and Float keys that compare
-// equal (probing a Float column with Int values and back), ±0, nulls and
-// two-column keys, over base relations and views with repeated rows. The
-// memoized SharedIndex must agree with BuildIndex lookup for lookup, and a
-// view must hand every caller the same memoized index.
+// random data: for every row, the probe of the row's key code returns
+// exactly the rows an Equal-based scan finds, in ascending order; and
+// bucket counts match the number of distinct keys. The data mixes Int and
+// Float keys that compare equal (probing a Float column with Int values
+// and back), ±0, nulls and two-column keys, over base relations and views
+// with repeated rows, with dense codes and with codes made sparse by a
+// padded domain. BuildIndex, in a domain of its own, must bucket as the
+// index over the shared domain's codes does, and a view must hand every
+// caller of a memoizing domain the same code vector.
 func TestQuickIndexMatchesScan(t *testing.T) {
 	keySets := []struct{ cols, probe []int }{
 		{[]int{0}, []int{0}},
@@ -275,12 +230,14 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 			r = base.Subset("V", pos)
 		}
 		ks := keySets[rng.Intn(len(keySets))]
-		ix := BuildIndex(r, ks.cols)
-		shared := r.SharedIndex(ks.cols)
-		if shared.Buckets() != ix.Buckets() {
+		dom := NewMemoKeyDomain()
+		padDomain(dom, rng.Intn(3)*4*n)
+		codes := r.KeyCodes(ks.cols, dom)
+		ix := NewIndex(codes, nil)
+		if filled(BuildIndex(r, ks.cols)) != filled(ix) {
 			return false
 		}
-		if r.IsView() && r.SharedIndex(ks.cols) != shared {
+		if again := r.KeyCodes(ks.cols, dom); r.IsView() != (&again[0] == &codes[0]) {
 			return false
 		}
 		matches := func(i, j int, probe []int) bool {
@@ -291,11 +248,7 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 			}
 			return true
 		}
-		vals := make([]Value, len(ks.cols))
-		key := make([]KeyRef, len(ks.probe))
-		for k, c := range ks.probe {
-			key[k] = KeyRef{Rel: r, Col: c}
-		}
+		probe := r.KeyCodes(ks.probe, dom)
 		for i := 0; i < r.Len(); i++ {
 			var want []int
 			for j := 0; j < r.Len(); j++ {
@@ -303,16 +256,8 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 					want = append(want, j)
 				}
 			}
-			for k, c := range ks.probe {
-				vals[k] = r.Value(i, c)
-			}
-			for _, got := range [][]int{
-				ix.Lookup(key, []int{i}), refLookup(ix, vals),
-				shared.Lookup(key, []int{i}), refLookup(shared, vals),
-			} {
-				if !slices.Equal(got, want) {
-					return false
-				}
+			if got := ix.Lookup(probe[i]); !slices.Equal(got, want) {
+				return false
 			}
 		}
 		distinct := 0
@@ -328,23 +273,26 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 				distinct++
 			}
 		}
-		return ix.Buckets() == distinct
+		return filled(ix) == distinct
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestQuickLookupMatchesBoxedReference checks the in-place probe against
-// the boxing reference it replaced, slice for slice (the same bucket of the
-// same index), on composite keys gathered from up to three relations at
-// distinct slots: string keys from separately built relations (different
-// dictionaries) and from a view of the indexed relation (a shared one),
-// Int cells probing a Float column and back, ±0, NaN and nulls. Bucket ids
-// follow key equality: probes with Equal NaN-free keys get one id, probes
-// that hit buckets with distinct keys get distinct ids, and an id's
-// BucketRows and BucketLen are the probe's rows.
+// TestQuickLookupMatchesBoxedReference checks the probe against a boxing
+// reference, slice for slice: the indexed rows, in order, whose boxed key
+// values encode as the probe's do (keyOf). Probe keys are composite keys
+// gathered from up to three relations at distinct rows, their tuple codes
+// chained from the cells' codes: string keys from separately built
+// relations (different dictionaries) and from a view of the indexed
+// relation (a shared one), Int cells probing a Float column and back, ±0,
+// NaN and nulls. Bucket ids follow key identity: probes with equal keys
+// get one id, probes with distinct keys get distinct ids (or none, past
+// every indexed code), and an id's BucketRows and BucketLen are the
+// probe's rows.
 func TestQuickLookupMatchesBoxedReference(t *testing.T) {
+	type keyRef struct{ rel, slot, col int }
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		letters := []string{"", "a", "b", "ab"}
@@ -381,62 +329,74 @@ func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 		b := build("B", 1+rng.Intn(10), KindString, KindFloat)
 		c := build("C", 1+rng.Intn(10), KindInt, KindString)
 		v := a.Subset("V", []int{rng.Intn(a.Len()), rng.Intn(a.Len()), 0})
+		rels := []*Relation{b, c, v}
+		const B, C, V = 0, 1, 2
 		cases := []struct {
 			cols []int
-			key  []KeyRef
+			key  []keyRef
 		}{
-			{[]int{0, 1}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: c, Slot: 1, Col: 1}}},
-			{[]int{1, 2}, []KeyRef{{Rel: b, Slot: 1, Col: 0}, {Rel: c, Slot: 0, Col: 0}}},
-			{[]int{0, 1, 2}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: v, Slot: 1, Col: 1}, {Rel: c, Slot: 2, Col: 0}}},
-			{[]int{1}, []KeyRef{{Rel: v, Slot: 0, Col: 1}}},
-			{[]int{2, 0}, []KeyRef{{Rel: b, Slot: 0, Col: 1}, {Rel: c, Slot: 1, Col: 0}}},
+			{[]int{0, 1}, []keyRef{{B, 0, 1}, {C, 1, 1}}},
+			{[]int{1, 2}, []keyRef{{B, 1, 0}, {C, 0, 0}}},
+			{[]int{0, 1, 2}, []keyRef{{B, 0, 1}, {V, 1, 1}, {C, 2, 0}}},
+			{[]int{1}, []keyRef{{V, 0, 1}}},
+			{[]int{2, 0}, []keyRef{{B, 0, 1}, {C, 1, 0}}},
 		}
 		ks := cases[rng.Intn(len(cases))]
 		target := a
 		if rng.Intn(2) == 0 {
 			target = a.Subset("W", []int{a.Len() - 1, 0, a.Len() - 1})
 		}
-		ix := BuildIndex(target, ks.cols)
+		dom := NewKeyDomain()
+		ix := indexOn(target, ks.cols, dom)
+		cellCodes := make([][]int32, len(ks.key))
+		for k, kr := range ks.key {
+			cellCodes[k] = rels[kr.rel].KeyCodes([]int{kr.col}, dom)
+		}
 		rows := make([]int, 3)
 		type probed struct {
-			vals []Value
-			id   int
+			key string
+			id  int
 		}
 		var seen []probed
 		for trial := 0; trial < 30; trial++ {
 			for _, kr := range ks.key {
-				rows[kr.Slot] = rng.Intn(kr.Rel.Len())
+				rows[kr.slot] = rng.Intn(rels[kr.rel].Len())
 			}
 			vals := make([]Value, len(ks.key))
+			codes := make([]int32, len(ks.key))
 			for k, kr := range ks.key {
-				vals[k] = kr.Rel.Value(rows[kr.Slot], kr.Col)
+				vals[k] = rels[kr.rel].Value(rows[kr.slot], kr.col)
+				codes[k] = cellCodes[k][rows[kr.slot]]
 			}
-			got, want := ix.Lookup(ks.key, rows), refLookup(ix, vals)
-			if !slices.Equal(got, want) || (len(got) > 0 && &got[0] != &want[0]) {
+			key := keyOf(vals)
+			var want []int
+			for row := 0; row < target.Len(); row++ {
+				held := make([]Value, len(ks.cols))
+				for k, col := range ks.cols {
+					held[k] = target.Value(row, col)
+				}
+				if keyOf(held) == key {
+					want = append(want, row)
+				}
+			}
+			code := tupleOf(dom, codes...)
+			got := ix.Lookup(code)
+			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 				return false
 			}
-			id, bucket := ix.LookupBucket(ks.key, rows)
-			if !slices.Equal(bucket, got) || (id < 0) != (got == nil) {
+			id := ix.Bucket(code)
+			if (id < 0 || ix.BucketLen(id) == 0) != (got == nil) {
 				return false
 			}
 			if id >= 0 && (ix.BucketLen(id) != len(got) || !slices.Equal(ix.BucketRows(id), got)) {
 				return false
 			}
-			// NaN compares equal to every number but hashes as itself, so
-			// key equality is an equivalence only on NaN-free keys.
-			if slices.ContainsFunc(vals, func(v Value) bool { return v.kind == KindFloat && math.IsNaN(v.f) }) {
-				continue
-			}
 			for _, p := range seen {
-				equal := true
-				for k := range vals {
-					equal = equal && vals[k].Equal(p.vals[k])
-				}
-				if (equal && id != p.id) || (!equal && id >= 0 && id == p.id) {
+				if (p.key == key && id != p.id) || (p.key != key && id >= 0 && id == p.id) {
 					return false
 				}
 			}
-			seen = append(seen, probed{vals: vals, id: id})
+			seen = append(seen, probed{key: key, id: id})
 		}
 		return true
 	}
@@ -446,15 +406,16 @@ func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 }
 
 // TestBuildIndexAllocsFlat pins the flat layout's allocation bound: a build
-// allocates a fixed handful of slices (the bucket list grows by doubling),
-// not one slice per distinct key.
+// allocates a fixed handful of slices (the domain's tables and the code
+// vector, sized for the rows, and the index's own three), not one slice
+// per distinct key.
 func TestBuildIndexAllocsFlat(t *testing.T) {
 	r := New("R", MustSchema(Column{"k", KindInt}))
 	for i := 0; i < 10000; i++ {
 		r.MustAppend(Tuple{Int(int64(i % 1500))})
 	}
 	cols := []int{0}
-	if b := BuildIndex(r, cols).Buckets(); b < 1000 {
+	if b := filled(BuildIndex(r, cols)); b < 1000 {
 		t.Fatalf("fixture has %d distinct keys, want >= 1000", b)
 	}
 	if allocs := testing.AllocsPerRun(5, func() { BuildIndex(r, cols) }); allocs > 32 {
@@ -462,65 +423,22 @@ func TestBuildIndexAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestSharedIndexMemo checks the memo rule: a view hands every caller the
-// same index per key column set; a base relation, which can still grow,
-// gets a fresh build each time; a memoized index is counted in the view's
-// Bytes; and Sort, which reorders a view in place, drops the memo.
-func TestSharedIndexMemo(t *testing.T) {
-	base := ordersRelation(t)
-	if base.SharedIndex([]int{0}) == base.SharedIndex([]int{0}) {
-		t.Error("a base relation must not memoize its index")
+// splitAgrees checks Split's contract for one probe code: part l returns
+// exactly the parent's rows for the code that are labelled l, in the
+// parent's order, for every part, every part reports one bucket id for
+// the code (none when the parent has no rows for it), and the part's
+// BucketLen for that id is the filtered length.
+func splitAgrees(parent *Index, parts []*Index, label []int32, code int32) bool {
+	want := parent.Lookup(code)
+	id := parts[0].Bucket(code)
+	if (id < 0) != (want == nil) {
+		return false
 	}
-	v := base.Subset("v", []int{4, 2, 0, 3})
-	before := v.Bytes()
-	ix := v.SharedIndex([]int{1})
-	if v.SharedIndex([]int{1}) != ix {
-		t.Error("second SharedIndex on a view returned a different index")
-	}
-	if v.SharedIndex([]int{0, 1}) == ix {
-		t.Error("distinct key column sets share one index")
-	}
-	if got, want := v.Bytes(), before+ix.Bytes()+v.SharedIndex([]int{0, 1}).Bytes(); got != want {
-		t.Errorf("view Bytes = %d, want %d (index vector plus memoized indexes)", got, want)
-	}
-	v.Sort()
-	if v.SharedIndex([]int{1}) == ix {
-		t.Error("Sort kept an index over the old row order")
-	}
-}
-
-// TestSharedIndexConcurrent has eight goroutines race for a view's first
-// SharedIndex call: exactly one build happens and every caller gets it.
-func TestSharedIndexConcurrent(t *testing.T) {
-	v := ordersRelation(t).Clone("v")
-	got := make([]*Index, 8)
-	var wg sync.WaitGroup
-	for g := range got {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[g] = v.SharedIndex([]int{0, 1})
-		}()
-	}
-	wg.Wait()
-	for g, ix := range got {
-		if ix == nil || ix != got[0] {
-			t.Fatalf("goroutine %d got index %p, goroutine 0 got %p", g, ix, got[0])
-		}
-	}
-}
-
-// splitAgrees checks Split's contract for one probe: part l returns exactly
-// the parent's rows for the key that are labelled l, in the parent's order,
-// for every part, under the parent's bucket id, and the part's BucketLen
-// for that id is the filtered length.
-func splitAgrees(parent *Index, parts []*Index, label []int32, key []KeyRef, rows []int) bool {
-	id, want := parent.LookupBucket(key, rows)
 	total := 0
 	for l, part := range parts {
-		got := part.Lookup(key, rows)
+		got := part.Lookup(code)
 		total += len(got)
-		if pid, _ := part.LookupBucket(key, rows); pid != id {
+		if part.Bucket(code) != id {
 			return false
 		}
 		if id >= 0 && part.BucketLen(id) != len(got) {
@@ -545,12 +463,13 @@ func splitAgrees(parent *Index, parts []*Index, label []int32, key []KeyRef, row
 
 // TestQuickSplitMatchesFilteredLookup checks Index.Split against its
 // definition on random data: for random labels, every part's probe equals
-// the parent's probe filtered to the part's label, in order, and every
-// part reports the parent's bucket id with the filtered BucketLen. The data has
-// null keys, composite keys gathered from two relations, Int cells probing
-// a Float column and back, labels drawn from a prefix of the groups (so
-// trailing parts are empty), and indexes over a whole relation, a view
-// with repeated rows, and a filtered candidate list (BuildIndexRows).
+// the parent's probe filtered to the part's label, in order, and the parts
+// report one bucket id with the filtered BucketLen. The
+// data has null keys, composite keys gathered from two relations, Int
+// cells probing a Float column and back, labels drawn from a prefix of
+// the groups (so trailing parts are empty), and indexes over a whole
+// relation, a view with repeated rows, and a filtered candidate list, with
+// dense codes and with codes made sparse by a padded domain.
 func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -590,19 +509,30 @@ func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 			}
 			target = a.Subset("V", pos)
 		}
+		dom := NewKeyDomain()
+		padDomain(dom, rng.Intn(3)*4*target.Len())
+		// Each case keys the index on cols and probes with the tuple code
+		// of column tc of the target's row and column cc of C's row
+		// (-1: not part of the key).
 		cases := []struct {
-			cols []int
-			key  []KeyRef
+			cols   []int
+			tc, cc int
 		}{
-			{[]int{0, 1}, []KeyRef{{Rel: target, Slot: 0, Col: 0}, {Rel: c, Slot: 1, Col: 1}}},
-			{[]int{0, 1}, []KeyRef{{Rel: c, Slot: 1, Col: 0}, {Rel: target, Slot: 0, Col: 1}}}, // Float probes Int
-			{[]int{2, 1}, []KeyRef{{Rel: c, Slot: 1, Col: 2}, {Rel: target, Slot: 0, Col: 1}}}, // Int probes Float
-			{[]int{2}, []KeyRef{{Rel: target, Slot: 0, Col: 2}}},
+			{[]int{0, 1}, 0, 1},
+			{[]int{1, 0}, 1, 0}, // Float probes Int
+			{[]int{1, 2}, 1, 2}, // Int probes Float
+			{[]int{2}, 2, -1},
 		}
 		ks := cases[rng.Intn(len(cases))]
+		tcodes := target.KeyCodes([]int{ks.tc}, dom)
+		var ccodes []int32
+		if ks.cc >= 0 {
+			ccodes = c.KeyCodes([]int{ks.cc}, dom)
+		}
+		codes := target.KeyCodes(ks.cols, dom)
 		var ix *Index
 		if rng.Intn(2) == 0 {
-			ix = BuildIndex(target, ks.cols)
+			ix = NewIndex(codes, nil)
 		} else {
 			var rows []int
 			for i := 0; i < target.Len(); i++ {
@@ -610,7 +540,7 @@ func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 					rows = append(rows, i)
 				}
 			}
-			ix = BuildIndexRows(target, ks.cols, rows)
+			ix = NewIndex(codes, rows)
 		}
 		g := 1 + rng.Intn(6)
 		used := 1 + rng.Intn(g)
@@ -622,10 +552,13 @@ func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 		if len(parts) != g {
 			return false
 		}
-		rows := make([]int, 2)
 		for trial := 0; trial < 40; trial++ {
-			rows[0], rows[1] = rng.Intn(target.Len()), rng.Intn(c.Len())
-			if !splitAgrees(ix, parts, label, ks.key, rows) {
+			code := tcodes[rng.Intn(target.Len())]
+			if ccodes != nil {
+				// The composite key is (target cell, C cell) in cols order.
+				code = tupleOf(dom, code, ccodes[rng.Intn(c.Len())])
+			}
+			if !splitAgrees(ix, parts, label, code) {
 				return false
 			}
 		}
@@ -633,22 +566,5 @@ func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestSplitCollisionChain splits the forced-collision fixture: the parts
-// keep the shared slot table and buckets, so a probe still walks past the
-// colliding bucket, and each part returns only its own rows of the match.
-func TestSplitCollisionChain(t *testing.T) {
-	r := testRelation(t) // rows: (1,a) (2,b) (3,a)
-	for _, probe := range []string{"a", "b", "zzz"} {
-		ix := collidedIndex(r, combineHash(hashSeed, refKeyHash(Str(probe))))
-		label := []int32{1, 0, 0}
-		parts := ix.Split(label, 3)
-		p := New("probe", MustSchema(Column{"k", KindString}))
-		p.MustAppend(Tuple{Str(probe)})
-		if !splitAgrees(ix, parts, label, []KeyRef{{Rel: p, Col: 0}}, []int{0}) {
-			t.Errorf("probe %q: split parts disagree with the filtered parent", probe)
-		}
 	}
 }

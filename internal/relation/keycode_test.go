@@ -60,23 +60,23 @@ func numericRelations(vals []Value) (ints, floats *Relation, at func(i int) (*Re
 
 // TestNumericEqualityAgrees pins the one numeric equality every layer
 // shares, over the keys where float64 rounds: Compare orders Int against
-// Float exactly, and Equal ⇔ same Key encoding ⇔ same hash-index bucket ⇔
+// Float exactly, and Equal ⇔ same Key encoding ⇔ same index bucket ⇔
 // same key code, while Equal ⇒ same Hash. FilterCmp agrees with Compare,
 // and Distinct keeps every distinct int.
 func TestNumericEqualityAgrees(t *testing.T) {
 	vals := append(edgeNumerics(), Null())
 	ints, floats, at := numericRelations(vals)
-	ix := map[*Relation]*Index{ints: BuildIndex(ints, []int{0}), floats: BuildIndex(floats, []int{0})}
-	bucket := func(in *Relation, i int) int { // value i's bucket in in's index
-		r, row := at(i)
-		k, _ := ix[in].LookupBucket([]KeyRef{{Rel: r, Col: 0}}, []int{row})
-		return k
-	}
 	views := map[*Relation]*Relation{ints: ints.Subset("I", seq(ints.Len())), floats: floats.Subset("F", seq(floats.Len()))}
-	dom := NewKeyDomain()
+	dom := NewMemoKeyDomain()
 	code := func(i int) int32 {
 		r, row := at(i)
-		return views[r].KeyCodes(0, dom)[row]
+		return views[r].KeyCodes([]int{0}, dom)[row]
+	}
+	probe := NewKeyDomain() // the index's own domain, apart from the views'
+	ix := map[*Relation]*Index{ints: indexOn(ints, []int{0}, probe), floats: indexOn(floats, []int{0}, probe)}
+	bucket := func(in *Relation, i int) int { // value i's bucket in in's index
+		r, row := at(i)
+		return ix[in].Bucket(r.KeyCodes([]int{0}, probe)[row])
 	}
 	for i, a := range vals {
 		for j, b := range vals {
@@ -158,45 +158,62 @@ func keyedRelation(rng *rand.Rand, name string, n int) *Relation {
 	return r
 }
 
-// codesMatchIndex reports whether v's codes on column c bucket its rows
-// exactly as a hash index does: rows share a code iff they share a
-// bucket, and ranking codes by first appearance gives the bucket ids.
-func codesMatchIndex(v *Relation, c int, codes []int32) error {
+// codesMatchIndex reports whether v's codes on cols bucket its rows exactly
+// as the key encoding does (keyOf over the key's cells): rows share a code
+// iff their keys encode alike, and the index over the codes has one bucket
+// per distinct encoding, listing exactly that key's rows.
+func codesMatchIndex(v *Relation, cols []int, codes []int32) error {
 	if len(codes) != v.Len() {
 		return fmt.Errorf("%d codes for %d rows", len(codes), v.Len())
 	}
-	ix := BuildIndex(v, []int{c})
-	rank := map[int32]int{}
+	ix := NewIndex(codes, nil)
+	byKey := map[string][]int{}
+	bucketOf := map[string]int{}
 	for row, code := range codes {
-		k, _ := ix.LookupBucket([]KeyRef{{Rel: v, Col: c}}, []int{row})
-		if _, seen := rank[code]; !seen {
-			rank[code] = len(rank)
+		vals := make([]Value, len(cols))
+		for k, c := range cols {
+			vals[k] = v.Value(row, c)
 		}
-		if rank[code] != k {
-			return fmt.Errorf("row %d (%v): code %d first seen as bucket %d, index bucket %d", row, v.Value(row, c), code, rank[code], k)
+		key := keyOf(vals)
+		byKey[key] = append(byKey[key], row)
+		b, seen := bucketOf[key]
+		if !seen {
+			b = ix.Bucket(code)
+			bucketOf[key] = b
+		}
+		if ix.Bucket(code) != b || b < 0 {
+			return fmt.Errorf("row %d (%v): code %d in bucket %d, its key's bucket is %d", row, vals, code, ix.Bucket(code), b)
 		}
 	}
-	if len(rank) != ix.Buckets() {
-		return fmt.Errorf("%d codes, %d buckets", len(rank), ix.Buckets())
+	if len(byKey) != filled(ix) {
+		return fmt.Errorf("%d keys, %d filled buckets", len(byKey), filled(ix))
+	}
+	for key, rows := range byKey {
+		if got := ix.BucketRows(bucketOf[key]); !slices.Equal(got, rows) {
+			return fmt.Errorf("bucket %d lists rows %v, its key's rows are %v", bucketOf[key], got, rows)
+		}
 	}
 	return nil
 }
 
-// TestQuickKeyCodesMatchIndex checks key codes against the hash index on
-// random relations (null, ±0, NaN and Int↔Float keys): within a view,
-// across two relations (their strings in two dictionaries, Int against
-// Float columns), through chains of Extend, on a Clone, and on an Alias,
-// whose codes in another domain stay off the view it aliases.
+// TestQuickKeyCodesMatchIndex checks key codes against the key encoding
+// and the index built on them, on random relations (null, ±0, NaN and
+// Int↔Float keys), for one-column keys and for tuple codes of two and
+// three columns: within a view, across two relations (their strings in two
+// dictionaries, Int against Float columns), through chains of Extend, on a
+// Clone, and on an Alias, whose codes in another domain stay off the view
+// it aliases.
 func TestQuickKeyCodesMatchIndex(t *testing.T) {
+	keys := [][]int{{0}, {1}, {2}, {0, 1}, {2, 1}, {0, 1, 2}}
 	rng := rand.New(rand.NewSource(49))
 	for trial := 0; trial < 200 && !t.Failed(); trial++ {
-		dom := NewKeyDomain()
+		dom := NewMemoKeyDomain()
 		bases := []*Relation{keyedRelation(rng, "R", 10+rng.Intn(40)), keyedRelation(rng, "S", 10+rng.Intn(40))}
 		var views []*Relation
 		for _, b := range bases {
 			v := b.Subset(b.Name(), rng.Perm(b.Len())[:1+rng.Intn(b.Len()/2)])
-			for c := 0; c < 3; c++ {
-				v.KeyCodes(c, dom) // the codes Extend carries
+			for _, cols := range keys {
+				v.KeyCodes(cols, dom) // the codes Extend carries
 			}
 			for ext := 0; ext < 3; ext++ {
 				views = append(views, v)
@@ -205,21 +222,21 @@ func TestQuickKeyCodesMatchIndex(t *testing.T) {
 			views = append(views, v, v.Clone(b.Name()))
 		}
 		for _, v := range views {
-			for c := 0; c < 3; c++ {
-				codes := v.KeyCodes(c, dom)
-				if err := codesMatchIndex(v, c, codes); err != nil {
-					t.Fatalf("trial %d, %s column %d: %v", trial, v.Name(), c, err)
+			for _, cols := range keys {
+				codes := v.KeyCodes(cols, dom)
+				if err := codesMatchIndex(v, cols, codes); err != nil {
+					t.Fatalf("trial %d, %s columns %v: %v", trial, v.Name(), cols, err)
 				}
-				fresh := NewKeyDomain()
-				if got := v.Alias().KeyCodes(c, fresh); codesMatchIndex(v, c, got) != nil {
-					t.Fatalf("trial %d: an alias's codes in a fresh domain do not bucket like the index", trial)
+				fresh := NewMemoKeyDomain()
+				if got := v.Alias().KeyCodes(cols, fresh); codesMatchIndex(v, cols, got) != nil {
+					t.Fatalf("trial %d: an alias's codes in a fresh domain do not bucket like the key encoding", trial)
 				}
 				for _, m := range v.codes {
 					if m.dom == fresh {
 						t.Fatalf("trial %d: an alias's codes in its own domain landed on the view it aliases", trial)
 					}
 				}
-				if !slices.Equal(v.Alias().KeyCodes(c, dom), codes) {
+				if !slices.Equal(v.Alias().KeyCodes(cols, dom), codes) {
 					t.Fatalf("trial %d: an alias does not share its view's codes", trial)
 				}
 			}
@@ -231,25 +248,32 @@ func TestQuickKeyCodesMatchIndex(t *testing.T) {
 			if child.Name() != parent.Name() || child.Len() < parent.Len() {
 				continue
 			}
-			for c := 0; c < 3; c++ {
-				want := parent.KeyCodes(c, dom)
-				if got := child.KeyCodes(c, dom)[:parent.Len()]; !slices.Equal(got, want) {
-					t.Fatalf("trial %d: %s column %d: extended view recoded its parent's rows", trial, child.Name(), c)
+			for _, cols := range keys {
+				want := parent.KeyCodes(cols, dom)
+				if got := child.KeyCodes(cols, dom)[:parent.Len()]; !slices.Equal(got, want) {
+					t.Fatalf("trial %d: %s columns %v: extended view recoded its parent's rows", trial, child.Name(), cols)
 				}
 			}
 		}
 		// Across relations, a row's code matches another view's code iff
-		// its probe lands in that row's bucket.
+		// the two keys encode alike, and so iff its probe lands in that
+		// row's bucket.
 		r, s := views[len(views)/2-1], views[len(views)-1]
-		for _, pair := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}, {2, 2}} {
+		for _, pair := range [][2][]int{{{0}, {0}}, {{0}, {1}}, {{1}, {0}}, {{1}, {1}}, {{2}, {2}}, {{0, 2}, {1, 2}}, {{1, 2, 0}, {0, 2, 1}}} {
 			a, b := r.KeyCodes(pair[0], dom), s.KeyCodes(pair[1], dom)
-			ix := BuildIndex(s, []int{pair[1]})
+			ix := NewIndex(b, nil)
+			cells := func(v *Relation, row int, cols []int) []Value {
+				vals := make([]Value, len(cols))
+				for k, c := range cols {
+					vals[k] = v.Value(row, c)
+				}
+				return vals
+			}
 			for i := range a {
-				k, _ := ix.LookupBucket([]KeyRef{{Rel: r, Col: pair[0]}}, []int{i})
 				for j := range b {
-					kj, _ := ix.LookupBucket([]KeyRef{{Rel: s, Col: pair[1]}}, []int{j})
-					if (a[i] == b[j]) != (k == kj) {
-						t.Fatalf("trial %d: %v of R and %v of S: same code %v, same bucket %v", trial, r.Value(i, pair[0]), s.Value(j, pair[1]), a[i] == b[j], k == kj)
+					same := keyOf(cells(r, i, pair[0])) == keyOf(cells(s, j, pair[1]))
+					if (a[i] == b[j]) != same || (ix.Bucket(a[i]) == ix.Bucket(b[j])) != same {
+						t.Fatalf("trial %d: %v of R and %v of S: same key %v, same code %v", trial, cells(r, i, pair[0]), cells(s, j, pair[1]), same, a[i] == b[j])
 					}
 				}
 			}
@@ -257,15 +281,33 @@ func TestQuickKeyCodesMatchIndex(t *testing.T) {
 	}
 }
 
-// TestKeyCodesBase checks that a base relation, which can still grow, gets
-// no code vector.
+// TestKeyCodesBase checks who memoizes: a base relation, which can still
+// grow, codes afresh on every call, and so does a view in a domain that
+// is not a memoizing one, while a view in a memoizing domain codes once.
+// The fresh vectors code alike, and a base codes the rows appended since.
 func TestKeyCodesBase(t *testing.T) {
 	r := keyedRelation(rand.New(rand.NewSource(1)), "R", 10)
-	if codes := r.KeyCodes(0, NewKeyDomain()); codes != nil {
-		t.Errorf("a base relation has codes %v", codes)
-	}
 	if r.Alias() != r {
 		t.Error("a base relation's alias is not the base itself")
+	}
+	v := r.Subset("V", seq(r.Len()))
+	plain, memo := NewKeyDomain(), NewMemoKeyDomain()
+	for _, c := range []struct {
+		rel  *Relation
+		dom  *KeyDomain
+		memo bool
+	}{{r, plain, false}, {r, memo, false}, {v, plain, false}, {v, memo, true}} {
+		a, b := c.rel.KeyCodes([]int{0, 2}, c.dom), c.rel.KeyCodes([]int{0, 2}, c.dom)
+		if !slices.Equal(a, b) || (&a[0] == &b[0]) != c.memo {
+			t.Errorf("%s in a memoizing domain %v: two calls share a vector %v, want %v", c.rel.Name(), c.dom == memo, &a[0] == &b[0], c.memo)
+		}
+	}
+	if len(r.codes) != 0 || len(v.codes) != 1 {
+		t.Errorf("memo entries: base %d, view %d; want 0 and 1", len(r.codes), len(v.codes))
+	}
+	r.MustAppend(Tuple{Int(99), Float(99), Str("new")})
+	if codes := r.KeyCodes([]int{0}, plain); len(codes) != r.Len() || codes[r.Len()-1] == codes[0] {
+		t.Errorf("a grown base coded %d rows of %d, the new key as %v", len(codes), r.Len(), codes)
 	}
 }
 
@@ -275,14 +317,14 @@ func TestKeyCodesBase(t *testing.T) {
 func TestKeyCodesConcurrent(t *testing.T) {
 	b := keyedRelation(rand.New(rand.NewSource(2)), "R", 500)
 	v := b.Subset("R", seq(b.Len()))
-	dom := NewKeyDomain()
+	dom := NewMemoKeyDomain()
 	got := make([][]int32, 12)
 	var wg sync.WaitGroup
 	for g := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[g] = v.KeyCodes(g%3, dom)
+			got[g] = v.KeyCodes([]int{g % 3}, dom)
 		}()
 	}
 	wg.Wait()
@@ -296,6 +338,75 @@ func TestKeyCodesConcurrent(t *testing.T) {
 		if (got[0][row] == got[1][row]) != i.Equal(f) && !math.IsNaN(floatOr(f)) {
 			t.Fatalf("row %d: %v and %v share a code %v, Equal %v", row, i, f, got[0][row] == got[1][row], i.Equal(f))
 		}
+	}
+}
+
+// TestKeyDomainCollisionChain puts a numeric, an int past ±2^53, a string
+// and a tuple key on one probe chain of a fresh domain, with a fifth key
+// for the same slot left out: the four get distinct codes, the fifth
+// misses, and after enough other keys to resize the table several times
+// the four still find their codes and the fifth still misses.
+func TestKeyDomainCollisionChain(t *testing.T) {
+	d := NewKeyDomain()
+	slot := func(h uint64) uint64 { return h >> d.shift }
+	const target = 5
+	find := func(next func(i int) uint64) int {
+		for i := 0; ; i++ {
+			if slot(next(i)) == target {
+				return i
+			}
+		}
+	}
+	numBitsOf := func(i int) uint64 { return numBits(float64(i) + 0.5) }
+	num := float64(find(func(i int) uint64 { return mixBits(numBitsOf(i)) })) + 0.5
+	past := func(i int) int64 { return 1<<62 + 2*int64(i) + 1 } // odd: float64 does not hold it
+	big := past(find(func(i int) uint64 { return mixBits(^uint64(past(i))) }))
+	str := fmt.Sprintf("s%d", find(func(i int) uint64 { return Str(fmt.Sprintf("s%d", i)).Hash() }))
+	tupleBits := func(i int) uint64 { return uint64(i)<<32 | 7 }
+	pair := find(func(i int) uint64 { return mixBits(tupleBits(i) ^ tupleSeed) })
+	missing := fmt.Sprintf("m%d", find(func(i int) uint64 { return Str(fmt.Sprintf("m%d", i)).Hash() }))
+
+	if _, exact := exactFloat(big); exact {
+		t.Fatalf("%d is held by a float64", big)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	codes := []int32{
+		d.numCode(num),
+		d.intCode(big),
+		d.code(keyStr, 0, str, Str(str).Hash()),
+		d.tupleCode(int32(pair), 7),
+	}
+	for i, c := range codes {
+		for _, o := range codes[:i] {
+			if c == o {
+				t.Fatalf("keys on one chain share code %d: %v", c, codes)
+			}
+		}
+	}
+	lookup := func() []int32 {
+		nb, ib := numBits(num), uint64(big)
+		tb := tupleBits(pair)
+		out := make([]int32, 4)
+		out[0], _ = d.find(keyNum, nb, "", mixBits(nb))
+		out[1], _ = d.find(keyInt, ib, "", mixBits(^ib))
+		out[2], _ = d.find(keyStr, 0, str, Str(str).Hash())
+		out[3], _ = d.find(keyTuple, tb, "", mixBits(tb^tupleSeed))
+		return out
+	}
+	misses := func() bool {
+		c, _ := d.find(keyStr, 0, missing, Str(missing).Hash())
+		return c < 0
+	}
+	if got := lookup(); !slices.Equal(got, codes) || !misses() {
+		t.Fatalf("before resizing: found %v, coded %v; missing key misses %v", got, codes, misses())
+	}
+	size := len(d.slots)
+	for i := 0; len(d.slots) < 8*size; i++ {
+		d.intCode(int64(1000 + i))
+	}
+	if got := lookup(); !slices.Equal(got, codes) || !misses() {
+		t.Errorf("after resizing %d → %d slots: found %v, coded %v; missing key misses %v", size, len(d.slots), got, codes, misses())
 	}
 }
 

@@ -108,11 +108,9 @@ type Relation struct {
 	// view maps logical row i to position view[i] of cols. nil means the
 	// relation is a base: logical rows are storage rows [0, n).
 	view []int
-	// memo holds a view's whole-view indexes (see SharedIndex) and codes
-	// its key columns' code vectors (see KeyCodes), created on first use
-	// and guarded by memoMu. Bases never memoize.
+	// codes holds a view's key code vectors (see KeyCodes), created on
+	// first use and guarded by memoMu. Bases never memoize.
 	memoMu sync.Mutex
-	memo   []*indexMemo
 	codes  []*codeMemo
 }
 
@@ -369,11 +367,11 @@ func (r *Relation) Subset(name string, positions []int) *Relation {
 
 // Extend returns a view holding r's rows followed by src's rows at the
 // given positions, in the given order: what src.Subset over r's positions
-// and then these would hold, without rebuilding r's indexes. r must be a
-// view over src's storage (a Subset of src, or a view Extend grew from
-// one). Neither r nor its memoized indexes change: every index and code
-// vector built on r is carried to the new view, which grows it on first
-// use by hashing or coding only the appended rows (SharedIndex, KeyCodes).
+// and then these would hold, without recoding r's keys. r must be a view
+// over src's storage (a Subset of src, or a view Extend grew from one).
+// Neither r nor its memoized code vectors change: every code vector built
+// on r is carried to the new view, which grows it on first use by coding
+// only the appended rows (KeyCodes).
 func (r *Relation) Extend(src *Relation, positions []int) *Relation {
 	if r.view == nil {
 		panic(fmt.Sprintf("relation %s: Extend of a base relation", r.name))
@@ -388,14 +386,9 @@ func (r *Relation) Extend(src *Relation, positions []int) *Relation {
 	}
 	out := &Relation{name: r.name, schema: r.schema, cols: src.snapshotCols(), n: len(view), view: view}
 	r.memoMu.Lock()
-	for _, m := range r.memo {
-		if ix := m.ix.Load(); ix != nil {
-			out.memo = append(out.memo, &indexMemo{cols: m.cols, from: ix})
-		}
-	}
 	for _, m := range r.codes {
 		if c := m.codes.Load(); c != nil {
-			out.codes = append(out.codes, &codeMemo{col: m.col, dom: m.dom, from: *c})
+			out.codes = append(out.codes, &codeMemo{cols: m.cols, dom: m.dom, from: *c})
 		}
 	}
 	r.memoMu.Unlock()
@@ -477,9 +470,9 @@ func (r *Relation) Sort() {
 	sort.Slice(perm, func(a, b int) bool { return r.compareRows(perm[a], perm[b]) < 0 })
 	if r.view != nil {
 		// Views reorder by permuting the index vector, which invalidates
-		// any memoized index or code vector over the old order.
+		// any memoized code vector over the old order.
 		r.memoMu.Lock()
-		r.memo, r.codes = nil, nil
+		r.codes = nil
 		r.memoMu.Unlock()
 		old := r.view
 		view := make([]int, r.n)
@@ -501,8 +494,7 @@ func (r *Relation) Sort() {
 // Bytes estimates the relation's resident storage in bytes: column vectors,
 // null bitmaps and string dictionaries for base relations; the index vector
 // for views (whose column storage is shared with, and accounted to, the
-// base) plus the indexes and code vectors memoized on them (SharedIndex,
-// KeyCodes). It feeds the
+// base) plus the code vectors memoized on them (KeyCodes). It feeds the
 // relest_relation_bytes / relest_synopsis_bytes gauges.
 func (r *Relation) Bytes() int {
 	if r.view != nil {

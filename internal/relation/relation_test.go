@@ -312,16 +312,17 @@ func TestRelationSortAndEach(t *testing.T) {
 
 func TestIndex(t *testing.T) {
 	r := testRelation(t)
-	ix := BuildIndex(r, []int{1}) // index on name
-	hits := probeValues(ix, Str("a"))
+	dom := NewKeyDomain()
+	ix := indexOn(r, []int{1}, dom) // index on name
+	hits := probeValues(ix, dom, Str("a"))
 	if len(hits) != 2 {
 		t.Errorf("lookup 'a' returned %v", hits)
 	}
-	if got := probeValues(ix, Str("zzz")); len(got) != 0 {
+	if got := probeValues(ix, dom, Str("zzz")); len(got) != 0 {
 		t.Errorf("lookup miss returned %v", got)
 	}
-	if ix.Buckets() != 2 {
-		t.Errorf("buckets = %d", ix.Buckets())
+	if filled(ix) != 2 {
+		t.Errorf("filled buckets = %d", filled(ix))
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package relation implements the in-memory row-store that the algebra,
 // sampling and estimation layers operate on: typed values, schemas, tuples,
-// relations, hash indexes, and CSV import/export.
+// relations, key codes and the join index, and CSV import/export.
 //
 // The design goals, in order: correctness of value semantics (comparison,
 // hashing and null handling are used by every join and set operation above),
@@ -273,14 +273,16 @@ func (v Value) Hash() uint64 {
 }
 
 // AppendKey appends a self-delimiting encoding of the value to dst such
-// that two values have identical encodings iff they are Equal. It lets hot
-// probe loops build composite hash keys into a reusable buffer instead of
-// allocating a string per lookup (Tuple.Key is the allocating form).
+// that two values have identical encodings iff they are Equal. It lets
+// set operations and grouping build composite keys into a reusable buffer
+// instead of allocating a string per row (Tuple.Key is the allocating
+// form).
 func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
 
 // appendKey appends a self-delimiting encoding of the value to dst such
-// that two values have identical encodings iff they are Equal. Used to
-// build composite hash-join keys. A numeric encodes its float64 bits, −0
+// that two values have identical encodings iff they are Equal: value
+// identity outside joins (Distinct, IsSet, set operations, grouping),
+// which joins' key codes agree with. A numeric encodes its float64 bits, −0
 // folded into +0, so Int(2) and Float(2.0) share one encoding; an int that
 // float64 does not hold exactly (past ±2^53) equals no float and encodes
 // its own bits under a tag of its own. A NaN encodes its bit pattern, so
