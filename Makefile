@@ -98,14 +98,19 @@ shard-short:
 	$(GO) test -count=1 -run 'TestShardFanout|TestShardDeadlineMiss|TestShardRebalance' -v ./internal/cluster | grep -v '^=== RUN'
 
 # Leak gate, last in `check`: the tests spawn the real daemon
-# (cmd/relestd), the benchmark builds relbench, and every package runs as
-# a *.test binary; one that is still alive after they finish was orphaned
-# — fail here rather than surprise whatever runs next. (-f because the
-# kernel truncates process names to 15 characters; anchored to the first
-# word so a shell whose command text merely mentions a test binary does
-# not count.)
+# (cmd/relestd), benchmark/run.sh builds relbench, `go run ./benchmark`
+# builds and runs a binary named benchmark, and every package runs as a
+# *.test binary; one that is still alive after they finish was orphaned
+# — fail here rather than surprise whatever runs next. A shell still
+# running benchmark/run.sh (building, before it execs relbench) counts
+# too. (-x matches a process name exactly; -f because the kernel
+# truncates process names to 15 characters, with the pattern anchored to
+# the command's first words, so a shell whose command text merely
+# mentions these names — this gate's own, whose second word is -c —
+# does not count.)
 leakcheck:
-	@leaked=$$(pgrep -ax relestd; pgrep -ax relbench; pgrep -af '^[^ ]*[.]test( |$$)'); \
+	@leaked=$$(pgrep -ax relestd; pgrep -ax relbench; pgrep -ax benchmark; \
+		pgrep -af '^[^ ]*[.]test( |$$)'; pgrep -af '^[^ ]*sh [^ ]*benchmark/run[.]sh( |$$)'); \
 	if [ -n "$$leaked" ]; then \
 		echo "leaked process(es):"; echo "$$leaked"; exit 1; \
 	fi

@@ -8,6 +8,7 @@ import (
 	"context"
 	"runtime"
 	"testing"
+	"time"
 
 	"relest"
 	"relest/internal/bench"
@@ -132,6 +133,45 @@ func BenchmarkDeadlineRounds(b *testing.B) {
 			if _, err := count(e, syn, opts); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// BenchmarkDeadlineRequest measures one whole deadline request without
+// its clock: DeadlineCountContext on a private clone of a 100-row
+// synopsis of a 25 600-row join pair, with a budget no round reaches, so
+// the rounds run at 100, 200, …, 25 600 rows per relation and stop at the
+// census. Unlike BenchmarkDeadlineRounds, whose rounds are separate
+// estimates, the rounds here carry their state forward as a request's do:
+// each pays for the rows it adds.
+func BenchmarkDeadlineRequest(b *testing.B) {
+	rng := relest.Seeded(7)
+	r1, r2 := relest.JoinPair(rng, relest.JoinPairSpec{
+		Z1: 0.5, Z2: 0.5, Domain: 2_000, N1: 25_600, N2: 25_600,
+		Correlation: relest.Independent,
+	})
+	e := relest.Must(relest.Join(relest.BaseOf(r1), relest.BaseOf(r2),
+		[]relest.On{{Left: "a", Right: "a"}}, nil, "R2"))
+	base := relest.NewSynopsis()
+	for _, r := range []*relation.Relation{r1, r2} {
+		if err := base.AddDrawn(r, 100, rng); err != nil {
+			b.Fatal(err)
+		}
+	}
+	opts := relest.DeadlineOptions{
+		Budget: time.Hour, InitialSize: 100, Growth: 2,
+		Estimate: relest.Options{Variance: relest.VarAnalytic, Workers: 1},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		opts.Seed = int64(i)
+		_, steps, err := relest.DeadlineCountContext(context.Background(), e, base.Clone(), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(steps) != 9 {
+			b.Fatalf("%d rounds, want 9", len(steps))
 		}
 	}
 }

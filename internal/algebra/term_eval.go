@@ -213,27 +213,44 @@ func compile(t *Term, inst Instances, keys *relation.KeyDomain) (*termPlan, erro
 // ascending, that pass its local predicates and intra-occurrence
 // equalities.
 func candidates(t *Term, inst Instances) [][]int {
+	intraEqs := intraEqualities(t)
+	cand := make([][]int, len(t.Occs))
+	for i, r := range inst {
+		cand[i] = occCandidates(t, i, intraEqs[i], r, 0, nil)
+	}
+	return cand
+}
+
+// intraEqualities lists, per occurrence, the term's equalities between
+// two of its own columns.
+func intraEqualities(t *Term) [][]EqCol {
 	intraEqs := make([][]EqCol, len(t.Occs))
 	for _, eq := range t.Eqs {
 		if eq.A.Occ == eq.B.Occ {
 			intraEqs[eq.A.Occ] = append(intraEqs[eq.A.Occ], eq)
 		}
 	}
-	cand := make([][]int, len(t.Occs))
-	for i, r := range inst {
-		rows := make([]int, r.Len())
-		for ri := range rows {
-			rows[ri] = ri
-		}
-		for _, lp := range t.Occs[i].LocalPreds {
-			rows = lp(r, rows)
-		}
-		for _, eq := range intraEqs[i] {
-			rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
-		}
-		cand[i] = rows
+	return intraEqs
+}
+
+// occCandidates returns the rows of r from row from on, ascending, that
+// pass occurrence occ's local predicates and its intra-occurrence
+// equalities intraEqs, in buf's storage when it has the room.
+func occCandidates(t *Term, occ int, intraEqs []EqCol, r *relation.Relation, from int, buf []int) []int {
+	rows := buf[:0]
+	if cap(rows) < r.Len()-from {
+		rows = make([]int, 0, r.Len()-from)
 	}
-	return cand
+	for row := from; row < r.Len(); row++ {
+		rows = append(rows, row)
+	}
+	for _, lp := range t.Occs[occ].LocalPreds {
+		rows = lp(r, rows)
+	}
+	for _, eq := range intraEqs {
+		rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
+	}
+	return rows
 }
 
 // planOver plans the term over fixed candidate lists: the greedy join

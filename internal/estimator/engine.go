@@ -42,18 +42,21 @@ type engine struct {
 	// It is polled between terms and between variance replicates, never
 	// inside an enumeration, so honoring it cannot reorder reductions.
 	ctx context.Context
-	// pairs holds the moment pass of every plan of the Pairs shape the
-	// call has tallied, per contribution (pairMoments), for the closed-form
-	// variance — and a COUNT over the same plan — to read instead of
-	// probing again. Guarded by pairsMu; nil until first use.
+	// pairs holds the moment pass of every term whose plan has the Pairs
+	// shape the call has tallied, per contribution (pairMoments), for the
+	// closed-form variance — and a COUNT over the same plan — to read
+	// instead of probing again; a deadline or sequential round hands it
+	// the counts its running tallies carry (keepPairs). Guarded by
+	// pairsMu; nil until first use.
 	pairsMu sync.Mutex
 	pairs   map[pairKey]algebra.PairMoments
 }
 
-// pairKey names one tally of a call: a plan and the output column its
-// rows are weighted by (termContrib.col, negative for the plain counts).
+// pairKey names one tally of a call: a term, whose plan over the call's
+// synopsis is one, and the output column its rows are weighted by
+// (termContrib.col, negative for the plain counts).
 type pairKey struct {
-	pt  *algebra.PreparedTerm
+	t   *algebra.Term
 	col int
 }
 
@@ -119,12 +122,10 @@ func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *alg
 // marginals runs the plan's per-row moment pass
 // (algebra.PreparedTerm.Marginals) for the jackknife or a closed form
 // the pair tally does not serve, and counts the path that served it —
-// unless the call already counted the plan's tally (pairMoments): the
+// unless the call already counted term t's tally (pairMoments): the
 // counter counts plans a call serves from a moment pass, once each.
-func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
-	eng.pairsMu.Lock()
-	_, tallied := eng.pairs[pairKey{pt, countContrib.col}]
-	eng.pairsMu.Unlock()
+func (eng *engine) marginals(t *algebra.Term, pt *algebra.PreparedTerm) algebra.Marginals {
+	_, tallied := eng.tallied(t, countContrib)
 	switch {
 	case tallied:
 	case pt.Factorizes():
@@ -135,42 +136,57 @@ func (eng *engine) marginals(pt *algebra.PreparedTerm) algebra.Marginals {
 	return pt.Marginals()
 }
 
-// pairMoments returns the call's moment pass of a plan with the Pairs
-// shape under contribution c, whose rows weight w (nil for COUNT; see
-// termContrib.rowWeight), running it over up to workers goroutines — and
-// counting it — on first use. A weighted pass records its plain counts
-// too. The point estimate runs the pass and the closed-form variance, and
-// a COUNT of the same plan (Avg), read it, so a call probes each such join
-// once.
-func (eng *engine) pairMoments(pt *algebra.PreparedTerm, workers int, c termContrib, w *algebra.RowWeight) algebra.PairMoments {
-	key := pairKey{pt, c.col}
+// tallied returns the call's tally of term t under contribution c, if it
+// has one.
+func (eng *engine) tallied(t *algebra.Term, c termContrib) (algebra.PairMoments, bool) {
 	eng.pairsMu.Lock()
-	pm, ok := eng.pairs[key]
-	eng.pairsMu.Unlock()
-	if ok {
-		return pm
-	}
-	pm, counts := pt.PairMoments(workers, w)
+	defer eng.pairsMu.Unlock()
+	pm, ok := eng.pairs[pairKey{t, c.col}]
+	return pm, ok
+}
+
+// keepPairs records term t's tally under contribution c and counts it:
+// the call's own pass (pairMoments), or one a request's running tally
+// carried to this round (algebra.RunningTally), which the point estimate
+// and the closed-form variance then read without compiling a plan of t.
+func (eng *engine) keepPairs(t *algebra.Term, c termContrib, pm algebra.PairMoments) {
 	eng.rec.Add(mMarginalsFactorized, 1)
 	eng.pairsMu.Lock()
+	defer eng.pairsMu.Unlock()
 	if eng.pairs == nil {
 		eng.pairs = make(map[pairKey]algebra.PairMoments)
 	}
-	eng.pairs[key] = pm
-	if w != nil {
-		eng.pairs[pairKey{pt, countContrib.col}] = counts
+	eng.pairs[pairKey{t, c.col}] = pm
+}
+
+// pairMoments returns the call's moment pass of term t, whose plan pt has
+// the Pairs shape, under contribution c, whose rows weight w (nil for
+// COUNT; see termContrib.rowWeight), running it over up to workers
+// goroutines — and counting it — on first use. A weighted pass records
+// its plain counts too. The point estimate runs the pass and the
+// closed-form variance, and a COUNT of the same plan (Avg), read it, so a
+// call probes each such join once.
+func (eng *engine) pairMoments(t *algebra.Term, pt *algebra.PreparedTerm, workers int, c termContrib, w *algebra.RowWeight) algebra.PairMoments {
+	if pm, ok := eng.tallied(t, c); ok {
+		return pm
 	}
-	eng.pairsMu.Unlock()
+	pm, counts := pt.PairMoments(workers, w)
+	eng.keepPairs(t, c, pm)
+	if w != nil {
+		eng.pairsMu.Lock()
+		eng.pairs[pairKey{t, countContrib.col}] = counts
+		eng.pairsMu.Unlock()
+	}
 	return pm
 }
 
-// countTerm evaluates a pure count over the plan's fixed partitioning,
-// fanning parts across up to `workers` goroutines and reducing in part
-// order. A plan of the Pairs shape is counted per bucket (pairMoments),
-// which keeps its moment pass for the call.
-func (eng *engine) countTerm(pt *algebra.PreparedTerm, workers int) float64 {
+// countTerm evaluates a pure count of term t over its plan's fixed
+// partitioning, fanning parts across up to `workers` goroutines and
+// reducing in part order. A plan of the Pairs shape is counted per bucket
+// (pairMoments), which keeps its moment pass for the call.
+func (eng *engine) countTerm(t *algebra.Term, pt *algebra.PreparedTerm, workers int) float64 {
 	if pt.Pairs() {
-		return eng.pairMoments(pt, workers, countContrib, nil).Total
+		return eng.pairMoments(t, pt, workers, countContrib, nil).Total
 	}
 	parts := pt.Parts()
 	if parts == 1 || workers <= 1 {
@@ -533,7 +549,7 @@ func jackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine, co
 			return err
 		}
 		if contrib.constant() && constWeight(metas) {
-			accs[ti] = countTermAcc(eng.marginals(pt), metas)
+			accs[ti] = countTermAcc(eng.marginals(t, pt), metas)
 			return nil
 		}
 		value, err := contrib.bind(t, inst)

@@ -244,19 +244,32 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib 
 // argument, including the repeated-relation pattern weights).
 //
 // Fast paths, when the weight is the constant w = ∏ M_R/m_R: a COUNT is w
-// times the number of satisfying assignments, which the plan counts
-// without enumerating folded tails; a SUM over a plan of the Pairs shape
-// whose summed column an enumerated occurrence supplies is w times the
-// weighted bucket tally's T (engine.pairMoments). Every other SUM
-// enumerates its assignments.
+// times the number of satisfying assignments, which the call's tally of
+// the term holds when a round handed it one (engine.keepPairs) and the
+// plan counts otherwise, without enumerating folded tails; a SUM over a
+// plan of the Pairs shape whose summed column an enumerated occurrence
+// supplies is w times the weighted bucket tally's T (engine.pairMoments).
+// Every other SUM enumerates its assignments.
 func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib) (float64, error) {
-	b, err := eng.bindTerm(t, syn)
-	if b == nil {
+	metas, err := termRelMetas(t, syn)
+	if err != nil {
 		return 0, err
 	}
-	if constWeight(b.metas) {
+	if ok, err := checkTermSamples(metas); !ok {
+		return 0, err
+	}
+	b := &boundTerm{metas: metas}
+	if constWeight(metas) && contrib.constant() {
+		if pm, ok := eng.tallied(t, contrib); ok {
+			return b.weight(nil) * pm.Total, nil
+		}
+	}
+	if b.inst, b.pt, err = eng.plan(t, syn); err != nil {
+		return 0, err
+	}
+	if constWeight(metas) {
 		if contrib.constant() {
-			return b.weight(nil) * eng.countTerm(b.pt, workers), nil
+			return b.weight(nil) * eng.countTerm(t, b.pt, workers), nil
 		}
 		if b.pt.Pairs() {
 			w, err := contrib.rowWeight(t, b.inst)
@@ -264,7 +277,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 				return 0, err
 			}
 			if b.pt.Enumerated(w.Occ) {
-				return b.weight(nil) * eng.pairMoments(b.pt, workers, contrib, w).Total, nil
+				return b.weight(nil) * eng.pairMoments(t, b.pt, workers, contrib, w).Total, nil
 			}
 		}
 	}

@@ -75,6 +75,56 @@ func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) 
 	return nil
 }
 
+// rounds is what one deadline or sequential request carries from round to
+// round over the synopsis it grows: a running tally of every COUNT term
+// of its polynomial that is pair-shaped and reads each relation once
+// (algebra.RunningTally). A round advances each tally by the rows the
+// round's extension appended and hands the counts to its engine
+// (engine.keepPairs), so the point estimate and the closed-form variance
+// of such a term cost what the round added, and no plan of it is
+// compiled; every other term is planned and counted afresh each round.
+// The tallies die with the request.
+type rounds struct {
+	poly    algebra.Polynomial
+	tallies []*algebra.RunningTally // per term; nil where a round compiles
+}
+
+// newRounds returns the round state of a request estimating poly over
+// syn, whose key domain the tallies code their join keys in.
+func newRounds(poly algebra.Polynomial, syn *Synopsis) *rounds {
+	r := &rounds{poly: poly, tallies: make([]*algebra.RunningTally, len(poly.Terms))}
+	for i := range poly.Terms {
+		if (algebra.Polynomial{Terms: poly.Terms[i : i+1]}).MaxOccurrences() == 1 {
+			r.tallies[i], _ = algebra.NewRunningTally(&poly.Terms[i], syn.keys)
+		}
+	}
+	return r
+}
+
+// estimate is one round's COUNT estimate over syn as it now stands: the
+// estimate estimatePoly makes, bit for bit, with the pair-shaped terms'
+// counts read off their running tallies.
+func (r *rounds) estimate(ctx context.Context, syn *Synopsis, opts Options) (Estimate, error) {
+	opts = opts.withDefaults()
+	eng, err := startEstimate(ctx, r.poly, syn, opts)
+	if err != nil {
+		return Estimate{}, err
+	}
+	defer eng.span.End()
+	for i, rt := range r.tallies {
+		if rt == nil {
+			continue
+		}
+		t := &r.poly.Terms[i]
+		inst, err := algebra.BindInstances(t, syn)
+		if err != nil {
+			return Estimate{}, err
+		}
+		eng.keepPairs(t, countContrib, rt.Advance(inst))
+	}
+	return eng.estimate(r.poly, syn, opts, countContrib)
+}
+
 // sampleSizes reports the current per-relation sample sizes.
 func sampleSizes(syn *Synopsis, rels []string) map[string]int {
 	sizes := make(map[string]int, len(rels))
@@ -141,6 +191,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 		return SequentialResult{}, err
 	}
 	rels := poly.RelationNames()
+	rounds := newRounds(poly, syn)
 
 	// Phase one: make sure every relation has at least the pilot size.
 	if err := ctxErr(ctx); err != nil {
@@ -149,7 +200,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 	if err := extendTo(syn, rels, rng, func(int, int) int { return opts.PilotSize }); err != nil {
 		return SequentialResult{}, err
 	}
-	pilot, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
+	pilot, err := rounds.estimate(ctx, syn, opts.Estimate)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -174,7 +225,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 			}
 		}
 	}
-	final, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
+	final, err := rounds.estimate(ctx, syn, opts.Estimate)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -290,6 +341,7 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 		N, _ := syn.PopulationSize(rel)
 		maxN = max(maxN, N)
 	}
+	rounds := newRounds(poly, syn)
 	var history []DeadlineStep
 	target := opts.InitialSize
 	for {
@@ -301,7 +353,7 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 		if err := extendTo(syn, rels, rng, func(int, int) int { return target }); err != nil {
 			return Estimate{}, nil, err
 		}
-		est, err := estimatePoly(ctx, poly, syn, opts.Estimate, countContrib)
+		est, err := rounds.estimate(ctx, syn, opts.Estimate)
 		if err != nil {
 			return Estimate{}, nil, err
 		}

@@ -176,6 +176,12 @@ func (rs *relSynopsis) addUnits(ids []int) {
 		//lint:ignore viewescape extension appends to the retained sample view; the fresh clamp covers the newly drawn rows
 		rs.sample = rs.sample.Extend(rs.base, rows)
 	}
+	if rs.units != nil && len(rs.units)+len(ids) > cap(rs.units) {
+		// An extension keeps as much room again as the units it holds, as
+		// the view does, so geometric rounds copy each unit id a bounded
+		// number of times.
+		rs.units = slices.Grow(rs.units, len(rs.units)+2*len(ids))
+	}
 	rs.units = append(rs.units, ids...)
 	rs.m = len(rs.units)
 	rs.n = rs.sample.Len()

@@ -193,6 +193,9 @@ func (rs *relSynopsis) unitOrder() []int {
 // partial sum of a COUNT is an integer below 2^53, so either way its sums
 // have the bits a sum over enumerated per-row counts has.
 func twoRelationSums(t *algebra.Term, syn *Synopsis, eng *engine, contrib termContrib) (algebra.PairMoments, bool, error) {
+	if pm, ok := eng.tallied(t, contrib); ok {
+		return pm, true, nil
+	}
 	inst, pt, err := eng.plan(t, syn)
 	if err != nil {
 		return algebra.PairMoments{}, false, err
@@ -202,12 +205,12 @@ func twoRelationSums(t *algebra.Term, syn *Synopsis, eng *engine, contrib termCo
 		if err != nil {
 			return algebra.PairMoments{}, false, err
 		}
-		return eng.pairMoments(pt, eng.workers, contrib, w), true, nil
+		return eng.pairMoments(t, pt, eng.workers, contrib, w), true, nil
 	}
 	if !contrib.constant() {
 		return algebra.PairMoments{}, false, nil
 	}
-	mg := eng.marginals(pt)
+	mg := eng.marginals(t, pt)
 	s := algebra.PairMoments{Total: mg.Total, SumY2: mg.Total, SumSq: make([]float64, 2)}
 	for occ, rows := range mg.Rows {
 		for _, a := range rows {

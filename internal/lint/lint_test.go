@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -114,29 +115,46 @@ func TestRepoClean(t *testing.T) {
 }
 
 // TestLintRuntimeBudget asserts the full lint run (module load, call
-// graph, taint fixpoint, all twelve rules) stays inside a wall-clock
-// budget. The interprocedural engine must remain cheap enough to sit in
-// `make check` on every change; a blowup here means the CHA resolver or
+// graph, taint fixpoint, all twelve rules) stays inside a budget of 30 s
+// of CPU time. The interprocedural engine must remain cheap enough to sit
+// in `make check` on every change; a blowup here means the CHA resolver or
 // the taint fixpoint stopped converging quickly and the framework — not
 // the budget — is what needs fixing.
+//
+// The budget is on the run's own CPU time, this process's and its
+// children's (processCPU; the package's tests run one at a time), not on
+// the wall clock: `make check`'s -race step runs every package's tests at
+// once, and the wall clock counts the time the lint waits for a core. On
+// a shared 2-CPU host a -race run measured 23.8 s of wall alone and up to
+// 32.5 s beside the other packages, while its CPU time read 24.5 s and
+// 24.8 s. Where the platform has no process CPU time, the wall clock
+// stands in.
 func TestLintRuntimeBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped with -short")
 	}
 	const budget = 30 * time.Second
-	if elapsed := lintModule(t).elapsed; elapsed > budget {
-		t.Errorf("full lint run took %s, over the %s budget", elapsed.Round(time.Millisecond), budget)
+	run := lintModule(t)
+	cost, what := run.cpu, "CPU time"
+	if run.cpuErr != nil {
+		cost, what = run.elapsed, "wall clock"
+		t.Logf("no CPU time (%v): budgeting the wall clock", run.cpuErr)
+	}
+	if cost > budget {
+		t.Errorf("full lint run took %s of %s (%s wall), over the %s budget", cost.Round(time.Millisecond), what, run.elapsed.Round(time.Millisecond), budget)
 	} else {
-		t.Logf("full lint run: %s (budget %s)", elapsed.Round(time.Millisecond), budget)
+		t.Logf("full lint run: %s of %s, %s wall (budget %s)", cost.Round(time.Millisecond), what, run.elapsed.Round(time.Millisecond), budget)
 	}
 }
 
 // moduleRun is one full lint run over the module: the load, every rule,
-// and the wall clock both took.
+// the wall clock they took and the CPU time (processCPU) they used.
 type moduleRun struct {
 	pkgs     int
 	findings []Finding
 	elapsed  time.Duration
+	cpu      time.Duration
+	cpuErr   error
 	err      error
 }
 
@@ -153,6 +171,7 @@ func lintModule(t *testing.T) moduleRun {
 	t.Helper()
 	moduleOnce.Do(func() {
 		start := time.Now()
+		cpu0, cpuErr := processCPU()
 		loader, err := NewLoader(".")
 		if err != nil {
 			module.err = err
@@ -165,6 +184,8 @@ func lintModule(t *testing.T) moduleRun {
 		}
 		module.findings = Run(pkgs, All())
 		module.elapsed = time.Since(start)
+		cpu1, err := processCPU()
+		module.cpu, module.cpuErr = cpu1-cpu0, errors.Join(cpuErr, err)
 		module.pkgs = len(pkgs)
 		Relativize(module.findings, loader.ModuleRoot())
 	})

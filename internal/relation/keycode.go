@@ -25,7 +25,13 @@ import (
 // of its own, and a third column pairs with that pair's code, and so on,
 // so two keys share a tuple code exactly when they agree column by column.
 //
-// The table is open-addressing with linear probing. A domain is safe for
+// The table is open-addressing with linear probing. In front of it, a
+// direct table codes an Int key in a small non-negative range by one array
+// read: direct[v] is v's code + 1, recorded the first time v is coded
+// through the hash path while the table covers it (below directSpan times
+// the slot count, so its size follows the keys the domain holds). It only
+// remembers what the hash path answered, so codes keep their first-seen
+// order and Int(2) keeps Float(2.0)'s code. A domain is safe for
 // concurrent use: a code vector is coded under its lock.
 //
 // A key is its kind and 64 bits: numBits for a numeric, the int's own
@@ -33,14 +39,15 @@ import (
 // component codes for a tuple. Kinds and bits are kept in parallel
 // slices, 9 bytes a key.
 type KeyDomain struct {
-	mu    sync.Mutex
-	memo  bool              // views memoize their code vectors in the domain (KeyCodes)
-	shift uint              // slot of hash h is h >> shift
-	slots []int32           // code + 1; 0 = empty
-	kinds []uint8           // code → keyNull, keyNum, keyInt, keyStr or keyTuple; code 0 is null
-	bits  []uint64          // code → the key's bits
-	strs  []string          // the string keys, in first-seen order
-	dicts map[*dict][]int32 // per dictionary: entry → code + 1; 0 = not coded yet
+	mu     sync.Mutex
+	memo   bool              // views memoize their code vectors in the domain (KeyCodes)
+	shift  uint              // slot of hash h is h >> shift
+	slots  []int32           // code + 1; 0 = empty
+	direct []int32           // Int key v → code + 1; 0 = not recorded (remember)
+	kinds  []uint8           // code → keyNull, keyNum, keyInt, keyStr or keyTuple; code 0 is null
+	bits   []uint64          // code → the key's bits
+	strs   []string          // the string keys, in first-seen order
+	dicts  map[*dict][]int32 // per dictionary: entry → code + 1; 0 = not coded yet
 }
 
 const (
@@ -50,6 +57,10 @@ const (
 	keyStr
 	keyTuple
 )
+
+// directSpan bounds the direct table: it covers the Int keys below
+// directSpan × len(slots), so it is at most twice the slot table's size.
+const directSpan = 2
 
 // tupleSeed moves a tuple's hash away from a numeric key's with the same
 // bits, so the two do not share a probe chain.
@@ -86,7 +97,7 @@ func newKeyDomain(memo bool, keys int) *KeyDomain {
 func (d *KeyDomain) Bytes() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	b := len(d.slots)*4 + cap(d.kinds) + cap(d.bits)*8 + cap(d.strs)*16
+	b := len(d.slots)*4 + cap(d.direct)*4 + cap(d.kinds) + cap(d.bits)*8 + cap(d.strs)*16
 	for _, codes := range d.dicts {
 		b += cap(codes)*4 + 16
 	}
@@ -107,6 +118,22 @@ func (d *KeyDomain) intCode(i int64) int32 {
 	}
 	b := uint64(i)
 	return d.code(keyInt, b, "", mixBits(^b))
+}
+
+// remember records the code c of the Int key v in the direct table when
+// the table covers v, growing the table (doubling, up to its bound) to
+// reach it.
+func (d *KeyDomain) remember(v int64, c int32) {
+	limit := directSpan * len(d.slots)
+	if v < 0 || v >= int64(limit) {
+		return
+	}
+	if n := int(v) + 1; n > len(d.direct) {
+		grown := make([]int32, min(max(n, 2*len(d.direct), 64), limit))
+		copy(grown, d.direct)
+		d.direct = grown
+	}
+	d.direct[v] = c + 1
 }
 
 // tupleCode returns the code of the pair of codes (a, b).
@@ -236,7 +263,13 @@ func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int) {
 		}
 		switch c.kind {
 		case KindInt:
-			out[i] = d.intCode(c.ints[p])
+			v := c.ints[p]
+			if uint64(v) < uint64(len(d.direct)) && d.direct[v] != 0 {
+				out[i] = d.direct[v] - 1
+				continue
+			}
+			out[i] = d.intCode(v)
+			d.remember(v, out[i])
 		case KindFloat:
 			out[i] = d.numCode(c.floats[p])
 		case KindString:
@@ -257,13 +290,16 @@ func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int) {
 // codeMemo is a view's memo of one key's code vector in one domain, built
 // at most once by its sync.Once. An entry Extend carried over from the
 // view it grew from holds that view's codes in from, which the build
-// copies before it codes the appended rows.
+// extends by the appended rows' codes: in place when grow is set (the
+// first Extend of that view, see Relation.Extend) and from has the room,
+// in a copy otherwise.
 type codeMemo struct {
 	cols  []int
 	dom   *KeyDomain
 	once  sync.Once
 	codes atomic.Pointer[[]int32]
 	from  []int32
+	grow  bool
 }
 
 // KeyCodes returns the codes in dom of the key over columns cols, one per
@@ -297,8 +333,12 @@ func (r *Relation) KeyCodes(cols []int, dom *KeyDomain) []int32 {
 	}
 	r.memoMu.Unlock()
 	e.once.Do(func() {
-		codes := make([]int32, r.n)
-		dom.codeRows(r, e.cols, codes, copy(codes, e.from))
+		codes := e.from
+		if !e.grow || cap(codes) < r.n {
+			codes = slices.Grow(codes[:len(codes):len(codes)], cap(r.view)-len(codes))
+		}
+		codes = codes[:r.n]
+		dom.codeRows(r, e.cols, codes, len(e.from))
 		e.codes.Store(&codes)
 		e.from = nil
 	})
@@ -308,18 +348,20 @@ func (r *Relation) KeyCodes(cols []int, dom *KeyDomain) []int32 {
 // Alias returns a view of r's rows that shares r's storage and every code
 // vector built on r so far, but memoizes what is built on it from then on
 // for itself: a synopsis clone codes its keys in a domain of its own, and
-// its codes must not pile up on the view it shares. A base relation is its
-// own alias.
+// its codes must not pile up on the view it shares. The alias's row and
+// code vectors keep no spare room, so its Extend copies rather than write
+// into a tail r may grow into. A base relation is its own alias.
 func (r *Relation) Alias() *Relation {
 	if r.view == nil {
 		return r
 	}
-	out := &Relation{name: r.name, schema: r.schema, cols: r.cols, n: r.n, view: r.view}
+	out := &Relation{name: r.name, schema: r.schema, cols: r.cols, n: r.n, view: slices.Clip(r.view)}
 	r.memoMu.Lock()
 	for _, m := range r.codes {
 		if c := m.codes.Load(); c != nil {
+			clipped := slices.Clip(*c)
 			e := &codeMemo{cols: m.cols, dom: m.dom}
-			e.once.Do(func() { e.codes.Store(c) })
+			e.once.Do(func() { e.codes.Store(&clipped) })
 			out.codes = append(out.codes, e)
 		}
 	}

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -109,9 +110,11 @@ type Relation struct {
 	// relation is a base: logical rows are storage rows [0, n).
 	view []int
 	// codes holds a view's key code vectors (see KeyCodes), created on
-	// first use and guarded by memoMu. Bases never memoize.
-	memoMu sync.Mutex
-	codes  []*codeMemo
+	// first use, and extended records that Extend grew the view once; both
+	// are guarded by memoMu. Bases never memoize.
+	memoMu   sync.Mutex
+	codes    []*codeMemo
+	extended bool
 }
 
 // New creates an empty base relation with the given name and schema.
@@ -372,27 +375,43 @@ func (r *Relation) Subset(name string, positions []int) *Relation {
 // Neither r nor its memoized code vectors change: every code vector built
 // on r is carried to the new view, which grows it on first use by coding
 // only the appended rows (KeyCodes).
+//
+// The first Extend of a view appends into the spare capacity of its row
+// vector when that holds the new rows, and the carried code vectors grow
+// into theirs the same way: r reads only its own prefix, so the two views
+// share storage without sharing a writable tail. Any later Extend of r
+// copies, so two views grown from one never write the same slots. A copy
+// keeps as much room again as the rows it holds, so a view grown
+// geometrically copies each row a bounded number of times; a Subset, an
+// Alias and a Clone keep no room, so only views Extend made ever grow in
+// place.
 func (r *Relation) Extend(src *Relation, positions []int) *Relation {
 	if r.view == nil {
 		panic(fmt.Sprintf("relation %s: Extend of a base relation", r.name))
 	}
-	view := make([]int, r.n, r.n+len(positions))
-	copy(view, r.view)
-	for _, p := range positions {
-		if p < 0 || p >= src.n {
-			panic(fmt.Sprintf("relation %s: extend position %d outside [0, %d)", src.name, p, src.n))
-		}
-		view = append(view, src.phys(p))
-	}
-	out := &Relation{name: r.name, schema: r.schema, cols: src.snapshotCols(), n: len(view), view: view}
+	n := r.n + len(positions)
 	r.memoMu.Lock()
+	inPlace := !r.extended && cap(r.view) >= n
+	r.extended = true
+	var carried []*codeMemo
 	for _, m := range r.codes {
 		if c := m.codes.Load(); c != nil {
-			out.codes = append(out.codes, &codeMemo{cols: m.cols, dom: m.dom, from: *c})
+			carried = append(carried, &codeMemo{cols: m.cols, dom: m.dom, from: *c, grow: inPlace})
 		}
 	}
 	r.memoMu.Unlock()
-	return out
+	view := r.view[:r.n]
+	if !inPlace {
+		view = slices.Grow(view[:r.n:r.n], 2*n-r.n)
+	}
+	view = view[:n]
+	for i, p := range positions {
+		if p < 0 || p >= src.n {
+			panic(fmt.Sprintf("relation %s: extend position %d outside [0, %d)", src.name, p, src.n))
+		}
+		view[r.n+i] = src.phys(p)
+	}
+	return &Relation{name: r.name, schema: r.schema, cols: src.snapshotCols(), n: len(view), view: view, codes: carried}
 }
 
 // Clone returns an independent read-only view of the relation's current
