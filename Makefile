@@ -48,11 +48,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The seeded property tests of the join path, repeated: a test whose
-# draws depend on map order or any other unseeded source fails some runs
-# and passes others, and three runs in a row catch most of that.
+# The seeded property tests of the join path and of the incremental
+# synopsis, repeated: a test whose draws depend on map order or any other
+# unseeded source fails some runs and passes others, and three runs in a
+# row catch most of that.
 quick-repeat:
-	$(GO) test -count=3 -run '^TestQuick' ./internal/algebra ./internal/relation
+	$(GO) test -count=3 -run '^TestQuick' ./internal/algebra ./internal/relation ./internal/estimator
 
 # Coverage: report every package, enforce a floor where the contract is
 # "instrumentation must be fully exercised" (internal/obs), "every

@@ -17,8 +17,9 @@ import (
 //
 // Insertions run Vitter's reservoir sampling; deletions use random-pairing
 // compensation (package sampling), which preserves the uniformity of each
-// bounded sample without rescanning. A Snapshot materializes the current
-// samples plus exact cardinality counters into a Synopsis for estimation.
+// bounded sample without rescanning. A Snapshot is a view of the current
+// samples plus the exact cardinality counters, as a Synopsis for
+// estimation.
 //
 // Contract: tuples of a tracked relation are identified by value, so each
 // relation must be duplicate-free (proper set semantics — the same
@@ -36,9 +37,18 @@ type Incremental struct {
 	rels     map[string]*incRel
 }
 
+// incRel is one tracked relation. Its sample lives in store, an
+// append-only columnar relation, and the reservoir's items are row ids
+// into it: an arriving tuple is appended only when the reservoir takes
+// it, so no tuple stays boxed, and a snapshot is one row-id vector over
+// the store (Subset). A displaced or deleted item leaves a dead row
+// behind; once the store holds more than twice the capacity, compact
+// rebuilds it from the live rows. Columns are never rewritten, so a
+// snapshot taken before a compaction keeps reading the store it pinned.
 type incRel struct {
 	schema    *relation.Schema
-	reservoir *sampling.PairedReservoir[relation.Tuple]
+	store     *relation.Relation
+	reservoir *sampling.PairedReservoir[int]
 	// sketches is the always-on sketch tier over the full stream (not the
 	// reservoir): AGMS column sketches are exactly linear, so maintaining
 	// them per event equals a rebuild atom for atom. The updates consume
@@ -74,38 +84,73 @@ func (inc *Incremental) Track(name string, schema *relation.Schema) error {
 	if _, dup := inc.rels[name]; dup {
 		return fmt.Errorf("estimator: relation %q already tracked", name)
 	}
-	inc.rels[name] = &incRel{
-		schema: schema,
-		reservoir: sampling.NewPairedReservoir[relation.Tuple](inc.rng, inc.capacity,
-			func(t relation.Tuple) string { return t.Key(nil) }),
+	ir := &incRel{
+		schema:   schema,
+		store:    relation.New(name, schema),
 		sketches: newRelSketches(schema.Len()),
 	}
+	ir.reservoir = sampling.NewPairedReservoir[int](inc.rng, inc.capacity,
+		func(id int) string { return ir.store.Row(id).Key(nil) })
+	inc.rels[name] = ir
 	return nil
+}
+
+// tracked returns the named relation after checking t against its
+// schema: the arity, and the kind of every non-null value. A tuple the
+// store would refuse must be refused before the reservoir draws for it.
+func (inc *Incremental) tracked(name string, t relation.Tuple) (*incRel, error) {
+	ir, ok := inc.rels[name]
+	if !ok {
+		return nil, fmt.Errorf("estimator: relation %q not tracked", name)
+	}
+	if len(t) != ir.schema.Len() {
+		return nil, fmt.Errorf("estimator: tuple arity %d != schema arity %d for %q", len(t), ir.schema.Len(), name)
+	}
+	for c, v := range t {
+		if col := ir.schema.Column(c); !v.IsNull() && v.Kind() != col.Kind {
+			return nil, fmt.Errorf("estimator: column %s of %q expects %s, got %s", col.Name, name, col.Kind, v.Kind())
+		}
+	}
+	return ir, nil
 }
 
 // Insert processes the arrival of a tuple for the named relation.
 func (inc *Incremental) Insert(name string, t relation.Tuple) error {
-	ir, ok := inc.rels[name]
-	if !ok {
-		return fmt.Errorf("estimator: relation %q not tracked", name)
+	ir, err := inc.tracked(name, t)
+	if err != nil {
+		return err
 	}
-	if len(t) != ir.schema.Len() {
-		return fmt.Errorf("estimator: tuple arity %d != schema arity %d for %q", len(t), ir.schema.Len(), name)
+	if ir.reservoir.InsertFunc(func() (int, string) {
+		ir.store.MustAppend(t)
+		return ir.store.Len() - 1, t.Key(nil)
+	}) && ir.store.Len() > 2*inc.capacity {
+		ir.compact()
 	}
-	ir.reservoir.Insert(t)
 	ir.sketches.insert(t)
 	return nil
+}
+
+// compact rebuilds the store from the live rows in slot order and
+// renumbers the reservoir's items to match.
+func (ir *incRel) compact() {
+	old := ir.store
+	store := relation.New(old.Name(), ir.schema)
+	ir.reservoir.Renumber(func(slot, id int) int {
+		store.AppendFrom(old, id)
+		return slot
+	})
+	ir.store = store
 }
 
 // Delete processes the deletion of one instance of a tuple from the named
 // relation. Deleting a tuple that was never inserted leaves the maintained
 // cardinality wrong; the caller owns stream well-formedness.
 func (inc *Incremental) Delete(name string, t relation.Tuple) error {
-	ir, ok := inc.rels[name]
-	if !ok {
-		return fmt.Errorf("estimator: relation %q not tracked", name)
+	ir, err := inc.tracked(name, t)
+	if err != nil {
+		return err
 	}
-	if !ir.reservoir.Delete(t) {
+	if !ir.reservoir.DeleteKey(t.Key(nil)) {
 		return fmt.Errorf("estimator: delete from empty relation %q", name)
 	}
 	ir.sketches.remove(t)
@@ -120,6 +165,17 @@ func (inc *Incremental) Names() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Schema returns the schema of a tracked relation (a
+// query.SchemaProvider). The tracked set is fixed by Track, so queries
+// bind against it without a snapshot.
+func (inc *Incremental) Schema(name string) (*relation.Schema, bool) {
+	ir, ok := inc.rels[name]
+	if !ok {
+		return nil, false
+	}
+	return ir.schema, true
 }
 
 // PopulationSize returns the maintained exact cardinality of the relation.
@@ -140,26 +196,35 @@ func (inc *Incremental) SampleSize(name string) (int, bool) {
 	return ir.reservoir.SampleSize(), true
 }
 
-// Snapshot materializes the current samples into a Synopsis usable with
-// every estimator in this package. The snapshot is independent of later
-// stream updates.
-func (inc *Incremental) Snapshot() (*Synopsis, error) {
+// Snapshot returns the current samples as a Synopsis usable with every
+// estimator in this package, with a copy of the stream's sketch tier. The
+// snapshot is independent of later stream updates.
+func (inc *Incremental) Snapshot() (*Synopsis, error) { return inc.snapshot(true) }
+
+// SampleSnapshot is Snapshot without the sketch tier: what an estimate
+// that reads samples only (TierSampleOnly) needs, for the cost of one
+// row-id vector per relation.
+func (inc *Incremental) SampleSnapshot() (*Synopsis, error) { return inc.snapshot(false) }
+
+func (inc *Incremental) snapshot(sketches bool) (*Synopsis, error) {
 	syn := NewSynopsis()
-	for name, ir := range inc.rels {
-		sample := relation.New(name, ir.schema)
-		for _, t := range ir.reservoir.Items() {
-			if err := sample.Append(t); err != nil {
-				return nil, err
-			}
-		}
+	for _, name := range inc.Names() { // in name order, so a failure names the same relation every time
+		ir := inc.rels[name]
+		// A view over the store pins its columns at their current length,
+		// and the store only ever appends, so later events never show
+		// through the snapshot.
+		sample := ir.store.Subset(name, ir.reservoir.Items())
 		if err := syn.AddSample(sample, int(ir.reservoir.PopulationSize())); err != nil {
 			return nil, err
 		}
-		// Transplant a deep copy of the stream's sketch tier so the
-		// snapshot stays independent of later updates; the tier planner
-		// can then answer sketch-shaped terms from this snapshot even
-		// though its relations carry no base (AddSample).
-		syn.attachSketches(name, ir.sketches.clone())
+		if sketches {
+			// Transplant a deep copy of the stream's sketch tier so the
+			// snapshot stays independent of later updates; the tier
+			// planner can then answer sketch-shaped terms from this
+			// snapshot even though its relations carry no base
+			// (AddSample).
+			syn.attachSketches(name, ir.sketches.clone())
+		}
 	}
 	return syn, nil
 }

@@ -200,7 +200,6 @@ func (s *Synopsis) SketchDistinct(rel, col string) (float64, bool) {
 	if pos < 0 || pos >= len(rk.distinct) {
 		return 0, false
 	}
-	//lint:ignore detflow Distinct.Estimate reduces its tracked set with an order-independent max, so the value is deterministic
 	return rk.distinct[pos].Estimate(), true
 }
 

@@ -11,7 +11,10 @@ package relation
 // stable data by snapshotting the column slices clamped to the base's
 // length at view-creation time (copy-on-write by construction: a later
 // append to the base may grow or even reallocate the base's slices, but it
-// cannot change any entry a live view can read).
+// cannot change any entry a live view can read). Nor does it write any
+// memory a view reads, so views may be read while their base is appended
+// to: a view holds its own copy of the dictionary's slice headers (see
+// frozen) and of a null bitmap word that rows past the view would share.
 
 // dict is an append-only string dictionary shared by a column and every
 // view over it. Codes are assigned in first-appearance order; entry hashes
@@ -21,9 +24,25 @@ type dict struct {
 	strs   []string
 	hashes []uint64
 	index  map[string]uint32
+	// root is the dictionary that interns: itself for a column's own
+	// dictionary, that dictionary for a view's frozen copy of it. Codes
+	// of two columns are comparable when their roots are the same.
+	root *dict
 }
 
-func newDict() *dict { return &dict{index: make(map[string]uint32)} }
+func newDict() *dict {
+	d := &dict{index: make(map[string]uint32)}
+	d.root = d
+	return d
+}
+
+// frozen returns the dictionary as it stands, for a view: its slices are
+// clamped copies of the headers, so interning a new string afterwards
+// writes nothing the view reads.
+func (d *dict) frozen() *dict {
+	n := len(d.strs)
+	return &dict{strs: d.strs[:n:n], hashes: d.hashes[:n:n], root: d.root}
+}
 
 // code interns s, returning its stable code.
 func (d *dict) code(s string) uint32 {
@@ -173,7 +192,7 @@ func (c *column) appendFrom(i int, src *column, si int) {
 		c.floats = append(c.floats, src.floats[si])
 	case KindString:
 		code := src.codes[si]
-		if c.dict != src.dict {
+		if c.dict.root != src.dict.root {
 			code = c.dict.codeWithHash(src.dict.strs[code], src.dict.hashes[code])
 		}
 		c.codes = append(c.codes, code)
@@ -225,7 +244,7 @@ func equalCells(a *column, pa int, b *column, pb int) bool {
 		x, y := a.floats[pa], b.floats[pb]
 		return !(x < y) && !(x > y)
 	case KindString:
-		if a.dict == b.dict {
+		if a.dict.root == b.dict.root {
 			return a.codes[pa] == b.codes[pb]
 		}
 		return a.dict.strs[a.codes[pa]] == b.dict.strs[b.codes[pb]]
@@ -236,10 +255,14 @@ func equalCells(a *column, pa int, b *column, pb int) bool {
 
 // snapshot returns a copy of the column whose slices are clamped to the
 // first n entries in both length and capacity, so appends to the original
-// can never surface through the snapshot. The dictionary is shared: it is
-// append-only and codes below the clamp stay valid forever.
+// can never surface through the snapshot. The dictionary's entries are
+// shared through a frozen copy: they are append-only and codes below the
+// clamp stay valid forever.
 func (c *column) snapshot(n int) column {
-	out := column{kind: c.kind, dict: c.dict}
+	out := column{kind: c.kind}
+	if c.dict != nil {
+		out.dict = c.dict.frozen()
+	}
 	switch c.kind {
 	case KindInt:
 		out.ints = c.ints[:n:n]
@@ -253,6 +276,11 @@ func (c *column) snapshot(n int) column {
 		w = len(c.nulls)
 	}
 	out.nulls = c.nulls[:w:w]
+	if w > 0 && w == (n+63)>>6 && n&63 != 0 {
+		// The last word also holds the bits of rows appended after row
+		// n, which setNull writes in place: the snapshot reads a copy.
+		out.nulls = append(c.nulls[:w-1:w-1], c.nulls[w-1])
+	}
 	return out
 }
 

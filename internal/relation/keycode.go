@@ -47,7 +47,7 @@ type KeyDomain struct {
 	kinds  []uint8           // code → keyNull, keyNum, keyInt, keyStr or keyTuple; code 0 is null
 	bits   []uint64          // code → the key's bits
 	strs   []string          // the string keys, in first-seen order
-	dicts  map[*dict][]int32 // per dictionary: entry → code + 1; 0 = not coded yet
+	dicts  map[*dict][]int32 // per dictionary root: entry → code + 1; 0 = not coded yet
 }
 
 const (
@@ -252,8 +252,8 @@ func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int) {
 		if d.dicts == nil {
 			d.dicts = make(map[*dict][]int32)
 		}
-		strs = d.dicts[c.dict]
-		defer func() { d.dicts[c.dict] = strs }()
+		strs = d.dicts[c.dict.root]
+		defer func() { d.dicts[c.dict.root] = strs }()
 	}
 	for i := range out {
 		p := r.phys(from + i)
@@ -345,28 +345,17 @@ func (r *Relation) KeyCodes(cols []int, dom *KeyDomain) []int32 {
 	return *e.codes.Load()
 }
 
-// Alias returns a view of r's rows that shares r's storage and every code
-// vector built on r so far, but memoizes what is built on it from then on
-// for itself: a synopsis clone codes its keys in a domain of its own, and
-// its codes must not pile up on the view it shares. The alias's row and
-// code vectors keep no spare room, so its Extend copies rather than write
-// into a tail r may grow into. A base relation is its own alias.
+// Alias returns a view of r's rows that shares r's storage but none of
+// its code vectors: a synopsis clone codes its keys in a domain of its
+// own, so it would never read r's, and its codes must not pile up on the
+// view it shares. The alias's row vector keeps no spare room, so its
+// Extend copies rather than write into a tail r may grow into. A base
+// relation is its own alias.
 func (r *Relation) Alias() *Relation {
 	if r.view == nil {
 		return r
 	}
-	out := &Relation{name: r.name, schema: r.schema, cols: r.cols, n: r.n, view: slices.Clip(r.view)}
-	r.memoMu.Lock()
-	for _, m := range r.codes {
-		if c := m.codes.Load(); c != nil {
-			clipped := slices.Clip(*c)
-			e := &codeMemo{cols: m.cols, dom: m.dom}
-			e.once.Do(func() { e.codes.Store(&clipped) })
-			out.codes = append(out.codes, e)
-		}
-	}
-	r.memoMu.Unlock()
-	return out
+	return &Relation{name: r.name, schema: r.schema, cols: r.cols, n: r.n, view: slices.Clip(r.view)}
 }
 
 // memoBytes sums the resident size of the view's built code vectors.

@@ -201,8 +201,9 @@ func codesMatchIndex(v *Relation, cols []int, codes []int32) error {
 // Int↔Float keys), for one-column keys and for tuple codes of two and
 // three columns: within a view, across two relations (their strings in two
 // dictionaries, Int against Float columns), through chains of Extend, on a
-// Clone, and on an Alias, whose codes in another domain stay off the view
-// it aliases.
+// Clone, and on an Alias, which carries none of its view's code vectors,
+// codes alike in the view's domain, and keeps its codes in another domain
+// off the view it aliases.
 func TestQuickKeyCodesMatchIndex(t *testing.T) {
 	keys := [][]int{{0}, {1}, {2}, {0, 1}, {2, 1}, {0, 1, 2}}
 	rng := rand.New(rand.NewSource(49))
@@ -236,8 +237,12 @@ func TestQuickKeyCodesMatchIndex(t *testing.T) {
 						t.Fatalf("trial %d: an alias's codes in its own domain landed on the view it aliases", trial)
 					}
 				}
-				if !slices.Equal(v.Alias().KeyCodes(cols, dom), codes) {
-					t.Fatalf("trial %d: an alias does not share its view's codes", trial)
+				a := v.Alias()
+				if len(a.codes) != 0 {
+					t.Fatalf("trial %d: an alias carries its view's code vectors", trial)
+				}
+				if !slices.Equal(a.KeyCodes(cols, dom), codes) {
+					t.Fatalf("trial %d: an alias codes its rows unlike the view it aliases", trial)
 				}
 			}
 		}

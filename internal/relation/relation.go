@@ -100,7 +100,8 @@ func (t Tuple) String() string {
 // with their base and pin it against later appends, so a sample view can
 // never observe stream mutation of its base (the copy-on-write rule; see
 // column.go). A Relation is safe for concurrent reads after construction;
-// appends are not synchronized.
+// appends are not synchronized with other uses of the same relation, but
+// views taken earlier may be read while their base is appended to.
 type Relation struct {
 	name   string
 	schema *Schema

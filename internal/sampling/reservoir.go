@@ -12,9 +12,9 @@ import (
 // with a future insertion that "re-fills" the hole it left, which preserves
 // the uniformity of the sample without ever rescanning the base data.
 //
-// Items are identified for deletion by the key function supplied at
-// construction; the population is multiset-semantics (deleting a key
-// removes one instance).
+// Items are identified for deletion by their key: the key function
+// supplied at construction, or the key InsertFunc's build returns. The
+// population is multiset-semantics (deleting a key removes one instance).
 type PairedReservoir[T any] struct {
 	rng  *rand.Rand
 	cap  int
@@ -22,6 +22,7 @@ type PairedReservoir[T any] struct {
 	size int64 // current population size (inserts − deletes)
 
 	items []T
+	keys  []string         // keys[slot] is the key of items[slot]
 	index map[string][]int // key → slots holding it (for deletion lookup)
 
 	// Uncompensated deletions: c1 counts deletions that removed a sample
@@ -49,39 +50,54 @@ func NewPairedReservoir[T any](rng *rand.Rand, capacity int, key func(T) string)
 
 // Insert offers an insertion to the reservoir.
 func (p *PairedReservoir[T]) Insert(item T) {
+	p.InsertFunc(func() (T, string) { return item, p.key(item) })
+}
+
+// InsertFunc offers an insertion whose item is built only if the
+// reservoir takes it: build runs at most once, after every random draw of
+// the step, and returns the item and its key. The draws are Insert's, in
+// Insert's order, so a stream fed through either gives the same sample.
+// It reports whether the item was taken.
+func (p *PairedReservoir[T]) InsertFunc(build func() (T, string)) bool {
 	p.size++
 	if p.c1+p.c2 > 0 {
 		// Compensation step: this insertion is paired with one of the
 		// uncompensated deletions. With probability c1/(c1+c2) it refills
 		// a hole the sample itself suffered.
 		if float64(p.c1) > p.rng.Float64()*float64(p.c1+p.c2) {
-			p.place(item)
 			p.c1--
-		} else {
-			p.c2--
+			p.place(build())
+			return true
 		}
-		return
+		p.c2--
+		return false
 	}
 	// Plain reservoir step over the current population size.
 	if len(p.items) < p.cap {
-		p.place(item)
-		return
+		p.place(build())
+		return true
 	}
 	if int64(p.rng.Intn(int(p.size))) < int64(p.cap) {
-		p.replace(p.rng.Intn(p.cap), item)
+		slot := p.rng.Intn(p.cap)
+		item, k := build()
+		p.replace(slot, item, k)
+		return true
 	}
+	return false
 }
 
 // Delete processes a deletion of one instance of the given item. It returns
 // false if the population does not contain the item according to the
 // maintained size counter being zero; callers streaming well-formed
 // insert/delete sequences can ignore the return value.
-func (p *PairedReservoir[T]) Delete(item T) bool {
+func (p *PairedReservoir[T]) Delete(item T) bool { return p.DeleteKey(p.key(item)) }
+
+// DeleteKey is Delete for the item with key k.
+func (p *PairedReservoir[T]) DeleteKey(k string) bool {
 	if p.size == 0 {
 		return false
 	}
 	p.size--
-	k := p.key(item)
 	if slots := p.index[k]; len(slots) > 0 {
 		p.removeSlot(slots[len(slots)-1])
 		p.c1++
@@ -92,19 +108,18 @@ func (p *PairedReservoir[T]) Delete(item T) bool {
 }
 
 // place appends an item into a free slot.
-func (p *PairedReservoir[T]) place(item T) {
+func (p *PairedReservoir[T]) place(item T, k string) {
 	p.items = append(p.items, item)
+	p.keys = append(p.keys, k)
 	slot := len(p.items) - 1
-	k := p.key(item)
 	p.index[k] = append(p.index[k], slot)
 }
 
 // replace overwrites the item at slot with a new item.
-func (p *PairedReservoir[T]) replace(slot int, item T) {
+func (p *PairedReservoir[T]) replace(slot int, item T, k string) {
 	recorder().Add(mReservoirDisplaced, 1)
 	p.unindex(slot)
-	p.items[slot] = item
-	k := p.key(item)
+	p.items[slot], p.keys[slot] = item, k
 	p.index[k] = append(p.index[k], slot)
 }
 
@@ -114,16 +129,18 @@ func (p *PairedReservoir[T]) removeSlot(slot int) {
 	p.unindex(slot)
 	if slot != last {
 		p.unindex(last)
-		p.items[slot] = p.items[last]
-		k := p.key(p.items[slot])
+		p.items[slot], p.keys[slot] = p.items[last], p.keys[last]
+		k := p.keys[slot]
 		p.index[k] = append(p.index[k], slot)
 	}
-	p.items = p.items[:last]
+	var zero T
+	p.items[last], p.keys[last] = zero, ""
+	p.items, p.keys = p.items[:last], p.keys[:last]
 }
 
 // unindex removes slot from the index entry of the item it holds.
 func (p *PairedReservoir[T]) unindex(slot int) {
-	k := p.key(p.items[slot])
+	k := p.keys[slot]
 	slots := p.index[k]
 	for i, s := range slots {
 		if s == slot {
@@ -139,8 +156,18 @@ func (p *PairedReservoir[T]) unindex(slot int) {
 	}
 }
 
-// Items returns the current sample; the slice must not be modified.
+// Items returns the current sample in slot order; the slice must not be
+// modified.
 func (p *PairedReservoir[T]) Items() []T { return p.items }
+
+// Renumber replaces every sampled item by fn(slot, item), keeping its slot
+// and key: the owner of items that refer into other storage calls it when
+// it moves that storage.
+func (p *PairedReservoir[T]) Renumber(fn func(slot int, item T) T) {
+	for slot, item := range p.items {
+		p.items[slot] = fn(slot, item)
+	}
+}
 
 // PopulationSize returns the maintained population size
 // (insertions − deletions).

@@ -577,3 +577,37 @@ func choose(n, k int) int {
 	}
 	return r
 }
+
+// TestPairedReservoirInsertFuncMatchesInsert feeds one insert/delete
+// stream to two reservoirs with equal seeds, one through Insert and one
+// through InsertFunc: the samples agree after every event, and build runs
+// exactly when InsertFunc reports the item taken.
+func TestPairedReservoirInsertFuncMatchesInsert(t *testing.T) {
+	key := func(i int) string { return fmt.Sprint(i) }
+	plain := NewPairedReservoir[int](rand.New(rand.NewSource(5)), 7, key)
+	lazy := NewPairedReservoir[int](rand.New(rand.NewSource(5)), 7, key)
+	stream := rand.New(rand.NewSource(6))
+	var live []int
+	for i := 0; i < 2000; i++ {
+		if len(live) > 0 && stream.Intn(3) == 0 {
+			j := stream.Intn(len(live))
+			plain.Delete(live[j])
+			lazy.DeleteKey(key(live[j]))
+			live = append(live[:j], live[j+1:]...)
+		} else {
+			built := false
+			plain.Insert(i)
+			taken := lazy.InsertFunc(func() (int, string) {
+				built = true
+				return i, key(i)
+			})
+			if taken != built {
+				t.Fatalf("event %d: taken %v, built %v", i, taken, built)
+			}
+			live = append(live, i)
+		}
+		if !slices.Equal(plain.Items(), lazy.Items()) {
+			t.Fatalf("event %d: Insert sampled %v, InsertFunc %v", i, plain.Items(), lazy.Items())
+		}
+	}
+}

@@ -560,11 +560,19 @@ func ValidateEstimate(ctx context.Context, req EstimateRequest, schemasFor func(
 // what the library produces directly. A batch item runs through here
 // exactly like a singleton request.
 func (s *Server) doEstimate(ctx context.Context, req EstimateRequest) (int, any) {
+	var entry *synopsisEntry
 	var syn *estimator.Synopsis
 	p, status, msg := ValidateEstimate(ctx, req, func(synopsis, mode string) (query.SchemaProvider, int, string) {
-		entry, ok := s.reg.synopsis(synopsis)
-		if !ok {
+		var ok bool
+		if entry, ok = s.reg.synopsis(synopsis); !ok {
 			return nil, http.StatusNotFound, fmt.Sprintf("no synopsis %q", synopsis)
+		}
+		if entry.inc != nil {
+			schemas, err := s.reg.incrementalSchemas(entry, mode)
+			if err != nil {
+				return nil, http.StatusBadRequest, err.Error()
+			}
+			return schemas, 0, ""
 		}
 		var err error
 		if syn, err = s.reg.estimationSynopsis(synopsis, entry, mode); err != nil {
@@ -574,6 +582,16 @@ func (s *Server) doEstimate(ctx context.Context, req EstimateRequest) (int, any)
 	})
 	if status != 0 {
 		return status, ErrorResponse{Error: msg}
+	}
+	if entry.inc != nil {
+		// Snapshot only now that the request is valid and its tiering is
+		// known: a refused request takes none, and an untiered one never
+		// reads the sketch tier (answerPlain runs it TierSampleOnly), so
+		// it gets the samples alone.
+		var err error
+		if syn, err = entry.incrementalSnapshot(p.Tiered); err != nil {
+			return http.StatusBadRequest, ErrorResponse{Error: err.Error()}
+		}
 	}
 	req, st := p.Req, p.Stmt
 	workers := req.Workers

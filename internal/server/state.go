@@ -9,6 +9,7 @@ import (
 	"relest/internal/algebra"
 	"relest/internal/estimator"
 	"relest/internal/obs"
+	"relest/internal/query"
 	"relest/internal/relation"
 	"relest/internal/sampling"
 )
@@ -75,8 +76,8 @@ type synopsisEntry struct {
 	// concurrent access) and cloned per sequential/deadline request so
 	// sample extensions stay private.
 	static *estimator.Synopsis
-	// inc is an incrementally-maintained synopsis; estimates run over
-	// Snapshot() taken under mu.
+	// inc is an incrementally-maintained synopsis; estimates run over a
+	// snapshot taken under mu (incrementalSnapshot).
 	inc *estimator.Incremental
 	// evicted marks a static entry whose sample was dropped under the
 	// byte budget (guarded by mu).
@@ -535,23 +536,14 @@ func (e *synopsisEntry) apply(reg *registry, name string, req StreamRequest) err
 	return nil
 }
 
-// estimationSynopsis resolves the synopsis an estimate should run over,
-// transparently rebuilding an evicted static entry from its spec first.
-// Static plain estimates share the stored synopsis (estimation is
-// read-only); sequential and deadline modes get a private clone because
-// they extend samples in place. Incremental synopses are snapshotted
-// under the entry lock and support plain mode only: a snapshot holds
-// samples without base relations, so it cannot be extended.
+// estimationSynopsis resolves the static synopsis an estimate should run
+// over, transparently rebuilding an evicted entry from its spec first.
+// Plain estimates share the stored synopsis (estimation is read-only);
+// sequential and deadline modes get a private clone because they extend
+// samples in place. Incremental entries go through incrementalSchemas and
+// incrementalSnapshot instead.
 func (reg *registry) estimationSynopsis(name string, e *synopsisEntry, mode string) (*estimator.Synopsis, error) {
 	reg.touch(e)
-	if e.inc != nil {
-		if mode != "plain" {
-			return nil, fmt.Errorf("mode %q needs a static synopsis (incremental snapshots cannot extend their samples)", mode)
-		}
-		e.mu.Lock()
-		defer e.mu.Unlock()
-		return e.inc.Snapshot()
-	}
 	e.mu.Lock()
 	for e.evicted {
 		// Transparent rebuild: the spec's seed and the append-only base
@@ -586,4 +578,30 @@ func (reg *registry) estimationSynopsis(name string, e *synopsisEntry, mode stri
 		return e.static, nil
 	}
 	return e.static.Clone(), nil
+}
+
+// incrementalSchemas resolves an incremental entry's schemas for an
+// estimate without touching its samples: a query binds against the
+// tracked relations' schemas, which Track fixed before the entry was
+// published. Incremental synopses support plain mode only: a snapshot
+// holds samples without base relations, so it cannot be extended.
+func (reg *registry) incrementalSchemas(e *synopsisEntry, mode string) (query.SchemaProvider, error) {
+	reg.touch(e)
+	if mode != "plain" {
+		return nil, fmt.Errorf("mode %q needs a static synopsis (incremental snapshots cannot extend their samples)", mode)
+	}
+	return e.inc, nil
+}
+
+// incrementalSnapshot takes the snapshot a validated estimate runs over,
+// under the entry lock so it never observes a half-applied event. The
+// snapshot is a view of the samples; only a request that can read the
+// sketch tier (tiered) pays for a copy of it.
+func (e *synopsisEntry) incrementalSnapshot(tiered bool) (*estimator.Synopsis, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if tiered {
+		return e.inc.Snapshot()
+	}
+	return e.inc.SampleSnapshot()
 }

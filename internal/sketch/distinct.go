@@ -1,6 +1,9 @@
 package sketch
 
-import "math"
+import (
+	"maps"
+	"math"
+)
 
 // This file implements KMV (k-minimum-values) distinct summaries: the
 // per-column companion of the AGMS sketches in the tiered synopsis. Each
@@ -18,9 +21,14 @@ import "math"
 type Distinct struct {
 	k        int
 	seed     int64
-	tracked  map[uint64]*kmvEntry // keyed by the raw 64-bit value
-	evicted  bool                 // a value has ever been pushed out by a smaller hash
-	degraded bool                 // a tracked value died after an eviction; gaps may exist
+	tracked  map[uint64]kmvEntry // keyed by the raw 64-bit value
+	evicted  bool                // a value has ever been pushed out by a smaller hash
+	degraded bool                // a tracked value died after an eviction; gaps may exist
+	// maxVal and maxHash name the tracked value with the largest hash,
+	// ties broken by the larger raw value (meaningless while nothing is
+	// tracked). They are kept current on every update, so reads never
+	// write and a full summary rejects a value without scanning.
+	maxVal, maxHash uint64
 }
 
 // kmvEntry is one tracked distinct value.
@@ -36,7 +44,7 @@ func NewDistinct(k int, seed int64) *Distinct {
 	if k < 1 {
 		k = 256
 	}
-	return &Distinct{k: k, seed: seed, tracked: make(map[uint64]*kmvEntry)}
+	return &Distinct{k: k, seed: seed, tracked: make(map[uint64]kmvEntry)}
 }
 
 // K returns the summary's capacity in distinct values.
@@ -48,17 +56,21 @@ func (d *Distinct) hash(value uint64) uint64 {
 	return splitmix64(&state)
 }
 
-// maxTracked returns the tracked value with the largest hash. Ties are
-// broken by the raw value so eviction is deterministic.
-func (d *Distinct) maxTracked() (value uint64, hash uint64) {
+// above reports whether (hash, value) orders after the tracked maximum:
+// by hash, ties broken by the raw value so eviction is deterministic.
+func (d *Distinct) above(value, hash uint64) bool {
+	return hash > d.maxHash || (hash == d.maxHash && value > d.maxVal)
+}
+
+// rescan finds the tracked maximum afresh, after it left the summary.
+func (d *Distinct) rescan() {
 	first := true
 	for v, e := range d.tracked {
-		if first || e.hash > hash || (e.hash == hash && v > value) {
-			value, hash = v, e.hash
+		if first || d.above(v, e.hash) {
+			d.maxVal, d.maxHash = v, e.hash
 			first = false
 		}
 	}
-	return value, hash
 }
 
 // Add records one occurrence of the value (use relation.Value.Hash() or
@@ -66,21 +78,29 @@ func (d *Distinct) maxTracked() (value uint64, hash uint64) {
 func (d *Distinct) Add(value uint64) {
 	if e, ok := d.tracked[value]; ok {
 		e.count++
+		d.tracked[value] = e
 		return
 	}
-	h := d.hash(value)
+	d.insert(value, d.hash(value))
+}
+
+// insert records the first occurrence of an untracked value with the
+// given hash.
+func (d *Distinct) insert(value, hash uint64) {
 	if len(d.tracked) < d.k {
-		d.tracked[value] = &kmvEntry{hash: h, count: 1}
+		if len(d.tracked) == 0 || d.above(value, hash) {
+			d.maxVal, d.maxHash = value, hash
+		}
+		d.tracked[value] = kmvEntry{hash: hash, count: 1}
 		return
 	}
-	evictVal, evictHash := d.maxTracked()
-	if h >= evictHash {
-		d.evicted = true // the new value itself is the one kept out
-		return
-	}
-	delete(d.tracked, evictVal)
 	d.evicted = true
-	d.tracked[value] = &kmvEntry{hash: h, count: 1}
+	if hash >= d.maxHash {
+		return // the new value itself is the one kept out
+	}
+	delete(d.tracked, d.maxVal)
+	d.tracked[value] = kmvEntry{hash: hash, count: 1}
+	d.rescan()
 }
 
 // Remove records the deletion of one occurrence of the value. When the
@@ -93,11 +113,14 @@ func (d *Distinct) Remove(value uint64) {
 	if !ok {
 		return // never tracked (or already evicted); nothing to maintain
 	}
-	e.count--
-	if e.count > 0 {
+	if e.count--; e.count > 0 {
+		d.tracked[value] = e
 		return
 	}
 	delete(d.tracked, value)
+	if value == d.maxVal {
+		d.rescan()
+	}
 	if d.evicted {
 		d.degraded = true
 	}
@@ -122,9 +145,7 @@ func (d *Distinct) Estimate() float64 {
 	if n < d.k && !d.evicted {
 		return float64(n)
 	}
-	_, maxHash := d.maxTracked()
-	u := (float64(maxHash) + 1) / math.Exp2(64) // normalize to (0, 1]
-	//lint:ignore detflow maxTracked takes a max under a total order (hash, then raw value), so the result is independent of map iteration order
+	u := (float64(d.maxHash) + 1) / math.Exp2(64) // normalize to (0, 1]
 	return float64(n-1) / u
 }
 
@@ -136,16 +157,7 @@ func (d *Distinct) Bytes() int {
 
 // Clone returns an independently updatable copy.
 func (d *Distinct) Clone() *Distinct {
-	out := &Distinct{
-		k:        d.k,
-		seed:     d.seed,
-		tracked:  make(map[uint64]*kmvEntry, len(d.tracked)),
-		evicted:  d.evicted,
-		degraded: d.degraded,
-	}
-	for v, e := range d.tracked {
-		cp := *e
-		out.tracked[v] = &cp
-	}
-	return out
+	out := *d
+	out.tracked = maps.Clone(d.tracked)
+	return &out
 }

@@ -1,7 +1,9 @@
 package sketch
 
 import (
+	"maps"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -150,5 +152,118 @@ func TestDistinctDefaultsAndBytes(t *testing.T) {
 	empty := NewDistinct(4, 9)
 	if empty.Estimate() != 0 {
 		t.Errorf("empty estimate %v, want 0", empty.Estimate())
+	}
+}
+
+// naiveDistinct is the KMV summary the way it reads on paper: every
+// decision scans the tracked values for the largest (hash, value) pair.
+// Distinct must agree with it exactly.
+type naiveDistinct struct {
+	k                 int
+	hash              func(uint64) uint64
+	tracked           map[uint64]kmvEntry
+	evicted, degraded bool
+}
+
+func (n *naiveDistinct) max() (value, hash uint64) {
+	first := true
+	for v, e := range n.tracked {
+		if first || e.hash > hash || (e.hash == hash && v > value) {
+			value, hash, first = v, e.hash, false
+		}
+	}
+	return value, hash
+}
+
+func (n *naiveDistinct) add(v uint64) {
+	if e, ok := n.tracked[v]; ok {
+		e.count++
+		n.tracked[v] = e
+		return
+	}
+	h := n.hash(v)
+	if len(n.tracked) < n.k {
+		n.tracked[v] = kmvEntry{hash: h, count: 1}
+		return
+	}
+	n.evicted = true
+	if mv, mh := n.max(); h < mh {
+		delete(n.tracked, mv)
+		n.tracked[v] = kmvEntry{hash: h, count: 1}
+	}
+}
+
+func (n *naiveDistinct) remove(v uint64) {
+	e, ok := n.tracked[v]
+	if !ok {
+		return
+	}
+	if e.count--; e.count > 0 {
+		n.tracked[v] = e
+		return
+	}
+	delete(n.tracked, v)
+	n.degraded = n.degraded || n.evicted
+}
+
+func (n *naiveDistinct) estimate() float64 {
+	if len(n.tracked) == 0 {
+		return 0
+	}
+	if len(n.tracked) < n.k && !n.evicted {
+		return float64(len(n.tracked))
+	}
+	_, mh := n.max()
+	return float64(len(n.tracked)-1) / ((float64(mh) + 1) / math.Exp2(64))
+}
+
+// TestDistinctMatchesNaive runs random Add/Remove sequences through
+// Distinct, which keeps its maximum, and through the scanning reference:
+// the estimate's bits, the tracked set and the degraded flag agree after
+// every event. Hashes are squeezed into a few buckets so equal hashes of
+// distinct values (the value tie-break) occur often, and the sequences
+// run far past k and into the degraded state. A clone taken midway
+// agrees with the reference at the moment it was taken.
+func TestDistinctMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	for trial := 0; trial < 300 && !t.Failed(); trial++ {
+		k := 1 + rng.Intn(8)
+		d := NewDistinct(k, int64(trial))
+		buckets := uint64(1 + rng.Intn(12))
+		if trial%4 == 0 {
+			buckets = math.MaxUint64 // the real hash, no forced ties
+		}
+		hash := func(v uint64) uint64 { return d.hash(v) % buckets }
+		ref := &naiveDistinct{k: k, hash: hash, tracked: map[uint64]kmvEntry{}}
+		domain := uint64(2 + rng.Intn(40))
+		var clone *Distinct
+		var cloneWant float64
+		for step := 0; step < 400; step++ {
+			v := uint64(rng.Int63n(int64(domain)))
+			if rng.Intn(3) == 0 {
+				d.Remove(v)
+				ref.remove(v)
+			} else {
+				if _, ok := d.tracked[v]; ok {
+					d.Add(v) // a tracked value's count grows without a hash
+				} else {
+					d.insert(v, hash(v))
+				}
+				ref.add(v)
+			}
+			if got, want := d.Estimate(), ref.estimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %d: estimate %v, reference %v", trial, step, got, want)
+			}
+			if d.Tracked() != len(ref.tracked) || d.Degraded() != ref.degraded || !maps.Equal(d.tracked, ref.tracked) {
+				t.Fatalf("trial %d step %d: tracked %v degraded %v, reference %v degraded %v",
+					trial, step, d.tracked, d.Degraded(), ref.tracked, ref.degraded)
+			}
+			if step == 200 {
+				clone, cloneWant = d.Clone(), ref.estimate()
+			}
+		}
+		if math.Float64bits(clone.Estimate()) != math.Float64bits(cloneWant) {
+			t.Fatalf("trial %d: the clone moved with its original: %v, want %v", trial, clone.Estimate(), cloneWant)
+		}
 	}
 }
