@@ -38,7 +38,9 @@ lint-json:
 
 # The interprocedural engine must stay cheap enough to run on every
 # change: full module load + call graph + taint fixpoint + all rules
-# inside the wall-clock budget asserted by TestLintRuntimeBudget.
+# inside the CPU-time budget asserted by TestLintRuntimeBudget (the run's
+# own CPU time, not the wall clock, which counts time spent waiting for a
+# core beside other packages' tests).
 lint-budget:
 	$(GO) test -count=1 -run TestLintRuntimeBudget -v ./internal/lint | grep -v '^=== RUN\|^--- PASS'
 

@@ -313,15 +313,14 @@ func footprintFixture() (*relest.Relation, *relest.Relation) {
 	})
 }
 
-// BenchmarkBuildIndex measures the typed hash index build over the 20k-row
-// join fixture (the per-plan cost of every hash join and term evaluation).
+// BenchmarkBuildIndex measures the code index build over the 20k-row join
+// fixture (the per-plan cost of every enumerated join step).
 func BenchmarkBuildIndex(b *testing.B) {
 	r1, _ := footprintFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix := relation.BuildIndex(r1, []int{0})
-		if ix.Buckets() == 0 {
-			b.Fatal("empty index")
+		if relation.BuildIndex(r1, []int{0}) == nil {
+			b.Fatal("no index")
 		}
 	}
 }

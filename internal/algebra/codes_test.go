@@ -40,9 +40,9 @@ func sameMarginals(a, b Marginals) bool {
 
 // plansAgree reports whether two plans of one term over the same
 // instances, their keys coded in different domains, answer alike bit for
-// bit: the pair tally at one worker and at four, unweighted and with a
-// Float weight on either enumerated occurrence, and the moment pass. Bucket
-// ids and codes differ between the domains; no bit may.
+// bit: the pair tally, unweighted and with a Float weight on either
+// enumerated occurrence, and the moment pass. Codes differ between the
+// domains; no bit may.
 func plansAgree(t *testing.T, a, b *PreparedTerm, what string) bool {
 	t.Helper()
 	weights := []*RowWeight{nil}
@@ -50,17 +50,15 @@ func plansAgree(t *testing.T, a, b *PreparedTerm, what string) bool {
 		weights = append(weights, &RowWeight{Occ: st.occ, W: func(row int) float64 { return 0.1*float64(row) + 1.0/3 }})
 	}
 	for _, w := range weights {
-		for _, workers := range []int{1, 4} {
-			gotPM, gotCounts := a.PairMoments(workers, w)
-			wantPM, wantCounts := b.PairMoments(workers, w)
-			if !sameMoments(gotPM, wantPM) || !sameMoments(gotCounts, wantCounts) {
-				occ := -1
-				if w != nil {
-					occ = w.Occ
-				}
-				t.Errorf("%s: weight on occurrence %d, %d workers: tally %+v %+v, other domain's %+v %+v", what, occ, workers, gotPM, gotCounts, wantPM, wantCounts)
-				return false
+		gotPM, gotCounts := a.PairMoments(w)
+		wantPM, wantCounts := b.PairMoments(w)
+		if !sameMoments(gotPM, wantPM) || !sameMoments(gotCounts, wantCounts) {
+			occ := -1
+			if w != nil {
+				occ = w.Occ
 			}
+			t.Errorf("%s: weight on occurrence %d: tally %+v %+v, other domain's %+v %+v", what, occ, gotPM, gotCounts, wantPM, wantCounts)
+			return false
 		}
 	}
 	if got, want := a.Marginals(), b.Marginals(); !sameMarginals(got, want) {
@@ -251,11 +249,10 @@ func BenchmarkPairTally(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pt.PairMoments(1, nil) // the index, built once
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				pt.PairMoments(1, nil)
+				pt.PairMoments(nil)
 			}
 		})
 	}

@@ -50,9 +50,8 @@ func marginalsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 	return !pt.Pairs() || pairMomentsMatch(t, pt, want, what) && weightedPairsMatch(t, pt, what)
 }
 
-// pairMomentsMatch reports whether the bucket tally of a plan with the
-// Pairs shape gives, for one worker and for four, Total equal to Count
-// bit for bit and, for each enumerated occurrence, SumSq equal to the sum
+// pairMomentsMatch reports whether the pair tally of a plan with the
+// Pairs shape gives Total equal to Count bit for bit and, for each enumerated occurrence, SumSq equal to the sum
 // of its squared enumerated per-row counts (the reference's marginals
 // with the folded tail's factor divided out, exactly), zero elsewhere.
 func pairMomentsMatch(t *testing.T, pt *PreparedTerm, ref Marginals, what string) bool {
@@ -68,32 +67,30 @@ func pairMomentsMatch(t *testing.T, pt *PreparedTerm, ref Marginals, what string
 			}
 		}
 	}
-	for _, workers := range []int{1, 4} {
-		pm, counts := pt.PairMoments(workers, nil)
-		if !reflect.DeepEqual(pm, counts) {
-			t.Errorf("%s: an unweighted tally's moments %+v differ from its counts %+v", what, pm, counts)
-			return false
-		}
-		if c := pt.Count(); math.Float64bits(pm.Total) != math.Float64bits(c) {
-			t.Errorf("%s: tally Total %v with %d workers, Count %v", what, pm.Total, workers, c)
-			return false
-		}
-		if !slices.Equal(pm.SumSq, want) {
-			t.Errorf("%s: tally squares %v with %d workers, enumeration %v", what, pm.SumSq, workers, want)
-			return false
-		}
+	pm, counts := pt.PairMoments(nil)
+	if !reflect.DeepEqual(pm, counts) {
+		t.Errorf("%s: an unweighted tally's moments %+v differ from its counts %+v", what, pm, counts)
+		return false
+	}
+	if c := pt.Count(); math.Float64bits(pm.Total) != math.Float64bits(c) {
+		t.Errorf("%s: tally Total %v, Count %v", what, pm.Total, c)
+		return false
+	}
+	if !slices.Equal(pm.SumSq, want) {
+		t.Errorf("%s: tally squares %v, enumeration %v", what, pm.SumSq, want)
+		return false
 	}
 	return true
 }
 
-// weightedPairsMatch reports whether the weighted bucket tally of a plan
+// weightedPairsMatch reports whether the weighted pair tally of a plan
 // with the Pairs shape reproduces enumeration, with the weight on either
 // enumerated occurrence: Total = Σ over assignments of the bound row's
 // weight, SumY2 the sum of its squares and SumSq[occ] the sum over occ's
 // rows of the squared per-row weight totals (the tail's factor divided
 // out). An integer weight (negative and zero ones included) must match
 // exactly, a positive float weight to 1e-12 relative; both must give the
-// same bits for one worker and four, and leave the counts unchanged.
+// same bits on a second pass, and leave the counts unchanged.
 func weightedPairsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 	t.Helper()
 	p := pt.p
@@ -105,7 +102,7 @@ func weightedPairsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 		{"integer", func(row int) float64 { return float64(row%7 - 2) }, true},
 		{"float", func(row int) float64 { return 0.1*float64(row) + 1.0/3 }, false},
 	}
-	_, plain := pt.PairMoments(1, nil)
+	_, plain := pt.PairMoments(nil)
 	for _, step := range p.steps[:2] {
 		for _, wc := range weights {
 			rw := &RowWeight{Occ: step.occ, W: wc.w}
@@ -133,9 +130,9 @@ func weightedPairsMatch(t *testing.T, pt *PreparedTerm, what string) bool {
 					}
 				}
 			}
-			got, counts := pt.PairMoments(1, rw)
-			if got4, counts4 := pt.PairMoments(4, rw); !reflect.DeepEqual(got4, got) || !reflect.DeepEqual(counts4, counts) {
-				t.Errorf("%s: %s weight on occurrence %d tallies %+v with four workers, %+v with one", what, wc.name, step.occ, got4, got)
+			got, counts := pt.PairMoments(rw)
+			if again, countsAgain := pt.PairMoments(rw); !reflect.DeepEqual(again, got) || !reflect.DeepEqual(countsAgain, counts) {
+				t.Errorf("%s: %s weight on occurrence %d tallies %+v, then %+v", what, wc.name, step.occ, got, again)
 				return false
 			}
 			if !reflect.DeepEqual(counts, plain) {
@@ -297,4 +294,62 @@ func TestMarginalsPartitioned(t *testing.T) {
 		t.Fatalf("fixture counts in %d part(s), factorizes %v; want a partitioned factorized join", pt.Parts(), pt.Factorizes())
 	}
 	marginalsMatch(t, pt, "partitioned join")
+}
+
+// TestPairMomentsSumBitsPinned pins the bits of a SUM-weighted pair tally
+// whose scan side counts in Parts() = 16 chunks, every key repeating
+// within each chunk and across them, with the weight on each enumerated
+// occurrence. Float addition does not associate, so the
+// values hold the tally's summation order: each code's scanned weights
+// summed per part and folded into the code's total at each part boundary
+// in part order, the indexed side's weights summed in ascending row
+// order, and the final sums taken over codes in the order the scan first
+// paired them.
+func TestPairMomentsSumBitsPinned(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+	)
+	r := relation.New("R", schema)
+	s := relation.New("S", schema)
+	for i := 0; i < 5000; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i * 7919 % 97)), relation.Int(int64(i))})
+	}
+	for i := 0; i < 6000; i++ {
+		s.MustAppend(relation.Tuple{relation.Int(int64(i * 104729 % 101)), relation.Int(int64(i))})
+	}
+	cat := MapCatalog{"R": r, "S": s}
+	poly, err := Normalize(Must(Join(BaseOf(r), BaseOf(s), []On{{Left: "a", Right: "a"}}, nil, "s_")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := BindInstances(&poly.Terms[0], cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := Prepare(&poly.Terms[0], inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pt.Pairs() || pt.Parts() != 16 {
+		t.Fatalf("fixture: pairs %v in %d parts; want a Pairs plan in 16", pt.Pairs(), pt.Parts())
+	}
+	w := func(row int) float64 { return 1e3/float64(row+1) + 0.37*float64(row) - 1.0/3 }
+	for _, c := range []struct {
+		step int
+		want [4]uint64 // Total, SumY2, SumSq of the scanned and of the indexed occurrence
+	}{
+		{0, [4]uint64{0x41b065fa41e92bba, 0x4253b98756989e75, 0x42b24f084cb619d1, 0x42a7e5cd9c75f5ac}},
+		{1, [4]uint64{0x41b3ab2ed4c2d876, 0x425c65bdfb0c89ba, 0x42b3cf22344fcb4d, 0x42b6df7a766f7b1b}},
+	} {
+		occ := pt.p.steps[c.step].occ
+		pm, _ := pt.PairMoments(&RowWeight{Occ: occ, W: w})
+		got := [4]uint64{
+			math.Float64bits(pm.Total), math.Float64bits(pm.SumY2),
+			math.Float64bits(pm.SumSq[pt.p.steps[0].occ]), math.Float64bits(pm.SumSq[pt.p.steps[1].occ]),
+		}
+		if got != c.want {
+			t.Errorf("weight on plan step %d: moments bits %#x (%+v), want %#x", c.step, got, pm, c.want)
+		}
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -303,4 +304,84 @@ func rangeRows(lo, hi int) []int {
 		rows = append(rows, i)
 	}
 	return rows
+}
+
+// TestSplitPairsBuildsNoIndex checks that a split-sample pass over a plan
+// with the Pairs shape reads only its replicates' candidate lists and
+// code vectors: their pair tallies and moment passes leave the Partition
+// with no split index and the full plan with no built one. Replicates
+// that then enumerate concurrently split the index once for all of them
+// and count what their tallies count.
+func TestSplitPairsBuildsNoIndex(t *testing.T) {
+	schema := relation.MustSchema(
+		relation.Column{Name: "a", Kind: relation.KindInt},
+		relation.Column{Name: "b", Kind: relation.KindInt},
+	)
+	r := relation.New("R", schema)
+	s := relation.New("S", schema)
+	for i := 0; i < 200; i++ {
+		r.MustAppend(relation.Tuple{relation.Int(int64(i % 13)), relation.Int(int64(i))})
+		s.MustAppend(relation.Tuple{relation.Int(int64(i % 11)), relation.Int(int64(i))})
+	}
+	cat := MapCatalog{"R": r.Subset("R", rangeRows(0, 200)), "S": s.Subset("S", rangeRows(0, 150))}
+	rng := rand.New(rand.NewSource(7))
+	labels := map[*relation.Relation][]int32{cat["R"]: make([]int32, 200), cat["S"]: make([]int32, 150)}
+	for _, lab := range labels {
+		for i := range lab {
+			lab[i] = int32(rng.Intn(3))
+		}
+	}
+	poly, err := Normalize(Must(Join(BaseOf(r), BaseOf(s), []On{{Left: "a", Right: "a"}}, nil, "s_")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := BindInstances(&poly.Terms[0], cat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := Prepare(&poly.Terms[0], inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := NewPartition(3, labels)
+	reps := pt.Split(part)
+	for l, rp := range reps {
+		if !rp.Pairs() {
+			t.Fatalf("replicate %d does not have the Pairs shape", l)
+		}
+		rp.PairMoments(nil)
+		rp.PairMoments(&RowWeight{Occ: rp.p.steps[0].occ, W: func(row int) float64 { return float64(row) }})
+		rp.Marginals()
+	}
+	if len(part.splits) != 0 {
+		t.Errorf("tallying the replicates split %d index(es)", len(part.splits))
+	}
+	if ix := pt.p.steps[1].index; ix.ix != nil {
+		t.Error("tallying the replicates built the full plan's index")
+	}
+	// The replicates enumerate at once, as a split-sample pass's workers
+	// do: they split the index through the shared Partition, once.
+	got := make([]float64, 2*len(reps))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rp := reps[i%len(reps)]
+			if i < len(reps) {
+				got[i] = rp.Count()
+				return
+			}
+			rp.Enumerate(func([]int) bool { got[i]++; return true })
+		}()
+	}
+	wg.Wait()
+	for i, c := range got {
+		if want := reps[i%len(reps)].Marginals().Total; c != want {
+			t.Errorf("replicate %d counts %v by enumeration, tallies %v", i%len(reps), c, want)
+		}
+	}
+	if len(part.splits) != 1 {
+		t.Errorf("enumerating the replicates split %d index(es), want 1", len(part.splits))
+	}
 }

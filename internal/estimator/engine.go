@@ -161,16 +161,15 @@ func (eng *engine) keepPairs(t *algebra.Term, c termContrib, pm algebra.PairMome
 
 // pairMoments returns the call's moment pass of term t, whose plan pt has
 // the Pairs shape, under contribution c, whose rows weight w (nil for
-// COUNT; see termContrib.rowWeight), running it over up to workers
-// goroutines — and counting it — on first use. A weighted pass records
-// its plain counts too. The point estimate runs the pass and the
+// COUNT; see termContrib.rowWeight), running it — and counting it — on
+// first use. A weighted pass records its plain counts too. The point estimate runs the pass and the
 // closed-form variance, and a COUNT of the same plan (Avg), read it, so a
 // call probes each such join once.
-func (eng *engine) pairMoments(t *algebra.Term, pt *algebra.PreparedTerm, workers int, c termContrib, w *algebra.RowWeight) algebra.PairMoments {
+func (eng *engine) pairMoments(t *algebra.Term, pt *algebra.PreparedTerm, c termContrib, w *algebra.RowWeight) algebra.PairMoments {
 	if pm, ok := eng.tallied(t, c); ok {
 		return pm
 	}
-	pm, counts := pt.PairMoments(workers, w)
+	pm, counts := pt.PairMoments(w)
 	eng.keepPairs(t, c, pm)
 	if w != nil {
 		eng.pairsMu.Lock()
@@ -182,11 +181,11 @@ func (eng *engine) pairMoments(t *algebra.Term, pt *algebra.PreparedTerm, worker
 
 // countTerm evaluates a pure count of term t over its plan's fixed
 // partitioning, fanning parts across up to `workers` goroutines and
-// reducing in part order. A plan of the Pairs shape is counted per bucket
+// reducing in part order. A plan of the Pairs shape is counted per key code
 // (pairMoments), which keeps its moment pass for the call.
 func (eng *engine) countTerm(t *algebra.Term, pt *algebra.PreparedTerm, workers int) float64 {
 	if pt.Pairs() {
-		return eng.pairMoments(t, pt, workers, countContrib, nil).Total
+		return eng.pairMoments(t, pt, countContrib, nil).Total
 	}
 	parts := pt.Parts()
 	if parts == 1 || workers <= 1 {
@@ -454,7 +453,7 @@ func splitWorkers(numTerms, workers int) (outer, inner int) {
 //     S′_{T,R} = w′_R·T and a_{T,R,u} = w′_R·α_u, where T is the number of
 //     assignments and α_u the number that use unit u's rows at R. Both
 //     come from the term's moment pass (algebra.PreparedTerm.Marginals),
-//     which counts an equi-join per bucket in O(Σ n) probes, enumerates
+//     which counts an equi-join per key code in O(Σ n) reads, enumerates
 //     only a plan's enumerated prefix, and fills folded occurrences in
 //     closed form — so no COUNT walks a folded tail's cross product;
 //   - every other term (SUM, repeated relations), whose contribution or

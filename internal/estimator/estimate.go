@@ -186,11 +186,18 @@ func startEstimate(ctx context.Context, poly algebra.Polynomial, syn *Synopsis, 
 // assume SRSWOR of tuples, which page samples are not).
 func checkSampleSizes(poly algebra.Polynomial, syn *Synopsis) error {
 	for _, t := range poly.Terms {
+		// Relations are checked in the order the term first uses them, so
+		// a refusal names the same relation every time.
 		byRel := map[string]int{}
+		var rels []string
 		for _, o := range t.Occs {
+			if byRel[o.RelName] == 0 {
+				rels = append(rels, o.RelName)
+			}
 			byRel[o.RelName]++
 		}
-		for rel, occs := range byRel {
+		for _, rel := range rels {
+			occs := byRel[rel]
 			rs, ok := syn.rels[rel]
 			if !ok {
 				return fmt.Errorf("estimator: no sample for relation %q in synopsis", rel)
@@ -248,7 +255,7 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib 
 // the term holds when a round handed it one (engine.keepPairs) and the
 // plan counts otherwise, without enumerating folded tails; a SUM over a
 // plan of the Pairs shape whose summed column an enumerated occurrence
-// supplies is w times the weighted bucket tally's T (engine.pairMoments).
+// supplies is w times the weighted pair tally's T (engine.pairMoments).
 // Every other SUM enumerates its assignments.
 func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib) (float64, error) {
 	metas, err := termRelMetas(t, syn)
@@ -277,7 +284,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 				return 0, err
 			}
 			if b.pt.Enumerated(w.Occ) {
-				return b.weight(nil) * eng.pairMoments(t, b.pt, workers, contrib, w).Total, nil
+				return b.weight(nil) * eng.pairMoments(t, b.pt, contrib, w).Total, nil
 			}
 		}
 	}

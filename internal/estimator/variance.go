@@ -66,7 +66,7 @@ func estimateVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, eng 
 //     estimator): the exactly unbiased two-sample variance estimator
 //     derived from the second-moment decomposition over index-equality
 //     patterns (see below). A COUNT has it for every such term; a SUM for
-//     an equi-join, whose weighted bucket tally supplies its sums.
+//     an equi-join, whose weighted pair tally supplies its sums.
 //
 // The boolean result reports whether a closed form applied.
 func analyticVariance(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib termContrib) (float64, bool, error) {
@@ -185,7 +185,7 @@ func (rs *relSynopsis) unitOrder() []int {
 // sample pairs (u, v) carry contributions y(u, v) (1 for COUNT):
 // Total = T = Σ y, SumY2 = Σ y², and SumSq = (Σ_u α_u², Σ_v β_v²), with
 // α_u = Σ_v y(u, v) the total of sample row u of the first occurrence and
-// β_v that of row v of the second. An equi-join reads the bucket tally the
+// β_v that of row v of the second. An equi-join reads the pair tally the
 // point estimate already made (engine.pairMoments), weighted by the summed
 // column for a SUM: no probe and no per-row vector here. A COUNT over any
 // other plan (a θ-join, say) reads the per-row moment pass
@@ -205,7 +205,7 @@ func twoRelationSums(t *algebra.Term, syn *Synopsis, eng *engine, contrib termCo
 		if err != nil {
 			return algebra.PairMoments{}, false, err
 		}
-		return eng.pairMoments(t, pt, eng.workers, contrib, w), true, nil
+		return eng.pairMoments(t, pt, contrib, w), true, nil
 	}
 	if !contrib.constant() {
 		return algebra.PairMoments{}, false, nil

@@ -12,7 +12,7 @@ import (
 // sameIndex reports whether two indexes of the same rows agree field for
 // field: bucket boundaries and row vector.
 func sameIndex(a, b *Index) bool {
-	return slices.Equal(a.bounds, b.bounds) && slices.Equal(a.layout(), b.layout()) &&
+	return slices.Equal(a.bounds, b.bounds) && slices.Equal(a.rows, b.rows) &&
 		a.parts == b.parts && a.part == b.part
 }
 
@@ -20,7 +20,7 @@ func sameIndex(a, b *Index) bool {
 // one to three Extend calls and checks the index over every grown vector
 // against the index over a fresh view holding the same rows, coded in the
 // same domain: the same layout field for field, so the same bucket id,
-// BucketRows and BucketLen for every key, and the same bucket for every
+// rows for every key, and the same bucket for every
 // row's probe, including Int keys probing a Float column and back. Every
 // old row keeps its code. The data mixes nulls, ±0, duplicate keys and
 // two-column keys; some intermediate views are left uncoded, so carried
@@ -83,7 +83,7 @@ func TestQuickGrownIndexMatchesBuild(t *testing.T) {
 			}
 			probe := w.KeyCodes(ks.probe, dom)
 			for i := range probe {
-				if gx.Bucket(probe[i]) != fx.Bucket(probe[i]) || !slices.Equal(gx.Lookup(probe[i]), fx.Lookup(probe[i])) {
+				if gx.bucketOf(probe[i]) != fx.bucketOf(probe[i]) || !slices.Equal(gx.Lookup(probe[i]), fx.Lookup(probe[i])) {
 					return false
 				}
 			}

@@ -1,22 +1,18 @@
 package relation
 
-import (
-	"slices"
-	"sync"
-)
+import "slices"
 
 // Index groups row positions by key code: the access path of every
-// equi-join step, in term evaluation and in the exact evaluator's joins.
-// Its buckets are the distinct codes of the indexed rows, and a bucket
-// lists its rows in insertion order (so ascending, for an ascending row
-// list). A build is a counting sort: one pass counts each code's rows and
-// prefix sums turn the counts into one bounds array; the flat row vector
-// is laid out from those bounds on first use, so a tally that reads only
-// bucket sizes never pays for it. A build allocates a fixed handful of
-// slices however many keys there are. Split restricts an index to row
-// groups the same way: the parts share the bucket numbering, and each
-// bucket's rows are sorted by group, so part p of bucket b is again one
-// range.
+// equi-join step that enumerates, in term evaluation and in the exact
+// evaluator's joins. Its buckets are the distinct codes of the indexed
+// rows, and a bucket lists its rows in insertion order (so ascending, for
+// an ascending row list). A build is a counting sort: one pass counts each
+// code's rows, prefix sums turn the counts into one bounds array, and a
+// second pass lays the rows out in one flat vector, so a build allocates a
+// fixed handful of slices however many keys there are. Split restricts an
+// index to row groups the same way: the parts share the bucket numbering,
+// and each bucket's rows are sorted by group, so part p of bucket b is
+// again one range.
 //
 // When the indexed codes are dense — no more codes up to the largest one
 // than twice the rows, as a sample view's key codes are — the bucket of
@@ -24,8 +20,8 @@ import (
 // two adjacent bounds. When they are sparse (a composite key's tuple
 // codes, which a long-lived domain hands out late), the buckets are only
 // the codes present, numbered in code order through a code → bucket
-// table, so the bounds, a Split's parts and a tally over the buckets are
-// sized by the keys the index holds rather than by the domain.
+// table, so the bounds and a Split's parts are sized by the keys the index
+// holds rather than by the domain.
 //
 // Codes come from a KeyDomain (Relation.KeyCodes), which is what decides
 // that two cells match: Equal keys share a code. An index never reads a
@@ -42,16 +38,7 @@ type Index struct {
 	// part 0); the parts of a Split share bounds and rows.
 	bounds      []int32
 	parts, part int
-	rows        *rowVector
-}
-
-// rowVector is an index's row positions, grouped by bucket, then by part:
-// laid out by its first reader (layout), once.
-type rowVector struct {
-	once  sync.Once
-	codes []int32 // the build's codes and rows, until the layout
-	order []int
-	rows  []int
+	rows        []int
 }
 
 // BuildIndex indexes every row of r on the key over columns cols, coded in
@@ -91,41 +78,33 @@ func NewIndex(codes []int32, rows []int) *Index {
 		top--
 	}
 	count = count[:top+2]
-	ix := &Index{parts: 1, rows: &rowVector{codes: codes, order: rows}}
+	ix := &Index{parts: 1}
 	if top < 2*len(rows) {
 		for c := 1; c < len(count); c++ {
 			count[c] += count[c-1]
 		}
 		ix.bounds, ix.nb = count, len(count)-1
-		return ix
-	}
-	ix.bucket = count[1:]
-	ix.bounds = make([]int32, 1, min(len(rows), len(ix.bucket))+1)
-	for c, n := range ix.bucket {
-		if n > 0 {
-			ix.bounds = append(ix.bounds, ix.bounds[len(ix.bounds)-1]+n)
-			ix.bucket[c] = int32(len(ix.bounds) - 1)
+	} else {
+		ix.bucket = count[1:]
+		ix.bounds = make([]int32, 1, min(len(rows), len(ix.bucket))+1)
+		for c, n := range ix.bucket {
+			if n > 0 {
+				ix.bounds = append(ix.bounds, ix.bounds[len(ix.bounds)-1]+n)
+				ix.bucket[c] = int32(len(ix.bounds) - 1)
+			}
 		}
+		ix.nb = len(ix.bounds) - 1
 	}
-	ix.nb = len(ix.bounds) - 1
+	// Lay the rows out: each in order lands at its bucket's cursor, which
+	// starts at the bucket's start.
+	cursor := slices.Clone(ix.bounds)
+	ix.rows = make([]int, len(rows))
+	for _, row := range rows {
+		b := ix.bucketOf(codes[row])
+		ix.rows[cursor[b]] = row
+		cursor[b]++
+	}
 	return ix
-}
-
-// layout returns the row vector, filling it on the first call: each row in
-// order lands at its bucket's cursor, which starts at the bucket's start.
-func (ix *Index) layout() []int {
-	v := ix.rows
-	v.once.Do(func() {
-		cursor := slices.Clone(ix.bounds)
-		v.rows = make([]int, len(v.order))
-		for _, row := range v.order {
-			b := ix.Bucket(v.codes[row])
-			v.rows[cursor[b]] = row
-			cursor[b]++
-		}
-		v.codes, v.order = nil, nil
-	})
-	return v.rows
 }
 
 // Split restricts the index to g groups of its rows: part l indexes the
@@ -141,7 +120,7 @@ func (ix *Index) layout() []int {
 // in one prefix-sum array.
 func (ix *Index) Split(label []int32, g int) []*Index {
 	ix = ix.compact()
-	src := ix.layout()
+	src := ix.rows
 	nb := ix.nb
 	bounds := make([]int32, nb*g+1)
 	for b := 0; b < nb; b++ {
@@ -162,11 +141,9 @@ func (ix *Index) Split(label []int32, g int) []*Index {
 			cursor[l]++
 		}
 	}
-	laid := &rowVector{rows: rows}
-	laid.once.Do(func() {}) // laid out already
 	out := make([]*Index, g)
 	for l := range out {
-		out[l] = &Index{bucket: ix.bucket, nb: nb, bounds: bounds, parts: g, part: l, rows: laid}
+		out[l] = &Index{bucket: ix.bucket, nb: nb, bounds: bounds, parts: g, part: l, rows: rows}
 	}
 	return out
 }
@@ -191,13 +168,12 @@ func (ix *Index) compact() *Index {
 	return out
 }
 
-// Bucket returns the id in [0, Buckets()) of the bucket of the given
-// code, or -1 when the index has none: the code is past every indexed one,
-// or, with sparse codes, no indexed row holds it. With dense codes a code
-// no indexed row holds has an empty bucket. The parts of a Split share
-// their bucket ids, so per-bucket counts gathered from probes line up
-// across parts.
-func (ix *Index) Bucket(code int32) int {
+// bucketOf returns the id in [0, nb) of the bucket of the given code, or
+// -1 when the index has none: the code is past every indexed one, or,
+// with sparse codes, no indexed row holds it. With dense codes a code no
+// indexed row holds has an empty bucket. The parts of a Split share their
+// bucket ids.
+func (ix *Index) bucketOf(code int32) int {
 	if ix.bucket != nil {
 		if uint(code) >= uint(len(ix.bucket)) {
 			return -1
@@ -211,31 +187,17 @@ func (ix *Index) Bucket(code int32) int {
 }
 
 // Lookup returns the rows of the bucket of the given code in the index's
-// part, nil when it has none. The slice is shared with the index and must
-// not be modified.
+// part, in insertion order, nil when it has none. The slice is shared
+// with the index and must not be modified.
 func (ix *Index) Lookup(code int32) []int {
-	b := ix.Bucket(code)
-	if b < 0 || ix.BucketLen(b) == 0 {
+	b := ix.bucketOf(code)
+	if b < 0 {
 		return nil
 	}
-	return ix.BucketRows(b)
-}
-
-// BucketRows returns bucket b's rows in the index's part, in insertion
-// order. The slice is shared with the index and must not be modified.
-func (ix *Index) BucketRows(b int) []int {
 	i := b*ix.parts + ix.part
 	lo, hi := ix.bounds[i], ix.bounds[i+1]
-	return ix.layout()[lo:hi:hi]
+	if lo == hi {
+		return nil
+	}
+	return ix.rows[lo:hi:hi]
 }
-
-// BucketLen returns the number of rows of bucket b in the index's part:
-// len(BucketRows(b)) without forming the slice.
-func (ix *Index) BucketLen(b int) int {
-	i := b*ix.parts + ix.part
-	return int(ix.bounds[i+1] - ix.bounds[i])
-}
-
-// Buckets returns the number of buckets: one per code up to the largest
-// indexed one when the codes are dense, one per distinct code otherwise.
-func (ix *Index) Buckets() int { return ix.nb }

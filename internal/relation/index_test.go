@@ -74,8 +74,8 @@ func padDomain(dom *KeyDomain, n int) {
 // distinct key among the indexed rows.
 func filled(ix *Index) int {
 	n := 0
-	for b := 0; b < ix.Buckets(); b++ {
-		if ix.BucketLen(b) > 0 {
+	for b := 0; b < ix.nb; b++ {
+		if len(bucketRows(ix, b)) > 0 {
 			n++
 		}
 	}
@@ -289,7 +289,7 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 // relation (a shared one), Int cells probing a Float column and back, ±0,
 // NaN and nulls. Bucket ids follow key identity: probes with equal keys
 // get one id, probes with distinct keys get distinct ids (or none, past
-// every indexed code), and an id's BucketRows and BucketLen are the
+// every indexed code), and an id's bucket rows are the
 // probe's rows.
 func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 	type keyRef struct{ rel, slot, col int }
@@ -384,11 +384,11 @@ func TestQuickLookupMatchesBoxedReference(t *testing.T) {
 			if !slices.Equal(got, want) || (got == nil) != (want == nil) {
 				return false
 			}
-			id := ix.Bucket(code)
-			if (id < 0 || ix.BucketLen(id) == 0) != (got == nil) {
+			id := ix.bucketOf(code)
+			if (id < 0 || len(bucketRows(ix, id)) == 0) != (got == nil) {
 				return false
 			}
-			if id >= 0 && (ix.BucketLen(id) != len(got) || !slices.Equal(ix.BucketRows(id), got)) {
+			if id >= 0 && (len(bucketRows(ix, id)) != len(got) || !slices.Equal(bucketRows(ix, id), got)) {
 				return false
 			}
 			for _, p := range seen {
@@ -427,10 +427,10 @@ func TestBuildIndexAllocsFlat(t *testing.T) {
 // exactly the parent's rows for the code that are labelled l, in the
 // parent's order, for every part, every part reports one bucket id for
 // the code (none when the parent has no rows for it), and the part's
-// BucketLen for that id is the filtered length.
+// bucket for that id holds the filtered rows.
 func splitAgrees(parent *Index, parts []*Index, label []int32, code int32) bool {
 	want := parent.Lookup(code)
-	id := parts[0].Bucket(code)
+	id := parts[0].bucketOf(code)
 	if (id < 0) != (want == nil) {
 		return false
 	}
@@ -438,10 +438,10 @@ func splitAgrees(parent *Index, parts []*Index, label []int32, code int32) bool 
 	for l, part := range parts {
 		got := part.Lookup(code)
 		total += len(got)
-		if part.Bucket(code) != id {
+		if part.bucketOf(code) != id {
 			return false
 		}
-		if id >= 0 && part.BucketLen(id) != len(got) {
+		if id >= 0 && len(bucketRows(part, id)) != len(got) {
 			return false
 		}
 		i := 0
@@ -464,7 +464,7 @@ func splitAgrees(parent *Index, parts []*Index, label []int32, code int32) bool 
 // TestQuickSplitMatchesFilteredLookup checks Index.Split against its
 // definition on random data: for random labels, every part's probe equals
 // the parent's probe filtered to the part's label, in order, and the parts
-// report one bucket id with the filtered BucketLen. The
+// report one bucket id holding the filtered rows. The
 // data has null keys, composite keys gathered from two relations, Int
 // cells probing a Float column and back, labels drawn from a prefix of
 // the groups (so trailing parts are empty), and indexes over a whole
@@ -567,4 +567,10 @@ func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// bucketRows returns bucket b's rows in ix's part.
+func bucketRows(ix *Index, b int) []int {
+	i := b*ix.parts + ix.part
+	return ix.rows[ix.bounds[i]:ix.bounds[i+1]]
 }

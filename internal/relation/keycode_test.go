@@ -76,7 +76,7 @@ func TestNumericEqualityAgrees(t *testing.T) {
 	ix := map[*Relation]*Index{ints: indexOn(ints, []int{0}, probe), floats: indexOn(floats, []int{0}, probe)}
 	bucket := func(in *Relation, i int) int { // value i's bucket in in's index
 		r, row := at(i)
-		return ix[in].Bucket(r.KeyCodes([]int{0}, probe)[row])
+		return ix[in].bucketOf(r.KeyCodes([]int{0}, probe)[row])
 	}
 	for i, a := range vals {
 		for j, b := range vals {
@@ -178,18 +178,18 @@ func codesMatchIndex(v *Relation, cols []int, codes []int32) error {
 		byKey[key] = append(byKey[key], row)
 		b, seen := bucketOf[key]
 		if !seen {
-			b = ix.Bucket(code)
+			b = ix.bucketOf(code)
 			bucketOf[key] = b
 		}
-		if ix.Bucket(code) != b || b < 0 {
-			return fmt.Errorf("row %d (%v): code %d in bucket %d, its key's bucket is %d", row, vals, code, ix.Bucket(code), b)
+		if ix.bucketOf(code) != b || b < 0 {
+			return fmt.Errorf("row %d (%v): code %d in bucket %d, its key's bucket is %d", row, vals, code, ix.bucketOf(code), b)
 		}
 	}
 	if len(byKey) != filled(ix) {
 		return fmt.Errorf("%d keys, %d filled buckets", len(byKey), filled(ix))
 	}
 	for key, rows := range byKey {
-		if got := ix.BucketRows(bucketOf[key]); !slices.Equal(got, rows) {
+		if got := bucketRows(ix, bucketOf[key]); !slices.Equal(got, rows) {
 			return fmt.Errorf("bucket %d lists rows %v, its key's rows are %v", bucketOf[key], got, rows)
 		}
 	}
@@ -277,7 +277,7 @@ func TestQuickKeyCodesMatchIndex(t *testing.T) {
 			for i := range a {
 				for j := range b {
 					same := keyOf(cells(r, i, pair[0])) == keyOf(cells(s, j, pair[1]))
-					if (a[i] == b[j]) != same || (ix.Bucket(a[i]) == ix.Bucket(b[j])) != same {
+					if (a[i] == b[j]) != same || (ix.bucketOf(a[i]) == ix.bucketOf(b[j])) != same {
 						t.Fatalf("trial %d: %v of R and %v of S: same key %v, same code %v", trial, cells(r, i, pair[0]), cells(s, j, pair[1]), same, a[i] == b[j])
 					}
 				}

@@ -156,6 +156,9 @@ func (p *PairedReservoir[T]) unindex(slot int) {
 	}
 }
 
+// Holds reports whether the sample holds an item with key k.
+func (p *PairedReservoir[T]) Holds(k string) bool { return len(p.index[k]) > 0 }
+
 // Items returns the current sample in slot order; the slice must not be
 // modified.
 func (p *PairedReservoir[T]) Items() []T { return p.items }
