@@ -515,12 +515,19 @@ func (e *synopsisEntry) apply(reg *registry, name string, req StreamRequest) err
 	reg.touch(e)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	insert, del := e.inc.Insert, e.inc.Delete
+	if reg.replaying {
+		// A logged event was acknowledged: replay it as it was applied,
+		// even one that a log written before the stream contract checks
+		// holds and Insert or Delete would now refuse.
+		insert, del = e.inc.ReplayInsert, e.inc.ReplayDelete
+	}
 	var err error
 	switch req.Op {
 	case "insert":
-		err = e.inc.Insert(req.Relation, tup)
+		err = insert(req.Relation, tup)
 	case "delete":
-		err = e.inc.Delete(req.Relation, tup)
+		err = del(req.Relation, tup)
 	default:
 		return fmt.Errorf("unknown op %q (want insert or delete)", req.Op)
 	}
