@@ -167,7 +167,7 @@ func TestAttachPredicateBindError(t *testing.T) {
 	)
 	bp := must(bindPredicate(Cmp{Col: "a", Op: EQ, Val: relation.Int(1)}, abSchema(), oneRow(abSchema())))
 	p := must(Normalize(Base("R", xy)))
-	if err := attachPredicate(&p.Terms[0], bp, xy); err == nil {
+	if err := attachPredicate(&p.Terms[0], &bp, xy); err == nil {
 		t.Error("attachPredicate bound column a against (x, y)")
 	}
 	sel := &Expr{op: OpSelect, schema: xy, left: Base("R", xy), pred: bp}

@@ -124,9 +124,10 @@ type RunningTally struct {
 
 // NewRunningTally returns an empty running tally of the pair-shaped term
 // t whose join keys are coded in keys, or false when t is not
-// pair-shaped.
+// pair-shaped or is weighted (Term.Weight): a tally counts rows, not
+// their weights.
 func NewRunningTally(t *Term, keys *relation.KeyDomain) (*RunningTally, bool) {
-	if len(t.Preds) > 0 {
+	if len(t.Preds) > 0 || t.Weight != nil {
 		return nil, false
 	}
 	rt := &RunningTally{

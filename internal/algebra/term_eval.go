@@ -110,6 +110,11 @@ type termPlan struct {
 	// maxPredOccs sizes the per-evaluation row scratch for residual
 	// predicates.
 	maxPredOccs int
+
+	// weight is a weighted term's row weight (Term.Weight) over every row
+	// of its occurrence's instance, computed once at compile; nil for an
+	// unweighted term. Split's replicates share it.
+	weight []float64
 }
 
 type planStep struct {
@@ -209,6 +214,9 @@ func compile(t *Term, inst Instances, keys *relation.KeyDomain) (*termPlan, erro
 		return relation.NewIndex(codes, cand[occ])
 	})
 	p.keys, p.coded = keys, slices.Clip(kc.done)
+	if w := t.Weight; w != nil {
+		p.weight = w.rows(inst[w.Occ], cand[w.Occ])
+	}
 	return p, nil
 }
 
@@ -637,6 +645,7 @@ func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
 		rp := planOver(p.term, p.inst, cand[l], kc, func(occ int, keyCols []int, codes []int32) *relation.Index {
 			return pa.index(p, occ, keyCols, codes)[l]
 		})
+		rp.weight = p.weight
 		out[l] = &PreparedTerm{p: rp}
 	}
 	return out
@@ -791,6 +800,19 @@ func (p *termPlan) pairs() bool {
 // can carry a PairMoments row weight.
 func (pt *PreparedTerm) Enumerated(occ int) bool {
 	return pt.p.pos[occ] < pt.p.enumUpto
+}
+
+// Weight returns the row weight of a weighted term's plan, the term's
+// Weight read over its instance, or nil for an unweighted term. Count,
+// Marginals and an unweighted PairMoments count a weighted plan's
+// assignments, not their weights: its value is PairMoments(Weight()) or
+// an enumeration summing the weight.
+func (pt *PreparedTerm) Weight() *RowWeight {
+	vec := pt.p.weight
+	if vec == nil {
+		return nil
+	}
+	return &RowWeight{Occ: pt.p.term.Weight.Occ, W: func(row int) float64 { return vec[row] }}
 }
 
 // RowWeight weights the rows of one occurrence in a pair tally: W(row)
@@ -1232,10 +1254,12 @@ func (t *Term) EnumerateAssignments(inst Instances, visit func(rows []int) bool)
 	return nil
 }
 
-// ExactCount evaluates the polynomial with unit weights over the catalog's
-// full relations: the result equals COUNT(E) for the normalized expression.
-// It exists to validate the normalizer against the exact evaluator and to
-// let tests cross-check term evaluation.
+// ExactCount evaluates the polynomial with unit sampling weights over the
+// catalog's full relations: the result equals COUNT(E) for the normalized
+// expression, and for its fusion (Fuse) over duplicate-free relations. A
+// weighted term sums its assignments' row weights. It exists to validate
+// the normalizer against the exact evaluator and to let tests cross-check
+// term evaluation.
 func (p Polynomial) ExactCount(cat Catalog) (float64, error) {
 	total := 0.0
 	for i := range p.Terms {
@@ -1244,9 +1268,18 @@ func (p Polynomial) ExactCount(cat Catalog) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		c, err := t.CountAssignments(inst)
+		pt, err := Prepare(t, inst)
 		if err != nil {
 			return 0, err
+		}
+		c := 0.0
+		if w := pt.Weight(); w != nil {
+			pt.Enumerate(func(rows []int) bool {
+				c += w.W(rows[w.Occ])
+				return true
+			})
+		} else {
+			c = pt.Count()
 		}
 		total += float64(t.Coef) * c
 	}

@@ -3,6 +3,8 @@ package bench
 import (
 	"strings"
 	"testing"
+
+	"relest/internal/estimator"
 )
 
 func TestTableRendering(t *testing.T) {
@@ -116,5 +118,20 @@ func TestExperimentsRunQuick(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestT5FusedUnionCalibrated: at T5's quick scale and the experiments'
+// default seed, (σ₁(R1) ∪ σ₂(R1)) ⋈ R2 under the automatic variance is
+// answered by the closed form of its fused term, and the mean variance
+// estimate is within [0.8, 1.25] of the empirical variance.
+func TestT5FusedUnionCalibrated(t *testing.T) {
+	fix := newT5Fixture(42, 4_000)
+	r := fix.varianceRatio(fix.unionSelectJoin(), estimator.VarAuto, 40)
+	if r.method != estimator.VarAnalytic {
+		t.Errorf("auto variance resolved to %v, want the closed form", r.method)
+	}
+	if r.ratio < 0.8 || r.ratio > 1.25 {
+		t.Errorf("E[Var̂]/Var = %.3f, want within [0.8, 1.25]", r.ratio)
 	}
 }

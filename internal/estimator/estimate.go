@@ -255,8 +255,10 @@ func pointEstimate(poly algebra.Polynomial, syn *Synopsis, eng *engine, contrib 
 // the term holds when a round handed it one (engine.keepPairs) and the
 // plan counts otherwise, without enumerating folded tails; a SUM over a
 // plan of the Pairs shape whose summed column an enumerated occurrence
-// supplies is w times the weighted pair tally's T (engine.pairMoments).
-// Every other SUM enumerates its assignments.
+// supplies is w times the weighted pair tally's T (engine.pairMoments),
+// and so is a COUNT of a weighted term (fusion) whose weight an
+// enumerated occurrence carries. Every other SUM or weighted COUNT
+// enumerates its assignments.
 func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib) (float64, error) {
 	metas, err := termRelMetas(t, syn)
 	if err != nil {
@@ -266,7 +268,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 		return 0, err
 	}
 	b := &boundTerm{metas: metas}
-	if constWeight(metas) && contrib.constant() {
+	if constWeight(metas) && contrib.plain(t) {
 		if pm, ok := eng.tallied(t, contrib); ok {
 			return b.weight(nil) * pm.Total, nil
 		}
@@ -275,11 +277,11 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 		return 0, err
 	}
 	if constWeight(metas) {
-		if contrib.constant() {
+		if contrib.plain(t) {
 			return b.weight(nil) * eng.countTerm(t, b.pt, workers), nil
 		}
 		if b.pt.Pairs() {
-			w, err := contrib.rowWeight(t, b.inst)
+			w, err := contrib.rowWeight(t, b.pt)
 			if err != nil {
 				return 0, err
 			}
@@ -288,7 +290,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 			}
 		}
 	}
-	value, err := contrib.bind(t, b.inst)
+	value, err := contrib.bind(t, b.pt)
 	if err != nil {
 		return 0, err
 	}

@@ -110,8 +110,12 @@ func (e *Estimator) recordTier(rep TierReport) {
 // Under TierSampleOnly every term escalates, so the planner hands the whole
 // polynomial to the sample tier untouched: no sketches are built and no
 // tier metrics are emitted.
+//
+// The polynomial is fused first (Synopsis.countPoly): a set operation over
+// selections of one duplicate-free drawn relation counts as a few
+// weighted terms, often one, whose variance then has a closed form.
 func (e *Estimator) Count(ctx context.Context, req Request) (Result, error) {
-	poly, err := algebra.Normalize(req.Expr)
+	poly, err := e.syn.countPoly(req.Expr)
 	if err != nil {
 		return Result{}, err
 	}

@@ -85,11 +85,11 @@ func enumJackknifeSinglePass(poly algebra.Polynomial, syn *Synopsis, eng *engine
 			return err
 		}
 		metasByTerm[ti] = metas
-		inst, pt, err := eng.plan(t, syn)
+		_, pt, err := eng.plan(t, syn)
 		if err != nil {
 			return err
 		}
-		value, err := contrib.bind(t, inst)
+		value, err := contrib.bind(t, pt)
 		if err != nil {
 			return err
 		}

@@ -77,11 +77,12 @@ func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) 
 
 // rounds is what one deadline or sequential request carries from round to
 // round over the synopsis it grows: a running tally of every COUNT term
-// of its polynomial that is pair-shaped and reads each relation once
-// (algebra.RunningTally). A round advances each tally by the rows the
-// round's extension appended and hands the counts to its engine
-// (engine.keepPairs), so the point estimate and the closed-form variance
-// of such a term cost what the round added, and no plan of it is
+// of its polynomial that is pair-shaped, unweighted and reads each
+// relation once (algebra.RunningTally; a tally counts rows, so a term
+// fusion weighted is compiled each round). A round advances each tally
+// by the rows the round's extension appended and hands the counts to its
+// engine (engine.keepPairs), so the point estimate and the closed-form
+// variance of such a term cost what the round added, and no plan of it is
 // compiled; every other term is planned and counted afresh each round.
 // The tallies die with the request.
 type rounds struct {
@@ -186,7 +187,7 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 	span := rec.Span(sSequential)
 	defer span.End()
 
-	poly, err := algebra.Normalize(e)
+	poly, err := syn.countPoly(e)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -327,7 +328,7 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 	if opts.Growth <= 1 {
 		opts.Growth = 2
 	}
-	poly, err := algebra.Normalize(e)
+	poly, err := syn.countPoly(e)
 	if err != nil {
 		return Estimate{}, nil, err
 	}

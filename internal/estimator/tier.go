@@ -126,6 +126,9 @@ const (
 // sketchShape classifies a term. Any selection (LocalPreds) or residual
 // predicate is invisible to a frequency sketch and forces escalation.
 func sketchShape(t *algebra.Term) termShape {
+	if t.Weight != nil {
+		return shapeEscalate // a row weight is selections, summed
+	}
 	for _, o := range t.Occs {
 		if len(o.LocalPreds) > 0 {
 			return shapeEscalate

@@ -370,3 +370,48 @@ func (r *Relation) memoBytes() int {
 	}
 	return total
 }
+
+// RowsDistinct reports whether r's first n logical rows are pairwise
+// distinct: no two agree column by column under Equal, the match a join
+// key's codes define. It codes the columns left to right in a domain of
+// its own, chaining tuple codes as a key over several columns does, and
+// stops at the first prefix of columns whose codes already tell the rows
+// apart, so a relation whose first column is unique costs one column's
+// codes. Only the answer outlives the call. n is clamped to r.Len().
+func (r *Relation) RowsDistinct(n int) bool {
+	n = min(n, r.n)
+	if n <= 1 {
+		return true
+	}
+	d := NewKeyDomain()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	codes := make([]int32, n)
+	var next []int32
+	for c := range r.schema.Len() {
+		if c == 0 {
+			d.codeColumn(r, c, codes, 0)
+		} else {
+			if next == nil {
+				next = make([]int32, n)
+			}
+			d.codeColumn(r, c, next, 0)
+			for i, k := range next {
+				codes[i] = d.tupleCode(codes[i], k)
+			}
+		}
+		seen := make([]uint64, (len(d.kinds)+63)/64)
+		distinct := true
+		for _, k := range codes {
+			if seen[k/64]&(1<<(k%64)) != 0 {
+				distinct = false
+				break
+			}
+			seen[k/64] |= 1 << (k % 64)
+		}
+		if distinct {
+			return true
+		}
+	}
+	return false
+}

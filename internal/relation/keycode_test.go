@@ -422,3 +422,41 @@ func floatOr(v Value) float64 {
 	}
 	return v.Float64()
 }
+
+// TestRowsDistinct: RowsDistinct reads only the first n rows, tells rows
+// apart on any column (a unique first column settles it; otherwise the
+// tuple of all columns does), matches null to null as a join key does,
+// and agrees with a string-keyed set over every prefix.
+func TestRowsDistinct(t *testing.T) {
+	r := New("R", MustSchema(Column{"a", KindInt}, Column{"s", KindString}, Column{"f", KindFloat}))
+	rows := []Tuple{
+		{Int(1), Str("x"), Float(0.5)},
+		{Int(1), Str("y"), Float(0.5)}, // differs from row 0 only in s
+		{Int(2), Null(), Float(0.5)},
+		{Int(2), Null(), Float(1.5)}, // differs from row 2 only in f
+		{Int(2), Null(), Float(0.5)}, // row 2 again: null matches null
+		{Int(3), Str("x"), Float(0.5)},
+	}
+	for _, row := range rows {
+		r.MustAppend(row)
+	}
+	for n := 0; n <= r.Len()+1; n++ {
+		seen := map[string]bool{}
+		want := true
+		for i := range min(n, r.Len()) {
+			k := r.Row(i).Key(nil)
+			want = want && !seen[k]
+			seen[k] = true
+		}
+		if got := r.RowsDistinct(n); got != want {
+			t.Errorf("RowsDistinct(%d) = %v, want %v", n, got, want)
+		}
+	}
+	ids := New("I", MustSchema(Column{"id", KindInt}, Column{"v", KindInt}))
+	for i := range 100 {
+		ids.MustAppend(Tuple{Int(int64(i)), Int(7)})
+	}
+	if !ids.RowsDistinct(100) || !ids.IsSet() {
+		t.Error("a unique first column does not make the rows distinct")
+	}
+}

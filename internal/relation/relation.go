@@ -453,19 +453,9 @@ func (r *Relation) Distinct(name string) *Relation {
 	return r.Subset(name, positions)
 }
 
-// IsSet reports whether the relation contains no duplicate rows.
-func (r *Relation) IsSet() bool {
-	seen := make(map[string]struct{}, r.n)
-	var buf []byte
-	for i := 0; i < r.n; i++ {
-		buf = r.Row(i).AppendKey(buf[:0], nil)
-		if _, dup := seen[string(buf)]; dup {
-			return false
-		}
-		seen[string(buf)] = struct{}{}
-	}
-	return true
-}
+// IsSet reports whether the relation contains no duplicate rows
+// (RowsDistinct over all of them).
+func (r *Relation) IsSet() bool { return r.RowsDistinct(r.n) }
 
 // compareRows orders two logical rows lexicographically by Value.Compare,
 // matching Tuple.Compare on the materialized rows.
