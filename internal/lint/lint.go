@@ -1,9 +1,10 @@
 // Package lint is relest's in-tree static-analysis framework. It loads and
 // type-checks every package in the module using only the standard library
-// (go/parser + go/types + go/importer "source" — the module has zero
-// external dependencies and must stay that way) and runs a set of
-// repo-specific analyzers that machine-check the invariants the estimation
-// engine depends on:
+// (go/parser + go/types, with imports from outside the module read by
+// go/importer "gc" from the export data `go list -export` reports; the
+// module has zero external dependencies and must stay that way) and runs
+// a set of repo-specific analyzers that machine-check the invariants the
+// estimation engine depends on:
 //
 //   - estimates must be bit-reproducible across runs and worker counts, so
 //     float accumulation must never depend on randomized map iteration
