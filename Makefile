@@ -131,6 +131,7 @@ fuzz:
 	$(GO) test -run XXX -fuzz FuzzNormalize -fuzztime 3s ./internal/algebra
 	$(GO) test -run XXX -fuzz FuzzPredicate -fuzztime 3s ./internal/algebra
 	$(GO) test -run XXX -fuzz FuzzParse -fuzztime 3s ./internal/query
+	$(GO) test -run XXX -fuzz FuzzDrawState -fuzztime 3s ./internal/sampling
 
 # Golden-drift gate: the byte-identity tests must pass against the
 # committed estimate fixtures (CLI, server, and the estimator's kernel

@@ -30,8 +30,9 @@ type Predicate interface {
 }
 
 // RowFilter is a predicate pushed down to one occurrence of a term: it
-// filters an ascending list of logical rows of r in place and returns the
-// rows the predicate holds on, still ascending.
+// filters a list of logical rows of r in place and returns the rows the
+// predicate holds on, in the order given, so an ascending list stays
+// ascending.
 type RowFilter func(r *relation.Relation, rows []int) []int
 
 // listFilter is the optional typed path of a predicate pushed down to one

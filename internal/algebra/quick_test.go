@@ -226,7 +226,7 @@ func setRelations(cat Catalog) func(string) bool {
 		set, ok := memo[name]
 		if !ok {
 			r, found := cat.Relation(name)
-			set = found && r.IsSet()
+			set = found && r.RowsDistinct(r.Len())
 			memo[name] = set
 		}
 		return set

@@ -1,7 +1,6 @@
 package algebra
 
 import (
-	"fmt"
 	"slices"
 
 	"relest/internal/relation"
@@ -93,12 +92,11 @@ func (t *pairTally) moments(occ [2]int, n int, tail float64) PairMoments {
 // candidate of each other occurrence. Any plan of such a term counts that
 // number, whichever order it chose.
 //
-// Advance takes the instances of one round. Each must hold the rows the
-// previous round's instance held, in the same positions, followed by the
-// rows added since (relation.Relation.Extend grows a sample view this
-// way); only those new rows are filtered, coded and added to the tally
-// (pairTally.add), so a round costs what it appended, not what it holds,
-// and its moments equal a fresh PreparedTerm.PairMoments of the same rows
+// Add hands it each occurrence's rows as they are drawn, and each row is
+// filtered by the occurrence's σ, coded and added to the tally
+// (pairTally.add) in one pass: the tally holds no row, no view and no code
+// vector, so a round costs what it drew, not what the sample holds, and
+// Moments equals a fresh PreparedTerm.PairMoments over every row added
 // exactly.
 //
 // A RunningTally is not safe for concurrent use.
@@ -113,21 +111,37 @@ type RunningTally struct {
 	occ   [2]int
 	cols  [2][]int
 	intra [][]EqCol
-	// held[occ] is the number of instance rows consumed; cand[occ] counts
-	// the candidates among them of an occurrence on neither side.
-	held []int
+	// cand[occ] counts the candidates added of an occurrence on neither
+	// side.
 	cand []int
-	// rows is the candidate scratch a round filters its new rows in.
+	// rows and codes are the scratch one chunk of added rows is filtered
+	// and coded in.
 	rows  []int
+	codes []int32
 	tally pairTally
 }
 
+// tallyChunk is the number of rows Add filters and codes at a time, so
+// its scratch stays small and in cache however many rows a round draws;
+// chunkSlots lists a chunk's slots, 0 … tallyChunk−1, for pairTally.add
+// to read a chunk's codes by.
+const tallyChunk = 1024
+
+var chunkSlots = func() []int {
+	slots := make([]int, tallyChunk)
+	for i := range slots {
+		slots[i] = i
+	}
+	return slots
+}()
+
 // NewRunningTally returns an empty running tally of the pair-shaped term
 // t whose join keys are coded in keys, or false when t is not
-// pair-shaped or is weighted (Term.Weight): a tally counts rows, not
-// their weights.
+// pair-shaped, is weighted (Term.Weight: a tally counts rows, not their
+// weights) or reads a relation twice (its rows are not independent
+// draws, and its assignments need pattern weights).
 func NewRunningTally(t *Term, keys *relation.KeyDomain) (*RunningTally, bool) {
-	if len(t.Preds) > 0 || t.Weight != nil {
+	if len(t.Preds) > 0 || t.Weight != nil || (Polynomial{Terms: []Term{*t}}).MaxOccurrences() > 1 {
 		return nil, false
 	}
 	rt := &RunningTally{
@@ -135,7 +149,6 @@ func NewRunningTally(t *Term, keys *relation.KeyDomain) (*RunningTally, bool) {
 		keys:  keys,
 		side:  make([]int, len(t.Occs)),
 		intra: intraEqualities(t),
-		held:  make([]int, len(t.Occs)),
 		cand:  make([]int, len(t.Occs)),
 	}
 	x, y := -1, -1
@@ -167,33 +180,44 @@ func NewRunningTally(t *Term, keys *relation.KeyDomain) (*RunningTally, bool) {
 	return rt, true
 }
 
-// Advance tallies the rows each instance added since the last call (see
-// RunningTally) and returns the term's moments over all the rows held:
-// what PreparedTerm.PairMoments(nil) of a plan over inst returns for its
+// Add tallies rows of r, the relation occurrence occ reads: logical rows
+// of r, in any order, none of them added to occ before. Each runs the
+// occurrence's σ and intra-occurrence equalities; on the pair's sides its
+// key is coded and counted, elsewhere it counts as a candidate.
+func (rt *RunningTally) Add(occ int, r *relation.Relation, rows []int32) {
+	s := rt.side[occ]
+	for len(rows) > 0 {
+		chunk := rows[:min(len(rows), tallyChunk)]
+		rows = rows[len(chunk):]
+		cand := rt.rows[:0]
+		for _, row := range chunk {
+			cand = append(cand, int(row))
+		}
+		for _, lp := range rt.t.Occs[occ].LocalPreds {
+			cand = lp(r, cand)
+		}
+		for _, eq := range rt.intra[occ] {
+			cand = r.FilterEqual(cand, eq.A.Col, eq.B.Col)
+		}
+		rt.rows = cand
+		if s < 0 {
+			rt.cand[occ] += len(cand)
+			continue
+		}
+		if cap(rt.codes) < len(cand) {
+			rt.codes = make([]int32, tallyChunk)
+		}
+		codes := rt.codes[:len(cand)]
+		rt.keys.CodeAt(r, rt.cols[s], cand, codes)
+		rt.tally.add(s, chunkSlots[:len(codes)], codes)
+	}
+}
+
+// Moments returns the term's moments over every row added: what
+// PreparedTerm.PairMoments(nil) of a plan over those rows returns for its
 // counts, bit for bit, with the other occurrences' candidate counts as
 // the folded tail's factor.
-func (rt *RunningTally) Advance(inst Instances) PairMoments {
-	if len(inst) != len(rt.side) {
-		panic(fmt.Sprintf("algebra: running tally of %d occurrences advanced with %d instances", len(rt.side), len(inst)))
-	}
-	for occ, r := range inst {
-		from := rt.held[occ]
-		if r.Len() < from {
-			panic(fmt.Sprintf("algebra: running tally's instance %s shrank from %d to %d rows", r.Name(), from, r.Len()))
-		}
-		if r.Len() == from {
-			continue
-		}
-		rows := occCandidates(rt.t, occ, rt.intra[occ], r, from, rt.rows)
-		rt.rows = rows
-		rt.held[occ] = r.Len()
-		s := rt.side[occ]
-		if s < 0 {
-			rt.cand[occ] += len(rows)
-			continue
-		}
-		rt.tally.add(s, rows, r.KeyCodes(rt.cols[s], rt.keys))
-	}
+func (rt *RunningTally) Moments() PairMoments {
 	tail := 1.0
 	for occ, s := range rt.side {
 		if s < 0 {

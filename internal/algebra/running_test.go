@@ -94,7 +94,8 @@ func enumeratedPairMoments(pt *PreparedTerm) PairMoments {
 // TestQuickRunningTallyMatchesPairMoments grows sample views of random
 // pair-shaped terms over random round schedules — some relations skip a
 // round, some rounds add more rows than the view holds, so later rounds
-// count in parts — and advances a running tally each round. Its moments
+// count in parts — and adds each round's base rows, in draw order, to a
+// running tally, occurrence by occurrence (RunningTally.Add). Its moments
 // must equal, bit for bit, what enumerating a fresh plan over the round's
 // views counts (enumeratedPairMoments) where the plan has the Pairs shape,
 // and Count where a folded occurrence leads its order. A round of more
@@ -118,9 +119,10 @@ func TestQuickRunningTallyMatchesPairMoments(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: %v is not pair-shaped", trial, tm)
 		}
-		views := MapCatalog{}
+		views, drawn := MapCatalog{}, map[string][]int{}
 		for _, name := range []string{"R", "S", "U"} {
-			views[name] = base[name].Subset(name, randomPositions(rng, base[name].Len(), rng.Intn(60)))
+			drawn[name] = randomPositions(rng, base[name].Len(), rng.Intn(60))
+			views[name] = base[name].Subset(name, drawn[name])
 		}
 		for round := 0; round < 7; round++ {
 			if round > 0 {
@@ -130,8 +132,10 @@ func TestQuickRunningTallyMatchesPairMoments(t *testing.T) {
 					if name == "U" {
 						add = rng.Intn(12) // a small tail keeps Count cheap where it leads the order
 					}
+					drawn[name] = nil
 					if rng.Intn(5) > 0 {
-						views[name] = v.Extend(base[name], randomPositions(rng, base[name].Len(), add))
+						drawn[name] = randomPositions(rng, base[name].Len(), add)
+						views[name] = v.Extend(base[name], drawn[name])
 					}
 				}
 			}
@@ -139,7 +143,14 @@ func TestQuickRunningTallyMatchesPairMoments(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := rt.Advance(inst)
+			for occ, o := range tm.Occs {
+				var ids []int32
+				for _, p := range drawn[o.RelName] {
+					ids = append(ids, int32(p))
+				}
+				rt.Add(occ, base[o.RelName], ids)
+			}
+			got := rt.Moments()
 			pt, err := prepare(tm, inst, dom)
 			if err != nil {
 				t.Fatal(err)
@@ -179,13 +190,14 @@ func TestQuickRunningTallyMatchesPairMoments(t *testing.T) {
 
 // TestRunningTallyRejects lists the terms a running tally does not take:
 // one whose equalities join more than two occurrences, one with a residual
-// predicate across occurrences, and one with no join at all.
+// predicate across occurrences, one with no join at all, and a self-join.
 func TestRunningTallyRejects(t *testing.T) {
 	cat := runningFixture(rand.New(rand.NewSource(1)))
 	r, s, u := BaseOf(cat["R"]), BaseOf(cat["S"]), BaseOf(cat["U"])
 	chain := Must(Join(Must(Join(r, s, []On{{Left: "k", Right: "k"}}, nil, "S")), u, []On{{Left: "S.v", Right: "v"}}, nil, "U"))
 	theta := Must(Join(r, s, []On{{Left: "k", Right: "k"}}, ColCmp{A: "v", Op: LT, B: "S.v"}, "S"))
-	for name, e := range map[string]*Expr{"chain": chain, "theta": theta, "product": Must(Product(r, s, "S"))} {
+	self := Must(Join(r, r, []On{{Left: "k", Right: "k"}}, nil, "R2"))
+	for name, e := range map[string]*Expr{"chain": chain, "theta": theta, "product": Must(Product(r, s, "S")), "self": self} {
 		poly, err := Normalize(e)
 		if err != nil {
 			t.Fatal(err)

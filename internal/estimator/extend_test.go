@@ -30,9 +30,10 @@ func extensionFixture(n int) (r1, r2 *relation.Relation, exprs []*algebra.Expr) 
 }
 
 // redrawExtendTo is the extension as it stood before samples grew by
-// appending: the same draw (the set sampling.Grow adds is the set the
-// sorted redraw returned), then the unit list re-sorted and the sample view
-// rebuilt from the base with no index carried over. Tuple designs only.
+// appending: the same draw (the relation's draw state, which a request's
+// rounds draw from in the same order), then the unit list sorted and the
+// sample view rebuilt from the base with no index carried over. Tuple
+// designs only.
 func redrawExtendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) int) {
 	for _, rel := range rels {
 		rs := syn.rels[rel]
@@ -40,7 +41,13 @@ func redrawExtendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N
 		if w <= rs.n {
 			continue
 		}
-		units := sampling.Grow(rng, rs.M, sampling.Members(rs.M, rs.units), slices.Clone(rs.units), w-rs.n)
+		if rs.draw == nil {
+			rs.draw = sampling.NewDraw(rs.M, rs.units)
+		}
+		units := slices.Clone(rs.units)
+		for _, id := range rs.draw.Next(rng, w-rs.n) {
+			units = append(units, int(id))
+		}
 		slices.Sort(units)
 		rs.units, rs.m, rs.n = units, len(units), len(units)
 		rs.sample = rs.base.Subset(rel, units)

@@ -142,14 +142,52 @@ func (inc *Incremental) ReplayInsert(name string, t relation.Tuple) error {
 	return inc.insert(name, t, false)
 }
 
+// CheckInsert returns the error Insert would return for t, without
+// applying it or drawing from the generator: a caller that logs an event
+// before applying it checks it first.
+func (inc *Incremental) CheckInsert(name string, t relation.Tuple) error {
+	return inc.check(name, t, true)
+}
+
+// CheckDelete is CheckInsert for Delete.
+func (inc *Incremental) CheckDelete(name string, t relation.Tuple) error {
+	return inc.check(name, t, false)
+}
+
+func (inc *Incremental) check(name string, t relation.Tuple, insert bool) error {
+	ir, err := inc.tracked(name, t)
+	if err != nil {
+		return err
+	}
+	return ir.refuse(name, t.Key(nil), insert)
+}
+
+// refuse returns ErrRefusedEvent for an insert (insert true) or a delete
+// of the tuple whose key is key that proves the stream breaks its
+// contract: an insert of a tuple the sample holds, or a delete of one it
+// does not hold when no live row outside the sample is left. An empty
+// relation is such a case, so a delete that passes removes a row.
+func (ir *incRel) refuse(name, key string, insert bool) error {
+	held := ir.reservoir.Holds(key)
+	switch {
+	case insert && held:
+		return fmt.Errorf("%w: insert on %q: the sample already holds the tuple, so it would be a live duplicate", ErrRefusedEvent, name)
+	case !insert && !held && ir.reservoir.PopulationSize()-1 < int64(ir.reservoir.SampleSize()):
+		return fmt.Errorf("%w: delete on %q: the sample does not hold the tuple and no live row outside the sample is left", ErrRefusedEvent, name)
+	}
+	return nil
+}
+
 func (inc *Incremental) insert(name string, t relation.Tuple, refuse bool) error {
 	ir, err := inc.tracked(name, t)
 	if err != nil {
 		return err
 	}
 	key := t.Key(nil)
-	if refuse && ir.reservoir.Holds(key) {
-		return fmt.Errorf("%w: insert on %q: the sample already holds the tuple, so it would be a live duplicate", ErrRefusedEvent, name)
+	if refuse {
+		if err := ir.refuse(name, key, true); err != nil {
+			return err
+		}
 	}
 	if ir.reservoir.InsertFunc(func() (int, string) {
 		ir.store.MustAppend(t)
@@ -193,8 +231,10 @@ func (inc *Incremental) delete(name string, t relation.Tuple, refuse bool) error
 		return err
 	}
 	key := t.Key(nil)
-	if refuse && !ir.reservoir.Holds(key) && ir.reservoir.PopulationSize()-1 < int64(ir.reservoir.SampleSize()) {
-		return fmt.Errorf("%w: delete on %q: the sample does not hold the tuple and no live row outside the sample is left", ErrRefusedEvent, name)
+	if refuse {
+		if err := ir.refuse(name, key, false); err != nil {
+			return err
+		}
 	}
 	if !ir.reservoir.DeleteKey(key) {
 		return fmt.Errorf("estimator: delete from empty relation %q", name)

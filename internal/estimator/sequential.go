@@ -10,6 +10,7 @@ import (
 
 	"relest/internal/algebra"
 	"relest/internal/obs"
+	"relest/internal/relation"
 	"relest/internal/sampling"
 	"relest/internal/stats"
 )
@@ -51,23 +52,112 @@ func rngOrSeeded(rng *rand.Rand, seed int64) *rand.Rand {
 	return sampling.Seeded(seed)
 }
 
-// extendTo raises the sample of every relation that holds fewer than
+// rounds is one deadline or sequential request's state from round to
+// round. A request reads the caller's synopsis and never writes it: it
+// grows samples of its own, by one draw state per relation that it keeps
+// for its whole life (sampling.Draw).
+//
+// When every term of its polynomial is one a running tally takes (a
+// pair-shaped, unweighted COUNT term that reads each relation once) and
+// the variance reads no rows (tallyOnly), the request holds no sample: it
+// carries a running tally of every term (algebra.RunningTally: GUS's
+// keyed group sums), each base row a round draws runs σ, is coded in the
+// request's key domain and is counted by the tallies in one pass, and syn
+// carries each relation's sizes and draw state but no rows
+// (Synopsis.tallySizes), which is all the engine reads of it. A term's
+// point estimate and closed-form variance then cost what the round drew,
+// and no plan is compiled. Any other request grows a private clone of the
+// caller's synopsis (Synopsis.ExtendSample) and estimates it afresh each
+// round: its variance pass compiles every term anyway.
+type rounds struct {
+	poly    algebra.Polynomial
+	rels    []string
+	syn     *Synopsis
+	tallies []*algebra.RunningTally // per term when the request holds no sample, else nil
+}
+
+// newRounds returns the state of a request estimating poly over syn with
+// opts, whose first round grows every sample to at least first rows.
+func newRounds(poly algebra.Polynomial, syn *Synopsis, opts Options, first int) (*rounds, error) {
+	r := &rounds{poly: poly, rels: poly.RelationNames()}
+	for _, rel := range r.rels {
+		if _, ok := syn.rels[rel]; !ok {
+			return nil, fmt.Errorf("estimator: no sample for %q in synopsis", rel)
+		}
+	}
+	if !tallyOnly(poly, syn, r.rels, opts.Variance, first) {
+		r.syn = syn.Clone()
+		return r, nil
+	}
+	keys := relation.NewKeyDomain()
+	tallies := make([]*algebra.RunningTally, len(poly.Terms))
+	for i := range poly.Terms {
+		var ok bool
+		if tallies[i], ok = algebra.NewRunningTally(&poly.Terms[i], keys); !ok {
+			r.syn = syn.Clone()
+			return r, nil
+		}
+	}
+	r.tallies, r.syn = tallies, syn.tallySizes(r.rels)
+	for _, rel := range r.rels {
+		rs := syn.rels[rel]
+		ids := make([]int32, len(rs.units))
+		for i, id := range rs.units {
+			ids[i] = int32(id)
+		}
+		r.feed(rel, rs.base, ids)
+	}
+	return r, nil
+}
+
+// tallyOnly reports whether a request over syn can run without holding a
+// sample row when its every term has a running tally: every relation is
+// a plain tuple sample drawn from a stored base, and the variance reads
+// no rows. That is VarNone, or the closed form of a single two-relation
+// term, which VarAuto takes only while both samples hold two rows or
+// more (below that it falls through to split-sample), so first, the size
+// every round draws up to, must give them that.
+func tallyOnly(poly algebra.Polynomial, syn *Synopsis, rels []string, method VarianceMethod, first int) bool {
+	small := false
+	for _, rel := range rels {
+		rs := syn.rels[rel]
+		if rs.base == nil || !plainTupleSample(rs) {
+			return false
+		}
+		small = small || min(rs.N, max(rs.n, first)) < 2
+	}
+	switch {
+	case method == VarNone || poly.NumTerms() == 0:
+		return true
+	case method != VarAuto && method != VarAnalytic:
+		return false
+	}
+	return poly.NumTerms() == 1 && len(poly.Terms[0].Occs) == 2 && (method == VarAnalytic || !small)
+}
+
+// grow raises the sample of every relation that holds fewer than
 // want(n, N) rows — n held now, N in the population, which also caps the
 // target — to that size, in rels order (the order fixes which units the
-// rng draws). A page design adds the fewest whole pages that reach the
-// target, ⌈(w−n)/pageSize⌉, so it overshoots by less than one page.
-func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) int) error {
-	for _, rel := range rels {
-		rs, ok := syn.rels[rel]
-		if !ok {
-			return fmt.Errorf("estimator: no sample for %q in synopsis", rel)
-		}
-		if w := min(want(rs.n, rs.N), rs.N); w > rs.n {
+// rng draws). A tallied request hands its tallies the base rows drawn; a
+// clone appends them (ExtendSample), a page design the fewest whole pages
+// that reach the target, ⌈(w−n)/pageSize⌉, so it overshoots by less than
+// one page.
+func (r *rounds) grow(rng *rand.Rand, want func(n, N int) int) error {
+	for _, rel := range r.rels {
+		rs := r.syn.rels[rel]
+		w := min(want(rs.n, rs.N), rs.N)
+		switch {
+		case w <= rs.n:
+		case r.tallies != nil:
+			ids := rs.draw.Next(rng, w-rs.n)
+			rs.n, rs.m = w, w
+			r.feed(rel, rs.base, ids)
+		default:
 			add := w - rs.n
 			if !rs.tupleDesign() {
 				add = min((add+rs.pageSize-1)/rs.pageSize, rs.M-rs.m)
 			}
-			if err := syn.ExtendSample(rel, add, rng); err != nil {
+			if err := r.syn.ExtendSample(rel, add, rng); err != nil {
 				return err
 			}
 		}
@@ -75,55 +165,36 @@ func extendTo(syn *Synopsis, rels []string, rng *rand.Rand, want func(n, N int) 
 	return nil
 }
 
-// rounds is what one deadline or sequential request carries from round to
-// round over the synopsis it grows: a running tally of every COUNT term
-// of its polynomial that is pair-shaped, unweighted and reads each
-// relation once (algebra.RunningTally; a tally counts rows, so a term
-// fusion weighted is compiled each round). A round advances each tally
-// by the rows the round's extension appended and hands the counts to its
-// engine (engine.keepPairs), so the point estimate and the closed-form
-// variance of such a term cost what the round added, and no plan of it is
-// compiled; every other term is planned and counted afresh each round.
-// The tallies die with the request.
-type rounds struct {
-	poly    algebra.Polynomial
-	tallies []*algebra.RunningTally // per term; nil where a round compiles
-}
-
-// newRounds returns the round state of a request estimating poly over
-// syn, whose key domain the tallies code their join keys in.
-func newRounds(poly algebra.Polynomial, syn *Synopsis) *rounds {
-	r := &rounds{poly: poly, tallies: make([]*algebra.RunningTally, len(poly.Terms))}
-	for i := range poly.Terms {
-		if (algebra.Polynomial{Terms: poly.Terms[i : i+1]}).MaxOccurrences() == 1 {
-			r.tallies[i], _ = algebra.NewRunningTally(&poly.Terms[i], syn.keys)
+// feed adds the base rows rel gained to every tally of a term that reads
+// rel.
+func (r *rounds) feed(rel string, base *relation.Relation, ids []int32) {
+	for i, rt := range r.tallies {
+		for occ, o := range r.poly.Terms[i].Occs {
+			if o.RelName == rel {
+				rt.Add(occ, base, ids)
+			}
 		}
 	}
-	return r
 }
 
-// estimate is one round's COUNT estimate over syn as it now stands: the
-// estimate estimatePoly makes, bit for bit, with the pair-shaped terms'
-// counts read off their running tallies.
-func (r *rounds) estimate(ctx context.Context, syn *Synopsis, opts Options) (Estimate, error) {
+// estimate is one round's COUNT estimate over the samples as they now
+// stand: the estimate estimatePoly makes over those rows, bit for bit,
+// with a tallied request's counts read off its running tallies
+// (engine.keepPairs).
+func (r *rounds) estimate(ctx context.Context, opts Options) (Estimate, error) {
+	if r.tallies == nil {
+		return estimatePoly(ctx, r.poly, r.syn, opts, countContrib)
+	}
 	opts = opts.withDefaults()
-	eng, err := startEstimate(ctx, r.poly, syn, opts)
+	eng, err := startEstimate(ctx, r.poly, r.syn, opts)
 	if err != nil {
 		return Estimate{}, err
 	}
 	defer eng.span.End()
 	for i, rt := range r.tallies {
-		if rt == nil {
-			continue
-		}
-		t := &r.poly.Terms[i]
-		inst, err := algebra.BindInstances(t, syn)
-		if err != nil {
-			return Estimate{}, err
-		}
-		eng.keepPairs(t, countContrib, rt.Advance(inst))
+		eng.keepPairs(&r.poly.Terms[i], countContrib, rt.Moments())
 	}
-	return eng.estimate(r.poly, syn, opts, countContrib)
+	return eng.estimate(r.poly, r.syn, opts, countContrib)
 }
 
 // sampleSizes reports the current per-relation sample sizes.
@@ -155,8 +226,9 @@ type SequentialResult struct {
 // the variance, the sample is grown to the size projected to achieve the
 // target relative error at the requested confidence, and the estimate is
 // recomputed. The synopsis must have been drawn from stored relations
-// (AddDrawn / Draw) so its samples can be extended in place; on return the
-// synopsis holds the enlarged samples.
+// (AddDrawn / Draw) so its samples can be extended. It is only read: the
+// run grows samples of its own (see rounds), SampleSizes reports their
+// final sizes, and concurrent runs may share one synopsis.
 //
 // The projection assumes every variance component scales as 1/n_i when all
 // sample sizes are scaled together — exact for the leading terms of the
@@ -191,17 +263,20 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 	if err != nil {
 		return SequentialResult{}, err
 	}
-	rels := poly.RelationNames()
-	rounds := newRounds(poly, syn)
+	rounds, err := newRounds(poly, syn, opts.Estimate, opts.PilotSize)
+	if err != nil {
+		return SequentialResult{}, err
+	}
+	rels, syn := rounds.rels, rounds.syn
 
 	// Phase one: make sure every relation has at least the pilot size.
 	if err := ctxErr(ctx); err != nil {
 		return SequentialResult{}, err
 	}
-	if err := extendTo(syn, rels, rng, func(int, int) int { return opts.PilotSize }); err != nil {
+	if err := rounds.grow(rng, func(int, int) int { return opts.PilotSize }); err != nil {
 		return SequentialResult{}, err
 	}
-	pilot, err := rounds.estimate(ctx, syn, opts.Estimate)
+	pilot, err := rounds.estimate(ctx, opts.Estimate)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -221,12 +296,12 @@ func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis,
 		if phi > 1 {
 			res.GrowthFactor = phi
 			grow := func(n, N int) int { return growTarget(n, phi, opts.MaxFraction, N) }
-			if err := extendTo(syn, rels, rng, grow); err != nil {
+			if err := rounds.grow(rng, grow); err != nil {
 				return SequentialResult{}, err
 			}
 		}
 	}
-	final, err := rounds.estimate(ctx, syn, opts.Estimate)
+	final, err := rounds.estimate(ctx, opts.Estimate)
 	if err != nil {
 		return SequentialResult{}, err
 	}
@@ -302,11 +377,13 @@ type DeadlineStep struct {
 	Elapsed     time.Duration
 }
 
-// DeadlineCountContext grows the synopsis samples geometrically and
-// re-estimates until the budget expires, returning the final (most
-// precise) estimate and the per-round history. The answer available at the
-// deadline is exactly what the CASE-DB use case demands: the best estimate
-// the time allowed.
+// DeadlineCountContext grows samples of the synopsis's relations
+// geometrically and re-estimates until the budget expires, returning the
+// final (most precise) estimate and the per-round history. The answer
+// available at the deadline is exactly what the CASE-DB use case demands:
+// the best estimate the time allowed. The synopsis is only read: the run
+// grows samples of its own (see rounds), each DeadlineStep reports their
+// sizes, and concurrent runs may share one synopsis.
 //
 // Budget expiry is the normal way out — the loop stops before a round it
 // predicts cannot finish in time, and returns the last completed round's
@@ -332,17 +409,20 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 	if err != nil {
 		return Estimate{}, nil, err
 	}
-	rels := poly.RelationNames()
 	rec := obs.Or(opts.Estimate.Recorder)
 	start := time.Now()
 	deadline := start.Add(opts.Budget)
 
+	rounds, err := newRounds(poly, syn, opts.Estimate, opts.InitialSize)
+	if err != nil {
+		return Estimate{}, nil, err
+	}
+	rels, syn := rounds.rels, rounds.syn
 	maxN := 0
 	for _, rel := range rels {
 		N, _ := syn.PopulationSize(rel)
 		maxN = max(maxN, N)
 	}
-	rounds := newRounds(poly, syn)
 	var history []DeadlineStep
 	target := opts.InitialSize
 	for {
@@ -351,10 +431,10 @@ func DeadlineCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, o
 		}
 		rspan := rec.Span(sDeadlineRound)
 		roundStart := time.Now()
-		if err := extendTo(syn, rels, rng, func(int, int) int { return target }); err != nil {
+		if err := rounds.grow(rng, func(int, int) int { return target }); err != nil {
 			return Estimate{}, nil, err
 		}
-		est, err := rounds.estimate(ctx, syn, opts.Estimate)
+		est, err := rounds.estimate(ctx, opts.Estimate)
 		if err != nil {
 			return Estimate{}, nil, err
 		}

@@ -50,9 +50,13 @@ func TestSequentialCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The pilot must have run at pilot size.
-	if n, _ := syn.SampleSize("R"); n < 150 {
+	// The pilot must have run at pilot size, on samples of the request's
+	// own: the caller's synopsis is read, never grown.
+	if n := res.SampleSizes["R"]; n < 150 {
 		t.Errorf("pilot did not extend R sample: n=%d", n)
+	}
+	if n, _ := syn.SampleSize("R"); n != 50 {
+		t.Errorf("the request grew the caller's R sample to %d rows", n)
 	}
 	// Samples grew beyond the pilot when the target demanded it.
 	if res.GrowthFactor > 1 {

@@ -79,11 +79,11 @@ type relSynopsis struct {
 	// units[u] is the id within [0, M) of unit u: the first draw's ids
 	// ascending, then every extension's in draw order, so units (and the
 	// sample's rows) are not sorted once the sample has been extended.
-	// taken is units' membership bitset over [0, M), built on the first
-	// extension and kept current by the later ones; a clone drops it.
+	// draw is the draw state units grow by (sampling.Draw), made on the
+	// first extension and kept by the later ones; a clone drops it.
 	base  *relation.Relation
 	units []int
-	taken []uint64
+	draw  *sampling.Draw
 
 	// distinct memoizes whether the population — base's first N rows —
 	// holds no two equal rows (duplicateFree); set on every synopsis
@@ -315,7 +315,9 @@ func (s *Synopsis) Design(name string) (pageSize int, ok bool) {
 func (s *Synopsis) Bytes() int {
 	total := s.keys.Bytes()
 	for _, rs := range s.rels {
-		total += rs.sample.Bytes()
+		if rs.sample != nil { // a tallied request's sizes hold no sample (tallySizes)
+			total += rs.sample.Bytes()
+		}
 	}
 	return total
 }
@@ -494,10 +496,10 @@ func Draw(rels []*relation.Relation, fraction float64, minSize int, rng *rand.Ra
 
 // Clone returns an independently extendable copy of the synopsis: the two
 // share the (immutable) base relations and current samples, but
-// ExtendSample on one never changes what the other sees. Servers use this
-// to give each sequential/deadline request its own growable view of a
-// shared synopsis without re-drawing, so concurrent requests neither race
-// nor perturb each other's estimates.
+// ExtendSample on one never changes what the other sees. A sequential or
+// deadline request whose rounds must hold the rows they draw grows a
+// clone it makes itself, so concurrent requests over one synopsis neither
+// race nor perturb each other's estimates.
 //
 // The clone codes its join keys in a key domain of its own, so concurrent
 // requests never contend for one domain's lock, and it reads its samples
@@ -508,20 +510,40 @@ func (s *Synopsis) Clone() *Synopsis {
 	out := NewSynopsis()
 	for name, rs := range s.rels {
 		cp := *rs
-		// Extension appends to units and unitStart and sets bits of taken;
-		// clipped headers make the clone's first append copy, and the
-		// clone rebuilds its own bitset, so those writes stay private.
+		// Extension appends to units and unitStart and advances the draw
+		// state; clipped headers make the clone's first append copy, and
+		// the clone makes a draw state of its own, so those writes stay
+		// private.
 		// Sample views are never mutated, only replaced (Extend), so
 		// sharing their rows and storage is safe.
 		//lint:ignore viewescape the clone retains an alias of the synopsis's retained sample view: same rows, same pinned storage
 		cp.sample = rs.sample.Alias()
 		cp.units = slices.Clip(rs.units)
 		cp.unitStart = slices.Clip(rs.unitStart)
-		cp.taken = nil
+		cp.draw = nil
 		out.rels[name] = &cp
 	}
 	// Built sketches are immutable; the clone shares them by reference.
 	s.cloneSketchRefs(out)
+	return out
+}
+
+// tallySizes returns what a fully tallied sequential or deadline request
+// estimates over (rounds): for each of rels, the entry's population and
+// sample sizes, its base and a draw state of its own seeded with its
+// units, and no sample, unit list or code vector. The request's draws
+// raise the entries' sizes while its tallies hold every row drawn; s is
+// only read. Each relation must be a plain tuple sample drawn from a
+// stored base (tallyOnly).
+func (s *Synopsis) tallySizes(rels []string) *Synopsis {
+	out := NewSynopsis()
+	for _, rel := range rels {
+		rs := s.rels[rel]
+		out.rels[rel] = &relSynopsis{
+			name: rel, n: rs.n, N: rs.N, M: rs.M, m: rs.m,
+			base: rs.base, draw: sampling.NewDraw(rs.M, rs.units), distinct: rs.distinct,
+		}
+	}
 	return out
 }
 
@@ -548,11 +570,13 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 	if add == 0 {
 		return nil
 	}
-	if rs.taken == nil {
-		rs.taken = sampling.Members(rs.M, rs.units)
+	if rs.draw == nil {
+		rs.draw = sampling.NewDraw(rs.M, rs.units)
 	}
 	rs.reserve(add)
-	rs.units = sampling.Grow(rng, rs.M, rs.taken, rs.units, add)
+	for _, id := range rs.draw.Next(rng, add) {
+		rs.units = append(rs.units, int(id))
+	}
 	rs.admit(add)
 	return nil
 }

@@ -11,10 +11,10 @@ import (
 // agrees exactly with the Value.Compare / Value.Equal semantics of the
 // row-at-a-time path it replaces.
 
-// FilterCmp filters rows — ascending logical positions of r — in place and
-// returns the rows it keeps: those whose cell in column c is non-null and
-// compares to the constant k with a three-way result cmp (Value.Compare's)
-// for which keep[cmp+1] holds. A null constant keeps nothing, as null
+// FilterCmp filters rows — logical positions of r, in any order — in place
+// and returns the rows it keeps, in their order: those whose cell in
+// column c is non-null and compares to the constant k with a three-way
+// result cmp (Value.Compare's) for which keep[cmp+1] holds. A null constant keeps nothing, as null
 // cells never do (comparisons with null are false).
 //
 // The comparison reads the typed vector: ints against an Int compare as

@@ -223,29 +223,39 @@ func (d *KeyDomain) resize() {
 	}
 }
 
-// codeRows codes the key over columns cols of r's logical rows
-// [from, len(out)) into out: one column's codes, or the tuple codes of
-// several columns' codes, chained left to right.
-func (d *KeyDomain) codeRows(r *Relation, cols []int, out []int32, from int) {
+// CodeAt codes the key over columns cols of the logical rows of r that
+// rows lists, in any order, into out, one code per row, as KeyCodes codes
+// them: for a caller that codes each row once and keeps no vector, as a
+// running tally does with the rows a draw hands it.
+func (d *KeyDomain) CodeAt(r *Relation, cols []int, rows []int, out []int32) {
+	d.codeRows(r, cols, out[:len(rows)], 0, rows)
+}
+
+// codeRows codes the key over columns cols into out: of r's logical rows
+// [from, len(out)) when rows is nil, else of the rows it lists: one
+// column's codes, or the tuple codes of several columns' codes, chained
+// left to right.
+func (d *KeyDomain) codeRows(r *Relation, cols []int, out []int32, from int, rows []int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	out = out[from:]
-	d.codeColumn(r, cols[0], out, from)
+	d.codeColumn(r, cols[0], out, from, rows)
 	if len(cols) == 1 {
 		return
 	}
 	next := make([]int32, len(out))
 	for _, col := range cols[1:] {
-		d.codeColumn(r, col, next, from)
+		d.codeColumn(r, col, next, from, rows)
 		for i, c := range next {
 			out[i] = d.tupleCode(out[i], c)
 		}
 	}
 }
 
-// codeColumn codes column col of r's logical rows [from, from+len(out))
-// into out. The caller holds d.mu.
-func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int) {
+// codeColumn codes column col into out: of r's logical rows
+// [from, from+len(out)) when rows is nil, else of rows[i] into out[i].
+// The caller holds d.mu.
+func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int, rows []int) {
 	c := &r.cols[col]
 	var strs []int32 // c's dictionary entries' codes + 1
 	if c.kind == KindString {
@@ -256,7 +266,11 @@ func (d *KeyDomain) codeColumn(r *Relation, col int, out []int32, from int) {
 		defer func() { d.dicts[c.dict.root] = strs }()
 	}
 	for i := range out {
-		p := r.phys(from + i)
+		p := from + i
+		if rows != nil {
+			p = rows[i]
+		}
+		p = r.phys(p)
 		if c.isNull(p) {
 			out[i] = 0
 			continue
@@ -316,7 +330,7 @@ type codeMemo struct {
 func (r *Relation) KeyCodes(cols []int, dom *KeyDomain) []int32 {
 	if r.view == nil || !dom.memo {
 		codes := make([]int32, r.n)
-		dom.codeRows(r, cols, codes, 0)
+		dom.codeRows(r, cols, codes, 0, nil)
 		return codes
 	}
 	r.memoMu.Lock()
@@ -338,7 +352,7 @@ func (r *Relation) KeyCodes(cols []int, dom *KeyDomain) []int32 {
 			codes = slices.Grow(codes[:len(codes):len(codes)], cap(r.view)-len(codes))
 		}
 		codes = codes[:r.n]
-		dom.codeRows(r, e.cols, codes, len(e.from))
+		dom.codeRows(r, e.cols, codes, len(e.from), nil)
 		e.codes.Store(&codes)
 		e.from = nil
 	})
@@ -390,12 +404,12 @@ func (r *Relation) RowsDistinct(n int) bool {
 	var next []int32
 	for c := range r.schema.Len() {
 		if c == 0 {
-			d.codeColumn(r, c, codes, 0)
+			d.codeColumn(r, c, codes, 0, nil)
 		} else {
 			if next == nil {
 				next = make([]int32, n)
 			}
-			d.codeColumn(r, c, next, 0)
+			d.codeColumn(r, c, next, 0, nil)
 			for i, k := range next {
 				codes[i] = d.tupleCode(codes[i], k)
 			}

@@ -456,7 +456,7 @@ func TestRowsDistinct(t *testing.T) {
 	for i := range 100 {
 		ids.MustAppend(Tuple{Int(int64(i)), Int(7)})
 	}
-	if !ids.RowsDistinct(100) || !ids.IsSet() {
+	if !ids.RowsDistinct(100) || !ids.RowsDistinct(ids.Len()) {
 		t.Error("a unique first column does not make the rows distinct")
 	}
 }

@@ -133,7 +133,7 @@ func TestQuickDistinctIdempotent(t *testing.T) {
 		if d1.Len() != d2.Len() {
 			return false
 		}
-		return d1.IsSet()
+		return d1.RowsDistinct(d1.Len())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

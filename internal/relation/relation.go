@@ -453,10 +453,6 @@ func (r *Relation) Distinct(name string) *Relation {
 	return r.Subset(name, positions)
 }
 
-// IsSet reports whether the relation contains no duplicate rows
-// (RowsDistinct over all of them).
-func (r *Relation) IsSet() bool { return r.RowsDistinct(r.n) }
-
 // compareRows orders two logical rows lexicographically by Value.Compare,
 // matching Tuple.Compare on the materialized rows.
 func (r *Relation) compareRows(i, j int) int {

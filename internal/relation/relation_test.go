@@ -267,16 +267,16 @@ func TestRelationSubsetAndClone(t *testing.T) {
 	}
 }
 
-func TestRelationDistinctAndIsSet(t *testing.T) {
+func TestRelationDistinctRowsDistinct(t *testing.T) {
 	r := New("R", MustSchema(Column{"x", KindInt}))
 	for _, v := range []int64{1, 2, 1, 3, 2, 1} {
 		r.MustAppend(Tuple{Int(v)})
 	}
-	if r.IsSet() {
+	if r.RowsDistinct(r.Len()) {
 		t.Error("r has duplicates")
 	}
 	d := r.Distinct("D")
-	if d.Len() != 3 || !d.IsSet() {
+	if d.Len() != 3 || !d.RowsDistinct(d.Len()) {
 		t.Errorf("distinct: %v", d)
 	}
 	// Order preserved: 1, 2, 3.

@@ -281,7 +281,7 @@ func (v Value) AppendKey(dst []byte) []byte { return v.appendKey(dst) }
 
 // appendKey appends a self-delimiting encoding of the value to dst such
 // that two values have identical encodings iff they are Equal: value
-// identity outside joins (Distinct, IsSet, set operations, grouping),
+// identity outside joins (Distinct, set operations, grouping),
 // which joins' key codes agree with. A numeric encodes its float64 bits, −0
 // folded into +0, so Int(2) and Float(2.0) share one encoding; an int that
 // float64 does not hold exactly (past ±2^53) equals no float and encodes

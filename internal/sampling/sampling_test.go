@@ -121,19 +121,19 @@ func TestExtendDensePath(t *testing.T) {
 	}
 }
 
-// extend is Grow over a sample given as a list: the combined sample,
-// sorted.
+// extend is one Draw round over a sample given as a list: the combined
+// sample, sorted.
 func extend(rng *rand.Rand, N int, existing []int, m int) []int {
-	out := Grow(rng, N, Members(N, existing), slices.Clone(existing), m)
+	out := slices.Clone(existing)
+	for _, i := range NewDraw(N, existing).Next(rng, m) {
+		out = append(out, int(i))
+	}
 	sort.Ints(out)
 	return out
 }
 
-// extendByMap is the extension draw as it stood before its bitset:
-// membership in a map, the combined sample sorted at the end.
-// withoutReplacementByMap is WithoutReplacement as it stood before its
-// draw shared pick with Grow: Floyd's algorithm over a map, or a partial
-// shuffle of [0, N), the result sorted.
+// withoutReplacementByMap is WithoutReplacement over a map: Floyd's
+// algorithm, or a partial shuffle of [0, N), the result sorted.
 func withoutReplacementByMap(rng *rand.Rand, N, n int) []int {
 	var out []int
 	if n*3 < N {
@@ -182,25 +182,23 @@ func TestWithoutReplacementMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestExtendMatchesMapReference pins Grow against it.
+// extendByMap is a Draw's first round over a map: rejection while the
+// grown sample stays under half of N; otherwise the ascending complement
+// listed and partially shuffled — entirely at the census, with no rng
+// call — the combined sample sorted at the end.
 func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 	n := len(existing)
-	if m < 0 || n+m > N {
-		panic(fmt.Sprintf("sampling: Grow(N=%d, n=%d, m=%d) out of range", N, n, m))
-	}
-	if m == 0 {
-		out := append([]int(nil), existing...)
-		sort.Ints(out)
-		return out
-	}
 	taken := make(map[int]struct{}, n+m)
 	for _, i := range existing {
 		taken[i] = struct{}{}
 	}
 	if len(taken) != n {
-		panic("sampling: sample has duplicate indices")
+		panic("duplicate")
 	}
-	if (n+m)*2 < N {
+	if m < 0 || n+m > N {
+		panic("out of range")
+	}
+	if m > 0 && (n+m)*2 < N {
 		for added := 0; added < m; {
 			c := rng.Intn(N)
 			if _, dup := taken[c]; dup {
@@ -209,15 +207,21 @@ func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 			taken[c] = struct{}{}
 			added++
 		}
-	} else {
+	} else if m > 0 {
 		complement := make([]int, 0, N-n)
 		for i := 0; i < N; i++ {
 			if _, dup := taken[i]; !dup {
 				complement = append(complement, i)
 			}
 		}
-		for _, pos := range withoutReplacementByMap(rng, len(complement), m) {
-			taken[complement[pos]] = struct{}{}
+		if m < len(complement) {
+			for i := 0; i < m; i++ {
+				j := i + rng.Intn(len(complement)-i)
+				complement[i], complement[j] = complement[j], complement[i]
+			}
+		}
+		for _, c := range complement[:m] {
+			taken[c] = struct{}{}
 		}
 	}
 	out := make([]int, 0, n+m)
@@ -228,12 +232,11 @@ func extendByMap(rng *rand.Rand, N int, existing []int, m int) []int {
 	return out
 }
 
-// TestExtendMatchesMapReference pins Grow to the map-based algorithm it
-// replaced: the same set from the same rng, and the same rng draws
-// consumed (the next draw agrees), over the rejection branch and both
-// complement branches (Floyd's and the shuffle), unsorted input, m = 0
-// and the panics. Grow returns only the added indices, each once, and
-// leaves the bitset holding exactly the combined sample.
+// TestExtendMatchesMapReference pins a Draw's first round to the
+// map-based algorithm: the same set from the same rng, and the same rng
+// draws consumed (the next draw agrees), over the rejection branch, the
+// shuffle of the complement and the census, unsorted input, m = 0 and the
+// panics.
 func TestExtendMatchesMapReference(t *testing.T) {
 	cases := []struct {
 		N, n, m int
@@ -245,33 +248,29 @@ func TestExtendMatchesMapReference(t *testing.T) {
 		{10, 2, 2, 4},   // (n+m)*2 < N: rejection
 		{10, 2, 3, 5},   // (n+m)*2 = N: complement
 		{10, 4, 5, 6},   // complement
-		{10, 0, 10, 7},  // fills the population
+		{10, 0, 10, 7},  // census from an empty sample
+		{10, 4, 6, 16},  // census
 		{64, 10, 21, 8}, // rejection, one full bitset word
-		{65, 30, 35, 9}, // complement, a partial last word
+		{65, 30, 35, 9}, // census, a partial last word
+		{65, 30, 34, 17},
 		{1000, 20, 100, 10},
 		{1000, 300, 400, 11},
 		{100000, 1000, 500, 12},
 		{100000, 40000, 20000, 13},
-		{1000, 480, 40, 14},  // complement, Floyd's (m·3 < N−n)
-		{1000, 400, 500, 15}, // complement, shuffle
+		{1000, 480, 40, 14},
+		{1000, 400, 500, 15},
 	}
 	for _, c := range cases {
 		src := rand.New(rand.NewSource(c.seed))
 		existing := WithoutReplacement(src, c.N, c.n)
-		Shuffle(src, existing) // Extend must not rely on sorted input
+		Shuffle(src, existing) // a draw must not rely on sorted input
 		got, gotRNG := rand.New(rand.NewSource(c.seed)), rand.New(rand.NewSource(c.seed))
 		want := extendByMap(gotRNG, c.N, append([]int(nil), existing...), c.m)
-		taken := Members(c.N, existing)
-		out := Grow(got, c.N, taken, slices.Clone(existing), c.m)
-		sort.Ints(out)
-		if !slices.Equal(out, want) {
-			t.Errorf("N=%d n=%d m=%d seed=%d: Grow = %v, reference %v", c.N, c.n, c.m, c.seed, out, want)
-		}
-		if !slices.Equal(taken, Members(c.N, want)) {
-			t.Errorf("N=%d n=%d m=%d seed=%d: bitset does not hold the combined sample", c.N, c.n, c.m, c.seed)
+		if out := extend(got, c.N, existing, c.m); !slices.Equal(out, want) {
+			t.Errorf("N=%d n=%d m=%d seed=%d: Draw = %v, reference %v", c.N, c.n, c.m, c.seed, out, want)
 		}
 		if a, b := got.Int63(), gotRNG.Int63(); a != b {
-			t.Errorf("N=%d n=%d m=%d seed=%d: rng diverged after Grow", c.N, c.n, c.m, c.seed)
+			t.Errorf("N=%d n=%d m=%d seed=%d: rng diverged after the draw", c.N, c.n, c.m, c.seed)
 		}
 	}
 	panics := []struct {
@@ -286,10 +285,8 @@ func TestExtendMatchesMapReference(t *testing.T) {
 		{"negative m", 5, []int{0}, -1},
 	}
 	for _, c := range panics {
-		got := recovered(func() { extend(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
-		want := recovered(func() { extendByMap(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) })
-		if got == nil || got != want {
-			t.Errorf("%s: Grow panicked with %v, reference with %v", c.name, got, want)
+		if recovered(func() { extend(rand.New(rand.NewSource(1)), c.N, c.existing, c.m) }) == nil {
+			t.Errorf("%s: no panic", c.name)
 		}
 	}
 }
@@ -610,33 +607,112 @@ func TestPairedReservoirInsertFuncMatchesInsert(t *testing.T) {
 	}
 }
 
-// TestGrowInPlaceRounds: growing one sample list round after round —
-// through rejection, a shuffle of the complement, Floyd's draws and
-// shuffles again up to the census — draws what growing a fresh copy
-// draws, with the same rng calls, and once a round has laid the
-// complement out in the list's spare room, no later round moves the list.
+// TestGrowInPlaceRounds: growing one Draw round after round — through
+// rejection, the first dense round, later shuffles and the census — draws
+// what a map-based model of the same state draws, with the same rng
+// calls; once a round has listed the complement, no later round lists it
+// again or moves it, and the census makes no rng call.
 func TestGrowInPlaceRounds(t *testing.T) {
 	const N = 1000
 	fresh, inPlace := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
-	want := WithoutReplacement(fresh, N, 10)
-	got := slices.Clone(want)
+	sample := WithoutReplacement(fresh, N, 10)
 	WithoutReplacement(inPlace, N, 10)
-	takenA, takenB := Members(N, want), Members(N, got)
-	var settled *int
-	for _, m := range []int{10, 480, 100, 50, 200, 100, 50} {
-		want = Grow(fresh, N, takenA, slices.Clip(want), m)
-		got = Grow(inPlace, N, takenB, got, m)
-		if !slices.Equal(got, want) {
-			t.Fatalf("m=%d: grown in place %v, from a copy %v", m, got, want)
+	d := NewDraw(N, sample)
+	taken := map[int]bool{}
+	for _, i := range sample {
+		taken[i] = true
+	}
+	var rest []int // the model's complement, listed by its first dense round
+	var listed *int32
+	for _, m := range []int{10, 200, 280, 100, 50, 200, 100, 50} {
+		n := len(taken)
+		var want []int
+		switch {
+		case rest == nil && (n+m)*2 < N:
+			for len(want) < m {
+				if c := fresh.Intn(N); !taken[c] {
+					taken[c] = true
+					want = append(want, c)
+				}
+			}
+		default:
+			if rest == nil {
+				for i := 0; i < N; i++ {
+					if !taken[i] {
+						rest = append(rest, i)
+					}
+				}
+			}
+			if m < len(rest) {
+				for i := 0; i < m; i++ {
+					j := i + fresh.Intn(len(rest)-i)
+					rest[i], rest[j] = rest[j], rest[i]
+				}
+			}
+			want, rest = rest[:m], rest[m:]
+			for _, c := range want {
+				taken[c] = true
+			}
 		}
-		if settled != nil && &got[0] != settled {
-			t.Errorf("m=%d: the list moved after the complement was laid out in it", m)
+		got := d.Next(inPlace, m)
+		if len(got) != len(want) {
+			t.Fatalf("m=%d: drew %d", m, len(got))
 		}
-		if len(got)*2 >= N {
-			settled = &got[0]
+		for i := range got {
+			if int(got[i]) != want[i] {
+				t.Fatalf("m=%d: drew %v, model %v", m, got, want)
+			}
+		}
+		if d.rest != nil {
+			if listed != nil && &d.rest[0] != listed {
+				t.Errorf("m=%d: the complement was listed again or moved", m)
+			}
+			listed = &d.rest[0]
 		}
 	}
-	if len(got) != N || fresh.Int63() != inPlace.Int63() {
-		t.Errorf("grew to %d of %d, or the rng diverged", len(got), N)
+	if d.Len() != N || len(taken) != N || fresh.Int63() != inPlace.Int63() {
+		t.Errorf("grew to %d of %d, or the rng diverged", d.Len(), N)
+	}
+}
+
+// TestDrawUniformAcrossRegimes draws a sample of 1 from N = 7 and grows
+// it by 1 (rejection), 3 (the first dense round: the complement is
+// listed), 1 (a shuffle of what is left) and 1 (the census): after every
+// round each subset of the sample's size must be equally likely, every
+// one of them must occur, and the census must be [0, N).
+func TestDrawUniformAcrossRegimes(t *testing.T) {
+	const N, trials = 7, 70000
+	rounds := []int{1, 3, 1, 1}
+	counts := make([]map[string]int, len(rounds))
+	for r := range counts {
+		counts[r] = map[string]int{}
+	}
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < trials; i++ {
+		sample := WithoutReplacement(rng, N, 1)
+		d := NewDraw(N, sample)
+		for r, m := range rounds {
+			for _, id := range d.Next(rng, m) {
+				sample = append(sample, int(id))
+			}
+			key := slices.Clone(sample)
+			sort.Ints(key)
+			counts[r][subsetKey(key)]++
+		}
+	}
+	n := 1
+	for r, m := range rounds {
+		n += m
+		nsub := choose(N, n)
+		if len(counts[r]) != nsub {
+			t.Fatalf("round %d (n=%d): saw %d subsets, want %d", r+1, n, len(counts[r]), nsub)
+		}
+		p := 1 / float64(nsub)
+		want, sigma := trials*p, math.Sqrt(trials*p*(1-p))
+		for k, c := range counts[r] {
+			if math.Abs(float64(c)-want) > 6*sigma {
+				t.Errorf("round %d subset %s: %d, want %.0f±%.0f", r+1, k, c, want, 6*sigma)
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"sort"
 )
 
@@ -12,66 +11,41 @@ import (
 // from [0, N) — SRSWOR, the sampling design all of the paper's estimators
 // assume. Every size-n subset is equally likely. The returned slice is in
 // ascending order. It panics if n < 0 or n > N.
+//
+// It picks between Floyd's algorithm, for n·3 < N — for j = N−n … N−1
+// draw t ∈ [0, j] and take t, or j when t is taken: n draws and no list
+// of N — and a partial Fisher–Yates shuffle of [0, N) otherwise, so that
+// both n ≪ N and n ≈ N are efficient.
 func WithoutReplacement(rng *rand.Rand, N, n int) []int {
 	if n < 0 || n > N {
 		panic(fmt.Sprintf("sampling: WithoutReplacement(N=%d, n=%d) out of range", N, n))
 	}
-	out := pick(rng, N, nil, n, make([]uint64, (N+63)>>6))
-	sort.Ints(out)
-	countDraw(n)
-	return out
-}
-
-// pick draws m distinct entries of ids (of [0, C) itself when ids is nil)
-// uniformly, sets their bits in taken, where none is set yet, and returns
-// them in draw order. It picks between Floyd's algorithm, for m·3 < C —
-// for j = C−m … C−1 draw t ∈ [0, j] and take entry t, or entry j when t's
-// is taken: m draws and no list of C — and a partial Fisher–Yates shuffle
-// of ids (built when nil) otherwise, so that both m ≪ C and m ≈ C are
-// efficient.
-func pick(rng *rand.Rand, C int, ids []int, m int, taken []uint64) []int {
-	if m*3 < C {
-		entry := func(t int) int {
-			if ids == nil {
-				return t
-			}
-			return ids[t]
-		}
-		out := make([]int, 0, m)
-		for j := C - m; j < C; j++ {
-			c := entry(rng.Intn(j + 1))
+	var out []int
+	if n*3 < N {
+		taken := make([]uint64, (N+63)>>6)
+		out = make([]int, 0, n)
+		for j := N - n; j < N; j++ {
+			c := rng.Intn(j + 1)
 			if !setBit(taken, c) {
-				c = entry(j)
+				c = j
 				setBit(taken, c)
 			}
 			out = append(out, c)
 		}
-		return out
-	}
-	if ids == nil {
-		ids = make([]int, C)
-		for i := range ids {
-			ids[i] = i
+	} else {
+		out = make([]int, N)
+		for i := range out {
+			out[i] = i
 		}
-	}
-	for i := 0; i < m; i++ {
-		j := i + rng.Intn(C-i)
-		ids[i], ids[j] = ids[j], ids[i]
-		setBit(taken, ids[i])
-	}
-	return ids[:m:m]
-}
-
-// Members returns the membership bitset of a sample of [0, N): bit i&63 of
-// word i>>6 is set for every i in ids. It panics on a duplicate.
-func Members(N int, ids []int) []uint64 {
-	taken := make([]uint64, (N+63)>>6)
-	for _, i := range ids {
-		if !setBit(taken, i) {
-			panic("sampling: sample has duplicate indices")
+		for i := 0; i < n; i++ {
+			j := i + rng.Intn(N-i)
+			out[i], out[j] = out[j], out[i]
 		}
+		out = out[:n:n]
 	}
-	return taken
+	sort.Ints(out)
+	countDraw(n)
+	return out
 }
 
 // setBit sets bit i of b and reports whether it was clear.
@@ -82,45 +56,91 @@ func setBit(b []uint64, i int) bool {
 	return was == 0
 }
 
-// Grow enlarges an SRSWOR sample of [0, N), listed in units and held in
-// the membership bitset taken (Members), by m more indices drawn uniformly
-// from the complement: it sets their bits and returns units with them
-// appended in draw order, as append does. The combined sample is
-// distributed exactly as a fresh SRSWOR sample of size len(units)+m
-// (sequential double sampling relies on this). Rejection sampling serves
-// while the sample stays under half of N; past that, m entries of the
-// ascending complement are picked with the rng calls WithoutReplacement
-// over it would make, minus its sort. The complement list is laid out in
-// units' spare room, grown to N when short, so a sample grown round after
-// round builds it without allocating again. It panics if the extension is
-// impossible.
-func Grow(rng *rand.Rand, N int, taken []uint64, units []int, m int) []int {
-	n := len(units)
-	if m < 0 || n+m > N {
-		panic(fmt.Sprintf("sampling: Grow(N=%d, n=%d, m=%d) out of range", N, n, m))
+// Draw is the state of an SRSWOR sample of [0, N) that grows round by
+// round: what one sequential or deadline request keeps per relation for
+// its whole life, so that no round rebuilds what an earlier one built.
+// Each round (Next) adds m indices drawn uniformly from the unsampled
+// ones, so after every round the sample is distributed exactly as a fresh
+// SRSWOR sample of its size (sequential double sampling relies on this).
+//
+// A round draws by rejection while the sample it leaves stays under half
+// of N: an index drawn from [0, N) is kept unless the membership bitset
+// already holds it. The first round that would pass half of N lists the
+// unsampled indices once, ascending, and drops the bitset; that round and
+// every later one is a partial Fisher–Yates shuffle of what is left of
+// the list, whose next m entries are the round's draw: one rng call per
+// index, and no rebuild. A round that takes every index left — the census
+// — makes no rng call at all. N must be below 2^31.
+type Draw struct {
+	N, n int
+	// taken is the sample's membership bitset while the draw rejects;
+	// nil once rest is listed.
+	taken []uint64
+	// rest is the complement as the first dense round listed it: rest[:k]
+	// have been drawn since, rest[k:] are the indices still unsampled.
+	rest []int32
+	k    int
+	// buf holds a rejection round's draws.
+	buf []int32
+}
+
+// NewDraw returns the draw state of the sample of [0, N) that ids lists.
+// It panics on a duplicate index or one outside [0, N).
+func NewDraw(N int, ids []int) *Draw {
+	d := &Draw{N: N, n: len(ids), taken: make([]uint64, (N+63)>>6)}
+	for _, i := range ids {
+		if i < 0 || i >= N || !setBit(d.taken, i) {
+			panic(fmt.Sprintf("sampling: sample of [0, %d) has index %d twice or out of range", N, i))
+		}
 	}
-	if (n+m)*2 < N {
-		for len(units) < n+m {
-			if c := rng.Intn(N); setBit(taken, c) {
-				units = append(units, c)
+	return d
+}
+
+// Len returns the number of indices sampled so far.
+func (d *Draw) Len() int { return d.n }
+
+// Next grows the sample by m indices and returns them in draw order (see
+// Draw). The slice is the draw's own: it must not be modified, and it is
+// valid only until the next call. It panics if the sample cannot grow by
+// m.
+func (d *Draw) Next(rng *rand.Rand, m int) []int32 {
+	if m < 0 || d.n+m > d.N {
+		panic(fmt.Sprintf("sampling: Draw.Next(m=%d) of a sample of %d from [0, %d)", m, d.n, d.N))
+	}
+	if m == 0 {
+		return nil
+	}
+	countDraw(m)
+	d.n += m
+	if d.rest == nil && d.n*2 < d.N {
+		out := d.buf[:0]
+		for len(out) < m {
+			if c := rng.Intn(d.N); setBit(d.taken, c) {
+				out = append(out, int32(c))
 			}
 		}
-	} else if m > 0 {
-		units = slices.Grow(units, N-n)
-		complement := units[n:n]
-		for w, word := range taken {
+		d.buf = out
+		return out
+	}
+	if d.rest == nil {
+		d.rest = make([]int32, 0, d.N-d.n+m)
+		for w, word := range d.taken {
 			for free := ^word; free != 0; free &= free - 1 {
-				if i := w<<6 + bits.TrailingZeros64(free); i < N {
-					complement = append(complement, i)
+				if i := w<<6 + bits.TrailingZeros64(free); i < d.N {
+					d.rest = append(d.rest, int32(i))
 				}
 			}
 		}
-		// A shuffle leaves its draws at the head of the complement, where
-		// they already sit behind units; Floyd's come in a list of their own.
-		units = append(units, pick(rng, len(complement), complement, m, taken)...)
+		d.taken, d.buf = nil, nil
 	}
-	countDraw(m)
-	return units
+	from, rest := d.k, d.rest
+	if d.k += m; d.k < len(rest) {
+		for i := from; i < d.k; i++ {
+			j := i + rng.Intn(len(rest)-i)
+			rest[i], rest[j] = rest[j], rest[i]
+		}
+	}
+	return rest[from:d.k:d.k]
 }
 
 // Shuffle permutes xs in place (Fisher–Yates).

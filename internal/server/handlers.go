@@ -284,8 +284,11 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := entry.apply(s.reg, name, req); err != nil {
 		status := http.StatusBadRequest
-		if errors.Is(err, estimator.ErrRefusedEvent) {
+		switch {
+		case errors.Is(err, estimator.ErrRefusedEvent):
 			status = http.StatusConflict
+		case errors.Is(err, errStreamLog):
+			status = http.StatusInternalServerError
 		}
 		_ = WriteError(w, status, err.Error())
 		return
@@ -580,7 +583,7 @@ func (s *Server) doEstimate(ctx context.Context, req EstimateRequest) (int, any)
 			return schemas, 0, ""
 		}
 		var err error
-		if syn, err = s.reg.estimationSynopsis(synopsis, entry, mode); err != nil {
+		if syn, err = s.reg.estimationSynopsis(synopsis, entry); err != nil {
 			return nil, http.StatusBadRequest, err.Error()
 		}
 		return synopsisSchemas{syn}, 0, ""

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
 	"testing"
 	"time"
 )
@@ -367,5 +368,68 @@ func TestReplayAppliesLoggedContractBreaks(t *testing.T) {
 		if status, raw := postJSON(t, baseB+"/v1/synopses/live/stream", c.ev); status != c.want {
 			t.Errorf("live %s %v after the restart: %d %s, want %d", c.ev.Op, c.ev.Tuple, status, raw, c.want)
 		}
+	}
+}
+
+// TestStreamLogFailureLeavesEventUnapplied injects a stream log append
+// failure: the log's file is swapped for a read-only handle, so the next
+// event cannot be logged. The event's reply is an error, the synopsis in
+// memory is what it was before the event, and a restart, which replays
+// the log, restores exactly that state: no answer reflects an event the
+// log lost.
+func TestStreamLogFailureLeavesEventUnapplied(t *testing.T) {
+	dir := t.TempDir()
+	srv, baseA, stopA := startSnapServer(t, dir)
+	setupDataset(t, baseA, 500, 50)
+	status, raw := postJSON(t, baseA+"/v1/synopses/live", SynopsisRequest{
+		Kind: "incremental", Relations: map[string]int{"R1": 0}, Seed: 11, Capacity: 16,
+	})
+	if status != http.StatusCreated {
+		t.Fatalf("create live: %d %s", status, raw)
+	}
+	streamEvents(t, baseA, 0, 20)
+	liveReq := EstimateRequest{Query: "count(R1)", Synopsis: "live", Seed: 3}
+	status, before := postJSON(t, baseA+"/v1/estimate", liveReq)
+	if status != http.StatusOK {
+		t.Fatalf("estimate: %d %s", status, before)
+	}
+	infoBefore := synInfos(t, baseA)["live"]
+
+	wal := srv.reg.wal
+	wal.mu.Lock()
+	if err := wal.f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := os.Open(walPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal.f, wal.enc = ro, json.NewEncoder(ro)
+	wal.mu.Unlock()
+	for _, ev := range []StreamRequest{
+		{Op: "insert", Relation: "R1", Tuple: []string{"3", "777777"}},
+		{Op: "insert", Relation: "R1", Tuple: []string{"4", "777778"}},
+		{Op: "delete", Relation: "R1", Tuple: []string{"0", "100000"}},
+	} {
+		if status, raw := postJSON(t, baseA+"/v1/synopses/live/stream", ev); status != http.StatusInternalServerError {
+			t.Fatalf("%s with the log failing: %d %s, want 500", ev.Op, status, raw)
+		}
+	}
+	status, after := postJSON(t, baseA+"/v1/estimate", liveReq)
+	if status != http.StatusOK || !bytes.Equal(after, before) {
+		t.Errorf("estimate after the failed appends: %d %s, was %s", status, after, before)
+	}
+	if info := synInfos(t, baseA)["live"]; fmt.Sprint(info) != fmt.Sprint(infoBefore) {
+		t.Errorf("synopsis after the failed appends: %+v, was %+v", info, infoBefore)
+	}
+	stopA()
+
+	_, baseB, _ := startSnapServer(t, dir)
+	if info := synInfos(t, baseB)["live"]; fmt.Sprint(info) != fmt.Sprint(infoBefore) {
+		t.Errorf("synopsis replayed from the log: %+v, in memory %+v", info, infoBefore)
+	}
+	status, replayed := postJSON(t, baseB+"/v1/estimate", liveReq)
+	if status != http.StatusOK || !bytes.Equal(replayed, before) {
+		t.Errorf("estimate replayed from the log: %d %s, in memory %s", status, replayed, before)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -485,7 +486,10 @@ func (e *synopsisEntry) info(name string) SynopsisInfo {
 // apply feeds one stream event to an incremental synopsis, appending it
 // to the WAL (when persistence is on) inside the same critical section,
 // so the log order matches the application order per synopsis and a
-// replay reconstructs the identical reservoir state.
+// replay reconstructs the identical reservoir state. The event is checked
+// (Incremental.CheckInsert, CheckDelete: no generator draw) and logged
+// before it is applied, so an error reply always leaves it absent, in
+// memory now and after a restart.
 func (e *synopsisEntry) apply(reg *registry, name string, req StreamRequest) error {
 	if e.inc == nil {
 		return fmt.Errorf("synopsis is %s; stream updates need kind incremental", e.kind)
@@ -515,41 +519,49 @@ func (e *synopsisEntry) apply(reg *registry, name string, req StreamRequest) err
 	reg.touch(e)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	insert, del := e.inc.Insert, e.inc.Delete
-	if reg.replaying {
-		// A logged event was acknowledged: replay it as it was applied,
-		// even one that a log written before the stream contract checks
-		// holds and Insert or Delete would now refuse.
-		insert, del = e.inc.ReplayInsert, e.inc.ReplayDelete
-	}
-	var err error
+	var check, do func(string, relation.Tuple) error
 	switch req.Op {
 	case "insert":
-		err = insert(req.Relation, tup)
+		check, do = e.inc.CheckInsert, e.inc.Insert
+		if reg.replaying {
+			do = e.inc.ReplayInsert
+		}
 	case "delete":
-		err = del(req.Relation, tup)
+		check, do = e.inc.CheckDelete, e.inc.Delete
+		if reg.replaying {
+			do = e.inc.ReplayDelete
+		}
 	default:
 		return fmt.Errorf("unknown op %q (want insert or delete)", req.Op)
 	}
-	if err != nil {
-		return err
-	}
+	// A replayed event was acknowledged: it is applied as it was, even one
+	// that a log written before the stream contract checks holds and
+	// Insert or Delete would now refuse, and it is not logged again.
 	if reg.wal != nil && !reg.replaying {
+		if err := check(req.Relation, tup); err != nil {
+			return err
+		}
 		if werr := reg.wal.append(walEvent{Synopsis: name, Op: req.Op, Relation: req.Relation, Tuple: req.Tuple}); werr != nil {
-			return fmt.Errorf("appending stream log: %v", werr)
+			return fmt.Errorf("%w: %v", errStreamLog, werr)
 		}
 		reg.rec.Add(mWALEvents, 1)
 	}
-	return nil
+	// Under e.mu nothing moved since the check, so an event it passed
+	// applies.
+	return do(req.Relation, tup)
 }
+
+// errStreamLog reports a stream event the stream log could not append:
+// the event was not applied.
+var errStreamLog = errors.New("appending stream log")
 
 // estimationSynopsis resolves the static synopsis an estimate should run
 // over, transparently rebuilding an evicted entry from its spec first.
-// Plain estimates share the stored synopsis (estimation is read-only);
-// sequential and deadline modes get a private clone because they extend
-// samples in place. Incremental entries go through incrementalSchemas and
-// incrementalSnapshot instead.
-func (reg *registry) estimationSynopsis(name string, e *synopsisEntry, mode string) (*estimator.Synopsis, error) {
+// Every mode shares the stored synopsis: estimation only reads it, and a
+// sequential or deadline request grows samples of its own
+// (estimator.DeadlineCountContext). Incremental entries go through
+// incrementalSchemas and incrementalSnapshot instead.
+func (reg *registry) estimationSynopsis(name string, e *synopsisEntry) (*estimator.Synopsis, error) {
 	reg.touch(e)
 	e.mu.Lock()
 	for e.evicted {
@@ -581,10 +593,7 @@ func (reg *registry) estimationSynopsis(name string, e *synopsisEntry, mode stri
 		// lock, so the estimate below always reads a resident sample.
 	}
 	defer e.mu.Unlock()
-	if mode == "plain" {
-		return e.static, nil
-	}
-	return e.static.Clone(), nil
+	return e.static, nil
 }
 
 // incrementalSchemas resolves an incremental entry's schemas for an

@@ -67,7 +67,7 @@ func TestZipfRelation(t *testing.T) {
 	if r.Len() != 2000 {
 		t.Fatalf("len %d", r.Len())
 	}
-	if !r.IsSet() {
+	if !r.RowsDistinct(r.Len()) {
 		t.Error("generated relation has duplicate tuples (ids should be unique)")
 	}
 	// All values within the domain.
@@ -134,7 +134,7 @@ func TestClusteredPair(t *testing.T) {
 	if r1.Len() != 5000 || r2.Len() != 4000 {
 		t.Fatalf("sizes %d/%d", r1.Len(), r2.Len())
 	}
-	if !r1.IsSet() || !r2.IsSet() {
+	if !r1.RowsDistinct(r1.Len()) || !r2.RowsDistinct(r2.Len()) {
 		t.Error("clustered relations must be duplicate-free")
 	}
 	// Clustering: the number of distinct values should be well below the
@@ -180,7 +180,7 @@ func TestCompany(t *testing.T) {
 		}
 		return true
 	})
-	if !emp.IsSet() || !dept.IsSet() {
+	if !emp.RowsDistinct(emp.Len()) || !dept.RowsDistinct(dept.Len()) {
 		t.Error("company relations must be duplicate-free")
 	}
 }

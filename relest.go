@@ -384,7 +384,8 @@ func Distinct(syn *Synopsis, relName string, cols []string, method DistinctMetho
 // error under a context: cancellation is polled before each phase and a
 // cancelled run returns a non-nil error, never a partial result. Sample
 // extensions draw from opts.RNG, or a generator seeded with opts.Seed
-// when RNG is nil.
+// when RNG is nil. The synopsis is only read: the run grows samples of its
+// own, and SampleSizes reports how far.
 func SequentialCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts SequentialOptions) (SequentialResult, error) {
 	return estimator.SequentialCountContext(ctx, e, syn, opts)
 }
@@ -394,7 +395,9 @@ func SequentialCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts Se
 // normal path (the running round completes and its estimate is returned);
 // context cancellation aborts between sampling rounds with a non-nil
 // error and no partial estimate. Servers map a request's deadline to
-// opts.Budget and its cancellation to ctx.
+// opts.Budget and its cancellation to ctx. The synopsis is only read: the
+// run grows samples of its own, and each DeadlineStep reports their sizes,
+// so concurrent runs may share one synopsis.
 func DeadlineCountContext(ctx context.Context, e *Expr, syn *Synopsis, opts DeadlineOptions) (Estimate, []DeadlineStep, error) {
 	return estimator.DeadlineCountContext(ctx, e, syn, opts)
 }
