@@ -200,6 +200,7 @@ func varianceBenchSynopsis(b *testing.B, seed int64) (*relest.Expr, *relest.Syno
 // benchCountVariance measures a full estimate (point + variance) with the
 // given method and worker bound.
 func benchCountVariance(b *testing.B, method relest.VarianceMethod, workers int) {
+	b.ReportAllocs()
 	e, syn := varianceBenchSynopsis(b, 6)
 	opts := relest.Options{Variance: method, Seed: 42, Workers: workers}
 	b.ResetTimer()
@@ -218,8 +219,9 @@ func BenchmarkJackknifeVariance(b *testing.B) {
 	b.Run("parallel", func(b *testing.B) { benchCountVariance(b, relest.VarJackknife, 0) })
 }
 
-// BenchmarkSplitSampleVariance measures the g=8 replicate method; the
-// parallel variant fans the replicates across workers.
+// BenchmarkSplitSampleVariance measures the g=8 split-sample method, one
+// labelled pass per term; the parallel variant fans a pass that
+// enumerates across its groups' parts (this join tallies, serially).
 func BenchmarkSplitSampleVariance(b *testing.B) {
 	b.Run("serial", func(b *testing.B) { benchCountVariance(b, relest.VarSplitSample, 1) })
 	b.Run("parallel", func(b *testing.B) { benchCountVariance(b, relest.VarSplitSample, 0) })

@@ -76,7 +76,7 @@ func enumeratedPairMoments(pt *PreparedTerm) PairMoments {
 	for _, st := range p.steps[:2] {
 		per[st.occ] = make([]float64, p.inst[st.occ].Len())
 	}
-	p.enumerate(0, 1, 2, func(rows []int) bool {
+	p.enumerate(p.newEval(), 0, 1, 2, func(rows []int) bool {
 		ref.SumY2++
 		for _, st := range p.steps[:2] {
 			per[st.occ][rows[st.occ]]++

@@ -45,10 +45,8 @@ import (
 // enumeration that reads them (a sample view keeps its codes in a
 // synopsis's domain across plans), and every evaluation carries its own
 // scratch state (termEval), so one plan can serve any number of
-// concurrent evaluations. Split-sample replicates are not compiled:
-// PreparedTerm.Split restricts a compiled plan to each replicate's rows
-// by partitioning its candidate lists, and a replicate that enumerates
-// splits the full plan's index on first use.
+// concurrent evaluations. Split-sample replicates are not compiled either:
+// PreparedTerm.Label reads the full plan once for every group (Labelled).
 
 // Instances carries one relation instance per occurrence of a term,
 // positionally aligned with Term.Occs. All occurrences of the same base
@@ -90,11 +88,6 @@ type termPlan struct {
 	term *Term
 	inst Instances
 
-	// keys is the domain the plan codes its join keys in, and coded the
-	// code vectors compile took from it (keyCoder), which Split reuses.
-	keys  *relation.KeyDomain
-	coded []codedKey
-
 	order []int   // plan position → occurrence index
 	pos   []int   // occurrence index → plan position
 	cand  [][]int // per occurrence: candidate rows after local preds and intra-occurrence equalities
@@ -113,7 +106,7 @@ type termPlan struct {
 
 	// weight is a weighted term's row weight (Term.Weight) over every row
 	// of its occurrence's instance, computed once at compile; nil for an
-	// unweighted term. Split's replicates share it.
+	// unweighted term.
 	weight []float64
 }
 
@@ -137,9 +130,6 @@ type planStep struct {
 	checks []codeCheck
 	// preds to evaluate once this step's occurrence is bound.
 	preds []TermPred
-	// independent marks a tail step with no constraints at or after it;
-	// counting mode multiplies by len(cand) instead of recursing.
-	independent bool
 }
 
 // codeCheck is one equality a keyed step checks after its probe: the code
@@ -167,37 +157,21 @@ func (s *stepIndex) get() *relation.Index {
 	return s.ix
 }
 
-// keyCoder hands out the code vectors a plan joins on, coded in one domain
-// (relation.Relation.KeyCodes), each (instance, columns) pair once: a
-// self-join over a base relation codes its key once, and Split reuses the
-// vectors compile took.
-type keyCoder struct {
-	keys *relation.KeyDomain
-	done []codedKey
-}
-
-// codedKey is one code vector a keyCoder handed out.
-type codedKey struct {
-	rel   *relation.Relation
-	cols  []int
-	codes []int32
-}
-
-// codes returns the codes of r's cells on cols.
-func (kc *keyCoder) codes(r *relation.Relation, cols []int) []int32 {
-	for _, c := range kc.done {
-		if c.rel == r && slices.Equal(c.cols, cols) {
-			return c.codes
-		}
-	}
-	codes := r.KeyCodes(cols, kc.keys)
-	kc.done = append(kc.done, codedKey{rel: r, cols: cols, codes: codes})
-	return codes
-}
-
 // compile builds the evaluation plan over the instances, coding its join
-// keys in the domain keys: the candidate lists, then planOver, whose keyed
-// steps index their candidates by code on first use.
+// keys in the domain keys: every occurrence's candidate rows (the instance
+// rows, ascending, that pass its local predicates and intra-occurrence
+// equalities), the greedy join order chosen from their sizes, the
+// constraints assigned to steps, each keyed step's code vectors and its
+// index of its candidates by code on first use (stepIndex), and the folded
+// tail. Candidate lists are ascending, so bucket rows keep ascending
+// (enumeration) order.
+//
+// A step's equalities to bound occurrences key its index when they all
+// reach one occurrence, on the tuple of their columns. When they reach
+// several, the equalities to the first one reached key the index and the
+// rest are checked per candidate (codeCheck): the rows that pass are the
+// rows a composite index over every equality would list, in the same
+// ascending order.
 func compile(t *Term, inst Instances, keys *relation.KeyDomain) (*termPlan, error) {
 	if len(inst) != len(t.Occs) {
 		return nil, fmt.Errorf("algebra: term has %d occurrences, got %d instances", len(t.Occs), len(inst))
@@ -208,80 +182,33 @@ func compile(t *Term, inst Instances, keys *relation.KeyDomain) (*termPlan, erro
 				i, r.Schema(), t.Occs[i].Schema)
 		}
 	}
-	cand := candidates(t, inst)
-	kc := &keyCoder{keys: keys}
-	p := planOver(t, inst, cand, kc, func(occ int, _ []int, codes []int32) *relation.Index {
-		return relation.NewIndex(codes, cand[occ])
-	})
-	p.keys, p.coded = keys, slices.Clip(kc.done)
-	if w := t.Weight; w != nil {
-		p.weight = w.rows(inst[w.Occ], cand[w.Occ])
-	}
-	return p, nil
-}
-
-// candidates returns every occurrence's candidate rows: the instance rows,
-// ascending, that pass its local predicates and intra-occurrence
-// equalities.
-func candidates(t *Term, inst Instances) [][]int {
 	intraEqs := intraEqualities(t)
 	cand := make([][]int, len(t.Occs))
 	for i, r := range inst {
 		cand[i] = occCandidates(t, i, intraEqs[i], r, 0, nil)
 	}
-	return cand
-}
-
-// intraEqualities lists, per occurrence, the term's equalities between
-// two of its own columns.
-func intraEqualities(t *Term) [][]EqCol {
-	intraEqs := make([][]EqCol, len(t.Occs))
-	for _, eq := range t.Eqs {
-		if eq.A.Occ == eq.B.Occ {
-			intraEqs[eq.A.Occ] = append(intraEqs[eq.A.Occ], eq)
-		}
-	}
-	return intraEqs
-}
-
-// occCandidates returns the rows of r from row from on, ascending, that
-// pass occurrence occ's local predicates and its intra-occurrence
-// equalities intraEqs, in buf's storage when it has the room.
-func occCandidates(t *Term, occ int, intraEqs []EqCol, r *relation.Relation, from int, buf []int) []int {
-	rows := buf[:0]
-	if cap(rows) < r.Len()-from {
-		rows = make([]int, 0, r.Len()-from)
-	}
-	for row := from; row < r.Len(); row++ {
-		rows = append(rows, row)
-	}
-	for _, lp := range t.Occs[occ].LocalPreds {
-		rows = lp(r, rows)
-	}
-	for _, eq := range intraEqs {
-		rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
-	}
-	return rows
-}
-
-// planOver plans the term over fixed candidate lists: the greedy join
-// order chosen from their sizes, the constraints assigned to steps, each
-// keyed step's code vectors from kc and its index from
-// indexFor(occurrence, key columns, key codes) on first use (stepIndex),
-// and the folded tail. Candidate lists must be ascending, so bucket rows
-// keep ascending (enumeration) order. compile and Split both plan through
-// it, so a replicate plan orders its steps exactly as a compile over the
-// replicate's own rows would.
-//
-// A step's equalities to bound occurrences key its index when they all
-// reach one occurrence, on the tuple of their columns. When they reach
-// several, the equalities to the first one reached key the index and the
-// rest are checked per candidate (codeCheck): the rows that pass are the
-// rows a composite index over every equality would list, in the same
-// ascending order.
-func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func(occ int, keyCols []int, codes []int32) *relation.Index) *termPlan {
-	m := len(t.Occs)
 	p := &termPlan{term: t, inst: inst, cand: cand}
+	if w := t.Weight; w != nil {
+		p.weight = w.rows(inst[w.Occ], cand[w.Occ])
+	}
+	m := len(t.Occs)
+	// codes codes r's cells on cols once per (instance, columns): a
+	// self-join over a base relation codes its key once.
+	type coded struct {
+		r     *relation.Relation
+		cols  []int
+		codes []int32
+	}
+	var done []coded
+	codes := func(r *relation.Relation, cols []int) []int32 {
+		for _, c := range done {
+			if c.r == r && slices.Equal(c.cols, cols) {
+				return c.codes
+			}
+		}
+		done = append(done, coded{r, cols, r.KeyCodes(cols, keys)})
+		return done[len(done)-1].codes
+	}
 	var crossEqs []EqCol
 	for _, eq := range t.Eqs {
 		if eq.A.Occ != eq.B.Occ {
@@ -348,8 +275,8 @@ func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func
 		}
 		st.checks = append(st.checks, codeCheck{
 			occ:   b.Occ,
-			own:   kc.codes(inst[a.Occ], []int{a.Col}),
-			other: kc.codes(inst[b.Occ], []int{b.Col}),
+			own:   codes(inst[a.Occ], []int{a.Col}),
+			other: codes(inst[b.Occ], []int{b.Col}),
 		})
 	}
 	for _, pr := range t.Preds {
@@ -365,10 +292,10 @@ func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func
 	for k := range p.steps {
 		st := &p.steps[k]
 		if len(st.keyCols) > 0 {
-			st.probe = kc.codes(inst[st.probeOcc], probeCols[k])
-			st.codes = kc.codes(inst[st.occ], st.keyCols)
-			occ, keyCols, codes := st.occ, st.keyCols, st.codes
-			st.index = &stepIndex{build: func() *relation.Index { return indexFor(occ, keyCols, codes) }}
+			st.probe = codes(inst[st.probeOcc], probeCols[k])
+			st.codes = codes(inst[st.occ], st.keyCols)
+			rows, vec := cand[st.occ], st.codes
+			st.index = &stepIndex{build: func() *relation.Index { return relation.NewIndex(vec, rows) }}
 		}
 	}
 	p.enumUpto = m
@@ -376,14 +303,45 @@ func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func
 	for k := m - 1; k >= 0; k-- {
 		st := &p.steps[k]
 		if len(st.keyCols) == 0 && len(st.preds) == 0 {
-			st.independent = true
 			p.tailFactor *= float64(len(p.cand[st.occ]))
 			p.enumUpto = k
 		} else {
 			break
 		}
 	}
-	return p
+	return p, nil
+}
+
+// intraEqualities lists, per occurrence, the term's equalities between
+// two of its own columns.
+func intraEqualities(t *Term) [][]EqCol {
+	intraEqs := make([][]EqCol, len(t.Occs))
+	for _, eq := range t.Eqs {
+		if eq.A.Occ == eq.B.Occ {
+			intraEqs[eq.A.Occ] = append(intraEqs[eq.A.Occ], eq)
+		}
+	}
+	return intraEqs
+}
+
+// occCandidates returns the rows of r from row from on, ascending, that
+// pass occurrence occ's local predicates and its intra-occurrence
+// equalities intraEqs, in buf's storage when it has the room.
+func occCandidates(t *Term, occ int, intraEqs []EqCol, r *relation.Relation, from int, buf []int) []int {
+	rows := buf[:0]
+	if cap(rows) < r.Len()-from {
+		rows = make([]int, 0, r.Len()-from)
+	}
+	for row := from; row < r.Len(); row++ {
+		rows = append(rows, row)
+	}
+	for _, lp := range t.Occs[occ].LocalPreds {
+		rows = lp(r, rows)
+	}
+	for _, eq := range intraEqs {
+		rows = r.FilterEqual(rows, eq.A.Col, eq.B.Col)
+	}
+	return rows
 }
 
 // termEval is the per-evaluation scratch over an immutable plan: the
@@ -391,11 +349,14 @@ func planOver(t *Term, inst Instances, cand [][]int, kc *keyCoder, indexFor func
 // from) and the rows residual predicates read. Hoisting these out of the
 // innermost enumeration loops removes the per-check allocations, and
 // keeping them off the plan lets concurrent evaluations share one plan
-// safely.
+// safely. An evaluation of group l of a labelled pass (lab non-nil) reads
+// the group's candidates and buckets instead of the plan's.
 type termEval struct {
 	p      *termPlan
 	assign []int
 	rows   []relation.Row
+	lab    *Labelled
+	l      int
 }
 
 func (p *termPlan) newEval() *termEval {
@@ -411,6 +372,9 @@ func (p *termPlan) newEval() *termEval {
 // (allocation-free).
 func (ev *termEval) candidatesAt(k int) []int {
 	st := &ev.p.steps[k]
+	if ev.lab != nil {
+		return ev.lab.candidatesAt(ev, k)
+	}
 	if st.index == nil {
 		return ev.p.cand[st.occ]
 	}
@@ -498,159 +462,6 @@ func (pt *PreparedTerm) Parts() int {
 	return partitionParts
 }
 
-// Partition assigns every row of a term's sample instances to one of g
-// groups — the replicate split of split-sample variance — and memoizes
-// what Split derives from it, so terms sharing an instance share its
-// partitioned candidate lists and split indexes. Split must not run
-// concurrently on one Partition; the plans it derives may, and split
-// their indexes through it under mu, each on the first enumeration that
-// reads one.
-type Partition struct {
-	g      int
-	labels map[*relation.Relation][]int32
-
-	cands map[candKey][][]int
-
-	mu     sync.Mutex
-	splits []splitIndex
-}
-
-// candKey identifies a candidate list: the whole instance or an empty list
-// (first nil, told apart by n), or a filtered list by its backing array.
-type candKey struct {
-	rel   *relation.Relation
-	first *int
-	n     int
-}
-
-// splitIndex is the g parts of one full-candidate index: an instance's
-// candidate list cand keyed on cols, coded in keys. Its buckets are codes
-// of one domain, so only plans coding their keys in it share it.
-type splitIndex struct {
-	keys  *relation.KeyDomain
-	cand  candKey
-	cols  []int
-	parts []*relation.Index
-}
-
-// NewPartition partitions instance rows into g groups by label:
-// labels[r][row] ∈ [0, g) is the group of row `row` of instance r, and
-// every instance a split plan reads must be labelled.
-func NewPartition(g int, labels map[*relation.Relation][]int32) *Partition {
-	return &Partition{
-		g:      g,
-		labels: labels,
-		cands:  make(map[candKey][][]int),
-	}
-}
-
-func keyOf(r *relation.Relation, cand []int) candKey {
-	if len(cand) == 0 || len(cand) == r.Len() {
-		return candKey{rel: r, n: len(cand)}
-	}
-	return candKey{rel: r, first: &cand[0], n: len(cand)}
-}
-
-// candidates partitions a candidate list by label in one pass: part l
-// keeps the rows labelled l, ascending.
-func (pa *Partition) candidates(r *relation.Relation, cand []int) [][]int {
-	if len(cand) == 0 {
-		return make([][]int, pa.g)
-	}
-	key := keyOf(r, cand)
-	if parts, ok := pa.cands[key]; ok {
-		return parts
-	}
-	label := pa.labels[r]
-	count := make([]int, pa.g)
-	for _, row := range cand {
-		count[label[row]]++
-	}
-	backing := make([]int, len(cand))
-	parts := make([][]int, pa.g)
-	off := 0
-	for l, c := range count {
-		parts[l] = backing[off : off : off+c]
-		off += c
-	}
-	for _, row := range cand {
-		l := label[row]
-		parts[l] = append(parts[l], row)
-	}
-	pa.cands[key] = parts
-	return parts
-}
-
-// index returns the g parts of the full-candidate index of occurrence occ
-// of plan p on keyCols, whose codes are codes: split once per Partition
-// for every plan over the same candidates, from p's own index when a step
-// of p holds it, otherwise from one built here.
-func (pa *Partition) index(p *termPlan, occ int, keyCols []int, codes []int32) []*relation.Index {
-	pa.mu.Lock()
-	defer pa.mu.Unlock()
-	r, cand := p.inst[occ], p.cand[occ]
-	key := keyOf(r, cand)
-	for _, s := range pa.splits {
-		if s.keys == p.keys && s.cand == key && slices.Equal(s.cols, keyCols) {
-			return s.parts
-		}
-	}
-	var full *relation.Index
-	for k := range p.steps {
-		if st := &p.steps[k]; st.occ == occ && st.index != nil && slices.Equal(st.keyCols, keyCols) {
-			full = st.index.get()
-			break
-		}
-	}
-	if full == nil {
-		full = relation.NewIndex(codes, cand)
-	}
-	parts := full.Split(pa.labels[r], pa.g)
-	pa.splits = append(pa.splits, splitIndex{keys: p.keys, cand: key, cols: keyCols, parts: parts})
-	return parts
-}
-
-// Split derives the replicate plans of a split-sample variance pass: plan l
-// is this plan restricted to the instance rows labelled l. It reads the
-// same instances, so it reports and enumerates full-instance row
-// positions. Every design lays a replicate's rows out in ascending
-// full-sample order, and candidate lists and index buckets are ascending
-// too, so plan l enumerates exactly the assignments a plan compiled over
-// the group's sub-instances (ascending Subset views) would, in the same
-// order, reading the same cells — every count and sum is bit-identical.
-//
-// Each candidate list is partitioned in one pass; each keyed step's index
-// is a part of the full-candidate index for its occurrence and key
-// columns (relation.Index.Split), never a rebuild, taken on the first
-// enumeration that reads it, so a replicate that only tallies (Pairs)
-// never splits one; keys are the codes this plan holds, or coded in its
-// domain; and the greedy order is re-chosen from the replicate's own
-// candidate counts by the same planOver that compile uses, so a replicate
-// whose order differs from this plan's is planned exactly as an
-// independent compile would plan it.
-func (pt *PreparedTerm) Split(pa *Partition) []*PreparedTerm {
-	p := pt.p
-	kc := &keyCoder{keys: p.keys, done: p.coded}
-	cand := make([][][]int, pa.g) // group → occurrence → rows
-	for l := range cand {
-		cand[l] = make([][]int, len(p.cand))
-	}
-	for occ, rows := range p.cand {
-		for l, part := range pa.candidates(p.inst[occ], rows) {
-			cand[l][occ] = part
-		}
-	}
-	out := make([]*PreparedTerm, pa.g)
-	for l := range out {
-		rp := planOver(p.term, p.inst, cand[l], kc, func(occ int, keyCols []int, codes []int32) *relation.Index {
-			return pa.index(p, occ, keyCols, codes)[l]
-		})
-		rp.weight = p.weight
-		out[l] = &PreparedTerm{p: rp}
-	}
-	return out
-}
-
 // chunk returns the [lo, hi) bounds of chunk part of parts over n rows.
 func chunk(n, part, parts int) (int, int) {
 	return n * part / parts, n * (part + 1) / parts
@@ -676,18 +487,22 @@ func (pt *PreparedTerm) Count() float64 {
 // or residual predicate: the same float the per-candidate sum of 1s would
 // reach, exactly, since every partial count is an integer below 2^53.
 func (pt *PreparedTerm) CountPart(part, parts int) float64 {
-	p := pt.p
+	return pt.p.countPart(pt.p.newEval(), part, parts, pt.p.tailFactor)
+}
+
+// countPart is CountPart on the evaluation ev, whose candidates' folded
+// tail multiplies its count by tail.
+func (p *termPlan) countPart(ev *termEval, part, parts int, tail float64) float64 {
 	//lint:ignore floateq exact sentinel: a zero tail factor means an empty folded tail, so the term contributes nothing
-	if p.tailFactor == 0 {
+	if tail == 0 {
 		return 0
 	}
 	if p.enumUpto == 0 {
 		if part != 0 {
 			return 0
 		}
-		return p.tailFactor
+		return tail
 	}
-	ev := p.newEval()
 	last := p.enumUpto - 1
 	countLast := len(p.steps[last].preds) == 0 && len(p.steps[last].checks) == 0
 	var rec func(k int) float64
@@ -714,7 +529,7 @@ func (pt *PreparedTerm) CountPart(part, parts int) float64 {
 		}
 		return total
 	}
-	return rec(0) * p.tailFactor
+	return rec(0) * tail
 }
 
 // Enumerate invokes visit for every satisfying assignment (rows positionally
@@ -731,14 +546,14 @@ func (pt *PreparedTerm) Enumerate(visit func(rows []int) bool) {
 // is what lets workers enumerate one term concurrently with per-part
 // accumulators.
 func (pt *PreparedTerm) EnumeratePart(part, parts int, visit func(rows []int) bool) {
-	pt.p.enumerate(part, parts, len(pt.p.steps), visit)
+	pt.p.enumerate(pt.p.newEval(), part, parts, len(pt.p.steps), visit)
 }
 
-// enumerate is EnumeratePart over the plan's first upto steps: visit sees
-// every satisfying assignment of those steps' occurrences, and the rows it
-// holds for the other occurrences are meaningless.
-func (p *termPlan) enumerate(part, parts, upto int, visit func(rows []int) bool) {
-	ev := p.newEval()
+// enumerate is EnumeratePart on the evaluation ev over the plan's first
+// upto steps: visit sees every satisfying assignment of those steps'
+// occurrences, and the rows it holds for the other occurrences are
+// meaningless.
+func (p *termPlan) enumerate(ev *termEval, part, parts, upto int, visit func(rows []int) bool) {
 	var rec func(k int) bool
 	rec = func(k int) bool {
 		if k == upto {
@@ -863,17 +678,7 @@ type PairMoments struct {
 func (pt *PreparedTerm) PairMoments(w *RowWeight) (pm, counts PairMoments) {
 	p := pt.p
 	first, second := &p.steps[0], &p.steps[1]
-	var scanW, indexW func(row int) float64
-	if w != nil {
-		switch w.Occ {
-		case first.occ:
-			scanW = w.W
-		case second.occ:
-			indexW = w.W
-		default:
-			panic(fmt.Sprintf("algebra: PairMoments weight on occurrence %d, which the plan does not enumerate", w.Occ))
-		}
-	}
+	scanW, indexW := p.weightSides(w, "PairMoments")
 	//lint:ignore floateq exact sentinel: a zero tail factor means an empty folded tail, so the term has no assignments (Count returns 0 without probing)
 	if p.tailFactor == 0 {
 		counts = PairMoments{SumSq: make([]float64, len(p.inst))}
@@ -968,6 +773,20 @@ func (pt *PreparedTerm) PairMoments(w *RowWeight) (pm, counts PairMoments) {
 	pm = PairMoments{Total: T * p.tailFactor, SumY2: y2, SumSq: make([]float64, len(p.inst))}
 	pm.SumSq[first.occ], pm.SumSq[second.occ] = sa, sb
 	return pm, counts
+}
+
+// weightSides resolves w (nil: none) onto a Pairs plan's scanned first
+// step or its second step, for the caller named who.
+func (p *termPlan) weightSides(w *RowWeight, who string) (scanW, indexW func(row int) float64) {
+	switch {
+	case w == nil:
+		return nil, nil
+	case w.Occ == p.steps[0].occ:
+		return w.W, nil
+	case w.Occ == p.steps[1].occ:
+		return nil, w.W
+	}
+	panic(fmt.Sprintf("algebra: %s weight on occurrence %d, which the plan does not enumerate", who, w.Occ))
 }
 
 // scan hands each part (Parts) of the first step's candidates that pass
@@ -1078,7 +897,7 @@ func (pt *PreparedTerm) enumPrefix(mg *Marginals) int {
 	parts := pt.Parts()
 	for part := 0; part < parts; part++ {
 		n := 0
-		p.enumerate(part, parts, p.enumUpto, func(rows []int) bool {
+		p.enumerate(p.newEval(), part, parts, p.enumUpto, func(rows []int) bool {
 			for _, occ := range p.order[:p.enumUpto] {
 				mg.Rows[occ][rows[occ]] += p.tailFactor
 			}
@@ -1133,8 +952,8 @@ func (pt *PreparedTerm) scanPrefix(mg *Marginals) int {
 // identity: an entry matches the term's pointer and every instance's. One
 // estimate evaluates the same (term, instances) pairs several times — the
 // point estimate, the closed-form variance passes, the jackknife's moment
-// or enumeration pass and the split-sample pass that restricts each plan
-// to its replicates (PreparedTerm.Split) — and the cache makes each pair
+// or enumeration pass and the split-sample pass that reads each plan once
+// for every group (PreparedTerm.Label) — and the cache makes each pair
 // compile exactly once.
 // It is safe for concurrent use; concurrent Prepare calls for the same
 // pair compile once and share the plan.

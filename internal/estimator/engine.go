@@ -15,9 +15,10 @@ import (
 // (point estimate plus variance; Avg's SUM and COUNT share one). It
 // couples a plan cache — compiled term plans keyed by (term, instance
 // identity), so the point estimate, the closed-form and jackknife
-// variance passes and the split-sample replicates (whose plans restrict
-// the cached ones to their rows) share one compilation — with the
-// resolved worker count for the call's parallel fan-outs.
+// variance passes and the split-sample pass (which reads each cached plan
+// once for every group, algebra.PreparedTerm.Label) share one
+// compilation — with the resolved worker count for the call's parallel
+// fan-outs.
 //
 // Every fan-out in this package follows the parallel package's determinism
 // contract: results land in index-addressed slots and are reduced in index
@@ -27,10 +28,6 @@ import (
 type engine struct {
 	workers int
 	plans   *algebra.PlanCache
-	// split holds a split-sample replicate's plans, derived from the full
-	// sample's (algebra.PreparedTerm.Split); plan takes a term's plan from
-	// it before compiling.
-	split map[*algebra.Term]*algebra.PreparedTerm
 	// rec receives the call's metrics (never nil — obs.Nop when disabled),
 	// and span is the call's root span for per-term/per-replicate children
 	// (zero value when tracing is off; zero spans are inert). Recording is
@@ -39,8 +36,8 @@ type engine struct {
 	rec  obs.Recorder
 	span obs.Span
 	// ctx carries the call's cancellation signal (nil = never cancelled).
-	// It is polled between terms and between variance replicates, never
-	// inside an enumeration, so honoring it cannot reorder reductions.
+	// It is polled between terms, never inside an enumeration, so honoring
+	// it cannot reorder reductions.
 	ctx context.Context
 	// pairs holds the moment pass of every term whose plan has the Pairs
 	// shape the call has tallied, per contribution (pairMoments), for the
@@ -95,22 +92,9 @@ func ctxErr(ctx context.Context) error {
 	return nil
 }
 
-// subEngine is the serial engine a split-sample replicate's re-estimation
-// runs under (the replicates themselves are already fanned out). split must
-// hold a plan for every term the replicate evaluates: a sub-engine has no
-// plan cache. Sub-engines do not record: replicate-internal term spans and
-// counters would swamp the top-level signal, and the replicate fan-out
-// itself is already timed by the caller's recorder.
-func subEngine(split map[*algebra.Term]*algebra.PreparedTerm) *engine {
-	return &engine{workers: 1, split: split, rec: obs.Nop}
-}
-
 // plan binds the term's occurrences to the synopsis's sample relations and
 // returns them with the compiled plan over them.
 func (eng *engine) plan(t *algebra.Term, syn *Synopsis) (algebra.Instances, *algebra.PreparedTerm, error) {
-	if pt, ok := eng.split[t]; ok {
-		return pt.Instances(), pt, nil
-	}
 	inst, err := algebra.BindInstances(t, syn)
 	if err != nil {
 		return nil, nil, err
@@ -224,13 +208,15 @@ func sumTerm(pt *algebra.PreparedTerm, workers int, contribution func(rows []int
 }
 
 // relTermMeta describes one relation of a term for weighting: its
-// occurrence indices and its synopsis entry.
+// occurrence indices, its synopsis entry, and the rows n, units m and
+// per-row Horvitz–Thompson weights (stratified only; nil under the tuple
+// and page designs) of the sample it is weighted by, the synopsis's own
+// or a split-sample group's (groupTerm).
 type relTermMeta struct {
-	rel  string
-	occs []int
-	rs   *relSynopsis
-	// rowWeight is rs.rowWeightFn(): the per-row Horvitz–Thompson weights
-	// of a stratified sample, nil under the uniform (tuple, page) designs.
+	rel       string
+	occs      []int
+	rs        *relSynopsis
+	n, m      int
 	rowWeight func(row int) float64
 }
 
@@ -258,11 +244,11 @@ func (m *relTermMeta) factor(rows []int, less int) float64 {
 				d++
 			}
 		}
-		return stats.FallingFactorialRatio(m.rs.N, m.rs.n-less, d)
+		return stats.FallingFactorialRatio(m.rs.N, m.n-less, d)
 	case m.rowWeight != nil:
 		return m.rowWeight(rows[m.occs[0]])
 	default:
-		return float64(m.rs.M) / float64(m.rs.m-less)
+		return float64(m.rs.M) / float64(m.m-less)
 	}
 }
 
@@ -293,7 +279,7 @@ func termRelMetas(t *algebra.Term, syn *Synopsis) ([]relTermMeta, error) {
 			}
 			j = len(metas)
 			idx[o.RelName] = j
-			metas = append(metas, relTermMeta{rel: o.RelName, rs: rs, rowWeight: rs.rowWeightFn()})
+			metas = append(metas, relTermMeta{rel: o.RelName, rs: rs, n: rs.n, m: rs.m, rowWeight: rs.rowWeightFn()})
 		}
 		metas[j].occs = append(metas[j].occs, i)
 	}
@@ -305,7 +291,7 @@ func termRelMetas(t *algebra.Term, syn *Synopsis) ([]relTermMeta, error) {
 // of a non-empty relation has no defined scale-up.
 func checkTermSamples(metas []relTermMeta) (ok bool, err error) {
 	for _, m := range metas {
-		if m.rs.m == 0 {
+		if m.m == 0 {
 			if m.rs.N == 0 {
 				return false, nil
 			}
@@ -341,11 +327,11 @@ func (eng *engine) bindTerm(t *algebra.Term, syn *Synopsis) (*boundTerm, error) 
 }
 
 // weight is the sampling weight w(A) of a satisfying assignment: the
-// product of the per-relation factors in first-occurrence order.
-func (b *boundTerm) weight(rows []int) float64 {
+// product of the term's per-relation factors in first-occurrence order.
+func weight(metas []relTermMeta, rows []int) float64 {
 	w := 1.0
-	for i := range b.metas {
-		w *= b.metas[i].factor(rows, 0)
+	for i := range metas {
+		w *= metas[i].factor(rows, 0)
 	}
 	return w
 }

@@ -270,7 +270,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 	b := &boundTerm{metas: metas}
 	if constWeight(metas) && contrib.plain(t) {
 		if pm, ok := eng.tallied(t, contrib); ok {
-			return b.weight(nil) * pm.Total, nil
+			return weight(b.metas, nil) * pm.Total, nil
 		}
 	}
 	if b.inst, b.pt, err = eng.plan(t, syn); err != nil {
@@ -278,7 +278,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 	}
 	if constWeight(metas) {
 		if contrib.plain(t) {
-			return b.weight(nil) * eng.countTerm(t, b.pt, workers), nil
+			return weight(b.metas, nil) * eng.countTerm(t, b.pt, workers), nil
 		}
 		if b.pt.Pairs() {
 			w, err := contrib.rowWeight(t, b.pt)
@@ -286,7 +286,7 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 				return 0, err
 			}
 			if b.pt.Enumerated(w.Occ) {
-				return b.weight(nil) * eng.pairMoments(t, b.pt, contrib, w).Total, nil
+				return weight(b.metas, nil) * eng.pairMoments(t, b.pt, contrib, w).Total, nil
 			}
 		}
 	}
@@ -295,6 +295,6 @@ func estimateTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, cont
 		return 0, err
 	}
 	return sumTerm(b.pt, workers, func(rows []int) float64 {
-		return value(rows) * b.weight(rows)
+		return value(rows) * weight(b.metas, rows)
 	}), nil
 }

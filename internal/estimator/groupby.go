@@ -137,7 +137,7 @@ func accumulateGroups(t *algebra.Term, syn *Synopsis, pos int, eng *engine, work
 				g = &GroupEstimate{Value: v}
 				local[k] = g
 			}
-			g.Count += coef * b.weight(rows)
+			g.Count += coef * weight(b.metas, rows)
 			return true
 		})
 		partAccs[part] = local

@@ -103,9 +103,10 @@ func (e *Estimator) recordTier(rep TierReport) {
 // maximum number of occurrences in any polynomial term (it returns an error
 // below that).
 //
-// The context is polled between polynomial terms and between variance
-// replicates, and a cancelled call returns a non-nil error, never a partial
-// estimate; the polling consumes no randomness and reorders nothing.
+// The context is polled between polynomial terms, in the point estimate
+// and in each variance pass, and a cancelled call returns a non-nil
+// error, never a partial estimate; the polling consumes no randomness and
+// reorders nothing.
 //
 // Under TierSampleOnly every term escalates, so the planner hands the whole
 // polynomial to the sample tier untouched: no sketches are built and no

@@ -237,7 +237,7 @@ type SequentialResult struct {
 // final sample itself.
 //
 // The context is polled before each phase (and, through the underlying
-// estimator, between terms and replicates), and a cancelled run returns a
+// estimator, between the terms of each pass), and a cancelled run returns a
 // non-nil error, never a partial result. The sample extensions draw from
 // opts.RNG (or a generator seeded with opts.Seed when RNG is nil).
 func SequentialCountContext(ctx context.Context, e *algebra.Expr, syn *Synopsis, opts SequentialOptions) (SequentialResult, error) {

@@ -49,9 +49,10 @@ func splitUnitsRef(rs *relSynopsis, rng *rand.Rand, g int) [][]int {
 	return groups
 }
 
-// splitSampleVarianceRef is the former replicate path: every replicate is
-// a sub-synopsis of its groups' units (subSynopsisUnits) estimated by a
-// serial pointEstimate that compiles its own plans.
+// splitSampleVarianceRef is the replicate path split-sample variance was
+// first built on: every replicate is a sub-synopsis of its groups' units
+// (subSynopsisUnits) estimated by a serial pointEstimate that compiles its
+// own plans.
 func splitSampleVarianceRef(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, contrib termContrib) (float64, error) {
 	need := max(poly.MaxOccurrences(), 1)
 	g := opts.Groups
@@ -94,12 +95,16 @@ func splitSampleVarianceRef(poly algebra.Polynomial, syn *Synopsis, opts Options
 }
 
 // TestSplitSampleMatchesSubSynopses is the split-sample bit-identity
-// matrix: the label-restricted replicate plans must reproduce the former
-// sub-synopsis replicates' variance bit for bit (or fail with the same
-// error) for every design — tuple, page with a short last page, stratified
-// — × COUNT/SUM × σ, ⋈, 3-term ∪, self-join × Groups 2, 8, 13 (13 forces
+// matrix: the labelled pass must reproduce the sub-synopsis replicates'
+// variance bit for bit (or fail with the same error) for every design —
+// tuple, page with a short last page, stratified — × COUNT/SUM × σ, ⋈,
+// 3-term ∪, self-join, θ-join, σ-product × Groups 2, 8, 13 (13 forces
 // shrinking on the small samples) × workers 1, 4, requested explicitly and
-// through VarAuto's shrinking rung.
+// through VarAuto's shrinking rung. A SUM may instead land within 1e-12
+// relative: the pass adds it in the full plan's step order, and a group
+// whose own plan would bind its occurrences in another order adds it in
+// another. The enumerated shapes (self-join, θ-join, folded tail) have no
+// other split-sample guard.
 func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 	f := newKernelFixture()
 	br, bs := algebra.BaseOf(f.r), algebra.BaseOf(f.s)
@@ -118,6 +123,12 @@ func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 			algebra.Must(algebra.Select(join, lt("c", 150)))))},
 		// S twice (tuple-sampled in every design) and R once.
 		{"selfjoin", algebra.Must(algebra.Join(join, bs, []algebra.On{{Left: "c", Right: "c"}}, lt("b", 400), "T"))},
+		// No equality: the second step is unkeyed, and R.b < S.c is checked
+		// per enumerated pair.
+		{"theta", algebra.Must(algebra.Select(algebra.Must(algebra.Product(br, bs, "S")),
+			algebra.ColCmp{A: "b", Op: algebra.LT, B: "c"}))},
+		// σ R × S: both occurrences fold into the tail's factor.
+		{"selectproduct", algebra.Must(algebra.Product(algebra.Must(algebra.Select(br, lt("b", 250))), bs, "S"))},
 	}
 	designs := map[string]func(seed int64) *Synopsis{
 		"tuple":      func(seed int64) *Synopsis { return f.synopsis(t, "tuple", seed) },
@@ -131,7 +142,7 @@ func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 			return syn
 		},
 	}
-	cells := 0
+	cells, moved := 0, 0
 	for design, draw := range designs {
 		syn := draw(11)
 		for _, ex := range exprs {
@@ -163,11 +174,16 @@ func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 								if werr == nil || err == nil || werr.Error() != err.Error() {
 									t.Errorf("%s: error %v, former path %v", name, err, werr)
 								}
-							case math.Float64bits(got) != math.Float64bits(want):
-								t.Errorf("%s: variance %v (%016x), former path %v (%016x)",
-									name, got, math.Float64bits(got), want, math.Float64bits(want))
-							default:
+							case math.Float64bits(got) == math.Float64bits(want):
 								cells++
+							case agg == "sum" && math.Abs(got-want) <= 1e-12*math.Abs(want):
+								// A SUM is added in the full plan's step order,
+								// which a group's own plan may not share.
+								cells++
+								moved++
+							default:
+								t.Errorf("%s: variance %v (%016x), sub-synopsis path %v (%016x)",
+									name, got, math.Float64bits(got), want, math.Float64bits(want))
 							}
 						}
 					}
@@ -175,6 +191,7 @@ func TestSplitSampleMatchesSubSynopses(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d cells, %d SUM variances within 1e-12 of the sub-synopsis path but not bit-identical", cells, moved)
 	if cells < 200 {
 		t.Errorf("only %d cells produced a variance; the matrix no longer exercises the replicate path", cells)
 	}

@@ -69,10 +69,6 @@ type relSynopsis struct {
 	// own population size and its own SRSWOR sample, so the inverse
 	// inclusion probability varies by stratum.
 	strata []stratumInfo
-	// weights is set on the split-sample replicates of a stratified sample
-	// (see split) instead of strata: the weight N_h/n_h,l of every sample
-	// row, n_h,l counting the units of the row's stratum in its group.
-	weights []float64
 
 	// base and unit ids are retained when the synopsis was drawn from a
 	// stored relation, enabling sample extension (sequential estimation).
@@ -110,8 +106,8 @@ func (rs *relSynopsis) stratified() bool { return rs.strata != nil }
 
 // uniformWeights reports whether every sampling unit shares the same
 // inverse inclusion probability (true for the tuple and page designs,
-// false for stratified samples and their replicates).
-func (rs *relSynopsis) uniformWeights() bool { return rs.strata == nil && rs.weights == nil }
+// false for stratified samples).
+func (rs *relSynopsis) uniformWeights() bool { return rs.strata == nil }
 
 // rowWeightFn returns the per-sample-row inverse inclusion probability of
 // a stratified sample (N_h/n_h of the row's stratum), or nil when every
@@ -120,14 +116,11 @@ func (rs *relSynopsis) rowWeightFn() func(row int) float64 {
 	if rs.uniformWeights() {
 		return nil
 	}
-	weights := rs.weights
-	if weights == nil {
-		weights = make([]float64, rs.n)
-		for _, st := range rs.strata {
-			w := float64(st.Nh) / float64(len(st.units))
-			for _, u := range st.units { // a stratified unit is a row
-				weights[u] = w
-			}
+	weights := make([]float64, rs.n)
+	for _, st := range rs.strata {
+		w := float64(st.Nh) / float64(len(st.units))
+		for _, u := range st.units { // a stratified unit is a row
+			weights[u] = w
 		}
 	}
 	return func(row int) float64 { return weights[row] }
@@ -581,37 +574,26 @@ func (s *Synopsis) ExtendSample(name string, add int, rng *rand.Rand) error {
 	return nil
 }
 
-// split partitions the relation's sampling units into g random groups for
-// split-sample replication (sampling.SplitLabels: plain groups for the
-// tuple and page designs, per-stratum groups for stratified samples, so
-// every replicate is a valid sample of the same design). It returns the
-// group of every sample row and one replicate per group: the same sample
-// view with the group's n and m and, for a stratified sample, row weights
-// N_h/n_h,l indexed by full-sample row. A replicate's rows are its group's
-// rows of that view, read through plans restricted to the group
-// (algebra.PreparedTerm.Split); it carries no unit layout or strata.
-func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
+// split draws the relation's split-sample groups: each sampling unit's
+// group in [0, g), which its rows inherit (sampling.SplitLabels: per
+// stratum for a stratified sample, so every group is a valid smaller
+// sample of the same design). The draw depends only on rng.
+func (rs *relSynopsis) split(rng *rand.Rand, g int) *relGroups {
 	var strata [][]int
 	for _, st := range rs.strata {
 		strata = append(strata, st.units)
 	}
 	unitLabel := sampling.SplitLabels(rng, rs.m, g, strata)
-	reps := make([]relSynopsis, g)
-	for l := range reps {
-		reps[l] = relSynopsis{name: rs.name, sample: rs.sample, N: rs.N, M: rs.M, pageSize: rs.pageSize}
-	}
-	rowLabel := make([]int32, rs.n)
+	gr := &relGroups{rows: make([]int32, rs.n), n: make([]int, g), m: make([]int, g)}
 	for u, l := range unitLabel {
 		lo, hi := rs.unitRows(u)
-		reps[l].m++
-		reps[l].n += hi - lo
+		gr.m[l]++
+		gr.n[l] += hi - lo
 		for row := lo; row < hi; row++ {
-			rowLabel[row] = l
+			gr.rows[row] = l
 		}
 	}
 	if rs.stratified() {
-		// One weight per row serves every replicate: each row belongs to
-		// exactly one group, and only that group's plans read it.
 		weights := make([]float64, rs.n)
 		perGroup := make([]int, g)
 		for _, st := range rs.strata {
@@ -623,13 +605,7 @@ func (rs *relSynopsis) split(rng *rand.Rand, g int) ([]int32, []*relSynopsis) {
 				weights[u] = float64(st.Nh) / float64(perGroup[unitLabel[u]])
 			}
 		}
-		for l := range reps {
-			reps[l].weights = weights
-		}
+		gr.rowWeight = func(row int) float64 { return weights[row] }
 	}
-	out := make([]*relSynopsis, g)
-	for l := range reps {
-		out[l] = &reps[l]
-	}
-	return rowLabel, out
+	return gr
 }

@@ -283,8 +283,10 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, s algebra.PairMomen
 }
 
 // splitSampleVariance estimates variance by replication: each relation's
-// sample is randomly partitioned into g groups; replicate i re-runs the
-// point estimator on the i-th group of every relation. A replicate uses
+// sample is randomly partitioned into g groups; replicate i is the point
+// estimate from the i-th group of every relation, and one labelled pass
+// per term over the full sample's plan gives every replicate's value of
+// the term (groupTerm). A replicate uses
 // samples of size n/g, so to first order Var(replicate) ≈ g·Var(full), and
 //
 //	Var̂(full) ≈ s²_replicates / g.
@@ -300,10 +302,7 @@ func twoRelationTermVariance(t *algebra.Term, syn *Synopsis, s algebra.PairMomen
 // max-occurrences rows per relation; otherwise too-small samples are an
 // error.
 func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, shrink bool, eng *engine, contrib termContrib) (float64, error) {
-	need := poly.MaxOccurrences()
-	if need < 1 {
-		need = 1
-	}
+	need := max(poly.MaxOccurrences(), 1)
 	g := opts.Groups
 	minM := math.MaxInt
 	for _, rel := range poly.RelationNames() {
@@ -311,89 +310,123 @@ func splitSampleVariance(poly algebra.Polynomial, syn *Synopsis, opts Options, s
 		if !ok {
 			return 0, fmt.Errorf("estimator: no sample for %q", rel)
 		}
-		mm := rs.m
-		// Stratified replicates must keep every stratum populated, so the
+		// Stratified groups must keep every stratum populated, so the
 		// smallest stratum bounds the group count.
+		minM = min(minM, rs.m)
 		for _, st := range rs.strata {
-			if len(st.units) < mm {
-				mm = len(st.units)
-			}
-		}
-		if mm < minM {
-			minM = mm
+			minM = min(minM, len(st.units))
 		}
 	}
 	if minM/g < need {
 		if !shrink {
 			return 0, fmt.Errorf("estimator: %d split-sample groups leave fewer than %d sampling units per group (min sample %d units)", g, need, minM)
 		}
-		g = minM / need
-		if g > opts.Groups {
-			g = opts.Groups
-		}
+		g = min(minM/need, opts.Groups)
 	}
 	if g < 2 {
 		return 0, fmt.Errorf("estimator: samples too small for split-sample variance (min sample %d units, need %d per group)", minM, need)
 	}
-	// Partition each relation's sampling units into g groups; whole units
-	// move together (and strata split evenly) so every group is a valid
-	// smaller sample of the same design. The grouping depends only on the
-	// Seed, never on the worker count. A replicate keeps the full sample
-	// views and reads them through the point estimate's plans restricted
-	// to its group's rows (algebra.PreparedTerm.Split), which enumerate
-	// what plans compiled over the group's own sub-samples would, in the
-	// same order.
+	// Every group holds at least need units of each relation. Replicate l
+	// adds its terms' values in term order, as pointEstimate does.
 	rng := sampling.Seeded(opts.Seed ^ 0x5eed5eed)
-	syns := make([]*Synopsis, g)
-	for i := range syns {
-		syns[i] = NewSynopsis()
-	}
+	groups := make(map[string]*relGroups)
 	labels := make(map[*relation.Relation][]int32)
 	for _, rel := range poly.RelationNames() {
 		rs := syn.rels[rel]
-		rowLabel, reps := rs.split(rng, g)
-		labels[rs.sample] = rowLabel
-		for i, rep := range reps {
-			syns[i].rels[rel] = rep
-		}
+		groups[rel] = rs.split(rng, g)
+		labels[rs.sample] = groups[rel].rows
 	}
-	part := algebra.NewPartition(g, labels)
-	plans := make([]map[*algebra.Term]*algebra.PreparedTerm, g)
-	for i := range plans {
-		plans[i] = make(map[*algebra.Term]*algebra.PreparedTerm, len(poly.Terms))
-	}
-	for ti := range poly.Terms {
-		t := &poly.Terms[ti]
-		_, pt, err := eng.plan(t, syn)
-		if err != nil {
-			return 0, err
-		}
-		for i, rp := range pt.Split(part) {
-			plans[i][t] = rp
-		}
-	}
-	// Replicates are independent: fan them out and fold the values into the
-	// variance accumulator in replicate order.
 	eng.rec.Add(mRepSplit, float64(g))
-	vals := make([]float64, g)
-	err := parallel.ForErrRec(g, eng.workers, eng.rec, func(i int) error {
+	rspan := eng.span.Child(sReplicate)
+	defer rspan.End()
+	vals := make([][]float64, len(poly.Terms))
+	outer, inner := splitWorkers(len(poly.Terms), eng.workers)
+	err := parallel.ForErrRec(len(poly.Terms), outer, eng.rec, func(ti int) error {
 		if err := eng.cancelled(); err != nil {
 			return err
 		}
-		rs := eng.span.Child(sReplicate)
-		defer rs.End()
-		v, err := pointEstimate(poly, syns[i], subEngine(plans[i]), contrib)
-		vals[i] = v
+		v, err := groupTerm(&poly.Terms[ti], syn, eng, inner, contrib, g, groups, labels)
+		vals[ti] = v
 		return err
 	})
 	if err != nil {
 		return 0, err
 	}
 	var reps stats.Welford
-	for _, v := range vals {
-		reps.Add(v)
+	for l := 0; l < g; l++ {
+		total := 0.0
+		for ti := range poly.Terms {
+			total += float64(poly.Terms[ti].Coef) * vals[ti][l]
+		}
+		reps.Add(total)
 	}
 	return reps.Variance() / float64(g), nil
+}
+
+// relGroups is one relation's split-sample groups: every sample row's
+// group, each group's rows n[l] and units m[l], and for a stratified
+// sample every row's weight N_h/n_{h,l} in its own group.
+type relGroups struct {
+	rows      []int32
+	n, m      []int
+	rowWeight func(row int) float64
+}
+
+// groupTerm is estimateTerm, on its paths, for every split-sample group at
+// once, read off the term's labelled pass (algebra.PreparedTerm.Label):
+// group l's value is weighted by group l's own sample sizes — M/m_l,
+// (N)_d/(n_l)_d, or N_h/n_{h,l} for a stratified row.
+func groupTerm(t *algebra.Term, syn *Synopsis, eng *engine, workers int, contrib termContrib, g int, groups map[string]*relGroups, labels map[*relation.Relation][]int32) ([]float64, error) {
+	metas, err := termRelMetas(t, syn)
+	if err != nil {
+		return nil, err
+	}
+	_, pt, err := eng.plan(t, syn)
+	if err != nil {
+		return nil, err
+	}
+	lt, err := pt.Label(g, labels)
+	if err != nil {
+		return nil, err
+	}
+	gm := make([][]relTermMeta, g) // metas weighted by each group's sample
+	for l := range gm {
+		gm[l] = slices.Clone(metas)
+		for j := range gm[l] {
+			gr := groups[metas[j].rel]
+			gm[l][j].n, gm[l][j].m = gr.n[l], gr.m[l]
+			if gr.rowWeight != nil {
+				gm[l][j].rowWeight = gr.rowWeight
+			}
+		}
+	}
+	if constWeight(metas) {
+		var totals []float64
+		if contrib.plain(t) {
+			totals = lt.Counts(workers)
+		} else if pt.Pairs() {
+			w, err := contrib.rowWeight(t, pt)
+			if err != nil {
+				return nil, err
+			}
+			if pt.Enumerated(w.Occ) {
+				totals = lt.PairTotals(w)
+			}
+		}
+		if totals != nil {
+			for l, v := range totals {
+				totals[l] = weight(gm[l], nil) * v
+			}
+			return totals, nil
+		}
+	}
+	value, err := contrib.bind(t, pt)
+	if err != nil {
+		return nil, err
+	}
+	return lt.Sums(workers, func(l int, rows []int) float64 {
+		return value(rows) * weight(gm[l], rows)
+	}), nil
 }
 
 // jackknifeVariance estimates variance with delete-one replicates: for

@@ -12,8 +12,7 @@ import (
 // sameIndex reports whether two indexes of the same rows agree field for
 // field: bucket boundaries and row vector.
 func sameIndex(a, b *Index) bool {
-	return slices.Equal(a.bounds, b.bounds) && slices.Equal(a.rows, b.rows) &&
-		a.parts == b.parts && a.part == b.part
+	return slices.Equal(a.bounds, b.bounds) && slices.Equal(a.rows, b.rows)
 }
 
 // TestQuickGrownIndexMatchesBuild grows memoized view code vectors through

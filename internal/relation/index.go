@@ -9,10 +9,9 @@ import "slices"
 // an ascending row list). A build is a counting sort: one pass counts each
 // code's rows, prefix sums turn the counts into one bounds array, and a
 // second pass lays the rows out in one flat vector, so a build allocates a
-// fixed handful of slices however many keys there are. Split restricts an
-// index to row groups the same way: the parts share the bucket numbering,
-// and each bucket's rows are sorted by group, so part p of bucket b is
-// again one range.
+// fixed handful of slices however many keys there are. A split-sample
+// pass indexes its rows by (group, code) keys of its own making
+// (algebra.Labelled), so a group's bucket is one such bucket.
 //
 // When the indexed codes are dense — no more codes up to the largest one
 // than twice the rows, as a sample view's key codes are — the bucket of
@@ -20,8 +19,8 @@ import "slices"
 // two adjacent bounds. When they are sparse (a composite key's tuple
 // codes, which a long-lived domain hands out late), the buckets are only
 // the codes present, numbered in code order through a code → bucket
-// table, so the bounds and a Split's parts are sized by the keys the index
-// holds rather than by the domain.
+// table, so the bounds are sized by the keys the index holds rather than
+// by the domain.
 //
 // Codes come from a KeyDomain (Relation.KeyCodes), which is what decides
 // that two cells match: Equal keys share a code. An index never reads a
@@ -33,12 +32,9 @@ type Index struct {
 	bucket []int32
 	nb     int
 
-	// Bucket b's rows in part p are rows[bounds[b*parts+p]:bounds[b*parts+p+1]],
-	// in insertion order. A built index is the one-part case (parts 1,
-	// part 0); the parts of a Split share bounds and rows.
-	bounds      []int32
-	parts, part int
-	rows        []int
+	// Bucket b's rows are rows[bounds[b]:bounds[b+1]], in insertion order.
+	bounds []int32
+	rows   []int
 }
 
 // BuildIndex indexes every row of r on the key over columns cols, coded in
@@ -78,7 +74,7 @@ func NewIndex(codes []int32, rows []int) *Index {
 		top--
 	}
 	count = count[:top+2]
-	ix := &Index{parts: 1}
+	ix := &Index{}
 	if top < 2*len(rows) {
 		for c := 1; c < len(count); c++ {
 			count[c] += count[c-1]
@@ -107,72 +103,10 @@ func NewIndex(codes []int32, rows []int) *Index {
 	return ix
 }
 
-// Split restricts the index to g groups of its rows: part l indexes the
-// rows r with label[r] == l, and its Lookup returns exactly the receiver's
-// result for the same code filtered to those rows, in the same order.
-// label is indexed by row position and must map every indexed row into
-// [0, g).
-//
-// The parts number only the buckets that hold rows (compact), so their
-// B·g+1 part boundaries are sized by the keys the index holds, and they
-// share those bucket ids and one row vector. Split sorts each bucket's
-// rows stably by label with one counting pass and records the boundaries
-// in one prefix-sum array.
-func (ix *Index) Split(label []int32, g int) []*Index {
-	ix = ix.compact()
-	src := ix.rows
-	nb := ix.nb
-	bounds := make([]int32, nb*g+1)
-	for b := 0; b < nb; b++ {
-		for _, row := range src[ix.bounds[b]:ix.bounds[b+1]] {
-			bounds[b*g+int(label[row])+1]++
-		}
-	}
-	for i := 1; i < len(bounds); i++ {
-		bounds[i] += bounds[i-1]
-	}
-	rows := make([]int, bounds[nb*g])
-	cursor := make([]int32, g)
-	for b := 0; b < nb; b++ {
-		copy(cursor, bounds[b*g:b*g+g])
-		for _, row := range src[ix.bounds[b]:ix.bounds[b+1]] {
-			l := label[row]
-			rows[cursor[l]] = row
-			cursor[l]++
-		}
-	}
-	out := make([]*Index, g)
-	for l := range out {
-		out[l] = &Index{bucket: ix.bucket, nb: nb, bounds: bounds, parts: g, part: l, rows: rows}
-	}
-	return out
-}
-
-// compact returns the index with only the buckets that hold rows,
-// numbered in code order through a code → bucket table: the index itself
-// when its codes are sparse, and otherwise the same rows (a dense index's
-// empty buckets hold none, so its rows are already in that order) under
-// the table.
-func (ix *Index) compact() *Index {
-	if ix.bucket != nil {
-		return ix
-	}
-	out := &Index{bucket: make([]int32, ix.nb), bounds: make([]int32, 1, ix.nb+1), parts: 1, rows: ix.rows}
-	for c := range out.bucket {
-		if hi := ix.bounds[c+1]; hi > ix.bounds[c] {
-			out.bounds = append(out.bounds, hi)
-			out.bucket[c] = int32(len(out.bounds) - 1)
-		}
-	}
-	out.nb = len(out.bounds) - 1
-	return out
-}
-
 // bucketOf returns the id in [0, nb) of the bucket of the given code, or
 // -1 when the index has none: the code is past every indexed one, or,
 // with sparse codes, no indexed row holds it. With dense codes a code no
-// indexed row holds has an empty bucket. The parts of a Split share their
-// bucket ids.
+// indexed row holds has an empty bucket.
 func (ix *Index) bucketOf(code int32) int {
 	if ix.bucket != nil {
 		if uint(code) >= uint(len(ix.bucket)) {
@@ -186,16 +120,15 @@ func (ix *Index) bucketOf(code int32) int {
 	return int(code)
 }
 
-// Lookup returns the rows of the bucket of the given code in the index's
-// part, in insertion order, nil when it has none. The slice is shared
-// with the index and must not be modified.
+// Lookup returns the rows of the bucket of the given code, in insertion
+// order, nil when it has none. The slice is shared with the index and
+// must not be modified.
 func (ix *Index) Lookup(code int32) []int {
 	b := ix.bucketOf(code)
 	if b < 0 {
 		return nil
 	}
-	i := b*ix.parts + ix.part
-	lo, hi := ix.bounds[i], ix.bounds[i+1]
+	lo, hi := ix.bounds[b], ix.bounds[b+1]
 	if lo == hi {
 		return nil
 	}

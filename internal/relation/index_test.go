@@ -423,154 +423,7 @@ func TestBuildIndexAllocsFlat(t *testing.T) {
 	}
 }
 
-// splitAgrees checks Split's contract for one probe code: part l returns
-// exactly the parent's rows for the code that are labelled l, in the
-// parent's order, for every part, every part reports one bucket id for
-// the code (none when the parent has no rows for it), and the part's
-// bucket for that id holds the filtered rows.
-func splitAgrees(parent *Index, parts []*Index, label []int32, code int32) bool {
-	want := parent.Lookup(code)
-	id := parts[0].bucketOf(code)
-	if (id < 0) != (want == nil) {
-		return false
-	}
-	total := 0
-	for l, part := range parts {
-		got := part.Lookup(code)
-		total += len(got)
-		if part.bucketOf(code) != id {
-			return false
-		}
-		if id >= 0 && len(bucketRows(part, id)) != len(got) {
-			return false
-		}
-		i := 0
-		for _, row := range want {
-			if label[row] != int32(l) {
-				continue
-			}
-			if i >= len(got) || got[i] != row {
-				return false
-			}
-			i++
-		}
-		if i != len(got) {
-			return false
-		}
-	}
-	return total == len(want)
-}
-
-// TestQuickSplitMatchesFilteredLookup checks Index.Split against its
-// definition on random data: for random labels, every part's probe equals
-// the parent's probe filtered to the part's label, in order, and the parts
-// report one bucket id holding the filtered rows. The
-// data has null keys, composite keys gathered from two relations, Int
-// cells probing a Float column and back, labels drawn from a prefix of
-// the groups (so trailing parts are empty), and indexes over a whole
-// relation, a view with repeated rows, and a filtered candidate list, with
-// dense codes and with codes made sparse by a padded domain.
-func TestQuickSplitMatchesFilteredLookup(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		letters := []string{"", "a", "b"}
-		floats := []float64{0, math.Copysign(0, -1), 1, 2, 2.5}
-		build := func(name string, n int, kinds ...Kind) *Relation {
-			cols := make([]Column, len(kinds))
-			for c, k := range kinds {
-				cols[c] = Column{fmt.Sprintf("c%d", c), k}
-			}
-			r := New(name, MustSchema(cols...))
-			for i := 0; i < n; i++ {
-				row := make(Tuple, len(kinds))
-				for c, k := range kinds {
-					switch {
-					case rng.Intn(6) == 0:
-						row[c] = Null()
-					case k == KindInt:
-						row[c] = Int(int64(rng.Intn(3)))
-					case k == KindFloat:
-						row[c] = Float(floats[rng.Intn(len(floats))])
-					default:
-						row[c] = Str(letters[rng.Intn(len(letters))])
-					}
-				}
-				r.MustAppend(row)
-			}
-			return r
-		}
-		a := build("A", 1+rng.Intn(60), KindInt, KindString, KindFloat)
-		c := build("C", 1+rng.Intn(10), KindFloat, KindString, KindInt)
-		target := a
-		if rng.Intn(3) == 0 {
-			pos := make([]int, 1+rng.Intn(2*a.Len()))
-			for i := range pos {
-				pos[i] = rng.Intn(a.Len())
-			}
-			target = a.Subset("V", pos)
-		}
-		dom := NewKeyDomain()
-		padDomain(dom, rng.Intn(3)*4*target.Len())
-		// Each case keys the index on cols and probes with the tuple code
-		// of column tc of the target's row and column cc of C's row
-		// (-1: not part of the key).
-		cases := []struct {
-			cols   []int
-			tc, cc int
-		}{
-			{[]int{0, 1}, 0, 1},
-			{[]int{1, 0}, 1, 0}, // Float probes Int
-			{[]int{1, 2}, 1, 2}, // Int probes Float
-			{[]int{2}, 2, -1},
-		}
-		ks := cases[rng.Intn(len(cases))]
-		tcodes := target.KeyCodes([]int{ks.tc}, dom)
-		var ccodes []int32
-		if ks.cc >= 0 {
-			ccodes = c.KeyCodes([]int{ks.cc}, dom)
-		}
-		codes := target.KeyCodes(ks.cols, dom)
-		var ix *Index
-		if rng.Intn(2) == 0 {
-			ix = NewIndex(codes, nil)
-		} else {
-			var rows []int
-			for i := 0; i < target.Len(); i++ {
-				if rng.Intn(3) > 0 {
-					rows = append(rows, i)
-				}
-			}
-			ix = NewIndex(codes, rows)
-		}
-		g := 1 + rng.Intn(6)
-		used := 1 + rng.Intn(g)
-		label := make([]int32, target.Len())
-		for i := range label {
-			label[i] = int32(rng.Intn(used))
-		}
-		parts := ix.Split(label, g)
-		if len(parts) != g {
-			return false
-		}
-		for trial := 0; trial < 40; trial++ {
-			code := tcodes[rng.Intn(target.Len())]
-			if ccodes != nil {
-				// The composite key is (target cell, C cell) in cols order.
-				code = tupleOf(dom, code, ccodes[rng.Intn(c.Len())])
-			}
-			if !splitAgrees(ix, parts, label, code) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-// bucketRows returns bucket b's rows in ix's part.
+// bucketRows returns bucket b's rows.
 func bucketRows(ix *Index, b int) []int {
-	i := b*ix.parts + ix.part
-	return ix.rows[ix.bounds[i]:ix.bounds[i+1]]
+	return ix.rows[ix.bounds[b]:ix.bounds[b+1]]
 }

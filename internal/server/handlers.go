@@ -270,7 +270,8 @@ func (s *Server) handleListSynopses(w http.ResponseWriter, r *http.Request) {
 
 // handleStream applies one insert/delete event to an incremental
 // synopsis. An event the synopsis refuses as contradicting the stream
-// contract (estimator.ErrRefusedEvent) answers 409 and is never logged.
+// contract (estimator.ErrRefusedEvent) answers 409, is never logged and
+// is counted by reason (refusedMetric).
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	entry, ok := s.reg.synopsis(name)
@@ -287,6 +288,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		switch {
 		case errors.Is(err, estimator.ErrRefusedEvent):
 			status = http.StatusConflict
+			s.col.Add(refusedMetric(req.Op), 1)
 		case errors.Is(err, errStreamLog):
 			status = http.StatusInternalServerError
 		}

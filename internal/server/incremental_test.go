@@ -185,3 +185,39 @@ func TestIncrementalRefusalTakesNoSnapshot(t *testing.T) {
 		t.Errorf("valid request: status %d", status)
 	}
 }
+
+// TestStreamRefusedCounted sends one event of each kind Incremental
+// refuses — an insert of a tuple the sample holds, and a delete of an
+// absent tuple when every live row is sampled — and reads one refusal per
+// reason from /metrics. An accepted event counts nothing.
+func TestStreamRefusedCounted(t *testing.T) {
+	_, base := startServer(t, Config{})
+	setupDataset(t, base, 500, 50)
+	status, raw := postJSON(t, base+"/v1/synopses/live", SynopsisRequest{
+		Kind: "incremental", Relations: map[string]int{"R1": 0}, Seed: 11, Capacity: 16,
+	})
+	if status != http.StatusCreated {
+		t.Fatalf("create live: %d %s", status, raw)
+	}
+	streamEvents(t, base, 0, 3)
+	for _, ev := range []StreamRequest{
+		{Op: "insert", Relation: "R1", Tuple: []string{"0", "100000"}},
+		{Op: "delete", Relation: "R1", Tuple: []string{"1", "999999"}},
+	} {
+		if status, raw := postJSON(t, base+"/v1/synopses/live/stream", ev); status != http.StatusConflict {
+			t.Fatalf("%s %v: %d %s, want 409", ev.Op, ev.Tuple, status, raw)
+		}
+	}
+	status, raw = getBody(t, base+"/metrics")
+	if status != http.StatusOK {
+		t.Fatalf("/metrics: %d", status)
+	}
+	for _, want := range []string{
+		mStreamRefused + `{reason="live_duplicate"} 1`,
+		mStreamRefused + `{reason="absent_delete"} 1`,
+	} {
+		if !strings.Contains(string(raw), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, raw)
+		}
+	}
+}

@@ -61,6 +61,8 @@ const (
 	// synopsis could not be made resident (e.g. its base relations were
 	// never snapshotted); nonzero means acknowledged updates were lost.
 	mWALSkipped = "relestd_wal_skipped_total"
+	// mStreamRefused counts stream events refused with 409, by reason.
+	mStreamRefused = "relestd_stream_refused_total"
 
 	// Storage-footprint gauges, shared names with the estimator and
 	// cmd/relest (see obs.MetricRelationBytes / obs.MetricSynopsisBytes).
@@ -71,6 +73,17 @@ const (
 // reqMetric labels the request counter with the HTTP status code.
 func reqMetric(status int) string {
 	return obs.L(mRequests, "code", strconv.Itoa(status))
+}
+
+// refusedMetric labels the refused-event counter with the one reason
+// Incremental refuses an event of the given op for: an insert the sample
+// holds is a live duplicate, a delete it does not hold is absent.
+func refusedMetric(op string) string {
+	reason := "absent_delete"
+	if op == "insert" {
+		reason = "live_duplicate"
+	}
+	return obs.L(mStreamRefused, "reason", reason)
 }
 
 // latencyMetric labels the latency histogram with the estimation mode.
